@@ -2,8 +2,7 @@
 multi-human multi-robot missions."""
 
 from .core import (
-    Collaboration,
-    CollabMode,
+    Assignment,
     HumanProfile,
     ItaPlan,
     MissionScenario,
@@ -21,8 +20,7 @@ from .core import (
 from .sim import SimConfig, run_mission
 
 __all__ = [
-    "Collaboration",
-    "CollabMode",
+    "Assignment",
     "HumanProfile",
     "ItaPlan",
     "MissionScenario",

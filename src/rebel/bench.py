@@ -24,7 +24,7 @@ from pathlib import Path
 from scipy import stats as scipy_stats
 
 from .core import (
-    Collaboration,
+    Assignment,
     HumanProfile,
     ItaPlan,
     MissionScenario,
@@ -192,45 +192,29 @@ def random_allocate(scenario: MissionScenario, seed: int) -> ItaPlan:
     if not scenario.robots:
         raise ValueError("scenario has no robots")
     rng = random.Random(seed)
-    robots = sorted(scenario.robots, key=lambda r: natural_key(r.id))
-    humans = sorted(scenario.humans, key=lambda h: natural_key(h.id))
-    assignments = {}
-    for task in sorted(scenario.tasks, key=lambda t: natural_key(t.id)):
-        robot = rng.choice(robots)
-        options: list[Collaboration] = [Collaboration.autonomous()]
-        options += [Collaboration.shared_control(h.id) for h in humans]
-        options += [Collaboration.human_analysis(h.id) for h in humans]
-        assignments[task.id] = ((robot.id, rng.choice(options)),)
-    return ItaPlan(assignments)
+    options = _pattern_options(scenario)
+    return ItaPlan({
+        task.id: Assignment(rng.choice(scenario.robots).id, rng.choice(options))
+        for task in scenario.tasks
+    })
 
 
-def _pattern_options(scenario: MissionScenario) -> list[Collaboration]:
-    humans = sorted(scenario.humans, key=lambda h: natural_key(h.id))
-    options = [Collaboration.autonomous()]
-    options += [Collaboration.shared_control(h.id) for h in humans]
-    options += [Collaboration.human_analysis(h.id) for h in humans]
-    return options
+def _pattern_options(scenario: MissionScenario) -> list[str | None]:
+    """The 1 + H collaboration patterns: autonomous, or one human's shared control."""
+    return [None] + [h.id for h in scenario.humans]
 
 
 def enumerate_plans(scenario: MissionScenario, cap: int = BRUTE_FORCE_CAP) -> list[ItaPlan]:
     """Every feasible plan over the robot x collaboration-pattern candidate set."""
-    tasks = sorted(scenario.tasks, key=lambda t: natural_key(t.id))
-    robots = sorted(scenario.robots, key=lambda r: natural_key(r.id))
+    task_ids = [t.id for t in scenario.tasks]
     options = _pattern_options(scenario)
-    per_task = [
-        [(robot.id, collab) for robot in robots for collab in options] for _ in tasks
+    candidates = [Assignment(robot.id, human) for robot in scenario.robots for human in options]
+    if len(candidates) ** len(task_ids) > cap:
+        raise ValueError(f"search space exceeds the {cap} plan cap; use a smaller instance")
+    return [
+        ItaPlan(dict(zip(task_ids, combo)))
+        for combo in itertools.product(candidates, repeat=len(task_ids))
     ]
-    total = 1
-    for choices in per_task:
-        total *= len(choices)
-        if total > cap:
-            raise ValueError(
-                f"search space exceeds the {cap} plan cap; use a smaller instance"
-            )
-    plans = []
-    for combo in itertools.product(*per_task):
-        plans.append(ItaPlan({task.id: (entry,) for task, entry in zip(tasks, combo)}))
-    return plans
 
 
 def brute_force_table(
@@ -293,12 +277,10 @@ def apply_composition_change(
 ) -> tuple[MissionScenario, ChangeReport]:
     """Strip/add team members and report plan assignments left dangling."""
     remove = set(change.remove_ids)
-    robots_sorted = sorted(scenario.robots, key=lambda r: natural_key(r.id))
-    humans_sorted = sorted(scenario.humans, key=lambda h: natural_key(h.id))
     if change.remove_robots:
-        remove.update(r.id for r in robots_sorted[-change.remove_robots:])
+        remove.update(r.id for r in scenario.robots[-change.remove_robots:])
     if change.remove_humans:
-        remove.update(h.id for h in humans_sorted[-change.remove_humans:])
+        remove.update(h.id for h in scenario.humans[-change.remove_humans:])
 
     unknown = remove - scenario.human_ids() - scenario.robot_ids()
     if unknown:
@@ -352,7 +334,7 @@ def apply_composition_change(
     return modified, ChangeReport(
         removed=tuple(sorted(remove, key=natural_key)),
         added=tuple(added),
-        orphaned_tasks=tuple(sorted(orphaned, key=natural_key)),
+        orphaned_tasks=orphaned,
     )
 
 

@@ -63,10 +63,14 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
                         help="environment variable holding the API key")
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument("--retries", type=int, default=2)
-    parser.add_argument("--embedder", choices=("hashed", "http"), default="hashed")
-    parser.add_argument("--embed-dim", type=int, default=256)
     parser.add_argument("--transcript", default=None,
                         help="record every prompt/response to this JSONL file")
+
+
+def _add_embedder_args(parser: argparse.ArgumentParser) -> None:
+    """Flags read by _build_embedder; it also reads the provider's endpoint flags."""
+    parser.add_argument("--embedder", choices=("hashed", "http"), default="hashed")
+    parser.add_argument("--embed-dim", type=int, default=256)
 
 
 def _build_provider(args: argparse.Namespace):
@@ -208,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-rules", help="stage 1: generate and store allocation rules")
     p.add_argument("--rules-db", required=True)
     p.add_argument("--objectives", default="TP,MT,HW")
-    p.add_argument("--seed", type=int, default=None)
     _add_provider_args(p)
     p.set_defaults(func=cmd_gen_rules)
 
@@ -227,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sim-config", default=None)
     _add_provider_args(p)
+    _add_embedder_args(p)
     p.set_defaults(func=cmd_gen_exp)
 
     p = sub.add_parser("infer", help="stage 3: allocate an unseen mission")
@@ -239,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp-m", type=int, default=2)
     p.add_argument("--out", default=None)
     _add_provider_args(p)
+    _add_embedder_args(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("simulate", help="run one mission for a scenario and plan")
@@ -258,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-config", default=None)
     p.add_argument("--workers", type=int, default=1)
     _add_provider_args(p)
+    _add_embedder_args(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

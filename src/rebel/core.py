@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 ARENA_SIDE_DEFAULT = 2000.0
 
@@ -157,45 +157,17 @@ class TaskSpec:
         object.__setattr__(self, "location", (float(x), float(y)))
 
 
-class CollabMode(Enum):
-    ROBOT_AUTONOMOUS = "robot_autonomous"
-    SHARED_CONTROL = "shared_control"
-    HUMAN_ANALYSIS = "human_analysis"
+class Assignment(NamedTuple):
+    """One task's allocation in the plan grammar.
 
-
-@dataclass(frozen=True)
-class Collaboration:
-    """Execution mode of one assignment, optionally tied to a human operator.
-
-    Shared control: the named human teleoperates the robot (affecting travel
-    speed) and analyzes the captured image. Human analysis: the robot travels
-    autonomously but the named human classifies the image.
+    `robot` travels to the point of interest and captures the image. With
+    `human` set (`T_i: (H_j, R_k)`), that human shares control of the robot,
+    which scales its travel speed, and analyzes the image; with `human` None
+    (`T_i: (R_k)`), capture is autonomous and classification is onboard.
     """
 
-    mode: CollabMode
-    human_id: str | None = None
-
-    def __post_init__(self) -> None:
-        needs_human = self.mode in (CollabMode.SHARED_CONTROL, CollabMode.HUMAN_ANALYSIS)
-        if needs_human and not self.human_id:
-            raise ValueError(f"{self.mode.value} requires a human id")
-        if not needs_human and self.human_id is not None:
-            raise ValueError("autonomous mode must not reference a human")
-
-    @staticmethod
-    def autonomous() -> "Collaboration":
-        return Collaboration(CollabMode.ROBOT_AUTONOMOUS)
-
-    @staticmethod
-    def shared_control(human_id: str) -> "Collaboration":
-        return Collaboration(CollabMode.SHARED_CONTROL, human_id)
-
-    @staticmethod
-    def human_analysis(human_id: str) -> "Collaboration":
-        return Collaboration(CollabMode.HUMAN_ANALYSIS, human_id)
-
-
-Assignment = tuple[str, Collaboration]
+    robot: str
+    human: str | None = None
 
 
 @dataclass(frozen=True)
@@ -258,26 +230,26 @@ class MissionScenario:
     def task_ids(self) -> set[str]:
         return {t.id for t in self.tasks}
 
-    # Canonical text renderings. Keys are sorted naturally so logically equal
-    # scenarios always produce byte-identical text.
+    # Canonical text renderings: members are already in natural id order, so
+    # logically equal scenarios always produce byte-identical text.
     def render_human_section(self) -> str:
         items = ", ".join(
             f"{h.id}: [{h.skill.value}, {h.cognition.value}]"
-            for h in sorted(self.humans, key=lambda h: natural_key(h.id))
+            for h in self.humans
         )
         return "Human Attributes: {" + items + "}"
 
     def render_robot_section(self) -> str:
         items = ", ".join(
             f"{r.id}: [{fmt_num(r.speed)}, {r.camera_quality.value}]"
-            for r in sorted(self.robots, key=lambda r: natural_key(r.id))
+            for r in self.robots
         )
         return "Robot Details: {" + items + "}"
 
     def render_task_section(self) -> str:
         items = ", ".join(
             f"{t.id}: [({fmt_num(t.location[0])}, {fmt_num(t.location[1])}), {t.difficulty.value}]"
-            for t in sorted(self.tasks, key=lambda t: natural_key(t.id))
+            for t in self.tasks
         )
         return "Task Info: {" + items + "}"
 
@@ -327,47 +299,36 @@ class MissionScenario:
 
 @dataclass(frozen=True)
 class ItaPlan:
-    """Allocation: each task maps to an ordered list of (agent, collaboration).
+    """Allocation: each task maps to exactly one Assignment.
 
-    Assignments are canonicalized to natural task-id order at construction;
-    the first robot-agent entry of a task is its travel/capture robot.
+    Tasks are canonicalized to natural id order at construction, and
+    render() is lossless: parsing its text against the scenario gives back
+    an equal plan.
     """
 
-    assignments: dict[str, tuple[Assignment, ...]]
+    assignments: dict[str, Assignment]
 
     def __post_init__(self) -> None:
-        canonical: dict[str, tuple[Assignment, ...]] = {}
-        for task_id in sorted(self.assignments, key=natural_key):
-            canonical[task_id] = tuple(self.assignments[task_id])
+        canonical = {
+            task_id: Assignment(*self.assignments[task_id])
+            for task_id in sorted(self.assignments, key=natural_key)
+        }
         object.__setattr__(self, "assignments", canonical)
 
     def task_ids(self) -> set[str]:
         return set(self.assignments)
 
     def referenced_agents(self, task_id: str) -> set[str]:
-        agents: set[str] = set()
-        for agent_id, collab in self.assignments[task_id]:
-            agents.add(agent_id)
-            if collab.human_id:
-                agents.add(collab.human_id)
-        return agents
+        robot, human = self.assignments[task_id]
+        return {robot} if human is None else {robot, human}
 
     def render(self) -> str:
-        """Canonical plan-grammar text: one `T_i: (...)` line per task.
-
-        Only the first entry per task is rendered; reparsing the output and
-        rendering again is a fixed point.
-        """
-        lines = []
-        for task_id, entries in self.assignments.items():
-            agent_id, collab = entries[0]
-            if collab.human_id:
-                lines.append(f"{task_id}: ({collab.human_id}, {agent_id})")
-            else:
-                lines.append(f"{task_id}: ({agent_id})")
-        return "\n".join(lines)
-
-    serialize = render
+        """Canonical plan-grammar text: one `T_i: (H_j, R_k)` or `T_i: (R_k)`
+        line per task."""
+        return "\n".join(
+            f"{task_id}: ({robot})" if human is None else f"{task_id}: ({human}, {robot})"
+            for task_id, (robot, human) in self.assignments.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -533,8 +494,8 @@ class PlanValidation:
 
 
 def validate_plan(plan: ItaPlan, scenario: MissionScenario) -> PlanValidation:
-    """Structural feasibility: full task coverage, known ids, one travel robot
-    per task, and every referenced operator/analyst present in the team."""
+    """Structural feasibility: full task coverage, known ids, a robot as the
+    travel agent of every task, and every shared-control human in the team."""
     violations: list[str] = []
     human_ids = scenario.human_ids()
     robot_ids = scenario.robot_ids()
@@ -545,21 +506,12 @@ def validate_plan(plan: ItaPlan, scenario: MissionScenario) -> PlanValidation:
     for task_id in sorted(plan.task_ids() - task_ids, key=natural_key):
         violations.append(f"unknown task {task_id}")
 
-    for task_id, entries in plan.assignments.items():
-        if not entries:
-            violations.append(f"{task_id} has no assignment entries")
-            continue
-        robot_agents = []
-        for agent_id, collab in entries:
-            if agent_id in robot_ids:
-                robot_agents.append(agent_id)
-            elif agent_id not in human_ids:
-                violations.append(f"{task_id}: unknown agent {agent_id}")
-            if collab.human_id is not None and collab.human_id not in human_ids:
-                violations.append(f"{task_id}: unknown human {collab.human_id}")
-        if len(robot_agents) == 0:
+    for task_id, (robot, human) in plan.assignments.items():
+        if robot not in robot_ids and robot not in human_ids:
+            violations.append(f"{task_id}: unknown agent {robot}")
+        if human is not None and human not in human_ids:
+            violations.append(f"{task_id}: unknown human {human}")
+        if robot not in robot_ids:
             violations.append(f"{task_id}: no robot responsible for travel")
-        elif len(robot_agents) > 1:
-            violations.append(f"{task_id}: multiple travel robots {robot_agents}")
 
     return PlanValidation(ok=not violations, violations=tuple(violations))

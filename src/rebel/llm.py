@@ -17,8 +17,7 @@ from typing import Protocol
 import requests
 
 from .core import (
-    CollabMode,
-    Collaboration,
+    Assignment,
     ItaPlan,
     MissionScenario,
     Objective,
@@ -143,10 +142,6 @@ class HttpCompletionProvider:
         raise Unavailable(f"retries exhausted: {last_error}") from last_error
 
 
-def complete(request: CompletionRequest, cfg: ProviderConfig) -> str:
-    return HttpCompletionProvider(cfg).complete(request)
-
-
 class HttpEmbedder:
     """Embedding client for an OpenAI-compatible /embeddings endpoint."""
 
@@ -261,14 +256,13 @@ class StubProvider:
 
 
 def _proxy_accuracy(
-    scenario: MissionScenario, robot_id: str, collab: Collaboration, difficulty, cfg: SimConfig
+    scenario: MissionScenario, candidate: Assignment, difficulty, cfg: SimConfig
 ) -> float:
     """Nominal (fresh-operator) success probability for a candidate assignment."""
-    robot = scenario.robot(robot_id)
-    if collab.mode is CollabMode.ROBOT_AUTONOMOUS:
+    if candidate.human is None:
+        robot = scenario.robot(candidate.robot)
         return robot_accuracy_probability(robot.camera_quality, difficulty, None, cfg)
-    human = scenario.human(collab.human_id)
-    return human_accuracy_probability(human, 0.0, 0, difficulty, cfg)
+    return human_accuracy_probability(scenario.human(candidate.human), 0.0, 0, difficulty, cfg)
 
 
 def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> ItaPlan:
@@ -279,15 +273,14 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
     workload does the same, guaranteeing zero human involvement; task
     performance routes hard tasks to shared control with the best analysts
     and keeps the rest on the best cameras. Mixed weights score every
-    (robot, mode) candidate on weighted normalized proxies. Ties always go
-    to the lowest id.
+    (robot, human | None) candidate on weighted normalized proxies. Ties
+    always go to the lowest id.
     """
     if not scenario.robots:
         raise ValueError("cannot allocate: scenario has no robots")
 
     cfg = SimConfig()
-    tasks = sorted(scenario.tasks, key=lambda t: natural_key(t.id))
-    robots = sorted(scenario.robots, key=lambda r: natural_key(r.id))
+    robots = scenario.robots
     humans = sorted(
         scenario.humans,
         key=lambda h: (-h.skill.rank, -h.cognition.rank, natural_key(h.id)),
@@ -297,72 +290,64 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
     route_time: dict[str, float] = {r.id: 0.0 for r in robots}
     load: dict[str, int] = {r.id: 0 for r in robots}
 
+    def control_scale(human_id: str | None) -> float:
+        if human_id is None:
+            return 1.0
+        return cfg.shared_speed_multiplier[scenario.human(human_id).skill]
+
     def projected_completion(robot, location, speed_scale: float = 1.0) -> float:
         return route_time[robot.id] + travel_time(
             route_end[robot.id], location, robot.speed * speed_scale
         )
 
-    def commit(task_id: str, robot, collab: Collaboration, location) -> None:
-        scale = 1.0
-        if collab.mode is CollabMode.SHARED_CONTROL:
-            scale = cfg.shared_speed_multiplier[scenario.human(collab.human_id).skill]
-        route_time[robot.id] = projected_completion(robot, location, scale)
+    def commit(task_id: str, robot, human_id: str | None, location) -> None:
+        route_time[robot.id] = projected_completion(robot, location, control_scale(human_id))
         route_end[robot.id] = location
         load[robot.id] += 1
-        assignments[task_id] = ((robot.id, collab),)
+        assignments[task_id] = Assignment(robot.id, human_id)
 
-    assignments: dict[str, tuple[tuple[str, Collaboration], ...]] = {}
+    assignments: dict[str, Assignment] = {}
     dominant = prefs.dominant()
 
     if dominant in (Objective.MISSION_TIME, Objective.HUMAN_WORKLOAD):
-        for task in tasks:
+        for task in scenario.tasks:
             best = min(
                 robots, key=lambda r: (projected_completion(r, task.location), natural_key(r.id))
             )
-            commit(task.id, best, Collaboration.autonomous(), task.location)
+            commit(task.id, best, None, task.location)
     elif dominant is Objective.TASK_PERFORMANCE:
         analysts = humans[: max(1, min(3, len(humans)))] if humans else []
         hard_index = 0
-        for task in tasks:
+        for task in scenario.tasks:
+            robot = min(
+                robots,
+                key=lambda r: (load[r.id], -r.camera_quality.rank, natural_key(r.id)),
+            )
             if task.difficulty.rank == 2 and analysts:
                 analyst = analysts[hard_index % len(analysts)]
                 hard_index += 1
-                robot = min(
-                    robots,
-                    key=lambda r: (load[r.id], -r.camera_quality.rank, natural_key(r.id)),
-                )
-                commit(task.id, robot, Collaboration.shared_control(analyst.id), task.location)
+                commit(task.id, robot, analyst.id, task.location)
             else:
-                robot = min(
-                    robots,
-                    key=lambda r: (load[r.id], -r.camera_quality.rank, natural_key(r.id)),
-                )
-                commit(task.id, robot, Collaboration.autonomous(), task.location)
+                commit(task.id, robot, None, task.location)
     else:
-        # Mixed weights with no single dominant objective: score candidates on
-        # normalized proxies for completion time, accuracy, and human load.
-        for task in tasks:
-            candidates: list[tuple[tuple, object, Collaboration, float, float, float]] = []
+        # Mixed weights with no single dominant objective: score every
+        # (robot, human | None) candidate on normalized proxies for completion
+        # time, accuracy, and human load.
+        patterns = [None] + [h.id for h in humans]
+        for task in scenario.tasks:
+            candidates: list[tuple[tuple, object, Assignment, float, float, float]] = []
             for robot in robots:
-                options = [Collaboration.autonomous()]
-                options += [Collaboration.shared_control(h.id) for h in humans]
-                options += [Collaboration.human_analysis(h.id) for h in humans]
-                for collab in options:
-                    scale = 1.0
-                    extra = 0.0
-                    if collab.mode is CollabMode.SHARED_CONTROL:
-                        scale = cfg.shared_speed_multiplier[scenario.human(collab.human_id).skill]
-                    if collab.mode is not CollabMode.ROBOT_AUTONOMOUS:
-                        extra = cfg.analysis_service_s[task.difficulty]
-                    t_proxy = projected_completion(robot, task.location, scale) + extra
-                    a_proxy = _proxy_accuracy(scenario, robot.id, collab, task.difficulty, cfg)
-                    w_proxy = 0.0 if collab.mode is CollabMode.ROBOT_AUTONOMOUS else 1.0
-                    tie = (
-                        natural_key(robot.id),
-                        collab.mode.value,
-                        natural_key(collab.human_id or ""),
+                for human_id in patterns:
+                    candidate = Assignment(robot.id, human_id)
+                    extra = 0.0 if human_id is None else cfg.analysis_service_s[task.difficulty]
+                    t_proxy = (
+                        projected_completion(robot, task.location, control_scale(human_id)) + extra
                     )
-                    candidates.append((tie, robot, collab, t_proxy, a_proxy, w_proxy))
+                    a_proxy = _proxy_accuracy(scenario, candidate, task.difficulty, cfg)
+                    w_proxy = 0.0 if human_id is None else 1.0
+                    # autonomous before shared control, then by human id
+                    tie = (natural_key(robot.id), human_id is not None, natural_key(human_id or ""))
+                    candidates.append((tie, robot, candidate, t_proxy, a_proxy, w_proxy))
 
             t_values = [c[3] for c in candidates]
             a_values = [c[4] for c in candidates]
@@ -382,9 +367,9 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
                     + prefs.weight(Objective.HUMAN_WORKLOAD) * norm(c[5], w_values, False)
                 )
 
-            _, robot, collab, _, _, _ = sorted(
+            _, robot, candidate, _, _, _ = sorted(
                 candidates, key=lambda c: (-score(c), c[0])
             )[0]
-            commit(task.id, robot, collab, task.location)
+            commit(task.id, robot, candidate.human, task.location)
 
     return ItaPlan(assignments)

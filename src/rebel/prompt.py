@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .core import (
-    Collaboration,
+    Assignment,
     ItaPlan,
     MissionScenario,
     Objective,
@@ -206,7 +206,7 @@ def parse_ita_plan(text: str, scenario: MissionScenario, strict: bool = False) -
 
     human_ids = scenario.human_ids()
     robot_ids = scenario.robot_ids()
-    assignments: dict[str, tuple[tuple[str, Collaboration], ...]] = {}
+    assignments: dict[str, Assignment] = {}
     for task_id, agents in lines:
         known_robots = [a for a in agents if a in robot_ids]
         known_humans = [a for a in agents if a in human_ids]
@@ -218,8 +218,7 @@ def parse_ita_plan(text: str, scenario: MissionScenario, strict: bool = False) -
         analyst = known_humans[0] if known_humans else (unknowns.pop(0) if unknowns else None)
         if robot is None:
             robot, analyst = analyst, None
-        collab = Collaboration.shared_control(analyst) if analyst else Collaboration.autonomous()
-        assignments[task_id] = ((robot, collab),)
+        assignments[task_id] = Assignment(robot, analyst)
 
     plan = ItaPlan(assignments)
     check = validate_plan(plan, scenario)

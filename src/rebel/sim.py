@@ -1,12 +1,12 @@
 """Deterministic, seedable surveillance-mission simulator.
 
 Robots travel to points of interest and capture images; classification is
-resolved either onboard (autonomous mode) or by a human analyst working a
-sequential FIFO queue. Human accuracy decays with fatigue and backlog and
-drops non-linearly with task complexity; robot accuracy depends on camera
-quality and task difficulty. Every stochastic draw is keyed by
-(seed, agent id, task id), so a task's coin flip never depends on which
-other tasks exist.
+resolved either onboard (autonomous assignment) or, under shared control, by
+the controlling human working a sequential FIFO analysis queue. Human
+accuracy decays with fatigue and backlog and drops non-linearly with task
+complexity; robot accuracy depends on camera quality and task difficulty.
+Every stochastic draw is keyed by (seed, agent id, task id), so a task's
+coin flip never depends on which other tasks exist.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .core import (
-    CollabMode,
     ItaPlan,
     MissionScenario,
     PerformanceRecord,
@@ -30,9 +29,6 @@ from .core import (
 
 P_FLOOR = 0.05
 P_CEIL = 0.99
-
-_TIER_KEYS = {Tier.LOW: "Lo", Tier.MED: "Med", Tier.HIGH: "Hi"}
-
 
 def _tier_map(lo: float, med: float, hi: float) -> dict[Tier, float]:
     return {Tier.LOW: lo, Tier.MED: med, Tier.HIGH: hi}
@@ -74,7 +70,7 @@ class SimConfig:
 
     def dump(self, path: str | Path) -> None:
         def tiers(m: dict[Tier, float]) -> dict[str, float]:
-            return {_TIER_KEYS[t]: v for t, v in m.items()}
+            return {t.value: v for t, v in m.items()}
 
         payload = {
             "human_base_accuracy": tiers(self.human_base_accuracy),
@@ -210,14 +206,13 @@ def run_mission(
     Robots start at the arena origin and visit their tasks in plan order;
     shared control scales travel speed by the operator's skill tier. Captures
     are classified onboard for autonomous assignments, otherwise queued to the
-    assigned analyst (FIFO, fixed service time per difficulty) and resolved at
-    service completion. Returns the performance triple and the full trace.
+    controlling human (FIFO, fixed service time per difficulty) and resolved
+    at service completion. Returns the performance triple and the full trace.
     """
     check = validate_plan(plan, scenario)
     if not check.ok:
         raise ValueError(f"invalid plan: {check.violations[0]}")
 
-    robot_ids = scenario.robot_ids()
     events: list[tuple[float, str, str, str, str]] = []
     busy: dict[str, list[tuple[float, float]]] = {
         a.id: [] for a in scenario.humans + scenario.robots
@@ -226,26 +221,25 @@ def run_mission(
     analysis_queue: dict[str, list[tuple[float, str]]] = {h.id: [] for h in scenario.humans}
 
     # Group tasks by travel robot, preserving canonical plan order.
-    routes: dict[str, list[tuple[str, CollabMode, str | None]]] = {}
-    for task_id, entries in plan.assignments.items():
-        agent_id, collab = next((a, c) for a, c in entries if a in robot_ids)
-        routes.setdefault(agent_id, []).append((task_id, collab.mode, collab.human_id))
+    routes: dict[str, list[tuple[str, str | None]]] = {}
+    for task_id, (robot_id, human_id) in plan.assignments.items():
+        routes.setdefault(robot_id, []).append((task_id, human_id))
 
     for robot_id in sorted(routes, key=natural_key):
         robot = scenario.robot(robot_id)
         pos = (0.0, 0.0)
         now = 0.0
-        for task_id, mode, analyst_id in routes[robot_id]:
+        for task_id, analyst_id in routes[robot_id]:
             task = scenario.task(task_id)
             speed = robot.speed
-            if mode is CollabMode.SHARED_CONTROL:
+            if analyst_id is not None:
                 speed *= cfg.shared_speed_multiplier[scenario.human(analyst_id).skill]
             leg = travel_time(pos, task.location, speed)
             depart, now = now, now + leg
             pos = task.location
             busy[robot_id].append((depart, now))
             events.append((now, "capture", robot_id, task_id, ""))
-            if mode is CollabMode.ROBOT_AUTONOMOUS:
+            if analyst_id is None:
                 p = robot_accuracy_probability(robot.camera_quality, task.difficulty, None, cfg)
                 correct = _unit_draw(cfg.seed, robot_id, task_id) < p
                 outcomes[task_id] = TaskOutcome(task_id, "robot", robot_id, correct, now, p)
@@ -254,8 +248,8 @@ def run_mission(
                 analysis_queue[analyst_id].append((now, task_id))
                 events.append((now, "enqueue", analyst_id, task_id, ""))
 
-    for human_id in sorted(analysis_queue, key=natural_key):
-        items = sorted(analysis_queue[human_id], key=lambda it: (it[0], natural_key(it[1])))
+    for human_id, queue in analysis_queue.items():
+        items = sorted(queue, key=lambda it: (it[0], natural_key(it[1])))
         if not items:
             continue
         profile = scenario.human(human_id)

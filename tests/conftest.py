@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from rebel.core import (
-    Collaboration,
+    Assignment,
     HumanProfile,
     ItaPlan,
     MissionScenario,
@@ -39,8 +39,8 @@ def scenario() -> MissionScenario:
 def shared_plan(scenario) -> ItaPlan:
     return ItaPlan(
         {
-            "T_0": (("UAV_0", Collaboration.shared_control("H_1")),),
-            "T_1": (("UGV_0", Collaboration.shared_control("H_0")),),
+            "T_0": Assignment("UAV_0", "H_1"),
+            "T_1": Assignment("UGV_0", "H_0"),
         }
     )
 
@@ -49,7 +49,7 @@ def shared_plan(scenario) -> ItaPlan:
 def autonomous_plan(scenario) -> ItaPlan:
     return ItaPlan(
         {
-            "T_0": (("UAV_0", Collaboration.autonomous()),),
-            "T_1": (("UGV_0", Collaboration.autonomous()),),
+            "T_0": Assignment("UAV_0"),
+            "T_1": Assignment("UGV_0"),
         }
     )

@@ -29,7 +29,7 @@ from rebel.bench import (
 )
 from rebel.cli import main as cli_main
 from rebel.core import (
-    Collaboration,
+    Assignment,
     ItaPlan,
     MissionScenario,
     Objective,
@@ -291,12 +291,9 @@ def _random_triple(rng: random.Random):
     for task in scenario.tasks:
         robot = rng.choice(robots)
         if all_autonomous or not humans or rng.random() < 1 / 3:
-            collab = Collaboration.autonomous()
-        elif rng.random() < 0.5:
-            collab = Collaboration.shared_control(rng.choice(humans))
+            assignments[task.id] = Assignment(robot)
         else:
-            collab = Collaboration.human_analysis(rng.choice(humans))
-        assignments[task.id] = ((robot, collab),)
+            assignments[task.id] = Assignment(robot, rng.choice(humans))
     return scenario, ItaPlan(assignments), rng.randrange(1 << 30), all_autonomous
 
 
@@ -316,14 +313,13 @@ def test_acceptance_3_simulator_invariants_thousand_triples():
 
         for robot in scenario.robots:
             pos, lower_bound = (0.0, 0.0), 0.0
-            for task_id, entries in plan.assignments.items():
-                agent, collab = entries[0]
+            for task_id, (agent, human) in plan.assignments.items():
                 if agent != robot.id:
                     continue
                 task = scenario.task(task_id)
                 speed = robot.speed
-                if collab.human_id and collab.mode.value == "shared_control":
-                    speed *= cfg.shared_speed_multiplier[scenario.human(collab.human_id).skill]
+                if human is not None:
+                    speed *= cfg.shared_speed_multiplier[scenario.human(human).skill]
                 lower_bound += travel_time(pos, task.location, speed)
                 pos = task.location
             assert record.mission_seconds >= lower_bound - 1e-9
@@ -342,7 +338,7 @@ def test_acceptance_4_monte_carlo_calibration():
         robots=(("UAV_0", 10.0, Tier.HIGH),),
         tasks=(("T_0", (0.0, 1000.0), Tier.LOW),),
     )
-    plan = ItaPlan({"T_0": (("UAV_0", Collaboration.autonomous()),)})
+    plan = ItaPlan({"T_0": Assignment("UAV_0")})
     cfg = SimConfig()
     # configured probability: base(High camera) - penalty(Low difficulty) = 0.85
     hits = sum(
@@ -463,19 +459,12 @@ def test_acceptance_6_soo_relative_ordering(knowledge_bases):
     )
     cfg = SimConfig()
 
-    def key(plan):
-        return tuple(
-            (task, agent, collab.mode.value, collab.human_id)
-            for task, entries in plan.assignments.items()
-            for agent, collab in entries
-        )
-
     for prefs in [PreferenceVector.single(obj) for obj in Objective] + rotation_preferences():
         table = brute_force_table(scenario, prefs, cfg, samples_per_plan=4, base_seed=7)
-        scores = {key(plan): mean_j for plan, mean_j in table}
+        scores = {plan.render(): mean_j for plan, mean_j in table}
         _, best_j = brute_force_optimal(scenario, prefs, cfg, samples_per_plan=4, base_seed=7)
-        assert best_j >= scores[key(heuristic_allocate(scenario, prefs))] - 1e-12
-        assert best_j >= scores[key(random_allocate(scenario, seed=21))] - 1e-12
+        assert best_j >= scores[heuristic_allocate(scenario, prefs).render()] - 1e-12
+        assert best_j >= scores[random_allocate(scenario, seed=21).render()] - 1e-12
 
     passed(6, "stub-guided pipeline beats random per SOO cell (Welch p<0.05); "
               "brute force dominates exactly")

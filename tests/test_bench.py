@@ -22,7 +22,7 @@ from rebel.bench import (
     welch_test,
 )
 from rebel.core import (
-    Collaboration,
+    Assignment,
     ItaPlan,
     Objective,
     PreferenceVector,
@@ -80,7 +80,7 @@ class TestRandomAllocate:
             humans=(), robots=(("UGV_0", 5.0, Tier.MED),), tasks=(("T_0", (10.0, 10.0), Tier.LOW),)
         )
         plan = random_allocate(scenario, seed=0)
-        assert plan.assignments["T_0"][0][0] == "UGV_0"
+        assert plan.assignments["T_0"].robot == "UGV_0"
 
 
 def micro_scenario():
@@ -88,14 +88,6 @@ def micro_scenario():
         humans=(("H_0", Tier.HIGH, Tier.HIGH), ("H_1", Tier.LOW, Tier.LOW)),
         robots=(("UAV_0", 12.0, Tier.HIGH), ("UGV_0", 7.0, Tier.LOW)),
         tasks=(("T_0", (400.0, 300.0), Tier.HIGH), ("T_1", (1200.0, 900.0), Tier.LOW)),
-    )
-
-
-def plan_key(plan: ItaPlan) -> tuple:
-    return tuple(
-        (task, agent, collab.mode.value, collab.human_id)
-        for task, entries in plan.assignments.items()
-        for agent, collab in entries
     )
 
 
@@ -109,14 +101,14 @@ class TestBruteForce:
         plan, _ = brute_force_optimal(
             scenario, PreferenceVector.single(Objective.MISSION_TIME), SimConfig(), 4
         )
-        assert plan.assignments["T_0"][0][0] == "UAV_0"
+        assert plan.assignments["T_0"].robot == "UAV_0"
 
     def test_workload_dominance_is_all_autonomous(self):
         plan, _ = brute_force_optimal(
             micro_scenario(), PreferenceVector.single(Objective.HUMAN_WORKLOAD), SimConfig(), 4
         )
-        for entries in plan.assignments.values():
-            assert entries[0][1] == Collaboration.autonomous()
+        for assignment in plan.assignments.values():
+            assert assignment.human is None
 
     def test_exhaustive_table_matches_independent_enumeration(self):
         scenario = micro_scenario()
@@ -125,28 +117,21 @@ class TestBruteForce:
         samples = 4
         table = brute_force_table(scenario, prefs, cfg, samples_per_plan=samples, base_seed=3)
 
-        # independent re-enumeration with explicit nested loops; shared
-        # control and human analysis render identically, so plans are keyed
-        # by their full structure
+        # independent re-enumeration with explicit nested loops, keyed by
+        # the (lossless) plan text
         robots = ["UAV_0", "UGV_0"]
-        patterns = [
-            Collaboration.autonomous(),
-            Collaboration.shared_control("H_0"),
-            Collaboration.shared_control("H_1"),
-            Collaboration.human_analysis("H_0"),
-            Collaboration.human_analysis("H_1"),
-        ]
-        candidates = [(r, p) for r in robots for p in patterns]
+        patterns = [None, "H_0", "H_1"]
+        candidates = [Assignment(r, p) for r in robots for p in patterns]
         ref_records = {}
         for entry_0 in candidates:
             for entry_1 in candidates:
-                plan = ItaPlan({"T_0": (entry_0,), "T_1": (entry_1,)})
-                ref_records[plan_key(plan)] = [
+                plan = ItaPlan({"T_0": entry_0, "T_1": entry_1})
+                ref_records[plan.render()] = [
                     run_mission(scenario, plan, cfg.with_seed(3 + s))[0]
                     for s in range(samples)
                 ]
-        assert len(ref_records) == 100
-        assert len(table) == 100
+        assert len(ref_records) == 36
+        assert len(table) == 36
 
         flat = [r for records in ref_records.values() for r in records]
         spans = {}
@@ -168,7 +153,7 @@ class TestBruteForce:
             return sum(w * ref_norm(record, obj) for obj, w in prefs.weights)
 
         for plan, mean_j in table:
-            want = statistics.fmean(ref_j(r) for r in ref_records[plan_key(plan)])
+            want = statistics.fmean(ref_j(r) for r in ref_records[plan.render()])
             assert mean_j == pytest.approx(want, abs=1e-9)
 
         _, best_j = brute_force_optimal(
@@ -181,12 +166,17 @@ class TestBruteForce:
         cfg = SimConfig()
         for prefs in rotation_preferences():
             table = brute_force_table(scenario, prefs, cfg, samples_per_plan=4, base_seed=7)
-            scores = {plan_key(plan): mean_j for plan, mean_j in table}
+            scores = {plan.render(): mean_j for plan, mean_j in table}
             _, best_j = brute_force_optimal(scenario, prefs, cfg, samples_per_plan=4, base_seed=7)
-            heuristic_j = scores[plan_key(heuristic_allocate(scenario, prefs))]
-            random_j = scores[plan_key(random_allocate(scenario, seed=21))]
+            heuristic_j = scores[heuristic_allocate(scenario, prefs).render()]
+            random_j = scores[random_allocate(scenario, seed=21).render()]
             assert best_j >= heuristic_j - 1e-12
             assert best_j >= random_j - 1e-12
+
+    def test_enumeration_renders_are_pairwise_distinct(self):
+        plans = enumerate_plans(random_scenario(2, 2, 3, seed=1))
+        assert len(plans) == 216
+        assert len({plan.render() for plan in plans}) == 216
 
     def test_search_space_cap_enforced(self):
         scenario = random_scenario(3, 4, 6, seed=1)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rebel.core import (
-    Collaboration,
+    Assignment,
     Direction,
     ItaPlan,
     MissionScenario,
@@ -156,7 +156,7 @@ class TestValidatePlan:
         assert shared_plan.task_ids() >= scenario.task_ids()
 
     def test_missing_task_reported(self, scenario):
-        plan = ItaPlan({"T_0": (("UAV_0", Collaboration.autonomous()),)})
+        plan = ItaPlan({"T_0": Assignment("UAV_0")})
         check = validate_plan(plan, scenario)
         assert not check.ok
         assert any("T_1 unassigned" in v for v in check.violations)
@@ -164,8 +164,8 @@ class TestValidatePlan:
     def test_unknown_agent_reported(self, scenario):
         plan = ItaPlan(
             {
-                "T_0": (("UAV_9", Collaboration.autonomous()),),
-                "T_1": (("UGV_0", Collaboration.autonomous()),),
+                "T_0": Assignment("UAV_9"),
+                "T_1": Assignment("UGV_0"),
             }
         )
         check = validate_plan(plan, scenario)
@@ -175,31 +175,17 @@ class TestValidatePlan:
     def test_unknown_analyst_reported(self, scenario):
         plan = ItaPlan(
             {
-                "T_0": (("UAV_0", Collaboration.shared_control("H_9")),),
-                "T_1": (("UGV_0", Collaboration.autonomous()),),
+                "T_0": Assignment("UAV_0", "H_9"),
+                "T_1": Assignment("UGV_0"),
             }
         )
         check = validate_plan(plan, scenario)
         assert not check.ok
         assert any("unknown human H_9" in v for v in check.violations)
 
-    def test_two_travel_robots_reported(self, scenario):
-        plan = ItaPlan(
-            {
-                "T_0": (
-                    ("UAV_0", Collaboration.autonomous()),
-                    ("UGV_0", Collaboration.autonomous()),
-                ),
-                "T_1": (("UGV_0", Collaboration.autonomous()),),
-            }
-        )
-        check = validate_plan(plan, scenario)
-        assert not check.ok
-        assert any("multiple travel robots" in v for v in check.violations)
-
     def test_unknown_task_reported(self, scenario, shared_plan):
         plan = ItaPlan(
-            dict(shared_plan.assignments) | {"T_9": (("UAV_0", Collaboration.autonomous()),)}
+            dict(shared_plan.assignments) | {"T_9": Assignment("UAV_0")}
         )
         check = validate_plan(plan, scenario)
         assert any("unknown task T_9" in v for v in check.violations)
@@ -259,8 +245,8 @@ class TestPlanRendering:
     def test_render_sorts_tasks_naturally(self):
         plan = ItaPlan(
             {
-                "T_10": (("UAV_0", Collaboration.autonomous()),),
-                "T_2": (("UGV_0", Collaboration.autonomous()),),
+                "T_10": Assignment("UAV_0"),
+                "T_2": Assignment("UGV_0"),
             }
         )
         lines = plan.render().splitlines()

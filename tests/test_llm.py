@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from rebel.bench import random_scenario
-from rebel.core import CollabMode, Objective, PreferenceVector, Tier, validate_plan
+from rebel.core import Objective, PreferenceVector, Tier, validate_plan
 from rebel.llm import (
     CompletionRequest,
     HttpCompletionProvider,
@@ -126,12 +126,6 @@ class TestHttpProvider:
         vector = embedder.embed("hello")
         assert vector == pytest.approx((0.6, 0.8))
 
-    def test_module_level_complete_helper(self, http_server):
-        from rebel.llm import complete
-
-        cfg = ProviderConfig(endpoint=http_server, retries=0)
-        assert complete(CompletionRequest(prompt="ping"), cfg) == "pong"
-
 
 class TestRequestValidation:
     def test_empty_prompt_rejected(self):
@@ -229,14 +223,13 @@ class TestHeuristicAllocate:
             tasks=(("T_0", (1000.0, 1000.0), Tier.MED),),
         )
         plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
-        assert plan.assignments["T_0"][0][0] == "UAV_0"
+        assert plan.assignments["T_0"].robot == "UAV_0"
 
     def test_workload_priority_never_references_humans(self, scenario):
         plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.HUMAN_WORKLOAD))
-        for task_id in plan.assignments:
-            for agent_id, collab in plan.assignments[task_id]:
-                assert agent_id in scenario.robot_ids()
-                assert collab.human_id is None
+        for agent_id, human_id in plan.assignments.values():
+            assert agent_id in scenario.robot_ids()
+            assert human_id is None
 
     def test_skilled_human_lands_on_hard_task(self):
         scenario = make_scenario(
@@ -245,9 +238,9 @@ class TestHeuristicAllocate:
             tasks=(("T_0", (100.0, 100.0), Tier.HIGH), ("T_1", (200.0, 200.0), Tier.LOW)),
         )
         plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.TASK_PERFORMANCE))
-        _, collab = plan.assignments["T_0"][0]
-        assert collab.mode is CollabMode.SHARED_CONTROL
-        assert collab.human_id == "H_0"
+        human_id = plan.assignments["T_0"].human
+        assert human_id is not None
+        assert human_id == "H_0"
 
     def test_always_validates_on_random_scenarios(self):
         rng = random.Random(55)

@@ -4,10 +4,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rebel.bench import random_scenario
 from rebel.core import (
-    CollabMode,
-    Collaboration,
+    Assignment,
     ItaPlan,
     Objective,
     PreferenceVector,
@@ -146,12 +148,12 @@ class TestObjectivesTextRoundTrip:
 class TestParseItaPlan:
     def test_two_agent_tuples_mean_shared_control(self, scenario):
         plan = parse_ita_plan("T_0: (H_1, UAV_0)\nT_1: (H_0, UGV_0)", scenario)
-        assert plan.assignments["T_0"] == (("UAV_0", Collaboration.shared_control("H_1")),)
-        assert plan.assignments["T_1"] == (("UGV_0", Collaboration.shared_control("H_0")),)
+        assert plan.assignments["T_0"] == Assignment("UAV_0", "H_1")
+        assert plan.assignments["T_1"] == Assignment("UGV_0", "H_0")
 
     def test_single_robot_means_autonomous(self, scenario):
         plan = parse_ita_plan("T_0: (UAV_0)\nT_1: (UGV_0)", scenario)
-        assert plan.assignments["T_0"][0][1].mode is CollabMode.ROBOT_AUTONOMOUS
+        assert plan.assignments["T_0"].human is None
 
     def test_prose_only_is_parse_failure(self, scenario):
         with pytest.raises(ParseFailure):
@@ -189,7 +191,7 @@ class TestParseItaPlan:
 
     def test_whitespace_tolerance(self, scenario):
         plan = parse_ita_plan("  T_0 :  ( H_1 ,  UAV_0 )  \nT_1:(UGV_0)", scenario)
-        assert plan.assignments["T_0"][0][0] == "UAV_0"
+        assert plan.assignments["T_0"].robot == "UAV_0"
 
 
 class TestRenderParseFixedPoint:
@@ -201,16 +203,32 @@ class TestRenderParseFixedPoint:
             assignments = {}
             for task in scenario.tasks:
                 robot = rng.choice(robots)
-                mode = rng.randrange(3)
-                if mode == 0:
-                    collab = Collaboration.autonomous()
-                elif mode == 1:
-                    collab = Collaboration.shared_control(rng.choice(humans))
-                else:
-                    collab = Collaboration.human_analysis(rng.choice(humans))
-                assignments[task.id] = ((robot, collab),)
+                human = rng.choice([None] + humans)
+                assignments[task.id] = Assignment(robot, human)
             plan = ItaPlan(assignments)
             rendered = plan.render()
             reparsed = parse_ita_plan(rendered, scenario)
+            assert reparsed == plan
             assert reparsed.render() == rendered
             assert validate_plan(reparsed, scenario).ok
+
+
+@st.composite
+def scenarios_with_plans(draw):
+    scenario = random_scenario(
+        humans=draw(st.integers(0, 4)),
+        robots=draw(st.integers(1, 5)),
+        tasks=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**30)),
+    )
+    robots = st.sampled_from([r.id for r in scenario.robots])
+    humans = st.sampled_from([None] + [h.id for h in scenario.humans])
+    plan = ItaPlan({t.id: Assignment(draw(robots), draw(humans)) for t in scenario.tasks})
+    return scenario, plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios_with_plans())
+def test_parse_inverts_render(case):
+    scenario, plan = case
+    assert parse_ita_plan(plan.render(), scenario) == plan

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rebel.core import (
-    Collaboration,
+    Assignment,
     HumanProfile,
     ItaPlan,
     MissionScenario,
@@ -137,13 +137,13 @@ class TestRunMission:
         assert first == second
 
     def test_invalid_plan_rejected_with_first_violation(self, scenario):
-        plan = ItaPlan({"T_0": (("UAV_0", Collaboration.autonomous()),)})
+        plan = ItaPlan({"T_0": Assignment("UAV_0")})
         with pytest.raises(ValueError, match="T_1 unassigned"):
             run_mission(scenario, plan, CFG)
 
     def test_monte_carlo_matches_bernoulli_parameter(self):
         scenario = single_task_scenario()
-        plan = ItaPlan({"T_0": (("UAV_0", Collaboration.autonomous()),)})
+        plan = ItaPlan({"T_0": Assignment("UAV_0")})
         hits = 0
         n = 10_000
         for seed in range(n):
@@ -158,12 +158,12 @@ class TestRunMission:
     def test_shared_control_scales_travel_speed(self, scenario):
         # H_1 has high skill: the same route finishes faster under its control.
         solo = ItaPlan({
-            "T_0": (("UAV_0", Collaboration.autonomous()),),
-            "T_1": (("UAV_0", Collaboration.autonomous()),),
+            "T_0": Assignment("UAV_0"),
+            "T_1": Assignment("UAV_0"),
         })
         helped = ItaPlan({
-            "T_0": (("UAV_0", Collaboration.shared_control("H_1")),),
-            "T_1": (("UAV_0", Collaboration.shared_control("H_1")),),
+            "T_0": Assignment("UAV_0", "H_1"),
+            "T_1": Assignment("UAV_0", "H_1"),
         })
         solo_record, solo_trace = run_mission(scenario, solo, CFG.with_seed(1))
         helped_record, helped_trace = run_mission(scenario, helped, CFG.with_seed(1))
@@ -200,12 +200,9 @@ def random_plan(scenario, rng) -> ItaPlan:
         robot = rng.choice(robots)
         roll = rng.random()
         if not humans or roll < 1 / 3:
-            collab = Collaboration.autonomous()
-        elif roll < 2 / 3:
-            collab = Collaboration.shared_control(rng.choice(humans))
+            assignments[task.id] = Assignment(robot)
         else:
-            collab = Collaboration.human_analysis(rng.choice(humans))
-        assignments[task.id] = ((robot, collab),)
+            assignments[task.id] = Assignment(robot, rng.choice(humans))
     return ItaPlan(assignments)
 
 
@@ -259,16 +256,13 @@ class TestSimInvariants:
             for robot in scenario.robots:
                 pos = (0.0, 0.0)
                 total = 0.0
-                for task_id, entries in plan.assignments.items():
-                    agent, collab = entries[0]
+                for task_id, (agent, human) in plan.assignments.items():
                     if agent != robot.id:
                         continue
                     task = scenario.task(task_id)
                     speed = robot.speed
-                    if collab.mode.value == "shared_control":
-                        speed *= cfg.shared_speed_multiplier[
-                            scenario.human(collab.human_id).skill
-                        ]
+                    if human is not None:
+                        speed *= cfg.shared_speed_multiplier[scenario.human(human).skill]
                     total += travel_time(pos, task.location, speed)
                     pos = task.location
                 assert record.mission_seconds >= total - 1e-9
@@ -304,11 +298,11 @@ class TestSimInvariants:
             robots=(("UAV_0", 10.0, Tier.HIGH), ("UGV_0", 8.0, Tier.MED)),
             tasks=(("T_0", (100.0, 100.0), Tier.LOW), ("T_1", (1500.0, 900.0), Tier.MED)),
         )
-        plan_base = ItaPlan({"T_0": (("UAV_0", Collaboration.autonomous()),)})
+        plan_base = ItaPlan({"T_0": Assignment("UAV_0")})
         plan_ext = ItaPlan(
             {
-                "T_0": (("UAV_0", Collaboration.autonomous()),),
-                "T_1": (("UGV_0", Collaboration.autonomous()),),
+                "T_0": Assignment("UAV_0"),
+                "T_1": Assignment("UGV_0"),
             }
         )
         for seed in range(50):
