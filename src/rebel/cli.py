@@ -73,17 +73,20 @@ def _add_embedder_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embed-dim", type=int, default=256)
 
 
+def _provider_config(args: argparse.Namespace) -> ProviderConfig:
+    return ProviderConfig(
+        endpoint=args.endpoint,
+        model=args.model,
+        api_key_env=args.api_key_env,
+        timeout_s=args.timeout,
+        retries=args.retries,
+    )
+
+
 def _build_provider(args: argparse.Namespace):
-    if args.provider == "stub":
-        provider = StubProvider()
-    else:
-        cfg = ProviderConfig(
-            endpoint=args.endpoint,
-            api_key_env=args.api_key_env,
-            timeout_s=args.timeout,
-            retries=args.retries,
-        )
-        provider = HttpCompletionProvider(cfg)
+    provider = (
+        StubProvider() if args.provider == "stub" else HttpCompletionProvider(_provider_config(args))
+    )
     if args.transcript:
         provider = TranscriptRecorder(provider, args.transcript)
     return provider
@@ -92,13 +95,7 @@ def _build_provider(args: argparse.Namespace):
 def _build_embedder(args: argparse.Namespace):
     if args.embedder == "hashed":
         return HashedEmbedder(dim=args.embed_dim)
-    cfg = ProviderConfig(
-        endpoint=args.endpoint,
-        api_key_env=args.api_key_env,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
-    return HttpEmbedder(cfg)
+    return HttpEmbedder(_provider_config(args))
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
@@ -148,14 +145,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     retrieval = RetrievalConfig(
         rule_k=args.rule_k, exp_k=args.exp_k, exp_m=args.exp_m, embedder=_build_embedder(args)
     )
-    result = infer(
-        scenario,
-        prefs,
-        RulesDatabase(args.rules_db),
-        ExperienceDatabase(args.exp_db),
-        _build_provider(args),
-        retrieval,
-    )
+    rules_db, exp_db = RulesDatabase(args.rules_db), ExperienceDatabase(args.exp_db)
+    result = infer(scenario, prefs, rules_db, exp_db, _build_provider(args), retrieval)
     plan_text = result.plan.render()
     if args.out:
         Path(args.out).write_text(plan_text + "\n", encoding="utf-8")

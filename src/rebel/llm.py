@@ -54,12 +54,15 @@ class Unavailable(LlmError):
     """Transient failures exhausted the retry budget."""
 
 
+class MalformedResponse(LlmError):
+    """The provider answered 200 with a body that lacks the expected fields."""
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
     temperature: float = 0.2
     max_tokens: int = 1024
-    model: str = "gpt-4o-mini"
 
     def __post_init__(self) -> None:
         if not self.prompt:
@@ -71,6 +74,7 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class ProviderConfig:
     endpoint: str = "https://api.openai.com/v1"
+    model: str = "gpt-4o-mini"  # chat model; HttpEmbedder names its own
     api_key_env: str = "OPENAI_API_KEY"
     timeout_s: float = 60.0
     retries: int = 2
@@ -88,6 +92,28 @@ class CompletionProvider(Protocol):
     def complete(self, request: CompletionRequest) -> str: ...
 
 
+def _headers(cfg: ProviderConfig) -> dict[str, str]:
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(cfg.api_key_env, "")
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    return headers
+
+
+def _body_field(response: requests.Response, kind: type, *path: str | int):
+    """The `kind` value at `path` in a response's JSON body, or MalformedResponse."""
+    where = ".".join(map(str, path))
+    try:
+        value = response.json()
+        for key in path:
+            value = value[key]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise MalformedResponse(f"no {where} in response body {response.text[:200]!r}") from exc
+    if not isinstance(value, kind):
+        raise MalformedResponse(f"{where} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 class HttpCompletionProvider:
     """Chat-completion client for any OpenAI-compatible endpoint.
 
@@ -99,17 +125,10 @@ class HttpCompletionProvider:
         self.cfg = cfg
         self._gate = threading.Semaphore(max(1, cfg.max_concurrency))
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def complete(self, request: CompletionRequest) -> str:
         url = self.cfg.endpoint.rstrip("/") + "/chat/completions"
         payload = {
-            "model": request.model,
+            "model": self.cfg.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
@@ -122,7 +141,7 @@ class HttpCompletionProvider:
             try:
                 with self._gate:
                     response = requests.post(
-                        url, json=payload, headers=self._headers(), timeout=self.cfg.timeout_s
+                        url, json=payload, headers=_headers(self.cfg), timeout=self.cfg.timeout_s
                     )
             except requests.Timeout as exc:
                 last_error, timed_out = exc, True
@@ -135,8 +154,7 @@ class HttpCompletionProvider:
             if response.status_code >= 500:
                 last_error = RuntimeError(f"HTTP {response.status_code}")
                 continue
-            data = response.json()
-            return data["choices"][0]["message"]["content"]
+            return _body_field(response, str, "choices", 0, "message", "content")
         if timed_out:
             raise Timeout(f"no response within {self.cfg.timeout_s}s: {last_error}") from last_error
         raise Unavailable(f"retries exhausted: {last_error}") from last_error
@@ -151,16 +169,10 @@ class HttpEmbedder:
 
     def embed(self, text: str) -> tuple[float, ...]:
         url = self.cfg.endpoint.rstrip("/") + "/embeddings"
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+        payload = {"model": self.model, "input": [text]}
         try:
             response = requests.post(
-                url,
-                json={"model": self.model, "input": [text]},
-                headers=headers,
-                timeout=self.cfg.timeout_s,
+                url, json=payload, headers=_headers(self.cfg), timeout=self.cfg.timeout_s
             )
         except requests.Timeout as exc:
             raise Timeout(str(exc)) from exc
@@ -170,7 +182,9 @@ class HttpEmbedder:
             raise ProviderRejected(f"HTTP {response.status_code}: {response.text[:500]}")
         if response.status_code >= 500:
             raise Unavailable(f"HTTP {response.status_code}")
-        vector = response.json()["data"][0]["embedding"]
+        vector = _body_field(response, list, "data", 0, "embedding")
+        if not all(isinstance(v, (int, float)) for v in vector):
+            raise MalformedResponse("embedding is not a list of numbers")
         norm = math.sqrt(sum(v * v for v in vector)) or 1.0
         return tuple(v / norm for v in vector)
 

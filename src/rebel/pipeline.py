@@ -39,11 +39,9 @@ from .prompt import (
     parse_ita_plan,
 )
 from .retrieval import (
-    Bm25Params,
     Embedder,
     ExperienceDatabase,
     ExperienceRecord,
-    FusionParams,
     HashedEmbedder,
     RuleEntry,
     RulesDatabase,
@@ -92,8 +90,6 @@ class RetrievalConfig:
     rule_k: int = 5
     exp_k: int = 3
     exp_m: int = 2
-    bm25: Bm25Params = Bm25Params()
-    fusion: FusionParams = FusionParams()
     embedder: Embedder = field(default_factory=HashedEmbedder)
 
 
@@ -321,14 +317,7 @@ def infer(
     rules: tuple[RuleEntry, ...] = ()
     if len(rules_db):
         rules = tuple(
-            ensemble_retrieve(
-                query,
-                rules_db,
-                k=retrieval.rule_k,
-                fusion=retrieval.fusion,
-                bm25=retrieval.bm25,
-                embedder=retrieval.embedder,
-            )
+            ensemble_retrieve(query, rules_db, k=retrieval.rule_k, embedder=retrieval.embedder)
         )
     else:
         logger.warning("rules database empty; inferring without a Rules section")

@@ -185,7 +185,7 @@ def assignment_lines(text: str) -> list[tuple[str, list[str]]]:
     return found
 
 
-def parse_ita_plan(text: str, scenario: MissionScenario, strict: bool = False) -> ItaPlan:
+def parse_ita_plan(text: str, scenario: MissionScenario) -> ItaPlan:
     """Extract an allocation plan from model output and validate it.
 
     A lone robot means autonomous capture and onboard classification; a
@@ -193,13 +193,7 @@ def parse_ita_plan(text: str, scenario: MissionScenario, strict: bool = False) -
     control and the human analyzes the captured image. Unknown ids pass
     through so validation can name them. Raises ParseFailure when nothing
     matches the grammar and PlanInvalid when the plan fails validation.
-    In strict mode any unparseable non-blank line is a failure.
     """
-    if strict:
-        for line in text.splitlines():
-            if line.strip() and not _PLAN_LINE_RE.match(line):
-                raise ParseFailure(f"unparseable line in strict mode: {line!r}")
-
     lines = assignment_lines(text)
     if not lines:
         raise ParseFailure("no assignment lines matched the plan grammar")

@@ -11,6 +11,7 @@ files that reload bit-identically, embedding vectors included.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import re
@@ -29,6 +30,9 @@ from .core import (
     PreferenceVector,
     aggregate_objective,
 )
+from .prompt import parse_ita_plan
+
+logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -170,11 +174,9 @@ class HashedEmbedder:
         for token in tokenize(text):
             bucket = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big")
             counts[bucket % self.dim] += 1.0
-        norm = math.sqrt(sum(c * c for c in counts))
-        if norm == 0:
+        if not any(counts):
             counts[0] = 1.0
-            return tuple(counts)
-        return tuple(c / norm for c in counts)
+        return unit_vector(counts)
 
 
 def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
@@ -294,27 +296,44 @@ def retrieve_experiences(
 
 
 class _AppendLog:
-    """Append-only JSON-lines log with write-through durability."""
+    """Append-only JSON-lines log with write-through durability. A torn final
+    line (a crash mid-append) is skipped with a warning on load and cut off by
+    the next append; a bad line anywhere else is an error."""
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
+        self._repair: tuple[int, bytes] | None = None  # (truncate to, then write)
 
     def append(self, payload: dict) -> None:
         if self.path is None:
             return
-        line = json.dumps(payload, sort_keys=True)
+        line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with open(self.path, "ab") as handle:
+                if self._repair is not None:
+                    size, prefix = self._repair
+                    handle.truncate(size)
+                    line = prefix + line
+                    self._repair = None
+                handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
 
     def read_all(self) -> list[dict]:
         if self.path is None or not self.path.exists():
             return []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        return [json.loads(line) for line in lines if line.strip()]
+        data = self.path.read_bytes()
+        *lines, tail = data.split(b"\n")  # tail: whatever follows the last newline
+        payloads = [json.loads(line) for line in lines if line.strip()]
+        if tail.strip():
+            try:
+                payloads.append(json.loads(tail))
+                self._repair = (len(data), b"\n")
+            except ValueError:
+                logger.warning("%s: skipping torn final line (%d bytes)", self.path, len(tail))
+                self._repair = (len(data) - len(tail), b"")
+        return payloads
 
 
 class RulesDatabase:
@@ -327,12 +346,12 @@ class RulesDatabase:
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
-        self._entries: dict[int, RuleEntry] = {}
-        self._retired: set[int] = set()
+        self._live: dict[int, RuleEntry] = {}  # id order: sorted here, appended in order after
         self._next_id = 0
         self._lock = threading.Lock()
         for payload in self._log.read_all():
             self._apply(payload)
+        self._live = dict(sorted(self._live.items()))
 
     @property
     def path(self) -> Path | None:
@@ -341,23 +360,22 @@ class RulesDatabase:
     def _apply(self, payload: dict) -> None:
         if payload["kind"] == "rule":
             entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
-            self._entries[entry.id] = entry
+            self._live[entry.id] = entry
             self._next_id = max(self._next_id, entry.id + 1)
         elif payload["kind"] == "retire":
-            self._retired.update(payload["ids"])
+            for entry_id in payload["ids"]:
+                self._live.pop(entry_id, None)
         else:
             raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")
 
     def rules(self) -> tuple[RuleEntry, ...]:
-        return tuple(
-            entry for entry_id, entry in sorted(self._entries.items()) if entry_id not in self._retired
-        )
+        return tuple(self._live.values())
 
     def for_objective(self, objective: Objective) -> tuple[RuleEntry, ...]:
-        return tuple(r for r in self.rules() if r.objective is objective)
+        return tuple(r for r in self._live.values() if r.objective is objective)
 
     def __len__(self) -> int:
-        return len(self.rules())
+        return len(self._live)
 
     def contains_text(self, objective: Objective, text: str) -> bool:
         return any(r.text == text for r in self.for_objective(objective))
@@ -367,7 +385,7 @@ class RulesDatabase:
             entry = RuleEntry(self._next_id, objective, text)
             self._next_id += 1
             self._log.append({"kind": "rule", "id": entry.id, "objective": objective.short, "text": text})
-            self._entries[entry.id] = entry
+            self._live[entry.id] = entry
             return entry
 
     def replace_objective(self, objective: Objective, texts: Sequence[str]) -> tuple[RuleEntry, ...]:
@@ -382,63 +400,54 @@ class RulesDatabase:
         with self._lock:
             old_ids = [r.id for r in current]
             if old_ids:
-                self._log.append({"kind": "retire", "objective": objective.short, "ids": old_ids})
-                self._retired.update(old_ids)
+                retire = {"kind": "retire", "objective": objective.short, "ids": old_ids}
+                self._log.append(retire)
+                self._apply(retire)
         return tuple(self.store(objective, text) for text in texts)
 
 
 class ExperienceDatabase:
-    """Append-only store of (scenario, plan, performance) mission records."""
+    """Append-only store of (scenario, plan, performance) mission records, kept
+    in id order with a set of (objective, scenario text, plan text) dedup keys."""
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
         self._records: dict[int, ExperienceRecord] = {}
+        self._dedup: set[tuple[Objective, str, str]] = set()
         self._next_id = 0
         self._lock = threading.Lock()
-        for payload in self._log.read_all():
-            record = self._decode(payload)
+        for payload in sorted(self._log.read_all(), key=lambda p: p["id"]):
+            scenario = MissionScenario.parse(payload["scenario"])
+            record = ExperienceRecord(
+                id=payload["id"],
+                objective=Objective.parse(payload["objective"]),
+                scenario=scenario,
+                plan=parse_ita_plan(payload["plan"], scenario),
+                performance=PerformanceRecord.parse(payload["performance"]),
+                emb_humans=tuple(payload["emb_humans"]),
+                emb_robots=tuple(payload["emb_robots"]),
+                emb_tasks=tuple(payload["emb_tasks"]),
+                fallback=payload.get("fallback", False),
+            )
             self._records[record.id] = record
-            self._next_id = max(self._next_id, record.id + 1)
+            self._dedup.add((record.objective, payload["scenario"], payload["plan"]))
+            self._next_id = record.id + 1
 
     @property
     def path(self) -> Path | None:
         return self._log.path
 
-    @staticmethod
-    def _decode(payload: dict) -> ExperienceRecord:
-        from .prompt import parse_ita_plan
-
-        scenario = MissionScenario.parse(payload["scenario"])
-        return ExperienceRecord(
-            id=payload["id"],
-            objective=Objective.parse(payload["objective"]),
-            scenario=scenario,
-            plan=parse_ita_plan(payload["plan"], scenario),
-            performance=PerformanceRecord.parse(payload["performance"]),
-            emb_humans=tuple(payload["emb_humans"]),
-            emb_robots=tuple(payload["emb_robots"]),
-            emb_tasks=tuple(payload["emb_tasks"]),
-            fallback=payload.get("fallback", False),
-        )
-
     def records(self) -> tuple[ExperienceRecord, ...]:
-        return tuple(record for _, record in sorted(self._records.items()))
+        return tuple(self._records.values())
 
     def for_objective(self, objective: Objective) -> tuple[ExperienceRecord, ...]:
-        return tuple(r for r in self.records() if r.objective is objective)
+        return tuple(r for r in self._records.values() if r.objective is objective)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def contains(self, objective: Objective, scenario: MissionScenario, plan: ItaPlan) -> bool:
-        scenario_text = scenario.serialize()
-        plan_text = plan.render()
-        return any(
-            r.objective is objective
-            and r.scenario.serialize() == scenario_text
-            and r.plan.render() == plan_text
-            for r in self.records()
-        )
+        return (objective, scenario.serialize(), plan.render()) in self._dedup
 
     def store(
         self,
@@ -462,13 +471,14 @@ class ExperienceDatabase:
                 fallback=fallback,
             )
             self._next_id += 1
+            key = (objective, scenario.serialize(), plan.render())
             self._log.append(
                 {
                     "kind": "experience",
                     "id": record.id,
                     "objective": objective.short,
-                    "scenario": scenario.serialize(),
-                    "plan": plan.render(),
+                    "scenario": key[1],
+                    "plan": key[2],
                     "performance": performance.serialize(),
                     "emb_humans": list(record.emb_humans),
                     "emb_robots": list(record.emb_robots),
@@ -477,4 +487,5 @@ class ExperienceDatabase:
                 }
             )
             self._records[record.id] = record
+            self._dedup.add(key)
             return record

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rebel.cli import main, parse_preferences
+from rebel.cli import _build_provider, build_parser, main, parse_preferences
 from rebel.core import Objective
 from rebel.bench import random_scenario
 
@@ -82,3 +82,10 @@ def test_gen_rules_then_infer_via_cli(tmp_path, capsys):
     # empty experience database degrades gracefully: no exemplar provenance
     assert "# retrieved experiences: []" in out
     assert "# retrieved rules: [" in out and "# retrieved rules: []" not in out
+
+
+def test_model_flag_reaches_the_http_provider():
+    args = build_parser().parse_args([
+        "gen-rules", "--rules-db", "unused.jsonl", "--provider", "http", "--model", "local-model",
+    ])
+    assert _build_provider(args).cfg.model == "local-model"

@@ -14,6 +14,8 @@ from rebel.llm import (
     CompletionRequest,
     HttpCompletionProvider,
     HttpEmbedder,
+    LlmError,
+    MalformedResponse,
     ProviderConfig,
     ProviderRejected,
     STUB_RULES,
@@ -36,11 +38,14 @@ from rebel.prompt import (
     objectives_text,
     parse_ita_plan,
 )
+from rebel.pipeline import RetrievalConfig, infer
+from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from conftest import make_scenario
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Serves scripted (status, payload) responses in order; repeats the last."""
+    """Serves scripted (status, payload) responses in order, then a default
+    success. A bytes payload is sent as the raw body."""
 
     script: list = []
     requests_seen: list = []
@@ -59,7 +64,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
                 payload = {"data": [{"embedding": [3.0, 4.0]}]}
             else:
                 payload = {"choices": [{"message": {"content": "pong"}}]}
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -125,6 +130,56 @@ class TestHttpProvider:
         embedder = HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0))
         vector = embedder.embed("hello")
         assert vector == pytest.approx((0.6, 0.8))
+
+    def test_configured_model_is_sent(self, http_server):
+        provider = HttpCompletionProvider(
+            ProviderConfig(endpoint=http_server, model="local-model", retries=0)
+        )
+        provider.complete(CompletionRequest(prompt="ping"))
+        _, body = ScriptedHandler.requests_seen[0]
+        assert body["model"] == "local-model"
+
+
+MALFORMED_CHAT_BODIES = {
+    "not_json": b"<html>gateway says hi</html>",
+    "null_content": {"choices": [{"message": {"content": None}}]},
+    "empty_object": {},
+}
+
+
+class TestMalformedResponses:
+    """A 200 whose body lacks the expected fields is an LlmError, never a raw
+    decoding or lookup error."""
+
+    @pytest.mark.parametrize("body", MALFORMED_CHAT_BODIES.values(), ids=MALFORMED_CHAT_BODIES)
+    def test_chat_body_raises_malformed_response(self, http_server, body):
+        ScriptedHandler.script = [(200, body)]
+        provider = HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0))
+        with pytest.raises(MalformedResponse):
+            provider.complete(CompletionRequest(prompt="ping"))
+
+    @pytest.mark.parametrize("body", MALFORMED_CHAT_BODIES.values(), ids=MALFORMED_CHAT_BODIES)
+    def test_infer_falls_back_to_greedy_plan(self, http_server, scenario, body):
+        ScriptedHandler.script = [(200, body), (200, body)]  # first attempt and its retry
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        result = infer(
+            scenario,
+            prefs,
+            RulesDatabase(),
+            ExperienceDatabase(),
+            HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0)),
+            RetrievalConfig(embedder=HashedEmbedder(dim=16)),
+        )
+        assert result.used_fallback
+        assert result.plan == heuristic_allocate(scenario, prefs)
+        assert len(ScriptedHandler.requests_seen) == 2
+
+    def test_embeddings_body_without_data(self, http_server):
+        ScriptedHandler.script = [(200, {"object": "list"})]
+        embedder = HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0))
+        with pytest.raises(MalformedResponse) as exc_info:
+            embedder.embed("hello")
+        assert isinstance(exc_info.value, LlmError)
 
 
 class TestRequestValidation:

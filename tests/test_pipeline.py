@@ -128,6 +128,22 @@ class TestGenerateExperiences:
         assert all(not record.fallback for record in stored)
         assert len(exp_db.for_objective(Objective.MISSION_TIME)) == 3
 
+    def test_rerun_against_reloaded_store_stores_nothing(self, tmp_path):
+        rules_db = RulesDatabase(tmp_path / "rules.jsonl")
+        generate_rules(tuple(Objective), StubProvider(), rules_db)
+        exp_path = tmp_path / "exp.jsonl"
+        exp_db = ExperienceDatabase(exp_path)
+        first = generate_experiences(
+            ka_config(k=3), StubProvider(), rules_db, exp_db, SimConfig(), EMBEDDER
+        )
+        assert len(first) == 9
+        reloaded = ExperienceDatabase(exp_path)
+        second = generate_experiences(
+            ka_config(k=3), StubProvider(), rules_db, reloaded, SimConfig(), EMBEDDER
+        )
+        assert second == ()
+        assert len(ExperienceDatabase(exp_path)) == 9
+
     def test_prose_provider_falls_back_to_heuristic(self):
         rules_db = RulesDatabase()
         generate_rules(tuple(Objective), StubProvider(), rules_db)

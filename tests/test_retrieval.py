@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+import logging
 import math
 import random
 
 import pytest
 
 from rebel.core import (
+    Assignment,
+    ItaPlan,
     MissionScenario,
     Objective,
     PerformanceRecord,
@@ -596,3 +600,142 @@ class TestExperienceDatabasePersistence:
             embedder,
         )
         assert b.id > a.id
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+class TestStoreOrderAtLoad:
+    def test_rules_with_retire_then_new_rules_reload_in_memory_order(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        db = RulesDatabase(path)
+        db.store(Objective.MISSION_TIME, "time a")
+        db.store(Objective.HUMAN_WORKLOAD, "workload a")
+        db.store(Objective.MISSION_TIME, "time b")
+        db.replace_objective(Objective.MISSION_TIME, ["time c", "time d"])
+        db.store(Objective.TASK_PERFORMANCE, "performance a")
+        db.replace_objective(Objective.HUMAN_WORKLOAD, ["workload b"])
+        reloaded = RulesDatabase(path)
+        assert reloaded.rules() == db.rules()
+        assert [r.text for r in reloaded.rules()] == [
+            "time c", "time d", "performance a", "workload b"
+        ]
+        assert len(reloaded) == 4
+        assert reloaded.store(Objective.MISSION_TIME, "time e").id == 7
+
+    def test_rules_log_out_of_id_order_loads_sorted(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        _write_lines(path, [
+            json.dumps({"kind": "rule", "id": 4, "objective": "MT", "text": "four"}),
+            json.dumps({"kind": "rule", "id": 1, "objective": "MT", "text": "one"}),
+            json.dumps({"kind": "retire", "objective": "MT", "ids": [1]}),
+            json.dumps({"kind": "rule", "id": 2, "objective": "MT", "text": "two"}),
+        ])
+        db = RulesDatabase(path)
+        assert [r.id for r in db.rules()] == [2, 4]
+        assert [r.id for r in db.for_objective(Objective.MISSION_TIME)] == [2, 4]
+
+    def test_experience_log_out_of_id_order_loads_sorted(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        db = ExperienceDatabase(path)
+        embedder = HashedEmbedder(dim=16)
+        for index in range(3):
+            scenario = make_scenario(tasks=(("T_0", (10.0 * index, 5.0), Tier.LOW),))
+            performance = PerformanceRecord(5, 100, 0.1)
+            store_mission(db, Objective.MISSION_TIME, scenario, performance, embedder)
+        _write_lines(path, reversed(path.read_text(encoding="utf-8").splitlines()))
+        reloaded = ExperienceDatabase(path)
+        assert [r.id for r in reloaded.records()] == [0, 1, 2]
+        assert reloaded.records() == db.records()
+
+
+class TestExperienceContains:
+    """`contains` matches on the whole (objective, scenario, plan) key, both for
+    keys added by `store` and for keys rebuilt when the log is loaded."""
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["in_memory", "reloaded"])
+    def test_only_the_full_key_matches(self, tmp_path, shared_plan, reload):
+        path = tmp_path / "exp.jsonl"
+        db = ExperienceDatabase(path)
+        scenario = make_scenario()
+        other = make_scenario(
+            tasks=(("T_0", (901.0, 500.0), Tier.HIGH), ("T_1", (200.0, 700.0), Tier.LOW))
+        )
+        embedder = HashedEmbedder(dim=16)
+        performance = PerformanceRecord(5, 100, 0.1)
+        db.store(Objective.MISSION_TIME, scenario, shared_plan, performance,
+                 embed_scenario_sections(scenario, embedder))
+        store_mission(db, Objective.HUMAN_WORKLOAD, other, performance, embedder)
+        if reload:
+            db = ExperienceDatabase(path)
+        for record in db.records():
+            assert db.contains(record.objective, record.scenario, record.plan)
+        autonomous = ItaPlan(
+            {"T_0": Assignment("UAV_0", None), "T_1": Assignment("UGV_0", "H_0")}
+        )
+        assert not db.contains(Objective.TASK_PERFORMANCE, scenario, shared_plan)
+        assert not db.contains(Objective.MISSION_TIME, scenario, autonomous)
+        assert not db.contains(Objective.MISSION_TIME, other, shared_plan)
+
+
+def _store_one(db, objective):
+    performance = PerformanceRecord(5, 100, 0.1)
+    return store_mission(db, objective, make_scenario(), performance, HashedEmbedder(dim=16))
+
+
+def _two_record_store(path):
+    db = ExperienceDatabase(path)
+    _store_one(db, Objective.MISSION_TIME)
+    _store_one(db, Objective.HUMAN_WORKLOAD)
+    return db
+
+
+class TestTornLogTail:
+    """A crash mid-append leaves a final line with no newline; loading skips
+    it with a warning and the next append writes a clean line after it."""
+
+    def test_torn_experience_tail_is_skipped_then_overwritten(self, tmp_path, caplog):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        with open(path, "ab") as handle:
+            handle.write(b'{"emb_humans": [0.25, 0.')
+        torn = path.read_bytes()
+        with caplog.at_level(logging.WARNING, logger="rebel.retrieval"):
+            db = ExperienceDatabase(path)
+        assert len(db) == 2
+        assert "torn final line" in caplog.text
+        assert path.read_bytes() == torn  # loading alone never rewrites
+        _store_one(db, Objective.TASK_PERFORMANCE)
+        reloaded = ExperienceDatabase(path)
+        assert len(reloaded) == 3
+        assert reloaded.records() == db.records()
+
+    def test_torn_rules_tail_is_skipped_then_overwritten(self, tmp_path, caplog):
+        path = tmp_path / "rules.jsonl"
+        RulesDatabase(path).store(Objective.MISSION_TIME, "kept rule")
+        with open(path, "ab") as handle:
+            handle.write(b'{"id": 1, "kind": "ru')
+        with caplog.at_level(logging.WARNING, logger="rebel.retrieval"):
+            db = RulesDatabase(path)
+        assert [r.text for r in db.rules()] == ["kept rule"]
+        assert "torn final line" in caplog.text
+        db.store(Objective.MISSION_TIME, "next rule")
+        assert [r.text for r in RulesDatabase(path).rules()] == ["kept rule", "next rule"]
+
+    def test_complete_final_record_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        db = ExperienceDatabase(path)
+        assert len(db) == 2
+        _store_one(db, Objective.TASK_PERFORMANCE)
+        assert len(ExperienceDatabase(path)) == 3
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        _write_lines(path, [first, first[: len(first) // 2], second])
+        with pytest.raises(ValueError):
+            ExperienceDatabase(path)
