@@ -195,6 +195,7 @@ class TranscriptRecorder:
     def __init__(self, inner: CompletionProvider, path: str | Path):
         self.inner = inner
         self.path = Path(path)
+        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> str:
         response = self.inner.complete(request)
@@ -203,8 +204,9 @@ class TranscriptRecorder:
             "prompt": request.prompt,
             "response": response,
         }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        with self._lock, open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
         return response
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
+import numpy as np
+
 from .core import (
     ItaPlan,
     MissionScenario,
@@ -152,7 +154,9 @@ def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
 
 
 class Embedder(Protocol):
-    """Text to fixed-dimension unit vector."""
+    """Text to fixed-dimension unit vector. Stores cache vectors per embedder,
+    so an embedder must be hashable: by value when equal embedders embed alike
+    (HashedEmbedder), otherwise by identity."""
 
     def embed(self, text: str) -> tuple[float, ...]: ...
 
@@ -200,13 +204,17 @@ def ensemble_retrieve(
     bm25: Bm25Params = Bm25Params(),
     embedder: Embedder | None = None,
 ) -> list[RuleEntry]:
-    """Top-k rules under reciprocal rank fusion of sparse and dense rankings."""
-    rules = db.rules()
+    """Top-k rules under reciprocal rank fusion of sparse and dense rankings.
+
+    Rule embeddings come from the store's per-embedder cache; only the query
+    is embedded per call.
+    """
+    embedder = embedder or HashedEmbedder()
+    rules, vectors = db._embedded_rules(embedder)
     if not rules:
         raise ValueError("rules database is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    embedder = embedder or HashedEmbedder()
 
     stats = CorpusStats.from_rules(rules)
     query_tokens = tokenize(query_text)
@@ -215,7 +223,7 @@ def ensemble_retrieve(
     )
     query_emb = embedder.embed(query_text)
     dense_ranks = _ranks_best_first(
-        [(r.id, dense_score(query_emb, embedder.embed(r.text))) for r in rules]
+        [(r.id, dense_score(query_emb, vec)) for r, vec in zip(rules, vectors)]
     )
 
     def fused(rule: RuleEntry) -> float:
@@ -263,29 +271,31 @@ def retrieve_experiences(
 ) -> list[ExperienceRecord]:
     """Top-k most similar stored missions, re-ranked by preference fit.
 
-    Similarity is the sum of the three per-section cosines. The k candidates
+    Similarity is the sum of the three per-section cosines, scored at once
+    against the store's cached matrix of unit section rows. The k candidates
     are then ordered by the weighted normalized objective score of their
     recorded performance (bounds taken over the candidates) and the best m
-    returned. All ties break toward the lower record id.
+    returned. All ties, in similarity and in score, break toward the lower
+    record id.
     """
-    records = db.records()
+    records, sections = db._scoring_snapshot()
     if not records:
         raise ValueError("experience database is empty")
     if m > k:
         raise ValueError("m must be <= k")
     embedder = embedder or HashedEmbedder()
 
-    q_h, q_r, q_t = embed_scenario_sections(scenario, embedder)
-    scored = [
-        (
-            dense_score(q_h, rec.emb_humans)
-            + dense_score(q_r, rec.emb_robots)
-            + dense_score(q_t, rec.emb_tasks),
-            rec,
-        )
-        for rec in records
-    ]
-    top_k = [rec for _, rec in sorted(scored, key=lambda pair: (-pair[0], pair[1].id))[:k]]
+    dim = sections.shape[1] // 3
+    scores = np.zeros(len(records))
+    for start, query in zip((0, dim, 2 * dim), embed_scenario_sections(scenario, embedder)):
+        if len(query) != dim:
+            raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
+        # the query sections are unit vectors already. A row-wise reduction
+        # scores identical rows identically; BLAS gemv (`@`) does not, which
+        # would break the id tie-break
+        scores += np.einsum("ij,j->i", sections[:, start : start + dim], np.array(query))
+    # rows are in id order, so a stable sort ranks by (-similarity, id)
+    top_k = [records[row] for row in np.argsort(-scores, kind="stable")[:k]]
 
     bounds = NormalizationBounds.from_records([rec.performance for rec in top_k])
     reranked = sorted(
@@ -293,6 +303,25 @@ def retrieve_experiences(
         key=lambda rec: (-aggregate_objective(rec.performance, prefs, bounds), rec.id),
     )
     return reranked[:m]
+
+
+def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:
+    """Row i: record i's human, robot and task embeddings, each scaled to unit
+    length, so a dot product with a unit query section is a cosine."""
+    dim = len(records[0].emb_humans) if records else 0
+    matrix = np.empty((len(records), 3 * dim))
+    for row, rec in zip(matrix, records):
+        for start, vec in zip((0, dim, 2 * dim), (rec.emb_humans, rec.emb_robots, rec.emb_tasks)):
+            if len(vec) != dim:
+                raise ValueError(f"embedding dimension mismatch: {len(vec)} vs {dim}")
+            row[start : start + dim] = vec
+    for start in (0, dim, 2 * dim):
+        block = matrix[:, start : start + dim]
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        if not norms.all():
+            raise ValueError("zero vectors carry no direction")
+        block /= norms[:, None]
+    return matrix
 
 
 class _AppendLog:
@@ -340,13 +369,15 @@ class RulesDatabase:
     """Objective-tagged rule store; in-memory view over an append-only log.
 
     Refinement retires an objective's current generation and appends the new
-    one, so the file never rewrites history. Concurrent readers are safe; a
-    single writer must serialize stores.
+    one, so the file never rewrites history. Stores and replacements hold a
+    lock, so threads may share the store. Each live rule is embedded at most
+    once per embedder, on first retrieval.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
         self._live: dict[int, RuleEntry] = {}  # id order: sorted here, appended in order after
+        self._vectors: dict[Embedder, dict[int, tuple[float, ...]]] = {}  # rule id -> embedding
         self._next_id = 0
         self._lock = threading.Lock()
         for payload in self._log.read_all():
@@ -365,6 +396,8 @@ class RulesDatabase:
         elif payload["kind"] == "retire":
             for entry_id in payload["ids"]:
                 self._live.pop(entry_id, None)
+                for vectors in self._vectors.values():
+                    vectors.pop(entry_id, None)
         else:
             raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")
 
@@ -380,13 +413,30 @@ class RulesDatabase:
     def contains_text(self, objective: Objective, text: str) -> bool:
         return any(r.text == text for r in self.for_objective(objective))
 
+    def _embedded_rules(
+        self, embedder: Embedder
+    ) -> tuple[tuple[RuleEntry, ...], tuple[tuple[float, ...], ...]]:
+        """The live rules in id order and their embeddings, from one state of
+        the store; rules not yet embedded by `embedder` are embedded here."""
+        with self._lock:
+            vectors = self._vectors.setdefault(embedder, {})
+            rules = tuple(self._live.values())
+            for entry in rules:
+                if entry.id not in vectors:
+                    vectors[entry.id] = embedder.embed(entry.text)
+            return rules, tuple(vectors[entry.id] for entry in rules)
+
     def store(self, objective: Objective, text: str) -> RuleEntry:
         with self._lock:
-            entry = RuleEntry(self._next_id, objective, text)
-            self._next_id += 1
-            self._log.append({"kind": "rule", "id": entry.id, "objective": objective.short, "text": text})
-            self._live[entry.id] = entry
-            return entry
+            return self._store(objective, text)
+
+    def _store(self, objective: Objective, text: str) -> RuleEntry:
+        """`store` for a caller that holds the lock."""
+        entry = RuleEntry(self._next_id, objective, text)
+        self._next_id += 1
+        self._log.append({"kind": "rule", "id": entry.id, "objective": objective.short, "text": text})
+        self._live[entry.id] = entry
+        return entry
 
     def replace_objective(self, objective: Objective, texts: Sequence[str]) -> tuple[RuleEntry, ...]:
         """Swap an objective's live rule set for a new generation.
@@ -394,26 +444,27 @@ class RulesDatabase:
         A no-op when the new texts match the live ones exactly, which keeps
         fixed-point refinements from growing the log.
         """
-        current = self.for_objective(objective)
-        if [r.text for r in current] == list(texts):
-            return current
         with self._lock:
-            old_ids = [r.id for r in current]
-            if old_ids:
-                retire = {"kind": "retire", "objective": objective.short, "ids": old_ids}
+            current = self.for_objective(objective)
+            if [r.text for r in current] == list(texts):
+                return current
+            if current:
+                retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
                 self._log.append(retire)
                 self._apply(retire)
-        return tuple(self.store(objective, text) for text in texts)
+            return tuple(self._store(objective, text) for text in texts)
 
 
 class ExperienceDatabase:
     """Append-only store of (scenario, plan, performance) mission records, kept
-    in id order with a set of (objective, scenario text, plan text) dedup keys."""
+    in id order with a set of (objective, scenario text, plan text) dedup keys
+    and, once retrieved from, a matrix of their section embeddings."""
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
         self._records: dict[int, ExperienceRecord] = {}
         self._dedup: set[tuple[Objective, str, str]] = set()
+        self._sections: np.ndarray | None = None  # see _scoring_snapshot; dropped by store
         self._next_id = 0
         self._lock = threading.Lock()
         for payload in sorted(self._log.read_all(), key=lambda p: p["id"]):
@@ -448,6 +499,16 @@ class ExperienceDatabase:
 
     def contains(self, objective: Objective, scenario: MissionScenario, plan: ItaPlan) -> bool:
         return (objective, scenario.serialize(), plan.render()) in self._dedup
+
+    def _scoring_snapshot(self) -> tuple[tuple[ExperienceRecord, ...], np.ndarray]:
+        """The records in id order and their section matrix (`_section_matrix`),
+        from one state of the store. The matrix is built on first use after a
+        store."""
+        with self._lock:
+            records = self.records()
+            if self._sections is None:
+                self._sections = _section_matrix(records)
+            return records, self._sections
 
     def store(
         self,
@@ -488,4 +549,5 @@ class ExperienceDatabase:
             )
             self._records[record.id] = record
             self._dedup.add(key)
+            self._sections = None
             return record

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -268,6 +269,39 @@ class TestTranscript:
         )
         with pytest.raises(Unavailable):
             TranscriptReplayer(path).complete(CompletionRequest(prompt="never seen"))
+
+    def test_concurrent_completions_append_whole_lines(self, tmp_path):
+        class Echo:
+            def complete(self, request):
+                return request.prompt[::-1]
+
+        path = tmp_path / "transcript.jsonl"
+        recorder = TranscriptRecorder(Echo(), path)
+        prompts = [f"prompt {i} " + "x" * 100_000 for i in range(24)]
+        errors = []
+
+        def complete_all(batch):
+            try:
+                for prompt in batch:
+                    recorder.complete(CompletionRequest(prompt=prompt))
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=complete_all, args=(prompts[i::6],)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert sorted(entry["prompt"] for entry in entries) == sorted(prompts)
+        assert all(entry["response"] == entry["prompt"][::-1] for entry in entries)
 
 
 class TestHeuristicAllocate:

@@ -4,6 +4,8 @@ import json
 import logging
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -33,6 +35,7 @@ from rebel.retrieval import (
     tokenize,
     unit_vector,
 )
+from rebel.bench import random_scenario
 from rebel.llm import heuristic_allocate
 from conftest import make_scenario
 
@@ -345,6 +348,67 @@ class TestEnsembleRetrieve:
             ensemble_retrieve("anything", RulesDatabase(), k=1)
 
 
+class CountingEmbedder:
+    """HashedEmbedder that records every text it embeds."""
+
+    def __init__(self, dim: int = 64):
+        self.inner = HashedEmbedder(dim=dim)
+        self.texts: list[str] = []
+
+    def embed(self, text: str) -> tuple[float, ...]:
+        self.texts.append(text)
+        return self.inner.embed(text)
+
+
+class TestRuleEmbeddingCache:
+    TEXTS = (
+        "Assign faster robots to tasks farther away.",
+        "Assign skilled humans to difficult tasks.",
+        "Keep tasks in robot autonomous mode whenever possible.",
+        "Use robots with high camera quality for image capture.",
+    )
+
+    def rules_db(self):
+        db = RulesDatabase()
+        for text in self.TEXTS:
+            db.store(Objective.MISSION_TIME, text)
+        return db
+
+    def test_second_retrieval_embeds_only_the_query(self):
+        db, embedder = self.rules_db(), CountingEmbedder()
+        first = ensemble_retrieve("faster robots", db, k=3, embedder=embedder)
+        assert sorted(embedder.texts) == sorted(self.TEXTS + ("faster robots",))
+        embedder.texts.clear()
+        second = ensemble_retrieve("faster robots", db, k=3, embedder=embedder)
+        assert embedder.texts == ["faster robots"]
+        assert second == first
+
+    def test_store_and_replacement_each_embed_one_new_rule(self):
+        db, embedder = self.rules_db(), CountingEmbedder()
+        ensemble_retrieve("query", db, k=1, embedder=embedder)
+        db.store(Objective.HUMAN_WORKLOAD, "Spread analyses across humans.")
+        embedder.texts.clear()
+        ensemble_retrieve("query", db, k=1, embedder=embedder)
+        assert sorted(embedder.texts) == ["Spread analyses across humans.", "query"]
+        db.replace_objective(Objective.HUMAN_WORKLOAD, ["Rest humans between analyses."])
+        embedder.texts.clear()
+        ensemble_retrieve("query", db, k=1, embedder=embedder)
+        assert sorted(embedder.texts) == ["Rest humans between analyses.", "query"]
+
+    def test_each_embedder_instance_embeds_the_rules_itself(self):
+        db, a, b = self.rules_db(), CountingEmbedder(), CountingEmbedder()
+        ensemble_retrieve("query", db, k=1, embedder=a)
+        ensemble_retrieve("query", db, k=1, embedder=b)
+        assert len(a.texts) == len(b.texts) == len(self.TEXTS) + 1
+
+    def test_cached_rankings_match_fresh_store(self):
+        db, embedder = self.rules_db(), HashedEmbedder(dim=64)
+        for query in ("faster robots", "skilled humans", "camera quality", "nothing shared"):
+            cached = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
+            fresh = ensemble_retrieve(query, self.rules_db(), k=len(db), embedder=embedder)
+            assert [r.id for r in cached] == [r.id for r in fresh]
+
+
 class TestScenarioSectionEmbedding:
     def test_self_similarity_is_one(self):
         embedder = HashedEmbedder(dim=64)
@@ -512,6 +576,156 @@ class TestRetrieveExperiences:
             )
 
 
+def _task_variant(index: int) -> MissionScenario:
+    return make_scenario(tasks=(("T_0", (40.0 * index + 10.0, 20.0), Tier.LOW),))
+
+
+def _ids(records) -> list[int]:
+    return [rec.id for rec in records]
+
+
+class TestSectionMatrix:
+    """`retrieve_experiences` scores against a section matrix cached on the
+    store; these pin what the per-record cosine loop guaranteed."""
+
+    @pytest.mark.parametrize("seed", range(6, 14))
+    def test_duplicate_rows_tie_exactly(self, seed):
+        embedder = HashedEmbedder(dim=64)
+        db = ExperienceDatabase()
+        duplicate = random_scenario(2, 3, 4, seed=seed)
+        # every residue mod 4, and the last rows of a 14-row matrix, where
+        # BLAS gemv switches kernels and can score identical rows differently
+        positions = [0, 2, 3, 5, 6, 9, 10, 12, 13]
+        rng = random.Random(9)
+        for position in range(14):
+            if position in positions:
+                scenario, performance = duplicate, PerformanceRecord(10, 300, 0.2)
+            else:
+                scenario = _task_variant(position)
+                performance = PerformanceRecord(rng.uniform(0, 50), rng.uniform(100, 900), rng.uniform(0, 0.8))
+            store_mission(db, Objective.MISSION_TIME, scenario, performance, embedder)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        n = len(db)
+        everything = _ids(retrieve_experiences(duplicate, prefs, db, k=n, m=n, embedder=embedder))
+        assert [i for i in everything if i in positions] == positions
+        # wherever the similarity cut falls inside the tied duplicates, the
+        # lowest ids survive
+        for k in range(1, len(positions) + 1):
+            top = retrieve_experiences(duplicate, prefs, db, k=k, m=k, embedder=embedder)
+            assert sorted(_ids(top)) == positions[:k]
+
+    @pytest.mark.parametrize("factors", [(3.0, 3.0, 3.0), (3.0, 1.0, 0.25)])
+    def test_scaled_stored_vectors_rank_alike(self, factors):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        scaled = ExperienceDatabase()
+        for rec in db.records():
+            sections = (rec.emb_humans, rec.emb_robots, rec.emb_tasks)
+            # uneven factors rotate per record, so only a cosine ranks alike
+            turn = rec.id % 3
+            rotated = factors[turn:] + factors[:turn]
+            scaled.store(
+                rec.objective, rec.scenario, rec.plan, rec.performance,
+                tuple(tuple(f * x for x in vec) for f, vec in zip(rotated, sections)),
+            )
+        prefs = PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25)
+        for k in range(1, len(db) + 1):
+            want = _ids(retrieve_experiences(base, prefs, db, k=k, m=k, embedder=embedder))
+            assert _ids(retrieve_experiences(base, prefs, scaled, k=k, m=k, embedder=embedder)) == want
+
+    def test_zero_stored_section_is_error(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        h, r, t = embed_scenario_sections(base, embedder)
+        plan = heuristic_allocate(base, PreferenceVector.single(Objective.MISSION_TIME))
+        db.store(Objective.MISSION_TIME, base, plan, PerformanceRecord(1, 2, 0.3), (h, (0.0,) * len(r), t))
+        with pytest.raises(ValueError, match="zero"):
+            retrieve_experiences(
+                base, PreferenceVector.single(Objective.MISSION_TIME), db, k=1, m=1, embedder=embedder
+            )
+
+    def test_query_dimension_mismatch_is_error(self):
+        db, base = toy_experience_db(HashedEmbedder(dim=64))
+        with pytest.raises(ValueError, match="dimension"):
+            retrieve_experiences(
+                base, PreferenceVector.single(Objective.MISSION_TIME), db, k=1, m=1,
+                embedder=HashedEmbedder(dim=32),
+            )
+
+    def test_store_after_retrieval_is_retrievable(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        retrieve_experiences(base, prefs, db, k=1, m=1, embedder=embedder)
+        novel = make_scenario(
+            humans=(("H_4", Tier.LOW, Tier.LOW),),
+            robots=(("UAV_8", 7.5, Tier.MED),),
+            tasks=(("T_3", (1500.0, 1500.0), Tier.MED),),
+        )
+        record = store_mission(db, Objective.MISSION_TIME, novel, PerformanceRecord(1, 2, 0.3), embedder)
+        assert _ids(retrieve_experiences(novel, prefs, db, k=1, m=1, embedder=embedder)) == [record.id]
+
+    def test_reloaded_store_retrieves_alike(self, tmp_path):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        persisted = ExperienceDatabase(tmp_path / "exp.jsonl")
+        for rec in db.records():
+            persisted.store(
+                rec.objective, rec.scenario, rec.plan, rec.performance,
+                (rec.emb_humans, rec.emb_robots, rec.emb_tasks),
+            )
+        reloaded = ExperienceDatabase(tmp_path / "exp.jsonl")
+        for prefs in (PreferenceVector.single(Objective.HUMAN_WORKLOAD), PreferenceVector.of(TP=1, MT=1, HW=1)):
+            for k in range(1, len(db) + 1):
+                want = _ids(retrieve_experiences(base, prefs, db, k=k, m=k, embedder=embedder))
+                assert _ids(retrieve_experiences(base, prefs, reloaded, k=k, m=k, embedder=embedder)) == want
+
+    def test_store_while_retrieving_returns_whole_snapshots(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        pending = []
+        for index in range(40):
+            scenario = _task_variant(index)
+            pending.append((scenario, heuristic_allocate(scenario, prefs), embed_scenario_sections(scenario, embedder)))
+        writing_done = threading.Event()
+        errors, bad = [], []
+
+        def writer():
+            try:
+                for scenario, plan, sections in pending:
+                    db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 50, 0.5), sections)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+            finally:
+                writing_done.set()
+
+        def reader():
+            try:
+                while not writing_done.is_set():
+                    before = len(db)
+                    got = sorted(_ids(retrieve_experiences(base, prefs, db, k=10**6, m=10**6, embedder=embedder)))
+                    # ids are dense from 0, so a whole snapshot is exactly range(its size)
+                    if got != list(range(len(got))) or not before <= len(got) <= len(db):
+                        bad.append(got)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and bad == []
+        assert len(db) == 6 + len(pending)
+
+
 class TestRulesDatabasePersistence:
     def test_store_then_reload_is_identical(self, tmp_path):
         path = tmp_path / "rules.jsonl"
@@ -554,6 +768,45 @@ class TestRulesDatabasePersistence:
         db.replace_objective(Objective.MISSION_TIME, ["stable rule"])
         assert db.rules() == before
         assert RulesDatabase(path).rules() == before
+
+    def test_racing_identical_replacements_leave_one_generation(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        db = RulesDatabase(path)
+        db.store(Objective.MISSION_TIME, "old rule")
+        # each replacement pauses after reading the live rules until the other
+        # has read them too; holding the lock across compare and write makes
+        # the second wait time out and then see the first one's generation
+        both_read = threading.Barrier(2, timeout=0.5)
+        read = db.for_objective
+
+        def read_then_wait(objective):
+            current = read(objective)
+            try:
+                both_read.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return current
+
+        db.for_objective = read_then_wait
+        texts = ["new rule a", "new rule b"]
+        errors = []
+
+        def replace():
+            try:
+                db.replace_objective(Objective.MISSION_TIME, texts)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=replace) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        del db.for_objective
+        assert [r.text for r in db.for_objective(Objective.MISSION_TIME)] == texts
+        assert RulesDatabase(path).rules() == db.rules()
 
 
 class TestExperienceDatabasePersistence:
