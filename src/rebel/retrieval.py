@@ -154,9 +154,7 @@ def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
 
 
 class Embedder(Protocol):
-    """Text to fixed-dimension unit vector. Stores cache vectors per embedder,
-    so an embedder must be hashable: by value when equal embedders embed alike
-    (HashedEmbedder), otherwise by identity."""
+    """Text to fixed-dimension unit vector."""
 
     def embed(self, text: str) -> tuple[float, ...]: ...
 
@@ -370,14 +368,16 @@ class RulesDatabase:
 
     Refinement retires an objective's current generation and appends the new
     one, so the file never rewrites history. Stores and replacements hold a
-    lock, so threads may share the store. Each live rule is embedded at most
-    once per embedder, on first retrieval.
+    lock, so threads may share the store. The rule embeddings of the last
+    retrieval are kept, so a store queried again and again with one embedder
+    embeds each rule once.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
         self._live: dict[int, RuleEntry] = {}  # id order: sorted here, appended in order after
-        self._vectors: dict[Embedder, dict[int, tuple[float, ...]]] = {}  # rule id -> embedding
+        # (embedder, rule id -> embedding); replaced whole, never mutated
+        self._rule_vectors: tuple[Embedder | None, dict[int, tuple[float, ...]]] = (None, {})
         self._next_id = 0
         self._lock = threading.Lock()
         for payload in self._log.read_all():
@@ -396,8 +396,6 @@ class RulesDatabase:
         elif payload["kind"] == "retire":
             for entry_id in payload["ids"]:
                 self._live.pop(entry_id, None)
-                for vectors in self._vectors.values():
-                    vectors.pop(entry_id, None)
         else:
             raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")
 
@@ -417,14 +415,16 @@ class RulesDatabase:
         self, embedder: Embedder
     ) -> tuple[tuple[RuleEntry, ...], tuple[tuple[float, ...], ...]]:
         """The live rules in id order and their embeddings, from one state of
-        the store; rules not yet embedded by `embedder` are embedded here."""
+        the store. Rules the cache lacks for an equal (`==`) embedder are
+        embedded outside the lock, so a slow embedder holds up no store."""
         with self._lock:
-            vectors = self._vectors.setdefault(embedder, {})
             rules = tuple(self._live.values())
-            for entry in rules:
-                if entry.id not in vectors:
-                    vectors[entry.id] = embedder.embed(entry.text)
-            return rules, tuple(vectors[entry.id] for entry in rules)
+            cached_by, cached = self._rule_vectors
+        if cached_by != embedder:
+            cached = {}
+        vectors = {r.id: cached[r.id] if r.id in cached else embedder.embed(r.text) for r in rules}
+        self._rule_vectors = (embedder, vectors)  # retired rules drop out here
+        return rules, tuple(vectors.values())
 
     def store(self, objective: Objective, text: str) -> RuleEntry:
         with self._lock:

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from dataclasses import dataclass
 
 import pytest
 
@@ -400,6 +401,18 @@ class TestRuleEmbeddingCache:
         ensemble_retrieve("query", db, k=1, embedder=a)
         ensemble_retrieve("query", db, k=1, embedder=b)
         assert len(a.texts) == len(b.texts) == len(self.TEXTS) + 1
+
+    def test_rules_are_embedded_outside_the_lock(self):
+        db, held = self.rules_db(), []
+
+        @dataclass
+        class LockProbe:  # not frozen, so unhashable; the cache compares with ==
+            def embed(self, text: str) -> tuple[float, ...]:
+                held.append(db._lock.locked())
+                return HashedEmbedder(dim=64).embed(text)
+
+        ensemble_retrieve("query", db, k=1, embedder=LockProbe())
+        assert len(held) == len(self.TEXTS) + 1 and not any(held)
 
     def test_cached_rankings_match_fresh_store(self):
         db, embedder = self.rules_db(), HashedEmbedder(dim=64)
