@@ -18,13 +18,14 @@ import random
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from scipy import stats as scipy_stats
 
 from .core import (
     Assignment,
+    Direction,
     HumanProfile,
     ItaPlan,
     MissionScenario,
@@ -103,34 +104,27 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
+        """A spec from a JSON file; every key it omits keeps the dataclass default."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        team = TeamSpec(
-            humans=raw.get("humans", 5), robots=raw.get("robots", 7), pois=raw.get("pois", 30)
-        )
-        prefs = tuple(
+        kwargs = _present_fields(cls, raw)
+        kwargs["team"] = TeamSpec(**_present_fields(TeamSpec, raw))
+        if "methods" in raw:
+            kwargs["methods"] = tuple(raw["methods"])
+        kwargs["preferences"] = tuple(
             PreferenceVector(tuple((Objective.parse(k), float(v)) for k, v in p.items()))
             for p in raw.get("preferences", [])
         )
-        change = None
         if "change" in raw:
-            c = raw["change"]
-            change = CompositionChange(
-                remove_ids=tuple(c.get("remove_ids", [])),
-                remove_robots=c.get("remove_robots", 0),
-                remove_humans=c.get("remove_humans", 0),
-                add_robots=c.get("add_robots", 0),
-                add_humans=c.get("add_humans", 0),
-            )
-        return cls(
-            mode=raw.get("mode", Mode.SOO),
-            team=team,
-            trials=raw.get("trials", 100),
-            methods=tuple(raw.get("methods", ["rebel", "random"])),
-            seed=raw.get("seed", 0),
-            preferences=prefs,
-            change=change,
-            brute_force_samples=raw.get("brute_force_samples", 8),
-        )
+            change = _present_fields(CompositionChange, raw["change"])
+            if "remove_ids" in change:
+                change["remove_ids"] = tuple(change["remove_ids"])
+            kwargs["change"] = CompositionChange(**change)
+        return cls(**kwargs)
+
+
+def _present_fields(cls, raw: dict) -> dict:
+    """The entries of `raw` that name a field of dataclass `cls`."""
+    return {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
 
 
 def default_preferences(mode: str) -> tuple[PreferenceVector, ...]:
@@ -609,7 +603,7 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             for cell, value in zip(live, means):
                 if hi - lo < 1e-12:
                     norm = 0.5
-                elif objective.direction.value == "maximize":
+                elif objective.direction is Direction.MAXIMIZE:
                     norm = (value - lo) / (hi - lo)
                 else:
                     norm = (hi - value) / (hi - lo)
@@ -649,10 +643,18 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             )
     if spec.mode == Mode.MOO and live:
         for objective in Objective:
+            means = [cell.mean(objective) for cell in live]
             column = [cell.norms[objective] for cell in live]
-            checks.append(
-                (f"norm column {objective.short} attains 0 and 1",
-                 min(column) <= 1e-9 and max(column) >= 1 - 1e-9)
-            )
+            if max(means) - min(means) < 1e-12:
+                # every cell ties on this objective, so each sits at the midpoint
+                checks.append(
+                    (f"norm column {objective.short} is 0.5 throughout (all cells tie)",
+                     all(v == 0.5 for v in column))
+                )
+            else:
+                checks.append(
+                    (f"norm column {objective.short} attains 0 and 1",
+                     min(column) <= 1e-9 and max(column) >= 1 - 1e-9)
+                )
 
     return ExperimentReport(spec=spec, cells=cells, checks=checks)

@@ -22,7 +22,7 @@ from .core import (
     MissionScenario,
     Objective,
     PreferenceVector,
-    natural_key,
+    Tier,
 )
 from .prompt import (
     GOAL_GENERATE_RULES,
@@ -271,16 +271,6 @@ class StubProvider:
         raise Unavailable("stub provider does not understand this prompt")
 
 
-def _proxy_accuracy(
-    scenario: MissionScenario, candidate: Assignment, difficulty, cfg: SimConfig
-) -> float:
-    """Nominal (fresh-operator) success probability for a candidate assignment."""
-    if candidate.human is None:
-        robot = scenario.robot(candidate.robot)
-        return robot_accuracy_probability(robot.camera_quality, difficulty, None, cfg)
-    return human_accuracy_probability(scenario.human(candidate.human), 0.0, 0, difficulty, cfg)
-
-
 def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> ItaPlan:
     """Greedy, preference-aware allocation that always validates.
 
@@ -289,103 +279,94 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
     workload does the same, guaranteeing zero human involvement; task
     performance routes hard tasks to shared control with the best analysts
     and keeps the rest on the best cameras. Mixed weights score every
-    (robot, human | None) candidate on weighted normalized proxies. Ties
-    always go to the lowest id.
+    (robot, human | None) candidate on weighted normalized proxies. Ties go
+    to the earliest candidate in (robot, autonomous, human) id order.
     """
     if not scenario.robots:
         raise ValueError("cannot allocate: scenario has no robots")
 
     cfg = SimConfig()
     robots = scenario.robots
-    humans = sorted(
-        scenario.humans,
-        key=lambda h: (-h.skill.rank, -h.cognition.rank, natural_key(h.id)),
-    )
-
     route_end: dict[str, tuple[float, float]] = {r.id: (0.0, 0.0) for r in robots}
     route_time: dict[str, float] = {r.id: 0.0 for r in robots}
     load: dict[str, int] = {r.id: 0 for r in robots}
 
-    def control_scale(human_id: str | None) -> float:
-        if human_id is None:
-            return 1.0
-        return cfg.shared_speed_multiplier[scenario.human(human_id).skill]
-
-    def projected_completion(robot, location, speed_scale: float = 1.0) -> float:
+    def projected_completion(robot, location, human=None) -> float:
+        scale = 1.0 if human is None else cfg.shared_speed_multiplier[human.skill]
         return route_time[robot.id] + travel_time(
-            route_end[robot.id], location, robot.speed * speed_scale
+            route_end[robot.id], location, robot.speed * scale
         )
 
-    def commit(task_id: str, robot, human_id: str | None, location) -> None:
-        route_time[robot.id] = projected_completion(robot, location, control_scale(human_id))
-        route_end[robot.id] = location
+    def commit(task, robot, human) -> None:
+        route_time[robot.id] = projected_completion(robot, task.location, human)
+        route_end[robot.id] = task.location
         load[robot.id] += 1
-        assignments[task_id] = Assignment(robot.id, human_id)
+        assignments[task.id] = Assignment(robot.id, None if human is None else human.id)
 
     assignments: dict[str, Assignment] = {}
     dominant = prefs.dominant()
 
+    # `min` and `max` keep the first of equal candidates, and the scenario
+    # holds its members in id order, so ties go to the lowest id.
     if dominant in (Objective.MISSION_TIME, Objective.HUMAN_WORKLOAD):
         for task in scenario.tasks:
-            best = min(
-                robots, key=lambda r: (projected_completion(r, task.location), natural_key(r.id))
-            )
-            commit(task.id, best, None, task.location)
+            commit(task, min(robots, key=lambda r: projected_completion(r, task.location)), None)
     elif dominant is Objective.TASK_PERFORMANCE:
-        analysts = humans[: max(1, min(3, len(humans)))] if humans else []
+        # the best three analysts; the stable sort keeps id order among equals
+        analysts = sorted(scenario.humans, key=lambda h: (-h.skill.rank, -h.cognition.rank))[:3]
         hard_index = 0
         for task in scenario.tasks:
-            robot = min(
-                robots,
-                key=lambda r: (load[r.id], -r.camera_quality.rank, natural_key(r.id)),
-            )
+            robot = min(robots, key=lambda r: (load[r.id], -r.camera_quality.rank))
             if task.difficulty.rank == 2 and analysts:
-                analyst = analysts[hard_index % len(analysts)]
+                commit(task, robot, analysts[hard_index % len(analysts)])
                 hard_index += 1
-                commit(task.id, robot, analyst.id, task.location)
             else:
-                commit(task.id, robot, None, task.location)
+                commit(task, robot, None)
     else:
         # Mixed weights with no single dominant objective: score every
         # (robot, human | None) candidate on normalized proxies for completion
         # time, accuracy, and human load.
-        patterns = [None] + [h.id for h in humans]
+        w_time, w_perf, w_load = (
+            prefs.weight(o)
+            for o in (Objective.MISSION_TIME, Objective.TASK_PERFORMANCE, Objective.HUMAN_WORKLOAD)
+        )
+        candidates = [(robot, human) for robot in robots for human in (None, *scenario.humans)]
+        workload = _normalized([0.0 if h is None else 1.0 for _, h in candidates], False)
+        # nominal (fresh-operator) success probability, per task difficulty
+        accuracy = {
+            tier: _normalized(
+                [
+                    robot_accuracy_probability(r.camera_quality, tier, None, cfg)
+                    if h is None
+                    else human_accuracy_probability(h, 0.0, 0, tier, cfg)
+                    for r, h in candidates
+                ],
+                True,
+            )
+            for tier in Tier
+        }
         for task in scenario.tasks:
-            candidates: list[tuple[tuple, object, Assignment, float, float, float]] = []
-            for robot in robots:
-                for human_id in patterns:
-                    candidate = Assignment(robot.id, human_id)
-                    extra = 0.0 if human_id is None else cfg.analysis_service_s[task.difficulty]
-                    t_proxy = (
-                        projected_completion(robot, task.location, control_scale(human_id)) + extra
-                    )
-                    a_proxy = _proxy_accuracy(scenario, candidate, task.difficulty, cfg)
-                    w_proxy = 0.0 if human_id is None else 1.0
-                    # autonomous before shared control, then by human id
-                    tie = (natural_key(robot.id), human_id is not None, natural_key(human_id or ""))
-                    candidates.append((tie, robot, candidate, t_proxy, a_proxy, w_proxy))
-
-            t_values = [c[3] for c in candidates]
-            a_values = [c[4] for c in candidates]
-            w_values = [c[5] for c in candidates]
-
-            def norm(value: float, values: list[float], maximize: bool) -> float:
-                lo, hi = min(values), max(values)
-                if hi - lo < 1e-12:
-                    return 0.5
-                frac = (value - lo) / (hi - lo)
-                return frac if maximize else 1.0 - frac
-
-            def score(c) -> float:
-                return (
-                    prefs.weight(Objective.MISSION_TIME) * norm(c[3], t_values, False)
-                    + prefs.weight(Objective.TASK_PERFORMANCE) * norm(c[4], a_values, True)
-                    + prefs.weight(Objective.HUMAN_WORKLOAD) * norm(c[5], w_values, False)
+            service = cfg.analysis_service_s[task.difficulty]
+            completion = [
+                projected_completion(r, task.location, h) + (0.0 if h is None else service)
+                for r, h in candidates
+            ]
+            scores = [
+                w_time * t + w_perf * a + w_load * w
+                for t, a, w in zip(
+                    _normalized(completion, False), accuracy[task.difficulty], workload
                 )
-
-            _, robot, candidate, _, _, _ = sorted(
-                candidates, key=lambda c: (-score(c), c[0])
-            )[0]
-            commit(task.id, robot, candidate.human, task.location)
+            ]
+            commit(task, *candidates[max(range(len(candidates)), key=scores.__getitem__)])
 
     return ItaPlan(assignments)
+
+
+def _normalized(values: list[float], maximize: bool) -> list[float]:
+    """Min-max scale to [0, 1], flipped for minimized proxies; 0.5 when all tie."""
+    lo, hi = min(values), max(values)
+    if hi - lo < 1e-12:
+        return [0.5] * len(values)
+    if maximize:
+        return [(v - lo) / (hi - lo) for v in values]
+    return [1.0 - (v - lo) / (hi - lo) for v in values]

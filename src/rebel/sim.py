@@ -220,30 +220,31 @@ def run_mission(
     outcomes: dict[str, TaskOutcome] = {}
     analysis_queue: dict[str, list[tuple[float, str]]] = {h.id: [] for h in scenario.humans}
 
-    # Group tasks by travel robot, preserving canonical plan order.
-    routes: dict[str, list[tuple[str, str | None]]] = {}
+    tasks = {t.id: t for t in scenario.tasks}
+    humans = {h.id: h for h in scenario.humans}
+    # Each robot's tasks, in canonical plan order.
+    routes: dict[str, list[tuple[str, str | None]]] = {r.id: [] for r in scenario.robots}
     for task_id, (robot_id, human_id) in plan.assignments.items():
-        routes.setdefault(robot_id, []).append((task_id, human_id))
+        routes[robot_id].append((task_id, human_id))
 
-    for robot_id in sorted(routes, key=natural_key):
-        robot = scenario.robot(robot_id)
+    for robot in scenario.robots:
         pos = (0.0, 0.0)
         now = 0.0
-        for task_id, analyst_id in routes[robot_id]:
-            task = scenario.task(task_id)
+        for task_id, analyst_id in routes[robot.id]:
+            task = tasks[task_id]
             speed = robot.speed
             if analyst_id is not None:
-                speed *= cfg.shared_speed_multiplier[scenario.human(analyst_id).skill]
+                speed *= cfg.shared_speed_multiplier[humans[analyst_id].skill]
             leg = travel_time(pos, task.location, speed)
             depart, now = now, now + leg
             pos = task.location
-            busy[robot_id].append((depart, now))
-            events.append((now, "capture", robot_id, task_id, ""))
+            busy[robot.id].append((depart, now))
+            events.append((now, "capture", robot.id, task_id, ""))
             if analyst_id is None:
                 p = robot_accuracy_probability(robot.camera_quality, task.difficulty, None, cfg)
-                correct = _unit_draw(cfg.seed, robot_id, task_id) < p
-                outcomes[task_id] = TaskOutcome(task_id, "robot", robot_id, correct, now, p)
-                events.append((now, "classify", robot_id, task_id, f"correct={correct}"))
+                correct = _unit_draw(cfg.seed, robot.id, task_id) < p
+                outcomes[task_id] = TaskOutcome(task_id, "robot", robot.id, correct, now, p)
+                events.append((now, "classify", robot.id, task_id, f"correct={correct}"))
             else:
                 analysis_queue[analyst_id].append((now, task_id))
                 events.append((now, "enqueue", analyst_id, task_id, ""))
@@ -252,15 +253,14 @@ def run_mission(
         items = sorted(queue, key=lambda it: (it[0], natural_key(it[1])))
         if not items:
             continue
-        profile = scenario.human(human_id)
+        profile = humans[human_id]
         free_at = 0.0
         for idx, (arrival, task_id) in enumerate(items):
+            difficulty = tasks[task_id].difficulty
             start = max(arrival, free_at)
             waiting = sum(1 for later_arrival, _ in items[idx + 1:] if later_arrival <= start)
-            end = start + cfg.analysis_service_s[scenario.task(task_id).difficulty]
-            p = human_accuracy_probability(
-                profile, end, waiting, scenario.task(task_id).difficulty, cfg
-            )
+            end = start + cfg.analysis_service_s[difficulty]
+            p = human_accuracy_probability(profile, end, waiting, difficulty, cfg)
             correct = _unit_draw(cfg.seed, human_id, task_id) < p
             outcomes[task_id] = TaskOutcome(task_id, "human", human_id, correct, end, p)
             busy[human_id].append((start, end))

@@ -294,6 +294,27 @@ class TestRunExperiment:
         assert hw_cell.norms[Objective.HUMAN_WORKLOAD] == pytest.approx(1.0)
         assert hw_cell.aligned
 
+    def test_moo_column_where_every_cell_ties_passes_its_check(self):
+        # zero_shot on empty stores falls back to the heuristic plan, so both
+        # cells tie on every objective and every norm is the midpoint 0.5
+        spec = small_spec(mode=Mode.MOO, methods=("zero_shot", "heuristic"), trials=3,
+                          preferences=(PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),))
+        report = run_experiment(spec, deps())
+        assert all(v == 0.5 for cell in report.cells for v in cell.norms.values())
+        assert report.all_checks_pass()
+        names = [name for name, _ in report.checks if name.startswith("norm column")]
+        assert names == [
+            f"norm column {o.short} is 0.5 throughout (all cells tie)" for o in Objective
+        ]
+
+    def test_moo_columns_that_spread_must_attain_0_and_1(self):
+        report = run_experiment(small_spec(mode=Mode.MOO, trials=3), deps())
+        checks = dict(report.checks)
+        for objective in Objective:
+            column = [cell.norms[objective] for cell in report.cells]
+            assert min(column) == 0.0 and max(column) == 1.0
+            assert checks[f"norm column {objective.short} attains 0 and 1"]
+
     def test_situational_mode_marks_fixed_methods_na(self):
         report = run_experiment(
             small_spec(mode=Mode.SITUATIONAL, methods=("zero_shot", "random"),
@@ -377,6 +398,21 @@ class TestExperimentSpecJson:
         assert spec.team == TeamSpec(3, 4, 8)
         assert spec.change == CompositionChange(remove_robots=1)
         assert len(spec.preferences) == 3  # MOO default rotations
+
+    def test_empty_file_gives_the_defaults(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("{}")
+        assert ExperimentSpec.from_json(path) == ExperimentSpec()
+
+    def test_partial_file_keeps_the_other_defaults(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"robots": 2, "trials": 3, "change": {"add_humans": 1}}')
+        spec = ExperimentSpec.from_json(path)
+        assert spec == ExperimentSpec(
+            team=TeamSpec(robots=2), trials=3, change=CompositionChange(add_humans=1)
+        )
+        assert spec.team == TeamSpec(5, 2, 30)
+        assert (spec.methods, spec.seed, spec.brute_force_samples) == (("rebel", "random"), 0, 8)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -350,6 +351,56 @@ class TestHeuristicAllocate:
             prefs = rng.choice(preference_pool)
             plan = heuristic_allocate(scenario, prefs)
             assert validate_plan(plan, scenario).ok
+
+    def test_mixed_weight_ties_go_to_the_lowest_robot_then_human_id(self):
+        # two identical robots and two identical analysts, listed out of order:
+        # the first task ties on both and lands on the lowest ids by digit run
+        scenario = make_scenario(
+            humans=(("H_10", Tier.HIGH, Tier.HIGH), ("H_5", Tier.LOW, Tier.LOW),
+                    ("H_2", Tier.HIGH, Tier.HIGH)),
+            robots=(("UAV_10", 10.0, Tier.LOW), ("UAV_2", 10.0, Tier.LOW)),
+            tasks=(("T_0", (1500.0, 2000.0), Tier.HIGH),),
+        )
+        plan = heuristic_allocate(scenario, PreferenceVector.of(TP=0.45, MT=0.45, HW=0.1))
+        assert plan.assignments["T_0"] == ("UAV_2", "H_2")
+
+    # sha256 over the rendered plans, recorded from an earlier implementation of
+    # the allocator: any change to a pick or a tie-break changes the digest
+    GOLDEN_CASES = {
+        "tied_rotations_single": (
+            (
+                PreferenceVector.of(TP=1, MT=1, HW=1),
+                PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
+                PreferenceVector.of(TP=0.25, MT=0.5, HW=0.25),
+                PreferenceVector.of(TP=0.25, MT=0.25, HW=0.5),
+                PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33),
+                PreferenceVector.single(Objective.TASK_PERFORMANCE),
+            ),
+            2024, 0, 200,
+            "1705424b233edc5b26f46c150b95fe18b2ff4c290e7cac9702e9b4e5a79262ce",
+        ),
+        "two_way_top_ties": (
+            (
+                PreferenceVector.of(TP=0.4, MT=0.4, HW=0.2),
+                PreferenceVector.of(TP=0.2, MT=0.4, HW=0.4),
+            ),
+            2025, 1000, 60,
+            "da7078798b6728d3d19233886b33fd01fb523128d7eeeaa915d50ce58f4393e4",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_plans_match_the_pinned_digest(self, case):
+        vectors, rng_seed, first_seed, count, expected = self.GOLDEN_CASES[case]
+        rng = random.Random(rng_seed)
+        digest = hashlib.sha256()
+        for seed in range(first_seed, first_seed + count):
+            scenario = random_scenario(
+                rng.randint(0, 6), rng.randint(1, 8), rng.randint(1, 30), seed=seed
+            )
+            for prefs in vectors:
+                digest.update(heuristic_allocate(scenario, prefs).render().encode() + b"\n")
+        assert digest.hexdigest() == expected
 
     def test_deterministic(self, scenario):
         prefs = PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33)
