@@ -43,7 +43,7 @@ from .core import (
 from .llm import CompletionProvider, heuristic_allocate
 from .pipeline import RetrievalConfig, derive_seed, infer
 from .retrieval import ExperienceDatabase, RulesDatabase
-from .sim import SimConfig, run_mission
+from .sim import SimConfig, run_mission, schedule_mission, score_mission
 
 logger = logging.getLogger(__name__)
 
@@ -222,26 +222,23 @@ def brute_force_table(
     """Mean aggregate score per enumerated plan under common random numbers.
 
     Normalization bounds are shared across every (plan, sample) record so the
-    scores are directly comparable.
+    scores are directly comparable. Samples differ only in their coin flips,
+    so each plan is scheduled once and scored per seed, with the draws shared
+    across plans.
     """
     plans = enumerate_plans(scenario, cap=cap)
-    per_plan_records: list[list[PerformanceRecord]] = []
-    for plan in plans:
-        records = [
-            run_mission(scenario, plan, sim_cfg.with_seed(base_seed + s))[0]
-            for s in range(samples_per_plan)
-        ]
-        per_plan_records.append(records)
+    draws: dict[tuple[int, str, str], float] = {}
+    per_plan_records = [
+        [score_mission(schedule, base_seed + s, draws) for s in range(samples_per_plan)]
+        for schedule in (schedule_mission(scenario, plan, sim_cfg) for plan in plans)
+    ]
     bounds = NormalizationBounds.from_records(
         [record for records in per_plan_records for record in records]
     )
-    table = []
-    for plan, records in zip(plans, per_plan_records):
-        mean_j = statistics.fmean(
-            aggregate_objective(record, prefs, bounds) for record in records
-        )
-        table.append((plan, mean_j))
-    return table
+    return [
+        (plan, statistics.fmean(aggregate_objective(record, prefs, bounds) for record in records))
+        for plan, records in zip(plans, per_plan_records)
+    ]
 
 
 def brute_force_optimal(
@@ -255,8 +252,7 @@ def brute_force_optimal(
     """Exhaustive argmax of the mean aggregate score; ties break toward the
     lexicographically smallest plan text."""
     table = brute_force_table(scenario, prefs, sim_cfg, samples_per_plan, cap, base_seed)
-    best_plan, best_j = min(table, key=lambda pair: (-pair[1], pair[0].render()))
-    return best_plan, best_j
+    return min(table, key=lambda pair: (-pair[1], pair[0].render()))
 
 
 @dataclass(frozen=True)
@@ -371,8 +367,7 @@ class CellResult:
         return statistics.fmean(r.value(objective) for r in self.records)
 
     def stdev(self, objective: Objective) -> float:
-        values = [r.value(objective) for r in self.records]
-        return statistics.stdev(values) if len(values) > 1 else 0.0
+        return statistics.stdev(self.values(objective)) if len(self.records) > 1 else 0.0
 
     def values(self, objective: Objective) -> list[float]:
         return [r.value(objective) for r in self.records]
@@ -509,21 +504,10 @@ def _run_cell(
     spec: ExperimentSpec,
     deps: BenchDeps,
 ) -> CellResult:
-    label = prefs.label()
     prioritized = prefs.dominant()
     start = time.perf_counter()
-
-    if spec.mode == Mode.SITUATIONAL and method not in ADAPTIVE_METHODS:
-        return CellResult(
-            method=method,
-            pref_label=label,
-            prefs=prefs,
-            prioritized=prioritized.short if prioritized else None,
-            records=[],
-            fallbacks=0,
-            runtime_s=time.perf_counter() - start,
-            na=True,
-        )
+    # methods that cannot re-plan have no situational-awareness result
+    na = spec.mode == Mode.SITUATIONAL and method not in ADAPTIVE_METHODS
 
     def one_trial(trial: int) -> tuple[PerformanceRecord, bool, PerformanceRecord | None]:
         scenario_seed = derive_seed(spec.seed, "scenario", trial)
@@ -546,23 +530,24 @@ def _run_cell(
             changed_record, _ = run_mission(modified, new_plan, deps.sim_cfg.with_seed(sim_seed))
         return record, fallback, changed_record
 
-    if deps.workers > 1:
+    if na:
+        results = []
+    elif deps.workers > 1:
         with ThreadPoolExecutor(max_workers=deps.workers) as pool:
             results = list(pool.map(one_trial, range(spec.trials)))
     else:
         results = [one_trial(trial) for trial in range(spec.trials)]
 
-    records = [r for r, _, _ in results]
-    fallbacks = sum(1 for _, fb, _ in results if fb)
     changed = [c for _, _, c in results if c is not None]
     return CellResult(
         method=method,
-        pref_label=label,
+        pref_label=prefs.label(),
         prefs=prefs,
         prioritized=prioritized.short if prioritized else None,
-        records=records,
-        fallbacks=fallbacks,
+        records=[r for r, _, _ in results],
+        fallbacks=sum(1 for _, fb, _ in results if fb),
         runtime_s=time.perf_counter() - start,
+        na=na,
         changed_records=changed if changed else None,
     )
 

@@ -182,15 +182,9 @@ class MissionScenario:
     def __post_init__(self) -> None:
         # canonical member order: natural id sort, so logically equal teams
         # compare equal and render identically regardless of input order
-        object.__setattr__(
-            self, "humans", tuple(sorted(self.humans, key=lambda a: natural_key(a.id)))
-        )
-        object.__setattr__(
-            self, "robots", tuple(sorted(self.robots, key=lambda a: natural_key(a.id)))
-        )
-        object.__setattr__(
-            self, "tasks", tuple(sorted(self.tasks, key=lambda a: natural_key(a.id)))
-        )
+        for name in ("humans", "robots", "tasks"):
+            members = sorted(getattr(self, name), key=lambda a: natural_key(a.id))
+            object.__setattr__(self, name, tuple(members))
         ids: list[str] = [a.id for a in self.humans + self.robots + self.tasks]
         if len(set(ids)) != len(ids):
             raise ValueError("agent and task ids must be unique and disjoint")
@@ -202,24 +196,6 @@ class MissionScenario:
     @property
     def runnable(self) -> bool:
         return bool(self.robots)
-
-    def human(self, human_id: str) -> HumanProfile:
-        for h in self.humans:
-            if h.id == human_id:
-                return h
-        raise KeyError(human_id)
-
-    def robot(self, robot_id: str) -> RobotProfile:
-        for r in self.robots:
-            if r.id == robot_id:
-                return r
-        raise KeyError(robot_id)
-
-    def task(self, task_id: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
 
     def human_ids(self) -> set[str]:
         return {h.id for h in self.humans}
@@ -379,6 +355,13 @@ class PreferenceVector:
         return ",".join(f"{obj.short}={fmt_num(round(w, 6))}" for obj, w in self.weights)
 
 
+_RECORD_FIELD = {
+    Objective.TASK_PERFORMANCE: "accuracy_points",
+    Objective.MISSION_TIME: "mission_seconds",
+    Objective.HUMAN_WORKLOAD: "human_utilization",
+}
+
+
 @dataclass(frozen=True)
 class PerformanceRecord:
     """Mission outcome triple: accuracy points, duration, human utilization."""
@@ -397,11 +380,7 @@ class PerformanceRecord:
             raise ValueError("human utilization must lie in [0, 1]")
 
     def value(self, objective: Objective) -> float:
-        return {
-            Objective.TASK_PERFORMANCE: self.accuracy_points,
-            Objective.MISSION_TIME: self.mission_seconds,
-            Objective.HUMAN_WORKLOAD: self.human_utilization,
-        }[objective]
+        return getattr(self, _RECORD_FIELD[objective])
 
     def serialize(self) -> str:
         return (

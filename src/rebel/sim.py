@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .core import (
@@ -69,38 +70,19 @@ class SimConfig:
         return replace(self, seed=seed)
 
     def dump(self, path: str | Path) -> None:
-        def tiers(m: dict[Tier, float]) -> dict[str, float]:
-            return {t.value: v for t, v in m.items()}
-
-        payload = {
-            "human_base_accuracy": tiers(self.human_base_accuracy),
-            "skill_multiplier": tiers(self.skill_multiplier),
-            "fatigue_floor": self.fatigue_floor,
-            "fatigue_horizon_s": self.fatigue_horizon_s,
-            "workload_coef": self.workload_coef,
-            "complexity_steepness": self.complexity_steepness,
-            "complexity_midpoint": self.complexity_midpoint,
-            "robot_base_accuracy": tiers(self.robot_base_accuracy),
-            "difficulty_penalty": tiers(self.difficulty_penalty),
-            "shared_speed_multiplier": tiers(self.shared_speed_multiplier),
-            "shared_quality_multiplier": tiers(self.shared_quality_multiplier),
-            "analysis_service_s": tiers(self.analysis_service_s),
-            "points_per_correct": self.points_per_correct,
-            "seed": self.seed,
-        }
+        payload = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            payload[f.name] = {t.value: v for t, v in value.items()} if isinstance(value, dict) else value
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "SimConfig":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-
-        def tiers(m: dict[str, float]) -> dict[Tier, float]:
-            return {Tier.parse(k): float(v) for k, v in m.items()}
-
-        kwargs = {}
-        for name, value in raw.items():
-            kwargs[name] = tiers(value) if isinstance(value, dict) else value
-        return cls(**kwargs)
+        return cls(**{
+            name: {Tier.parse(k): float(v) for k, v in value.items()} if isinstance(value, dict) else value
+            for name, value in raw.items()
+        })
 
 
 def travel_time(start: tuple[float, float], end: tuple[float, float], speed: float) -> float:
@@ -198,16 +180,28 @@ class SimTrace:
         )
 
 
-def run_mission(
-    scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig
-) -> tuple[PerformanceRecord, SimTrace]:
-    """Execute an allocation and score it.
+@dataclass(frozen=True)
+class MissionSchedule:
+    """A mission up to its coin flips. `classifications` holds (task, "robot" |
+    "human", classifier id, completion time, probability correct) in outcome
+    order; `events` is sorted, with the seed-dependent classify details blank."""
+
+    classifications: tuple[tuple[str, str, str, float, float], ...]
+    busy: dict[str, tuple[tuple[float, float], ...]]
+    events: tuple[tuple[float, str, str, str, str], ...]
+    mission_seconds: float
+    utilization: float
+    points_per_correct: float
+
+
+def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -> MissionSchedule:
+    """Execute an allocation up to its coin flips; `cfg.seed` is not read.
 
     Robots start at the arena origin and visit their tasks in plan order;
     shared control scales travel speed by the operator's skill tier. Captures
     are classified onboard for autonomous assignments, otherwise queued to the
     controlling human (FIFO, fixed service time per difficulty) and resolved
-    at service completion. Returns the performance triple and the full trace.
+    at service completion.
     """
     check = validate_plan(plan, scenario)
     if not check.ok:
@@ -217,7 +211,7 @@ def run_mission(
     busy: dict[str, list[tuple[float, float]]] = {
         a.id: [] for a in scenario.humans + scenario.robots
     }
-    outcomes: dict[str, TaskOutcome] = {}
+    classified: list[tuple[str, str, str, float, float]] = []
     analysis_queue: dict[str, list[tuple[float, str]]] = {h.id: [] for h in scenario.humans}
 
     tasks = {t.id: t for t in scenario.tasks}
@@ -242,37 +236,31 @@ def run_mission(
             events.append((now, "capture", robot.id, task_id, ""))
             if analyst_id is None:
                 p = robot_accuracy_probability(robot.camera_quality, task.difficulty, None, cfg)
-                correct = _unit_draw(cfg.seed, robot.id, task_id) < p
-                outcomes[task_id] = TaskOutcome(task_id, "robot", robot.id, correct, now, p)
-                events.append((now, "classify", robot.id, task_id, f"correct={correct}"))
+                classified.append((task_id, "robot", robot.id, now, p))
+                events.append((now, "classify", robot.id, task_id, ""))
             else:
                 analysis_queue[analyst_id].append((now, task_id))
                 events.append((now, "enqueue", analyst_id, task_id, ""))
 
-    for human_id, queue in analysis_queue.items():
-        items = sorted(queue, key=lambda it: (it[0], natural_key(it[1])))
-        if not items:
-            continue
-        profile = humans[human_id]
+    for profile in scenario.humans:
+        items = sorted(analysis_queue[profile.id], key=lambda it: (it[0], natural_key(it[1])))
+        arrivals = [arrival for arrival, _ in items]
         free_at = 0.0
         for idx, (arrival, task_id) in enumerate(items):
             difficulty = tasks[task_id].difficulty
             start = max(arrival, free_at)
-            waiting = sum(1 for later_arrival, _ in items[idx + 1:] if later_arrival <= start)
+            # items are in arrival order, so those waiting are the run after idx
+            waiting = bisect_right(arrivals, start, idx + 1) - (idx + 1)
             end = start + cfg.analysis_service_s[difficulty]
             p = human_accuracy_probability(profile, end, waiting, difficulty, cfg)
-            correct = _unit_draw(cfg.seed, human_id, task_id) < p
-            outcomes[task_id] = TaskOutcome(task_id, "human", human_id, correct, end, p)
-            busy[human_id].append((start, end))
-            events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
-            events.append((end, "classify", human_id, task_id, f"correct={correct}"))
+            classified.append((task_id, "human", profile.id, end, p))
+            busy[profile.id].append((start, end))
+            events.append((start, "service_start", profile.id, task_id, f"load={waiting}"))
+            events.append((end, "classify", profile.id, task_id, ""))
             free_at = end
 
-    completion_times = [o.completion_s for o in outcomes.values()]
-    completion_times += [interval[1] for spans in busy.values() for interval in spans]
-    mission_seconds = max(completion_times, default=0.0)
-
-    accuracy_points = cfg.points_per_correct * sum(1 for o in outcomes.values() if o.correct)
+    # every classification ends a busy span: a robot's capture or an analysis
+    mission_seconds = max((end for spans in busy.values() for _, end in spans), default=0.0)
 
     if scenario.humans and mission_seconds > 0:
         utilization = sum(
@@ -281,10 +269,58 @@ def run_mission(
     else:
         utilization = 0.0
 
-    record = PerformanceRecord(accuracy_points, mission_seconds, utilization)
-    trace = SimTrace(
-        outcomes=outcomes,
+    # (time, kind, agent, task) is unique per event, so the detail never
+    # decides the order
+    events.sort()
+    return MissionSchedule(
+        classifications=tuple(classified),
         busy={agent: tuple(spans) for agent, spans in busy.items()},
-        events=tuple(sorted(events, key=lambda e: (e[0], e[1], e[2], e[3]))),
+        events=tuple(events),
+        mission_seconds=mission_seconds,
+        utilization=utilization,
+        points_per_correct=cfg.points_per_correct,
     )
-    return record, trace
+
+
+def score_mission(
+    schedule: MissionSchedule, seed: int, draws: dict[tuple[int, str, str], float] | None = None
+) -> PerformanceRecord:
+    """The performance triple of a scheduled mission under one seed.
+
+    `draws` caches each `_unit_draw` by (seed, agent, task) and is filled as
+    it goes; schedules of one scenario can share it, as no draw depends on
+    the plan.
+    """
+    draws = {} if draws is None else draws
+    hits = 0
+    for task_id, _, agent_id, _, p in schedule.classifications:
+        key = (seed, agent_id, task_id)
+        draw = draws.get(key)
+        if draw is None:
+            draw = draws[key] = _unit_draw(seed, agent_id, task_id)
+        hits += draw < p
+    return PerformanceRecord(
+        schedule.points_per_correct * hits, schedule.mission_seconds, schedule.utilization
+    )
+
+
+def run_mission(
+    scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig
+) -> tuple[PerformanceRecord, SimTrace]:
+    """Execute an allocation (see `schedule_mission`) and score it under
+    `cfg.seed`. Returns the performance triple and the full trace."""
+    schedule = schedule_mission(scenario, plan, cfg)
+    draws: dict[tuple[int, str, str], float] = {}
+    record = score_mission(schedule, cfg.seed, draws)
+    outcomes = {
+        task_id: TaskOutcome(
+            task_id, kind, agent_id, draws[cfg.seed, agent_id, task_id] < p, completion_s, p
+        )
+        for task_id, kind, agent_id, completion_s, p in schedule.classifications
+    }
+    events = tuple(
+        (t, kind, agent, task, f"correct={outcomes[task].correct}") if kind == "classify"
+        else (t, kind, agent, task, detail)
+        for t, kind, agent, task, detail in schedule.events
+    )
+    return record, SimTrace(outcomes, schedule.busy, events)

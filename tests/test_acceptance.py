@@ -311,15 +311,17 @@ def test_acceptance_3_simulator_invariants_thousand_triples():
         assert 0.0 <= record.human_utilization <= 1.0
         assert record.accuracy_points <= 5.0 * len(scenario.tasks) + 1e-9
 
+        tasks = {t.id: t for t in scenario.tasks}
+        humans = {h.id: h for h in scenario.humans}
         for robot in scenario.robots:
             pos, lower_bound = (0.0, 0.0), 0.0
             for task_id, (agent, human) in plan.assignments.items():
                 if agent != robot.id:
                     continue
-                task = scenario.task(task_id)
+                task = tasks[task_id]
                 speed = robot.speed
                 if human is not None:
-                    speed *= cfg.shared_speed_multiplier[scenario.human(human).skill]
+                    speed *= cfg.shared_speed_multiplier[humans[human].skill]
                 lower_bound += travel_time(pos, task.location, speed)
                 pos = task.location
             assert record.mission_seconds >= lower_bound - 1e-9

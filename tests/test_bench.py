@@ -24,9 +24,11 @@ from rebel.bench import (
 from rebel.core import (
     Assignment,
     ItaPlan,
+    NormalizationBounds,
     Objective,
     PreferenceVector,
     Tier,
+    aggregate_objective,
     validate_plan,
 )
 from rebel.llm import StubProvider, heuristic_allocate
@@ -172,6 +174,30 @@ class TestBruteForce:
             random_j = scores[random_allocate(scenario, seed=21).render()]
             assert best_j >= heuristic_j - 1e-12
             assert best_j >= random_j - 1e-12
+
+    @pytest.mark.parametrize("team", [(2, 2, 3, 4), (1, 3, 3, 5)])
+    @pytest.mark.parametrize("base_seed", [0, 11, 1000])
+    def test_table_equals_one_full_simulation_per_sample(self, team, base_seed):
+        # the table must be exactly what simulating every (plan, sample) pair
+        # on its own seed gives: same records, same bounds, same means
+        humans, robots, tasks, scenario_seed = team
+        scenario = random_scenario(humans, robots, tasks, seed=scenario_seed + base_seed)
+        prefs = PreferenceVector.of(TP=0.5, MT=0.3, HW=0.2)
+        cfg = SimConfig(seed=99)
+        samples = 8
+        per_plan = [
+            (plan, [run_mission(scenario, plan, cfg.with_seed(base_seed + s))[0]
+                    for s in range(samples)])
+            for plan in enumerate_plans(scenario)
+        ]
+        bounds = NormalizationBounds.from_records(
+            [record for _, records in per_plan for record in records]
+        )
+        naive = [
+            (plan, statistics.fmean(aggregate_objective(r, prefs, bounds) for r in records))
+            for plan, records in per_plan
+        ]
+        assert brute_force_table(scenario, prefs, cfg, samples, base_seed=base_seed) == naive
 
     def test_enumeration_renders_are_pairwise_distinct(self):
         plans = enumerate_plans(random_scenario(2, 2, 3, seed=1))

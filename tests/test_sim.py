@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import statistics
+import time
 
 import pytest
 
+from rebel.bench import random_scenario
 from rebel.core import (
     Assignment,
     HumanProfile,
@@ -253,16 +257,18 @@ class TestSimInvariants:
             plan = random_plan(scenario, rng)
             cfg = CFG.with_seed(trial)
             record, _ = run_mission(scenario, plan, cfg)
+            tasks = {t.id: t for t in scenario.tasks}
+            humans = {h.id: h for h in scenario.humans}
             for robot in scenario.robots:
                 pos = (0.0, 0.0)
                 total = 0.0
                 for task_id, (agent, human) in plan.assignments.items():
                     if agent != robot.id:
                         continue
-                    task = scenario.task(task_id)
+                    task = tasks[task_id]
                     speed = robot.speed
                     if human is not None:
-                        speed *= cfg.shared_speed_multiplier[scenario.human(human).skill]
+                        speed *= cfg.shared_speed_multiplier[humans[human].skill]
                     total += travel_time(pos, task.location, speed)
                     pos = task.location
                 assert record.mission_seconds >= total - 1e-9
@@ -309,6 +315,55 @@ class TestSimInvariants:
             _, trace_a = run_mission(base, plan_base, CFG.with_seed(seed))
             _, trace_b = run_mission(extended, plan_ext, CFG.with_seed(seed))
             assert trace_a.outcomes["T_0"].correct == trace_b.outcomes["T_0"].correct
+
+
+class TestSimGolden:
+    # sha256 over records, rendered events, busy spans and outcomes, recorded
+    # from an earlier implementation of the simulator: any change to a time,
+    # a probability, a coin flip or the order of the trace changes the digest
+    GOLDEN = "192a619591946368fbb3e4fa4d2b9f316a69c7cae9ee9f90e0e5d77c68f3441d"
+
+    def test_missions_match_the_pinned_digest(self):
+        rng = random.Random(606)
+        digest = hashlib.sha256()
+        for case in range(320):
+            # the last 20 cases are long queues, where waiting counts grow
+            tasks = rng.randint(0, 10) if case < 300 else 40
+            scenario = random_scenario(rng.randint(0, 3), rng.randint(1, 4), tasks, seed=case)
+            plan = random_plan(scenario, rng)
+            for _ in range(2):
+                record, trace = run_mission(scenario, plan, CFG.with_seed(rng.randrange(10**6)))
+                for part in (
+                    record.serialize(),
+                    trace.render_events(),
+                    repr(list(trace.busy.items())),
+                    repr(list(trace.outcomes.values())),
+                ):
+                    digest.update(part.encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN
+
+
+class TestQueueScaling:
+    @staticmethod
+    def median_run_s(tasks: int) -> float:
+        # one analyst shares every task, so its queue is as long as the mission
+        scenario = random_scenario(1, 10, tasks, seed=tasks)
+        robots = [r.id for r in scenario.robots]
+        plan = ItaPlan({
+            task.id: Assignment(robots[i % len(robots)], "H_0")
+            for i, task in enumerate(scenario.tasks)
+        })
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            run_mission(scenario, plan, CFG)
+            times.append(time.perf_counter() - start)
+        return statistics.median(times)
+
+    def test_one_analyst_queue_grows_near_linearly(self):
+        # 4x the tasks: a quadratic waiting count would take about 16x as long
+        ratio = self.median_run_s(2000) / self.median_run_s(500)
+        assert ratio < 8.0
 
 
 class TestSimConfigFile:
