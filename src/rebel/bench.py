@@ -21,8 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from scipy import stats as scipy_stats
-
 from .core import (
     Assignment,
     Direction,
@@ -330,7 +328,8 @@ def apply_composition_change(
 
 def welch_test(sample_a: list[float], sample_b: list[float]) -> tuple[float, float]:
     """Two-sided Welch t-test; returns (statistic, p-value)."""
-    result = scipy_stats.ttest_ind(sample_a, sample_b, equal_var=False)
+    from scipy import stats  # on first call: slow to import, and no pipeline path needs it
+    result = stats.ttest_ind(sample_a, sample_b, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 
 

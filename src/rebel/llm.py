@@ -1,20 +1,23 @@
-"""Completion providers: OpenAI-compatible HTTP client, deterministic stub,
-transcript record/replay, and the no-LLM greedy allocator used as fallback.
+"""Completion providers: OpenAI-compatible HTTP clients on one stdlib transport,
+deterministic stub, transcript recording, and the greedy fallback allocator.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
+import sys
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from .core import (
     Assignment,
@@ -47,7 +50,7 @@ class Timeout(LlmError):
 
 
 class ProviderRejected(LlmError):
-    """The provider refused the request (HTTP 4xx); retrying will not help."""
+    """The provider refused the request (HTTP status below 500); retrying will not help."""
 
 
 class Unavailable(LlmError):
@@ -82,6 +85,9 @@ class ProviderConfig:
     max_concurrency: int = 4
 
     def __post_init__(self) -> None:
+        # urllib also opens file:, ftp: and data: URLs, and raises ValueError on no scheme
+        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise ValueError(f"endpoint must be an http(s) URL, not {self.endpoint!r}")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be > 0")
         if self.retries < 0:
@@ -100,64 +106,81 @@ def _headers(cfg: ProviderConfig) -> dict[str, str]:
     return headers
 
 
-def _body_field(response: requests.Response, kind: type, *path: str | int):
-    """The `kind` value at `path` in a response's JSON body, or MalformedResponse."""
+def _post(cfg: ProviderConfig, gate: threading.Semaphore, path: str, payload: dict):
+    """POST `payload` as JSON to the endpoint's `path` and return the decoded body.
+
+    Transient failures (5xx, connection errors, timeouts) are retried with
+    exponential backoff, each attempt holding `gate`; any other HTTP error
+    status is rejected immediately.
+    """
+    request = urllib.request.Request(
+        cfg.endpoint.rstrip("/") + path,
+        data=json.dumps(payload).encode("utf-8"),
+        headers=_headers(cfg),
+        method="POST",
+    )
+    last_error: Exception | None = None
+    timed_out = False
+    for attempt in range(cfg.retries + 1):
+        if attempt:
+            time.sleep(cfg.backoff_s * 2 ** (attempt - 1))
+        try:
+            with gate:
+                try:
+                    with urllib.request.urlopen(request, timeout=cfg.timeout_s) as response:
+                        status, body = response.status, response.read()
+                except urllib.error.HTTPError as exc:  # caught before URLError, its base class
+                    with exc:
+                        status, body = exc.code, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # a read timeout arrives bare, a connect timeout as a URLError's reason
+            timed_out = timed_out or isinstance(getattr(exc, "reason", exc), TimeoutError)
+            last_error = exc
+            continue
+        if status >= 500:
+            last_error = RuntimeError(f"HTTP {status}")
+            continue
+        if status >= 300:
+            raise ProviderRejected(f"HTTP {status}: {body[:500].decode('utf-8', 'replace')}")
+        try:
+            return json.loads(body)
+        except ValueError as exc:
+            raise MalformedResponse(f"response body is not JSON: {body[:200]!r}") from exc
+    if timed_out:
+        raise Timeout(f"no response within {cfg.timeout_s}s: {last_error}") from last_error
+    raise Unavailable(f"retries exhausted: {last_error}") from last_error
+
+
+def _body_field(body, kind: type, *path: str | int):
+    """The `kind` value at `path` in a decoded JSON body, or MalformedResponse."""
     where = ".".join(map(str, path))
+    value = body
     try:
-        value = response.json()
         for key in path:
             value = value[key]
-    except (ValueError, LookupError, TypeError) as exc:
-        raise MalformedResponse(f"no {where} in response body {response.text[:200]!r}") from exc
+    except (LookupError, TypeError) as exc:
+        raise MalformedResponse(f"no {where} in response body {str(body)[:200]}") from exc
     if not isinstance(value, kind):
         raise MalformedResponse(f"{where} is {type(value).__name__}, not {kind.__name__}")
     return value
 
 
 class HttpCompletionProvider:
-    """Chat-completion client for any OpenAI-compatible endpoint.
-
-    Transient failures (5xx, connection errors, timeouts) are retried with
-    exponential backoff; 4xx responses are rejected immediately.
-    """
+    """Chat-completion client for any OpenAI-compatible endpoint."""
 
     def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
         self._gate = threading.Semaphore(max(1, cfg.max_concurrency))
 
     def complete(self, request: CompletionRequest) -> str:
-        url = self.cfg.endpoint.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        last_error: Exception | None = None
-        timed_out = False
-        for attempt in range(self.cfg.retries + 1):
-            if attempt:
-                time.sleep(self.cfg.backoff_s * 2 ** (attempt - 1))
-            try:
-                with self._gate:
-                    response = requests.post(
-                        url, json=payload, headers=_headers(self.cfg), timeout=self.cfg.timeout_s
-                    )
-            except requests.Timeout as exc:
-                last_error, timed_out = exc, True
-                continue
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if 400 <= response.status_code < 500:
-                raise ProviderRejected(f"HTTP {response.status_code}: {response.text[:500]}")
-            if response.status_code >= 500:
-                last_error = RuntimeError(f"HTTP {response.status_code}")
-                continue
-            return _body_field(response, str, "choices", 0, "message", "content")
-        if timed_out:
-            raise Timeout(f"no response within {self.cfg.timeout_s}s: {last_error}") from last_error
-        raise Unavailable(f"retries exhausted: {last_error}") from last_error
+        body = _post(self.cfg, self._gate, "/chat/completions", payload)
+        return _body_field(body, str, "choices", 0, "message", "content")
 
 
 class HttpEmbedder:
@@ -166,27 +189,19 @@ class HttpEmbedder:
     def __init__(self, cfg: ProviderConfig, model: str = "text-embedding-3-small"):
         self.cfg = cfg
         self.model = model
+        self._gate = threading.Semaphore(max(1, cfg.max_concurrency))
 
     def embed(self, text: str) -> tuple[float, ...]:
-        url = self.cfg.endpoint.rstrip("/") + "/embeddings"
-        payload = {"model": self.model, "input": [text]}
-        try:
-            response = requests.post(
-                url, json=payload, headers=_headers(self.cfg), timeout=self.cfg.timeout_s
-            )
-        except requests.Timeout as exc:
-            raise Timeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise Unavailable(str(exc)) from exc
-        if 400 <= response.status_code < 500:
-            raise ProviderRejected(f"HTTP {response.status_code}: {response.text[:500]}")
-        if response.status_code >= 500:
-            raise Unavailable(f"HTTP {response.status_code}")
-        vector = _body_field(response, list, "data", 0, "embedding")
-        if not all(isinstance(v, (int, float)) for v in vector):
-            raise MalformedResponse("embedding is not a list of numbers")
-        norm = math.sqrt(sum(v * v for v in vector)) or 1.0
-        return tuple(v / norm for v in vector)
+        body = _post(self.cfg, self._gate, "/embeddings", {"model": self.model, "input": [text]})
+        vector = _body_field(body, list, "data", 0, "embedding")
+        # bool is an int subclass; NaN, infinities and ints beyond float range fail the bound
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector):
+            raise MalformedResponse("embedding is not a list of finite numbers")
+        values = [float(v) for v in vector]
+        norm = math.sqrt(sum(v * v for v in values))
+        if not 0 < norm < math.inf:
+            raise MalformedResponse(f"embedding norm is {norm}, so it has no direction")
+        return tuple(v / norm for v in values)
 
 
 class TranscriptRecorder:
@@ -208,23 +223,6 @@ class TranscriptRecorder:
         with self._lock, open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line)
         return response
-
-
-class TranscriptReplayer:
-    """Serves recorded responses by prompt hash; unseen prompts are errors."""
-
-    def __init__(self, path: str | Path):
-        self._responses: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                entry = json.loads(line)
-                self._responses[entry["prompt_sha256"]] = entry["response"]
-
-    def complete(self, request: CompletionRequest) -> str:
-        digest = hashlib.sha256(request.prompt.encode("utf-8")).hexdigest()
-        if digest not in self._responses:
-            raise Unavailable(f"no recorded response for prompt {digest[:12]}")
-        return self._responses[digest]
 
 
 STUB_RULES: dict[Objective, tuple[str, ...]] = {

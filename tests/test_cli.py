@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rebel
 from rebel.cli import _build_provider, build_parser, main, parse_preferences
 from rebel.core import Objective
 from rebel.bench import random_scenario
@@ -89,3 +94,15 @@ def test_model_flag_reaches_the_http_provider():
         "gen-rules", "--rules-db", "unused.jsonl", "--provider", "http", "--model", "local-model",
     ])
     assert _build_provider(args).cfg.model == "local-model"
+
+
+def test_importing_the_cli_loads_neither_requests_nor_scipy_stats():
+    src = str(Path(rebel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, rebel.cli; print(sorted({'requests', 'scipy.stats'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -24,7 +24,6 @@ from rebel.llm import (
     StubProvider,
     Timeout,
     TranscriptRecorder,
-    TranscriptReplayer,
     Unavailable,
     heuristic_allocate,
 )
@@ -47,7 +46,8 @@ from conftest import make_scenario
 
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Serves scripted (status, payload) responses in order, then a default
-    success. A bytes payload is sent as the raw body."""
+    success. A bytes payload is sent as the raw body; the steps "sleep" and
+    "truncate" answer late or cut the body short."""
 
     script: list = []
     requests_seen: list = []
@@ -60,6 +60,12 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         if step == "sleep":
             time.sleep(2.0)
             step = (200, None)
+        if step == "truncate":  # promise 100 bytes, send 2, close
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b"{}")
+            return
         status, payload = step
         if payload is None:
             if self.path.endswith("/embeddings"):
@@ -86,47 +92,65 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
-class TestHttpProvider:
+def ask_chat(cfg: ProviderConfig):
+    return HttpCompletionProvider(cfg).complete(CompletionRequest(prompt="ping"))
+
+
+def ask_embedder(cfg: ProviderConfig):
+    return HttpEmbedder(cfg).embed("ping")
+
+
+class TransportCases:
+    """Failure handling of the transport both HTTP clients share; each
+    subclass runs them through one client's `ask`, which returns `answer`
+    for the handler's default 200."""
+
+    def test_401_rejected_without_retry(self, http_server):
+        ScriptedHandler.script = [(401, {"error": "bad key"}), (200, None)]
+        with pytest.raises(ProviderRejected):
+            self.ask(ProviderConfig(endpoint=http_server, retries=3, backoff_s=0.01))
+        assert len(ScriptedHandler.requests_seen) == 1
+
+    def test_500_retried_then_succeeds(self, http_server):
+        ScriptedHandler.script = [(500, {"error": "flaky"}), (200, None)]
+        cfg = ProviderConfig(endpoint=http_server, retries=2, backoff_s=0.01)
+        assert self.ask(cfg) == self.answer
+        assert len(ScriptedHandler.requests_seen) == 2
+
+    def test_unreachable_with_zero_retries_is_unavailable(self):
+        with pytest.raises(Unavailable):
+            self.ask(ProviderConfig(endpoint="http://127.0.0.1:9", retries=0, timeout_s=0.5))
+
+    def test_slow_server_raises_timeout(self, http_server):
+        ScriptedHandler.script = ["sleep"]
+        with pytest.raises(Timeout):
+            self.ask(ProviderConfig(endpoint=http_server, retries=0, timeout_s=0.3))
+
+    def test_truncated_body_is_retried_then_unavailable(self, http_server):
+        ScriptedHandler.script = ["truncate", "truncate"]
+        with pytest.raises(Unavailable):
+            self.ask(ProviderConfig(endpoint=http_server, retries=1, backoff_s=0.01))
+        assert len(ScriptedHandler.requests_seen) == 2
+
+    def test_non_json_200_is_malformed(self, http_server):
+        ScriptedHandler.script = [(200, b"<html>gateway says hi</html>")]
+        with pytest.raises(MalformedResponse):
+            self.ask(ProviderConfig(endpoint=http_server, retries=0))
+
+
+class TestHttpProvider(TransportCases):
+    ask = staticmethod(ask_chat)
+    answer = "pong"
+
     def test_happy_path(self, http_server):
         provider = HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0))
         assert provider.complete(CompletionRequest(prompt="ping")) == "pong"
         path, body = ScriptedHandler.requests_seen[0]
         assert path.endswith("/chat/completions")
         assert body["messages"] == [{"role": "user", "content": "ping"}]
-
-    def test_401_rejected_without_retry(self, http_server):
-        ScriptedHandler.script = [(401, {"error": "bad key"}), (200, None)]
-        provider = HttpCompletionProvider(
-            ProviderConfig(endpoint=http_server, retries=3, backoff_s=0.01)
-        )
-        with pytest.raises(ProviderRejected):
-            provider.complete(CompletionRequest(prompt="ping"))
-        assert len(ScriptedHandler.requests_seen) == 1
-
-    def test_500_retried_then_succeeds(self, http_server):
-        ScriptedHandler.script = [(500, {"error": "flaky"}), (200, None)]
-        provider = HttpCompletionProvider(
-            ProviderConfig(endpoint=http_server, retries=2, backoff_s=0.01)
-        )
-        assert provider.complete(CompletionRequest(prompt="ping")) == "pong"
-        assert len(ScriptedHandler.requests_seen) == 2
-
-    def test_unreachable_with_zero_retries_is_unavailable(self):
-        provider = HttpCompletionProvider(
-            ProviderConfig(endpoint="http://127.0.0.1:9", retries=0, timeout_s=0.5)
-        )
-        with pytest.raises(Unavailable):
-            provider.complete(CompletionRequest(prompt="ping"))
-
-    def test_slow_server_raises_timeout(self, http_server):
-        ScriptedHandler.script = ["sleep"]
-        provider = HttpCompletionProvider(
-            ProviderConfig(endpoint=http_server, retries=0, timeout_s=0.3)
-        )
-        with pytest.raises(Timeout):
-            provider.complete(CompletionRequest(prompt="ping"))
 
     def test_embedder_returns_unit_vector(self, http_server):
         embedder = HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0))
@@ -140,6 +164,35 @@ class TestHttpProvider:
         provider.complete(CompletionRequest(prompt="ping"))
         _, body = ScriptedHandler.requests_seen[0]
         assert body["model"] == "local-model"
+
+
+DEGENERATE_EMBEDDINGS = {
+    "empty": b'{"data": [{"embedding": []}]}',
+    "all_zeros": b'{"data": [{"embedding": [0, 0.0]}]}',
+    "nan": b'{"data": [{"embedding": [NaN, 1]}]}',
+    "infinite": b'{"data": [{"embedding": [1e999, 1]}]}',
+    "huge_int": b'{"data": [{"embedding": [1' + b"0" * 400 + b', 1]}]}',
+    "booleans": b'{"data": [{"embedding": [true, false]}]}',
+    "strings": b'{"data": [{"embedding": ["0.6", "0.8"]}]}',
+}
+
+
+class TestHttpEmbedder(TransportCases):
+    ask = staticmethod(ask_embedder)
+    answer = (0.6, 0.8)
+
+    def test_request_body_names_the_model_and_a_list_input(self, http_server):
+        cfg = ProviderConfig(endpoint=http_server, retries=0)
+        HttpEmbedder(cfg, model="local-embed").embed("hi")
+        path, body = ScriptedHandler.requests_seen[0]
+        assert path.endswith("/embeddings")
+        assert body == {"model": "local-embed", "input": ["hi"]}
+
+    @pytest.mark.parametrize("body", DEGENERATE_EMBEDDINGS.values(), ids=DEGENERATE_EMBEDDINGS)
+    def test_degenerate_embedding_is_malformed(self, http_server, body):
+        ScriptedHandler.script = [(200, body)]
+        with pytest.raises(MalformedResponse):
+            ask_embedder(ProviderConfig(endpoint=http_server, retries=0))
 
 
 MALFORMED_CHAT_BODIES = {
@@ -192,6 +245,11 @@ class TestRequestValidation:
     def test_temperature_range(self):
         with pytest.raises(ValueError):
             CompletionRequest(prompt="x", temperature=3.0)
+
+    @pytest.mark.parametrize("endpoint", ["file:///tmp/v1", "localhost:8000/v1", "api/v1"])
+    def test_endpoint_must_be_http(self, endpoint):
+        with pytest.raises(ValueError):
+            ProviderConfig(endpoint=endpoint)
 
 
 def rules_prompt(objective: Objective) -> str:
@@ -257,19 +315,13 @@ class TestTranscript:
         path = tmp_path / "transcript.jsonl"
         recorder = TranscriptRecorder(StubProvider(), path)
         prompt = allocation_prompt(scenario, PreferenceVector.single(Objective.MISSION_TIME))
-        original = recorder.complete(CompletionRequest(prompt=prompt))
-        replayer = TranscriptReplayer(path)
-        assert replayer.complete(CompletionRequest(prompt=prompt)) == original
-
-    def test_replay_unknown_prompt_is_unavailable(self, tmp_path, scenario):
-        path = tmp_path / "transcript.jsonl"
-        TranscriptRecorder(StubProvider(), path).complete(
-            CompletionRequest(
-                prompt=allocation_prompt(scenario, PreferenceVector.single(Objective.MISSION_TIME))
-            )
-        )
-        with pytest.raises(Unavailable):
-            TranscriptReplayer(path).complete(CompletionRequest(prompt="never seen"))
+        response = recorder.complete(CompletionRequest(prompt=prompt))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [{
+            "prompt": prompt,
+            "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+            "response": response,
+        }]
 
     def test_concurrent_completions_append_whole_lines(self, tmp_path):
         class Echo:
