@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import logging
+import math
 import random
 import statistics
 import time
@@ -327,10 +328,60 @@ def apply_composition_change(
 
 
 def welch_test(sample_a: list[float], sample_b: list[float]) -> tuple[float, float]:
-    """Two-sided Welch t-test; returns (statistic, p-value)."""
-    from scipy import stats  # on first call: slow to import, and no pipeline path needs it
-    result = stats.ttest_ind(sample_a, sample_b, equal_var=False)
-    return float(result.statistic), float(result.pvalue)
+    """Two-sided Welch t-test; returns (statistic, p-value).
+
+    Agrees with `scipy.stats.ttest_ind(a, b, equal_var=False)`, degenerate
+    cases included: a sample of fewer than two values gives (nan, nan), and
+    two constant samples give an infinite statistic with p = 0 (nan, nan when
+    their means are equal).
+    """
+    na, nb = len(sample_a), len(sample_b)
+    if na < 2 or nb < 2:
+        return math.nan, math.nan
+    diff = statistics.fmean(sample_a) - statistics.fmean(sample_b)
+    va = statistics.variance(sample_a) / na
+    vb = statistics.variance(sample_b) / nb
+    if va + vb == 0:
+        return (math.copysign(math.inf, diff), 0.0) if diff else (math.nan, math.nan)
+    t = diff / math.sqrt(va + vb)
+    df = (va + vb) ** 2 / (va**2 / (na - 1) + vb**2 / (nb - 1))
+    # P(|T| > |t|) for Student's T with df degrees of freedom is I_x(df/2, 1/2)
+    # at x = df / (df + t^2)
+    t2 = t * t
+    return t, _betainc(df / 2, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), given y = 1 - x
+    computed without cancellation, by Lentz's method on its continued
+    fraction."""
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):  # the fraction converges fast only below this
+        return 1.0 - _betainc(b, a, y, x)
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    tiny = 1e-300
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(1000):
+        m = i // 2
+        if i == 0:
+            num = 1.0
+        elif i % 2:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-15:
+            return math.exp(log_front) / a * (f - 1.0)
+    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
 @dataclass

@@ -7,6 +7,7 @@ construction and every operation here is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -29,8 +30,13 @@ def fmt_num(value: float) -> str:
     return repr(f)
 
 
+@functools.lru_cache(maxsize=4096)
 def natural_key(text: str) -> tuple:
-    """Sort key treating digit runs numerically, so T_2 sorts before T_10."""
+    """Sort key treating digit runs numerically, so T_2 sorts before T_10.
+
+    Memoized: keys are immutable, and the same few ids are sorted over and
+    over (every scenario and plan canonicalizes its members).
+    """
     return tuple(
         (0, int(part)) if part.isdigit() else (1, part)
         for part in re.split(r"(\d+)", text)
@@ -56,15 +62,17 @@ class Tier(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Tier":
-        key = text.strip().lower()
-        aliases = {
-            "lo": cls.LOW, "low": cls.LOW,
-            "med": cls.MED, "medium": cls.MED,
-            "hi": cls.HIGH, "high": cls.HIGH,
-        }
-        if key not in aliases:
+        tier = _TIER_ALIASES.get(text.strip().lower())
+        if tier is None:
             raise ValueError(f"unknown tier {text!r}")
-        return aliases[key]
+        return tier
+
+
+_TIER_ALIASES = {
+    "lo": Tier.LOW, "low": Tier.LOW,
+    "med": Tier.MED, "medium": Tier.MED,
+    "hi": Tier.HIGH, "high": Tier.HIGH,
+}
 
 
 class RobotKind(Enum):
@@ -109,11 +117,13 @@ class Objective(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Objective":
-        key = text.strip().upper()
-        for obj in cls:
-            if key in (obj.value, obj.name):
-                return obj
-        raise ValueError(f"unknown objective {text!r}")
+        objective = _OBJECTIVE_KEYS.get(text.strip().upper())
+        if objective is None:
+            raise ValueError(f"unknown objective {text!r}")
+        return objective
+
+
+_OBJECTIVE_KEYS = {key: obj for obj in Objective for key in (obj.value, obj.name)}
 
 
 class Direction(Enum):

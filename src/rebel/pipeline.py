@@ -22,7 +22,13 @@ from .core import (
     Objective,
     PreferenceVector,
 )
-from .llm import CompletionProvider, CompletionRequest, LlmError, heuristic_allocate
+from .llm import (
+    CompletionProvider,
+    CompletionRequest,
+    LlmError,
+    MalformedResponse,
+    heuristic_allocate,
+)
 from .prompt import (
     BACKGROUND_FORMAT,
     GOAL_GENERATE_RULES,
@@ -202,15 +208,24 @@ def _plan_from_provider(
     scenario: MissionScenario,
     prefs: PreferenceVector,
 ) -> tuple[ItaPlan, bool]:
-    """One attempt, one retry, then the greedy fallback. Returns (plan, fallback)."""
-    for _ in range(2):
+    """Ask the model for a plan, then the greedy fallback. Returns (plan, fallback).
+
+    An answer that is unusable (unparseable, invalid, or a malformed body) is
+    asked for once more. Any other provider error goes straight to the
+    fallback: the transport has already spent its own retries on it.
+    """
+    for retry in (True, False):
         try:
             response = provider.complete(
                 CompletionRequest(prompt=prompt, temperature=INFER_TEMPERATURE)
             )
             return parse_ita_plan(response, scenario), False
-        except (ParseFailure, PlanInvalid, LlmError) as exc:
-            logger.warning("plan attempt failed (%s); retrying", exc)
+        except (ParseFailure, PlanInvalid, MalformedResponse) as exc:
+            then = "retrying" if retry else "using the greedy plan"
+            logger.warning("plan attempt failed (%s); %s", exc, then)
+        except LlmError as exc:
+            logger.warning("plan request failed (%s); using the greedy plan", exc)
+            break
     return heuristic_allocate(scenario, prefs), True
 
 
@@ -308,7 +323,8 @@ def infer(
     """Stage 3: retrieval-augmented allocation for an unseen mission.
 
     Empty databases degrade gracefully: the corresponding prompt sections are
-    omitted with a warning (zero-shot behavior).
+    omitted with a warning (zero-shot behavior). A retrieved experience whose
+    stored scenario or plan is corrupt raises `ValueError` naming its id.
     """
     if not scenario.runnable:
         raise ValueError("scenario is not runnable: no robots")
@@ -339,17 +355,23 @@ def infer(
             goal=GOAL_PERFORM_ITA,
             objectives=query,
             rules=tuple(r.text for r in rules) or None,
-            exemplars=tuple(
-                Exemplar(scenario_text=e.scenario.render_spf(), plan_text=e.plan.render())
-                for e in exemplars
-            )
-            or None,
+            exemplars=tuple(_exemplar(e) for e in exemplars) or None,
         )
     )
     plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs)
     return InferenceResult(
         plan=plan, rules=rules, exemplars=exemplars, used_fallback=fallback, query=query
     )
+
+
+def _exemplar(record: ExperienceRecord) -> Exemplar:
+    """The record's stored texts as a prompt exemplar. Reading `record.plan`
+    first parses, validates and round-trip checks both texts (ValueError
+    naming the record otherwise), so the scenario text is `serialize()`
+    output: its `Arena Side` line, then `render_spf()`."""
+    record.plan
+    spf = record.scenario_text.partition("\n")[2]
+    return Exemplar(scenario_text=spf, plan_text=record.plan_text)
 
 
 def _pick(bounds: tuple[int, int], seed: int, tag: str) -> int:

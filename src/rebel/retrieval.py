@@ -10,9 +10,13 @@ files that reload bit-identically, embedding vectors included.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import itertools
 import json
 import logging
 import math
+import operator
 import os
 import re
 import threading
@@ -32,7 +36,7 @@ from .core import (
     PreferenceVector,
     aggregate_objective,
 )
-from .prompt import parse_ita_plan
+from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
 
 logger = logging.getLogger(__name__)
 
@@ -145,9 +149,11 @@ def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
     """Cosine similarity; equals the dot product for unit-norm inputs."""
     if len(q) != len(d):
         raise ValueError(f"embedding dimension mismatch: {len(q)} vs {len(d)}")
-    dot = sum(a * b for a, b in zip(q, d))
-    nq = math.sqrt(sum(a * a for a in q))
-    nd = math.sqrt(sum(b * b for b in d))
+    # the same products, summed in the same order, as a generator expression
+    # gives: bit-identical, but with no Python bytecode run per element
+    dot = sum(map(operator.mul, q, d))
+    nq = math.sqrt(sum(map(operator.mul, q, q)))
+    nd = math.sqrt(sum(map(operator.mul, d, d)))
     if nq == 0 or nd == 0:
         raise ValueError("zero vectors carry no direction")
     return dot / (nq * nd)
@@ -170,22 +176,25 @@ class HashedEmbedder:
     dim: int = 256
 
     def embed(self, text: str) -> tuple[float, ...]:
-        import hashlib
-
         counts = [0.0] * self.dim
         for token in tokenize(text):
-            bucket = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big")
-            counts[bucket % self.dim] += 1.0
+            counts[_token_hash(token) % self.dim] += 1.0
         if not any(counts):
             counts[0] = 1.0
         return unit_vector(counts)
 
 
+@functools.lru_cache(maxsize=8192)
+def _token_hash(token: str) -> int:
+    """First four bytes of the token's sha256, big-endian."""
+    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big")
+
+
 def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
-    norm = math.sqrt(sum(v * v for v in vec))
+    norm = math.sqrt(sum(map(operator.mul, vec, vec)))
     if norm == 0:
         raise ValueError("cannot normalize the zero vector")
-    return tuple(v / norm for v in vec)
+    return tuple([v / norm for v in vec])
 
 
 def _ranks_best_first(scored: list[tuple[int, float]]) -> dict[int, int]:
@@ -246,17 +255,50 @@ def embed_scenario_sections(
 
 @dataclass(frozen=True)
 class ExperienceRecord:
-    """A stored mission: scenario, plan, outcome, plus section embeddings."""
+    """A stored mission: scenario, plan, outcome, plus section embeddings.
+
+    The scenario and plan are held as their canonical texts (`serialize()` and
+    `render()`, as the store writes them) and decoded on first read: `scenario`
+    and `plan` parse their text, validate the plan against the scenario and
+    check that both render back to the stored text, or raise `ValueError`
+    naming the record. Equality compares the texts, which for a canonical
+    record is equality of the decoded objects.
+    """
 
     id: int
     objective: Objective
-    scenario: MissionScenario
-    plan: ItaPlan
+    scenario_text: str
+    plan_text: str
     performance: PerformanceRecord
     emb_humans: tuple[float, ...]
     emb_robots: tuple[float, ...]
     emb_tasks: tuple[float, ...]
     fallback: bool = False
+
+    @functools.cached_property
+    def scenario(self) -> MissionScenario:
+        return self._decode(
+            "scenario", self.scenario_text, MissionScenario.parse, MissionScenario.serialize
+        )
+
+    @functools.cached_property
+    def plan(self) -> ItaPlan:
+        scenario = self.scenario
+        return self._decode(
+            "plan", self.plan_text, lambda text: parse_ita_plan(text, scenario), ItaPlan.render
+        )
+
+    def _decode(self, name: str, text: str, parse, render):
+        """`parse(text)`, checked to render back to `text` exactly."""
+        try:
+            if not isinstance(text, str):
+                raise ValueError(f"not text: {text!r}")
+            value = parse(text)
+        except (ValueError, ParseFailure, PlanInvalid) as exc:
+            raise ValueError(f"experience record {self.id}: bad {name}: {exc}") from exc
+        if render(value) != text:
+            raise ValueError(f"experience record {self.id}: {name} text is not canonical")
+        return value
 
 
 def retrieve_experiences(
@@ -307,12 +349,12 @@ def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings, each scaled to unit
     length, so a dot product with a unit query section is a cosine."""
     dim = len(records[0].emb_humans) if records else 0
-    matrix = np.empty((len(records), 3 * dim))
-    for row, rec in zip(matrix, records):
-        for start, vec in zip((0, dim, 2 * dim), (rec.emb_humans, rec.emb_robots, rec.emb_tasks)):
-            if len(vec) != dim:
-                raise ValueError(f"embedding dimension mismatch: {len(vec)} vs {dim}")
-            row[start : start + dim] = vec
+    sections = [vec for rec in records for vec in (rec.emb_humans, rec.emb_robots, rec.emb_tasks)]
+    for vec in sections:
+        if len(vec) != dim:
+            raise ValueError(f"embedding dimension mismatch: {len(vec)} vs {dim}")
+    floats = itertools.chain.from_iterable(sections)
+    matrix = np.fromiter(floats, float, count=len(sections) * dim).reshape(len(records), 3 * dim)
     for start in (0, dim, 2 * dim):
         block = matrix[:, start : start + dim]
         norms = np.sqrt(np.einsum("ij,ij->i", block, block))
@@ -467,13 +509,13 @@ class ExperienceDatabase:
         self._sections: np.ndarray | None = None  # see _scoring_snapshot; dropped by store
         self._next_id = 0
         self._lock = threading.Lock()
+        # scenarios and plans stay text until first read (see ExperienceRecord)
         for payload in sorted(self._log.read_all(), key=lambda p: p["id"]):
-            scenario = MissionScenario.parse(payload["scenario"])
             record = ExperienceRecord(
                 id=payload["id"],
                 objective=Objective.parse(payload["objective"]),
-                scenario=scenario,
-                plan=parse_ita_plan(payload["plan"], scenario),
+                scenario_text=payload["scenario"],
+                plan_text=payload["plan"],
                 performance=PerformanceRecord.parse(payload["performance"]),
                 emb_humans=tuple(payload["emb_humans"]),
                 emb_robots=tuple(payload["emb_robots"]),
@@ -481,7 +523,7 @@ class ExperienceDatabase:
                 fallback=payload.get("fallback", False),
             )
             self._records[record.id] = record
-            self._dedup.add((record.objective, payload["scenario"], payload["plan"]))
+            self._dedup.add((record.objective, record.scenario_text, record.plan_text))
             self._next_id = record.id + 1
 
     @property
@@ -523,23 +565,23 @@ class ExperienceDatabase:
             record = ExperienceRecord(
                 id=self._next_id,
                 objective=objective,
-                scenario=scenario,
-                plan=plan,
+                scenario_text=scenario.serialize(),
+                plan_text=plan.render(),
                 performance=performance,
                 emb_humans=tuple(embeddings[0]),
                 emb_robots=tuple(embeddings[1]),
                 emb_tasks=tuple(embeddings[2]),
                 fallback=fallback,
             )
+            vars(record).update(scenario=scenario, plan=plan)  # the decode cache
             self._next_id += 1
-            key = (objective, scenario.serialize(), plan.render())
             self._log.append(
                 {
                     "kind": "experience",
                     "id": record.id,
                     "objective": objective.short,
-                    "scenario": key[1],
-                    "plan": key[2],
+                    "scenario": record.scenario_text,
+                    "plan": record.plan_text,
                     "performance": performance.serialize(),
                     "emb_humans": list(record.emb_humans),
                     "emb_robots": list(record.emb_robots),
@@ -548,6 +590,6 @@ class ExperienceDatabase:
                 }
             )
             self._records[record.id] = record
-            self._dedup.add(key)
+            self._dedup.add((objective, record.scenario_text, record.plan_text))
             self._sections = None
             return record

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import math
+import random
 import statistics
 
 import pytest
@@ -451,3 +453,21 @@ def test_welch_test_detects_obvious_difference():
     stat, p = welch_test(a, b)
     assert p < 1e-6
     assert stat < 0
+
+
+def test_welch_test_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(5)
+    for _ in range(300):
+        a = [rng.gauss(0.0, 1.0) for _ in range(rng.randint(2, 120))]
+        b = [rng.gauss(rng.uniform(-2, 2), rng.uniform(0.1, 5)) for _ in range(rng.randint(2, 120))]
+        expected = stats.ttest_ind(a, b, equal_var=False)
+        stat, p = welch_test(a, b)
+        assert stat == pytest.approx(float(expected.statistic), rel=1e-10)
+        assert p == pytest.approx(float(expected.pvalue), rel=1e-10)
+
+
+def test_welch_test_degenerate_samples():
+    assert welch_test([1.0, 1.0], [2.0, 2.0]) == (-math.inf, 0.0)
+    for a, b in (([1.0, 1.0], [1.0, 1.0]), ([1.0], [1.0, 2.0])):
+        assert all(math.isnan(value) for value in welch_test(a, b))

@@ -237,6 +237,46 @@ class TestMalformedResponses:
         assert isinstance(exc_info.value, LlmError)
 
 
+class TestInferProviderErrors:
+    """`infer` asks again only when the model answered with something it
+    cannot use; any other provider error goes straight to the greedy plan,
+    since the transport has already spent its retries on it."""
+
+    @pytest.mark.parametrize("status", [401, 500])
+    def test_error_status_is_sent_once_then_greedy(self, http_server, scenario, caplog, status):
+        ScriptedHandler.script = [(status, {"error": "no"}), (status, {"error": "no"})]
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        with caplog.at_level("WARNING", logger="rebel.pipeline"):
+            result = infer(
+                scenario,
+                prefs,
+                RulesDatabase(),
+                ExperienceDatabase(),
+                HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0)),
+                RetrievalConfig(embedder=HashedEmbedder(dim=16)),
+            )
+        assert result.used_fallback
+        assert result.plan == heuristic_allocate(scenario, prefs)
+        assert len(ScriptedHandler.requests_seen) == 1
+        assert "retrying" not in caplog.text
+        assert "using the greedy plan" in caplog.text
+
+    def test_unusable_answer_logs_retrying_once(self, http_server, scenario, caplog):
+        ScriptedHandler.script = [(200, {"choices": [{"message": {"content": "no plan"}}]})] * 2
+        with caplog.at_level("WARNING", logger="rebel.pipeline"):
+            result = infer(
+                scenario,
+                PreferenceVector.single(Objective.MISSION_TIME),
+                RulesDatabase(),
+                ExperienceDatabase(),
+                HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0)),
+                RetrievalConfig(embedder=HashedEmbedder(dim=16)),
+            )
+        assert result.used_fallback
+        assert len(ScriptedHandler.requests_seen) == 2
+        assert caplog.text.count("retrying") == 1
+
+
 class TestRequestValidation:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import random
+import struct
 import sys
 import threading
 from dataclasses import dataclass
@@ -36,8 +38,11 @@ from rebel.retrieval import (
     tokenize,
     unit_vector,
 )
+from rebel import retrieval
 from rebel.bench import random_scenario
-from rebel.llm import heuristic_allocate
+from rebel.llm import STUB_RULES, StubProvider, heuristic_allocate
+from rebel.pipeline import RetrievalConfig, infer
+from rebel.prompt import objectives_text
 from conftest import make_scenario
 
 
@@ -1005,3 +1010,157 @@ class TestTornLogTail:
         _write_lines(path, [first, first[: len(first) // 2], second])
         with pytest.raises(ValueError):
             ExperienceDatabase(path)
+
+
+def _rewrite_record(path, record_id, **fields):
+    """Replace fields of one stored record's JSON line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    payloads = [json.loads(line) for line in lines]
+    for payload in payloads:
+        if payload["id"] == record_id:
+            payload.update(fields)
+    _write_lines(path, [json.dumps(payload, sort_keys=True) for payload in payloads])
+
+
+_SCENARIO_TEXT = make_scenario().serialize()
+_PLAN_TEXT = heuristic_allocate(
+    make_scenario(), PreferenceVector.single(Objective.HUMAN_WORKLOAD)
+).render()
+
+# field overrides for stored record 1, and whether its scenario still decodes
+CORRUPT_RECORDS = {
+    "scenario_unparseable": ({"scenario": "Arena Side: 2000\nno teams here"}, False),
+    "scenario_not_canonical": ({"scenario": _SCENARIO_TEXT.replace(": 2000", ": 2000.0")}, False),
+    "scenario_not_text": ({"scenario": 7}, False),
+    "plan_unparseable": ({"plan": "no assignments"}, True),
+    "plan_invalid": ({"plan": "T_0: (UAV_0)\nT_1: (UGV_9)"}, True),
+    "plan_not_canonical": ({"plan": "\n".join(reversed(_PLAN_TEXT.splitlines()))}, True),
+}
+
+
+class TestLazyRecords:
+    """Loading a store decodes no scenario or plan; a record parses,
+    validates and round-trip checks them on first read, naming itself when
+    they are bad. Only a torn final line is ever skipped."""
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        calls = []
+        parse_scenario = MissionScenario.parse.__func__
+        parse_plan = retrieval.parse_ita_plan
+
+        def counting_scenario(cls, text):
+            calls.append("scenario")
+            return parse_scenario(cls, text)
+
+        def counting_plan(text, scenario):
+            calls.append("plan")
+            return parse_plan(text, scenario)
+
+        monkeypatch.setattr(MissionScenario, "parse", classmethod(counting_scenario))
+        monkeypatch.setattr(retrieval, "parse_ita_plan", counting_plan)
+        return calls
+
+    def test_loading_900_records_parses_nothing(self, tmp_path, parse_calls):
+        path = tmp_path / "exp.jsonl"
+        _store_one(ExperienceDatabase(path), Objective.MISSION_TIME)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        _write_lines(path, [json.dumps(dict(payload, id=i), sort_keys=True) for i in range(900)])
+        parse_calls.clear()
+        db = ExperienceDatabase(path)
+        assert len(db) == 900
+        assert parse_calls == []
+        record = db.records()[899]
+        assert record.plan.render() == record.plan_text
+        assert record.scenario.serialize() == record.scenario_text
+        record.plan
+        assert parse_calls == ["scenario", "plan"]  # decoded once, then cached
+
+    def test_store_keeps_the_given_objects(self, tmp_path, shared_plan, parse_calls):
+        db = ExperienceDatabase(tmp_path / "exp.jsonl")
+        scenario = make_scenario()
+        record = db.store(
+            Objective.MISSION_TIME, scenario, shared_plan, PerformanceRecord(5, 100, 0.1),
+            embed_scenario_sections(scenario, HashedEmbedder(dim=16)),
+        )
+        assert record.scenario is scenario and record.plan is shared_plan
+        assert parse_calls == []
+
+    def test_reload_equals_stored_records(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        reloaded = ExperienceDatabase(path)
+        assert reloaded.records() == db.records()
+        for loaded, stored in zip(reloaded.records(), db.records()):
+            assert (loaded.scenario, loaded.plan) == (stored.scenario, stored.plan)
+        assert ExperienceDatabase(path).records() == db.records()  # decoding changes no field
+
+    @pytest.mark.parametrize("corruption", CORRUPT_RECORDS, ids=list(CORRUPT_RECORDS))
+    def test_corrupt_record_loads_and_fails_on_first_read(self, tmp_path, corruption):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        fields, scenario_decodes = CORRUPT_RECORDS[corruption]
+        _rewrite_record(path, 1, **fields)
+        with open(path, "ab") as handle:
+            handle.write(b'{"emb_humans": [0.25, 0.')
+        db = ExperienceDatabase(path)
+        assert [r.id for r in db.records()] == [0, 1]  # only the torn tail is skipped
+        good, bad = db.records()
+        mission_time = PreferenceVector.single(Objective.MISSION_TIME)
+        assert good.plan == heuristic_allocate(make_scenario(), mission_time)
+        with pytest.raises(ValueError, match="experience record 1"):
+            bad.plan
+        if scenario_decodes:
+            assert bad.scenario == make_scenario()
+        else:
+            with pytest.raises(ValueError, match="experience record 1"):
+                bad.scenario
+
+    @pytest.mark.parametrize("corruption", CORRUPT_RECORDS, ids=list(CORRUPT_RECORDS))
+    def test_infer_names_a_corrupt_exemplar(self, tmp_path, corruption):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        _rewrite_record(path, 1, **CORRUPT_RECORDS[corruption][0])
+        db = ExperienceDatabase(path)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+
+        def run(m):
+            config = RetrievalConfig(exp_k=2, exp_m=m, embedder=HashedEmbedder(dim=16))
+            return infer(make_scenario(), prefs, RulesDatabase(), db, StubProvider(), config)
+
+        assert run(m=1).exemplar_ids == (0,)  # the corrupt record is not used
+        with pytest.raises(ValueError, match="experience record 1"):
+            run(m=2)
+
+
+# computed with the generator-expression sums and per-token sha256 calls that
+# dense_score, unit_vector and HashedEmbedder used before
+GOLDEN_EMBEDDING_DIGEST = "691e64b6ab212166b5dbf7a0867b3f45a2d71b4780649a3a47127ceb2198c27b"
+
+
+def _embedding_digest() -> str:
+    """sha256 over the exact float64 bits of scenario section embeddings and of
+    rule-to-query dense scores, for seeded scenarios and the stub rules."""
+    embedder = HashedEmbedder()
+    rule_vectors = [embedder.embed(text) for texts in STUB_RULES.values() for text in texts]
+    queries = [objectives_text(PreferenceVector.single(obj)) for obj in Objective]
+    queries.append(objectives_text(PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25)))
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for seed in range(40):
+        scenario = random_scenario(rng.randint(1, 6), rng.randint(1, 8), rng.randint(1, 30), seed)
+        for section in embed_scenario_sections(scenario, embedder):
+            digest.update(struct.pack(f"<{len(section)}d", *section))
+        queries.append(scenario.render_spf())
+    for query in queries:
+        query_vector = embedder.embed(query)
+        scores = [dense_score(query_vector, vector) for vector in rule_vectors]
+        digest.update(struct.pack(f"<{len(scores)}d", *scores))
+    return digest.hexdigest()
+
+
+def test_embeddings_and_rule_scores_are_bit_identical():
+    """Pinned before the embedder and `dense_score` were rewritten for speed
+    (memoized token hashes, map-based sums): any drift, by even one ulp,
+    changes the digest."""
+    assert _embedding_digest() == GOLDEN_EMBEDDING_DIGEST
