@@ -36,7 +36,7 @@ from .core import (
     RobotProfile,
     TaskSpec,
     Tier,
-    aggregate_objective,
+    aggregate_scorer,
     natural_key,
 )
 from .llm import CompletionProvider, heuristic_allocate
@@ -210,6 +210,55 @@ def enumerate_plans(scenario: MissionScenario, cap: int = BRUTE_FORCE_CAP) -> li
     ]
 
 
+@dataclass(frozen=True)
+class PlanTable:
+    """Every enumerated plan of one scenario, simulated once per sample seed.
+
+    The normalization bounds are shared across every (plan, sample) record,
+    so scores are comparable across plans. Nothing here depends on a
+    preference vector: one table scores any number of them.
+    """
+
+    plans: list[ItaPlan]
+    records: list[list[PerformanceRecord]]  # per plan, one per sample seed
+    bounds: NormalizationBounds
+
+    def scores(self, prefs: PreferenceVector) -> list[float]:
+        """Mean aggregate score per plan under common random numbers."""
+        score = aggregate_scorer(prefs, self.bounds)
+        return [statistics.fmean([score(record) for record in records]) for records in self.records]
+
+    def best(self, prefs: PreferenceVector) -> tuple[ItaPlan, float]:
+        """The top-scoring plan; ties break toward the lexicographically
+        smallest plan text, which is rendered only for the tied plans."""
+        scores = self.scores(prefs)
+        top = max(scores)
+        tied = [plan for plan, score in zip(self.plans, scores) if score == top]
+        return (tied[0] if len(tied) == 1 else min(tied, key=ItaPlan.render)), top
+
+
+def simulate_plans(
+    scenario: MissionScenario,
+    sim_cfg: SimConfig,
+    samples_per_plan: int = 8,
+    cap: int = BRUTE_FORCE_CAP,
+    base_seed: int = 0,
+) -> PlanTable:
+    """Enumerate the plans and simulate each on seeds `base_seed + s`.
+
+    Samples differ only in their coin flips, so each plan is scheduled once
+    and scored per seed, with the draws shared across plans.
+    """
+    plans = enumerate_plans(scenario, cap=cap)
+    draws: dict[tuple[int, str, str], float] = {}
+    records = [
+        [score_mission(schedule, base_seed + s, draws) for s in range(samples_per_plan)]
+        for schedule in (schedule_mission(scenario, plan, sim_cfg) for plan in plans)
+    ]
+    bounds = NormalizationBounds.from_records([r for plan_records in records for r in plan_records])
+    return PlanTable(plans, records, bounds)
+
+
 def brute_force_table(
     scenario: MissionScenario,
     prefs: PreferenceVector,
@@ -218,26 +267,9 @@ def brute_force_table(
     cap: int = BRUTE_FORCE_CAP,
     base_seed: int = 0,
 ) -> list[tuple[ItaPlan, float]]:
-    """Mean aggregate score per enumerated plan under common random numbers.
-
-    Normalization bounds are shared across every (plan, sample) record so the
-    scores are directly comparable. Samples differ only in their coin flips,
-    so each plan is scheduled once and scored per seed, with the draws shared
-    across plans.
-    """
-    plans = enumerate_plans(scenario, cap=cap)
-    draws: dict[tuple[int, str, str], float] = {}
-    per_plan_records = [
-        [score_mission(schedule, base_seed + s, draws) for s in range(samples_per_plan)]
-        for schedule in (schedule_mission(scenario, plan, sim_cfg) for plan in plans)
-    ]
-    bounds = NormalizationBounds.from_records(
-        [record for records in per_plan_records for record in records]
-    )
-    return [
-        (plan, statistics.fmean(aggregate_objective(record, prefs, bounds) for record in records))
-        for plan, records in zip(plans, per_plan_records)
-    ]
+    """Mean aggregate score per enumerated plan (see `simulate_plans`)."""
+    table = simulate_plans(scenario, sim_cfg, samples_per_plan, cap, base_seed)
+    return list(zip(table.plans, table.scores(prefs)))
 
 
 def brute_force_optimal(
@@ -250,8 +282,7 @@ def brute_force_optimal(
 ) -> tuple[ItaPlan, float]:
     """Exhaustive argmax of the mean aggregate score; ties break toward the
     lexicographically smallest plan text."""
-    table = brute_force_table(scenario, prefs, sim_cfg, samples_per_plan, cap, base_seed)
-    return min(table, key=lambda pair: (-pair[1], pair[0].render()))
+    return simulate_plans(scenario, sim_cfg, samples_per_plan, cap, base_seed).best(prefs)
 
 
 @dataclass(frozen=True)
@@ -516,6 +547,11 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+# Brute-force optima of one `run_experiment` call, keyed by (scenario, base
+# seed): the plan chosen for each of the spec's preference vectors.
+_Optima = dict[tuple[MissionScenario, int], dict[PreferenceVector, ItaPlan]]
+
+
 def _plan_for(
     method: str,
     scenario: MissionScenario,
@@ -523,6 +559,7 @@ def _plan_for(
     trial_seed: int,
     spec: ExperimentSpec,
     deps: BenchDeps,
+    optima: _Optima,
 ) -> tuple[ItaPlan, bool]:
     """Returns (plan, used_fallback)."""
     if method == "rebel":
@@ -537,14 +574,16 @@ def _plan_for(
     if method == "random":
         return random_allocate(scenario, derive_seed(trial_seed, "alloc")), False
     if method == "brute_force":
-        plan, _ = brute_force_optimal(
-            scenario,
-            prefs,
-            deps.sim_cfg,
-            samples_per_plan=spec.brute_force_samples,
-            base_seed=derive_seed(trial_seed, "bf"),
-        )
-        return plan, False
+        # The table does not depend on the preference vector, so the first
+        # cell to reach a trial simulates it once and keeps only the best
+        # plan per vector; the other cells of that trial look theirs up.
+        key = (scenario, derive_seed(trial_seed, "bf"))
+        if key not in optima:
+            table = simulate_plans(
+                scenario, deps.sim_cfg, samples_per_plan=spec.brute_force_samples, base_seed=key[1]
+            )
+            optima[key] = {p: table.best(p)[0] for p in spec.preferences}
+        return optima[key][prefs], False
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -553,6 +592,8 @@ def _run_cell(
     prefs: PreferenceVector,
     spec: ExperimentSpec,
     deps: BenchDeps,
+    scenarios: list[MissionScenario],
+    optima: _Optima,
 ) -> CellResult:
     prioritized = prefs.dominant()
     start = time.perf_counter()
@@ -560,13 +601,10 @@ def _run_cell(
     na = spec.mode == Mode.SITUATIONAL and method not in ADAPTIVE_METHODS
 
     def one_trial(trial: int) -> tuple[PerformanceRecord, bool, PerformanceRecord | None]:
-        scenario_seed = derive_seed(spec.seed, "scenario", trial)
+        scenario = scenarios[trial]
         sim_seed = derive_seed(spec.seed, "sim", trial)
-        scenario = random_scenario(
-            spec.team.humans, spec.team.robots, spec.team.pois, seed=scenario_seed
-        )
         plan, fallback = _plan_for(
-            method, scenario, prefs, derive_seed(spec.seed, method, trial), spec, deps
+            method, scenario, prefs, derive_seed(spec.seed, method, trial), spec, deps, optima
         )
         record, _ = run_mission(scenario, plan, deps.sim_cfg.with_seed(sim_seed))
 
@@ -575,7 +613,8 @@ def _run_cell(
             change = spec.change or CompositionChange(remove_robots=1, remove_humans=1)
             modified, _report = apply_composition_change(scenario, plan, change)
             new_plan, _ = _plan_for(
-                method, modified, prefs, derive_seed(spec.seed, method, trial, "re"), spec, deps
+                method, modified, prefs, derive_seed(spec.seed, method, trial, "re"), spec, deps,
+                optima,
             )
             changed_record, _ = run_mission(modified, new_plan, deps.sim_cfg.with_seed(sim_seed))
         return record, fallback, changed_record
@@ -617,13 +656,26 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             "rebel needs populated databases; run `rebel gen-rules` and `rebel gen-exp` first"
         )
 
+    # Work that no preference vector changes is done once per trial: its
+    # scenario here, its brute-force optima in `_plan_for`. A cell's trials
+    # may run on separate threads, but each has its own memo key, and cells
+    # run one after another, so the memo needs no lock.
+    optima: _Optima = {}
+    scenarios = [
+        random_scenario(
+            spec.team.humans, spec.team.robots, spec.team.pois,
+            seed=derive_seed(spec.seed, "scenario", trial),
+        )
+        for trial in range(spec.trials)
+    ]
+
     pipeline_logger = logging.getLogger("rebel.pipeline")
     quiet = _DropEmptyDbWarnings()
     if "zero_shot" in spec.methods:
         pipeline_logger.addFilter(quiet)
     try:
         cells = [
-            _run_cell(method, prefs, spec, deps)
+            _run_cell(method, prefs, spec, deps, scenarios, optima)
             for method in spec.methods
             for prefs in spec.preferences
         ]
@@ -654,10 +706,8 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             [record for cell in live for record in cell.records]
         )
         for cell in live:
-            cell.trial_scores = [
-                aggregate_objective(record, cell.prefs, batch_bounds)
-                for record in cell.records
-            ]
+            score = aggregate_scorer(cell.prefs, batch_bounds)
+            cell.trial_scores = [score(record) for record in cell.records]
 
     checks: list[tuple[str, bool]] = []
     max_points = deps.sim_cfg.points_per_correct * spec.team.pois

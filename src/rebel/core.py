@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 ARENA_SIDE_DEFAULT = 2000.0
 
@@ -441,7 +441,8 @@ class NormalizationBounds:
             raise ValueError("cannot derive bounds from an empty batch")
         entries = {}
         for obj in Objective:
-            values = [r.value(obj) for r in records]
+            name = _RECORD_FIELD[obj]
+            values = [getattr(r, name) for r in records]
             lo, hi = min(values), max(values)
             if hi - lo < 1e-12:
                 lo, hi = lo - pad, hi + pad
@@ -453,11 +454,12 @@ def normalize_objective(value: float, bounds: ObjectiveBounds) -> float:
     """Map a raw metric into [0, 1] where 1 is always the preferred end."""
     if not math.isfinite(value):
         raise ValueError(f"cannot normalize non-finite value {value}")
-    span = bounds.hi - bounds.lo
-    if bounds.direction is Direction.MAXIMIZE:
-        score = (value - bounds.lo) / span
-    else:
-        score = (bounds.hi - value) / span
+    return _unit_score(value, bounds.lo, bounds.hi, bounds.direction is Direction.MAXIMIZE)
+
+
+def _unit_score(value: float, lo: float, hi: float, maximize: bool) -> float:
+    span = hi - lo
+    score = (value - lo) / span if maximize else (hi - value) / span
     return min(1.0, max(0.0, score))
 
 
@@ -467,10 +469,32 @@ def aggregate_objective(
     bounds: NormalizationBounds,
 ) -> float:
     """Weighted sum of direction-corrected normalized objective scores."""
-    return sum(
-        w * normalize_objective(record.value(obj), bounds.entry(obj))
-        for obj, w in prefs.weights
-    )
+    return aggregate_scorer(prefs, bounds)(record)
+
+
+def aggregate_scorer(
+    prefs: PreferenceVector, bounds: NormalizationBounds
+) -> Callable[[PerformanceRecord], float]:
+    """`aggregate_objective` with the preference vector and bounds fixed, for
+    scoring many records: each objective's weight, record field and bounds
+    are resolved once, here."""
+    terms = []
+    for obj, w in prefs.weights:
+        entry = bounds.entry(obj)
+        terms.append(
+            (w, _RECORD_FIELD[obj], entry.lo, entry.hi, entry.direction is Direction.MAXIMIZE)
+        )
+    return functools.partial(_weighted_score, terms)
+
+
+def _weighted_score(
+    terms: list[tuple[float, str, float, float, bool]], record: PerformanceRecord
+) -> float:
+    # records are finite by construction, so none needs normalize_objective's check
+    return sum([
+        w * _unit_score(getattr(record, name), lo, hi, maximize)
+        for w, name, lo, hi, maximize in terms
+    ])
 
 
 @dataclass(frozen=True)

@@ -289,14 +289,16 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
     route_time: dict[str, float] = {r.id: 0.0 for r in robots}
     load: dict[str, int] = {r.id: 0 for r in robots}
 
-    def projected_completion(robot, location, human=None) -> float:
-        scale = 1.0 if human is None else cfg.shared_speed_multiplier[human.skill]
+    def projected_completion(robot, location, scale: float = 1.0) -> float:
+        """Route end time after adding `location`; shared control scales the
+        travel speed by the operator's skill multiplier."""
         return route_time[robot.id] + travel_time(
             route_end[robot.id], location, robot.speed * scale
         )
 
     def commit(task, robot, human) -> None:
-        route_time[robot.id] = projected_completion(robot, task.location, human)
+        scale = 1.0 if human is None else cfg.shared_speed_multiplier[human.skill]
+        route_time[robot.id] = projected_completion(robot, task.location, scale)
         route_end[robot.id] = task.location
         load[robot.id] += 1
         assignments[task.id] = Assignment(robot.id, None if human is None else human.id)
@@ -343,19 +345,32 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
             )
             for tier in Tier
         }
+        # A candidate's completion proxy depends on its robot and on its
+        # operator's skill tier alone, so per robot there is one value when
+        # autonomous and one per skill tier in the team. `options` holds each
+        # one's (speed scale, shared), and `slot[i]` is candidate i's place
+        # in the per-task list of those distinct values.
+        skills = list(dict.fromkeys(h.skill for h in scenario.humans))
+        options = [(1.0, False)] + [(cfg.shared_speed_multiplier[s], True) for s in skills]
+        slot = [
+            r_index * len(options) + (0 if h is None else 1 + skills.index(h.skill))
+            for r_index in range(len(robots))
+            for h in (None, *scenario.humans)
+        ]
         for task in scenario.tasks:
             service = cfg.analysis_service_s[task.difficulty]
-            completion = [
-                projected_completion(r, task.location, h) + (0.0 if h is None else service)
-                for r, h in candidates
+            distinct = [
+                projected_completion(r, task.location, scale) + (service if shared else 0.0)
+                for r in robots
+                for scale, shared in options
             ]
+            # the same set of values as one per candidate, so the same bounds
+            completion = _normalized(distinct, False)
             scores = [
-                w_time * t + w_perf * a + w_load * w
-                for t, a, w in zip(
-                    _normalized(completion, False), accuracy[task.difficulty], workload
-                )
+                w_time * completion[k] + w_perf * a + w_load * w
+                for k, a, w in zip(slot, accuracy[task.difficulty], workload)
             ]
-            commit(task, *candidates[max(range(len(candidates)), key=scores.__getitem__)])
+            commit(task, *candidates[scores.index(max(scores))])
 
     return ItaPlan(assignments)
 

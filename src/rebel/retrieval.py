@@ -34,7 +34,7 @@ from .core import (
     Objective,
     PerformanceRecord,
     PreferenceVector,
-    aggregate_objective,
+    aggregate_scorer,
 )
 from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
 
@@ -338,10 +338,8 @@ def retrieve_experiences(
     top_k = [records[row] for row in np.argsort(-scores, kind="stable")[:k]]
 
     bounds = NormalizationBounds.from_records([rec.performance for rec in top_k])
-    reranked = sorted(
-        top_k,
-        key=lambda rec: (-aggregate_objective(rec.performance, prefs, bounds), rec.id),
-    )
+    score = aggregate_scorer(prefs, bounds)
+    reranked = sorted(top_k, key=lambda rec: (-score(rec.performance), rec.id))
     return reranked[:m]
 
 

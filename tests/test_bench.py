@@ -4,14 +4,22 @@ import csv
 import math
 import random
 import statistics
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rebel import bench, sim
 from rebel.bench import (
     BenchDeps,
     CompositionChange,
     ExperimentSpec,
     Mode,
+    PlanTable,
     TeamSpec,
     apply_composition_change,
     brute_force_optimal,
@@ -26,11 +34,15 @@ from rebel.bench import (
 from rebel.core import (
     Assignment,
     ItaPlan,
+    Direction,
     NormalizationBounds,
     Objective,
+    ObjectiveBounds,
+    PerformanceRecord,
     PreferenceVector,
     Tier,
     aggregate_objective,
+    aggregate_scorer,
     validate_plan,
 )
 from rebel.llm import StubProvider, heuristic_allocate
@@ -38,6 +50,7 @@ from rebel.pipeline import (
     KnowledgeAcquisitionConfig,
     RetrievalConfig,
     ScenarioRanges,
+    derive_seed,
     generate_experiences,
     generate_rules,
 )
@@ -200,6 +213,18 @@ class TestBruteForce:
             for plan, records in per_plan
         ]
         assert brute_force_table(scenario, prefs, cfg, samples, base_seed=base_seed) == naive
+
+    def test_best_matches_a_sort_by_score_then_plan_text(self):
+        table = bench.simulate_plans(micro_scenario(), SimConfig(), samples_per_plan=4, base_seed=5)
+        singles = [PreferenceVector.single(o) for o in Objective]
+        for prefs in (*singles, *rotation_preferences(), PreferenceVector.of(TP=1, MT=1, HW=1)):
+            scores = table.scores(prefs)
+            assert table.best(prefs) == min(
+                zip(table.plans, scores), key=lambda pair: (-pair[1], pair[0].render())
+            )
+        # every all-autonomous plan ties on workload, so the text decides there
+        workload = table.scores(PreferenceVector.single(Objective.HUMAN_WORKLOAD))
+        assert workload.count(max(workload)) > 1
 
     def test_enumeration_renders_are_pairwise_distinct(self):
         plans = enumerate_plans(random_scenario(2, 2, 3, seed=1))
@@ -404,6 +429,163 @@ class TestRunExperiment:
         summary = report.summary_text()
         assert "check PASS" in summary
         assert "trials per cell: 6" in summary
+
+
+def soo_brute_force_spec() -> ExperimentSpec:
+    return ExperimentSpec(
+        mode=Mode.SOO,
+        team=TeamSpec(humans=2, robots=2, pois=3),
+        trials=3,
+        methods=("brute_force", "heuristic"),
+        seed=4,
+    )
+
+
+class TestPreferenceFreeWorkOncePerTrial:
+    def test_one_scenario_and_one_brute_force_table_per_trial(self, monkeypatch):
+        counts: Counter[str] = Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        # bench holds its own reference to the scheduler, so a call through
+        # it is brute force; `run_mission` calls the one in `rebel.sim`
+        for module, name, label in (
+            (bench, "schedule_mission", "brute_force"),
+            (sim, "schedule_mission", "run_mission"),
+            (bench, "random_scenario", "scenario"),
+        ):
+            monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+        spec = soo_brute_force_spec()
+        assert spec.preferences == tuple(PreferenceVector.single(o) for o in Objective)
+        report = run_experiment(spec, deps())
+        assert report.all_checks_pass()
+        assert counts["brute_force"] == spec.trials * 216
+        assert counts["run_mission"] == len(report.cells) * spec.trials
+        assert counts["scenario"] == spec.trials
+
+    def test_threaded_trials_search_once_each(self, monkeypatch):
+        # four worker threads and frequent thread switches: each trial's
+        # table is still simulated once, and the plans do not change
+        spec = replace(soo_brute_force_spec(), trials=4)
+        sequential = run_experiment(spec, deps(1))
+        calls, lock = [0], threading.Lock()
+        schedule = bench.schedule_mission
+
+        def counting(*args, **kwargs):
+            with lock:
+                calls[0] += 1
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "schedule_mission", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = run_experiment(spec, deps(4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls[0] == spec.trials * 216
+        assert [c.records for c in threaded.cells] == [c.records for c in sequential.cells]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_equal_one_search_per_cell(self, workers):
+        spec = soo_brute_force_spec()
+        report = run_experiment(spec, deps(workers))
+        cfg = SimConfig()
+        want = {}
+        for method in spec.methods:
+            for prefs in spec.preferences:
+                records = []
+                for trial in range(spec.trials):
+                    scenario = random_scenario(
+                        2, 2, 3, seed=derive_seed(spec.seed, "scenario", trial)
+                    )
+                    if method == "brute_force":
+                        base_seed = derive_seed(derive_seed(spec.seed, method, trial), "bf")
+                        plan, _ = brute_force_optimal(
+                            scenario, prefs, cfg, spec.brute_force_samples, base_seed=base_seed
+                        )
+                    else:
+                        plan = heuristic_allocate(scenario, prefs)
+                    sim_seed = derive_seed(spec.seed, "sim", trial)
+                    records.append(run_mission(scenario, plan, cfg.with_seed(sim_seed))[0])
+                want[method, prefs.label()] = records
+        assert {(c.method, c.pref_label): c.records for c in report.cells} == want
+        # the optimum differs by objective, so one vector's plans cannot stand in for another's
+        assert len({tuple(want["brute_force", p.label()]) for p in spec.preferences}) > 1
+
+        bounds = NormalizationBounds.from_records(
+            [record for records in want.values() for record in records]
+        )
+        for cell in report.cells:
+            assert cell.trial_scores == [
+                aggregate_objective(record, cell.prefs, bounds) for record in cell.records
+            ]
+
+
+def _reference_aggregate(record, prefs, bounds) -> float:
+    """The aggregate score written out term by term: a sum from 0 of each
+    weight times the clamped, direction-corrected normalized value."""
+    def normalized(objective):
+        entry = bounds.entry(objective)
+        value = record.value(objective)
+        if entry.direction is Direction.MAXIMIZE:
+            score = (value - entry.lo) / (entry.hi - entry.lo)
+        else:
+            score = (entry.hi - value) / (entry.hi - entry.lo)
+        return min(1.0, max(0.0, score))
+
+    return sum(w * normalized(objective) for objective, w in prefs.weights)
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_records = st.builds(
+    PerformanceRecord,
+    st.floats(min_value=0.0, max_value=1e4),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def _bounds(draw) -> NormalizationBounds:
+    entries = {}
+    for objective in Objective:
+        lo, hi = sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
+        entries[objective] = ObjectiveBounds(lo, hi, objective.direction)
+    return NormalizationBounds(entries)
+
+
+@st.composite
+def _preferences(draw) -> PreferenceVector:
+    objectives = draw(st.permutations(list(Objective)))[: draw(st.integers(1, len(Objective)))]
+    count = len(objectives)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    if not any(weights):
+        weights[0] = 1.0
+    return PreferenceVector(tuple(zip(objectives, weights)))
+
+
+@given(
+    groups=st.lists(st.lists(_records, min_size=1, max_size=8), min_size=1, max_size=6),
+    bounds=_bounds(),
+    prefs=_preferences(),
+)
+def test_table_scorer_equals_aggregate_objective_exactly(groups, bounds, prefs):
+    score = aggregate_scorer(prefs, bounds)
+    for records in groups:
+        for record in records:
+            expected = _reference_aggregate(record, prefs, bounds)
+            assert aggregate_objective(record, prefs, bounds) == expected
+            assert score(record) == expected
+    table = PlanTable(plans=[ItaPlan({})] * len(groups), records=groups, bounds=bounds)
+    assert table.scores(prefs) == [
+        statistics.fmean([aggregate_objective(record, prefs, bounds) for record in records])
+        for records in groups
+    ]
 
 
 class TestExperimentSpecJson:
