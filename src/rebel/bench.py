@@ -20,6 +20,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 from .core import (
@@ -36,13 +37,14 @@ from .core import (
     RobotProfile,
     TaskSpec,
     Tier,
-    aggregate_scorer,
+    aggregate_scores,
     natural_key,
+    performance_columns,
 )
 from .llm import CompletionProvider, heuristic_allocate
 from .pipeline import RetrievalConfig, derive_seed, infer
 from .retrieval import ExperienceDatabase, RulesDatabase
-from .sim import SimConfig, run_mission, schedule_mission, score_mission
+from .sim import SimConfig, count_correct, run_mission, schedule_mission
 
 logger = logging.getLogger(__name__)
 
@@ -216,17 +218,26 @@ class PlanTable:
 
     The normalization bounds are shared across every (plan, sample) record,
     so scores are comparable across plans. Nothing here depends on a
-    preference vector: one table scores any number of them.
+    preference vector: one table scores any number of them. The records'
+    objective columns are built on the first `scores` call and kept.
     """
 
     plans: list[ItaPlan]
     records: list[list[PerformanceRecord]]  # per plan, one per sample seed
     bounds: NormalizationBounds
 
+    @cached_property
+    def _columns(self):
+        """`performance_columns` of every record, plan after plan, and the
+        column where each plan's records end."""
+        ends = list(itertools.accumulate(len(records) for records in self.records))
+        return performance_columns([r for records in self.records for r in records]), ends
+
     def scores(self, prefs: PreferenceVector) -> list[float]:
         """Mean aggregate score per plan under common random numbers."""
-        score = aggregate_scorer(prefs, self.bounds)
-        return [statistics.fmean([score(record) for record in records]) for records in self.records]
+        columns, ends = self._columns
+        scores = aggregate_scores(columns, prefs, self.bounds).tolist()
+        return [statistics.fmean(scores[start:end]) for start, end in zip([0, *ends], ends)]
 
     def best(self, prefs: PreferenceVector) -> tuple[ItaPlan, float]:
         """The top-scoring plan; ties break toward the lexicographically
@@ -247,16 +258,25 @@ def simulate_plans(
     """Enumerate the plans and simulate each on seeds `base_seed + s`.
 
     Samples differ only in their coin flips, so each plan is scheduled once
-    and scored per seed, with the draws shared across plans.
+    and its correct classifications are counted per seed (`count_correct`).
+    A plan's samples with equal counts share one record.
     """
     plans = enumerate_plans(scenario, cap=cap)
-    draws: dict[tuple[int, str, str], float] = {}
-    records = [
-        [score_mission(schedule, base_seed + s, draws) for s in range(samples_per_plan)]
-        for schedule in (schedule_mission(scenario, plan, sim_cfg) for plan in plans)
-    ]
-    bounds = NormalizationBounds.from_records([r for plan_records in records for r in plan_records])
-    return PlanTable(plans, records, bounds)
+    schedules = [schedule_mission(scenario, plan, sim_cfg) for plan in plans]
+    hits = count_correct(schedules, range(base_seed, base_seed + samples_per_plan))
+
+    records: list[list[PerformanceRecord]] = []
+    distinct: list[PerformanceRecord] = []
+    for schedule, counts in zip(schedules, hits.T.tolist()):
+        made = {
+            count: PerformanceRecord(
+                schedule.points_per_correct * count, schedule.mission_seconds, schedule.utilization
+            )
+            for count in set(counts)
+        }
+        records.append([made[count] for count in counts])
+        distinct.extend(made.values())
+    return PlanTable(plans, records, NormalizationBounds.from_records(distinct))
 
 
 def brute_force_table(
@@ -562,15 +582,17 @@ def _plan_for(
     optima: _Optima,
 ) -> tuple[ItaPlan, bool]:
     """Returns (plan, used_fallback)."""
-    if method == "rebel":
-        result = infer(scenario, prefs, deps.rules_db, deps.exp_db, deps.provider, deps.retrieval)
-        return result.plan, result.used_fallback
-    if method == "zero_shot":
-        empty_rules, empty_exp = RulesDatabase(), ExperienceDatabase()
-        result = infer(scenario, prefs, empty_rules, empty_exp, deps.provider, deps.retrieval)
+    if method in ("rebel", "zero_shot"):
+        rules_db, exp_db = (
+            (deps.rules_db, deps.exp_db) if method == "rebel"
+            else (RulesDatabase(), ExperienceDatabase())
+        )
+        result = infer(
+            scenario, prefs, rules_db, exp_db, deps.provider, deps.retrieval, deps.sim_cfg
+        )
         return result.plan, result.used_fallback
     if method == "heuristic":
-        return heuristic_allocate(scenario, prefs), False
+        return heuristic_allocate(scenario, prefs, deps.sim_cfg), False
     if method == "random":
         return random_allocate(scenario, derive_seed(trial_seed, "alloc")), False
     if method == "brute_force":
@@ -706,8 +728,8 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             [record for cell in live for record in cell.records]
         )
         for cell in live:
-            score = aggregate_scorer(cell.prefs, batch_bounds)
-            cell.trial_scores = [score(record) for record in cell.records]
+            columns = performance_columns(cell.records)
+            cell.trial_scores = aggregate_scores(columns, cell.prefs, batch_bounds).tolist()
 
     checks: list[tuple[str, bool]] = []
     max_points = deps.sim_cfg.points_per_correct * spec.team.pois

@@ -83,9 +83,11 @@ def _provider_config(args: argparse.Namespace) -> ProviderConfig:
     )
 
 
-def _build_provider(args: argparse.Namespace):
+def _build_provider(args: argparse.Namespace, sim_cfg: SimConfig | None = None):
+    """The provider `args` name; the stub plans under `sim_cfg`."""
     provider = (
-        StubProvider() if args.provider == "stub" else HttpCompletionProvider(_provider_config(args))
+        StubProvider(sim_cfg) if args.provider == "stub"
+        else HttpCompletionProvider(_provider_config(args))
     )
     if args.transcript:
         provider = TranscriptRecorder(provider, args.transcript)
@@ -128,8 +130,9 @@ def cmd_gen_exp(args: argparse.Namespace) -> int:
         refine_every=args.refine_every,
         base_seed=args.seed or 0,
     )
+    sim_cfg = _sim_config(args)
     stored = generate_experiences(
-        cfg, _build_provider(args), rules_db, exp_db, _sim_config(args), _build_embedder(args)
+        cfg, _build_provider(args, sim_cfg), rules_db, exp_db, sim_cfg, _build_embedder(args)
     )
     fallbacks = sum(1 for r in stored if r.fallback)
     print(
@@ -174,11 +177,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec = ExperimentSpec.from_json(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    sim_cfg = _sim_config(args)
     deps = BenchDeps(
-        provider=_build_provider(args),
+        provider=_build_provider(args, sim_cfg),
         rules_db=RulesDatabase(args.rules_db),
         exp_db=ExperienceDatabase(args.exp_db),
-        sim_cfg=_sim_config(args),
+        sim_cfg=sim_cfg,
         retrieval=RetrievalConfig(embedder=_build_embedder(args)),
         workers=args.workers,
     )

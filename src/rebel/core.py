@@ -12,7 +12,9 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 ARENA_SIDE_DEFAULT = 2000.0
 
@@ -454,13 +456,42 @@ def normalize_objective(value: float, bounds: ObjectiveBounds) -> float:
     """Map a raw metric into [0, 1] where 1 is always the preferred end."""
     if not math.isfinite(value):
         raise ValueError(f"cannot normalize non-finite value {value}")
-    return _unit_score(value, bounds.lo, bounds.hi, bounds.direction is Direction.MAXIMIZE)
+    return float(_unit_score(value, bounds.lo, bounds.hi, bounds.direction is Direction.MAXIMIZE))
 
 
-def _unit_score(value: float, lo: float, hi: float, maximize: bool) -> float:
+def _unit_score(value, lo: float, hi: float, maximize: bool):
+    """`value` (a float or an array) on the [0, 1] scale of [lo, hi]."""
     span = hi - lo
-    score = (value - lo) / span if maximize else (hi - value) / span
-    return min(1.0, max(0.0, score))
+    # a subnormal span can overflow the quotient; inf clamps to the end of
+    # the scale, as it does for Python floats
+    with np.errstate(over="ignore"):
+        score = (value - lo) / span if maximize else (hi - value) / span
+    return np.minimum(1.0, np.maximum(0.0, score))
+
+
+def performance_columns(records: Sequence[PerformanceRecord]) -> np.ndarray:
+    """The records as one row per objective, in `Objective` order, for
+    `aggregate_scores`."""
+    values = [(r.accuracy_points, r.mission_seconds, r.human_utilization) for r in records]
+    return np.array(values, dtype=float).reshape(len(records), len(Objective)).T
+
+
+_COLUMN = {obj: index for index, obj in enumerate(Objective)}
+
+
+def aggregate_scores(
+    columns: np.ndarray, prefs: PreferenceVector, bounds: NormalizationBounds
+) -> np.ndarray:
+    """Weighted sum of direction-corrected normalized objective scores, one
+    per column of `performance_columns`. Terms are added from 0 in the order
+    of `prefs.weights`, so each score is the float that summing them one by
+    one in Python gives."""
+    total = np.zeros(columns.shape[1])
+    for obj, w in prefs.weights:
+        entry = bounds.entry(obj)
+        maximize = entry.direction is Direction.MAXIMIZE
+        total = total + w * _unit_score(columns[_COLUMN[obj]], entry.lo, entry.hi, maximize)
+    return total
 
 
 def aggregate_objective(
@@ -468,33 +499,9 @@ def aggregate_objective(
     prefs: PreferenceVector,
     bounds: NormalizationBounds,
 ) -> float:
-    """Weighted sum of direction-corrected normalized objective scores."""
-    return aggregate_scorer(prefs, bounds)(record)
-
-
-def aggregate_scorer(
-    prefs: PreferenceVector, bounds: NormalizationBounds
-) -> Callable[[PerformanceRecord], float]:
-    """`aggregate_objective` with the preference vector and bounds fixed, for
-    scoring many records: each objective's weight, record field and bounds
-    are resolved once, here."""
-    terms = []
-    for obj, w in prefs.weights:
-        entry = bounds.entry(obj)
-        terms.append(
-            (w, _RECORD_FIELD[obj], entry.lo, entry.hi, entry.direction is Direction.MAXIMIZE)
-        )
-    return functools.partial(_weighted_score, terms)
-
-
-def _weighted_score(
-    terms: list[tuple[float, str, float, float, bool]], record: PerformanceRecord
-) -> float:
-    # records are finite by construction, so none needs normalize_objective's check
-    return sum([
-        w * _unit_score(getattr(record, name), lo, hi, maximize)
-        for w, name, lo, hi, maximize in terms
-    ])
+    """Weighted sum of direction-corrected normalized objective scores of
+    one record (`aggregate_scores`)."""
+    return float(aggregate_scores(performance_columns([record]), prefs, bounds)[0])
 
 
 @dataclass(frozen=True)

@@ -249,9 +249,13 @@ class StubProvider:
 
     Rule-generation prompts get a canned objective-specific rule list,
     refinement prompts echo the rules already in the prompt, and allocation
-    prompts are answered by rendering the greedy allocator's plan in the
-    plan grammar. This makes the full pipeline runnable with no network.
+    prompts are answered by rendering the greedy allocator's plan, planned
+    under `sim_cfg`, in the plan grammar. This makes the full pipeline
+    runnable with no network.
     """
+
+    def __init__(self, sim_cfg: SimConfig | None = None):
+        self.sim_cfg = sim_cfg
 
     def complete(self, request: CompletionRequest) -> str:
         text = request.prompt
@@ -265,12 +269,15 @@ class StubProvider:
         if GOAL_PERFORM_ITA in goal:
             scenario = MissionScenario.parse(extract_section(text, SECTION_SCENARIO))
             prefs = parse_objectives_text(extract_section(text, SECTION_OBJECTIVES))
-            return heuristic_allocate(scenario, prefs).render()
+            return heuristic_allocate(scenario, prefs, self.sim_cfg).render()
         raise Unavailable("stub provider does not understand this prompt")
 
 
-def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> ItaPlan:
-    """Greedy, preference-aware allocation that always validates.
+def heuristic_allocate(
+    scenario: MissionScenario, prefs: PreferenceVector, cfg: SimConfig | None = None
+) -> ItaPlan:
+    """Greedy, preference-aware allocation that always validates, planned
+    with the model constants of `cfg` (the defaults when None).
 
     Behavior by dominant objective: mission time picks, per task, the robot
     with the smallest projected route completion (all autonomous); human
@@ -283,7 +290,7 @@ def heuristic_allocate(scenario: MissionScenario, prefs: PreferenceVector) -> It
     if not scenario.robots:
         raise ValueError("cannot allocate: scenario has no robots")
 
-    cfg = SimConfig()
+    cfg = SimConfig() if cfg is None else cfg
     robots = scenario.robots
     route_end: dict[str, tuple[float, float]] = {r.id: (0.0, 0.0) for r in robots}
     route_time: dict[str, float] = {r.id: 0.0 for r in robots}

@@ -207,8 +207,10 @@ def _plan_from_provider(
     prompt: str,
     scenario: MissionScenario,
     prefs: PreferenceVector,
+    sim_cfg: SimConfig | None,
 ) -> tuple[ItaPlan, bool]:
-    """Ask the model for a plan, then the greedy fallback. Returns (plan, fallback).
+    """Ask the model for a plan, then the greedy fallback, planned under
+    `sim_cfg`. Returns (plan, fallback).
 
     An answer that is unusable (unparseable, invalid, or a malformed body) is
     asked for once more. Any other provider error goes straight to the
@@ -226,7 +228,7 @@ def _plan_from_provider(
         except LlmError as exc:
             logger.warning("plan request failed (%s); using the greedy plan", exc)
             break
-    return heuristic_allocate(scenario, prefs), True
+    return heuristic_allocate(scenario, prefs, sim_cfg), True
 
 
 def generate_experiences(
@@ -271,7 +273,7 @@ def generate_experiences(
                     rules=tuple(r.text for r in rules),
                 )
             )
-            plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs)
+            plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs, sim_cfg)
             try:
                 record, _ = run_mission(scenario, plan, sim_cfg.with_seed(derive_seed(seed, "sim")))
             except ValueError as exc:
@@ -319,8 +321,10 @@ def infer(
     exp_db: ExperienceDatabase,
     provider: CompletionProvider,
     retrieval: RetrievalConfig = RetrievalConfig(),
+    sim_cfg: SimConfig | None = None,
 ) -> InferenceResult:
-    """Stage 3: retrieval-augmented allocation for an unseen mission.
+    """Stage 3: retrieval-augmented allocation for an unseen mission. The
+    greedy fallback plans under `sim_cfg` (the defaults when None).
 
     Empty databases degrade gracefully: the corresponding prompt sections are
     omitted with a warning (zero-shot behavior). A retrieved experience whose
@@ -358,7 +362,7 @@ def infer(
             exemplars=tuple(_exemplar(e) for e in exemplars) or None,
         )
     )
-    plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs)
+    plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs, sim_cfg)
     return InferenceResult(
         plan=plan, rules=rules, exemplars=exemplars, used_fallback=fallback, query=query
     )

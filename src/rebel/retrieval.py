@@ -34,7 +34,8 @@ from .core import (
     Objective,
     PerformanceRecord,
     PreferenceVector,
-    aggregate_scorer,
+    aggregate_scores,
+    performance_columns,
 )
 from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
 
@@ -337,10 +338,11 @@ def retrieve_experiences(
     # rows are in id order, so a stable sort ranks by (-similarity, id)
     top_k = [records[row] for row in np.argsort(-scores, kind="stable")[:k]]
 
-    bounds = NormalizationBounds.from_records([rec.performance for rec in top_k])
-    score = aggregate_scorer(prefs, bounds)
-    reranked = sorted(top_k, key=lambda rec: (-score(rec.performance), rec.id))
-    return reranked[:m]
+    performances = [rec.performance for rec in top_k]
+    bounds = NormalizationBounds.from_records(performances)
+    fit = aggregate_scores(performance_columns(performances), prefs, bounds).tolist()
+    order = sorted(range(len(top_k)), key=lambda i: (-fit[i], top_k[i].id))
+    return [top_k[i] for i in order[:m]]
 
 
 def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:

@@ -16,7 +16,11 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .core import (
     ItaPlan,
@@ -184,14 +188,36 @@ class SimTrace:
 class MissionSchedule:
     """A mission up to its coin flips. `classifications` holds (task, "robot" |
     "human", classifier id, completion time, probability correct) in outcome
-    order; `events` is sorted, with the seed-dependent classify details blank."""
+    order; `captures` holds (arrival time, robot, task, analyst | None) per
+    task, and `services` (start, end, human, task, items waiting) per
+    analysis. The event log is derived from those two on first read."""
 
     classifications: tuple[tuple[str, str, str, float, float], ...]
     busy: dict[str, tuple[tuple[float, float], ...]]
-    events: tuple[tuple[float, str, str, str, str], ...]
+    captures: tuple[tuple[float, str, str, str | None], ...]
+    services: tuple[tuple[float, float, str, str, int], ...]
     mission_seconds: float
     utilization: float
     points_per_correct: float
+
+    @cached_property
+    def events(self) -> tuple[tuple[float, str, str, str, str], ...]:
+        """(time, kind, agent, task, detail) per event, sorted; the
+        seed-dependent classify details are blank."""
+        events: list[tuple[float, str, str, str, str]] = []
+        for t, robot_id, task_id, analyst_id in self.captures:
+            events.append((t, "capture", robot_id, task_id, ""))
+            if analyst_id is None:
+                events.append((t, "classify", robot_id, task_id, ""))
+            else:
+                events.append((t, "enqueue", analyst_id, task_id, ""))
+        for start, end, human_id, task_id, waiting in self.services:
+            events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
+            events.append((end, "classify", human_id, task_id, ""))
+        # (time, kind, agent, task) is unique per event, so the detail never
+        # decides the order
+        events.sort()
+        return tuple(events)
 
 
 def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -> MissionSchedule:
@@ -207,7 +233,8 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
     if not check.ok:
         raise ValueError(f"invalid plan: {check.violations[0]}")
 
-    events: list[tuple[float, str, str, str, str]] = []
+    captures: list[tuple[float, str, str, str | None]] = []
+    services: list[tuple[float, float, str, str, int]] = []
     busy: dict[str, list[tuple[float, float]]] = {
         a.id: [] for a in scenario.humans + scenario.robots
     }
@@ -233,14 +260,12 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
             depart, now = now, now + leg
             pos = task.location
             busy[robot.id].append((depart, now))
-            events.append((now, "capture", robot.id, task_id, ""))
+            captures.append((now, robot.id, task_id, analyst_id))
             if analyst_id is None:
                 p = robot_accuracy_probability(robot.camera_quality, task.difficulty, None, cfg)
                 classified.append((task_id, "robot", robot.id, now, p))
-                events.append((now, "classify", robot.id, task_id, ""))
             else:
                 analysis_queue[analyst_id].append((now, task_id))
-                events.append((now, "enqueue", analyst_id, task_id, ""))
 
     for profile in scenario.humans:
         items = sorted(analysis_queue[profile.id], key=lambda it: (it[0], natural_key(it[1])))
@@ -255,8 +280,7 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
             p = human_accuracy_probability(profile, end, waiting, difficulty, cfg)
             classified.append((task_id, "human", profile.id, end, p))
             busy[profile.id].append((start, end))
-            events.append((start, "service_start", profile.id, task_id, f"load={waiting}"))
-            events.append((end, "classify", profile.id, task_id, ""))
+            services.append((start, end, profile.id, task_id, waiting))
             free_at = end
 
     # every classification ends a busy span: a robot's capture or an analysis
@@ -269,13 +293,11 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
     else:
         utilization = 0.0
 
-    # (time, kind, agent, task) is unique per event, so the detail never
-    # decides the order
-    events.sort()
     return MissionSchedule(
         classifications=tuple(classified),
         busy={agent: tuple(spans) for agent, spans in busy.items()},
-        events=tuple(events),
+        captures=tuple(captures),
+        services=tuple(services),
         mission_seconds=mission_seconds,
         utilization=utilization,
         points_per_correct=cfg.points_per_correct,
@@ -283,25 +305,42 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
 
 
 def score_mission(
-    schedule: MissionSchedule, seed: int, draws: dict[tuple[int, str, str], float] | None = None
-) -> PerformanceRecord:
-    """The performance triple of a scheduled mission under one seed.
-
-    `draws` caches each `_unit_draw` by (seed, agent, task) and is filled as
-    it goes; schedules of one scenario can share it, as no draw depends on
-    the plan.
-    """
-    draws = {} if draws is None else draws
-    hits = 0
-    for task_id, _, agent_id, _, p in schedule.classifications:
-        key = (seed, agent_id, task_id)
-        draw = draws.get(key)
-        if draw is None:
-            draw = draws[key] = _unit_draw(seed, agent_id, task_id)
-        hits += draw < p
-    return PerformanceRecord(
-        schedule.points_per_correct * hits, schedule.mission_seconds, schedule.utilization
+    schedule: MissionSchedule, seed: int
+) -> tuple[PerformanceRecord, dict[str, bool]]:
+    """The performance triple of a scheduled mission under one seed, and
+    whether each task's classification came out correct."""
+    correct = {
+        task_id: _unit_draw(seed, agent_id, task_id) < p
+        for task_id, _, agent_id, _, p in schedule.classifications
+    }
+    record = PerformanceRecord(
+        schedule.points_per_correct * sum(correct.values()),
+        schedule.mission_seconds,
+        schedule.utilization,
     )
+    return record, correct
+
+
+def count_correct(schedules: Sequence[MissionSchedule], seeds: Sequence[int]) -> np.ndarray:
+    """`hits[s, i]`: the correct classifications of `schedules[i]` under
+    `seeds[s]`, for schedules of one scenario.
+
+    No coin depends on the schedule, so each (seed, agent, task) coin that
+    some schedule flips is drawn once, and one comparison scores them all.
+    """
+    tasks = len(schedules[0].classifications) if schedules else 0
+    coins: dict[tuple[str, str], int] = {}  # (agent, task) -> column of `draws`
+    slots: list[int] = []
+    p_correct: list[float] = []
+    for schedule in schedules:
+        for task_id, _, agent_id, _, p in schedule.classifications:
+            slots.append(coins.setdefault((agent_id, task_id), len(coins)))
+            p_correct.append(p)
+    draws = np.array([[_unit_draw(seed, *coin) for coin in coins] for seed in seeds])
+    draws = draws.reshape(len(seeds), len(coins))
+    slots_array = np.array(slots, dtype=np.intp).reshape(len(schedules), tasks)
+    p_array = np.array(p_correct).reshape(len(schedules), tasks)
+    return (draws[:, slots_array] < p_array).sum(axis=2)
 
 
 def run_mission(
@@ -310,16 +349,13 @@ def run_mission(
     """Execute an allocation (see `schedule_mission`) and score it under
     `cfg.seed`. Returns the performance triple and the full trace."""
     schedule = schedule_mission(scenario, plan, cfg)
-    draws: dict[tuple[int, str, str], float] = {}
-    record = score_mission(schedule, cfg.seed, draws)
+    record, correct = score_mission(schedule, cfg.seed)
     outcomes = {
-        task_id: TaskOutcome(
-            task_id, kind, agent_id, draws[cfg.seed, agent_id, task_id] < p, completion_s, p
-        )
+        task_id: TaskOutcome(task_id, kind, agent_id, correct[task_id], completion_s, p)
         for task_id, kind, agent_id, completion_s, p in schedule.classifications
     }
     events = tuple(
-        (t, kind, agent, task, f"correct={outcomes[task].correct}") if kind == "classify"
+        (t, kind, agent, task, f"correct={correct[task]}") if kind == "classify"
         else (t, kind, agent, task, detail)
         for t, kind, agent, task, detail in schedule.events
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import random
 import statistics
@@ -42,7 +43,8 @@ from rebel.core import (
     PreferenceVector,
     Tier,
     aggregate_objective,
-    aggregate_scorer,
+    aggregate_scores,
+    performance_columns,
     validate_plan,
 )
 from rebel.llm import StubProvider, heuristic_allocate
@@ -235,6 +237,57 @@ class TestBruteForce:
         scenario = random_scenario(3, 4, 6, seed=1)
         with pytest.raises(ValueError, match="cap"):
             enumerate_plans(scenario, cap=1000)
+
+
+class TestBruteForceDoesNoPerSampleWork:
+    def test_no_event_log_and_one_record_per_distinct_hit_count(self, monkeypatch):
+        schedules, made = [], [0]
+        schedule = bench.schedule_mission
+        check = PerformanceRecord.__post_init__
+
+        def keeping(*args, **kwargs):
+            schedules.append(schedule(*args, **kwargs))
+            return schedules[-1]
+
+        def counting(record):
+            made[0] += 1
+            check(record)
+
+        monkeypatch.setattr(bench, "schedule_mission", keeping)
+        monkeypatch.setattr(PerformanceRecord, "__post_init__", counting)
+        table = bench.simulate_plans(random_scenario(2, 2, 3, seed=1), SimConfig(), 8, base_seed=5)
+
+        assert len(schedules) == 216
+        # the event log is a cached property: read, it would sit in __dict__
+        assert not any("events" in vars(s) for s in schedules)
+        # a plan's samples differ only in accuracy points, one per hit count
+        distinct = sum(len({r.accuracy_points for r in records}) for records in table.records)
+        assert made[0] == distinct < 216 * 8
+
+
+class TestBruteForceGolden:
+    # sha256 over every plan's mean score and the chosen plan, per vector,
+    # recorded from an earlier implementation of the table: any change to a
+    # record, a bound, a float of the scoring or a tie-break changes the digest
+    GOLDEN = "5fbd48634b03799f97a94462f6b22d1482d4233fab86c170f6cdd3596fe21264"
+
+    def test_tables_match_the_pinned_digest(self):
+        vectors = (
+            *(PreferenceVector.single(o) for o in Objective),
+            PreferenceVector.of(TP=1, MT=1, HW=1),
+            *rotation_preferences(0.5),
+            PreferenceVector.of(TP=0.2, MT=0.7, HW=0.1),
+        )
+        digest = hashlib.sha256()
+        for case in range(60):
+            humans, robots, tasks = ((2, 2, 3), (1, 3, 3), (3, 2, 2))[case % 3]
+            scenario = random_scenario(humans, robots, tasks, seed=700 + case)
+            table = bench.simulate_plans(scenario, SimConfig(), samples_per_plan=8, base_seed=case)
+            for prefs in vectors:
+                plan, _ = table.best(prefs)
+                digest.update(repr(table.scores(prefs)).encode() + b"\n")
+                digest.update(plan.render().encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN
 
 
 class TestCompositionChange:
@@ -431,6 +484,38 @@ class TestRunExperiment:
         assert "trials per cell: 6" in summary
 
 
+FAST_SHARED = SimConfig(shared_speed_multiplier={tier: 3.0 for tier in Tier})
+
+
+class ProseProvider:
+    def complete(self, request):
+        return "no plan here"
+
+
+class TestPlannersUseTheRunsSimConfig:
+    @pytest.mark.parametrize("provider", [StubProvider(FAST_SHARED), ProseProvider()])
+    def test_greedy_plans_under_the_runs_constants(self, provider):
+        # only the mixed-weight greedy branch reads the speed multiplier
+        tied = PreferenceVector.of(TP=1, MT=1, HW=1)
+        spec = small_spec(mode=Mode.MOO, methods=("heuristic", "zero_shot"), preferences=(tied,))
+        run = BenchDeps(
+            provider=provider, rules_db=RulesDatabase(), exp_db=ExperienceDatabase(),
+            sim_cfg=FAST_SHARED,
+        )
+        report = run_experiment(spec, run)
+        changed = 0
+        for trial in range(spec.trials):
+            scenario = random_scenario(2, 3, 5, seed=derive_seed(spec.seed, "scenario", trial))
+            cfg = FAST_SHARED.with_seed(derive_seed(spec.seed, "sim", trial))
+            want, _ = run_mission(scenario, heuristic_allocate(scenario, tied, FAST_SHARED), cfg)
+            for method in spec.methods:
+                assert report.cell(method, tied.label()).records[trial] == want
+            changed += want != run_mission(scenario, heuristic_allocate(scenario, tied), cfg)[0]
+        assert changed  # planning under the default constants gives other missions
+        fallbacks = spec.trials if isinstance(provider, ProseProvider) else 0
+        assert report.cell("zero_shot", tied.label()).fallbacks == fallbacks
+
+
 def soo_brute_force_spec() -> ExperimentSpec:
     return ExperimentSpec(
         mode=Mode.SOO,
@@ -575,12 +660,11 @@ def _preferences(draw) -> PreferenceVector:
     prefs=_preferences(),
 )
 def test_table_scorer_equals_aggregate_objective_exactly(groups, bounds, prefs):
-    score = aggregate_scorer(prefs, bounds)
     for records in groups:
-        for record in records:
-            expected = _reference_aggregate(record, prefs, bounds)
-            assert aggregate_objective(record, prefs, bounds) == expected
-            assert score(record) == expected
+        columns = performance_columns(records)
+        expected = [_reference_aggregate(record, prefs, bounds) for record in records]
+        assert [aggregate_objective(record, prefs, bounds) for record in records] == expected
+        assert aggregate_scores(columns, prefs, bounds).tolist() == expected
     table = PlanTable(plans=[ItaPlan({})] * len(groups), records=groups, bounds=bounds)
     assert table.scores(prefs) == [
         statistics.fmean([aggregate_objective(record, prefs, bounds) for record in records])

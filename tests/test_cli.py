@@ -10,8 +10,11 @@ import pytest
 
 import rebel
 from rebel.cli import _build_provider, build_parser, main, parse_preferences
-from rebel.core import Objective
-from rebel.bench import random_scenario
+from rebel.bench import BenchDeps, ExperimentSpec, random_scenario, run_experiment
+from rebel.core import Objective, Tier
+from rebel.llm import StubProvider
+from rebel.retrieval import ExperienceDatabase, RulesDatabase
+from rebel.sim import SimConfig
 
 
 class TestParsePreferences:
@@ -66,6 +69,33 @@ def test_bench_subcommand_writes_reports(tmp_path, capsys):
     assert "check FAIL" not in summary
     stdout = capsys.readouterr().out
     assert "report written" in stdout
+
+
+def test_bench_plans_under_the_sim_config_it_simulates(tmp_path, capsys):
+    # a tied vector reaches the greedy branch that reads the speed multiplier
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "mode": "MOO", "humans": 2, "robots": 3, "pois": 5, "trials": 4, "seed": 3,
+        "methods": ["heuristic", "zero_shot"], "preferences": [{"TP": 1, "MT": 1, "HW": 1}],
+    }))
+    fast = SimConfig(shared_speed_multiplier={tier: 3.0 for tier in Tier})
+    fast.dump(tmp_path / "fast.json")
+    SimConfig().dump(tmp_path / "default.json")
+    summaries = {}
+    for name in ("fast", "default"):
+        out_dir = tmp_path / name
+        assert main([
+            "bench", "--spec", str(spec_path), "--out-dir", str(out_dir),
+            "--sim-config", str(tmp_path / f"{name}.json"),
+        ]) == 0
+        summaries[name] = (out_dir / "summary.txt").read_text()
+    spec = ExperimentSpec.from_json(spec_path)
+    deps = BenchDeps(
+        provider=StubProvider(fast), rules_db=RulesDatabase(), exp_db=ExperienceDatabase(),
+        sim_cfg=fast,
+    )
+    assert summaries["fast"] == run_experiment(spec, deps).summary_text()
+    assert summaries["fast"] != summaries["default"]
 
 
 def test_gen_rules_then_infer_via_cli(tmp_path, capsys):

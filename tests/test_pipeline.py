@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from rebel.core import Objective, PerformanceRecord, PreferenceVector
+from rebel import llm, pipeline
+from rebel.core import Objective, PerformanceRecord, PreferenceVector, Tier
 from rebel.llm import (
     STUB_RULES,
     StubProvider,
@@ -177,6 +178,29 @@ class TestGenerateExperiences:
             generate_experiences(
                 ka_config(k=1), StubProvider(), rules_db, ExperienceDatabase(), SimConfig(), EMBEDDER
             )
+
+    @pytest.mark.parametrize("stub", [True, False])
+    def test_greedy_plans_under_the_runs_sim_config(self, stub, monkeypatch):
+        # a single-objective greedy plan reads none of the model constants, so
+        # only the config handed to the allocator can show which one it used
+        fast = SimConfig(shared_speed_multiplier={tier: 3.0 for tier in Tier})
+        seen = []
+
+        def spy(scenario, prefs, cfg=None):
+            seen.append(cfg)
+            return heuristic_allocate(scenario, prefs, cfg)
+
+        monkeypatch.setattr(llm, "heuristic_allocate", spy)
+        monkeypatch.setattr(pipeline, "heuristic_allocate", spy)
+        rules_db = RulesDatabase()
+        generate_rules(tuple(Objective), StubProvider(), rules_db)
+        provider = StubProvider(fast) if stub else ProseProvider()
+        stored = generate_experiences(
+            ka_config(k=2), provider, rules_db, ExperienceDatabase(), fast, EMBEDDER
+        )
+        assert all(record.fallback is not stub for record in stored)
+        # a prose answer is asked for twice, then the fallback plans once
+        assert len(seen) == len(stored) and all(cfg is fast for cfg in seen)
 
     def test_rerun_appends_nothing_new_for_same_seed(self):
         rules_db = RulesDatabase()
