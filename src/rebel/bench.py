@@ -25,12 +25,12 @@ from pathlib import Path
 
 from .core import (
     Assignment,
-    Direction,
     HumanProfile,
     ItaPlan,
     MissionScenario,
     NormalizationBounds,
     Objective,
+    ObjectiveBounds,
     PerformanceRecord,
     PreferenceVector,
     RobotKind,
@@ -39,6 +39,7 @@ from .core import (
     Tier,
     aggregate_scores,
     natural_key,
+    normalize_objective,
     performance_columns,
 )
 from .llm import CompletionProvider, heuristic_allocate
@@ -105,8 +106,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
-        """A spec from a JSON file; every key it omits keeps the dataclass default."""
+        """A spec from a JSON file; every key it omits keeps the dataclass
+        default, and a key that names no setting is a ValueError."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        _reject_unknown_keys(raw, "spec", cls, TeamSpec, skip="team")
         kwargs = _present_fields(cls, raw)
         kwargs["team"] = TeamSpec(**_present_fields(TeamSpec, raw))
         if "methods" in raw:
@@ -116,11 +119,20 @@ class ExperimentSpec:
             for p in raw.get("preferences", [])
         )
         if "change" in raw:
+            _reject_unknown_keys(raw["change"], "change", CompositionChange)
             change = _present_fields(CompositionChange, raw["change"])
             if "remove_ids" in change:
                 change["remove_ids"] = tuple(change["remove_ids"])
             kwargs["change"] = CompositionChange(**change)
         return cls(**kwargs)
+
+
+def _reject_unknown_keys(raw: dict, where: str, *classes, skip: str = "") -> None:
+    """ValueError unless every key of `raw` names a field of one of `classes`."""
+    known = {f.name for cls in classes for f in fields(cls)} - {skip}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known keys are {sorted(known)}")
 
 
 def _present_fields(cls, raw: dict) -> dict:
@@ -146,39 +158,51 @@ def rotation_preferences(primary: float = MOO_PRIMARY_WEIGHT) -> list[Preference
     ]
 
 
+_TIERS = tuple(Tier)
+
+
+def _free_id(prefix: str, taken: set[str]) -> str:
+    """The first `<prefix>_<n>` not in `taken`, which it is added to."""
+    n = 0
+    while f"{prefix}_{n}" in taken:
+        n += 1
+    taken.add(f"{prefix}_{n}")
+    return f"{prefix}_{n}"
+
+
+def _draw_human(rng: random.Random, taken: set[str]) -> HumanProfile:
+    return HumanProfile(_free_id("H", taken), cognition=rng.choice(_TIERS), skill=rng.choice(_TIERS))
+
+
+def _draw_robot(rng: random.Random, kind: RobotKind, taken: set[str]) -> RobotProfile:
+    return RobotProfile(
+        _free_id(kind.value, taken),
+        kind,
+        speed=round(rng.uniform(5.0, 15.0), 1),
+        camera_quality=rng.choice(_TIERS),
+    )
+
+
 def random_scenario(
     humans: int, robots: int, tasks: int, seed: int, arena_side: float = 2000.0
 ) -> MissionScenario:
     """Uniformly random team and task layout, deterministic in the seed."""
     rng = random.Random(seed)
-    tiers = list(Tier)
-    human_profiles = tuple(
-        HumanProfile(f"H_{i}", cognition=rng.choice(tiers), skill=rng.choice(tiers))
-        for i in range(humans)
+    taken: set[str] = set()
+    human_profiles = tuple(_draw_human(rng, taken) for _ in range(humans))
+    robot_profiles = tuple(
+        _draw_robot(rng, rng.choice((RobotKind.UAV, RobotKind.UGV)), taken) for _ in range(robots)
     )
-    robot_profiles = []
-    counters = {RobotKind.UAV: 0, RobotKind.UGV: 0}
-    for _ in range(robots):
-        kind = rng.choice((RobotKind.UAV, RobotKind.UGV))
-        robot_profiles.append(
-            RobotProfile(
-                f"{kind.value}_{counters[kind]}",
-                kind,
-                speed=round(rng.uniform(5.0, 15.0), 1),
-                camera_quality=rng.choice(tiers),
-            )
-        )
-        counters[kind] += 1
     task_specs = tuple(
         TaskSpec(
             f"T_{i}",
             (round(rng.uniform(0, arena_side), 1), round(rng.uniform(0, arena_side), 1)),
-            rng.choice(tiers),
+            rng.choice(_TIERS),
         )
         for i in range(tasks)
     )
     return MissionScenario(
-        humans=human_profiles, robots=tuple(robot_profiles), tasks=task_specs, arena_side=arena_side
+        humans=human_profiles, robots=robot_profiles, tasks=task_specs, arena_side=arena_side
     )
 
 
@@ -268,12 +292,7 @@ def simulate_plans(
     records: list[list[PerformanceRecord]] = []
     distinct: list[PerformanceRecord] = []
     for schedule, counts in zip(schedules, hits.T.tolist()):
-        made = {
-            count: PerformanceRecord(
-                schedule.points_per_correct * count, schedule.mission_seconds, schedule.utilization
-            )
-            for count in set(counts)
-        }
+        made = {count: schedule.record(count) for count in set(counts)}
         records.append([made[count] for count in counts])
         distinct.extend(made.values())
     return PlanTable(plans, records, NormalizationBounds.from_records(distinct))
@@ -322,7 +341,8 @@ def apply_composition_change(
     if change.remove_humans:
         remove.update(h.id for h in scenario.humans[-change.remove_humans:])
 
-    unknown = remove - scenario.human_ids() - scenario.robot_ids()
+    taken = scenario.human_ids() | scenario.robot_ids()
+    unknown = remove - taken
     if unknown:
         raise ValueError(f"cannot remove unknown agents: {sorted(unknown)}")
 
@@ -331,34 +351,9 @@ def apply_composition_change(
     if not robots:
         raise ValueError("composition change would leave the team with no robots")
 
-    added: list[str] = []
     rng = random.Random(derive_seed("composition", *sorted(remove)))
-    tiers = list(Tier)
-    taken = {h.id for h in scenario.humans}
-    new_humans = list(humans)
-    index = 0
-    for _ in range(change.add_humans):
-        while f"H_{index}" in taken:
-            index += 1
-        profile = HumanProfile(f"H_{index}", cognition=rng.choice(tiers), skill=rng.choice(tiers))
-        new_humans.append(profile)
-        added.append(profile.id)
-        taken.add(profile.id)
-    new_robots = list(robots)
-    existing = {r.id for r in scenario.robots}
-    index = 0
-    for _ in range(change.add_robots):
-        while f"UGV_{index}" in existing:
-            index += 1
-        profile = RobotProfile(
-            f"UGV_{index}",
-            RobotKind.UGV,
-            speed=round(rng.uniform(5.0, 15.0), 1),
-            camera_quality=rng.choice(tiers),
-        )
-        new_robots.append(profile)
-        added.append(profile.id)
-        existing.add(profile.id)
+    new_humans = tuple(_draw_human(rng, taken) for _ in range(change.add_humans))
+    new_robots = tuple(_draw_robot(rng, RobotKind.UGV, taken) for _ in range(change.add_robots))
 
     orphaned = tuple(
         task_id
@@ -366,14 +361,14 @@ def apply_composition_change(
         if plan.referenced_agents(task_id) & remove
     )
     modified = MissionScenario(
-        humans=tuple(new_humans),
-        robots=tuple(new_robots),
+        humans=humans + new_humans,
+        robots=robots + new_robots,
         tasks=scenario.tasks,
         arena_side=scenario.arena_side,
     )
     return modified, ChangeReport(
         removed=tuple(sorted(remove, key=natural_key)),
-        added=tuple(added),
+        added=tuple(member.id for member in new_humans + new_robots),
         orphaned_tasks=orphaned,
     )
 
@@ -710,13 +705,10 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             means = [cell.mean(objective) for cell in live]
             lo, hi = min(means), max(means)
             for cell, value in zip(live, means):
-                if hi - lo < 1e-12:
-                    norm = 0.5
-                elif objective.direction is Direction.MAXIMIZE:
-                    norm = (value - lo) / (hi - lo)
-                else:
-                    norm = (hi - value) / (hi - lo)
-                cell.norms[objective] = norm
+                cell.norms[objective] = (
+                    0.5 if hi - lo < 1e-12
+                    else normalize_objective(value, ObjectiveBounds(lo, hi, objective.direction))
+                )
         for cell in live:
             if cell.prioritized is None:
                 continue

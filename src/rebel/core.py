@@ -436,9 +436,9 @@ class NormalizationBounds:
         return self.entries[objective]
 
     @classmethod
-    def from_records(cls, records: Sequence[PerformanceRecord], pad: float = 0.5) -> "NormalizationBounds":
-        """Empirical bounds over a batch; degenerate ranges are widened by pad
-        so every value normalizes to the neutral 0.5."""
+    def from_records(cls, records: Sequence[PerformanceRecord]) -> "NormalizationBounds":
+        """Empirical bounds over a batch; degenerate ranges are widened by 0.5
+        on each side so every value normalizes to the neutral 0.5."""
         if not records:
             raise ValueError("cannot derive bounds from an empty batch")
         entries = {}
@@ -447,7 +447,7 @@ class NormalizationBounds:
             values = [getattr(r, name) for r in records]
             lo, hi = min(values), max(values)
             if hi - lo < 1e-12:
-                lo, hi = lo - pad, hi + pad
+                lo, hi = lo - 0.5, hi + 0.5
             entries[obj] = ObjectiveBounds(lo, hi, obj.direction)
         return cls(entries)
 

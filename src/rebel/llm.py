@@ -38,6 +38,7 @@ from .prompt import (
     extract_section,
     parse_objectives_text,
 )
+from .retrieval import _AppendLog
 from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability, travel_time
 
 
@@ -65,7 +66,6 @@ class MalformedResponse(LlmError):
 class CompletionRequest:
     prompt: str
     temperature: float = 0.2
-    max_tokens: int = 1024
 
     def __post_init__(self) -> None:
         if not self.prompt:
@@ -177,7 +177,7 @@ class HttpCompletionProvider:
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "max_tokens": 1024,
         }
         body = _post(self.cfg, self._gate, "/chat/completions", payload)
         return _body_field(body, str, "choices", 0, "message", "content")
@@ -209,19 +209,15 @@ class TranscriptRecorder:
 
     def __init__(self, inner: CompletionProvider, path: str | Path):
         self.inner = inner
-        self.path = Path(path)
-        self._lock = threading.Lock()
+        self._log = _AppendLog(path)
 
     def complete(self, request: CompletionRequest) -> str:
         response = self.inner.complete(request)
-        entry = {
+        self._log.append({
             "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
             "prompt": request.prompt,
             "response": response,
-        }
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self._lock, open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+        })
         return response
 
 

@@ -150,14 +150,7 @@ def generate_rules(
         raise ValueError("at least one objective is required")
     stored: list[RuleEntry] = []
     for objective in objectives:
-        prompt = build_prompt(
-            StructuredPrompt(
-                scenario_label=SECTION_BACKGROUND,
-                scenario_text=BACKGROUND_FORMAT,
-                goal=GOAL_GENERATE_RULES,
-                objectives=objectives_text(PreferenceVector.single(objective)),
-            )
-        )
+        prompt = _background_prompt(objective, GOAL_GENERATE_RULES)
         try:
             response = provider.complete(
                 CompletionRequest(prompt=prompt, temperature=RULE_GEN_TEMPERATURE)
@@ -177,27 +170,40 @@ def generate_rules(
     return tuple(stored)
 
 
-def _refinement_prompt(
+def _background_prompt(
     objective: Objective,
-    rules: tuple[RuleEntry, ...],
-    batch: list[tuple[MissionScenario, ItaPlan, object]],
+    goal: str,
+    rules: tuple[RuleEntry, ...] = (),
+    exemplars: tuple[Exemplar, ...] = (),
 ) -> str:
-    exemplars = tuple(
-        Exemplar(
-            scenario_text=scenario.render_spf(),
-            plan_text=plan.render(),
-            performance_text=record.serialize(),
-        )
-        for scenario, plan, record in batch
-    )
+    """A rule-writing prompt: the plan format as background, for one objective."""
     return build_prompt(
         StructuredPrompt(
             scenario_label=SECTION_BACKGROUND,
             scenario_text=BACKGROUND_FORMAT,
-            goal=GOAL_REFINE_RULES,
+            goal=goal,
             objectives=objectives_text(PreferenceVector.single(objective)),
-            rules=tuple(r.text for r in rules),
-            exemplars=exemplars,
+            rules=tuple(r.text for r in rules) or None,
+            exemplars=exemplars or None,
+        )
+    )
+
+
+def _allocation_prompt(
+    scenario: MissionScenario,
+    objectives: str,
+    rules: tuple[RuleEntry, ...],
+    exemplars: tuple[Exemplar, ...] = (),
+) -> str:
+    """A prompt asking for a plan; empty rules or exemplars leave their section out."""
+    return build_prompt(
+        StructuredPrompt(
+            scenario_label=SECTION_SCENARIO,
+            scenario_text=scenario.render_spf(),
+            goal=GOAL_PERFORM_ITA,
+            objectives=objectives,
+            rules=tuple(r.text for r in rules) or None,
+            exemplars=exemplars or None,
         )
     )
 
@@ -263,15 +269,8 @@ def generate_experiences(
                 seed=seed,
             )
             prefs = PreferenceVector.single(objective)
-            rules = rules_db.for_objective(objective)
-            prompt = build_prompt(
-                StructuredPrompt(
-                    scenario_label=SECTION_SCENARIO,
-                    scenario_text=scenario.render_spf(),
-                    goal=GOAL_PERFORM_ITA,
-                    objectives=objectives_text(prefs),
-                    rules=tuple(r.text for r in rules),
-                )
+            prompt = _allocation_prompt(
+                scenario, objectives_text(prefs), rules_db.for_objective(objective)
             )
             plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs, sim_cfg)
             try:
@@ -300,8 +299,13 @@ def generate_experiences(
 
 
 def _refine_rules(objective, provider, rules_db, batch) -> None:
-    rules = rules_db.for_objective(objective)
-    prompt = _refinement_prompt(objective, rules, batch)
+    exemplars = tuple(
+        Exemplar(scenario.render_spf(), plan.render(), record.serialize())
+        for scenario, plan, record in batch
+    )
+    prompt = _background_prompt(
+        objective, GOAL_REFINE_RULES, rules_db.for_objective(objective), exemplars
+    )
     try:
         response = provider.complete(
             CompletionRequest(prompt=prompt, temperature=RULE_GEN_TEMPERATURE)
@@ -352,16 +356,7 @@ def infer(
     else:
         logger.warning("experience database empty; inferring without Prior Experience")
 
-    prompt = build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_SCENARIO,
-            scenario_text=scenario.render_spf(),
-            goal=GOAL_PERFORM_ITA,
-            objectives=query,
-            rules=tuple(r.text for r in rules) or None,
-            exemplars=tuple(_exemplar(e) for e in exemplars) or None,
-        )
-    )
+    prompt = _allocation_prompt(scenario, query, rules, tuple(_exemplar(e) for e in exemplars))
     plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs, sim_cfg)
     return InferenceResult(
         plan=plan, rules=rules, exemplars=exemplars, used_fallback=fallback, query=query

@@ -208,11 +208,10 @@ def ensemble_retrieve(
     query_text: str,
     db: "RulesDatabase",
     k: int,
-    fusion: FusionParams = FusionParams(),
-    bm25: Bm25Params = Bm25Params(),
     embedder: Embedder | None = None,
 ) -> list[RuleEntry]:
-    """Top-k rules under reciprocal rank fusion of sparse and dense rankings.
+    """Top-k rules under reciprocal rank fusion (default `FusionParams`) of
+    the BM25 (default `Bm25Params`) and dense rankings.
 
     Rule embeddings come from the store's per-embedder cache; only the query
     is embedded per call.
@@ -227,12 +226,14 @@ def ensemble_retrieve(
     stats = CorpusStats.from_rules(rules)
     query_tokens = tokenize(query_text)
     sparse_ranks = _ranks_best_first(
-        [(r.id, bm25_score(query_tokens, r, stats, bm25)) for r in rules]
+        [(r.id, bm25_score(query_tokens, r, stats)) for r in rules]
     )
     query_emb = embedder.embed(query_text)
     dense_ranks = _ranks_best_first(
         [(r.id, dense_score(query_emb, vec)) for r, vec in zip(rules, vectors)]
     )
+
+    fusion = FusionParams()
 
     def fused(rule: RuleEntry) -> float:
         return fusion.alpha / (fusion.c + sparse_ranks[rule.id]) + (1.0 - fusion.alpha) / (

@@ -16,7 +16,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -190,7 +189,7 @@ class MissionSchedule:
     "human", classifier id, completion time, probability correct) in outcome
     order; `captures` holds (arrival time, robot, task, analyst | None) per
     task, and `services` (start, end, human, task, items waiting) per
-    analysis. The event log is derived from those two on first read."""
+    analysis, from which `run_mission` builds the event log."""
 
     classifications: tuple[tuple[str, str, str, float, float], ...]
     busy: dict[str, tuple[tuple[float, float], ...]]
@@ -200,24 +199,11 @@ class MissionSchedule:
     utilization: float
     points_per_correct: float
 
-    @cached_property
-    def events(self) -> tuple[tuple[float, str, str, str, str], ...]:
-        """(time, kind, agent, task, detail) per event, sorted; the
-        seed-dependent classify details are blank."""
-        events: list[tuple[float, str, str, str, str]] = []
-        for t, robot_id, task_id, analyst_id in self.captures:
-            events.append((t, "capture", robot_id, task_id, ""))
-            if analyst_id is None:
-                events.append((t, "classify", robot_id, task_id, ""))
-            else:
-                events.append((t, "enqueue", analyst_id, task_id, ""))
-        for start, end, human_id, task_id, waiting in self.services:
-            events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
-            events.append((end, "classify", human_id, task_id, ""))
-        # (time, kind, agent, task) is unique per event, so the detail never
-        # decides the order
-        events.sort()
-        return tuple(events)
+    def record(self, correct: int) -> PerformanceRecord:
+        """The performance triple when `correct` classifications came out right."""
+        return PerformanceRecord(
+            self.points_per_correct * correct, self.mission_seconds, self.utilization
+        )
 
 
 def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -> MissionSchedule:
@@ -304,23 +290,6 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
     )
 
 
-def score_mission(
-    schedule: MissionSchedule, seed: int
-) -> tuple[PerformanceRecord, dict[str, bool]]:
-    """The performance triple of a scheduled mission under one seed, and
-    whether each task's classification came out correct."""
-    correct = {
-        task_id: _unit_draw(seed, agent_id, task_id) < p
-        for task_id, _, agent_id, _, p in schedule.classifications
-    }
-    record = PerformanceRecord(
-        schedule.points_per_correct * sum(correct.values()),
-        schedule.mission_seconds,
-        schedule.utilization,
-    )
-    return record, correct
-
-
 def count_correct(schedules: Sequence[MissionSchedule], seeds: Sequence[int]) -> np.ndarray:
     """`hits[s, i]`: the correct classifications of `schedules[i]` under
     `seeds[s]`, for schedules of one scenario.
@@ -346,17 +315,28 @@ def count_correct(schedules: Sequence[MissionSchedule], seeds: Sequence[int]) ->
 def run_mission(
     scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig
 ) -> tuple[PerformanceRecord, SimTrace]:
-    """Execute an allocation (see `schedule_mission`) and score it under
-    `cfg.seed`. Returns the performance triple and the full trace."""
+    """Execute an allocation (see `schedule_mission`) and flip its coins
+    under `cfg.seed`. Returns the performance triple and the full trace."""
     schedule = schedule_mission(scenario, plan, cfg)
-    record, correct = score_mission(schedule, cfg.seed)
+    correct = {
+        task_id: _unit_draw(cfg.seed, agent_id, task_id) < p
+        for task_id, _, agent_id, _, p in schedule.classifications
+    }
     outcomes = {
         task_id: TaskOutcome(task_id, kind, agent_id, correct[task_id], completion_s, p)
         for task_id, kind, agent_id, completion_s, p in schedule.classifications
     }
-    events = tuple(
-        (t, kind, agent, task, f"correct={correct[task]}") if kind == "classify"
-        else (t, kind, agent, task, detail)
-        for t, kind, agent, task, detail in schedule.events
-    )
-    return record, SimTrace(outcomes, schedule.busy, events)
+    events: list[tuple[float, str, str, str, str]] = []
+    for t, robot_id, task_id, analyst_id in schedule.captures:
+        events.append((t, "capture", robot_id, task_id, ""))
+        if analyst_id is None:
+            events.append((t, "classify", robot_id, task_id, f"correct={correct[task_id]}"))
+        else:
+            events.append((t, "enqueue", analyst_id, task_id, ""))
+    for start, end, human_id, task_id, waiting in schedule.services:
+        events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
+        events.append((end, "classify", human_id, task_id, f"correct={correct[task_id]}"))
+    # (time, kind, agent, task) is unique per event, so the detail never
+    # decides the order
+    events.sort()
+    return schedule.record(sum(correct.values())), SimTrace(outcomes, schedule.busy, tuple(events))

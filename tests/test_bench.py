@@ -258,7 +258,7 @@ class TestBruteForceDoesNoPerSampleWork:
         table = bench.simulate_plans(random_scenario(2, 2, 3, seed=1), SimConfig(), 8, base_seed=5)
 
         assert len(schedules) == 216
-        # the event log is a cached property: read, it would sit in __dict__
+        # a schedule holds no event log: `run_mission` builds one per trace
         assert not any("events" in vars(s) for s in schedules)
         # a plan's samples differ only in accuracy points, one per hit count
         distinct = sum(len({r.accuracy_points for r in records}) for records in table.records)
@@ -324,6 +324,31 @@ class TestCompositionChange:
         )
         assert report.removed == ("H_1", "UGV_0")
         assert len(modified.robots) == 1 and len(modified.humans) == 1
+
+    # sha256 over the modified scenario and the report of 40 changes,
+    # recorded from an earlier implementation: pins the ids, tiers and speeds
+    # that additions draw, and what removals strip and orphan
+    GOLDEN = "4ee5998a7e0b2ac36dc47ec762b5e7a529b5d53edf20a95a637d962296bccf2f"
+
+    def test_changes_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for case in range(40):
+            rng = random.Random(case)
+            scenario = random_scenario(
+                rng.randint(1, 4), rng.randint(3, 5), rng.randint(2, 6), seed=900 + case
+            )
+            change = CompositionChange(
+                remove_robots=case % 3,
+                remove_humans=case // 3 % 3,
+                add_humans=rng.randint(0, 2),
+                add_robots=rng.randint(0, 2),
+            )
+            modified, report = apply_composition_change(
+                scenario, random_allocate(scenario, case), change
+            )
+            digest.update(modified.serialize().encode() + b"\n")
+            digest.update(repr(report).encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN
 
 
 def deps(workers: int = 1) -> BenchDeps:
@@ -711,6 +736,24 @@ class TestExperimentSpecJson:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(methods=("alien",))
+
+    def test_misspelled_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"trails": 3, "robots": 2}')
+        with pytest.raises(ValueError, match=r"unknown spec keys \['trails'\]"):
+            ExperimentSpec.from_json(path)
+
+    def test_team_is_not_a_spec_key(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"team": {"robots": 2}}')
+        with pytest.raises(ValueError, match=r"unknown spec keys \['team'\]"):
+            ExperimentSpec.from_json(path)
+
+    def test_misspelled_change_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"mode": "SituationalAwareness", "change": {"remove_robot": 1}}')
+        with pytest.raises(ValueError, match=r"unknown change keys \['remove_robot'\]"):
+            ExperimentSpec.from_json(path)
 
 
 def test_welch_test_detects_obvious_difference():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
+
+from dataclasses import replace
 
 import pytest
 
@@ -350,6 +353,41 @@ class TestInfer:
                 StubProvider(),
                 retrieval_cfg(),
             )
+
+
+class RecordingProvider:
+    """Keeps every request it passes on to the stub."""
+
+    def __init__(self):
+        self.inner = StubProvider()
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self.inner.complete(request)
+
+
+class TestPromptsSent:
+    # sha256 over every (temperature, prompt) the three stages send, recorded
+    # from an earlier implementation of the prompt builders
+    GOLDEN = "8e37173bf0ebe29aeab277c9db954211486013ed238f357563fd174ef0b4e483"
+
+    def test_prompts_match_the_pinned_digest(self, scenario):
+        provider = RecordingProvider()
+        rules_db, exp_db = RulesDatabase(), ExperienceDatabase()
+        generate_rules(tuple(Objective), provider, rules_db)
+        cfg = replace(ka_config(k=4), refine_every=2)
+        generate_experiences(cfg, provider, rules_db, exp_db, SimConfig(), EMBEDDER)
+        prefs = PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25)
+        infer(scenario, prefs, rules_db, exp_db, provider, retrieval_cfg())
+        infer(scenario, prefs, RulesDatabase(), ExperienceDatabase(), provider, retrieval_cfg())
+
+        # 3 rule lists, 12 missions, 6 refinements (after missions 2 and 4), 2 inferences
+        assert len(provider.requests) == 3 + 12 + 6 + 2
+        digest = hashlib.sha256()
+        for request in provider.requests:
+            digest.update(f"{request.temperature}\n{request.prompt}\n".encode())
+        assert digest.hexdigest() == self.GOLDEN
 
 
 class TestReproducibility:
