@@ -11,7 +11,6 @@ are still logged for calibration.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 import math
@@ -22,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     Assignment,
@@ -38,6 +39,7 @@ from .core import (
     TaskSpec,
     Tier,
     aggregate_scores,
+    check_performance_columns,
     natural_key,
     normalize_objective,
     performance_columns,
@@ -45,7 +47,7 @@ from .core import (
 from .llm import CompletionProvider, heuristic_allocate
 from .pipeline import RetrievalConfig, derive_seed, infer
 from .retrieval import ExperienceDatabase, RulesDatabase
-from .sim import SimConfig, count_correct, run_mission, schedule_mission
+from .sim import SimConfig, _unit_draw, run_mission, schedule_plans
 
 logger = logging.getLogger(__name__)
 
@@ -94,6 +96,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.brute_force_samples < 1:
+            raise ValueError("brute_force_samples must be >= 1")
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
@@ -109,22 +113,35 @@ class ExperimentSpec:
         """A spec from a JSON file; every key it omits keeps the dataclass
         default, and a key that names no setting is a ValueError."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        _expect(raw, dict, "a spec", "an object")
         _reject_unknown_keys(raw, "spec", cls, TeamSpec, skip="team")
         kwargs = _present_fields(cls, raw)
         kwargs["team"] = TeamSpec(**_present_fields(TeamSpec, raw))
         if "methods" in raw:
-            kwargs["methods"] = tuple(raw["methods"])
+            kwargs["methods"] = tuple(_expect(raw["methods"], list, "methods", "a list"))
+        preferences = _expect(raw.get("preferences", []), list, "preferences", "a list")
         kwargs["preferences"] = tuple(
-            PreferenceVector(tuple((Objective.parse(k), float(v)) for k, v in p.items()))
-            for p in raw.get("preferences", [])
+            PreferenceVector(tuple(
+                (Objective.parse(k), float(v))
+                for k, v in _expect(p, dict, "a preferences entry", "an object").items()
+            ))
+            for p in preferences
         )
         if "change" in raw:
+            _expect(raw["change"], dict, "change", "an object")
             _reject_unknown_keys(raw["change"], "change", CompositionChange)
             change = _present_fields(CompositionChange, raw["change"])
             if "remove_ids" in change:
                 change["remove_ids"] = tuple(change["remove_ids"])
             kwargs["change"] = CompositionChange(**change)
         return cls(**kwargs)
+
+
+def _expect(value, kind: type, what: str, name: str):
+    """`value`, or a ValueError unless it is a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {name}, got {json.dumps(value)}")
+    return value
 
 
 def _reject_unknown_keys(raw: dict, where: str, *classes, skip: str = "") -> None:
@@ -223,52 +240,86 @@ def _pattern_options(scenario: MissionScenario) -> list[str | None]:
     return [None] + [h.id for h in scenario.humans]
 
 
-def enumerate_plans(scenario: MissionScenario, cap: int = BRUTE_FORCE_CAP) -> list[ItaPlan]:
-    """Every feasible plan over the robot x collaboration-pattern candidate set."""
-    task_ids = [t.id for t in scenario.tasks]
+def _candidates(scenario: MissionScenario) -> list[Assignment]:
+    """The robot x collaboration-pattern candidates of one task, robot by
+    robot: candidate c is robot `c // (1 + H)`, autonomous when `c % (1 + H)`
+    is 0 and else shared with human `c % (1 + H) - 1`."""
     options = _pattern_options(scenario)
-    candidates = [Assignment(robot.id, human) for robot in scenario.robots for human in options]
-    if len(candidates) ** len(task_ids) > cap:
+    return [Assignment(robot.id, human) for robot in scenario.robots for human in options]
+
+
+def _plan_rows(scenario: MissionScenario, cap: int) -> np.ndarray:
+    """Every feasible plan as a row of candidate indices, one per task, in
+    `itertools.product` order."""
+    candidates, tasks = len(_candidates(scenario)), len(scenario.tasks)
+    if candidates**tasks > cap:
         raise ValueError(f"search space exceeds the {cap} plan cap; use a smaller instance")
+    grid = np.indices((candidates,) * tasks, dtype=np.intp)
+    return grid.reshape(tasks, candidates**tasks).T
+
+
+def _plans_of(scenario: MissionScenario, rows: np.ndarray) -> list[ItaPlan]:
+    """The plans that rows of candidate indices stand for."""
+    task_ids = [t.id for t in scenario.tasks]
+    candidates = _candidates(scenario)
     return [
-        ItaPlan(dict(zip(task_ids, combo)))
-        for combo in itertools.product(candidates, repeat=len(task_ids))
+        ItaPlan({task_id: candidates[c] for task_id, c in zip(task_ids, row)})
+        for row in rows.tolist()
     ]
 
 
-@dataclass(frozen=True)
+def enumerate_plans(scenario: MissionScenario, cap: int = BRUTE_FORCE_CAP) -> list[ItaPlan]:
+    """Every feasible plan over the robot x collaboration-pattern candidate set."""
+    return _plans_of(scenario, _plan_rows(scenario, cap))
+
+
+@dataclass(frozen=True, eq=False)
 class PlanTable:
     """Every enumerated plan of one scenario, simulated once per sample seed.
 
-    The normalization bounds are shared across every (plan, sample) record,
+    `rows[n]` holds plan n's candidate index per task, and `columns` its
+    records in the layout of `performance_columns`, one (plan, sample) grid
+    per objective. The normalization bounds are shared across every record,
     so scores are comparable across plans. Nothing here depends on a
-    preference vector: one table scores any number of them. The records'
-    objective columns are built on the first `scores` call and kept.
+    preference vector: one table scores any number of them. Plans and
+    records are built only when read.
     """
 
-    plans: list[ItaPlan]
-    records: list[list[PerformanceRecord]]  # per plan, one per sample seed
+    scenario: MissionScenario
+    rows: np.ndarray
+    columns: np.ndarray
     bounds: NormalizationBounds
 
+    def __post_init__(self) -> None:
+        check_performance_columns(self.columns.reshape(len(Objective), -1))
+
     @cached_property
-    def _columns(self):
-        """`performance_columns` of every record, plan after plan, and the
-        column where each plan's records end."""
-        ends = list(itertools.accumulate(len(records) for records in self.records))
-        return performance_columns([r for records in self.records for r in records]), ends
+    def plans(self) -> list[ItaPlan]:
+        return _plans_of(self.scenario, self.rows)
+
+    @cached_property
+    def records(self) -> list[list[PerformanceRecord]]:
+        """Per plan, one record per sample seed; a plan's samples with equal
+        values share one record."""
+        records = []
+        for plan in zip(*(column.tolist() for column in self.columns)):
+            triples = list(zip(*plan))  # (points, seconds, utilization) per sample
+            made = {triple: PerformanceRecord(*triple) for triple in set(triples)}
+            records.append([made[triple] for triple in triples])
+        return records
 
     def scores(self, prefs: PreferenceVector) -> list[float]:
         """Mean aggregate score per plan under common random numbers."""
-        columns, ends = self._columns
-        scores = aggregate_scores(columns, prefs, self.bounds).tolist()
-        return [statistics.fmean(scores[start:end]) for start, end in zip([0, *ends], ends)]
+        flat = self.columns.reshape(len(Objective), -1)
+        per_sample = aggregate_scores(flat, prefs, self.bounds).reshape(self.columns.shape[1:])
+        return list(map(statistics.fmean, per_sample.tolist()))
 
     def best(self, prefs: PreferenceVector) -> tuple[ItaPlan, float]:
         """The top-scoring plan; ties break toward the lexicographically
-        smallest plan text, which is rendered only for the tied plans."""
+        smallest plan text. Only the tied plans are built and rendered."""
         scores = self.scores(prefs)
         top = max(scores)
-        tied = [plan for plan, score in zip(self.plans, scores) if score == top]
+        tied = _plans_of(self.scenario, self.rows[[score == top for score in scores]])
         return (tied[0] if len(tied) == 1 else min(tied, key=ItaPlan.render)), top
 
 
@@ -281,21 +332,31 @@ def simulate_plans(
 ) -> PlanTable:
     """Enumerate the plans and simulate each on seeds `base_seed + s`.
 
-    Samples differ only in their coin flips, so each plan is scheduled once
-    and its correct classifications are counted per seed (`count_correct`).
-    A plan's samples with equal counts share one record.
+    Samples differ only in their coin flips, so the plans are scheduled once,
+    all together (`schedule_plans`), and each (seed, agent, task) coin is
+    flipped once for the whole table.
     """
-    plans = enumerate_plans(scenario, cap=cap)
-    schedules = [schedule_mission(scenario, plan, sim_cfg) for plan in plans]
-    hits = count_correct(schedules, range(base_seed, base_seed + samples_per_plan))
-
-    records: list[list[PerformanceRecord]] = []
-    distinct: list[PerformanceRecord] = []
-    for schedule, counts in zip(schedules, hits.T.tolist()):
-        made = {count: schedule.record(count) for count in set(counts)}
-        records.append([made[count] for count in counts])
-        distinct.extend(made.values())
-    return PlanTable(plans, records, NormalizationBounds.from_records(distinct))
+    rows = _plan_rows(scenario, cap)
+    patterns = len(scenario.humans) + 1
+    schedules = schedule_plans(scenario, rows // patterns, rows % patterns - 1, sim_cfg)
+    agents = [agent.id for agent in scenario.robots + scenario.humans]
+    seeds = range(base_seed, base_seed + samples_per_plan)
+    draws = np.array([
+        [[_unit_draw(seed, agent, task.id) for task in scenario.tasks] for agent in agents]
+        for seed in seeds
+    ]).reshape(len(seeds), len(agents), len(scenario.tasks))
+    tasks = np.arange(len(scenario.tasks))
+    hits = (draws[:, schedules.classifier, tasks] < schedules.p_correct).sum(axis=2).T
+    shape = hits.shape
+    performance = np.stack((
+        sim_cfg.points_per_correct * hits,
+        np.broadcast_to(schedules.mission_seconds[:, None], shape),
+        np.broadcast_to(schedules.utilization[:, None], shape),
+    ))
+    return PlanTable(
+        scenario, rows, performance,
+        NormalizationBounds.from_columns(performance.reshape(len(Objective), -1)),
+    )
 
 
 def brute_force_table(

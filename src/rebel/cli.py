@@ -149,7 +149,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
         rule_k=args.rule_k, exp_k=args.exp_k, exp_m=args.exp_m, embedder=_build_embedder(args)
     )
     rules_db, exp_db = RulesDatabase(args.rules_db), ExperienceDatabase(args.exp_db)
-    result = infer(scenario, prefs, rules_db, exp_db, _build_provider(args), retrieval)
+    sim_cfg = _sim_config(args)
+    result = infer(
+        scenario, prefs, rules_db, exp_db, _build_provider(args, sim_cfg), retrieval, sim_cfg
+    )
     plan_text = result.plan.render()
     if args.out:
         Path(args.out).write_text(plan_text + "\n", encoding="utf-8")
@@ -174,9 +177,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec.from_json(args.spec)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    try:
+        spec = ExperimentSpec.from_json(args.spec)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+        return 2
     sim_cfg = _sim_config(args)
     deps = BenchDeps(
         provider=_build_provider(args, sim_cfg),
@@ -237,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp-k", type=int, default=3)
     p.add_argument("--exp-m", type=int, default=2)
     p.add_argument("--out", default=None)
+    p.add_argument("--sim-config", default=None)
     _add_provider_args(p)
     _add_embedder_args(p)
     p.set_defaults(func=cmd_infer)

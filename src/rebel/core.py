@@ -437,15 +437,19 @@ class NormalizationBounds:
 
     @classmethod
     def from_records(cls, records: Sequence[PerformanceRecord]) -> "NormalizationBounds":
-        """Empirical bounds over a batch; degenerate ranges are widened by 0.5
-        on each side so every value normalizes to the neutral 0.5."""
-        if not records:
+        """Empirical bounds over a batch (`from_columns`)."""
+        return cls.from_columns(performance_columns(records))
+
+    @classmethod
+    def from_columns(cls, columns: np.ndarray) -> "NormalizationBounds":
+        """Empirical bounds over the records of `performance_columns`;
+        degenerate ranges are widened by 0.5 on each side so every value
+        normalizes to the neutral 0.5."""
+        if not columns.shape[1]:
             raise ValueError("cannot derive bounds from an empty batch")
         entries = {}
-        for obj in Objective:
-            name = _RECORD_FIELD[obj]
-            values = [getattr(r, name) for r in records]
-            lo, hi = min(values), max(values)
+        for obj, values in zip(Objective, columns):
+            lo, hi = float(values.min()), float(values.max())
             if hi - lo < 1e-12:
                 lo, hi = lo - 0.5, hi + 0.5
             entries[obj] = ObjectiveBounds(lo, hi, obj.direction)
@@ -474,6 +478,17 @@ def performance_columns(records: Sequence[PerformanceRecord]) -> np.ndarray:
     `aggregate_scores`."""
     values = [(r.accuracy_points, r.mission_seconds, r.human_utilization) for r in records]
     return np.array(values, dtype=float).reshape(len(records), len(Objective)).T
+
+
+def check_performance_columns(columns: np.ndarray) -> None:
+    """`PerformanceRecord`'s checks on every record of `performance_columns`."""
+    if not np.isfinite(columns).all():
+        raise ValueError("performance values must be finite")
+    points, seconds, utilization = columns
+    if (points < 0).any() or (seconds < 0).any():
+        raise ValueError("accuracy points and mission seconds must be >= 0")
+    if not ((0.0 <= utilization) & (utilization <= 1.0)).all():
+        raise ValueError("human utilization must lie in [0, 1]")
 
 
 _COLUMN = {obj: index for index, obj in enumerate(Objective)}

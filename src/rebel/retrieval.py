@@ -339,9 +339,8 @@ def retrieve_experiences(
     # rows are in id order, so a stable sort ranks by (-similarity, id)
     top_k = [records[row] for row in np.argsort(-scores, kind="stable")[:k]]
 
-    performances = [rec.performance for rec in top_k]
-    bounds = NormalizationBounds.from_records(performances)
-    fit = aggregate_scores(performance_columns(performances), prefs, bounds).tolist()
+    columns = performance_columns([rec.performance for rec in top_k])
+    fit = aggregate_scores(columns, prefs, NormalizationBounds.from_columns(columns)).tolist()
     order = sorted(range(len(top_k)), key=lambda i: (-fit[i], top_k[i].id))
     return [top_k[i] for i in order[:m]]
 

@@ -17,8 +17,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from .core import (
@@ -290,26 +288,100 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
     )
 
 
-def count_correct(schedules: Sequence[MissionSchedule], seeds: Sequence[int]) -> np.ndarray:
-    """`hits[s, i]`: the correct classifications of `schedules[i]` under
-    `seeds[s]`, for schedules of one scenario.
+@dataclass(frozen=True)
+class PlanSchedules:
+    """Many plans of one scenario up to their coin flips, one row per plan.
+    `classifier[n, t]` indexes `scenario.robots + scenario.humans`: the
+    agent that classifies task t in plan n, correctly with probability
+    `p_correct[n, t]`."""
 
-    No coin depends on the schedule, so each (seed, agent, task) coin that
-    some schedule flips is drawn once, and one comparison scores them all.
+    classifier: np.ndarray
+    p_correct: np.ndarray
+    mission_seconds: np.ndarray
+    utilization: np.ndarray
+
+
+def schedule_plans(
+    scenario: MissionScenario, robot_of: np.ndarray, human_of: np.ndarray, cfg: SimConfig
+) -> PlanSchedules:
+    """`schedule_mission` for many plans at once, as arrays; each value is
+    the float `schedule_mission` gives for that plan alone.
+
+    `robot_of[n, t]` is the index in `scenario.robots` of the robot that
+    travels to `scenario.tasks[t]` in plan n, and `human_of[n, t]` the index
+    in `scenario.humans` of the human sharing its control, or -1 for an
+    autonomous capture.
     """
-    tasks = len(schedules[0].classifications) if schedules else 0
-    coins: dict[tuple[str, str], int] = {}  # (agent, task) -> column of `draws`
-    slots: list[int] = []
-    p_correct: list[float] = []
-    for schedule in schedules:
-        for task_id, _, agent_id, _, p in schedule.classifications:
-            slots.append(coins.setdefault((agent_id, task_id), len(coins)))
-            p_correct.append(p)
-    draws = np.array([[_unit_draw(seed, *coin) for coin in coins] for seed in seeds])
-    draws = draws.reshape(len(seeds), len(coins))
-    slots_array = np.array(slots, dtype=np.intp).reshape(len(schedules), tasks)
-    p_array = np.array(p_correct).reshape(len(schedules), tasks)
-    return (draws[:, slots_array] < p_array).sum(axis=2)
+    humans, robots, tasks = scenario.humans, scenario.robots, scenario.tasks
+    plans, n_tasks = robot_of.shape
+    rows = np.arange(plans)
+    columns = np.arange(n_tasks)
+
+    # row 0 leaves from the arena origin, row i + 1 from task i
+    stops = [(0.0, 0.0)] + [task.location for task in tasks]
+    dist = np.array([[math.dist(stop, task.location) for task in tasks] for stop in stops])
+    dist = dist.reshape(n_tasks + 1, n_tasks)
+    # column 0 is autonomous travel, column h + 1 shared with humans[h]
+    speed = np.array([
+        [robot.speed] + [robot.speed * cfg.shared_speed_multiplier[h.skill] for h in humans]
+        for robot in robots
+    ]).reshape(len(robots), len(humans) + 1)
+    robot_p = np.array([
+        robot_accuracy_probability(robot.camera_quality, task.difficulty, None, cfg)
+        for robot in robots
+        for task in tasks
+    ]).reshape(len(robots), n_tasks)
+
+    # robots visit their tasks in task order: one leg per task
+    last_stop = np.zeros((plans, len(robots)), dtype=np.intp)
+    now = np.zeros((plans, len(robots)))
+    arrival = np.empty((plans, n_tasks))
+    for t in range(n_tasks):
+        robot = robot_of[:, t]
+        leg = dist[last_stop[rows, robot], t] / speed[robot, human_of[:, t] + 1]
+        now[rows, robot] = now[rows, robot] + leg
+        arrival[:, t] = now[rows, robot]
+        last_stop[rows, robot] = t + 1
+    p_correct = robot_p[robot_of, columns]
+
+    service = np.array([cfg.analysis_service_s[task.difficulty] for task in tasks])
+    complexity = np.array([complexity_factor(task.difficulty, cfg) for task in tasks])
+    workload = np.array([workload_factor(waiting, cfg) for waiting in range(n_tasks)])
+    mission_seconds = now.max(axis=1, initial=0.0)
+    busy = np.zeros(plans)  # humans' busy seconds, summed as `schedule_mission` sums them
+    for h, profile in enumerate(humans):
+        # the FIFO queue: by arrival, then task order; other tasks sort last
+        queue = np.where(human_of == h, arrival, np.inf)
+        order = np.argsort(queue, axis=1, kind="stable")
+        queue = np.take_along_axis(queue, order, axis=1)
+        length = (human_of == h).sum(axis=1)
+        base = cfg.human_base_accuracy[profile.cognition] * cfg.skill_multiplier[profile.skill]
+        free_at = np.zeros(plans)
+        spent = np.zeros(plans)
+        for j in range(length.max(initial=0)):
+            n = np.flatnonzero(length > j)  # the plans with a j-th item
+            task = order[n, j]
+            start = np.maximum(queue[n, j], free_at[n])
+            waiting = (queue[n, j + 1 :] <= start[:, None]).sum(axis=1)
+            end = start + service[task]
+            fatigue = np.maximum(cfg.fatigue_floor, 1.0 - end / cfg.fatigue_horizon_s)
+            p = base * fatigue * workload[waiting] * complexity[task]
+            p_correct[n, task] = np.minimum(P_CEIL, np.maximum(P_FLOOR, p))
+            spent[n] = spent[n] + (end - start)
+            free_at[n] = end
+        busy = busy + spent
+        mission_seconds = np.maximum(mission_seconds, free_at)
+
+    utilization = np.zeros(plans)
+    if humans:
+        timed = mission_seconds > 0
+        utilization[timed] = busy[timed] / (len(humans) * mission_seconds[timed])
+    return PlanSchedules(
+        classifier=np.where(human_of >= 0, len(robots) + human_of, robot_of),
+        p_correct=p_correct,
+        mission_seconds=mission_seconds,
+        utilization=utilization,
+    )
 
 
 def run_mission(

@@ -4,12 +4,14 @@ import csv
 import hashlib
 import math
 import random
+import re
 import statistics
 import sys
 import threading
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -241,28 +243,75 @@ class TestBruteForce:
 
 class TestBruteForceDoesNoPerSampleWork:
     def test_no_event_log_and_one_record_per_distinct_hit_count(self, monkeypatch):
-        schedules, made = [], [0]
-        schedule = bench.schedule_mission
+        made = [0]
         check = PerformanceRecord.__post_init__
 
-        def keeping(*args, **kwargs):
-            schedules.append(schedule(*args, **kwargs))
-            return schedules[-1]
+        def per_plan(self, *args, **kwargs):
+            raise AssertionError("brute force built a one-plan schedule or trace")
 
         def counting(record):
             made[0] += 1
             check(record)
 
-        monkeypatch.setattr(bench, "schedule_mission", keeping)
+        # a trace holds the event log, and a one-plan schedule is what it is built from
+        monkeypatch.setattr(sim.MissionSchedule, "__init__", per_plan)
+        monkeypatch.setattr(sim.SimTrace, "__init__", per_plan)
         monkeypatch.setattr(PerformanceRecord, "__post_init__", counting)
         table = bench.simulate_plans(random_scenario(2, 2, 3, seed=1), SimConfig(), 8, base_seed=5)
+        assert made[0] == 0  # the table holds columns until its records are read
 
-        assert len(schedules) == 216
-        # a schedule holds no event log: `run_mission` builds one per trace
-        assert not any("events" in vars(s) for s in schedules)
+        assert len(table.records) == 216
+        assert all(len(records) == 8 for records in table.records)
         # a plan's samples differ only in accuracy points, one per hit count
         distinct = sum(len({r.accuracy_points for r in records}) for records in table.records)
         assert made[0] == distinct < 216 * 8
+
+
+class TestBestBuildsOnlyTiedPlans:
+    def test_large_table_builds_a_plan_per_tied_row(self, monkeypatch):
+        table = bench.simulate_plans(random_scenario(2, 3, 5, seed=1), SimConfig(), 8)
+        assert len(table.rows) == 9**5
+        built = [0]
+        canonicalize = ItaPlan.__post_init__
+
+        def counting(plan):
+            built[0] += 1
+            canonicalize(plan)
+
+        monkeypatch.setattr(ItaPlan, "__post_init__", counting)
+        for prefs in (
+            PreferenceVector.of(TP=0.2, MT=0.7, HW=0.1),
+            PreferenceVector.single(Objective.HUMAN_WORKLOAD),
+        ):
+            built[0] = 0
+            scores = table.scores(prefs)
+            plan, top = table.best(prefs)
+            assert top == max(scores)
+            assert built[0] == scores.count(top) < len(scores)
+        # every all-autonomous plan ties on workload: 3 robots on 5 tasks
+        assert built[0] == 3**5
+        assert all(assignment.human is None for assignment in plan.assignments.values())
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ((5.0, math.nan, 0.5), "finite"),
+        ((5.0, math.inf, 0.5), "finite"),
+        ((-5.0, 10.0, 0.5), ">= 0"),
+        ((5.0, -10.0, 0.5), ">= 0"),
+        ((5.0, 10.0, 1.5), r"\[0, 1\]"),
+        ((5.0, 10.0, -0.1), r"\[0, 1\]"),
+    ],
+)
+def test_table_applies_the_record_checks_to_its_columns(record, message):
+    with pytest.raises(ValueError, match=message):
+        PerformanceRecord(*record)
+    good = (10.0, 100.0, 0.25)
+    columns = np.array([good, record, good]).T.reshape(len(Objective), 1, 3)
+    bounds = NormalizationBounds.from_records([PerformanceRecord(*good)])
+    with pytest.raises(ValueError, match=message):
+        PlanTable(micro_scenario(), np.zeros((1, 2), dtype=np.intp), columns, bounds)
 
 
 class TestBruteForceGolden:
@@ -561,10 +610,10 @@ class TestPreferenceFreeWorkOncePerTrial:
                 return function(*args, **kwargs)
             return wrapper
 
-        # bench holds its own reference to the scheduler, so a call through
-        # it is brute force; `run_mission` calls the one in `rebel.sim`
+        # brute force schedules a table through bench's reference to the array
+        # scheduler; `run_mission` calls the one-plan scheduler in `rebel.sim`
         for module, name, label in (
-            (bench, "schedule_mission", "brute_force"),
+            (bench, "schedule_plans", "brute_force"),
             (sim, "schedule_mission", "run_mission"),
             (bench, "random_scenario", "scenario"),
         ):
@@ -573,7 +622,7 @@ class TestPreferenceFreeWorkOncePerTrial:
         assert spec.preferences == tuple(PreferenceVector.single(o) for o in Objective)
         report = run_experiment(spec, deps())
         assert report.all_checks_pass()
-        assert counts["brute_force"] == spec.trials * 216
+        assert counts["brute_force"] == spec.trials
         assert counts["run_mission"] == len(report.cells) * spec.trials
         assert counts["scenario"] == spec.trials
 
@@ -583,21 +632,21 @@ class TestPreferenceFreeWorkOncePerTrial:
         spec = replace(soo_brute_force_spec(), trials=4)
         sequential = run_experiment(spec, deps(1))
         calls, lock = [0], threading.Lock()
-        schedule = bench.schedule_mission
+        schedule = bench.schedule_plans
 
         def counting(*args, **kwargs):
             with lock:
                 calls[0] += 1
             return schedule(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "schedule_mission", counting)
+        monkeypatch.setattr(bench, "schedule_plans", counting)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             threaded = run_experiment(spec, deps(4))
         finally:
             sys.setswitchinterval(interval)
-        assert calls[0] == spec.trials * 216
+        assert calls[0] == spec.trials
         assert [c.records for c in threaded.cells] == [c.records for c in sequential.cells]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -680,7 +729,11 @@ def _preferences(draw) -> PreferenceVector:
 
 
 @given(
-    groups=st.lists(st.lists(_records, min_size=1, max_size=8), min_size=1, max_size=6),
+    groups=st.integers(1, 8).flatmap(
+        lambda samples: st.lists(
+            st.lists(_records, min_size=samples, max_size=samples), min_size=1, max_size=6
+        )
+    ),
     bounds=_bounds(),
     prefs=_preferences(),
 )
@@ -690,11 +743,20 @@ def test_table_scorer_equals_aggregate_objective_exactly(groups, bounds, prefs):
         expected = [_reference_aggregate(record, prefs, bounds) for record in records]
         assert [aggregate_objective(record, prefs, bounds) for record in records] == expected
         assert aggregate_scores(columns, prefs, bounds).tolist() == expected
-    table = PlanTable(plans=[ItaPlan({})] * len(groups), records=groups, bounds=bounds)
+    # a task-free scenario has one plan per row of zero candidate indices
+    scenario = make_scenario(humans=(), robots=(("UAV_0", 10.0, Tier.MED),), tasks=())
+    flat = performance_columns([record for records in groups for record in records])
+    table = PlanTable(
+        scenario=scenario,
+        rows=np.zeros((len(groups), 0), dtype=np.intp),
+        columns=flat.reshape(len(Objective), len(groups), len(groups[0])),
+        bounds=bounds,
+    )
     assert table.scores(prefs) == [
         statistics.fmean([aggregate_objective(record, prefs, bounds) for record in records])
         for records in groups
     ]
+    assert table.records == groups
 
 
 class TestExperimentSpecJson:
@@ -753,6 +815,32 @@ class TestExperimentSpecJson:
         path = tmp_path / "spec.json"
         path.write_text('{"mode": "SituationalAwareness", "change": {"remove_robot": 1}}')
         with pytest.raises(ValueError, match=r"unknown change keys \['remove_robot'\]"):
+            ExperimentSpec.from_json(path)
+
+
+    def test_brute_force_samples_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="brute_force_samples must be >= 1"):
+            ExperimentSpec(methods=("brute_force",), brute_force_samples=0)
+        path = tmp_path / "spec.json"
+        path.write_text('{"methods": ["brute_force"], "brute_force_samples": 0}')
+        with pytest.raises(ValueError, match="brute_force_samples must be >= 1"):
+            ExperimentSpec.from_json(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"change": 5}', "change must be an object, got 5"),
+            ('{"change": ["add_humans"]}', "change must be an object"),
+            ('{"preferences": [5]}', "a preferences entry must be an object, got 5"),
+            ('{"preferences": {"TP": 1}}', "preferences must be a list"),
+            ('{"methods": "random"}', 'methods must be a list, got "random"'),
+            ("[1, 2]", "a spec must be an object"),
+        ],
+    )
+    def test_values_of_the_wrong_shape_rejected(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentSpec.from_json(path)
 
 

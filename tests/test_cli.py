@@ -119,6 +119,53 @@ def test_gen_rules_then_infer_via_cli(tmp_path, capsys):
     assert "# retrieved rules: [" in out and "# retrieved rules: []" not in out
 
 
+def test_infer_plans_under_its_sim_config(tmp_path, capsys):
+    # a tied vector reaches the greedy branch that reads the speed multiplier,
+    # in the stub's answer as in the fallback
+    rules_path = tmp_path / "rules.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules_path)]) == 0
+    scenario_path = tmp_path / "scenario.txt"
+    scenario_path.write_text(random_scenario(2, 3, 5, seed=3).serialize() + "\n")
+    SimConfig(shared_speed_multiplier={tier: 3.0 for tier in Tier}).dump(tmp_path / "fast.json")
+    SimConfig().dump(tmp_path / "default.json")
+    outputs = {}
+    for name, extra in (
+        ("none", []),
+        ("default", ["--sim-config", str(tmp_path / "default.json")]),
+        ("fast", ["--sim-config", str(tmp_path / "fast.json")]),
+    ):
+        capsys.readouterr()
+        assert main([
+            "infer", "--rules-db", str(rules_path), "--exp-db", str(tmp_path / "exp.jsonl"),
+            "--scenario", str(scenario_path), "--prefs", "TP=1,MT=1,HW=1", *extra,
+        ]) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["default"] == outputs["none"]
+    plan = lambda out: [line for line in out.splitlines() if line.startswith("T_")]
+    assert plan(outputs["fast"]) != plan(outputs["none"])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"change": 5}, "change must be an object"),
+        ({"preferences": [5]}, "a preferences entry must be an object"),
+        ({"methods": "random"}, "methods must be a list"),
+        ({"methods": ["brute_force"], "brute_force_samples": 0}, "brute_force_samples must be"),
+        ([], "a spec must be an object"),
+    ],
+)
+def test_bench_rejects_a_bad_spec_with_one_line(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {spec_path}: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_flag_reaches_the_http_provider():
     args = build_parser().parse_args([
         "gen-rules", "--rules-db", "unused.jsonl", "--provider", "http", "--model", "local-model",

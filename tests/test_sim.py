@@ -5,9 +5,10 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
-from rebel.bench import random_scenario
+from rebel.bench import enumerate_plans, random_scenario
 from rebel.core import (
     Assignment,
     HumanProfile,
@@ -25,6 +26,8 @@ from rebel.sim import (
     human_accuracy_probability,
     robot_accuracy_probability,
     run_mission,
+    schedule_mission,
+    schedule_plans,
     travel_time,
     workload_factor,
 )
@@ -364,6 +367,74 @@ class TestQueueScaling:
         # 4x the tasks: a quadratic waiting count would take about 16x as long
         ratio = self.median_run_s(2000) / self.median_run_s(500)
         assert ratio < 8.0
+
+
+def plan_indices(scenario, plans):
+    """`schedule_plans`'s robot and human index arrays for `plans`."""
+    robots = {r.id: i for i, r in enumerate(scenario.robots)}
+    humans = {h.id: i for i, h in enumerate(scenario.humans)}
+    shape = (len(plans), len(scenario.tasks))
+    robot_of = [robots[p.assignments[t.id].robot] for p in plans for t in scenario.tasks]
+    human_of = [
+        humans.get(p.assignments[t.id].human, -1) for p in plans for t in scenario.tasks
+    ]
+    return (
+        np.array(robot_of, dtype=np.intp).reshape(shape),
+        np.array(human_of, dtype=np.intp).reshape(shape),
+    )
+
+
+# the fatigue floor binds for every analysis, since each ends after 10 s
+FLOORED = SimConfig(fatigue_floor=0.95, fatigue_horizon_s=200.0, workload_coef=0.7)
+
+
+class TestSchedulePlans:
+    def assert_equal_to_one_plan_schedules(self, scenario, cfg):
+        plans = enumerate_plans(scenario)
+        arrays = schedule_plans(scenario, *plan_indices(scenario, plans), cfg)
+        agents = [a.id for a in scenario.robots + scenario.humans]
+        for n, plan in enumerate(plans):
+            one = schedule_mission(scenario, plan, cfg)
+            assert arrays.mission_seconds[n] == one.mission_seconds
+            assert arrays.utilization[n] == one.utilization
+            assert {
+                task.id: (agents[arrays.classifier[n, t]], arrays.p_correct[n, t])
+                for t, task in enumerate(scenario.tasks)
+            } == {task_id: (agent, p) for task_id, _, agent, _, p in one.classifications}
+
+    # (1, 3, 3) and (2, 1, 4) include plans that leave robots without tasks
+    @pytest.mark.parametrize("team", [(2, 2, 3), (1, 3, 3), (3, 2, 2), (0, 2, 3), (2, 1, 4)])
+    @pytest.mark.parametrize("cfg", [CFG, FLOORED], ids=["default", "floored"])
+    def test_equal_to_one_plan_at_a_time(self, team, cfg):
+        for seed in (0, 1):
+            self.assert_equal_to_one_plan_schedules(random_scenario(*team, seed=seed), cfg)
+
+    @pytest.mark.parametrize("cfg", [CFG, FLOORED], ids=["default", "floored"])
+    def test_simultaneous_captures_for_one_human(self, cfg):
+        # equal speeds and distances: T_0 and T_1 reach an analyst at one time
+        scenario = make_scenario(
+            robots=(("UAV_0", 10.0, Tier.MED), ("UGV_0", 10.0, Tier.LOW)),
+            tasks=(
+                ("T_0", (300.0, 400.0), Tier.HIGH),
+                ("T_1", (400.0, 300.0), Tier.LOW),
+                ("T_2", (600.0, 800.0), Tier.MED),
+            ),
+        )
+        plan = ItaPlan({
+            "T_0": Assignment("UAV_0", "H_0"),
+            "T_1": Assignment("UGV_0", "H_0"),
+            "T_2": Assignment("UGV_0"),
+        })
+        captures = schedule_mission(scenario, plan, cfg).captures
+        assert captures[0][0] == captures[1][0] and captures[0][3] == captures[1][3] == "H_0"
+        self.assert_equal_to_one_plan_schedules(scenario, cfg)
+
+    def test_no_tasks_and_no_plans(self):
+        empty = make_scenario(tasks=())
+        arrays = schedule_plans(empty, *plan_indices(empty, [ItaPlan({})]), CFG)
+        assert arrays.mission_seconds.tolist() == arrays.utilization.tolist() == [0.0]
+        none = schedule_plans(make_scenario(), *plan_indices(make_scenario(), []), CFG)
+        assert none.p_correct.shape == (0, 2) and none.mission_seconds.shape == (0,)
 
 
 class TestSimConfigFile:
