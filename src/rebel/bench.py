@@ -94,10 +94,25 @@ class ExperimentSpec:
     brute_force_samples: int = 8
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.brute_force_samples < 1:
-            raise ValueError("brute_force_samples must be >= 1")
+        change = self.change or CompositionChange()
+        counts = {
+            "trials": (self.trials, 1),
+            "seed": (self.seed, None),
+            "brute_force_samples": (self.brute_force_samples, 1),
+            "humans": (self.team.humans, 0),
+            "robots": (self.team.robots, 1),
+            "pois": (self.team.pois, 0),
+            **{
+                f"change.{name}": (getattr(change, name), 0)
+                for name in ("remove_robots", "remove_humans", "add_robots", "add_humans")
+            },
+        }
+        for name, (value, minimum) in counts.items():
+            # bool is an int subclass
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
@@ -308,18 +323,28 @@ class PlanTable:
             records.append([made[triple] for triple in triples])
         return records
 
+    def _per_sample(self, prefs: PreferenceVector) -> np.ndarray:
+        """Aggregate score per (plan, sample)."""
+        flat = self.columns.reshape(len(Objective), -1)
+        return aggregate_scores(flat, prefs, self.bounds).reshape(self.columns.shape[1:])
+
     def scores(self, prefs: PreferenceVector) -> list[float]:
         """Mean aggregate score per plan under common random numbers."""
-        flat = self.columns.reshape(len(Objective), -1)
-        per_sample = aggregate_scores(flat, prefs, self.bounds).reshape(self.columns.shape[1:])
-        return list(map(statistics.fmean, per_sample.tolist()))
+        return list(map(statistics.fmean, self._per_sample(prefs).tolist()))
 
     def best(self, prefs: PreferenceVector) -> tuple[ItaPlan, float]:
         """The top-scoring plan; ties break toward the lexicographically
-        smallest plan text. Only the tied plans are built and rendered."""
-        scores = self.scores(prefs)
+        smallest plan text. Only the tied plans are built and rendered.
+
+        numpy row means screen the plans: a per-sample score lies in [0, 1],
+        so a row mean is within about 1e-15 of its `fmean`, and only the rows
+        within 1e-9 of the best screened mean get the exact score."""
+        per_sample = self._per_sample(prefs)
+        screen = per_sample.mean(axis=1)
+        near = np.flatnonzero(screen >= screen.max() - 1e-9)
+        scores = list(map(statistics.fmean, per_sample[near].tolist()))
         top = max(scores)
-        tied = _plans_of(self.scenario, self.rows[[score == top for score in scores]])
+        tied = _plans_of(self.scenario, self.rows[near[[score == top for score in scores]]])
         return (tied[0] if len(tied) == 1 else min(tied, key=ItaPlan.render)), top
 
 
@@ -626,6 +651,11 @@ class ExperimentReport:
 # Brute-force optima of one `run_experiment` call, keyed by (scenario, base
 # seed): the plan chosen for each of the spec's preference vectors.
 _Optima = dict[tuple[MissionScenario, int], dict[PreferenceVector, ItaPlan]]
+# Mission records of one `run_experiment` call, keyed by (trial, whether the
+# scenario is the trial's re-planned one, the plan's assignments). A trial's
+# scenario, re-planned scenario and simulation seed are the same for every
+# cell, so a record is a function of its key.
+_Missions = dict[tuple[int, bool, tuple[tuple[str, Assignment], ...]], PerformanceRecord]
 
 
 def _plan_for(
@@ -672,19 +702,30 @@ def _run_cell(
     deps: BenchDeps,
     scenarios: list[MissionScenario],
     optima: _Optima,
+    missions: _Missions,
 ) -> CellResult:
     prioritized = prefs.dominant()
     start = time.perf_counter()
     # methods that cannot re-plan have no situational-awareness result
     na = spec.mode == Mode.SITUATIONAL and method not in ADAPTIVE_METHODS
 
+    def simulate(
+        trial: int, replanned: bool, scenario: MissionScenario, plan: ItaPlan
+    ) -> PerformanceRecord:
+        key = (trial, replanned, tuple(plan.assignments.items()))
+        record = missions.get(key)
+        if record is None:
+            sim_cfg = deps.sim_cfg.with_seed(derive_seed(spec.seed, "sim", trial))
+            record, _ = run_mission(scenario, plan, sim_cfg)
+            missions[key] = record
+        return record
+
     def one_trial(trial: int) -> tuple[PerformanceRecord, bool, PerformanceRecord | None]:
         scenario = scenarios[trial]
-        sim_seed = derive_seed(spec.seed, "sim", trial)
         plan, fallback = _plan_for(
             method, scenario, prefs, derive_seed(spec.seed, method, trial), spec, deps, optima
         )
-        record, _ = run_mission(scenario, plan, deps.sim_cfg.with_seed(sim_seed))
+        record = simulate(trial, False, scenario, plan)
 
         changed_record = None
         if spec.mode == Mode.SITUATIONAL:
@@ -694,7 +735,8 @@ def _run_cell(
                 method, modified, prefs, derive_seed(spec.seed, method, trial, "re"), spec, deps,
                 optima,
             )
-            changed_record, _ = run_mission(modified, new_plan, deps.sim_cfg.with_seed(sim_seed))
+            # `modified` depends on the scenario and the change alone
+            changed_record = simulate(trial, True, modified, new_plan)
         return record, fallback, changed_record
 
     if na:
@@ -727,18 +769,25 @@ class _DropEmptyDbWarnings(logging.Filter):
         return "inferring without" not in record.getMessage()
 
 
-def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
-    """Run every (method x preference) cell and assemble the report."""
+def require_stores(spec: ExperimentSpec, deps: BenchDeps) -> None:
+    """ValueError when the spec runs `rebel` and a store is empty."""
     if "rebel" in spec.methods and (not len(deps.rules_db) or not len(deps.exp_db)):
         raise ValueError(
             "rebel needs populated databases; run `rebel gen-rules` and `rebel gen-exp` first"
         )
 
+
+def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
+    """Run every (method x preference) cell and assemble the report."""
+    require_stores(spec, deps)
+
     # Work that no preference vector changes is done once per trial: its
-    # scenario here, its brute-force optima in `_plan_for`. A cell's trials
-    # may run on separate threads, but each has its own memo key, and cells
-    # run one after another, so the memo needs no lock.
+    # scenario here, its brute-force optima in `_plan_for`, and each distinct
+    # mission in `_run_cell`. A cell's trials may run on separate threads,
+    # but each has its own memo keys, and cells run one after another, so the
+    # memos need no lock.
     optima: _Optima = {}
+    missions: _Missions = {}
     scenarios = [
         random_scenario(
             spec.team.humans, spec.team.robots, spec.team.pois,
@@ -753,7 +802,7 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
         pipeline_logger.addFilter(quiet)
     try:
         cells = [
-            _run_cell(method, prefs, spec, deps, scenarios, optima)
+            _run_cell(method, prefs, spec, deps, scenarios, optima, missions)
             for method in spec.methods
             for prefs in spec.preferences
         ]

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import BenchDeps, ExperimentSpec, run_experiment
+from .bench import BenchDeps, ExperimentSpec, require_stores, run_experiment
 from .core import MissionScenario, Objective, PreferenceVector
 from .llm import (
     HttpCompletionProvider,
@@ -193,6 +193,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         retrieval=RetrievalConfig(embedder=_build_embedder(args)),
         workers=args.workers,
     )
+    try:
+        require_stores(spec, deps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_experiment(spec, deps)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -288,23 +288,21 @@ def heuristic_allocate(
 
     cfg = SimConfig() if cfg is None else cfg
     robots = scenario.robots
-    route_end: dict[str, tuple[float, float]] = {r.id: (0.0, 0.0) for r in robots}
-    route_time: dict[str, float] = {r.id: 0.0 for r in robots}
-    load: dict[str, int] = {r.id: 0 for r in robots}
+    # route state per robot, indexed as `robots`
+    route_end = [(0.0, 0.0)] * len(robots)
+    route_time = [0.0] * len(robots)
+    load = [0] * len(robots)
 
-    def projected_completion(robot, location, scale: float = 1.0) -> float:
-        """Route end time after adding `location`; shared control scales the
+    def commit(task, r_index: int, human) -> None:
+        """Extend robot r_index's route by `task`; shared control scales the
         travel speed by the operator's skill multiplier."""
-        return route_time[robot.id] + travel_time(
-            route_end[robot.id], location, robot.speed * scale
-        )
-
-    def commit(task, robot, human) -> None:
         scale = 1.0 if human is None else cfg.shared_speed_multiplier[human.skill]
-        route_time[robot.id] = projected_completion(robot, task.location, scale)
-        route_end[robot.id] = task.location
-        load[robot.id] += 1
-        assignments[task.id] = Assignment(robot.id, None if human is None else human.id)
+        route_time[r_index] += travel_time(
+            route_end[r_index], task.location, robots[r_index].speed * scale
+        )
+        route_end[r_index] = task.location
+        load[r_index] += 1
+        assignments[task.id] = Assignment(robots[r_index].id, None if human is None else human.id)
 
     assignments: dict[str, Assignment] = {}
     dominant = prefs.dominant()
@@ -312,19 +310,26 @@ def heuristic_allocate(
     # `min` and `max` keep the first of equal candidates, and the scenario
     # holds its members in id order, so ties go to the lowest id.
     if dominant in (Objective.MISSION_TIME, Objective.HUMAN_WORKLOAD):
+        speeds = [r.speed for r in robots]  # each > 0, as `RobotProfile` checks
         for task in scenario.tasks:
-            commit(task, min(robots, key=lambda r: projected_completion(r, task.location)), None)
+            location = task.location
+            fastest = min(
+                range(len(robots)),
+                key=lambda i: route_time[i] + math.dist(route_end[i], location) / speeds[i],
+            )
+            commit(task, fastest, None)
     elif dominant is Objective.TASK_PERFORMANCE:
         # the best three analysts; the stable sort keeps id order among equals
         analysts = sorted(scenario.humans, key=lambda h: (-h.skill.rank, -h.cognition.rank))[:3]
+        camera = [-r.camera_quality.rank for r in robots]
         hard_index = 0
         for task in scenario.tasks:
-            robot = min(robots, key=lambda r: (load[r.id], -r.camera_quality.rank))
+            r_index = min(range(len(robots)), key=lambda i: (load[i], camera[i]))
             if task.difficulty.rank == 2 and analysts:
-                commit(task, robot, analysts[hard_index % len(analysts)])
+                commit(task, r_index, analysts[hard_index % len(analysts)])
                 hard_index += 1
             else:
-                commit(task, robot, None)
+                commit(task, r_index, None)
     else:
         # Mixed weights with no single dominant objective: score every
         # (robot, human | None) candidate on normalized proxies for completion
@@ -333,40 +338,42 @@ def heuristic_allocate(
             prefs.weight(o)
             for o in (Objective.MISSION_TIME, Objective.TASK_PERFORMANCE, Objective.HUMAN_WORKLOAD)
         )
-        candidates = [(robot, human) for robot in robots for human in (None, *scenario.humans)]
+        patterns = (None, *scenario.humans)
+        candidates = [(r_index, h) for r_index in range(len(robots)) for h in patterns]
         workload = _normalized([0.0 if h is None else 1.0 for _, h in candidates], False)
-        # nominal (fresh-operator) success probability, per task difficulty
-        accuracy = {
-            tier: _normalized(
-                [
-                    robot_accuracy_probability(r.camera_quality, tier, None, cfg)
-                    if h is None
-                    else human_accuracy_probability(h, 0.0, 0, tier, cfg)
-                    for r, h in candidates
-                ],
-                True,
-            )
-            for tier in Tier
-        }
+        # nominal (fresh-operator) success probability, per task difficulty:
+        # a robot's when autonomous, else its analyst's
+        accuracy = {}
+        for tier in Tier:
+            humans = [human_accuracy_probability(h, 0.0, 0, tier, cfg) for h in scenario.humans]
+            accuracy[tier] = _normalized([
+                p
+                for r in robots
+                for p in (robot_accuracy_probability(r.camera_quality, tier, None, cfg), *humans)
+            ], True)
         # A candidate's completion proxy depends on its robot and on its
         # operator's skill tier alone, so per robot there is one value when
-        # autonomous and one per skill tier in the team. `options` holds each
-        # one's (speed scale, shared), and `slot[i]` is candidate i's place
-        # in the per-task list of those distinct values.
+        # autonomous and one per skill tier in the team. `speeds[r]` holds
+        # robot r's speed for each (autonomous first), and `slot[i]` is
+        # candidate i's place in the per-task list of those distinct values.
         skills = list(dict.fromkeys(h.skill for h in scenario.humans))
-        options = [(1.0, False)] + [(cfg.shared_speed_multiplier[s], True) for s in skills]
+        scales = [1.0] + [cfg.shared_speed_multiplier[s] for s in skills]
+        speeds = [[r.speed * scale for scale in scales] for r in robots]
+        slow = [speed for row in speeds for speed in row if speed <= 0]
+        if slow and scenario.tasks:
+            raise ValueError(f"speed must be > 0, got {slow[0]}")
         slot = [
-            r_index * len(options) + (0 if h is None else 1 + skills.index(h.skill))
-            for r_index in range(len(robots))
-            for h in (None, *scenario.humans)
+            r_index * len(scales) + (0 if h is None else 1 + skills.index(h.skill))
+            for r_index, h in candidates
         ]
         for task in scenario.tasks:
             service = cfg.analysis_service_s[task.difficulty]
-            distinct = [
-                projected_completion(r, task.location, scale) + (service if shared else 0.0)
-                for r in robots
-                for scale, shared in options
-            ]
+            distinct = []
+            for r_index, (autonomous, *shared) in enumerate(speeds):
+                start = route_time[r_index]
+                distance = math.dist(route_end[r_index], task.location)
+                distinct.append(start + distance / autonomous)
+                distinct.extend(start + distance / speed + service for speed in shared)
             # the same set of values as one per candidate, so the same bounds
             completion = _normalized(distinct, False)
             scores = [

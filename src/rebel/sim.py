@@ -16,6 +16,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 import numpy as np
 
@@ -166,28 +167,12 @@ class TaskOutcome:
 
 
 @dataclass(frozen=True)
-class SimTrace:
-    """Per-task outcomes, per-agent busy intervals, and a flat event log."""
-
-    outcomes: dict[str, TaskOutcome]
-    busy: dict[str, tuple[tuple[float, float], ...]]
-    events: tuple[tuple[float, str, str, str, str], ...]
-
-    def render_events(self) -> str:
-        """One line per event: time, kind, agent, task, detail."""
-        return "\n".join(
-            f"t={fmt_num(t)} {kind} agent={agent} task={task}" + (f" {detail}" if detail else "")
-            for t, kind, agent, task, detail in self.events
-        )
-
-
-@dataclass(frozen=True)
 class MissionSchedule:
     """A mission up to its coin flips. `classifications` holds (task, "robot" |
     "human", classifier id, completion time, probability correct) in outcome
     order; `captures` holds (arrival time, robot, task, analyst | None) per
     task, and `services` (start, end, human, task, items waiting) per
-    analysis, from which `run_mission` builds the event log."""
+    analysis, from which `SimTrace` builds the event log."""
 
     classifications: tuple[tuple[str, str, str, float, float], ...]
     busy: dict[str, tuple[tuple[float, float], ...]]
@@ -201,6 +186,51 @@ class MissionSchedule:
         """The performance triple when `correct` classifications came out right."""
         return PerformanceRecord(
             self.points_per_correct * correct, self.mission_seconds, self.utilization
+        )
+
+
+@dataclass(frozen=True)
+class SimTrace:
+    """A mission's schedule and its coin flips (`correct`, per task); the
+    per-task outcomes and the flat event log are built when first read."""
+
+    schedule: MissionSchedule
+    correct: dict[str, bool]
+
+    @property
+    def busy(self) -> dict[str, tuple[tuple[float, float], ...]]:
+        return self.schedule.busy
+
+    @cached_property
+    def outcomes(self) -> dict[str, TaskOutcome]:
+        return {
+            task_id: TaskOutcome(task_id, kind, agent_id, self.correct[task_id], completion_s, p)
+            for task_id, kind, agent_id, completion_s, p in self.schedule.classifications
+        }
+
+    @cached_property
+    def events(self) -> tuple[tuple[float, str, str, str, str], ...]:
+        correct = self.correct
+        events: list[tuple[float, str, str, str, str]] = []
+        for t, robot_id, task_id, analyst_id in self.schedule.captures:
+            events.append((t, "capture", robot_id, task_id, ""))
+            if analyst_id is None:
+                events.append((t, "classify", robot_id, task_id, f"correct={correct[task_id]}"))
+            else:
+                events.append((t, "enqueue", analyst_id, task_id, ""))
+        for start, end, human_id, task_id, waiting in self.schedule.services:
+            events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
+            events.append((end, "classify", human_id, task_id, f"correct={correct[task_id]}"))
+        # (time, kind, agent, task) is unique per event, so the detail never
+        # decides the order
+        events.sort()
+        return tuple(events)
+
+    def render_events(self) -> str:
+        """One line per event: time, kind, agent, task, detail."""
+        return "\n".join(
+            f"t={fmt_num(t)} {kind} agent={agent} task={task}" + (f" {detail}" if detail else "")
+            for t, kind, agent, task, detail in self.events
         )
 
 
@@ -388,27 +418,11 @@ def run_mission(
     scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig
 ) -> tuple[PerformanceRecord, SimTrace]:
     """Execute an allocation (see `schedule_mission`) and flip its coins
-    under `cfg.seed`. Returns the performance triple and the full trace."""
+    under `cfg.seed`. Returns the performance triple and the trace, whose
+    outcomes and event log are built only when read."""
     schedule = schedule_mission(scenario, plan, cfg)
     correct = {
         task_id: _unit_draw(cfg.seed, agent_id, task_id) < p
         for task_id, _, agent_id, _, p in schedule.classifications
     }
-    outcomes = {
-        task_id: TaskOutcome(task_id, kind, agent_id, correct[task_id], completion_s, p)
-        for task_id, kind, agent_id, completion_s, p in schedule.classifications
-    }
-    events: list[tuple[float, str, str, str, str]] = []
-    for t, robot_id, task_id, analyst_id in schedule.captures:
-        events.append((t, "capture", robot_id, task_id, ""))
-        if analyst_id is None:
-            events.append((t, "classify", robot_id, task_id, f"correct={correct[task_id]}"))
-        else:
-            events.append((t, "enqueue", analyst_id, task_id, ""))
-    for start, end, human_id, task_id, waiting in schedule.services:
-        events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
-        events.append((end, "classify", human_id, task_id, f"correct={correct[task_id]}"))
-    # (time, kind, agent, task) is unique per event, so the detail never
-    # decides the order
-    events.sort()
-    return schedule.record(sum(correct.values())), SimTrace(outcomes, schedule.busy, tuple(events))
+    return schedule.record(sum(correct.values())), SimTrace(schedule, correct)

@@ -293,6 +293,37 @@ class TestBestBuildsOnlyTiedPlans:
         assert all(assignment.human is None for assignment in plan.assignments.values())
 
 
+class TestBestScreensRowMeans:
+    # per-sample TP scores: A's samples sum to one ulp above B's, but numpy's
+    # row mean ranks B above A, and A's reversal ties A exactly
+    A = [0.45, 0.7, 0.2, 0.45, 0.3, 0.1, 0.3, 0.1, 0.1]
+    B = [0.1, 0.1, 0.1, 0.7, 0.2, 0.3, 0.3, 0.4499999999999999, 0.45]
+
+    def test_rows_one_ulp_apart_keep_the_exact_order_and_tie_break(self):
+        scenario = make_scenario(
+            humans=(),
+            robots=(("UAV_0", 10.0, Tier.MED), ("UAV_1", 10.0, Tier.MED), ("UAV_2", 10.0, Tier.MED)),
+            tasks=(("T_0", (100.0, 100.0), Tier.LOW),),
+        )
+        points = np.array([self.B, self.A, self.A[::-1]])
+        columns = np.stack((points, np.full(points.shape, 10.0), np.zeros(points.shape)))
+        bounds = NormalizationBounds({
+            Objective.TASK_PERFORMANCE: ObjectiveBounds(0.0, 1.0, Direction.MAXIMIZE),
+            Objective.MISSION_TIME: ObjectiveBounds(0.0, 20.0, Direction.MINIMIZE),
+            Objective.HUMAN_WORKLOAD: ObjectiveBounds(0.0, 1.0, Direction.MINIMIZE),
+        })
+        table = PlanTable(scenario, np.arange(3, dtype=np.intp).reshape(3, 1), columns, bounds)
+        prefs = PreferenceVector.single(Objective.TASK_PERFORMANCE)
+        scores = table.scores(prefs)
+        assert scores[0] == statistics.fmean(self.B)
+        assert scores[1] == scores[2] == statistics.fmean(self.A)
+        assert scores[1] - scores[0] == math.ulp(scores[0])
+        assert np.argmax(points.mean(axis=1)) == 0  # the screen alone would pick B
+        plan, top = table.best(prefs)
+        assert top == max(scores)
+        assert plan == table.plans[1] == ItaPlan({"T_0": Assignment("UAV_1")})
+
+
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -600,6 +631,25 @@ def soo_brute_force_spec() -> ExperimentSpec:
     )
 
 
+def reference_scenario(spec: ExperimentSpec, trial: int):
+    team = spec.team
+    return random_scenario(
+        team.humans, team.robots, team.pois, seed=derive_seed(spec.seed, "scenario", trial)
+    )
+
+
+def reference_plan(spec: ExperimentSpec, method: str, prefs, trial: int) -> ItaPlan:
+    """A brute_force or heuristic cell's plan for one trial, found on its own."""
+    scenario = reference_scenario(spec, trial)
+    if method == "heuristic":
+        return heuristic_allocate(scenario, prefs)
+    base_seed = derive_seed(derive_seed(spec.seed, method, trial), "bf")
+    plan, _ = brute_force_optimal(
+        scenario, prefs, SimConfig(), spec.brute_force_samples, base_seed=base_seed
+    )
+    return plan
+
+
 class TestPreferenceFreeWorkOncePerTrial:
     def test_one_scenario_and_one_brute_force_table_per_trial(self, monkeypatch):
         counts: Counter[str] = Counter()
@@ -621,10 +671,61 @@ class TestPreferenceFreeWorkOncePerTrial:
         spec = soo_brute_force_spec()
         assert spec.preferences == tuple(PreferenceVector.single(o) for o in Objective)
         report = run_experiment(spec, deps())
+        seen = counts.copy()  # the reference plans below schedule tables too
         assert report.all_checks_pass()
-        assert counts["brute_force"] == spec.trials
-        assert counts["run_mission"] == len(report.cells) * spec.trials
-        assert counts["scenario"] == spec.trials
+        assert seen["brute_force"] == spec.trials
+        assert seen["scenario"] == spec.trials
+        # one mission per distinct (trial, plan), however many cells share it
+        distinct = {
+            (trial, reference_plan(spec, method, prefs, trial).render())
+            for method in spec.methods
+            for prefs in spec.preferences
+            for trial in range(spec.trials)
+        }
+        assert seen["run_mission"] == len(distinct) < len(report.cells) * spec.trials
+
+    def test_records_build_no_trace(self, monkeypatch):
+        def unread(trace):
+            raise AssertionError("a mission's outcomes or event log was built")
+
+        monkeypatch.setattr(sim.SimTrace, "events", property(unread))
+        monkeypatch.setattr(sim.SimTrace, "outcomes", property(unread))
+        spec = small_spec(mode=Mode.SITUATIONAL, methods=("zero_shot",),
+                          change=CompositionChange(remove_robots=1, add_humans=1))
+        assert run_experiment(spec, deps()).all_checks_pass()
+
+    @pytest.mark.parametrize("change", [
+        CompositionChange(remove_robots=1, remove_humans=1, add_robots=1),
+        # an added analyst the greedy plan may leave idle: the same plan as
+        # before the change, but with one more human to share the workload
+        CompositionChange(add_humans=1),
+    ])
+    def test_situational_cells_equal_one_mission_per_cell(self, change):
+        # zero_shot on empty stores gets the stub's greedy plan; the cells share
+        # missions before and after the change, and their records must not mix
+        spec = small_spec(
+            mode=Mode.SITUATIONAL, methods=("zero_shot",), change=change, trials=8,
+            preferences=(
+                PreferenceVector.single(Objective.MISSION_TIME),
+                PreferenceVector.single(Objective.HUMAN_WORKLOAD),
+                PreferenceVector.single(Objective.TASK_PERFORMANCE),
+                PreferenceVector.of(TP=1, MT=1, HW=1),
+            ),
+        )
+        report = run_experiment(spec, deps(2))
+        for cell in report.cells:
+            records, changed = [], []
+            for trial in range(spec.trials):
+                scenario = reference_scenario(spec, trial)
+                cfg = SimConfig(seed=derive_seed(spec.seed, "sim", trial))
+                plan = heuristic_allocate(scenario, cell.prefs)
+                modified, _ = apply_composition_change(scenario, plan, change)
+                records.append(run_mission(scenario, plan, cfg)[0])
+                changed.append(
+                    run_mission(modified, heuristic_allocate(modified, cell.prefs), cfg)[0]
+                )
+            assert (cell.records, cell.changed_records) == (records, changed)
+        assert report.cells[0].records != report.cells[2].records
 
     def test_threaded_trials_search_once_each(self, monkeypatch):
         # four worker threads and frequent thread switches: each trial's
@@ -659,16 +760,8 @@ class TestPreferenceFreeWorkOncePerTrial:
             for prefs in spec.preferences:
                 records = []
                 for trial in range(spec.trials):
-                    scenario = random_scenario(
-                        2, 2, 3, seed=derive_seed(spec.seed, "scenario", trial)
-                    )
-                    if method == "brute_force":
-                        base_seed = derive_seed(derive_seed(spec.seed, method, trial), "bf")
-                        plan, _ = brute_force_optimal(
-                            scenario, prefs, cfg, spec.brute_force_samples, base_seed=base_seed
-                        )
-                    else:
-                        plan = heuristic_allocate(scenario, prefs)
+                    scenario = reference_scenario(spec, trial)
+                    plan = reference_plan(spec, method, prefs, trial)
                     sim_seed = derive_seed(spec.seed, "sim", trial)
                     records.append(run_mission(scenario, plan, cfg.with_seed(sim_seed))[0])
                 want[method, prefs.label()] = records
@@ -817,6 +910,32 @@ class TestExperimentSpecJson:
         with pytest.raises(ValueError, match=r"unknown change keys \['remove_robot'\]"):
             ExperimentSpec.from_json(path)
 
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"trials": "3"}', 'trials must be an integer, got "3"'),
+            ('{"trials": true}', "trials must be an integer, got true"),
+            ('{"trials": 2.0}', "trials must be an integer, got 2.0"),
+            ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+            ('{"brute_force_samples": null}', "brute_force_samples must be an integer, got null"),
+            ('{"humans": "2"}', 'humans must be an integer, got "2"'),
+            ('{"humans": -1}', "humans must be >= 0, got -1"),
+            ('{"robots": 0}', "robots must be >= 1, got 0"),
+            ('{"pois": -3}', "pois must be >= 0, got -3"),
+            ('{"change": {"add_humans": -1}}', "change.add_humans must be >= 0, got -1"),
+            ('{"change": {"remove_robots": false}}', "change.remove_robots must be an integer"),
+        ],
+    )
+    def test_counts_must_be_integers_at_their_minimum(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_json(path)
+
+    def test_negative_seed_and_empty_team_edges_accepted(self):
+        spec = ExperimentSpec(team=TeamSpec(humans=0, robots=1, pois=0), seed=-4)
+        assert (spec.team, spec.seed) == (TeamSpec(0, 1, 0), -4)
 
     def test_brute_force_samples_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="brute_force_samples must be >= 1"):

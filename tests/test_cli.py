@@ -153,6 +153,8 @@ def test_infer_plans_under_its_sim_config(tmp_path, capsys):
         ({"methods": "random"}, "methods must be a list"),
         ({"methods": ["brute_force"], "brute_force_samples": 0}, "brute_force_samples must be"),
         ([], "a spec must be an object"),
+        ({"trials": "3"}, 'trials must be an integer, got "3"'),
+        ({"humans": -1, "trials": 1}, "humans must be >= 0"),
     ],
 )
 def test_bench_rejects_a_bad_spec_with_one_line(tmp_path, capsys, spec, message):
@@ -163,6 +165,18 @@ def test_bench_rejects_a_bad_spec_with_one_line(tmp_path, capsys, spec, message)
     assert captured.out == ""
     assert captured.err.startswith(f"error: {spec_path}: ")
     assert captured.err.count("\n") == 1 and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_rejects_rebel_on_empty_stores_with_one_line(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"humans": 2, "trials": 1}))  # default methods run rebel
+    assert main(["bench", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: rebel needs populated databases; run `rebel gen-rules` and `rebel gen-exp` first\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -41,6 +42,7 @@ from rebel.prompt import (
 )
 from rebel.pipeline import RetrievalConfig, infer
 from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
+from rebel.sim import SimConfig
 from conftest import make_scenario
 
 
@@ -493,6 +495,56 @@ class TestHeuristicAllocate:
             for prefs in vectors:
                 digest.update(heuristic_allocate(scenario, prefs).render().encode() + b"\n")
         assert digest.hexdigest() == expected
+
+    # sha256 over the rendered plans of a fixed grid, recorded from an earlier
+    # implementation of the allocator: team shapes down to no humans and one
+    # robot, every branch (single, rotated, tied and near-tied vectors), and
+    # the default constants next to other shared-control speed multipliers
+    GRID_SHAPES = ((0, 1, 6), (1, 1, 8), (0, 4, 12), (2, 3, 10), (5, 7, 30))
+    GRID_VECTORS = (
+        PreferenceVector.single(Objective.TASK_PERFORMANCE),
+        PreferenceVector.single(Objective.MISSION_TIME),
+        PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
+        PreferenceVector.of(TP=0.25, MT=0.25, HW=0.5),
+        PreferenceVector.of(TP=1, MT=1, HW=1),
+        PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33),
+        PreferenceVector.of(TP=0.4, MT=0.4, HW=0.2),
+    )
+    GRID_CONFIGS = (
+        SimConfig(),
+        SimConfig(shared_speed_multiplier={Tier.LOW: 0.5, Tier.MED: 1.5, Tier.HIGH: 2.5}),
+    )
+    GRID_GOLDEN = "4db53e6bfc8bc464acd2f01c10c99ed349502e149aec2eb095888b97f53dbbea"
+
+    def test_grid_matches_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for humans, robots, tasks in self.GRID_SHAPES:
+            for seed in range(25):
+                scenario = random_scenario(humans, robots, tasks, seed=seed)
+                for cfg in self.GRID_CONFIGS:
+                    for prefs in self.GRID_VECTORS:
+                        plan = heuristic_allocate(scenario, prefs, cfg)
+                        digest.update(plan.render().encode() + b"\n")
+        assert digest.hexdigest() == self.GRID_GOLDEN
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0])
+    @pytest.mark.parametrize("prefs", [
+        PreferenceVector.of(TP=1, MT=1, HW=1),
+        PreferenceVector.single(Objective.TASK_PERFORMANCE),
+    ])
+    def test_shared_speed_at_or_below_zero_is_a_value_error(self, multiplier, prefs):
+        # the two branches that plan shared control travel at the scaled speed
+        cfg = SimConfig(shared_speed_multiplier={tier: multiplier for tier in Tier})
+        scenario = make_scenario(
+            humans=(("H_0", Tier.HIGH, Tier.HIGH),),
+            robots=(("UAV_0", 10.0, Tier.MED),),
+            tasks=(("T_0", (300.0, 400.0), Tier.HIGH),),
+        )
+        with pytest.raises(ValueError, match=re.escape(f"speed must be > 0, got {multiplier * 10.0}")):
+            heuristic_allocate(scenario, prefs, cfg)
+        # autonomous planning never reads the multiplier
+        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME), cfg)
+        assert plan.assignments["T_0"] == ("UAV_0", None)
 
     def test_deterministic(self, scenario):
         prefs = PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33)

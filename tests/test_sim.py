@@ -345,6 +345,39 @@ class TestSimGolden:
                     digest.update(part.encode() + b"\n")
         assert digest.hexdigest() == self.GOLDEN
 
+    # the same parts of a trace under constants other than the defaults,
+    # recorded before the trace was built lazily
+    CONFIG_GOLDEN = "89be9d51b486eaba4557fa14a2743a2a67a3c289bcf3e20a8bac6f09b2ae12ac"
+    CONFIGS = (
+        SimConfig(shared_speed_multiplier={Tier.LOW: 0.5, Tier.MED: 1.5, Tier.HIGH: 2.5}),
+        SimConfig(fatigue_floor=0.3, fatigue_horizon_s=600.0, workload_coef=0.5,
+                  analysis_service_s={Tier.LOW: 5.0, Tier.MED: 90.0, Tier.HIGH: 200.0}),
+    )
+
+    def test_missions_under_other_constants_match_the_pinned_digest(self):
+        rng = random.Random(707)
+        digest = hashlib.sha256()
+        for case in range(200):
+            scenario = random_scenario(
+                rng.randint(0, 4), rng.randint(1, 5), rng.randint(0, 15), seed=10_000 + case
+            )
+            cfg = self.CONFIGS[case % 2].with_seed(rng.randrange(10**6))
+            record, trace = run_mission(scenario, random_plan(scenario, rng), cfg)
+            for part in (
+                record.serialize(),
+                trace.render_events(),
+                repr(list(trace.outcomes.values())),
+                repr(list(trace.busy.items())),
+            ):
+                digest.update(part.encode() + b"\n")
+        assert digest.hexdigest() == self.CONFIG_GOLDEN
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0])
+    def test_shared_speed_at_or_below_zero_is_a_value_error(self, scenario, shared_plan, multiplier):
+        cfg = SimConfig(shared_speed_multiplier={tier: multiplier for tier in Tier})
+        with pytest.raises(ValueError, match="speed must be > 0"):
+            run_mission(scenario, shared_plan, cfg)
+
 
 class TestQueueScaling:
     @staticmethod
