@@ -19,7 +19,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,14 @@ class CompositionChange:
     add_humans: int = 0
 
 
+# what a situational-awareness spec without a `change` does
+DEFAULT_CHANGE = CompositionChange(remove_robots=1, remove_humans=1)
+
+
+class CompositionError(ValueError):
+    """A composition change that cannot apply to a scenario."""
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     mode: str = Mode.SOO
@@ -94,7 +102,8 @@ class ExperimentSpec:
     brute_force_samples: int = 8
 
     def __post_init__(self) -> None:
-        change = self.change or CompositionChange()
+        default = DEFAULT_CHANGE if self.mode == Mode.SITUATIONAL else CompositionChange()
+        change = self.change or default
         counts = {
             "trials": (self.trials, 1),
             "seed": (self.seed, None),
@@ -113,6 +122,14 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
             if minimum is not None and value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        ids = change.remove_ids
+        if not isinstance(ids, tuple) or not all(isinstance(agent, str) for agent in ids):
+            shown = json.dumps(ids, default=repr)
+            raise ValueError(f"change.remove_ids must be a list of strings, got {shown}")
+        if change.remove_robots >= self.team.robots:  # robots go before any are added
+            note = "" if self.change else " (the default change)"
+            raise ValueError(f"change.remove_robots must be < robots ({self.team.robots}), "
+                             f"got {change.remove_robots}{note}")
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
@@ -147,7 +164,9 @@ class ExperimentSpec:
             _reject_unknown_keys(raw["change"], "change", CompositionChange)
             change = _present_fields(CompositionChange, raw["change"])
             if "remove_ids" in change:
-                change["remove_ids"] = tuple(change["remove_ids"])
+                change["remove_ids"] = tuple(
+                    _expect(change["remove_ids"], list, "change.remove_ids", "a list of strings")
+                )
             kwargs["change"] = CompositionChange(**change)
         return cls(**kwargs)
 
@@ -296,8 +315,8 @@ class PlanTable:
     records in the layout of `performance_columns`, one (plan, sample) grid
     per objective. The normalization bounds are shared across every record,
     so scores are comparable across plans. Nothing here depends on a
-    preference vector: one table scores any number of them. Plans and
-    records are built only when read.
+    preference vector: one table scores any number of them. Plans are built
+    only when read.
     """
 
     scenario: MissionScenario
@@ -311,17 +330,6 @@ class PlanTable:
     @cached_property
     def plans(self) -> list[ItaPlan]:
         return _plans_of(self.scenario, self.rows)
-
-    @cached_property
-    def records(self) -> list[list[PerformanceRecord]]:
-        """Per plan, one record per sample seed; a plan's samples with equal
-        values share one record."""
-        records = []
-        for plan in zip(*(column.tolist() for column in self.columns)):
-            triples = list(zip(*plan))  # (points, seconds, utilization) per sample
-            made = {triple: PerformanceRecord(*triple) for triple in set(triples)}
-            records.append([made[triple] for triple in triples])
-        return records
 
     def _per_sample(self, prefs: PreferenceVector) -> np.ndarray:
         """Aggregate score per (plan, sample)."""
@@ -430,12 +438,12 @@ def apply_composition_change(
     taken = scenario.human_ids() | scenario.robot_ids()
     unknown = remove - taken
     if unknown:
-        raise ValueError(f"cannot remove unknown agents: {sorted(unknown)}")
+        raise CompositionError(f"cannot remove unknown agents: {sorted(unknown)}")
 
     humans = tuple(h for h in scenario.humans if h.id not in remove)
     robots = tuple(r for r in scenario.robots if r.id not in remove)
     if not robots:
-        raise ValueError("composition change would leave the team with no robots")
+        raise CompositionError("composition change would leave the team with no robots")
 
     rng = random.Random(derive_seed("composition", *sorted(remove)))
     new_humans = tuple(_draw_human(rng, taken) for _ in range(change.add_humans))
@@ -648,16 +656,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-# Brute-force optima of one `run_experiment` call, keyed by (scenario, base
-# seed): the plan chosen for each of the spec's preference vectors.
-_Optima = dict[tuple[MissionScenario, int], dict[PreferenceVector, ItaPlan]]
-# Mission records of one `run_experiment` call, keyed by (trial, whether the
-# scenario is the trial's re-planned one, the plan's assignments). A trial's
-# scenario, re-planned scenario and simulation seed are the same for every
-# cell, so a record is a function of its key.
-_Missions = dict[tuple[int, bool, tuple[tuple[str, Assignment], ...]], PerformanceRecord]
-
-
 def _plan_for(
     method: str,
     scenario: MissionScenario,
@@ -665,7 +663,7 @@ def _plan_for(
     trial_seed: int,
     spec: ExperimentSpec,
     deps: BenchDeps,
-    optima: _Optima,
+    optima: dict[MissionScenario, dict[PreferenceVector, ItaPlan]],
 ) -> tuple[ItaPlan, bool]:
     """Returns (plan, used_fallback)."""
     if method in ("rebel", "zero_shot"):
@@ -682,83 +680,62 @@ def _plan_for(
     if method == "random":
         return random_allocate(scenario, derive_seed(trial_seed, "alloc")), False
     if method == "brute_force":
-        # The table does not depend on the preference vector, so the first
-        # cell to reach a trial simulates it once and keeps only the best
-        # plan per vector; the other cells of that trial look theirs up.
-        key = (scenario, derive_seed(trial_seed, "bf"))
-        if key not in optima:
+        # the table does not depend on the preference vector: the trial's first
+        # brute-force cell keeps the best plan per vector for the others
+        if scenario not in optima:
             table = simulate_plans(
-                scenario, deps.sim_cfg, samples_per_plan=spec.brute_force_samples, base_seed=key[1]
+                scenario, deps.sim_cfg, samples_per_plan=spec.brute_force_samples,
+                base_seed=derive_seed(trial_seed, "bf"),
             )
-            optima[key] = {p: table.best(p)[0] for p in spec.preferences}
-        return optima[key][prefs], False
+            optima[scenario] = {p: table.best(p)[0] for p in spec.preferences}
+        return optima[scenario][prefs], False
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_cell(
-    method: str,
-    prefs: PreferenceVector,
-    spec: ExperimentSpec,
-    deps: BenchDeps,
-    scenarios: list[MissionScenario],
-    optima: _Optima,
-    missions: _Missions,
-) -> CellResult:
-    prioritized = prefs.dominant()
-    start = time.perf_counter()
-    # methods that cannot re-plan have no situational-awareness result
-    na = spec.mode == Mode.SITUATIONAL and method not in ADAPTIVE_METHODS
+def _run_trial(
+    trial: int, cells: list[tuple[str, PreferenceVector]], spec: ExperimentSpec, deps: BenchDeps
+) -> list[tuple[PerformanceRecord, bool, PerformanceRecord | None, float]]:
+    """One trial of each (method, preferences) cell, in order: its record,
+    whether its plan fell back, its post-change record (None outside
+    situational awareness) and its planning and simulation seconds. Cells
+    share the trial's scenario, brute-force table and distinct missions."""
+    scenario = random_scenario(
+        spec.team.humans, spec.team.robots, spec.team.pois,
+        seed=derive_seed(spec.seed, "scenario", trial),
+    )
+    sim_cfg = deps.sim_cfg.with_seed(derive_seed(spec.seed, "sim", trial))
+    optima: dict[MissionScenario, dict[PreferenceVector, ItaPlan]] = {}
+    missions: dict[tuple[bool, tuple[tuple[str, Assignment], ...]], PerformanceRecord] = {}
 
-    def simulate(
-        trial: int, replanned: bool, scenario: MissionScenario, plan: ItaPlan
-    ) -> PerformanceRecord:
-        key = (trial, replanned, tuple(plan.assignments.items()))
-        record = missions.get(key)
-        if record is None:
-            sim_cfg = deps.sim_cfg.with_seed(derive_seed(spec.seed, "sim", trial))
-            record, _ = run_mission(scenario, plan, sim_cfg)
-            missions[key] = record
-        return record
+    def simulate(replanned: bool, scenario: MissionScenario, plan: ItaPlan) -> PerformanceRecord:
+        key = (replanned, tuple(plan.assignments.items()))  # tells the two scenarios apart
+        if key not in missions:
+            missions[key] = run_mission(scenario, plan, sim_cfg)[0]
+        return missions[key]
 
-    def one_trial(trial: int) -> tuple[PerformanceRecord, bool, PerformanceRecord | None]:
-        scenario = scenarios[trial]
+    results = []
+    for method, prefs in cells:
+        start = time.perf_counter()
         plan, fallback = _plan_for(
             method, scenario, prefs, derive_seed(spec.seed, method, trial), spec, deps, optima
         )
-        record = simulate(trial, False, scenario, plan)
-
-        changed_record = None
+        record = simulate(False, scenario, plan)
+        changed = None
         if spec.mode == Mode.SITUATIONAL:
-            change = spec.change or CompositionChange(remove_robots=1, remove_humans=1)
-            modified, _report = apply_composition_change(scenario, plan, change)
+            try:
+                modified, _report = apply_composition_change(
+                    scenario, plan, spec.change or DEFAULT_CHANGE
+                )
+            except CompositionError as exc:
+                raise CompositionError(f"trial {trial}: {exc}") from None
             new_plan, _ = _plan_for(
                 method, modified, prefs, derive_seed(spec.seed, method, trial, "re"), spec, deps,
                 optima,
             )
             # `modified` depends on the scenario and the change alone
-            changed_record = simulate(trial, True, modified, new_plan)
-        return record, fallback, changed_record
-
-    if na:
-        results = []
-    elif deps.workers > 1:
-        with ThreadPoolExecutor(max_workers=deps.workers) as pool:
-            results = list(pool.map(one_trial, range(spec.trials)))
-    else:
-        results = [one_trial(trial) for trial in range(spec.trials)]
-
-    changed = [c for _, _, c in results if c is not None]
-    return CellResult(
-        method=method,
-        pref_label=prefs.label(),
-        prefs=prefs,
-        prioritized=prioritized.short if prioritized else None,
-        records=[r for r, _, _ in results],
-        fallbacks=sum(1 for _, fb, _ in results if fb),
-        runtime_s=time.perf_counter() - start,
-        na=na,
-        changed_records=changed if changed else None,
-    )
+            changed = simulate(True, modified, new_plan)
+        results.append((record, fallback, changed, time.perf_counter() - start))
+    return results
 
 
 class _DropEmptyDbWarnings(logging.Filter):
@@ -781,33 +758,36 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
     """Run every (method x preference) cell and assemble the report."""
     require_stores(spec, deps)
 
-    # Work that no preference vector changes is done once per trial: its
-    # scenario here, its brute-force optima in `_plan_for`, and each distinct
-    # mission in `_run_cell`. A cell's trials may run on separate threads,
-    # but each has its own memo keys, and cells run one after another, so the
-    # memos need no lock.
-    optima: _Optima = {}
-    missions: _Missions = {}
-    scenarios = [
-        random_scenario(
-            spec.team.humans, spec.team.robots, spec.team.pois,
-            seed=derive_seed(spec.seed, "scenario", trial),
-        )
-        for trial in range(spec.trials)
-    ]
+    # methods that cannot re-plan have no situational-awareness result
+    na = {m: spec.mode == Mode.SITUATIONAL and m not in ADAPTIVE_METHODS for m in spec.methods}
+    planned = [(m, p) for m in spec.methods for p in spec.preferences if not na[m]]
+    run = partial(_run_trial, cells=planned, spec=spec, deps=deps)
 
     pipeline_logger = logging.getLogger("rebel.pipeline")
     quiet = _DropEmptyDbWarnings()
     if "zero_shot" in spec.methods:
         pipeline_logger.addFilter(quiet)
     try:
-        cells = [
-            _run_cell(method, prefs, spec, deps, scenarios, optima, missions)
-            for method in spec.methods
-            for prefs in spec.preferences
-        ]
+        if deps.workers > 1:
+            with ThreadPoolExecutor(max_workers=deps.workers) as pool:
+                trials = list(pool.map(run, range(spec.trials)))
+        else:
+            trials = [run(trial) for trial in range(spec.trials)]
     finally:
         pipeline_logger.removeFilter(quiet)
+
+    per_cell = iter(zip(*trials))  # each planned cell's results, trial by trial
+    cells = []
+    for method in spec.methods:
+        for prefs in spec.preferences:
+            results = () if na[method] else next(per_cell)
+            records, fallbacks, changed, seconds = zip(*results) if results else ((),) * 4
+            prioritized = prefs.dominant()
+            cells.append(CellResult(
+                method, prefs.label(), prefs, prioritized.short if prioritized else None,
+                records=list(records), fallbacks=sum(fallbacks), runtime_s=sum(seconds),
+                na=na[method], changed_records=[c for c in changed if c is not None] or None,
+            ))
 
     live = [c for c in cells if not c.na]
     if spec.mode == Mode.MOO and live:

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import BenchDeps, ExperimentSpec, require_stores, run_experiment
+from .bench import BenchDeps, CompositionError, ExperimentSpec, require_stores, run_experiment
 from .core import MissionScenario, Objective, PreferenceVector
 from .llm import (
     HttpCompletionProvider,
@@ -198,7 +198,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(spec, deps)
+    try:
+        report = run_experiment(spec, deps)
+    except CompositionError as exc:
+        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")

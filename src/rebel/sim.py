@@ -167,58 +167,38 @@ class TaskOutcome:
 
 
 @dataclass(frozen=True)
-class MissionSchedule:
-    """A mission up to its coin flips. `classifications` holds (task, "robot" |
+class SimTrace:
+    """What `run_mission` worked out. `classifications` holds (task, "robot" |
     "human", classifier id, completion time, probability correct) in outcome
     order; `captures` holds (arrival time, robot, task, analyst | None) per
-    task, and `services` (start, end, human, task, items waiting) per
-    analysis, from which `SimTrace` builds the event log."""
+    task, `services` (start, end, human, task, items waiting) per analysis,
+    and `correct` the coin flip per task. The per-task outcomes and the flat
+    event log are built when first read."""
 
     classifications: tuple[tuple[str, str, str, float, float], ...]
     busy: dict[str, tuple[tuple[float, float], ...]]
     captures: tuple[tuple[float, str, str, str | None], ...]
     services: tuple[tuple[float, float, str, str, int], ...]
-    mission_seconds: float
-    utilization: float
-    points_per_correct: float
-
-    def record(self, correct: int) -> PerformanceRecord:
-        """The performance triple when `correct` classifications came out right."""
-        return PerformanceRecord(
-            self.points_per_correct * correct, self.mission_seconds, self.utilization
-        )
-
-
-@dataclass(frozen=True)
-class SimTrace:
-    """A mission's schedule and its coin flips (`correct`, per task); the
-    per-task outcomes and the flat event log are built when first read."""
-
-    schedule: MissionSchedule
     correct: dict[str, bool]
-
-    @property
-    def busy(self) -> dict[str, tuple[tuple[float, float], ...]]:
-        return self.schedule.busy
 
     @cached_property
     def outcomes(self) -> dict[str, TaskOutcome]:
         return {
             task_id: TaskOutcome(task_id, kind, agent_id, self.correct[task_id], completion_s, p)
-            for task_id, kind, agent_id, completion_s, p in self.schedule.classifications
+            for task_id, kind, agent_id, completion_s, p in self.classifications
         }
 
     @cached_property
     def events(self) -> tuple[tuple[float, str, str, str, str], ...]:
         correct = self.correct
         events: list[tuple[float, str, str, str, str]] = []
-        for t, robot_id, task_id, analyst_id in self.schedule.captures:
+        for t, robot_id, task_id, analyst_id in self.captures:
             events.append((t, "capture", robot_id, task_id, ""))
             if analyst_id is None:
                 events.append((t, "classify", robot_id, task_id, f"correct={correct[task_id]}"))
             else:
                 events.append((t, "enqueue", analyst_id, task_id, ""))
-        for start, end, human_id, task_id, waiting in self.schedule.services:
+        for start, end, human_id, task_id, waiting in self.services:
             events.append((start, "service_start", human_id, task_id, f"load={waiting}"))
             events.append((end, "classify", human_id, task_id, f"correct={correct[task_id]}"))
         # (time, kind, agent, task) is unique per event, so the detail never
@@ -234,8 +214,12 @@ class SimTrace:
         )
 
 
-def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -> MissionSchedule:
-    """Execute an allocation up to its coin flips; `cfg.seed` is not read.
+def run_mission(
+    scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig
+) -> tuple[PerformanceRecord, SimTrace]:
+    """Execute an allocation and flip its coins under `cfg.seed`. Returns the
+    performance triple and the trace, whose outcomes and event log are built
+    only when read.
 
     Robots start at the arena origin and visit their tasks in plan order;
     shared control scales travel speed by the operator's skill tier. Captures
@@ -307,14 +291,17 @@ def schedule_mission(scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig) -
     else:
         utilization = 0.0
 
-    return MissionSchedule(
+    correct = {
+        task_id: _unit_draw(cfg.seed, agent_id, task_id) < p
+        for task_id, _, agent_id, _, p in classified
+    }
+    points = cfg.points_per_correct * sum(correct.values())
+    return PerformanceRecord(points, mission_seconds, utilization), SimTrace(
         classifications=tuple(classified),
         busy={agent: tuple(spans) for agent, spans in busy.items()},
         captures=tuple(captures),
         services=tuple(services),
-        mission_seconds=mission_seconds,
-        utilization=utilization,
-        points_per_correct=cfg.points_per_correct,
+        correct=correct,
     )
 
 
@@ -334,8 +321,8 @@ class PlanSchedules:
 def schedule_plans(
     scenario: MissionScenario, robot_of: np.ndarray, human_of: np.ndarray, cfg: SimConfig
 ) -> PlanSchedules:
-    """`schedule_mission` for many plans at once, as arrays; each value is
-    the float `schedule_mission` gives for that plan alone.
+    """Many plans' missions up to their coin flips, as arrays; each value is
+    the float `run_mission` gives for that plan alone.
 
     `robot_of[n, t]` is the index in `scenario.robots` of the robot that
     travels to `scenario.tasks[t]` in plan n, and `human_of[n, t]` the index
@@ -378,7 +365,7 @@ def schedule_plans(
     complexity = np.array([complexity_factor(task.difficulty, cfg) for task in tasks])
     workload = np.array([workload_factor(waiting, cfg) for waiting in range(n_tasks)])
     mission_seconds = now.max(axis=1, initial=0.0)
-    busy = np.zeros(plans)  # humans' busy seconds, summed as `schedule_mission` sums them
+    busy = np.zeros(plans)  # humans' busy seconds, summed as `run_mission` sums them
     for h, profile in enumerate(humans):
         # the FIFO queue: by arrival, then task order; other tasks sort last
         queue = np.where(human_of == h, arrival, np.inf)
@@ -412,17 +399,3 @@ def schedule_plans(
         mission_seconds=mission_seconds,
         utilization=utilization,
     )
-
-
-def run_mission(
-    scenario: MissionScenario, plan: ItaPlan, cfg: SimConfig
-) -> tuple[PerformanceRecord, SimTrace]:
-    """Execute an allocation (see `schedule_mission`) and flip its coins
-    under `cfg.seed`. Returns the performance triple and the trace, whose
-    outcomes and event log are built only when read."""
-    schedule = schedule_mission(scenario, plan, cfg)
-    correct = {
-        task_id: _unit_draw(cfg.seed, agent_id, task_id) < p
-        for task_id, _, agent_id, _, p in schedule.classifications
-    }
-    return schedule.record(sum(correct.values())), SimTrace(schedule, correct)

@@ -242,29 +242,17 @@ class TestBruteForce:
 
 
 class TestBruteForceDoesNoPerSampleWork:
-    def test_no_event_log_and_one_record_per_distinct_hit_count(self, monkeypatch):
-        made = [0]
-        check = PerformanceRecord.__post_init__
+    def test_scoring_builds_no_trace_and_no_record(self, monkeypatch):
+        def per_sample(self, *args, **kwargs):
+            raise AssertionError("brute force built a one-mission trace or record")
 
-        def per_plan(self, *args, **kwargs):
-            raise AssertionError("brute force built a one-plan schedule or trace")
-
-        def counting(record):
-            made[0] += 1
-            check(record)
-
-        # a trace holds the event log, and a one-plan schedule is what it is built from
-        monkeypatch.setattr(sim.MissionSchedule, "__init__", per_plan)
-        monkeypatch.setattr(sim.SimTrace, "__init__", per_plan)
-        monkeypatch.setattr(PerformanceRecord, "__post_init__", counting)
+        # a trace holds the event log; the table holds its records as columns
+        monkeypatch.setattr(sim.SimTrace, "__init__", per_sample)
+        monkeypatch.setattr(PerformanceRecord, "__post_init__", per_sample)
         table = bench.simulate_plans(random_scenario(2, 2, 3, seed=1), SimConfig(), 8, base_seed=5)
-        assert made[0] == 0  # the table holds columns until its records are read
-
-        assert len(table.records) == 216
-        assert all(len(records) == 8 for records in table.records)
-        # a plan's samples differ only in accuracy points, one per hit count
-        distinct = sum(len({r.accuracy_points for r in records}) for records in table.records)
-        assert made[0] == distinct < 216 * 8
+        for prefs in rotation_preferences():
+            assert len(table.scores(prefs)) == 216
+            table.best(prefs)
 
 
 class TestBestBuildsOnlyTiedPlans:
@@ -547,6 +535,15 @@ class TestRunExperiment:
         for record in cell.changed_records:
             assert record.accuracy_points >= 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_change_that_cannot_apply_to_a_trial_names_it(self, workers):
+        # robot ids are drawn per trial: trials 0 and 2 have a UAV_0, trial 1 has not
+        spec = small_spec(mode=Mode.SITUATIONAL, methods=("zero_shot",), seed=1, trials=3,
+                          team=TeamSpec(1, 2, 2), change=CompositionChange(remove_ids=("UAV_0",)))
+        message = "trial 1: cannot remove unknown agents: ['UAV_0']"
+        with pytest.raises(bench.CompositionError, match=re.escape(message)):
+            run_experiment(spec, deps(workers))
+
     def test_parallel_workers_match_sequential(self):
         sequential = run_experiment(small_spec(), deps(workers=1))
         parallel = run_experiment(small_spec(), deps(workers=4))
@@ -661,10 +658,10 @@ class TestPreferenceFreeWorkOncePerTrial:
             return wrapper
 
         # brute force schedules a table through bench's reference to the array
-        # scheduler; `run_mission` calls the one-plan scheduler in `rebel.sim`
+        # scheduler, and every other mission is one `run_mission` call
         for module, name, label in (
             (bench, "schedule_plans", "brute_force"),
-            (sim, "schedule_mission", "run_mission"),
+            (bench, "run_mission", "run_mission"),
             (bench, "random_scenario", "scenario"),
         ):
             monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
@@ -778,6 +775,71 @@ class TestPreferenceFreeWorkOncePerTrial:
             ]
 
 
+def populated_deps(workers: int) -> BenchDeps:
+    """Stub-built rule and experience stores, so `rebel` cells can run."""
+    embedder = HashedEmbedder(dim=32)
+    rules_db, exp_db = RulesDatabase(), ExperienceDatabase()
+    generate_rules(tuple(Objective), StubProvider(), rules_db)
+    generate_experiences(
+        KnowledgeAcquisitionConfig(
+            missions_per_objective=2,
+            scenario_ranges=ScenarioRanges(humans=(1, 3), robots=(2, 3), tasks=(2, 5)),
+            base_seed=2,
+        ),
+        StubProvider(), rules_db, exp_db, SimConfig(), embedder,
+    )
+    return BenchDeps(
+        provider=StubProvider(), rules_db=rules_db, exp_db=exp_db,
+        retrieval=RetrievalConfig(embedder=embedder), workers=workers,
+    )
+
+
+def report_bytes(report, directory) -> bytes:
+    """`report.csv` without its `runtime_s` column, then `summary.txt`."""
+    report.to_csv(directory / "report.csv")
+    with open(directory / "report.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    drop = rows[0].index("runtime_s")
+    kept = "\n".join(",".join(row[:drop] + row[drop + 1:]) for row in rows)
+    return (kept + "\n" + report.summary_text()).encode()
+
+
+class TestReportsGolden:
+    # sha256 over the reports of four specs, recorded before `run_experiment`
+    # ran trial by trial: any change to a record, a plan, a fallback, a cell's
+    # position or the report layout changes the digest, at any worker count
+    GOLDEN = "baf365cc874063538f7d64c61b4dfe60f70fa09043ad18d369477fecab8d1a2f"
+    TP = PreferenceVector.single(Objective.TASK_PERFORMANCE)
+    MT = PreferenceVector.single(Objective.MISSION_TIME)
+    SPECS = (
+        soo_brute_force_spec(),
+        ExperimentSpec(
+            mode=Mode.MOO, team=TeamSpec(2, 3, 5), trials=3, seed=5,
+            methods=("rebel", "zero_shot", "heuristic", "random"),
+        ),
+        ExperimentSpec(
+            mode=Mode.SITUATIONAL, team=TeamSpec(3, 3, 5), trials=3, seed=6,
+            methods=("rebel", "zero_shot", "heuristic"),
+            change=CompositionChange(
+                remove_ids=("H_0",), remove_robots=1, add_robots=2, add_humans=1
+            ),
+        ),
+        # one method and one vector listed twice: every cell keeps its position
+        ExperimentSpec(
+            mode=Mode.MOO, team=TeamSpec(2, 3, 5), trials=3, seed=7,
+            methods=("random", "heuristic", "random"), preferences=(TP, MT, TP),
+        ),
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_match_the_pinned_digest(self, tmp_path, workers):
+        run = populated_deps(workers)
+        digest = hashlib.sha256()
+        for spec in self.SPECS:
+            digest.update(report_bytes(run_experiment(spec, run), tmp_path))
+        assert digest.hexdigest() == self.GOLDEN
+
+
 def _reference_aggregate(record, prefs, bounds) -> float:
     """The aggregate score written out term by term: a sum from 0 of each
     weight times the clamped, direction-corrected normalized value."""
@@ -849,7 +911,6 @@ def test_table_scorer_equals_aggregate_objective_exactly(groups, bounds, prefs):
         statistics.fmean([aggregate_objective(record, prefs, bounds) for record in records])
         for records in groups
     ]
-    assert table.records == groups
 
 
 class TestExperimentSpecJson:
@@ -932,6 +993,34 @@ class TestExperimentSpecJson:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentSpec.from_json(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ('{"remove_ids": "H_0"}', 'change.remove_ids must be a list of strings, got "H_0"'),
+            ('{"remove_ids": [5]}', "change.remove_ids must be a list of strings, got [5]"),
+            ('{"remove_ids": null}', "change.remove_ids must be a list of strings, got null"),
+            ('{"remove_robots": 2}', "change.remove_robots must be < robots (2), got 2"),
+            (None, "change.remove_robots must be < robots (1), got 1 (the default change)"),
+        ],
+    )
+    def test_change_that_cannot_apply_to_any_trial_rejected(self, tmp_path, change, message):
+        # robots are removed before any are added, so none may be left
+        path = tmp_path / "spec.json"
+        robots = 1 if change is None else 2
+        path.write_text(
+            f'{{"mode": "SituationalAwareness", "robots": {robots}'
+            + ("" if change is None else f', "change": {change}') + "}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_json(path)
+
+    def test_change_keeping_one_robot_accepted(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"mode": "SituationalAwareness", "robots": 2, '
+                        '"change": {"remove_robots": 1, "add_robots": 3, "remove_ids": ["H_0"]}}')
+        change = ExperimentSpec.from_json(path).change
+        assert change == CompositionChange(("H_0",), remove_robots=1, add_robots=3)
 
     def test_negative_seed_and_empty_team_edges_accepted(self):
         spec = ExperimentSpec(team=TeamSpec(humans=0, robots=1, pois=0), seed=-4)

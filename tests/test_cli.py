@@ -155,6 +155,9 @@ def test_infer_plans_under_its_sim_config(tmp_path, capsys):
         ([], "a spec must be an object"),
         ({"trials": "3"}, 'trials must be an integer, got "3"'),
         ({"humans": -1, "trials": 1}, "humans must be >= 0"),
+        ({"change": {"remove_ids": "H_0"}}, "change.remove_ids must be a list of strings"),
+        ({"mode": "SituationalAwareness", "robots": 1}, "change.remove_robots must be < robots"),
+        ({"change": {"remove_ids": [5]}}, "change.remove_ids must be a list of strings, got [5]"),
     ],
 )
 def test_bench_rejects_a_bad_spec_with_one_line(tmp_path, capsys, spec, message):
@@ -165,6 +168,22 @@ def test_bench_rejects_a_bad_spec_with_one_line(tmp_path, capsys, spec, message)
     assert captured.out == ""
     assert captured.err.startswith(f"error: {spec_path}: ")
     assert captured.err.count("\n") == 1 and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_rejects_a_change_one_trial_cannot_apply_with_one_line(tmp_path, capsys):
+    # robot ids are drawn per trial: trials 0 and 2 have a UAV_0, trial 1 has not
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "mode": "SituationalAwareness", "humans": 1, "robots": 2, "pois": 2, "trials": 3,
+        "seed": 1, "methods": ["zero_shot"], "change": {"remove_ids": ["UAV_0"]},
+    }))
+    assert main(["bench", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {spec_path}: trial 1: cannot remove unknown agents: ['UAV_0']\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -26,7 +26,6 @@ from rebel.sim import (
     human_accuracy_probability,
     robot_accuracy_probability,
     run_mission,
-    schedule_mission,
     schedule_plans,
     travel_time,
     workload_factor,
@@ -422,25 +421,25 @@ FLOORED = SimConfig(fatigue_floor=0.95, fatigue_horizon_s=200.0, workload_coef=0
 
 
 class TestSchedulePlans:
-    def assert_equal_to_one_plan_schedules(self, scenario, cfg):
+    def assert_equal_to_one_plan_missions(self, scenario, cfg):
         plans = enumerate_plans(scenario)
         arrays = schedule_plans(scenario, *plan_indices(scenario, plans), cfg)
         agents = [a.id for a in scenario.robots + scenario.humans]
         for n, plan in enumerate(plans):
-            one = schedule_mission(scenario, plan, cfg)
-            assert arrays.mission_seconds[n] == one.mission_seconds
-            assert arrays.utilization[n] == one.utilization
+            record, trace = run_mission(scenario, plan, cfg)
+            assert arrays.mission_seconds[n] == record.mission_seconds
+            assert arrays.utilization[n] == record.human_utilization
             assert {
                 task.id: (agents[arrays.classifier[n, t]], arrays.p_correct[n, t])
                 for t, task in enumerate(scenario.tasks)
-            } == {task_id: (agent, p) for task_id, _, agent, _, p in one.classifications}
+            } == {task_id: (agent, p) for task_id, _, agent, _, p in trace.classifications}
 
     # (1, 3, 3) and (2, 1, 4) include plans that leave robots without tasks
     @pytest.mark.parametrize("team", [(2, 2, 3), (1, 3, 3), (3, 2, 2), (0, 2, 3), (2, 1, 4)])
     @pytest.mark.parametrize("cfg", [CFG, FLOORED], ids=["default", "floored"])
     def test_equal_to_one_plan_at_a_time(self, team, cfg):
         for seed in (0, 1):
-            self.assert_equal_to_one_plan_schedules(random_scenario(*team, seed=seed), cfg)
+            self.assert_equal_to_one_plan_missions(random_scenario(*team, seed=seed), cfg)
 
     @pytest.mark.parametrize("cfg", [CFG, FLOORED], ids=["default", "floored"])
     def test_simultaneous_captures_for_one_human(self, cfg):
@@ -458,9 +457,9 @@ class TestSchedulePlans:
             "T_1": Assignment("UGV_0", "H_0"),
             "T_2": Assignment("UGV_0"),
         })
-        captures = schedule_mission(scenario, plan, cfg).captures
+        captures = run_mission(scenario, plan, cfg)[1].captures
         assert captures[0][0] == captures[1][0] and captures[0][3] == captures[1][3] == "H_0"
-        self.assert_equal_to_one_plan_schedules(scenario, cfg)
+        self.assert_equal_to_one_plan_missions(scenario, cfg)
 
     def test_no_tasks_and_no_plans(self):
         empty = make_scenario(tasks=())
