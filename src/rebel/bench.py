@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import random
 import statistics
@@ -45,11 +44,9 @@ from .core import (
     performance_columns,
 )
 from .llm import CompletionProvider, heuristic_allocate
-from .pipeline import RetrievalConfig, derive_seed, infer
+from .pipeline import RetrievalConfig, allocate_with_model, derive_seed, infer
 from .retrieval import ExperienceDatabase, RulesDatabase
 from .sim import SimConfig, _unit_draw, run_mission, schedule_plans
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("rebel", "zero_shot", "heuristic", "random", "brute_force")
 ADAPTIVE_METHODS = ("rebel", "zero_shot")  # can re-plan after composition changes
@@ -102,8 +99,8 @@ class ExperimentSpec:
     brute_force_samples: int = 8
 
     def __post_init__(self) -> None:
-        default = DEFAULT_CHANGE if self.mode == Mode.SITUATIONAL else CompositionChange()
-        change = self.change or default
+        situational = self.mode == Mode.SITUATIONAL
+        change = self.change or (DEFAULT_CHANGE if situational else CompositionChange())
         counts = {
             "trials": (self.trials, 1),
             "seed": (self.seed, None),
@@ -126,6 +123,8 @@ class ExperimentSpec:
         if not isinstance(ids, tuple) or not all(isinstance(agent, str) for agent in ids):
             shown = json.dumps(ids, default=repr)
             raise ValueError(f"change.remove_ids must be a list of strings, got {shown}")
+        if self.change and not situational:
+            raise ValueError(f"a change applies only in {Mode.SITUATIONAL} mode, not {self.mode}")
         if change.remove_robots >= self.team.robots:  # robots go before any are added
             note = "" if self.change else " (the default change)"
             raise ValueError(f"change.remove_robots must be < robots ({self.team.robots}), "
@@ -139,6 +138,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.preferences:
             object.__setattr__(self, "preferences", default_preferences(self.mode))
+        if situational:
+            object.__setattr__(self, "change", change)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
@@ -663,32 +664,32 @@ def _plan_for(
     trial_seed: int,
     spec: ExperimentSpec,
     deps: BenchDeps,
-    optima: dict[MissionScenario, dict[PreferenceVector, ItaPlan]],
+    optima: dict[PreferenceVector, ItaPlan],
 ) -> tuple[ItaPlan, bool]:
     """Returns (plan, used_fallback)."""
-    if method in ("rebel", "zero_shot"):
-        rules_db, exp_db = (
-            (deps.rules_db, deps.exp_db) if method == "rebel"
-            else (RulesDatabase(), ExperienceDatabase())
-        )
+    if method == "rebel":
         result = infer(
-            scenario, prefs, rules_db, exp_db, deps.provider, deps.retrieval, deps.sim_cfg
+            scenario, prefs, deps.rules_db, deps.exp_db, deps.provider, deps.retrieval,
+            deps.sim_cfg,
         )
         return result.plan, result.used_fallback
+    if method == "zero_shot":
+        return allocate_with_model(scenario, prefs, deps.provider, sim_cfg=deps.sim_cfg)
     if method == "heuristic":
         return heuristic_allocate(scenario, prefs, deps.sim_cfg), False
     if method == "random":
         return random_allocate(scenario, derive_seed(trial_seed, "alloc")), False
     if method == "brute_force":
         # the table does not depend on the preference vector: the trial's first
-        # brute-force cell keeps the best plan per vector for the others
-        if scenario not in optima:
+        # brute-force cell keeps the best plan per vector for the others (brute
+        # force has no re-plan, so it only sees the trial's own scenario)
+        if not optima:
             table = simulate_plans(
                 scenario, deps.sim_cfg, samples_per_plan=spec.brute_force_samples,
                 base_seed=derive_seed(trial_seed, "bf"),
             )
-            optima[scenario] = {p: table.best(p)[0] for p in spec.preferences}
-        return optima[scenario][prefs], False
+            optima.update((p, table.best(p)[0]) for p in spec.preferences)
+        return optima[prefs], False
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -704,7 +705,7 @@ def _run_trial(
         seed=derive_seed(spec.seed, "scenario", trial),
     )
     sim_cfg = deps.sim_cfg.with_seed(derive_seed(spec.seed, "sim", trial))
-    optima: dict[MissionScenario, dict[PreferenceVector, ItaPlan]] = {}
+    optima: dict[PreferenceVector, ItaPlan] = {}
     missions: dict[tuple[bool, tuple[tuple[str, Assignment], ...]], PerformanceRecord] = {}
 
     def simulate(replanned: bool, scenario: MissionScenario, plan: ItaPlan) -> PerformanceRecord:
@@ -723,9 +724,7 @@ def _run_trial(
         changed = None
         if spec.mode == Mode.SITUATIONAL:
             try:
-                modified, _report = apply_composition_change(
-                    scenario, plan, spec.change or DEFAULT_CHANGE
-                )
+                modified, _report = apply_composition_change(scenario, plan, spec.change)
             except CompositionError as exc:
                 raise CompositionError(f"trial {trial}: {exc}") from None
             new_plan, _ = _plan_for(
@@ -736,14 +735,6 @@ def _run_trial(
             changed = simulate(True, modified, new_plan)
         results.append((record, fallback, changed, time.perf_counter() - start))
     return results
-
-
-class _DropEmptyDbWarnings(logging.Filter):
-    """The zero_shot method runs inference on empty databases on purpose;
-    per-trial degradation warnings would drown the report."""
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        return "inferring without" not in record.getMessage()
 
 
 def require_stores(spec: ExperimentSpec, deps: BenchDeps) -> None:
@@ -763,18 +754,11 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
     planned = [(m, p) for m in spec.methods for p in spec.preferences if not na[m]]
     run = partial(_run_trial, cells=planned, spec=spec, deps=deps)
 
-    pipeline_logger = logging.getLogger("rebel.pipeline")
-    quiet = _DropEmptyDbWarnings()
-    if "zero_shot" in spec.methods:
-        pipeline_logger.addFilter(quiet)
-    try:
-        if deps.workers > 1:
-            with ThreadPoolExecutor(max_workers=deps.workers) as pool:
-                trials = list(pool.map(run, range(spec.trials)))
-        else:
-            trials = [run(trial) for trial in range(spec.trials)]
-    finally:
-        pipeline_logger.removeFilter(quiet)
+    if deps.workers > 1:
+        with ThreadPoolExecutor(max_workers=deps.workers) as pool:
+            trials = list(pool.map(run, range(spec.trials)))
+    else:
+        trials = [run(trial) for trial in range(spec.trials)]
 
     per_cell = iter(zip(*trials))  # each planned cell's results, trial by trial
     cells = []

@@ -51,7 +51,15 @@ def parse_preferences(text: str) -> PreferenceVector:
 
 
 def parse_objectives(text: str) -> tuple[Objective, ...]:
-    return tuple(Objective.parse(part) for part in text.split(",") if part.strip())
+    """`TP,MT,HW`; an empty name is a ValueError."""
+    return tuple(Objective.parse(part) for part in text.split(","))
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_provider_args(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +78,7 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
 def _add_embedder_args(parser: argparse.ArgumentParser) -> None:
     """Flags read by _build_embedder; it also reads the provider's endpoint flags."""
     parser.add_argument("--embedder", choices=("hashed", "http"), default="hashed")
-    parser.add_argument("--embed-dim", type=int, default=256)
+    parser.add_argument("--embed-dim", type=positive_int, default=256)
 
 
 def _provider_config(args: argparse.Namespace) -> ProviderConfig:
@@ -109,7 +117,7 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
 
 def cmd_gen_rules(args: argparse.Namespace) -> int:
     db = RulesDatabase(args.rules_db)
-    stored = generate_rules(parse_objectives(args.objectives), _build_provider(args), db)
+    stored = generate_rules(args.objectives, _build_provider(args), db)
     print(f"stored {len(stored)} new rules ({len(db)} live) in {args.rules_db}")
     for entry in stored:
         print(f"  [{entry.id}] {entry.objective.short}: {entry.text}")
@@ -120,7 +128,7 @@ def cmd_gen_exp(args: argparse.Namespace) -> int:
     rules_db = RulesDatabase(args.rules_db)
     exp_db = ExperienceDatabase(args.exp_db)
     cfg = KnowledgeAcquisitionConfig(
-        objectives=parse_objectives(args.objectives),
+        objectives=args.objectives,
         missions_per_objective=args.missions,
         scenario_ranges=ScenarioRanges(
             humans=(args.min_humans, args.max_humans),
@@ -144,14 +152,13 @@ def cmd_gen_exp(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     scenario = MissionScenario.parse(Path(args.scenario).read_text(encoding="utf-8"))
-    prefs = parse_preferences(args.prefs)
     retrieval = RetrievalConfig(
         rule_k=args.rule_k, exp_k=args.exp_k, exp_m=args.exp_m, embedder=_build_embedder(args)
     )
     rules_db, exp_db = RulesDatabase(args.rules_db), ExperienceDatabase(args.exp_db)
     sim_cfg = _sim_config(args)
     result = infer(
-        scenario, prefs, rules_db, exp_db, _build_provider(args, sim_cfg), retrieval, sim_cfg
+        scenario, args.prefs, rules_db, exp_db, _build_provider(args, sim_cfg), retrieval, sim_cfg
     )
     plan_text = result.plan.render()
     if args.out:
@@ -222,20 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-rules", help="stage 1: generate and store allocation rules")
     p.add_argument("--rules-db", required=True)
-    p.add_argument("--objectives", default="TP,MT,HW")
+    p.add_argument("--objectives", type=parse_objectives, default="TP,MT,HW")
     _add_provider_args(p)
     p.set_defaults(func=cmd_gen_rules)
 
     p = sub.add_parser("gen-exp", help="stage 2: simulate missions and store experiences")
     p.add_argument("--rules-db", required=True)
     p.add_argument("--exp-db", required=True)
-    p.add_argument("--objectives", default="TP,MT,HW")
-    p.add_argument("--missions", type=int, default=10)
-    p.add_argument("--refine-every", type=int, default=None)
+    p.add_argument("--objectives", type=parse_objectives, default="TP,MT,HW")
+    p.add_argument("--missions", type=positive_int, default=10)
+    p.add_argument("--refine-every", type=positive_int, default=None)
     p.add_argument("--min-humans", type=int, default=2)
     p.add_argument("--max-humans", type=int, default=5)
-    p.add_argument("--min-robots", type=int, default=3)
-    p.add_argument("--max-robots", type=int, default=7)
+    p.add_argument("--min-robots", type=positive_int, default=3)
+    p.add_argument("--max-robots", type=positive_int, default=7)
     p.add_argument("--min-tasks", type=int, default=5)
     p.add_argument("--max-tasks", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)
@@ -248,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules-db", required=True)
     p.add_argument("--exp-db", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--prefs", required=True, help="MT or TP=0.5,MT=0.25,HW=0.25")
-    p.add_argument("--rule-k", type=int, default=5)
-    p.add_argument("--exp-k", type=int, default=3)
+    p.add_argument("--prefs", type=parse_preferences, required=True,
+                   help="MT or TP=0.5,MT=0.25,HW=0.25")
+    p.add_argument("--rule-k", type=positive_int, default=5)
+    p.add_argument("--exp-k", type=positive_int, default=3)
     p.add_argument("--exp-m", type=int, default=2)
     p.add_argument("--out", default=None)
     p.add_argument("--sim-config", default=None)
@@ -282,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name in ("humans", "robots", "tasks"):
+        if getattr(args, f"min_{name}", 0) > getattr(args, f"max_{name}", 0):
+            parser.error(f"--min-{name} must be <= --max-{name}")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -189,39 +189,33 @@ def _background_prompt(
     )
 
 
-def _allocation_prompt(
-    scenario: MissionScenario,
-    objectives: str,
-    rules: tuple[RuleEntry, ...],
-    exemplars: tuple[Exemplar, ...] = (),
-) -> str:
-    """A prompt asking for a plan; empty rules or exemplars leave their section out."""
-    return build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_SCENARIO,
-            scenario_text=scenario.render_spf(),
-            goal=GOAL_PERFORM_ITA,
-            objectives=objectives,
-            rules=tuple(r.text for r in rules) or None,
-            exemplars=exemplars or None,
-        )
-    )
-
-
-def _plan_from_provider(
-    provider: CompletionProvider,
-    prompt: str,
+def allocate_with_model(
     scenario: MissionScenario,
     prefs: PreferenceVector,
-    sim_cfg: SimConfig | None,
+    provider: CompletionProvider,
+    rules: tuple[RuleEntry, ...] = (),
+    exemplars: tuple[Exemplar, ...] = (),
+    sim_cfg: SimConfig | None = None,
 ) -> tuple[ItaPlan, bool]:
-    """Ask the model for a plan, then the greedy fallback, planned under
-    `sim_cfg`. Returns (plan, fallback).
+    """Ask the model for a plan with `rules` and `exemplars` in the prompt,
+    each section left out when empty (with neither, the zero-shot
+    allocator). Returns (plan, used_fallback); the greedy fallback plans
+    under `sim_cfg`.
 
     An answer that is unusable (unparseable, invalid, or a malformed body) is
     asked for once more. Any other provider error goes straight to the
     fallback: the transport has already spent its own retries on it.
     """
+    prompt = build_prompt(
+        StructuredPrompt(
+            scenario_label=SECTION_SCENARIO,
+            scenario_text=scenario.render_spf(),
+            goal=GOAL_PERFORM_ITA,
+            objectives=objectives_text(prefs),
+            rules=tuple(r.text for r in rules) or None,
+            exemplars=exemplars or None,
+        )
+    )
     for retry in (True, False):
         try:
             response = provider.complete(
@@ -268,11 +262,10 @@ def generate_experiences(
                 tasks=_pick(ranges.tasks, seed, "t"),
                 seed=seed,
             )
-            prefs = PreferenceVector.single(objective)
-            prompt = _allocation_prompt(
-                scenario, objectives_text(prefs), rules_db.for_objective(objective)
+            plan, fallback = allocate_with_model(
+                scenario, PreferenceVector.single(objective), provider,
+                rules_db.for_objective(objective), sim_cfg=sim_cfg,
             )
-            plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs, sim_cfg)
             try:
                 record, _ = run_mission(scenario, plan, sim_cfg.with_seed(derive_seed(seed, "sim")))
             except ValueError as exc:
@@ -356,8 +349,9 @@ def infer(
     else:
         logger.warning("experience database empty; inferring without Prior Experience")
 
-    prompt = _allocation_prompt(scenario, query, rules, tuple(_exemplar(e) for e in exemplars))
-    plan, fallback = _plan_from_provider(provider, prompt, scenario, prefs, sim_cfg)
+    plan, fallback = allocate_with_model(
+        scenario, prefs, provider, rules, tuple(map(_exemplar, exemplars)), sim_cfg
+    )
     return InferenceResult(
         plan=plan, rules=rules, exemplars=exemplars, used_fallback=fallback, query=query
     )

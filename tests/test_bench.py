@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from rebel import bench, sim
 from rebel.bench import (
     BenchDeps,
+    DEFAULT_CHANGE,
     CompositionChange,
     ExperimentSpec,
     Mode,
@@ -57,6 +58,7 @@ from rebel.pipeline import (
     derive_seed,
     generate_experiences,
     generate_rules,
+    infer,
 )
 from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from rebel.sim import SimConfig, run_mission
@@ -574,6 +576,33 @@ class TestRunExperiment:
         for a, b in zip(parallel.cells, sequential.cells):
             assert a.records == b.records
 
+    @pytest.mark.parametrize("mode", [Mode.MOO, Mode.SITUATIONAL])
+    def test_zero_shot_builds_no_store(self, monkeypatch, mode):
+        def refuse(store, *args, **kwargs):
+            raise AssertionError(f"run_experiment built a {type(store).__name__}")
+
+        stores = deps()
+        for cls in (RulesDatabase, ExperienceDatabase):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        spec = small_spec(mode=mode, methods=("zero_shot",), trials=3)
+        assert run_experiment(spec, stores).all_checks_pass()
+
+    def test_zero_shot_leaves_other_inference_warnings_alone(self, caplog):
+        # an `infer` on empty stores that runs while a zero_shot trial is
+        # planning (here from inside the provider) still logs its warnings
+        class InferringProvider(StubProvider):
+            def complete(self, request):
+                infer(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME),
+                      RulesDatabase(), ExperienceDatabase(), StubProvider())
+                return super().complete(request)
+
+        spec = small_spec(methods=("zero_shot",), trials=1)
+        with caplog.at_level("WARNING", logger="rebel.pipeline"):
+            run_experiment(spec, BenchDeps(InferringProvider(), RulesDatabase(), ExperienceDatabase()))
+        messages = [record.getMessage() for record in caplog.records]
+        assert "rules database empty; inferring without a Rules section" in messages
+        assert "experience database empty; inferring without Prior Experience" in messages
+
     def test_csv_and_summary_emission(self, tmp_path):
         report = run_experiment(small_spec(), deps())
         out = tmp_path / "report.csv"
@@ -919,20 +948,20 @@ class TestExperimentSpecJson:
         path.write_text(
             """
             {
-              "mode": "MOO",
+              "mode": "SituationalAwareness",
               "humans": 3, "robots": 4, "pois": 8,
               "trials": 5,
-              "methods": ["heuristic"],
+              "methods": ["zero_shot"],
               "seed": 12,
               "change": {"remove_robots": 1}
             }
             """
         )
         spec = ExperimentSpec.from_json(path)
-        assert spec.mode == Mode.MOO
+        assert spec.mode == Mode.SITUATIONAL
         assert spec.team == TeamSpec(3, 4, 8)
         assert spec.change == CompositionChange(remove_robots=1)
-        assert len(spec.preferences) == 3  # MOO default rotations
+        assert spec.preferences == (PreferenceVector.single(Objective.TASK_PERFORMANCE),)
 
     def test_empty_file_gives_the_defaults(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -941,13 +970,29 @@ class TestExperimentSpecJson:
 
     def test_partial_file_keeps_the_other_defaults(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text('{"robots": 2, "trials": 3, "change": {"add_humans": 1}}')
+        path.write_text('{"mode": "SituationalAwareness", "robots": 2, "trials": 3, '
+                        '"change": {"add_humans": 1}}')
         spec = ExperimentSpec.from_json(path)
         assert spec == ExperimentSpec(
-            team=TeamSpec(robots=2), trials=3, change=CompositionChange(add_humans=1)
+            mode=Mode.SITUATIONAL, team=TeamSpec(robots=2), trials=3,
+            change=CompositionChange(add_humans=1),
         )
         assert spec.team == TeamSpec(5, 2, 30)
         assert (spec.methods, spec.seed, spec.brute_force_samples) == (("rebel", "random"), 0, 8)
+
+    @pytest.mark.parametrize("mode", [Mode.SOO, Mode.MOO])
+    def test_change_outside_situational_awareness_rejected(self, tmp_path, mode):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"mode": "{mode}", "change": {{"remove_robots": 1}}}}')
+        message = f"a change applies only in SituationalAwareness mode, not {mode}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_json(path)
+
+    def test_situational_default_change_is_resolved_at_construction(self):
+        spec = ExperimentSpec(mode=Mode.SITUATIONAL)
+        assert spec.change == DEFAULT_CHANGE
+        assert spec == ExperimentSpec(mode=Mode.SITUATIONAL, change=DEFAULT_CHANGE)
+        assert ExperimentSpec(mode=Mode.MOO).change is None
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

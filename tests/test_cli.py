@@ -119,6 +119,41 @@ def test_gen_rules_then_infer_via_cli(tmp_path, capsys):
     assert "# retrieved rules: [" in out and "# retrieved rules: []" not in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["infer", "--prefs", "XX"], "argument --prefs: invalid parse_preferences value: 'XX'"),
+        (["infer", "--prefs", "TP=-1"], "argument --prefs: invalid parse_preferences value"),
+        (["infer", "--prefs", "MT", "--rule-k", "0"], "argument --rule-k: must be >= 1, got 0"),
+        (["infer", "--prefs", "MT", "--exp-k", "0"], "argument --exp-k: must be >= 1, got 0"),
+        (["infer", "--prefs", "MT", "--embed-dim", "0"], "argument --embed-dim: must be >= 1"),
+        (["infer", "--prefs", "MT", "--rule-k", "two"], "invalid positive_int value: 'two'"),
+        (["gen-exp", "--missions", "0"], "argument --missions: must be >= 1, got 0"),
+        (["gen-exp", "--refine-every", "0"], "argument --refine-every: must be >= 1, got 0"),
+        (["gen-exp", "--min-robots", "0"], "argument --min-robots: must be >= 1, got 0"),
+        (["gen-exp", "--objectives", "ZZ"], "invalid parse_objectives value: 'ZZ'"),
+        (["gen-exp", "--objectives", ""], "invalid parse_objectives value: ''"),
+        (["gen-rules", "--objectives", "TP,,MT"], "invalid parse_objectives value"),
+        (["gen-exp", "--min-tasks", "9", "--max-tasks", "3"], "--min-tasks must be <= --max-tasks"),
+        (["gen-exp", "--min-humans", "6"], "--min-humans must be <= --max-humans"),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
+    paths = {
+        "infer": ["--exp-db", "e.jsonl", "--scenario", "s.txt"],
+        "gen-exp": ["--exp-db", "e.jsonl"],
+        "gen-rules": [],
+    }
+    argv = [argv[0], "--rules-db", str(tmp_path / "r.jsonl"), *paths[argv[0]], *argv[1:]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_infer_plans_under_its_sim_config(tmp_path, capsys):
     # a tied vector reaches the greedy branch that reads the speed multiplier,
     # in the stub's answer as in the fallback

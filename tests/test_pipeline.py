@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 
 from dataclasses import replace
 
@@ -26,14 +25,16 @@ from rebel.pipeline import (
 )
 from rebel.prompt import SECTION_EXPERIENCE, assignment_lines, extract_section
 from rebel.retrieval import (
+    Bm25Params,
     ExperienceDatabase,
+    FusionParams,
     HashedEmbedder,
     RulesDatabase,
     embed_scenario_sections,
-    tokenize,
 )
 from rebel.sim import SimConfig
 from conftest import make_scenario
+from oracles import ref_fusion_order
 
 EMBEDDER = HashedEmbedder(dim=64)
 
@@ -292,48 +293,11 @@ class TestInfer:
         rules_db, exp_db = populated_dbs()
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         result = infer(scenario, prefs, rules_db, exp_db, StubProvider(), retrieval_cfg())
-
-        rules = rules_db.rules()
-        query = result.query
-        docs = {r.id: tokenize(r.text) for r in rules}
-        n_docs = len(rules)
-        avg_len = sum(len(t) for t in docs.values()) / n_docs
-        k1, b, alpha, c = 1.5, 0.75, 0.5, 60.0
-
-        def ref_bm25(rid):
-            total = 0.0
-            for term in tokenize(query):
-                tf = docs[rid].count(term)
-                if not tf:
-                    continue
-                n_t = sum(1 for toks in docs.values() if term in toks)
-                total += (
-                    math.log((n_docs - n_t + 0.5) / (n_t + 0.5))
-                    * tf
-                    * (k1 + 1)
-                    / (tf + k1 * (1 - b + b * len(docs[rid]) / avg_len))
-                )
-            return total
-
-        def ref_cos(rid):
-            qv = EMBEDDER.embed(query)
-            dv = EMBEDDER.embed(next(r.text for r in rules if r.id == rid))
-            return sum(a * b2 for a, b2 in zip(qv, dv))
-
-        sparse_rank = {
-            rid: i + 1
-            for i, rid in enumerate(sorted(docs, key=lambda r: (-ref_bm25(r), r)))
-        }
-        dense_rank = {
-            rid: i + 1
-            for i, rid in enumerate(sorted(docs, key=lambda r: (-ref_cos(r), r)))
-        }
-        fused = {
-            rid: alpha / (c + sparse_rank[rid]) + (1 - alpha) / (c + dense_rank[rid])
-            for rid in docs
-        }
-        want = sorted(docs, key=lambda rid: (-fused[rid], rid))[:5]
-        assert list(result.rule_ids) == want
+        fusion, bm25 = FusionParams(), Bm25Params()
+        want = ref_fusion_order(
+            result.query, rules_db.rules(), EMBEDDER, fusion.alpha, fusion.c, bm25.k1, bm25.b
+        )
+        assert list(result.rule_ids) == want[:5]
 
     def test_prose_provider_falls_back_but_still_validates(self, scenario):
         rules_db, exp_db = populated_dbs()

@@ -44,6 +44,7 @@ from rebel.llm import STUB_RULES, StubProvider, heuristic_allocate
 from rebel.pipeline import RetrievalConfig, infer
 from rebel.prompt import objectives_text
 from conftest import make_scenario
+from oracles import ref_experience_order, ref_fusion_order
 
 
 class TestTokenize:
@@ -293,41 +294,11 @@ class TestEnsembleRetrieve:
             db.store(Objective.MISSION_TIME, text)
         embedder = HashedEmbedder(dim=64)
         query = "Minimize the overall mission time."
-        got = [r.id for r in ensemble_retrieve("Minimize the overall mission time.", db, k=5, embedder=embedder)]
-
-        # independent reference: recompute both rankings and the fusion from
-        # first principles
-        rules = db.rules()
-        k1, b, alpha, c = 1.5, 0.75, 0.5, 60.0
-        docs = {r.id: tokenize(r.text) for r in rules}
-        n_docs = len(rules)
-        avg_len = sum(len(t) for t in docs.values()) / n_docs
-
-        def ref_bm25(rule_id):
-            score = 0.0
-            for term in tokenize(query):
-                tf = docs[rule_id].count(term)
-                if not tf:
-                    continue
-                n_t = sum(1 for toks in docs.values() if term in toks)
-                term_idf = math.log((n_docs - n_t + 0.5) / (n_t + 0.5))
-                score += term_idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(docs[rule_id]) / avg_len))
-            return score
-
-        def ref_cosine(rule_id):
-            qv = embedder.embed(query)
-            dv = embedder.embed(next(r.text for r in rules if r.id == rule_id))
-            return sum(a * b2 for a, b2 in zip(qv, dv))
-
-        sparse_order = sorted(docs, key=lambda rid: (-ref_bm25(rid), rid))
-        dense_order = sorted(docs, key=lambda rid: (-ref_cosine(rid), rid))
-        sparse_rank = {rid: i + 1 for i, rid in enumerate(sparse_order)}
-        dense_rank = {rid: i + 1 for i, rid in enumerate(dense_order)}
-        fused = {
-            rid: alpha / (c + sparse_rank[rid]) + (1 - alpha) / (c + dense_rank[rid])
-            for rid in docs
-        }
-        want = sorted(docs, key=lambda rid: (-fused[rid], rid))
+        got = [r.id for r in ensemble_retrieve(query, db, k=5, embedder=embedder)]
+        fusion, bm25 = FusionParams(), Bm25Params()
+        want = ref_fusion_order(
+            query, db.rules(), embedder, fusion.alpha, fusion.c, bm25.k1, bm25.b
+        )
         assert got == want
 
     def test_fused_scores_bounded_by_double_rank_one(self):
@@ -526,43 +497,7 @@ class TestRetrieveExperiences:
         prefs = PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25)
         k, m = 4, 3
         got = [e.id for e in retrieve_experiences(base, prefs, db, k=k, m=m, embedder=embedder)]
-
-        # independent reference: exhaustive similarity sums, then a re-rank by
-        # a from-scratch weighted min-max score over the k survivors
-        h, r, t = embed_scenario_sections(base, embedder)
-
-        def cos(a, b):
-            return sum(x * y for x, y in zip(a, b)) / (
-                math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
-            )
-
-        sims = {
-            rec.id: cos(h, rec.emb_humans) + cos(r, rec.emb_robots) + cos(t, rec.emb_tasks)
-            for rec in db.records()
-        }
-        survivors = sorted(db.records(), key=lambda rec: (-sims[rec.id], rec.id))[:k]
-
-        metrics = {
-            "TP": [rec.performance.accuracy_points for rec in survivors],
-            "MT": [rec.performance.mission_seconds for rec in survivors],
-            "HW": [rec.performance.human_utilization for rec in survivors],
-        }
-
-        def ref_norm(value, values, maximize):
-            lo, hi = min(values), max(values)
-            if hi - lo < 1e-12:
-                return 0.5
-            frac = (value - lo) / (hi - lo)
-            return frac if maximize else 1 - frac
-
-        def ref_score(rec):
-            return (
-                0.5 * ref_norm(rec.performance.accuracy_points, metrics["TP"], True)
-                + 0.25 * ref_norm(rec.performance.mission_seconds, metrics["MT"], False)
-                + 0.25 * ref_norm(rec.performance.human_utilization, metrics["HW"], False)
-            )
-
-        want = [rec.id for rec in sorted(survivors, key=lambda rec: (-ref_score(rec), rec.id))][:m]
+        want = ref_experience_order(base, prefs, db.records(), embedder, k, m)
         assert got == want
 
     def test_full_retrieval_is_permutation_of_db(self):
