@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,6 +63,21 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_provider_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=("stub", "http"), default="stub",
                         help="stub is deterministic and fully offline")
@@ -69,8 +85,8 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="gpt-4o-mini")
     parser.add_argument("--api-key-env", default="OPENAI_API_KEY",
                         help="environment variable holding the API key")
-    parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--retries", type=int, default=2)
+    parser.add_argument("--timeout", type=positive_float, default=60.0)
+    parser.add_argument("--retries", type=nonnegative_int, default=2)
     parser.add_argument("--transcript", default=None,
                         help="record every prompt/response to this JSONL file")
 
@@ -239,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objectives", type=parse_objectives, default="TP,MT,HW")
     p.add_argument("--missions", type=positive_int, default=10)
     p.add_argument("--refine-every", type=positive_int, default=None)
-    p.add_argument("--min-humans", type=int, default=2)
-    p.add_argument("--max-humans", type=int, default=5)
+    p.add_argument("--min-humans", type=nonnegative_int, default=2)
+    p.add_argument("--max-humans", type=nonnegative_int, default=5)
     p.add_argument("--min-robots", type=positive_int, default=3)
     p.add_argument("--max-robots", type=positive_int, default=7)
-    p.add_argument("--min-tasks", type=int, default=5)
-    p.add_argument("--max-tasks", type=int, default=15)
+    p.add_argument("--min-tasks", type=nonnegative_int, default=5)
+    p.add_argument("--max-tasks", type=nonnegative_int, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sim-config", default=None)
     _add_provider_args(p)
@@ -259,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="MT or TP=0.5,MT=0.25,HW=0.25")
     p.add_argument("--rule-k", type=positive_int, default=5)
     p.add_argument("--exp-k", type=positive_int, default=3)
-    p.add_argument("--exp-m", type=int, default=2)
+    p.add_argument("--exp-m", type=nonnegative_int, default=2)
     p.add_argument("--out", default=None)
     p.add_argument("--sim-config", default=None)
     _add_provider_args(p)
@@ -281,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="bench_out")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sim-config", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     _add_provider_args(p)
     _add_embedder_args(p)
     p.set_defaults(func=cmd_bench)

@@ -184,7 +184,12 @@ class Assignment(NamedTuple):
 
 @dataclass(frozen=True)
 class MissionScenario:
-    """Team composition plus the task list, with the arena bound they live in."""
+    """Team composition plus the task list, with the arena bound they live in.
+
+    The three section texts behind `render_*_section`, `render_spf` and
+    `serialize` are rendered on first use and kept on the instance; a copy
+    made with `dataclasses.replace` renders its own.
+    """
 
     humans: tuple[HumanProfile, ...]
     robots: tuple[RobotProfile, ...]
@@ -220,32 +225,35 @@ class MissionScenario:
 
     # Canonical text renderings: members are already in natural id order, so
     # logically equal scenarios always produce byte-identical text.
-    def render_human_section(self) -> str:
-        items = ", ".join(
-            f"{h.id}: [{h.skill.value}, {h.cognition.value}]"
-            for h in self.humans
+    @functools.cached_property
+    def _sections(self) -> tuple[str, str, str]:
+        """The human, robot and task dictionaries, rendered once per instance."""
+        humans = ", ".join(f"{h.id}: [{h.skill.value}, {h.cognition.value}]" for h in self.humans)
+        robots = ", ".join(
+            f"{r.id}: [{fmt_num(r.speed)}, {r.camera_quality.value}]" for r in self.robots
         )
-        return "Human Attributes: {" + items + "}"
-
-    def render_robot_section(self) -> str:
-        items = ", ".join(
-            f"{r.id}: [{fmt_num(r.speed)}, {r.camera_quality.value}]"
-            for r in self.robots
-        )
-        return "Robot Details: {" + items + "}"
-
-    def render_task_section(self) -> str:
-        items = ", ".join(
+        tasks = ", ".join(
             f"{t.id}: [({fmt_num(t.location[0])}, {fmt_num(t.location[1])}), {t.difficulty.value}]"
             for t in self.tasks
         )
-        return "Task Info: {" + items + "}"
+        return (
+            "Human Attributes: {" + humans + "}",
+            "Robot Details: {" + robots + "}",
+            "Task Info: {" + tasks + "}",
+        )
+
+    def render_human_section(self) -> str:
+        return self._sections[0]
+
+    def render_robot_section(self) -> str:
+        return self._sections[1]
+
+    def render_task_section(self) -> str:
+        return self._sections[2]
 
     def render_spf(self) -> str:
         """Three-dictionary form used verbatim in prompts and for embeddings."""
-        return "\n".join(
-            (self.render_human_section(), self.render_robot_section(), self.render_task_section())
-        )
+        return "\n".join(self._sections)
 
     def serialize(self) -> str:
         return f"Arena Side: {fmt_num(self.arena_side)}\n" + self.render_spf()

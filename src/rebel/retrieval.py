@@ -171,18 +171,25 @@ class HashedEmbedder:
     """Hermetic embedder: L2-normalized hashed term-frequency vector.
 
     Token buckets come from a stable digest, so the output depends only on the
-    text. All-zero vectors (empty text) map to the first basis vector.
+    text and `dim`, and the last few (dim, text) embeddings are kept in a
+    small module-level cache. All-zero vectors (empty text) map to the first
+    basis vector.
     """
 
     dim: int = 256
 
     def embed(self, text: str) -> tuple[float, ...]:
-        counts = [0.0] * self.dim
-        for token in tokenize(text):
-            counts[_token_hash(token) % self.dim] += 1.0
-        if not any(counts):
-            counts[0] = 1.0
-        return unit_vector(counts)
+        return _hashed_embedding(self.dim, text)
+
+
+@functools.lru_cache(maxsize=64)
+def _hashed_embedding(dim: int, text: str) -> tuple[float, ...]:
+    counts = [0.0] * dim
+    for token in tokenize(text):
+        counts[_token_hash(token) % dim] += 1.0
+    if not any(counts):
+        counts[0] = 1.0
+    return unit_vector(counts)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -213,16 +220,26 @@ def ensemble_retrieve(
     """Top-k rules under reciprocal rank fusion (default `FusionParams`) of
     the BM25 (default `Bm25Params`) and dense rankings.
 
-    Rule embeddings come from the store's per-embedder cache; only the query
-    is embedded per call.
+    The store ranks all its rules once per query text and equal embedder
+    (`RulesDatabase._ranking`) until its next store or retirement, so a
+    repeated query embeds nothing and scores no rule.
     """
-    embedder = embedder or HashedEmbedder()
-    rules, vectors = db._embedded_rules(embedder)
-    if not rules:
+    ranking = db._ranking(query_text, embedder or HashedEmbedder())
+    if not ranking:
         raise ValueError("rules database is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
+    return list(ranking[:k])
 
+
+def _fused_ranking(
+    query_text: str,
+    rules: tuple[RuleEntry, ...],
+    vectors: tuple[tuple[float, ...], ...],
+    embedder: Embedder,
+) -> tuple[RuleEntry, ...]:
+    """`rules` (embedded as `vectors`) best first under the fusion of
+    `ensemble_retrieve`, ties broken by ascending id."""
     stats = CorpusStats.from_rules(rules)
     query_tokens = tokenize(query_text)
     sparse_ranks = _ranks_best_first(
@@ -240,8 +257,7 @@ def ensemble_retrieve(
             fusion.c + dense_ranks[rule.id]
         )
 
-    ranked = sorted(rules, key=lambda r: (-fused(r), r.id))
-    return ranked[:k]
+    return tuple(sorted(rules, key=lambda r: (-fused(r), r.id)))
 
 
 def embed_scenario_sections(
@@ -405,6 +421,11 @@ class _AppendLog:
         return payloads
 
 
+# At most this many query texts' rankings are kept per store state, so a
+# long-lived store asked for ever new preference vectors does not grow.
+_RANKINGS_KEPT = 64
+
+
 class RulesDatabase:
     """Objective-tagged rule store; in-memory view over an append-only log.
 
@@ -412,7 +433,9 @@ class RulesDatabase:
     one, so the file never rewrites history. Stores and replacements hold a
     lock, so threads may share the store. The rule embeddings of the last
     retrieval are kept, so a store queried again and again with one embedder
-    embeds each rule once.
+    embeds each rule once; so are the full rankings of up to
+    `_RANKINGS_KEPT` query texts, until the next store or retirement, so a
+    repeated query does no ranking work at all.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -420,6 +443,11 @@ class RulesDatabase:
         self._live: dict[int, RuleEntry] = {}  # id order: sorted here, appended in order after
         # (embedder, rule id -> embedding); replaced whole, never mutated
         self._rule_vectors: tuple[Embedder | None, dict[int, tuple[float, ...]]] = (None, {})
+        # (embedder, query text -> ranking) of the current state of `_live`:
+        # replaced whole, never mutated, and emptied, under the lock, by
+        # every change of `_live`, which also bumps `_generation`
+        self._rankings: tuple[Embedder | None, dict[str, tuple[RuleEntry, ...]]] = (None, {})
+        self._generation = 0
         self._next_id = 0
         self._lock = threading.Lock()
         for payload in self._log.read_all():
@@ -453,20 +481,39 @@ class RulesDatabase:
     def contains_text(self, objective: Objective, text: str) -> bool:
         return any(r.text == text for r in self.for_objective(objective))
 
-    def _embedded_rules(
-        self, embedder: Embedder
-    ) -> tuple[tuple[RuleEntry, ...], tuple[tuple[float, ...], ...]]:
-        """The live rules in id order and their embeddings, from one state of
-        the store. Rules the cache lacks for an equal (`==`) embedder are
-        embedded outside the lock, so a slow embedder holds up no store."""
+    def _ranking(self, query_text: str, embedder: Embedder) -> tuple[RuleEntry, ...]:
+        """The live rules ranked for `query_text` (`_fused_ranking`), at most
+        once per query text and equal (`==`) embedder per state of the store.
+
+        Rules the embedding cache lacks are embedded, and the ranking made,
+        outside the lock, so a slow embedder holds up no store. The ranking
+        is kept only if the store has not changed since its rules were read.
+        """
         with self._lock:
-            rules = tuple(self._live.values())
+            generation, rules = self._generation, tuple(self._live.values())
+            ranked_by, rankings = self._rankings
             cached_by, cached = self._rule_vectors
+        if ranked_by == embedder and query_text in rankings:
+            return rankings[query_text]
+        if not rules:
+            return ()
         if cached_by != embedder:
             cached = {}
         vectors = {r.id: cached[r.id] if r.id in cached else embedder.embed(r.text) for r in rules}
         self._rule_vectors = (embedder, vectors)  # retired rules drop out here
-        return rules, tuple(vectors.values())
+        ranking = _fused_ranking(query_text, rules, tuple(vectors.values()), embedder)
+        with self._lock:
+            if self._generation == generation:
+                held_by, held = self._rankings
+                if held_by != embedder or len(held) >= _RANKINGS_KEPT:
+                    held = {}
+                self._rankings = (embedder, {**held, query_text: ranking})
+        return ranking
+
+    def _changed(self) -> None:
+        """Drop the rankings of the state `_live` had; the caller holds the lock."""
+        self._generation += 1
+        self._rankings = (None, {})
 
     def store(self, objective: Objective, text: str) -> RuleEntry:
         with self._lock:
@@ -478,6 +525,7 @@ class RulesDatabase:
         self._next_id += 1
         self._log.append({"kind": "rule", "id": entry.id, "objective": objective.short, "text": text})
         self._live[entry.id] = entry
+        self._changed()
         return entry
 
     def replace_objective(self, objective: Objective, texts: Sequence[str]) -> tuple[RuleEntry, ...]:
@@ -494,6 +542,7 @@ class RulesDatabase:
                 retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
                 self._log.append(retire)
                 self._apply(retire)
+                self._changed()
             return tuple(self._store(objective, text) for text in texts)
 
 

@@ -154,6 +154,76 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["infer", "--exp-m", "-1"], "argument --exp-m: must be >= 0, got -1"),
+        (["gen-exp", "--min-humans", "-2"], "argument --min-humans: must be >= 0, got -2"),
+        (["gen-exp", "--min-humans", "-3", "--max-humans", "-1"], "argument --min-humans"),
+        (["gen-exp", "--max-humans", "-1"], "argument --max-humans: must be >= 0, got -1"),
+        (["gen-exp", "--min-tasks", "-3", "--max-tasks", "-1"], "argument --min-tasks: must be >= 0"),
+        (["gen-exp", "--max-tasks", "-1"], "argument --max-tasks: must be >= 0, got -1"),
+        (["gen-rules", "--retries", "-1"], "argument --retries: must be >= 0, got -1"),
+        (["infer", "--timeout", "0"], "argument --timeout: must be a finite number > 0, got 0"),
+        (["infer", "--timeout", "-2.5"], "argument --timeout: must be a finite number > 0"),
+        (["gen-exp", "--timeout", "nan"], "argument --timeout: must be a finite number > 0, got nan"),
+        (["infer", "--timeout", "soon"], "invalid positive_float value: 'soon'"),
+        (["bench", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+        (["bench", "--workers", "-3"], "argument --workers: must be >= 1, got -3"),
+    ],
+)
+def test_negative_counts_and_bad_timeouts_are_usage_errors(tmp_path, capsys, argv, message):
+    required = {
+        "infer": ["--rules-db", "r.jsonl", "--exp-db", "e.jsonl", "--scenario", "s.txt",
+                  "--prefs", "MT"],
+        "gen-exp": ["--rules-db", "r.jsonl", "--exp-db", "e.jsonl"],
+        "gen-rules": ["--rules-db", "r.jsonl"],
+        "bench": ["--spec", "spec.json"],
+    }
+    argv = [argv[0], *(str(tmp_path / a) if "." in a else a for a in required[argv[0]]), *argv[1:]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_counts_stay_valid():
+    parser = build_parser()
+    args = parser.parse_args([
+        "infer", "--rules-db", "r", "--exp-db", "e", "--scenario", "s", "--prefs", "MT",
+        "--exp-m", "0", "--retries", "0", "--timeout", "0.5",
+    ])
+    assert (args.exp_m, args.retries, args.timeout) == (0, 0, 0.5)
+    args = parser.parse_args([
+        "gen-exp", "--rules-db", "r", "--exp-db", "e", "--min-humans", "0", "--max-humans", "0",
+        "--min-tasks", "0",
+    ])
+    assert (args.min_humans, args.max_humans, args.min_tasks) == (0, 0, 0)
+
+
+def test_infer_passes_exp_m_through(tmp_path, capsys):
+    rules, exp = str(tmp_path / "rules.jsonl"), str(tmp_path / "exp.jsonl")
+    assert main(["gen-rules", "--rules-db", rules]) == 0
+    assert main(["gen-exp", "--rules-db", rules, "--exp-db", exp, "--missions", "3"]) == 0
+    scenario_path = tmp_path / "scenario.txt"
+    scenario_path.write_text(random_scenario(2, 3, 5, seed=1).serialize() + "\n")
+    exemplars = {}
+    for m in ("0", "1", "3"):
+        capsys.readouterr()
+        assert main([
+            "infer", "--rules-db", rules, "--exp-db", exp, "--scenario", str(scenario_path),
+            "--prefs", "MT", "--exp-k", "3", "--exp-m", m,
+        ]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("# retrieved experiences: ")
+        exemplars[m] = json.loads(line.partition(": ")[2])
+    assert exemplars["0"] == [] and len(exemplars["1"]) == 1 and len(exemplars["3"]) == 3
+    assert exemplars["3"][:1] == exemplars["1"]
+
+
 def test_infer_plans_under_its_sim_config(tmp_path, capsys):
     # a tied vector reaches the greedy branch that reads the speed multiplier,
     # in the stub's answer as in the fallback

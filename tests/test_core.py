@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from rebel.core import (
     Assignment,
     Direction,
+    HumanProfile,
     ItaPlan,
     MissionScenario,
     NormalizationBounds,
@@ -224,6 +226,51 @@ class TestScenarioSerialization:
             make_scenario(
                 humans=(("H_0", Tier.LOW, Tier.LOW), ("H_0", Tier.LOW, Tier.LOW))
             )
+
+
+class TestScenarioTextCache:
+    HUMANS = "Human Attributes: {H_0: [Med, Med], H_1: [Hi, Lo]}"
+    ROBOTS = "Robot Details: {UAV_0: [13, Lo], UGV_0: [6, Med]}"
+    TASKS = "Task Info: {T_0: [(900, 500), Hi], T_1: [(200, 700), Lo]}"
+
+    def test_cached_renders_equal_fresh_ones(self, scenario):
+        for _ in range(2):  # the first call renders, the second reads the kept texts
+            assert scenario.render_human_section() == self.HUMANS
+            assert scenario.render_robot_section() == self.ROBOTS
+            assert scenario.render_task_section() == self.TASKS
+            assert scenario.render_spf() == "\n".join((self.HUMANS, self.ROBOTS, self.TASKS))
+            assert scenario.serialize() == "Arena Side: 2000\n" + scenario.render_spf()
+
+    def test_random_scenarios_render_as_their_parsed_copies(self):
+        from rebel.bench import random_scenario
+
+        for seed in range(20):
+            scenario = random_scenario(3, 4, 8, seed=seed)
+            text = scenario.serialize()
+            copy = MissionScenario.parse(text)
+            assert copy.serialize() == text == scenario.serialize()
+            assert copy.render_spf() == scenario.render_spf()
+
+    def test_replaced_copy_renders_its_own_members(self, scenario):
+        scenario.serialize()  # fill the original's texts first
+        copy = dataclasses.replace(
+            scenario,
+            humans=(HumanProfile("H_9", cognition=Tier.HIGH, skill=Tier.LOW),),
+            arena_side=3000.0,
+        )
+        assert copy.render_human_section() == "Human Attributes: {H_9: [Lo, Hi]}"
+        assert copy.render_robot_section() == self.ROBOTS
+        assert copy.serialize() == (
+            "Arena Side: 3000\nHuman Attributes: {H_9: [Lo, Hi]}\n"
+            + self.ROBOTS + "\n" + self.TASKS
+        )
+        assert scenario.render_human_section() == self.HUMANS
+
+    def test_kept_texts_leave_equality_and_hashing_alone(self, scenario):
+        fresh = make_scenario()
+        scenario.render_spf()
+        assert scenario == fresh and hash(scenario) == hash(fresh)
+        assert len({scenario, fresh}) == 1
 
 
 class TestPerformanceRecord:

@@ -5,12 +5,15 @@ import json
 import logging
 import math
 import random
+import re
 import struct
 import sys
 import threading
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebel.core import (
     Assignment,
@@ -357,7 +360,8 @@ class TestRuleEmbeddingCache:
         assert sorted(embedder.texts) == sorted(self.TEXTS + ("faster robots",))
         embedder.texts.clear()
         second = ensemble_retrieve("faster robots", db, k=3, embedder=embedder)
-        assert embedder.texts == ["faster robots"]
+        # the store keeps the query's ranking too, so not even the query is embedded
+        assert embedder.texts == []
         assert second == first
 
     def test_store_and_replacement_each_embed_one_new_rule(self):
@@ -396,6 +400,234 @@ class TestRuleEmbeddingCache:
             cached = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
             fresh = ensemble_retrieve(query, self.rules_db(), k=len(db), embedder=embedder)
             assert [r.id for r in cached] == [r.id for r in fresh]
+
+
+@pytest.fixture
+def bm25_calls(monkeypatch):
+    """Counts BM25 scoring calls: one per rule per ranking pass."""
+    calls = []
+    real = retrieval.bm25_score
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "bm25_score", counting)
+    return calls
+
+
+class TestRankingMemo:
+    TEXTS = TestRuleEmbeddingCache.TEXTS + (
+        "Minimize the number of analyses queued to any single human.",
+        "Send UAVs to far tasks and UGVs to near ones.",
+    )
+    QUERIES = (
+        "Minimize the overall mission time.",
+        "Maximize task performance (weight 0.5)",
+        "faster robots",
+        "nothing shared",
+    )
+
+    def rules_db(self, path=None):
+        db = RulesDatabase(path)
+        for index, text in enumerate(self.TEXTS):
+            db.store(tuple(Objective)[index % 3], text)
+        return db
+
+    def oracle(self, query, db, embedder):
+        fusion, bm25 = FusionParams(), Bm25Params()
+        return ref_fusion_order(query, db.rules(), embedder, fusion.alpha, fusion.c, bm25.k1, bm25.b)
+
+    def test_repeated_query_embeds_nothing_and_scores_no_rule(self, bm25_calls):
+        db, embedder = self.rules_db(), CountingEmbedder()
+        first = {q: ensemble_retrieve(q, db, k=3, embedder=embedder) for q in self.QUERIES}
+        assert len(bm25_calls) == len(self.QUERIES) * len(self.TEXTS)
+        embedder.texts.clear()
+        bm25_calls.clear()
+        for query in self.QUERIES * 3:
+            assert ensemble_retrieve(query, db, k=3, embedder=embedder) == first[query]
+        assert embedder.texts == [] and bm25_calls == []
+
+    def test_equal_embedder_reuses_the_ranking(self, bm25_calls):
+        db = self.rules_db()
+        ensemble_retrieve("faster robots", db, k=2, embedder=HashedEmbedder(dim=64))
+        bm25_calls.clear()
+        ensemble_retrieve("faster robots", db, k=2, embedder=HashedEmbedder(dim=64))
+        assert bm25_calls == []
+
+    def test_unequal_embedder_ranks_afresh(self, bm25_calls):
+        db = self.rules_db()
+        a, b = CountingEmbedder(dim=64), CountingEmbedder(dim=64)
+        ensemble_retrieve("faster robots", db, k=2, embedder=a)
+        bm25_calls.clear()
+        ensemble_retrieve("faster robots", db, k=2, embedder=b)
+        assert b.texts.count("faster robots") == 1 and len(bm25_calls) == len(self.TEXTS)
+        for query in self.QUERIES:
+            for dim in (64, 8):
+                got = ensemble_retrieve(query, db, k=len(db), embedder=HashedEmbedder(dim=dim))
+                assert [r.id for r in got] == self.oracle(query, db, HashedEmbedder(dim=dim))
+
+    def test_every_k_gives_the_oracle_prefix(self):
+        db, embedder = self.rules_db(), HashedEmbedder(dim=64)
+        for query in self.QUERIES:
+            want = self.oracle(query, db, embedder)
+            # small k first, so a memo of a cut ranking would show at larger k
+            for k in list(range(1, len(db) + 1)) + list(range(len(db), 0, -1)):
+                assert [r.id for r in ensemble_retrieve(query, db, k=k, embedder=embedder)] == want[:k]
+            assert len(ensemble_retrieve(query, db, k=len(db) + 5, embedder=embedder)) == len(db)
+
+    def test_errors_keep_their_order(self):
+        with pytest.raises(ValueError, match="rules database is empty"):
+            ensemble_retrieve("anything", RulesDatabase(), k=0)
+        db = self.rules_db()
+        ensemble_retrieve("anything", db, k=1)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ensemble_retrieve("anything", db, k=0)
+
+    def test_returned_lists_do_not_reach_the_memo(self):
+        db = self.rules_db()
+        got = ensemble_retrieve("faster robots", db, k=3)
+        want = list(got)
+        got.clear()
+        assert ensemble_retrieve("faster robots", db, k=3) == want
+
+    @pytest.mark.parametrize("change", ["store", "replace", "retire", "same texts"])
+    def test_rankings_after_a_change_equal_a_fresh_stores(self, tmp_path, bm25_calls, change):
+        path = tmp_path / "rules.jsonl"
+        db, embedder = self.rules_db(path), HashedEmbedder(dim=64)
+        for query in self.QUERIES:
+            ensemble_retrieve(query, db, k=2, embedder=embedder)
+        if change == "store":
+            db.store(Objective.MISSION_TIME, "Minimize mission time with faster robots.")
+        elif change == "replace":
+            db.replace_objective(Objective.MISSION_TIME, ["Faster robots first.", "Mission time matters."])
+        elif change == "retire":
+            db.replace_objective(Objective.MISSION_TIME, [])
+        else:
+            db.replace_objective(
+                Objective.MISSION_TIME, [r.text for r in db.for_objective(Objective.MISSION_TIME)]
+            )
+        bm25_calls.clear()
+        got = {query: ensemble_retrieve(query, db, k=len(db), embedder=embedder) for query in self.QUERIES}
+        # a fixed-point replacement changes nothing, so only it keeps the rankings
+        assert (bm25_calls == []) == (change == "same texts")
+        fresh = RulesDatabase(path)  # the same ids, read back from the log
+        for query in self.QUERIES:
+            assert got[query] == ensemble_retrieve(query, fresh, k=len(fresh), embedder=embedder)
+            assert [r.id for r in got[query]] == self.oracle(query, fresh, embedder)
+
+    def test_a_store_during_ranking_is_never_hidden(self):
+        db = self.rules_db()
+        query = "faster robots"
+        stored = []
+
+        class StoringEmbedder:
+            """Lands a store from another thread while the query is ranked,
+            after the rules were read and before the ranking is kept."""
+
+            def embed(self, text: str) -> tuple[float, ...]:
+                if text == query and not stored:
+                    writer = threading.Thread(
+                        target=lambda: stored.append(db.store(Objective.MISSION_TIME, "faster robots win"))
+                    )
+                    writer.start()
+                    writer.join()
+                return HashedEmbedder(dim=64).embed(text)
+
+        embedder = StoringEmbedder()
+        before = ensemble_retrieve(query, db, k=len(db) + 1, embedder=embedder)
+        assert stored and stored[0] not in before  # ranked from the state it read
+        after = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
+        assert stored[0] in after
+        assert [r.id for r in after] == self.oracle(query, db, HashedEmbedder(dim=64))
+
+    def test_stores_racing_queries_are_always_seen(self):
+        db, embedder = self.rules_db(), HashedEmbedder(dim=32)
+        writing_done = threading.Event()
+        errors, missed = [], []
+
+        def writer():
+            try:
+                for index in range(60):
+                    entry = db.store(Objective.HUMAN_WORKLOAD, f"rule {index} about faster robots")
+                    got = ensemble_retrieve(self.QUERIES[index % 4], db, k=10**6, embedder=embedder)
+                    if entry not in got or len(got) < entry.id + 1:
+                        missed.append(entry.id)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+            finally:
+                writing_done.set()
+
+        def reader(offset):
+            try:
+                while not writing_done.is_set():
+                    for query in self.QUERIES[offset:] + self.QUERIES[:offset]:
+                        ensemble_retrieve(query, db, k=3, embedder=embedder)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)]
+        threads += [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and missed == []
+        for query in self.QUERIES:
+            got = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
+            assert [r.id for r in got] == self.oracle(query, db, embedder)
+
+    def test_kept_query_texts_are_bounded(self, bm25_calls):
+        db = self.rules_db()
+        queries = [f"query number {i}" for i in range(retrieval._RANKINGS_KEPT + 1)]
+        for query in queries:
+            ensemble_retrieve(query, db, k=1)
+        assert len(db._rankings[1]) <= retrieval._RANKINGS_KEPT
+        bm25_calls.clear()
+        ensemble_retrieve(queries[-1], db, k=1)
+        assert bm25_calls == []
+
+
+def reference_hashed_embedding(dim: int, text: str) -> tuple[float, ...]:
+    """`HashedEmbedder.embed` written out without any cache."""
+    counts = [0.0] * dim
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        bucket = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big") % dim
+        counts[bucket] += 1.0
+    if not any(counts):
+        counts[0] = 1.0
+    norm = math.sqrt(sum(c * c for c in counts))
+    return tuple(c / norm for c in counts)
+
+
+class TestHashedEmbeddingCache:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.text(alphabet=st.sampled_from("ab cd_01 ZÉ-"), max_size=40) | st.text(max_size=40),
+    )
+    def test_cached_embedding_equals_an_uncached_one(self, dim, text):
+        embedder = HashedEmbedder(dim=dim)
+        want = reference_hashed_embedding(dim, text)
+        assert embedder.embed(text) == want
+        assert embedder.embed(text) == want  # read back from the cache
+        assert HashedEmbedder(dim=dim).embed(text) == want
+
+    def test_cache_is_bounded(self):
+        info = retrieval._hashed_embedding.cache_info()
+        assert info.maxsize is not None and 0 < info.maxsize <= 64
+        for index in range(3 * info.maxsize):
+            HashedEmbedder(dim=16).embed(f"text {index}")
+        assert retrieval._hashed_embedding.cache_info().currsize <= info.maxsize
+
+    def test_returned_vectors_are_immutable(self):
+        assert isinstance(HashedEmbedder(dim=16).embed("faster robots"), tuple)
 
 
 class TestScenarioSectionEmbedding:
