@@ -445,9 +445,9 @@ class RulesDatabase:
         self._rule_vectors: tuple[Embedder | None, dict[int, tuple[float, ...]]] = (None, {})
         # (embedder, query text -> ranking) of the current state of `_live`:
         # replaced whole, never mutated, and emptied, under the lock, by
-        # every change of `_live`, which also bumps `_generation`
+        # every change of `_live`, which also bumps `_version`
         self._rankings: tuple[Embedder | None, dict[str, tuple[RuleEntry, ...]]] = (None, {})
-        self._generation = 0
+        self._version = 0
         self._next_id = 0
         self._lock = threading.Lock()
         for payload in self._log.read_all():
@@ -490,7 +490,7 @@ class RulesDatabase:
         is kept only if the store has not changed since its rules were read.
         """
         with self._lock:
-            generation, rules = self._generation, tuple(self._live.values())
+            version, rules = self._version, tuple(self._live.values())
             ranked_by, rankings = self._rankings
             cached_by, cached = self._rule_vectors
         if ranked_by == embedder and query_text in rankings:
@@ -503,7 +503,7 @@ class RulesDatabase:
         self._rule_vectors = (embedder, vectors)  # retired rules drop out here
         ranking = _fused_ranking(query_text, rules, tuple(vectors.values()), embedder)
         with self._lock:
-            if self._generation == generation:
+            if self._version == version:
                 held_by, held = self._rankings
                 if held_by != embedder or len(held) >= _RANKINGS_KEPT:
                     held = {}
@@ -512,7 +512,7 @@ class RulesDatabase:
 
     def _changed(self) -> None:
         """Drop the rankings of the state `_live` had; the caller holds the lock."""
-        self._generation += 1
+        self._version += 1
         self._rankings = (None, {})
 
     def store(self, objective: Objective, text: str) -> RuleEntry:
