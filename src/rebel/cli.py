@@ -30,7 +30,7 @@ from .pipeline import (
     infer,
 )
 from .prompt import parse_ita_plan
-from .retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
+from .retrieval import CorruptLogError, ExperienceDatabase, HashedEmbedder, RulesDatabase
 from .sim import SimConfig, run_mission
 
 logger = logging.getLogger(__name__)
@@ -315,7 +315,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CorruptLogError as exc:  # raised while a subcommand loads a store
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

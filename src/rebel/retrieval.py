@@ -5,25 +5,27 @@ similarity (reciprocal rank fusion). Experiences are retrieved by summing
 per-section cosine similarities of the scenario's three attribute
 dictionaries, then re-ranked by how well each stored mission served the
 requested preference weights. Both stores persist as append-only JSON-lines
-files that reload bit-identically, embedding vectors included.
+files that reload bit-identically, embedding vectors included, and load them
+one line at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
 import operator
 import os
 import re
+import struct
 import threading
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -271,6 +273,22 @@ def embed_scenario_sections(
     )
 
 
+def _pack_sections(record_id: int, sections: Sequence[Sequence[float]]) -> bytes:
+    """The human, robot and task embeddings end to end as little-endian
+    float64, or `ValueError` naming the record if they differ in length or
+    hold a non-number."""
+    humans, robots, tasks = sections
+    if not len(humans) == len(robots) == len(tasks):
+        raise ValueError(
+            f"experience record {record_id}: section embeddings differ in length: "
+            f"{len(humans)}, {len(robots)}, {len(tasks)}"
+        )
+    try:
+        return struct.pack(f"<{3 * len(humans)}d", *humans, *robots, *tasks)
+    except struct.error as exc:
+        raise ValueError(f"experience record {record_id}: embedding element: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperienceRecord:
     """A stored mission: scenario, plan, outcome, plus section embeddings.
@@ -281,6 +299,10 @@ class ExperienceRecord:
     check that both render back to the stored text, or raise `ValueError`
     naming the record. Equality compares the texts, which for a canonical
     record is equality of the decoded objects.
+
+    The three section embeddings, of equal length, are held packed end to
+    end as float64 in `embedding` (`_pack_sections`); `emb_humans`,
+    `emb_robots` and `emb_tasks` decode their section.
     """
 
     id: int
@@ -288,10 +310,24 @@ class ExperienceRecord:
     scenario_text: str
     plan_text: str
     performance: PerformanceRecord
-    emb_humans: tuple[float, ...]
-    emb_robots: tuple[float, ...]
-    emb_tasks: tuple[float, ...]
+    embedding: bytes
     fallback: bool = False
+
+    @property
+    def emb_humans(self) -> tuple[float, ...]:
+        return self._section(0)
+
+    @property
+    def emb_robots(self) -> tuple[float, ...]:
+        return self._section(1)
+
+    @property
+    def emb_tasks(self) -> tuple[float, ...]:
+        return self._section(2)
+
+    def _section(self, index: int) -> tuple[float, ...]:
+        dim = len(self.embedding) // 24
+        return struct.unpack_from(f"<{dim}d", self.embedding, 8 * dim * index)
 
     @functools.cached_property
     def scenario(self) -> MissionScenario:
@@ -364,13 +400,12 @@ def retrieve_experiences(
 def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings, each scaled to unit
     length, so a dot product with a unit query section is a cosine."""
-    dim = len(records[0].emb_humans) if records else 0
-    sections = [vec for rec in records for vec in (rec.emb_humans, rec.emb_robots, rec.emb_tasks)]
-    for vec in sections:
-        if len(vec) != dim:
-            raise ValueError(f"embedding dimension mismatch: {len(vec)} vs {dim}")
-    floats = itertools.chain.from_iterable(sections)
-    matrix = np.fromiter(floats, float, count=len(sections) * dim).reshape(len(records), 3 * dim)
+    dim = len(records[0].embedding) // 24 if records else 0
+    matrix = np.empty((len(records), 3 * dim))
+    for row, rec in enumerate(records):
+        if len(rec.embedding) != 24 * dim:
+            raise ValueError(f"embedding dimension mismatch: {len(rec.embedding) // 24} vs {dim}")
+        matrix[row] = np.frombuffer(rec.embedding, "<f8")
     for start in (0, dim, 2 * dim):
         block = matrix[:, start : start + dim]
         norms = np.sqrt(np.einsum("ij,ij->i", block, block))
@@ -380,10 +415,15 @@ def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:
     return matrix
 
 
+class CorruptLogError(ValueError):
+    """A store's log holds a line that is not one of its records; the message
+    names the file and the line number."""
+
+
 class _AppendLog:
     """Append-only JSON-lines log with write-through durability. A torn final
     line (a crash mid-append) is skipped with a warning on load and cut off by
-    the next append; a bad line anywhere else is an error."""
+    the next append; a bad line anywhere else is a `CorruptLogError`."""
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
@@ -405,20 +445,41 @@ class _AppendLog:
                 handle.flush()
                 os.fsync(handle.fileno())
 
-    def read_all(self) -> list[dict]:
+    def read_all(self, convert: Callable[[Any], Any]) -> Iterator[Any]:
+        """`convert(payload)` for each line's payload in file order, one line
+        at a time, so no payload outlives its line. A line that is not JSON,
+        or whose payload `convert` rejects (`KeyError`, `TypeError`,
+        `ValueError`, `AttributeError`), raises `CorruptLogError`, unless it
+        is a final line with no newline that is not JSON: that torn append is
+        skipped. The next append's repair is set only once every line has
+        been converted."""
         if self.path is None or not self.path.exists():
-            return []
-        data = self.path.read_bytes()
-        *lines, tail = data.split(b"\n")  # tail: whatever follows the last newline
-        payloads = [json.loads(line) for line in lines if line.strip()]
-        if tail.strip():
-            try:
-                payloads.append(json.loads(tail))
-                self._repair = (len(data), b"\n")
-            except ValueError:
-                logger.warning("%s: skipping torn final line (%d bytes)", self.path, len(tail))
-                self._repair = (len(data) - len(tail), b"")
-        return payloads
+            return
+        size, repair = 0, None
+        with open(self.path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
+                size += len(line)
+                if not line.strip():
+                    continue
+                torn = not line.endswith(b"\n")  # only the final line can be
+                try:
+                    payload = json.loads(line)
+                except ValueError as exc:
+                    if not torn:
+                        raise CorruptLogError(f"{self.path}, line {number}: not JSON: {exc}") from exc
+                    logger.warning("%s: skipping torn final line (%d bytes)", self.path, len(line))
+                    repair = (size - len(line), b"")
+                    break
+                try:
+                    item = convert(payload)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise CorruptLogError(
+                        f"{self.path}, line {number}: not a record: {type(exc).__name__}: {exc}"
+                    ) from exc
+                yield item
+                if torn:
+                    repair = (size, b"\n")
+        self._repair = repair
 
 
 # At most this many query texts' rankings are kept per store state, so a
@@ -450,8 +511,8 @@ class RulesDatabase:
         self._version = 0
         self._next_id = 0
         self._lock = threading.Lock()
-        for payload in self._log.read_all():
-            self._apply(payload)
+        for _ in self._log.read_all(self._apply):  # applied line by line
+            pass
         self._live = dict(sorted(self._live.items()))
 
     @property
@@ -546,6 +607,25 @@ class RulesDatabase:
             return tuple(self._store(objective, text) for text in texts)
 
 
+def _experience_record(payload: dict) -> ExperienceRecord:
+    """The record one experience-log line holds; its scenario and plan stay
+    text until first read (see ExperienceRecord)."""
+    record_id = payload["id"]
+    if type(record_id) is not int:
+        raise ValueError(f"record id {record_id!r} is not an integer")
+    return ExperienceRecord(
+        id=record_id,
+        objective=Objective.parse(payload["objective"]),
+        scenario_text=payload["scenario"],
+        plan_text=payload["plan"],
+        performance=PerformanceRecord.parse(payload["performance"]),
+        embedding=_pack_sections(
+            record_id, (payload["emb_humans"], payload["emb_robots"], payload["emb_tasks"])
+        ),
+        fallback=payload.get("fallback", False),
+    )
+
+
 class ExperienceDatabase:
     """Append-only store of (scenario, plan, performance) mission records, kept
     in id order with a set of (objective, scenario text, plan text) dedup keys
@@ -558,19 +638,7 @@ class ExperienceDatabase:
         self._sections: np.ndarray | None = None  # see _scoring_snapshot; dropped by store
         self._next_id = 0
         self._lock = threading.Lock()
-        # scenarios and plans stay text until first read (see ExperienceRecord)
-        for payload in sorted(self._log.read_all(), key=lambda p: p["id"]):
-            record = ExperienceRecord(
-                id=payload["id"],
-                objective=Objective.parse(payload["objective"]),
-                scenario_text=payload["scenario"],
-                plan_text=payload["plan"],
-                performance=PerformanceRecord.parse(payload["performance"]),
-                emb_humans=tuple(payload["emb_humans"]),
-                emb_robots=tuple(payload["emb_robots"]),
-                emb_tasks=tuple(payload["emb_tasks"]),
-                fallback=payload.get("fallback", False),
-            )
+        for record in sorted(self._log.read_all(_experience_record), key=operator.attrgetter("id")):
             self._records[record.id] = record
             self._dedup.add((record.objective, record.scenario_text, record.plan_text))
             self._next_id = record.id + 1
@@ -617,12 +685,12 @@ class ExperienceDatabase:
                 scenario_text=scenario.serialize(),
                 plan_text=plan.render(),
                 performance=performance,
-                emb_humans=tuple(embeddings[0]),
-                emb_robots=tuple(embeddings[1]),
-                emb_tasks=tuple(embeddings[2]),
+                embedding=_pack_sections(self._next_id, embeddings),
                 fallback=fallback,
             )
-            vars(record).update(scenario=scenario, plan=plan)  # the decode cache
+            # the plan's decode cache; the scenario, which would hold its text
+            # a second time, is parsed from `scenario_text` on first read
+            vars(record)["plan"] = plan
             self._next_id += 1
             self._log.append(
                 {
@@ -632,9 +700,9 @@ class ExperienceDatabase:
                     "scenario": record.scenario_text,
                     "plan": record.plan_text,
                     "performance": performance.serialize(),
-                    "emb_humans": list(record.emb_humans),
-                    "emb_robots": list(record.emb_robots),
-                    "emb_tasks": list(record.emb_tasks),
+                    "emb_humans": list(embeddings[0]),
+                    "emb_robots": list(embeddings[1]),
+                    "emb_tasks": list(embeddings[2]),
                     "fallback": fallback,
                 }
             )

@@ -3,7 +3,10 @@ loops with no reuse of the library, for the tests to compare against."""
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 from rebel.core import Objective
 
@@ -94,3 +97,16 @@ def ref_experience_order(scenario, prefs, records, embedder, k: int, m: int) -> 
         return total
 
     return [rec.id for rec in sorted(survivors, key=lambda rec: (-score(rec), rec.id))][:m]
+
+
+def ref_section_matrix(records) -> np.ndarray:
+    """The unit-row section matrix as it was built from per-record float
+    tuples with `np.fromiter`, before the store held embeddings packed."""
+    dim = len(records[0].emb_humans) if records else 0
+    sections = [vec for rec in records for vec in (rec.emb_humans, rec.emb_robots, rec.emb_tasks)]
+    floats = itertools.chain.from_iterable(sections)
+    matrix = np.fromiter(floats, float, count=len(sections) * dim).reshape(len(records), 3 * dim)
+    for start in (0, dim, 2 * dim):
+        block = matrix[:, start : start + dim]
+        block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+    return matrix

@@ -224,6 +224,32 @@ def test_infer_passes_exp_m_through(tmp_path, capsys):
     assert exemplars["3"][:1] == exemplars["1"]
 
 
+@pytest.mark.parametrize("command", ["infer", "gen-exp"])
+@pytest.mark.parametrize("store, line", [("exp", '{"kind": "experience"}'), ("rules", "[1, 2]")])
+def test_a_wrong_shape_store_line_is_a_one_line_error(tmp_path, capsys, command, store, line):
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("rules", "exp")}
+    assert main(["gen-rules", "--rules-db", str(paths["rules"])]) == 0
+    assert main([
+        "gen-exp", "--rules-db", str(paths["rules"]), "--exp-db", str(paths["exp"]), "--missions", "1",
+    ]) == 0
+    with open(paths[store], "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    number = len(paths[store].read_text(encoding="utf-8").splitlines())
+    scenario_path = tmp_path / "scenario.txt"
+    scenario_path.write_text(random_scenario(2, 3, 5, seed=1).serialize() + "\n")
+    stores = ["--rules-db", str(paths["rules"]), "--exp-db", str(paths["exp"])]
+    argv = (
+        ["infer", *stores, "--scenario", str(scenario_path), "--prefs", "MT"] if command == "infer"
+        else ["gen-exp", *stores, "--missions", "1"]
+    )
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {paths[store]}, line {number}: not a record: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_infer_plans_under_its_sim_config(tmp_path, capsys):
     # a tied vector reaches the greedy branch that reads the speed multiplier,
     # in the stub's answer as in the fallback

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -8,8 +9,11 @@ import random
 import re
 import struct
 import sys
+import tempfile
 import threading
+import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from rebel.core import (
 from rebel.retrieval import (
     Bm25Params,
     CorpusStats,
+    CorruptLogError,
     ExperienceDatabase,
     FusionParams,
     HashedEmbedder,
@@ -47,7 +52,7 @@ from rebel.llm import STUB_RULES, StubProvider, heuristic_allocate
 from rebel.pipeline import RetrievalConfig, infer
 from rebel.prompt import objectives_text
 from conftest import make_scenario
-from oracles import ref_experience_order, ref_fusion_order
+from oracles import ref_experience_order, ref_fusion_order, ref_section_matrix
 
 
 class TestTokenize:
@@ -911,6 +916,105 @@ class TestSectionMatrix:
         assert len(db) == 6 + len(pending)
 
 
+def _float64_bytes(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# every kind of value an embedding element may be: any finite float (which
+# includes -0.0), the subnormals at both ends of their range, and integers
+_EMBEDDING_ELEMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@st.composite
+def _sections(draw):
+    dim = draw(st.integers(1, 300))
+    section = st.lists(_EMBEDDING_ELEMENTS, min_size=dim, max_size=dim).map(tuple)
+    return draw(section), draw(section), draw(section)
+
+
+class TestPackedEmbeddings:
+    """Records hold their three section embeddings packed as float64; the
+    sections, the log and the section matrix are what they were."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sections=_sections())
+    def test_store_and_reload_keep_every_bit(self, sections):
+        scenario = make_scenario()
+        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "exp.jsonl"
+            db = ExperienceDatabase(path)
+            db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
+            reloaded = ExperienceDatabase(path)
+        assert reloaded.records() == db.records()
+        for record in (db.records()[0], reloaded.records()[0]):
+            decoded = (record.emb_humans, record.emb_robots, record.emb_tasks)
+            assert [_float64_bytes(vec) for vec in decoded] == [_float64_bytes(vec) for vec in sections]
+
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    def test_section_matrix_equals_the_tuple_built_one(self, tmp_path, dim):
+        rng = random.Random(dim)
+        scenario = make_scenario()
+        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+        db = ExperienceDatabase(tmp_path / "exp.jsonl")
+        for _ in range(20):
+            scale = 10.0 ** rng.randint(-100, 100)
+            sections = tuple(tuple(scale * rng.gauss(0, 1) for _ in range(dim)) for _ in range(3))
+            db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
+        for store in (db, ExperienceDatabase(tmp_path / "exp.jsonl")):
+            want = ref_section_matrix(store.records()).tobytes()
+            assert retrieval._section_matrix(store.records()).tobytes() == want
+            assert store._scoring_snapshot()[1].tobytes() == want
+
+    def test_unequal_sections_are_rejected_at_store(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        before = path.read_bytes()
+        h, r, t = embed_scenario_sections(make_scenario(), HashedEmbedder(dim=16))
+        plan = heuristic_allocate(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME))
+        with pytest.raises(ValueError, match=r"experience record 2: section embeddings differ in length: 16, 15, 16"):
+            db.store(Objective.MISSION_TIME, make_scenario(), plan, PerformanceRecord(5, 100, 0.1), (h, r[:-1], t))
+        assert len(db) == 2 and path.read_bytes() == before
+        assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2  # the id was not used up
+
+    def test_unequal_sections_are_rejected_at_load(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        emb_tasks = json.loads(path.read_text(encoding="utf-8").splitlines()[1])["emb_tasks"]
+        _rewrite_record(path, 1, emb_tasks=emb_tasks[:-1])
+        with pytest.raises(CorruptLogError) as caught:
+            ExperienceDatabase(path)
+        assert str(caught.value) == (
+            f"{path}, line 2: not a record: ValueError: "
+            "experience record 1: section embeddings differ in length: 16, 16, 15"
+        )
+
+    def test_loaded_records_are_small(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        store_mission(
+            ExperienceDatabase(path), Objective.MISSION_TIME, make_scenario(),
+            PerformanceRecord(5, 100, 0.1), HashedEmbedder(dim=256),
+        )
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        _write_lines(path, [json.dumps(dict(payload, id=i), sort_keys=True) for i in range(300)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            db = ExperienceDatabase(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(db) == 300
+        # 6 KiB of the 10 is the 768 packed floats; float tuples took 25 KiB
+        assert retained / len(db) <= 10 * 1024
+
+
 class TestRulesDatabasePersistence:
     def test_store_then_reload_is_identical(self, tmp_path):
         path = tmp_path / "rules.jsonl"
@@ -1179,6 +1283,111 @@ class TestTornLogTail:
             ExperienceDatabase(path)
 
 
+def _experience_line(**fields) -> str:
+    """A well-formed experience-log line at dim 1, with `fields` replaced."""
+    scenario = make_scenario()
+    payload = {
+        "kind": "experience", "id": 7, "objective": "MT", "scenario": scenario.serialize(),
+        "plan": heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME)).render(),
+        "performance": PerformanceRecord(5, 100, 0.1).serialize(),
+        "emb_humans": [1.0], "emb_robots": [1.0], "emb_tasks": [1.0],
+    }
+    return json.dumps({**payload, **fields})
+
+
+# (line, what the error names after "not a record: "), for each store
+WRONG_SHAPE_LINES = {
+    "experience": {
+        "no_fields": ('{"kind": "experience"}', "KeyError: 'id'"),
+        "a_list": ("[1, 2]", "TypeError"),
+        "a_string_id": (_experience_line(id="7"), "ValueError: record id '7' is not an integer"),
+        "a_text_embedding_element": (
+            _experience_line(emb_robots=["1.0"]), "ValueError: experience record 7: embedding element"
+        ),
+        "a_number_objective": (_experience_line(objective=5), "AttributeError"),
+    },
+    "rules": {
+        "no_fields": ('{"kind": "rule"}', "KeyError: 'id'"),
+        "a_list": ("[1, 2]", "TypeError"),
+        "an_unknown_kind": ('{"kind": "note", "id": 3}', "ValueError: unknown rules-log record kind 'note'"),
+        "a_string_id": ('{"id": "3", "kind": "rule", "objective": "MT", "text": "three"}', "TypeError"),
+    },
+}
+
+
+def _store_lines(store, tmp_path):
+    """A two-line log of the store's kind, and its path."""
+    if store == "rules":
+        path = tmp_path / "rules.jsonl"
+        db = RulesDatabase(path)
+        db.store(Objective.MISSION_TIME, "one")
+        db.store(Objective.MISSION_TIME, "two")
+    else:
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+_STORES = {"rules": RulesDatabase, "experience": ExperienceDatabase}
+
+
+class TestWrongShapeLines:
+    """A line that is JSON but not one of the store's records fails the load
+    with one `CorruptLogError` naming the file and the line number, wherever
+    it is; only a torn final line is ever skipped."""
+
+    CASES = [(store, name) for store, lines in WRONG_SHAPE_LINES.items() for name in lines]
+
+    @pytest.mark.parametrize("store, name", CASES, ids=[f"{s}-{n}" for s, n in CASES])
+    @pytest.mark.parametrize("where", ["middle", "last", "last_without_newline"])
+    def test_load_names_the_file_and_line(self, tmp_path, store, name, where):
+        path, (first, second) = _store_lines(store, tmp_path)
+        bad, names = WRONG_SHAPE_LINES[store][name]
+        lines = [first, bad, second] if where == "middle" else [first, second, bad]
+        text = "\n".join(lines) + ("" if where == "last_without_newline" else "\n")
+        path.write_text(text, encoding="utf-8")
+        number = lines.index(bad) + 1
+        with pytest.raises(CorruptLogError) as caught:
+            _STORES[store](path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}, line {number}: not a record: ")
+        assert names in message
+        assert "\n" not in message
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_text_that_is_not_json_names_the_line(self, tmp_path):
+        path, (first, second) = _store_lines("experience", tmp_path)
+        _write_lines(path, [first, "", "not json", second])
+        with pytest.raises(CorruptLogError, match=re.escape(f"{path}, line 3: not JSON: ")):
+            ExperienceDatabase(path)
+
+
+class TestFailedLoadLeavesTheLog:
+    """A load that fails on a bad middle line sets no repair for the next
+    append, even with a torn final line after it, and rewrites nothing."""
+
+    @pytest.mark.parametrize("bad", ['{"kind": "experience"}', '{"emb_humans": [0.25, 0.'])
+    def test_no_repair_and_no_rewrite(self, tmp_path, bad):
+        path, (first, second) = _store_lines("experience", tmp_path)
+        path.write_text(f"{first}\n{bad}\n{second}\n" + '{"emb_humans": [0.25, 0.', encoding="utf-8")
+        before = path.read_bytes()
+        log = retrieval._AppendLog(path)
+        with pytest.raises(CorruptLogError, match="line 2"):
+            list(log.read_all(retrieval._experience_record))
+        assert log._repair is None
+        with pytest.raises(CorruptLogError, match="line 2"):
+            ExperienceDatabase(path)
+        assert path.read_bytes() == before
+
+    def test_a_bad_complete_final_line_sets_no_repair(self, tmp_path):
+        path, (first, second) = _store_lines("experience", tmp_path)
+        path.write_text(f"{first}\n{second}\n" + '{"kind": "experience"}', encoding="utf-8")
+        log = retrieval._AppendLog(path)
+        with pytest.raises(CorruptLogError, match="line 3"):
+            list(log.read_all(retrieval._experience_record))
+        assert log._repair is None
+
+
 def _rewrite_record(path, record_id, **fields):
     """Replace fields of one stored record's JSON line."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -1244,14 +1453,20 @@ class TestLazyRecords:
         assert parse_calls == ["scenario", "plan"]  # decoded once, then cached
 
     def test_store_keeps_the_given_objects(self, tmp_path, shared_plan, parse_calls):
+        """`store` keeps the given plan as decoded; the scenario, which would
+        hold its text a second time, is parsed once, on first read."""
         db = ExperienceDatabase(tmp_path / "exp.jsonl")
         scenario = make_scenario()
         record = db.store(
             Objective.MISSION_TIME, scenario, shared_plan, PerformanceRecord(5, 100, 0.1),
             embed_scenario_sections(scenario, HashedEmbedder(dim=16)),
         )
-        assert record.scenario is scenario and record.plan is shared_plan
+        assert record.plan is shared_plan
+        assert "scenario" not in vars(record)
         assert parse_calls == []
+        assert record.scenario == scenario and record.scenario is not scenario
+        assert record.scenario is record.scenario
+        assert parse_calls == ["scenario"]
 
     def test_reload_equals_stored_records(self, tmp_path):
         path = tmp_path / "exp.jsonl"
