@@ -110,3 +110,14 @@ def ref_section_matrix(records) -> np.ndarray:
         block = matrix[:, start : start + dim]
         block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
     return matrix
+
+
+def ref_einsum_top_k(sections: np.ndarray, queries, k: int) -> list[int]:
+    """The top-k rows of the section matrix as `retrieve_experiences` ranked
+    them by scoring every row exactly: three row-wise einsums added in human,
+    robot, task order from zeros, then a stable sort on the negated sums."""
+    dim = sections.shape[1] // 3
+    scores = np.zeros(len(sections))
+    for start, query in zip((0, dim, 2 * dim), queries):
+        scores += np.einsum("ij,j->i", sections[:, start : start + dim], np.array(query))
+    return np.argsort(-scores, kind="stable")[:k].tolist()

@@ -14,7 +14,9 @@ import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +54,7 @@ from rebel.llm import STUB_RULES, StubProvider, heuristic_allocate
 from rebel.pipeline import RetrievalConfig, infer
 from rebel.prompt import objectives_text
 from conftest import make_scenario
-from oracles import ref_experience_order, ref_fusion_order, ref_section_matrix
+from oracles import ref_einsum_top_k, ref_experience_order, ref_fusion_order, ref_section_matrix
 
 
 class TestTokenize:
@@ -746,15 +748,6 @@ class TestRetrieveExperiences:
         )
         assert sorted(e.id for e in everything) == [r.id for r in db.records()]
 
-    def test_m_greater_than_k_rejected(self):
-        embedder = HashedEmbedder(dim=64)
-        db, base = toy_experience_db(embedder)
-        with pytest.raises(ValueError):
-            retrieve_experiences(
-                base, PreferenceVector.single(Objective.MISSION_TIME), db, k=1, m=2,
-                embedder=embedder,
-            )
-
     def test_empty_db_is_error(self):
         with pytest.raises(ValueError):
             retrieve_experiences(
@@ -764,6 +757,182 @@ class TestRetrieveExperiences:
                 k=1,
                 m=1,
             )
+
+    @pytest.mark.parametrize(
+        "k, m, message",
+        [
+            (0, 0, "k must be >= 1"),
+            (-1, -2, "k must be >= 1"),
+            (3, -1, "m must be >= 0"),
+            (1, 2, "m must be <= k"),
+        ],
+    )
+    def test_bad_k_or_m_is_rejected_before_scoring(self, k, m, message, exact_rows):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            retrieve_experiences(base, prefs, db, k=k, m=m, embedder=embedder)
+        assert exact_rows == []
+        with pytest.raises(ValueError, match="^experience database is empty$"):
+            retrieve_experiences(base, prefs, ExperienceDatabase(), k=k, m=m)
+
+    def test_m_zero_returns_nothing(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        assert retrieve_experiences(base, prefs, db, k=3, m=0, embedder=embedder) == []
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """The row count of each exact section score (`einsum("ij,j->i")`)
+    computed while the test runs."""
+    counts = []
+    einsum = np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        if subscripts == "ij,j->i":
+            counts.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    return counts
+
+
+def _query_embedder(scenario: MissionScenario, query) -> FakeEmbedder:
+    """Embeds the human, robot and task section texts of `scenario` as the
+    first, second and last third of `query`."""
+    dim = len(query) // 3
+    texts = (scenario.render_human_section(), scenario.render_robot_section(), scenario.render_task_section())
+    return FakeEmbedder({text: tuple(query[i * dim : (i + 1) * dim]) for i, text in enumerate(texts)})
+
+
+def _vector_store(rows) -> tuple[ExperienceDatabase, MissionScenario]:
+    """An in-memory store of one record per row of raw section vectors (human,
+    robot and task end to end), all with one scenario, plan and performance,
+    so `retrieve_experiences` returns its similarity top k in id order."""
+    scenario = make_scenario()
+    plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+    db = ExperienceDatabase()
+    for row in np.asarray(rows, dtype=float).tolist():
+        dim = len(row) // 3
+        sections = (row[:dim], row[dim : 2 * dim], row[2 * dim :])
+        db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
+    return db, scenario
+
+
+@st.composite
+def _screened_cases(draw):
+    """1-60 rows of raw section vectors at dim 4-1536 and a query. Each row
+    is fresh, a copy of an earlier row, or such a copy with one element moved
+    by 1 ulp; the query is fresh, a stored row, or a stored row so moved.
+    Values are normal draws or small counts, which tie like hashed
+    embeddings do."""
+    dim, n = draw(st.integers(4, 1536)), draw(st.integers(1, 60))
+    kinds = draw(st.lists(st.sampled_from(["fresh", "copy", "ulp"]), min_size=n, max_size=n))
+    query_kind = draw(st.sampled_from(["fresh", "stored", "ulp"]))
+    counts = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fresh(shape):
+        if not counts:
+            return rng.standard_normal(shape)
+        values = rng.integers(0, 3, shape).astype(float)
+        values[..., ::dim] += 1.0  # no section is all zeros
+        return values
+
+    def moved(row):
+        row = row.copy()
+        j = rng.integers(len(row))
+        row[j] = np.nextafter(row[j], np.inf)
+        return row
+
+    rows = fresh((n, 3 * dim))
+    for i, kind in enumerate(kinds):
+        if i and kind != "fresh":
+            rows[i] = rows[rng.integers(i)]
+            if kind == "ulp":
+                rows[i] = moved(rows[i])
+    query = fresh(3 * dim) if query_kind == "fresh" else rows[rng.integers(n)].copy()
+    return rows, moved(query) if query_kind == "ulp" else query
+
+
+class TestScreenedRetrieval:
+    """A store of at least `_SCREEN_ROWS_PER_K` rows per k is screened by one
+    matrix product, and only the rows within 1e-9 of its k-th largest score
+    are scored exactly; the top k stay those of scoring every row exactly
+    (`ref_einsum_top_k`), bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_screened_cases())
+    def test_every_k_gives_the_exhaustive_top_k(self, case):
+        rows, raw_query = case
+        db, scenario = _vector_store(rows)
+        embedder = _query_embedder(scenario, raw_query.tolist())
+        queries = embed_scenario_sections(scenario, embedder)
+        sections = db._scoring_snapshot()[1]
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        with mock.patch.object(retrieval, "_SCREEN_ROWS_PER_K", 1):  # screen at every k
+            for k in range(1, len(db) + 1):
+                want = ref_einsum_top_k(sections, queries, k)
+                assert retrieval._top_rows(sections, np.array(queries).ravel(), k) == want
+                got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
+                assert _ids(got) == sorted(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_gives_the_exhaustive_order(self, bad, exact_rows):
+        rng = np.random.default_rng(3)
+        db, scenario = _vector_store(rng.standard_normal((100, 3 * 16)))
+        query = rng.standard_normal(3 * 16)
+        query[20] = bad
+        embedder = _query_embedder(scenario, query.tolist())
+        queries = embed_scenario_sections(scenario, embedder)
+        sections = db._scoring_snapshot()[1]
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        for k in (1, 2, 3):
+            want = ref_einsum_top_k(sections, queries, k)
+            exact_rows.clear()
+            got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
+            assert _ids(got) == sorted(want)
+            assert exact_rows == [len(db)] * 3  # the screen bounded nothing
+
+    def test_only_the_near_top_rows_are_scored_exactly(self, exact_rows):
+        rng = np.random.default_rng(5)
+        dim, k = 64, 3
+        n = retrieval._SCREEN_ROWS_PER_K * k
+        db, scenario = _vector_store(rng.standard_normal((n, 3 * dim)))
+        embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
+        sections = db._scoring_snapshot()[1]
+        similarity = sections @ np.array(embed_scenario_sections(scenario, embedder)).ravel()
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        for top in range(1, k + 1):
+            tied = int((similarity >= np.sort(similarity)[-top] - 2e-9).sum())
+            exact_rows.clear()
+            retrieve_experiences(scenario, prefs, db, k=top, m=top, embedder=embedder)
+            assert len(exact_rows) == 3 and top <= exact_rows[0] <= tied
+            assert exact_rows == exact_rows[:1] * 3
+        # one row fewer than the screen needs: every row is scored exactly
+        db, scenario = _vector_store(rng.standard_normal((n - 1, 3 * dim)))
+        embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
+        exact_rows.clear()
+        retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
+        assert exact_rows == [n - 1] * 3
+
+    def test_the_margin_keeps_a_row_exactly_1e_9_below(self, exact_rows):
+        # dim 2, query (1, 0) in every section: a row (x, 1, 0, 1, 0, 1) with
+        # |x| <= 2e-9 is unit in every section already and screens at exactly x
+        n = max(retrieval._SCREEN_ROWS_PER_K, 31)
+        rows = np.tile([-1.0, 0.0], (n, 3))
+        rows[5] = [0.0, 1.0] * 3
+        rows[20] = [-1e-9, 1.0] + [0.0, 1.0] * 2
+        rows[30] = [-2e-9, 1.0] + [0.0, 1.0] * 2
+        db, scenario = _vector_store(rows)
+        embedder = _query_embedder(scenario, [1.0, 0.0] * 3)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        got = retrieve_experiences(scenario, prefs, db, k=1, m=1, embedder=embedder)
+        assert _ids(got) == [5]
+        assert exact_rows == [2] * 3  # rows 5 and 20, not row 30
 
 
 def _task_variant(index: int) -> MissionScenario:
@@ -978,6 +1147,20 @@ class TestPackedEmbeddings:
         plan = heuristic_allocate(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME))
         with pytest.raises(ValueError, match=r"experience record 2: section embeddings differ in length: 16, 15, 16"):
             db.store(Objective.MISSION_TIME, make_scenario(), plan, PerformanceRecord(5, 100, 0.1), (h, r[:-1], t))
+        assert len(db) == 2 and path.read_bytes() == before
+        assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2  # the id was not used up
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_elements_are_rejected_at_store(self, tmp_path, bad):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        before = path.read_bytes()
+        h, r, t = embed_scenario_sections(make_scenario(), HashedEmbedder(dim=16))
+        plan = heuristic_allocate(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME))
+        with pytest.raises(ValueError, match=r"^experience record 2: embedding element is not finite$"):
+            db.store(
+                Objective.MISSION_TIME, make_scenario(), plan, PerformanceRecord(5, 100, 0.1), (h, r, t[:-1] + (bad,))
+            )
         assert len(db) == 2 and path.read_bytes() == before
         assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2  # the id was not used up
 
@@ -1305,6 +1488,22 @@ WRONG_SHAPE_LINES = {
             _experience_line(emb_robots=["1.0"]), "ValueError: experience record 7: embedding element"
         ),
         "a_number_objective": (_experience_line(objective=5), "AttributeError"),
+        **{
+            f"a_{name}_embedding_element": (
+                _experience_line().replace('"emb_robots": [1.0]', f'"emb_robots": [{text}]'),
+                "ValueError: experience record 7: embedding element is not finite",
+            )
+            for name, text in [
+                ("nan", "NaN"), ("infinite", "Infinity"), ("negative_infinite", "-Infinity"), ("overflowing", "1e999")
+            ]
+        },
+        **{
+            f"a_{name}_fallback": (
+                _experience_line(fallback=value),
+                f"ValueError: experience record 7: fallback {value!r} is not a boolean",
+            )
+            for name, value in [("string", "false"), ("number", 0), ("null", None)]
+        },
     },
     "rules": {
         "no_fields": ('{"kind": "rule"}', "KeyError: 'id'"),
