@@ -29,11 +29,30 @@ from .pipeline import (
     generate_rules,
     infer,
 )
-from .prompt import parse_ita_plan
+from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
 from .retrieval import CorruptLogError, ExperienceDatabase, HashedEmbedder, RulesDatabase
 from .sim import SimConfig, run_mission
 
 logger = logging.getLogger(__name__)
+
+
+class InputError(Exception):
+    """An input file or store a subcommand was given cannot be used; `main`
+    prints the message as one line and exits 2."""
+
+
+def _read(path: str, load):
+    """`load(path)`, with any failure to read, parse or validate the file
+    raised as an InputError naming it."""
+    try:
+        return load(path)
+    except (OSError, ValueError, ParseFailure, PlanInvalid) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise InputError(f"{path}: {reason}") from exc
+
+
+def _read_scenario(path: str) -> MissionScenario:
+    return MissionScenario.parse(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_preferences(text: str) -> PreferenceVector:
@@ -125,7 +144,7 @@ def _build_embedder(args: argparse.Namespace):
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
-    cfg = SimConfig.load(args.sim_config) if args.sim_config else SimConfig()
+    cfg = _read(args.sim_config, SimConfig.load) if args.sim_config else SimConfig()
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_seed(args.seed)
     return cfg
@@ -167,7 +186,9 @@ def cmd_gen_exp(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    scenario = MissionScenario.parse(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = _read(args.scenario, _read_scenario)
+    if not scenario.runnable:
+        raise InputError(f"{args.scenario}: scenario is not runnable: no robots")
     retrieval = RetrievalConfig(
         rule_k=args.rule_k, exp_k=args.exp_k, exp_m=args.exp_m, embedder=_build_embedder(args)
     )
@@ -189,8 +210,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = MissionScenario.parse(Path(args.scenario).read_text(encoding="utf-8"))
-    plan = parse_ita_plan(Path(args.plan).read_text(encoding="utf-8"), scenario)
+    scenario = _read(args.scenario, _read_scenario)
+    plan = _read(args.plan, lambda plan: parse_ita_plan(Path(plan).read_text(encoding="utf-8"), scenario))
     record, trace = run_mission(scenario, plan, _sim_config(args))
     print(record.serialize())
     if args.trace:
@@ -200,13 +221,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        spec = ExperimentSpec.from_json(args.spec)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {args.spec}: {exc}", file=sys.stderr)
-        return 2
+    spec = _read(args.spec, ExperimentSpec.from_json)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     sim_cfg = _sim_config(args)
     deps = BenchDeps(
         provider=_build_provider(args, sim_cfg),
@@ -219,13 +236,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         require_stores(spec, deps)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(exc) from exc
     try:
         report = run_experiment(spec, deps)
     except CompositionError as exc:
-        print(f"error: {args.spec}: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"{args.spec}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")
@@ -317,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except CorruptLogError as exc:  # raised while a subcommand loads a store
+    except (CorruptLogError, InputError) as exc:  # a bad store line or input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

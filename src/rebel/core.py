@@ -182,6 +182,23 @@ class Assignment(NamedTuple):
     human: str | None = None
 
 
+# One `id: [...]` entry of each attribute dictionary of a scenario's text.
+_HUMAN_ENTRY = re.compile(r"(\w+)\s*:\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]")
+_ROBOT_ENTRY = re.compile(rf"(\w+)\s*:\s*\[\s*({_NUM})\s*,\s*(\w+)\s*\]")
+_TASK_ENTRY = re.compile(rf"(\w+)\s*:\s*\[\s*\(\s*({_NUM})\s*,\s*({_NUM})\s*\)\s*,\s*(\w+)\s*\]")
+
+
+def _entries(line: str, header: str, entry: re.Pattern[str]) -> list[tuple[str, ...]]:
+    """The groups of each `entry` in the dictionary after `header`, or a
+    ValueError naming the section and the text no entry matched. Every entry
+    holds exactly one colon, so counting them finds an entry left unread."""
+    body = line[len(header):]
+    entries = entry.findall(body)
+    if len(entries) != body.count(":"):
+        raise ValueError(f"{header} unreadable entry {entry.sub('', body).strip(' {},')!r}")
+    return entries
+
+
 @dataclass(frozen=True)
 class MissionScenario:
     """Team composition plus the task list, with the arena bound they live in.
@@ -276,19 +293,16 @@ class MissionScenario:
             raise ValueError("scenario text must contain all three attribute dictionaries")
 
         humans = tuple(
-            HumanProfile(m.group(1), Tier.parse(m.group(3)), Tier.parse(m.group(2)))
-            for m in re.finditer(r"(\w+)\s*:\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]", human_line[len("Human Attributes:"):])
+            HumanProfile(h_id, Tier.parse(cognition), Tier.parse(skill))
+            for h_id, skill, cognition in _entries(human_line, "Human Attributes:", _HUMAN_ENTRY)
         )
         robots = tuple(
-            RobotProfile(m.group(1), RobotKind.from_id(m.group(1)), float(m.group(2)), Tier.parse(m.group(3)))
-            for m in re.finditer(rf"(\w+)\s*:\s*\[\s*({_NUM})\s*,\s*(\w+)\s*\]", robot_line[len("Robot Details:"):])
+            RobotProfile(r_id, RobotKind.from_id(r_id), float(speed), Tier.parse(camera))
+            for r_id, speed, camera in _entries(robot_line, "Robot Details:", _ROBOT_ENTRY)
         )
         tasks = tuple(
-            TaskSpec(m.group(1), (float(m.group(2)), float(m.group(3))), Tier.parse(m.group(4)))
-            for m in re.finditer(
-                rf"(\w+)\s*:\s*\[\s*\(\s*({_NUM})\s*,\s*({_NUM})\s*\)\s*,\s*(\w+)\s*\]",
-                task_line[len("Task Info:"):],
-            )
+            TaskSpec(t_id, (float(x), float(y)), Tier.parse(difficulty))
+            for t_id, x, y, difficulty in _entries(task_line, "Task Info:", _TASK_ENTRY)
         )
         return cls(humans=humans, robots=robots, tasks=tasks, arena_side=arena)
 

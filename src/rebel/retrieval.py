@@ -180,6 +180,10 @@ class HashedEmbedder:
 
     dim: int = 256
 
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+
     def embed(self, text: str) -> tuple[float, ...]:
         return _hashed_embedding(self.dim, text)
 
@@ -537,53 +541,50 @@ class RulesDatabase:
     """Objective-tagged rule store; in-memory view over an append-only log.
 
     Refinement retires an objective's current generation and appends the new
-    one, so the file never rewrites history. Stores and replacements hold a
-    lock, so threads may share the store. The rule embeddings of the last
-    retrieval are kept, so a store queried again and again with one embedder
-    embeds each rule once; so are the full rankings of up to
-    `_RANKINGS_KEPT` query texts, until the next store or retirement, so a
-    repeated query does no ranking work at all.
+    one, so the file never rewrites history. The live rules are one tuple in
+    id order that every store and retirement replaces under a lock, so
+    threads may share the store. Retrieval keeps, keyed by that tuple and the
+    embedder, the full rankings of up to `_RANKINGS_KEPT` query texts, so a
+    repeated query does no ranking work at all, and the rule embeddings, so
+    a store queried again and again with one embedder embeds each rule once.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
-        self._live: dict[int, RuleEntry] = {}  # id order: sorted here, appended in order after
-        # (embedder, rule id -> embedding); replaced whole, never mutated
-        self._rule_vectors: tuple[Embedder | None, dict[int, tuple[float, ...]]] = (None, {})
-        # (embedder, query text -> ranking) of the current state of `_live`:
-        # replaced whole, never mutated, and emptied, under the lock, by
-        # every change of `_live`, which also bumps `_version`
-        self._rankings: tuple[Embedder | None, dict[str, tuple[RuleEntry, ...]]] = (None, {})
-        self._version = 0
-        self._next_id = 0
         self._lock = threading.Lock()
-        for _ in self._log.read_all(self._apply):  # applied line by line
+        self._next_id = 0
+        live: dict[int, RuleEntry] = {}
+
+        def apply(payload: dict) -> None:
+            if payload["kind"] == "rule":
+                entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
+                live[entry.id] = entry
+                self._next_id = max(self._next_id, entry.id + 1)
+            elif payload["kind"] == "retire":
+                for entry_id in payload["ids"]:
+                    live.pop(entry_id, None)
+            else:
+                raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")
+
+        for _ in self._log.read_all(apply):  # applied line by line
             pass
-        self._live = dict(sorted(self._live.items()))
+        self._rules: tuple[RuleEntry, ...] = tuple(sorted(live.values(), key=operator.attrgetter("id")))
+        # (rules, embedder, rule id -> embedding, query text -> ranking of
+        # those rules by that embedder); replaced whole, never mutated
+        self._memo: tuple[tuple[RuleEntry, ...], Embedder | None, dict, dict] = ((), None, {}, {})
 
     @property
     def path(self) -> Path | None:
         return self._log.path
 
-    def _apply(self, payload: dict) -> None:
-        if payload["kind"] == "rule":
-            entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
-            self._live[entry.id] = entry
-            self._next_id = max(self._next_id, entry.id + 1)
-        elif payload["kind"] == "retire":
-            for entry_id in payload["ids"]:
-                self._live.pop(entry_id, None)
-        else:
-            raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")
-
     def rules(self) -> tuple[RuleEntry, ...]:
-        return tuple(self._live.values())
+        return self._rules
 
     def for_objective(self, objective: Objective) -> tuple[RuleEntry, ...]:
-        return tuple(r for r in self._live.values() if r.objective is objective)
+        return tuple(r for r in self._rules if r.objective is objective)
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self._rules)
 
     def contains_text(self, objective: Objective, text: str) -> bool:
         return any(r.text == text for r in self.for_objective(objective))
@@ -592,51 +593,44 @@ class RulesDatabase:
         """The live rules ranked for `query_text` (`_fused_ranking`), at most
         once per query text and equal (`==`) embedder per state of the store.
 
-        Rules the embedding cache lacks are embedded, and the ranking made,
-        outside the lock, so a slow embedder holds up no store. The ranking
-        is kept only if the store has not changed since its rules were read.
+        It reads the live rules once and takes no lock, so a slow embedder
+        holds up no store. A ranking is kept under the rules tuple it was
+        made from, so one made before a store is never served after it.
         """
-        with self._lock:
-            version, rules = self._version, tuple(self._live.values())
-            ranked_by, rankings = self._rankings
-            cached_by, cached = self._rule_vectors
-        if ranked_by == embedder and query_text in rankings:
+        rules = self._rules
+        held_rules, held_by, vectors, rankings = self._memo
+        if held_by != embedder:
+            vectors, rankings = {}, {}
+        elif held_rules is not rules:
+            rankings = {}
+        elif query_text in rankings:
             return rankings[query_text]
         if not rules:
             return ()
-        if cached_by != embedder:
-            cached = {}
-        vectors = {r.id: cached[r.id] if r.id in cached else embedder.embed(r.text) for r in rules}
-        self._rule_vectors = (embedder, vectors)  # retired rules drop out here
+        # retired rules drop out of the carried embeddings here
+        vectors = {r.id: vectors[r.id] if r.id in vectors else embedder.embed(r.text) for r in rules}
         ranking = _fused_ranking(query_text, rules, tuple(vectors.values()), embedder)
-        with self._lock:
-            if self._version == version:
-                held_by, held = self._rankings
-                if held_by != embedder or len(held) >= _RANKINGS_KEPT:
-                    held = {}
-                self._rankings = (embedder, {**held, query_text: ranking})
+        if len(rankings) >= _RANKINGS_KEPT:
+            rankings = {}
+        self._memo = (rules, embedder, vectors, {**rankings, query_text: ranking})
         return ranking
-
-    def _changed(self) -> None:
-        """Drop the rankings of the state `_live` had; the caller holds the lock."""
-        self._version += 1
-        self._rankings = (None, {})
 
     def store(self, objective: Objective, text: str) -> RuleEntry:
         with self._lock:
-            return self._store(objective, text)
+            entry = self._append(objective, text)
+            self._rules += (entry,)
+            return entry
 
-    def _store(self, objective: Objective, text: str) -> RuleEntry:
-        """`store` for a caller that holds the lock."""
+    def _append(self, objective: Objective, text: str) -> RuleEntry:
+        """The next rule, logged but not yet live; the caller holds the lock."""
         entry = RuleEntry(self._next_id, objective, text)
         self._next_id += 1
         self._log.append({"kind": "rule", "id": entry.id, "objective": objective.short, "text": text})
-        self._live[entry.id] = entry
-        self._changed()
         return entry
 
     def replace_objective(self, objective: Objective, texts: Sequence[str]) -> tuple[RuleEntry, ...]:
-        """Swap an objective's live rule set for a new generation.
+        """Swap an objective's live rule set for a new generation, in one
+        replacement of the live rules.
 
         A no-op when the new texts match the live ones exactly, which keeps
         fixed-point refinements from growing the log.
@@ -648,9 +642,13 @@ class RulesDatabase:
             if current:
                 retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
                 self._log.append(retire)
-                self._apply(retire)
-                self._changed()
-            return tuple(self._store(objective, text) for text in texts)
+            kept, added = tuple(r for r in self._rules if r.objective is not objective), []
+            try:
+                for text in texts:
+                    added.append(self._append(objective, text))
+            finally:  # what reached the log is live
+                self._rules = kept + tuple(added)
+            return tuple(added)
 
 
 def _experience_record(payload: dict) -> ExperienceRecord:
@@ -682,25 +680,23 @@ class ExperienceDatabase:
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
-        self._records: dict[int, ExperienceRecord] = {}
-        self._dedup: set[tuple[Objective, str, str]] = set()
-        self._sections: np.ndarray | None = None  # see _scoring_snapshot; dropped by store
-        self._next_id = 0
+        # id order; only ever appended to, so its first n records never change
+        self._records = sorted(self._log.read_all(_experience_record), key=operator.attrgetter("id"))
+        self._dedup = {(r.objective, r.scenario_text, r.plan_text) for r in self._records}
+        self._next_id = self._records[-1].id + 1 if self._records else 0
+        # (record count, `_section_matrix` of that many records); replaced whole
+        self._sections = (0, np.empty((0, 0)))
         self._lock = threading.Lock()
-        for record in sorted(self._log.read_all(_experience_record), key=operator.attrgetter("id")):
-            self._records[record.id] = record
-            self._dedup.add((record.objective, record.scenario_text, record.plan_text))
-            self._next_id = record.id + 1
 
     @property
     def path(self) -> Path | None:
         return self._log.path
 
     def records(self) -> tuple[ExperienceRecord, ...]:
-        return tuple(self._records.values())
+        return tuple(self._records)
 
     def for_objective(self, objective: Objective) -> tuple[ExperienceRecord, ...]:
-        return tuple(r for r in self._records.values() if r.objective is objective)
+        return tuple(r for r in self._records if r.objective is objective)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -711,12 +707,13 @@ class ExperienceDatabase:
     def _scoring_snapshot(self) -> tuple[tuple[ExperienceRecord, ...], np.ndarray]:
         """The records in id order and their section matrix (`_section_matrix`),
         from one state of the store. The matrix is built on first use after a
-        store."""
-        with self._lock:
-            records = self.records()
-            if self._sections is None:
-                self._sections = _section_matrix(records)
-            return records, self._sections
+        store, and kept under the record count it was built for."""
+        records = self.records()
+        count, matrix = self._sections
+        if count != len(records):
+            matrix = _section_matrix(records)
+            self._sections = (len(records), matrix)
+        return records, matrix
 
     def store(
         self,
@@ -755,7 +752,6 @@ class ExperienceDatabase:
                     "fallback": fallback,
                 }
             )
-            self._records[record.id] = record
+            self._records.append(record)
             self._dedup.add((objective, record.scenario_text, record.plan_text))
-            self._sections = None
             return record

@@ -80,11 +80,51 @@ class SimConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimConfig":
+        """The config a `dump` file holds; a key it omits keeps its default.
+        ValueError, naming the key, for a key that names no setting, a tier
+        map that does not give every tier a number, or a value that is not a
+        finite number (for `seed`, an integer)."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**{
-            name: {Tier.parse(k): float(v) for k, v in value.items()} if isinstance(value, dict) else value
-            for name, value in raw.items()
-        })
+        if not isinstance(raw, dict):
+            raise ValueError(f"a sim config must be an object, got {json.dumps(raw)}")
+        default, known = cls(), {f.name for f in fields(cls)}
+        unknown = sorted(set(raw) - known)
+        if unknown:
+            raise ValueError(f"unknown sim config keys {unknown}; known keys are {sorted(known)}")
+        values = {}
+        for name, value in raw.items():
+            if isinstance(getattr(default, name), dict):
+                values[name] = _read_tier_map(name, value)
+            elif name == "seed" and type(value) is not int:
+                raise ValueError(f"seed must be an integer, got {json.dumps(value)}")
+            else:
+                values[name] = _finite(name, value)
+        return cls(**values)
+
+
+def _finite(name: str, value):
+    """`value`, or a ValueError naming `name` unless it is a finite number."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
+    return value
+
+
+def _read_tier_map(name: str, value) -> dict[Tier, float]:
+    """The tier map a JSON object gives for setting `name`, or a ValueError
+    naming it unless the object gives every tier a finite number."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object giving each tier a number, got {json.dumps(value)}")
+    tiers = {}
+    for key, number in value.items():
+        try:
+            tier = Tier.parse(key)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        tiers[tier] = float(_finite(f"{name}.{key}", number))
+    missing = [tier.value for tier in Tier if tier not in tiers]
+    if missing:
+        raise ValueError(f"{name} gives no number for tier {', '.join(missing)}")
+    return tiers
 
 
 def travel_time(start: tuple[float, float], end: tuple[float, float], speed: float) -> float:

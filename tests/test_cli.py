@@ -347,3 +347,109 @@ def test_importing_the_cli_loads_neither_requests_nor_scipy_stats():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _input_files(tmp_path):
+    """A valid scenario, a valid plan for it, and a spec that needs no store."""
+    scenario = random_scenario(2, 3, 4, seed=9)
+    paths = {name: tmp_path / name for name in ("scenario.txt", "plan.txt", "spec.json")}
+    paths["scenario.txt"].write_text(scenario.serialize() + "\n")
+    paths["plan.txt"].write_text(
+        "\n".join(f"{t.id}: ({scenario.robots[0].id})" for t in scenario.tasks) + "\n"
+    )
+    paths["spec.json"].write_text(json.dumps(
+        {"humans": 1, "robots": 1, "pois": 1, "trials": 1, "methods": ["heuristic"]}
+    ))
+    return paths
+
+
+def _argv(command, tmp_path, paths):
+    stores = ["--rules-db", str(tmp_path / "rules.jsonl"), "--exp-db", str(tmp_path / "exp.jsonl")]
+    return {
+        "gen-exp": ["gen-exp", *stores, "--missions", "1"],
+        "infer": ["infer", *stores, "--scenario", str(paths["scenario.txt"]), "--prefs", "MT"],
+        "simulate": ["simulate", "--scenario", str(paths["scenario.txt"]), "--plan", str(paths["plan.txt"])],
+        "bench": ["bench", "--spec", str(paths["spec.json"]), "--out-dir", str(tmp_path / "out")],
+    }[command]
+
+
+def _assert_one_line_error(capsys, argv, path, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        ("dir", "Is a directory"),
+        (b"\xff\xfe not text", "can't decode"),
+        ("Human Attributes: {}\nRobot Details: {UAV_0: [5, Hi]}\n", "all three attribute dictionaries"),
+        (
+            "Human Attributes: {H_0: [Med]}\nRobot Details: {UAV_0: [5, Hi]}\nTask Info: {}\n",
+            "Human Attributes: unreadable entry 'H_0: [Med]'",
+        ),
+        ("Arena Side: wide\nHuman Attributes: {}\nRobot Details: {}\nTask Info: {}\n", "wide"),
+    ],
+    ids=["missing", "directory", "not-utf8", "no-task-section", "unreadable-entry", "bad-arena"],
+)
+def test_a_bad_scenario_file_is_a_one_line_error(tmp_path, capsys, command, content, message):
+    paths = _input_files(tmp_path)
+    scenario = paths["scenario.txt"]
+    scenario.unlink()
+    if content == "dir":
+        scenario.mkdir()
+    elif isinstance(content, bytes):
+        scenario.write_bytes(content)
+    elif content is not None:
+        scenario.write_text(content)
+    _assert_one_line_error(capsys, _argv(command, tmp_path, paths), scenario, message)
+
+
+def test_infer_on_a_scenario_with_no_robots_is_a_one_line_error(tmp_path, capsys):
+    paths = _input_files(tmp_path)
+    paths["scenario.txt"].write_text("Human Attributes: {H_0: [Med, Lo]}\nRobot Details: {}\nTask Info: {}\n")
+    _assert_one_line_error(capsys, _argv("infer", tmp_path, paths), paths["scenario.txt"], "no robots")
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (None, "No such file or directory"),
+        ("no assignments here\n", ""),
+        ("T_0: (UAV_99)\n", "UAV_99"),
+    ],
+    ids=["missing", "unparseable", "unknown-agent"],
+)
+def test_a_bad_simulate_plan_is_a_one_line_error(tmp_path, capsys, plan, message):
+    paths = _input_files(tmp_path)
+    paths["plan.txt"].unlink()
+    if plan is not None:
+        paths["plan.txt"].write_text(plan)
+    _assert_one_line_error(capsys, _argv("simulate", tmp_path, paths), paths["plan.txt"], message)
+
+
+@pytest.mark.parametrize("command", ["gen-exp", "infer", "simulate", "bench"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        ("{not json", "Expecting property name"),
+        ('{"fatigue_flor": 0.5}', "unknown sim config keys ['fatigue_flor']"),
+        ('{"skill_multiplier": {"Lo": 1, "Med": 1}}', "skill_multiplier gives no number for tier Hi"),
+        ('{"workload_coef": NaN}', "workload_coef must be a finite number"),
+    ],
+    ids=["missing", "not-json", "unknown-key", "missing-tier", "nan"],
+)
+def test_a_bad_sim_config_is_a_one_line_error(tmp_path, capsys, command, content, message):
+    paths = _input_files(tmp_path)
+    sim_config = tmp_path / "sim.json"
+    if content is not None:
+        sim_config.write_text(content)
+    argv = [*_argv(command, tmp_path, paths), "--sim-config", str(sim_config)]
+    _assert_one_line_error(capsys, argv, sim_config, message)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "exp.jsonl").exists()

@@ -227,6 +227,30 @@ class TestScenarioSerialization:
                 humans=(("H_0", Tier.LOW, Tier.LOW), ("H_0", Tier.LOW, Tier.LOW))
             )
 
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("Human Attributes:", "H_1: [Med]"),
+            ("Human Attributes:", "H_1: [Med, Lo, Hi]"),
+            ("Robot Details:", "UAV_1: [fast, Hi]"),
+            ("Robot Details:", "UGV_1: [5 Hi]"),
+            ("Task Info:", "T_1: [10, 20, Lo]"),
+            ("Task Info:", "T_1: [(10, 20)]"),
+        ],
+    )
+    def test_an_unreadable_entry_is_named_not_dropped(self, scenario, section, entry):
+        lines = scenario.serialize().splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith(section))
+        body = lines[index][len(section):].strip()
+        lines[index] = f"{section} {{{entry}, {body[1:-1]}}}" if body != "{}" else f"{section} {{{entry}}}"
+        with pytest.raises(ValueError) as info:
+            MissionScenario.parse("\n".join(lines))
+        assert str(info.value) == f"{section} unreadable entry {entry!r}"
+
+    def test_empty_sections_parse_to_no_members(self):
+        parsed = MissionScenario.parse("Human Attributes: {}\nRobot Details: {}\nTask Info: { }")
+        assert parsed.humans == parsed.robots == parsed.tasks == ()
+
 
 class TestScenarioTextCache:
     HUMANS = "Human Attributes: {H_0: [Med, Med], H_1: [Hi, Lo]}"

@@ -248,6 +248,14 @@ class TestHashedEmbedder:
         v = embedder.embed("")
         assert v[0] == 1.0 and all(x == 0.0 for x in v[1:])
 
+    @pytest.mark.parametrize("dim", [0, -1, -256])
+    def test_a_dimension_below_one_is_rejected_at_construction(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            HashedEmbedder(dim=dim)
+
+    def test_dimension_one_embeds_every_text_to_the_one_basis_vector(self):
+        assert HashedEmbedder(dim=1).embed("faster robots") == HashedEmbedder(dim=1).embed("") == (1.0,)
+
 
 class FakeEmbedder:
     """Test embedder with hand-assigned directions per exact text."""
@@ -590,12 +598,25 @@ class TestRankingMemo:
             got = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
             assert [r.id for r in got] == self.oracle(query, db, embedder)
 
+    def test_a_ranking_survives_a_fixed_point_replacement_and_not_a_real_one(self, bm25_calls):
+        db, embedder = self.rules_db(), HashedEmbedder(dim=64)
+        query, objective = "faster robots", Objective.MISSION_TIME
+        first = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
+        bm25_calls.clear()
+        db.replace_objective(objective, [r.text for r in db.for_objective(objective)])
+        assert ensemble_retrieve(query, db, k=len(db), embedder=embedder) == first
+        assert bm25_calls == []
+        new = db.replace_objective(objective, ["Faster robots cut mission time."])
+        got = ensemble_retrieve(query, db, k=len(db), embedder=embedder)
+        assert len(bm25_calls) == len(db) and set(new) <= set(got)
+        assert [r.id for r in got] == self.oracle(query, db, embedder)
+
     def test_kept_query_texts_are_bounded(self, bm25_calls):
         db = self.rules_db()
         queries = [f"query number {i}" for i in range(retrieval._RANKINGS_KEPT + 1)]
         for query in queries:
             ensemble_retrieve(query, db, k=1)
-        assert len(db._rankings[1]) <= retrieval._RANKINGS_KEPT
+        assert len(db._memo[3]) <= retrieval._RANKINGS_KEPT
         bm25_calls.clear()
         ensemble_retrieve(queries[-1], db, k=1)
         assert bm25_calls == []
@@ -946,6 +967,28 @@ def _ids(records) -> list[int]:
 class TestSectionMatrix:
     """`retrieve_experiences` scores against a section matrix cached on the
     store; these pin what the per-record cosine loop guaranteed."""
+
+    def test_the_matrix_is_built_once_per_record_count(self, monkeypatch):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        builds = []
+        real = retrieval._section_matrix
+
+        def counting(records):
+            builds.append(len(records))
+            return real(records)
+
+        monkeypatch.setattr(retrieval, "_section_matrix", counting)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        first = retrieve_experiences(base, prefs, db, k=3, m=3, embedder=embedder)
+        assert retrieve_experiences(base, prefs, db, k=3, m=3, embedder=embedder) == first
+        assert builds == [6]
+        variant = _task_variant(30)
+        stored = store_mission(db, Objective.MISSION_TIME, variant, PerformanceRecord(5, 50, 0.5), embedder)
+        for _ in range(2):
+            got = retrieve_experiences(variant, prefs, db, k=1, m=1, embedder=embedder)
+            assert got == [stored]
+        assert builds == [6, 7]
 
     @pytest.mark.parametrize("seed", range(6, 14))
     def test_duplicate_rows_tie_exactly(self, seed):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import statistics
 import time
@@ -479,6 +480,35 @@ class TestSimConfigFile:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(fatigue_horizon_s=0.0)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"fatigue_flor": 0.5}, "unknown sim config keys ['fatigue_flor']"),
+            ([0.5], "a sim config must be an object, got [0.5]"),
+            ({"skill_multiplier": 1.0}, "skill_multiplier must be an object giving each tier a number"),
+            ({"skill_multiplier": {"Lo": 0.8, "Med": 1.0}}, "skill_multiplier gives no number for tier Hi"),
+            ({"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": 1, "Top": 2}}, "skill_multiplier: unknown tier 'Top'"),
+            ({"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": "1"}}, 'skill_multiplier.Hi must be a finite number, got "1"'),
+            ({"workload_coef": float("nan")}, "workload_coef must be a finite number, got NaN"),
+            ({"points_per_correct": float("inf")}, "points_per_correct must be a finite number"),
+            ({"fatigue_floor": None}, "fatigue_floor must be a finite number, got null"),
+            ({"fatigue_floor": True}, "fatigue_floor must be a finite number, got true"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_a_bad_file_is_a_value_error_naming_the_key(self, tmp_path, raw, message):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            SimConfig.load(path)
+        assert message in str(info.value)
+
+    def test_a_partial_file_keeps_the_other_defaults(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text('{"seed": 7, "workload_coef": 0, "skill_multiplier": {"low": 1, "MED": 2, "Hi": 3}}')
+        want = SimConfig(seed=7, workload_coef=0, skill_multiplier={Tier.LOW: 1.0, Tier.MED: 2.0, Tier.HIGH: 3.0})
+        assert SimConfig.load(path) == want
 
 
 def test_workload_and_complexity_shapes():
