@@ -188,15 +188,22 @@ _ROBOT_ENTRY = re.compile(rf"(\w+)\s*:\s*\[\s*({_NUM})\s*,\s*(\w+)\s*\]")
 _TASK_ENTRY = re.compile(rf"(\w+)\s*:\s*\[\s*\(\s*({_NUM})\s*,\s*({_NUM})\s*\)\s*,\s*(\w+)\s*\]")
 
 
-def _entries(line: str, header: str, entry: re.Pattern[str]) -> list[tuple[str, ...]]:
-    """The groups of each `entry` in the dictionary after `header`, or a
-    ValueError naming the section and the text no entry matched. Every entry
-    holds exactly one colon, so counting them finds an entry left unread."""
+def _members(line: str, header: str, entry: re.Pattern[str], build) -> tuple:
+    """`build(*groups)` for each `entry` in the dictionary after `header`. A
+    ValueError names the section and the text no entry matched, or the
+    section and the entry `build` rejects. Every entry holds exactly one
+    colon, so counting them finds an entry left unread."""
     body = line[len(header):]
-    entries = entry.findall(body)
-    if len(entries) != body.count(":"):
+    matches = list(entry.finditer(body))
+    if len(matches) != body.count(":"):
         raise ValueError(f"{header} unreadable entry {entry.sub('', body).strip(' {},')!r}")
-    return entries
+    members = []
+    for match in matches:
+        try:
+            members.append(build(*match.groups()))
+        except ValueError as exc:
+            raise ValueError(f"{header} {exc} in entry {match[0]!r}") from None
+    return tuple(members)
 
 
 @dataclass(frozen=True)
@@ -292,17 +299,19 @@ class MissionScenario:
         if not (human_line and robot_line and task_line):
             raise ValueError("scenario text must contain all three attribute dictionaries")
 
-        humans = tuple(
-            HumanProfile(h_id, Tier.parse(cognition), Tier.parse(skill))
-            for h_id, skill, cognition in _entries(human_line, "Human Attributes:", _HUMAN_ENTRY)
+        humans = _members(
+            human_line, "Human Attributes:", _HUMAN_ENTRY,
+            lambda h_id, skill, cognition: HumanProfile(h_id, Tier.parse(cognition), Tier.parse(skill)),
         )
-        robots = tuple(
-            RobotProfile(r_id, RobotKind.from_id(r_id), float(speed), Tier.parse(camera))
-            for r_id, speed, camera in _entries(robot_line, "Robot Details:", _ROBOT_ENTRY)
+        robots = _members(
+            robot_line, "Robot Details:", _ROBOT_ENTRY,
+            lambda r_id, speed, camera: RobotProfile(
+                r_id, RobotKind.from_id(r_id), float(speed), Tier.parse(camera)
+            ),
         )
-        tasks = tuple(
-            TaskSpec(t_id, (float(x), float(y)), Tier.parse(difficulty))
-            for t_id, x, y, difficulty in _entries(task_line, "Task Info:", _TASK_ENTRY)
+        tasks = _members(
+            task_line, "Task Info:", _TASK_ENTRY,
+            lambda t_id, x, y, difficulty: TaskSpec(t_id, (float(x), float(y)), Tier.parse(difficulty)),
         )
         return cls(humans=humans, robots=robots, tasks=tasks, arena_side=arena)
 

@@ -74,6 +74,10 @@ class CompletionRequest:
             raise ValueError("temperature must lie in [0, 2]")
 
 
+# requests one HTTP client holds open at once, across its threads
+MAX_CONCURRENCY = 4
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
     endpoint: str = "https://api.openai.com/v1"
@@ -82,7 +86,6 @@ class ProviderConfig:
     timeout_s: float = 60.0
     retries: int = 2
     backoff_s: float = 0.5
-    max_concurrency: int = 4
 
     def __post_init__(self) -> None:
         # urllib also opens file:, ftp: and data: URLs, and raises ValueError on no scheme
@@ -170,7 +173,7 @@ class HttpCompletionProvider:
 
     def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
-        self._gate = threading.Semaphore(max(1, cfg.max_concurrency))
+        self._gate = threading.Semaphore(MAX_CONCURRENCY)
 
     def complete(self, request: CompletionRequest) -> str:
         payload = {
@@ -189,7 +192,7 @@ class HttpEmbedder:
     def __init__(self, cfg: ProviderConfig, model: str = "text-embedding-3-small"):
         self.cfg = cfg
         self.model = model
-        self._gate = threading.Semaphore(max(1, cfg.max_concurrency))
+        self._gate = threading.Semaphore(MAX_CONCURRENCY)
 
     def embed(self, text: str) -> tuple[float, ...]:
         body = _post(self.cfg, self._gate, "/embeddings", {"model": self.model, "input": [text]})

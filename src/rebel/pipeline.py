@@ -183,8 +183,8 @@ def _background_prompt(
             scenario_text=BACKGROUND_FORMAT,
             goal=goal,
             objectives=objectives_text(PreferenceVector.single(objective)),
-            rules=tuple(r.text for r in rules) or None,
-            exemplars=exemplars or None,
+            rules=tuple(r.text for r in rules),
+            exemplars=exemplars,
         )
     )
 
@@ -212,8 +212,8 @@ def allocate_with_model(
             scenario_text=scenario.render_spf(),
             goal=GOAL_PERFORM_ITA,
             objectives=objectives_text(prefs),
-            rules=tuple(r.text for r in rules) or None,
-            exemplars=exemplars or None,
+            rules=tuple(r.text for r in rules),
+            exemplars=exemplars,
         )
     )
     for retry in (True, False):
@@ -324,8 +324,8 @@ def infer(
     greedy fallback plans under `sim_cfg` (the defaults when None).
 
     Empty databases degrade gracefully: the corresponding prompt sections are
-    omitted with a warning (zero-shot behavior). A retrieved experience whose
-    stored scenario or plan is corrupt raises `ValueError` naming its id.
+    omitted with a warning (zero-shot behavior). `ValueError` for a corrupt
+    retrieved experience, naming its id, or a non-finite query embedding.
     """
     if not scenario.runnable:
         raise ValueError("scenario is not runnable: no robots")
@@ -341,8 +341,7 @@ def infer(
 
     exemplars: tuple[ExperienceRecord, ...] = ()
     if len(exp_db):
-        k = min(retrieval.exp_k, len(exp_db))
-        m = min(retrieval.exp_m, k)
+        k, m = retrieval.exp_k, min(retrieval.exp_m, retrieval.exp_k)
         exemplars = tuple(
             retrieve_experiences(scenario, prefs, exp_db, k=k, m=m, embedder=retrieval.embedder)
         )

@@ -76,8 +76,8 @@ class StructuredPrompt:
     scenario_text: str
     goal: str
     objectives: str
-    rules: tuple[str, ...] | None = None
-    exemplars: tuple[Exemplar, ...] | None = None
+    rules: tuple[str, ...] = ()
+    exemplars: tuple[Exemplar, ...] = ()
 
 
 def objectives_text(prefs: PreferenceVector) -> str:

@@ -205,9 +205,11 @@ def _token_hash(token: str) -> int:
 
 
 def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
+    """`vec` scaled to unit length. `ValueError` when its norm is zero or not
+    finite (a NaN or infinite element, or squares past the float range)."""
     norm = math.sqrt(sum(map(operator.mul, vec, vec)))
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
+    if not 0 < norm < math.inf:
+        raise ValueError(f"cannot normalize a vector of norm {norm}")
     return tuple([v / norm for v in vec])
 
 
@@ -373,13 +375,14 @@ def retrieve_experiences(
     """Top-k most similar stored missions, re-ranked by preference fit.
 
     Similarity is the sum of the three per-section cosines against the
-    store's cached matrix of unit section rows (`_top_rows`: a large store
-    is screened in one matrix product, and only the rows near its top are
-    scored exactly). The k candidates are then ordered by the weighted
-    normalized objective score of their recorded performance (bounds taken
-    over the candidates) and the best m returned. All ties, in similarity
-    and in score, break toward the lower record id. `ValueError` for an
-    empty store, k < 1, m < 0 or m > k.
+    store's cached matrix of unit section rows (`_top_rows`: the store is
+    screened in one matrix product, and only the rows near its top are
+    scored exactly); a k above the store's size takes every record. The k
+    candidates are then ordered by the weighted normalized objective score
+    of their recorded performance (bounds taken over the candidates) and the
+    best m returned. All ties, in similarity and in score, break toward the
+    lower record id. `ValueError` for an empty store, k < 1, m < 0, m > k,
+    or a query section the embedder gives a zero or non-finite norm.
     """
     records, sections = db._scoring_snapshot()
     if not records:
@@ -397,7 +400,8 @@ def retrieve_experiences(
     for query in queries:
         if len(query) != dim:
             raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
-    top_k = [records[row] for row in _top_rows(sections, np.array(queries).ravel(), k)]
+    rows = _top_rows(sections, np.array(queries).ravel(), min(k, len(records)))
+    top_k = [records[row] for row in rows]
 
     columns = performance_columns([rec.performance for rec in top_k])
     fit = aggregate_scores(columns, prefs, NormalizationBounds.from_columns(columns)).tolist()
@@ -405,46 +409,34 @@ def retrieve_experiences(
     return [top_k[i] for i in order[:m]]
 
 
-# A store is screened only from this many rows per retrieved record up; below
-# that, the screen's fixed numpy calls cost more than the exact scores they
-# save. `_top_rows` on a 2-vCPU guest at dim 256 and k = 3, all rows exact
-# against screened: 17.8 against 23.5 µs at 30 rows, 25.3 against 26.9 µs at
-# 64, 50.3 against 47.2 µs at 96 and 564 against 188 µs at 900.
-_SCREEN_ROWS_PER_K = 32
-
-
 def _top_rows(sections: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     """The k rows of `sections` most similar to `query` (the three unit query
-    sections end to end), best first, ties broken toward the lower row.
+    sections end to end), best first, ties broken toward the lower row;
+    1 <= k <= row count.
 
     A row's exact score adds its human, robot and task cosines, each a
     row-wise `einsum`, in that order from zero. einsum scores a row alike
     wherever it sits in the block, so identical rows tie exactly.
 
-    From `_SCREEN_ROWS_PER_K` rows per k up, one BLAS product
-    `sections @ query` screens the rows first. It sums the same products,
-    whose magnitudes total at most about 1 per section (unit vectors), in
-    another order, so it is within about 3·dim·2⁻⁵³ (δ) of the exact score.
-    Every row of the exact top k then screens within 2δ of the k-th largest
-    screened score, and only the rows within 1e-9 of it are scored exactly;
-    ranking those gives the top k of scoring every row. A screen that is not
-    finite everywhere bounds nothing, and then every row is scored exactly.
+    One BLAS product `sections @ query` screens the rows first. It sums the
+    same products, whose magnitudes total at most about 1 per section (unit
+    vectors, all finite), in another order, so it is within about
+    3·dim·2⁻⁵³ (δ) of the exact score. Every row of the exact top k then
+    screens within 2δ of the k-th largest screened score, and only the rows
+    within 1e-9 of it are scored exactly; ranking those gives the top k of
+    scoring every row.
     """
     dim = len(query) // 3
-    rows = None  # every row
-    if len(sections) >= _SCREEN_ROWS_PER_K * k:
-        screen = sections @ query
-        if np.isfinite(screen).all():
-            cut = np.partition(screen, len(screen) - k)[len(screen) - k]
-            rows = np.flatnonzero(screen >= cut - 1e-9)
-    block = sections if rows is None else sections[rows]
-    scores = np.zeros(len(block))
+    screen = sections @ query
+    cut = np.partition(screen, len(screen) - k)[len(screen) - k]
+    rows = np.flatnonzero(screen >= cut - 1e-9)
+    block = sections[rows]
+    scores = np.zeros(len(rows))
     for start in (0, dim, 2 * dim):
         # the exact score alone decides the order; the screen only picks rows
         scores += np.einsum("ij,j->i", block[:, start : start + dim], query[start : start + dim])
     # rows are in id order, so a stable sort ranks by (-similarity, id)
-    best = np.argsort(-scores, kind="stable")[:k]
-    return (best if rows is None else rows[best]).tolist()
+    return rows[np.argsort(-scores, kind="stable")[:k]].tolist()
 
 
 def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:

@@ -45,6 +45,9 @@ class SimConfig:
     autonomous base 0.55/0.70/0.85 by camera tier, fatigue floor 0.6 reached
     over a 3600 s horizon, complexity sigmoid centered on Med difficulty,
     analysis service times 20/40/60 s, 5 points per correct classification.
+    A constant the simulator cannot run with (a horizon or speed multiplier
+    not > 0, a floor outside [0, 1], a negative service time, points or
+    workload coefficient) is a ValueError naming its key.
     """
 
     human_base_accuracy: dict[Tier, float] = field(default_factory=lambda: _tier_map(0.70, 0.80, 0.90))
@@ -63,10 +66,21 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.fatigue_horizon_s <= 0:
-            raise ValueError("fatigue horizon must be > 0")
-        if not (0.0 <= self.fatigue_floor <= 1.0):
-            raise ValueError("fatigue floor must lie in [0, 1]")
+        # every check names its key, and each comparison is False for NaN
+        if not self.fatigue_horizon_s > 0:
+            raise ValueError(f"fatigue_horizon_s must be > 0, got {self.fatigue_horizon_s}")
+        if not 0.0 <= self.fatigue_floor <= 1.0:
+            raise ValueError(f"fatigue_floor must lie in [0, 1], got {self.fatigue_floor}")
+        # a robot under shared control travels at its speed times the multiplier
+        for tier, speed in self.shared_speed_multiplier.items():
+            if not speed > 0:
+                raise ValueError(f"shared_speed_multiplier.{tier.value} must be > 0, got {speed}")
+        for tier, seconds in self.analysis_service_s.items():
+            if not seconds >= 0:
+                raise ValueError(f"analysis_service_s.{tier.value} must be >= 0, got {seconds}")
+        for name in ("points_per_correct", "workload_coef"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)

@@ -393,9 +393,13 @@ def _assert_one_line_error(capsys, argv, path, message):
             "Human Attributes: {H_0: [Med]}\nRobot Details: {UAV_0: [5, Hi]}\nTask Info: {}\n",
             "Human Attributes: unreadable entry 'H_0: [Med]'",
         ),
+        (
+            "Human Attributes: {H_0: [Med, Huge]}\nRobot Details: {UAV_0: [5, Hi]}\nTask Info: {}\n",
+            "Human Attributes: unknown tier 'Huge' in entry 'H_0: [Med, Huge]'",
+        ),
         ("Arena Side: wide\nHuman Attributes: {}\nRobot Details: {}\nTask Info: {}\n", "wide"),
     ],
-    ids=["missing", "directory", "not-utf8", "no-task-section", "unreadable-entry", "bad-arena"],
+    ids=["missing", "directory", "not-utf8", "no-task-section", "unreadable-entry", "unknown-tier", "bad-arena"],
 )
 def test_a_bad_scenario_file_is_a_one_line_error(tmp_path, capsys, command, content, message):
     paths = _input_files(tmp_path)
@@ -442,8 +446,13 @@ def test_a_bad_simulate_plan_is_a_one_line_error(tmp_path, capsys, plan, message
         ('{"fatigue_flor": 0.5}', "unknown sim config keys ['fatigue_flor']"),
         ('{"skill_multiplier": {"Lo": 1, "Med": 1}}', "skill_multiplier gives no number for tier Hi"),
         ('{"workload_coef": NaN}', "workload_coef must be a finite number"),
+        ('{"shared_speed_multiplier": {"Lo": 0, "Med": 0, "Hi": 0}}', "shared_speed_multiplier.Lo must be > 0"),
+        ('{"analysis_service_s": {"Lo": -20, "Med": 40, "Hi": 60}}', "analysis_service_s.Lo must be >= 0"),
+        ('{"points_per_correct": -5}', "points_per_correct must be >= 0, got -5"),
+        ('{"workload_coef": -1.0}', "workload_coef must be >= 0, got -1.0"),
     ],
-    ids=["missing", "not-json", "unknown-key", "missing-tier", "nan"],
+    ids=["missing", "not-json", "unknown-key", "missing-tier", "nan",
+         "zero-speed", "negative-service", "negative-points", "negative-workload"],
 )
 def test_a_bad_sim_config_is_a_one_line_error(tmp_path, capsys, command, content, message):
     paths = _input_files(tmp_path)

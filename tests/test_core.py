@@ -247,6 +247,24 @@ class TestScenarioSerialization:
             MissionScenario.parse("\n".join(lines))
         assert str(info.value) == f"{section} unreadable entry {entry!r}"
 
+    @pytest.mark.parametrize(
+        "section, entry, reason",
+        [
+            ("Human Attributes:", "H_1: [Med, Huge]", "unknown tier 'Huge'"),
+            ("Human Attributes:", "H_1: [Top, Lo]", "unknown tier 'Top'"),
+            ("Robot Details:", "UAV_1: [5, Best]", "unknown tier 'Best'"),
+            ("Robot Details:", "UGV_1: [0, Hi]", "robot UGV_1: speed must be > 0, got 0.0"),
+            ("Task Info:", "T_1: [(10, 20), Easy]", "unknown tier 'Easy'"),
+        ],
+    )
+    def test_an_entry_a_member_cannot_take_is_named_with_its_section(self, scenario, section, entry, reason):
+        lines = scenario.serialize().splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith(section))
+        lines[index] = lines[index].replace("{", "{" + entry + ", ", 1)
+        with pytest.raises(ValueError) as info:
+            MissionScenario.parse("\n".join(lines))
+        assert str(info.value) == f"{section} {reason} in entry {entry!r}"
+
     def test_empty_sections_parse_to_no_members(self):
         parsed = MissionScenario.parse("Human Attributes: {}\nRobot Details: {}\nTask Info: { }")
         assert parsed.humans == parsed.robots == parsed.tasks == ()

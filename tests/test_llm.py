@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 import sys
 import threading
 import time
@@ -526,25 +525,6 @@ class TestHeuristicAllocate:
                         plan = heuristic_allocate(scenario, prefs, cfg)
                         digest.update(plan.render().encode() + b"\n")
         assert digest.hexdigest() == self.GRID_GOLDEN
-
-    @pytest.mark.parametrize("multiplier", [0.0, -1.0])
-    @pytest.mark.parametrize("prefs", [
-        PreferenceVector.of(TP=1, MT=1, HW=1),
-        PreferenceVector.single(Objective.TASK_PERFORMANCE),
-    ])
-    def test_shared_speed_at_or_below_zero_is_a_value_error(self, multiplier, prefs):
-        # the two branches that plan shared control travel at the scaled speed
-        cfg = SimConfig(shared_speed_multiplier={tier: multiplier for tier in Tier})
-        scenario = make_scenario(
-            humans=(("H_0", Tier.HIGH, Tier.HIGH),),
-            robots=(("UAV_0", 10.0, Tier.MED),),
-            tasks=(("T_0", (300.0, 400.0), Tier.HIGH),),
-        )
-        with pytest.raises(ValueError, match=re.escape(f"speed must be > 0, got {multiplier * 10.0}")):
-            heuristic_allocate(scenario, prefs, cfg)
-        # autonomous planning never reads the multiplier
-        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME), cfg)
-        assert plan.assignments["T_0"] == ("UAV_0", None)
 
     def test_deterministic(self, scenario):
         prefs = PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33)

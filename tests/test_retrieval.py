@@ -14,7 +14,6 @@ import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,6 +225,16 @@ class TestDense:
     def test_dimension_mismatch_is_error(self):
         with pytest.raises(ValueError):
             dense_score((1.0, 0.0), (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "vec, norm",
+        [((0.0, 0.0), "0.0"), ((math.nan, 1.0), "nan"), ((1.0, math.inf), "inf"), ((-math.inf, 0.0), "inf"),
+         ((1e200, 1e200), "inf")],
+        ids=["zero", "nan", "inf", "minus-inf", "overflow"],
+    )
+    def test_unit_vector_refuses_a_zero_or_non_finite_norm(self, vec, norm):
+        with pytest.raises(ValueError, match=f"^cannot normalize a vector of norm {norm}$"):
+            unit_vector(vec)
 
     def test_symmetry(self):
         rng = random.Random(3)
@@ -769,6 +778,15 @@ class TestRetrieveExperiences:
         )
         assert sorted(e.id for e in everything) == [r.id for r in db.records()]
 
+    def test_a_k_above_the_store_size_takes_every_record(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = PreferenceVector.single(Objective.HUMAN_WORKLOAD)
+        want = retrieve_experiences(base, prefs, db, k=len(db), m=len(db), embedder=embedder)
+        for k, m in ((len(db) + 1, len(db) + 1), (len(db) + 5, 2)):
+            got = retrieve_experiences(base, prefs, db, k=k, m=m, embedder=embedder)
+            assert got == want[:m]
+
     def test_empty_db_is_error(self):
         with pytest.raises(ValueError):
             retrieve_experiences(
@@ -821,12 +839,20 @@ def exact_rows(monkeypatch):
     return counts
 
 
-def _query_embedder(scenario: MissionScenario, query) -> FakeEmbedder:
+class RawEmbedder(FakeEmbedder):
+    """A FakeEmbedder that returns each vector as given, leaving the
+    normalising to `embed_scenario_sections`."""
+
+    def embed(self, text: str) -> tuple[float, ...]:
+        return self.table[text]
+
+
+def _query_embedder(scenario: MissionScenario, query) -> RawEmbedder:
     """Embeds the human, robot and task section texts of `scenario` as the
-    first, second and last third of `query`."""
+    first, second and last third of `query`, unnormalised."""
     dim = len(query) // 3
     texts = (scenario.render_human_section(), scenario.render_robot_section(), scenario.render_task_section())
-    return FakeEmbedder({text: tuple(query[i * dim : (i + 1) * dim]) for i, text in enumerate(texts)})
+    return RawEmbedder({text: tuple(query[i * dim : (i + 1) * dim]) for i, text in enumerate(texts)})
 
 
 def _vector_store(rows) -> tuple[ExperienceDatabase, MissionScenario]:
@@ -880,10 +906,9 @@ def _screened_cases(draw):
 
 
 class TestScreenedRetrieval:
-    """A store of at least `_SCREEN_ROWS_PER_K` rows per k is screened by one
-    matrix product, and only the rows within 1e-9 of its k-th largest score
-    are scored exactly; the top k stay those of scoring every row exactly
-    (`ref_einsum_top_k`), bit for bit."""
+    """Every store is screened by one matrix product, and only the rows
+    within 1e-9 of its k-th largest score are scored exactly; the top k stay
+    those of scoring every row exactly (`ref_einsum_top_k`), bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_screened_cases())
@@ -894,34 +919,28 @@ class TestScreenedRetrieval:
         queries = embed_scenario_sections(scenario, embedder)
         sections = db._scoring_snapshot()[1]
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
-        with mock.patch.object(retrieval, "_SCREEN_ROWS_PER_K", 1):  # screen at every k
-            for k in range(1, len(db) + 1):
-                want = ref_einsum_top_k(sections, queries, k)
-                assert retrieval._top_rows(sections, np.array(queries).ravel(), k) == want
-                got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
-                assert _ids(got) == sorted(want)
+        for k in range(1, len(db) + 1):
+            want = ref_einsum_top_k(sections, queries, k)
+            assert retrieval._top_rows(sections, np.array(queries).ravel(), k) == want
+            got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
+            assert _ids(got) == sorted(want)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_query_gives_the_exhaustive_order(self, bad, exact_rows):
+    def test_a_non_finite_query_section_is_refused_before_scoring(self, bad, exact_rows):
         rng = np.random.default_rng(3)
         db, scenario = _vector_store(rng.standard_normal((100, 3 * 16)))
         query = rng.standard_normal(3 * 16)
-        query[20] = bad
+        query[20] = bad  # an element of the robot section
         embedder = _query_embedder(scenario, query.tolist())
-        queries = embed_scenario_sections(scenario, embedder)
-        sections = db._scoring_snapshot()[1]
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
-        for k in (1, 2, 3):
-            want = ref_einsum_top_k(sections, queries, k)
-            exact_rows.clear()
-            got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
-            assert _ids(got) == sorted(want)
-            assert exact_rows == [len(db)] * 3  # the screen bounded nothing
+        with pytest.raises(ValueError, match="^cannot normalize a vector of norm (nan|inf)$"):
+            retrieve_experiences(scenario, prefs, db, k=3, m=3, embedder=embedder)
+        assert exact_rows == []
 
     def test_only_the_near_top_rows_are_scored_exactly(self, exact_rows):
         rng = np.random.default_rng(5)
         dim, k = 64, 3
-        n = retrieval._SCREEN_ROWS_PER_K * k
+        n = 96
         db, scenario = _vector_store(rng.standard_normal((n, 3 * dim)))
         embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
         sections = db._scoring_snapshot()[1]
@@ -933,17 +952,18 @@ class TestScreenedRetrieval:
             retrieve_experiences(scenario, prefs, db, k=top, m=top, embedder=embedder)
             assert len(exact_rows) == 3 and top <= exact_rows[0] <= tied
             assert exact_rows == exact_rows[:1] * 3
-        # one row fewer than the screen needs: every row is scored exactly
-        db, scenario = _vector_store(rng.standard_normal((n - 1, 3 * dim)))
+        # a 30-row store at k = 3 is screened too: fewer rows are scored exactly
+        db, scenario = _vector_store(rng.standard_normal((30, 3 * dim)))
         embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
         exact_rows.clear()
         retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
-        assert exact_rows == [n - 1] * 3
+        assert len(exact_rows) == 3 and k <= exact_rows[0] < 30
+        assert exact_rows == exact_rows[:1] * 3
 
     def test_the_margin_keeps_a_row_exactly_1e_9_below(self, exact_rows):
         # dim 2, query (1, 0) in every section: a row (x, 1, 0, 1, 0, 1) with
         # |x| <= 2e-9 is unit in every section already and screens at exactly x
-        n = max(retrieval._SCREEN_ROWS_PER_K, 31)
+        n = 31
         rows = np.tile([-1.0, 0.0], (n, 3))
         rows[5] = [0.0, 1.0] * 3
         rows[20] = [-1e-9, 1.0] + [0.0, 1.0] * 2

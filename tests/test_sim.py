@@ -372,11 +372,12 @@ class TestSimGolden:
                 digest.update(part.encode() + b"\n")
         assert digest.hexdigest() == self.CONFIG_GOLDEN
 
-    @pytest.mark.parametrize("multiplier", [0.0, -1.0])
-    def test_shared_speed_at_or_below_zero_is_a_value_error(self, scenario, shared_plan, multiplier):
-        cfg = SimConfig(shared_speed_multiplier={tier: multiplier for tier in Tier})
-        with pytest.raises(ValueError, match="speed must be > 0"):
-            run_mission(scenario, shared_plan, cfg)
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, float("nan")])
+    def test_shared_speed_at_or_below_zero_is_a_value_error(self, multiplier):
+        # refused where the config is made, before any plan or mission divides by it
+        speeds = {Tier.LOW: 1.0, Tier.MED: multiplier, Tier.HIGH: 1.0}
+        with pytest.raises(ValueError, match=f"^shared_speed_multiplier.Med must be > 0, got {multiplier}$"):
+            SimConfig(shared_speed_multiplier=speeds)
 
 
 class TestQueueScaling:
@@ -503,6 +504,28 @@ class TestSimConfigFile:
         with pytest.raises(ValueError) as info:
             SimConfig.load(path)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"fatigue_horizon_s": 0.0}, "fatigue_horizon_s must be > 0, got 0.0"),
+            ({"fatigue_floor": 1.5}, "fatigue_floor must lie in [0, 1], got 1.5"),
+            ({"analysis_service_s": {Tier.LOW: -20.0, Tier.MED: 40.0, Tier.HIGH: 60.0}},
+             "analysis_service_s.Lo must be >= 0, got -20.0"),
+            ({"points_per_correct": -5.0}, "points_per_correct must be >= 0, got -5.0"),
+            ({"workload_coef": -1.0}, "workload_coef must be >= 0, got -1.0"),
+            ({"workload_coef": float("nan")}, "workload_coef must be >= 0, got nan"),
+        ],
+        ids=["horizon", "floor", "service", "points", "workload", "workload-nan"],
+    )
+    def test_a_constant_out_of_range_is_a_value_error_naming_the_key(self, values, message):
+        with pytest.raises(ValueError) as info:
+            SimConfig(**values)
+        assert str(info.value) == message
+
+    def test_zero_service_time_points_and_workload_are_allowed(self):
+        zero = SimConfig(analysis_service_s={tier: 0.0 for tier in Tier}, points_per_correct=0, workload_coef=0)
+        assert zero.points_per_correct == zero.workload_coef == 0
 
     def test_a_partial_file_keeps_the_other_defaults(self, tmp_path):
         path = tmp_path / "sim.json"
