@@ -526,6 +526,28 @@ class TestHeuristicAllocate:
                         digest.update(plan.render().encode() + b"\n")
         assert digest.hexdigest() == self.GRID_GOLDEN
 
+    @pytest.mark.parametrize("speed, multiplier", [(1e-300, 1e-300), (5e-324, 0.5)])
+    @pytest.mark.parametrize("prefs", [
+        PreferenceVector.of(TP=1, MT=1, HW=1),
+        PreferenceVector.single(Objective.TASK_PERFORMANCE),
+    ])
+    def test_shared_speed_at_or_below_zero_is_a_value_error(self, speed, multiplier, prefs):
+        # the config refuses a multiplier not > 0, but a positive robot speed
+        # times a positive multiplier can still underflow to 0.0; the two
+        # branches that plan shared control travel at that scaled speed
+        cfg = SimConfig(shared_speed_multiplier={tier: multiplier for tier in Tier})
+        scenario = make_scenario(
+            humans=(("H_0", Tier.HIGH, Tier.HIGH),),
+            robots=(("UAV_0", speed, Tier.MED),),
+            tasks=(("T_0", (300.0, 400.0), Tier.HIGH),),
+        )
+        assert speed * multiplier == 0.0
+        with pytest.raises(ValueError, match=r"^speed must be > 0, got 0\.0$"):
+            heuristic_allocate(scenario, prefs, cfg)
+        # autonomous planning never reads the multiplier
+        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME), cfg)
+        assert plan.assignments["T_0"] == ("UAV_0", None)
+
     def test_deterministic(self, scenario):
         prefs = PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33)
         assert heuristic_allocate(scenario, prefs) == heuristic_allocate(scenario, prefs)

@@ -379,6 +379,13 @@ class TestSimGolden:
         with pytest.raises(ValueError, match=f"^shared_speed_multiplier.Med must be > 0, got {multiplier}$"):
             SimConfig(shared_speed_multiplier=speeds)
 
+    def test_a_scaled_speed_that_underflows_to_zero_is_a_value_error(self):
+        # both factors pass their own checks, their product does not
+        cfg = SimConfig(shared_speed_multiplier={tier: 1e-300 for tier in Tier})
+        scenario = make_scenario(robots=(("UAV_0", 1e-300, Tier.MED),), tasks=(("T_0", (300.0, 400.0), Tier.HIGH),))
+        with pytest.raises(ValueError, match=r"^speed must be > 0, got 0\.0$"):
+            run_mission(scenario, ItaPlan({"T_0": Assignment("UAV_0", "H_0")}), cfg)
+
 
 class TestQueueScaling:
     @staticmethod
