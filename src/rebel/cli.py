@@ -212,7 +212,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _read(args.scenario, _read_scenario)
     plan = _read(args.plan, lambda plan: parse_ita_plan(Path(plan).read_text(encoding="utf-8"), scenario))
-    record, trace = run_mission(scenario, plan, _sim_config(args))
+    cfg = _sim_config(args)
+    try:
+        record, trace = run_mission(scenario, plan, cfg)
+    except ValueError as exc:  # e.g. a robot speed that scales to 0.0
+        raise InputError(f"{args.scenario}: cannot simulate the plan: {exc}") from exc
     print(record.serialize())
     if args.trace:
         Path(args.trace).write_text(trace.render_events() + "\n", encoding="utf-8")

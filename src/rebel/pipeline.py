@@ -325,7 +325,8 @@ def infer(
 
     Empty databases degrade gracefully: the corresponding prompt sections are
     omitted with a warning (zero-shot behavior). `ValueError` for a corrupt
-    retrieved experience, naming its id, or a non-finite query embedding.
+    retrieved experience, naming its id, or an embedding of zero or
+    non-finite norm, of the query or of a rule.
     """
     if not scenario.runnable:
         raise ValueError("scenario is not runnable: no robots")

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import math
+import mmap
 import operator
 import os
 import re
@@ -149,7 +150,9 @@ def bm25_score(
 
 
 def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
-    """Cosine similarity; equals the dot product for unit-norm inputs."""
+    """Cosine similarity; equals the dot product for unit-norm inputs.
+    `ValueError` when the lengths differ or either norm is zero or not finite
+    (a NaN or infinite element, or squares past the float range)."""
     if len(q) != len(d):
         raise ValueError(f"embedding dimension mismatch: {len(q)} vs {len(d)}")
     # the same products, summed in the same order, as a generator expression
@@ -157,8 +160,9 @@ def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
     dot = sum(map(operator.mul, q, d))
     nq = math.sqrt(sum(map(operator.mul, q, q)))
     nd = math.sqrt(sum(map(operator.mul, d, d)))
-    if nq == 0 or nd == 0:
-        raise ValueError("zero vectors carry no direction")
+    for norm in (nq, nd):
+        if not 0 < norm < math.inf:
+            raise ValueError(f"cannot score a vector of norm {norm}")
     return dot / (nq * nd)
 
 
@@ -230,7 +234,9 @@ def ensemble_retrieve(
 
     The store ranks all its rules once per query text and equal embedder
     (`RulesDatabase._ranking`) until its next store or retirement, so a
-    repeated query embeds nothing and scores no rule.
+    repeated query embeds nothing and scores no rule. `ValueError` for an
+    empty store, k < 1, or a query or rule vector the embedder gives a zero
+    or non-finite norm (`dense_score`).
     """
     ranking = db._ranking(query_text, embedder or HashedEmbedder())
     if not ranking:
@@ -374,15 +380,16 @@ def retrieve_experiences(
 ) -> list[ExperienceRecord]:
     """Top-k most similar stored missions, re-ranked by preference fit.
 
-    Similarity is the sum of the three per-section cosines against the
-    store's cached matrix of unit section rows (`_top_rows`: the store is
-    screened in one matrix product, and only the rows near its top are
-    scored exactly); a k above the store's size takes every record. The k
-    candidates are then ordered by the weighted normalized objective score
-    of their recorded performance (bounds taken over the candidates) and the
-    best m returned. All ties, in similarity and in score, break toward the
-    lower record id. `ValueError` for an empty store, k < 1, m < 0, m > k,
-    or a query section the embedder gives a zero or non-finite norm.
+    Similarity is the sum of the three per-section cosines (`_top_rows`: the
+    store's cached float32 matrix of unit section rows screens it in one
+    matrix product, and only the rows near its top are scored exactly, in
+    float64 from their records' packed embeddings); a k above the store's
+    size takes every record. The k candidates are then ordered by the
+    weighted normalized objective score of their recorded performance
+    (bounds taken over the candidates) and the best m returned. All ties,
+    in similarity and in score, break toward the lower record id.
+    `ValueError` for an empty store, k < 1, m < 0, m > k, or a query section
+    the embedder gives a zero or non-finite norm.
     """
     records, sections = db._scoring_snapshot()
     if not records:
@@ -400,7 +407,7 @@ def retrieve_experiences(
     for query in queries:
         if len(query) != dim:
             raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
-    rows = _top_rows(sections, np.array(queries).ravel(), min(k, len(records)))
+    rows = _top_rows(records, sections, np.array(queries).ravel(), min(k, len(records)))
     top_k = [records[row] for row in rows]
 
     columns = performance_columns([rec.performance for rec in top_k])
@@ -409,28 +416,40 @@ def retrieve_experiences(
     return [top_k[i] for i in order[:m]]
 
 
-def _top_rows(sections: np.ndarray, query: np.ndarray, k: int) -> list[int]:
-    """The k rows of `sections` most similar to `query` (the three unit query
-    sections end to end), best first, ties broken toward the lower row;
-    1 <= k <= row count.
+def _top_rows(
+    records: Sequence[ExperienceRecord], sections: np.ndarray, query: np.ndarray, k: int
+) -> list[int]:
+    """The k rows of `sections` (`_section_matrix` of `records`) most similar
+    to `query` (the three unit query sections end to end, float64), best
+    first, ties broken toward the lower row; 1 <= k <= row count.
 
     A row's exact score adds its human, robot and task cosines, each a
-    row-wise `einsum`, in that order from zero. einsum scores a row alike
+    row-wise float64 `einsum` over the row `_unit_rows` derives from the
+    record's packed bytes, in that order from zero. einsum scores a row alike
     wherever it sits in the block, so identical rows tie exactly.
 
-    One BLAS product `sections @ query` screens the rows first. It sums the
-    same products, whose magnitudes total at most about 1 per section (unit
-    vectors, all finite), in another order, so it is within about
-    3·dim·2⁻⁵³ (δ) of the exact score. Every row of the exact top k then
-    screens within 2δ of the k-th largest screened score, and only the rows
-    within 1e-9 of it are scored exactly; ranking those gives the top k of
-    scoring every row.
+    One float32 BLAS product `sections @ query` screens the rows first, and
+    only the rows within a margin of the k-th largest screened score are
+    scored exactly. Take n = 3·dim terms and u = 2⁻²⁴, the float32 unit
+    roundoff. Every row section and query section has unit length, so the
+    terms' magnitudes sum to at most 3 (Cauchy-Schwarz, per section).
+    - Rounding the row and the query to float32 moves each term by at most
+      2u of its magnitude: 6u in all.
+    - Summing the n products in float32, in whatever order BLAS takes,
+      errs by at most about n·u of their magnitude sum: 3·n·u.
+    So a screened score lies within δ ≈ 3·(n + 2)·u of the exact one, and
+    every row of the exact top k screens within 2δ = 3·(n + 2)·2⁻²³ of the
+    k-th largest screened score. The margin is 4/3 of that, (n + 2)·2⁻²¹,
+    which also covers the second-order terms, the exact score's own float64
+    error (about 3·n·2⁻⁵³) and float32 underflow at any dim below 50,000.
+    Ranking the rows within it gives the top k of scoring every row.
     """
     dim = len(query) // 3
-    screen = sections @ query
+    screen = sections @ query.astype(np.float32)
     cut = np.partition(screen, len(screen) - k)[len(screen) - k]
-    rows = np.flatnonzero(screen >= cut - 1e-9)
-    block = sections[rows]
+    # compared in float64, so the margin is not rounded to float32
+    rows = np.flatnonzero(screen >= np.float64(cut) - (3 * dim + 2) * 2.0**-21)
+    block = _unit_rows([records[row] for row in rows.tolist()], dim)
     scores = np.zeros(len(rows))
     for start in (0, dim, 2 * dim):
         # the exact score alone decides the order; the screen only picks rows
@@ -439,15 +458,38 @@ def _top_rows(sections: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     return rows[np.argsort(-scores, kind="stable")[:k]].tolist()
 
 
+# Rows decoded at a time while the section matrix is built: a block is
+# normalised in float64 (192 KiB at dim 256) and then cast to float32.
+_BLOCK_ROWS = 32
+
+
 def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:
-    """Row i: record i's human, robot and task embeddings, each scaled to unit
-    length, so a dot product with a unit query section is a cosine."""
+    """`_unit_rows` of `records` cast to float32, built `_BLOCK_ROWS` rows at
+    a time, so no float64 copy of the whole store is made.
+
+    The matrix lives in an anonymous map of its own, so dropping it returns
+    its pages at once. A heap block would stay resident, and the next store
+    loaded would split it, so the next matrix would need new pages on top.
+    """
     dim = len(records[0].embedding) // 24 if records else 0
-    matrix = np.empty((len(records), 3 * dim))
-    for row, rec in enumerate(records):
+    for rec in records:
         if len(rec.embedding) != 24 * dim:
             raise ValueError(f"embedding dimension mismatch: {len(rec.embedding) // 24} vs {dim}")
-        matrix[row] = np.frombuffer(rec.embedding, "<f8")
+    size = len(records) * 3 * dim
+    pages = mmap.mmap(-1, max(4 * size, 1))  # a map cannot be empty
+    matrix = np.frombuffer(pages, np.float32, size).reshape(len(records), 3 * dim)
+    for start in range(0, len(records), _BLOCK_ROWS):
+        matrix[start : start + _BLOCK_ROWS] = _unit_rows(records[start : start + _BLOCK_ROWS], dim)
+    return matrix
+
+
+def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
+    """Row i: record i's human, robot and task embeddings (each `dim` long),
+    each scaled to unit length in float64, so a dot product with a unit query
+    section is a cosine. The packed bytes are decoded as one buffer."""
+    # joined into a bytearray, which numpy can scale in place; bytes cannot be
+    matrix = np.frombuffer(bytearray().join([rec.embedding for rec in records]), "<f8")
+    matrix = matrix.reshape(len(records), 3 * dim)
     for start in (0, dim, 2 * dim):
         block = matrix[:, start : start + dim]
         norms = np.sqrt(np.einsum("ij,ij->i", block, block))
@@ -668,7 +710,9 @@ def _experience_record(payload: dict) -> ExperienceRecord:
 class ExperienceDatabase:
     """Append-only store of (scenario, plan, performance) mission records, kept
     in id order with a set of (objective, scenario text, plan text) dedup keys
-    and, once retrieved from, a matrix of their section embeddings."""
+    and, once retrieved from, a float32 matrix of their unit section rows
+    (`_section_matrix`); the records' packed bytes are the only float64 copy
+    of the embeddings."""
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
@@ -677,7 +721,7 @@ class ExperienceDatabase:
         self._dedup = {(r.objective, r.scenario_text, r.plan_text) for r in self._records}
         self._next_id = self._records[-1].id + 1 if self._records else 0
         # (record count, `_section_matrix` of that many records); replaced whole
-        self._sections = (0, np.empty((0, 0)))
+        self._sections = (0, np.empty((0, 0), np.float32))
         self._lock = threading.Lock()
 
     @property
@@ -697,9 +741,10 @@ class ExperienceDatabase:
         return (objective, scenario.serialize(), plan.render()) in self._dedup
 
     def _scoring_snapshot(self) -> tuple[tuple[ExperienceRecord, ...], np.ndarray]:
-        """The records in id order and their section matrix (`_section_matrix`),
-        from one state of the store. The matrix is built on first use after a
-        store, and kept under the record count it was built for."""
+        """The records in id order and their float32 section matrix
+        (`_section_matrix`), from one state of the store. The matrix is built
+        on first use after a store, and kept under the record count it was
+        built for."""
         records = self.records()
         count, matrix = self._sections
         if count != len(records):

@@ -437,6 +437,22 @@ def test_a_bad_simulate_plan_is_a_one_line_error(tmp_path, capsys, plan, message
     _assert_one_line_error(capsys, _argv("simulate", tmp_path, paths), paths["plan.txt"], message)
 
 
+def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_simulate_error(tmp_path, capsys):
+    # each value is accepted on its own; their product is 0.0
+    paths = _input_files(tmp_path)
+    paths["scenario.txt"].write_text(
+        "Human Attributes: {H_0: [Med, Med]}\nRobot Details: {UAV_0: [1e-300, Med]}\n"
+        "Task Info: {T_0: [(10, 20), Lo]}\n"
+    )
+    paths["plan.txt"].write_text("T_0: (H_0, UAV_0)\n")
+    sim_config = tmp_path / "sim.json"
+    sim_config.write_text('{"shared_speed_multiplier": {"Lo": 1e-300, "Med": 1e-300, "Hi": 1e-300}}')
+    argv = [*_argv("simulate", tmp_path, paths), "--sim-config", str(sim_config)]
+    _assert_one_line_error(
+        capsys, argv, paths["scenario.txt"], "cannot simulate the plan: speed must be > 0, got 0.0"
+    )
+
+
 @pytest.mark.parametrize("command", ["gen-exp", "infer", "simulate", "bench"])
 @pytest.mark.parametrize(
     "content, message",

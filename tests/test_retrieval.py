@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import math
+import mmap
 import random
 import re
 import struct
@@ -236,6 +237,16 @@ class TestDense:
         with pytest.raises(ValueError, match=f"^cannot normalize a vector of norm {norm}$"):
             unit_vector(vec)
 
+    @pytest.mark.parametrize(
+        "vec, norm",
+        [((0.0, 0.0), "0.0"), ((math.nan, 1.0), "nan"), ((1.0, math.inf), "inf"), ((1e200, 1e200), "inf")],
+        ids=["zero", "nan", "inf", "overflow"],
+    )
+    def test_dense_score_refuses_a_zero_or_non_finite_norm_on_either_side(self, vec, norm):
+        for q, d in ((vec, (0.6, 0.8)), ((0.6, 0.8), vec)):
+            with pytest.raises(ValueError, match=f"^cannot score a vector of norm {norm}$"):
+                dense_score(q, d)
+
     def test_symmetry(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -350,6 +361,21 @@ class TestEnsembleRetrieve:
     def test_empty_db_is_error(self):
         with pytest.raises(ValueError):
             ensemble_retrieve("anything", RulesDatabase(), k=1)
+
+    @pytest.mark.parametrize("nan_text", ["faster robots", "humans should rest"], ids=["query", "rule"])
+    def test_a_nan_vector_is_refused(self, nan_text):
+        db = RulesDatabase()
+        texts = ("assign faster robots to far tasks", "humans should rest", "keep every robot busy")
+        for text in texts:
+            db.store(Objective.MISSION_TIME, text)
+        table = {text: (0.0, 1.0, 0.0) for text in (*texts, "faster robots")}
+        table[nan_text] = (math.nan, 1.0, 0.0)
+        with pytest.raises(ValueError, match="^cannot score a vector of norm nan$"):
+            ensemble_retrieve("faster robots", db, k=3, embedder=RawEmbedder(table))
+        # the store still ranks once the vectors are finite
+        finite = RawEmbedder({**table, nan_text: (1.0, 0.0, 0.0)})
+        want = ref_fusion_order("faster robots", db.rules(), finite, 0.5, 60.0, 1.5, 0.75)
+        assert [r.id for r in ensemble_retrieve("faster robots", db, k=3, embedder=finite)] == want
 
 
 class CountingEmbedder:
@@ -905,10 +931,17 @@ def _screened_cases(draw):
     return rows, moved(query) if query_kind == "ulp" else query
 
 
+def _margin(dim: int) -> float:
+    """How far below the k-th largest screened score `_top_rows` still scores
+    a row exactly, at section dimension `dim`."""
+    return (3 * dim + 2) * 2.0**-21
+
+
 class TestScreenedRetrieval:
-    """Every store is screened by one matrix product, and only the rows
-    within 1e-9 of its k-th largest score are scored exactly; the top k stay
-    those of scoring every row exactly (`ref_einsum_top_k`), bit for bit."""
+    """Every store is screened by one float32 matrix product, and only the
+    rows within `_margin(dim)` of its k-th largest score are scored exactly;
+    the top k stay those of scoring every row exactly in float64
+    (`ref_einsum_top_k`), bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_screened_cases())
@@ -917,11 +950,12 @@ class TestScreenedRetrieval:
         db, scenario = _vector_store(rows)
         embedder = _query_embedder(scenario, raw_query.tolist())
         queries = embed_scenario_sections(scenario, embedder)
-        sections = db._scoring_snapshot()[1]
+        records, sections = db._scoring_snapshot()
+        exact = ref_section_matrix(records)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for k in range(1, len(db) + 1):
-            want = ref_einsum_top_k(sections, queries, k)
-            assert retrieval._top_rows(sections, np.array(queries).ravel(), k) == want
+            want = ref_einsum_top_k(exact, queries, k)
+            assert retrieval._top_rows(records, sections, np.array(queries).ravel(), k) == want
             got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
             assert _ids(got) == sorted(want)
 
@@ -943,11 +977,13 @@ class TestScreenedRetrieval:
         n = 96
         db, scenario = _vector_store(rng.standard_normal((n, 3 * dim)))
         embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
-        sections = db._scoring_snapshot()[1]
-        similarity = sections @ np.array(embed_scenario_sections(scenario, embedder)).ravel()
+        query = np.array(embed_scenario_sections(scenario, embedder)).ravel()
+        similarity = ref_section_matrix(db.records()) @ query
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for top in range(1, k + 1):
-            tied = int((similarity >= np.sort(similarity)[-top] - 2e-9).sum())
+            # a kept row screens within the margin of the cut, and each
+            # screened score is within half the margin of the exact one
+            tied = int((similarity >= np.sort(similarity)[-top] - 2 * _margin(dim)).sum())
             exact_rows.clear()
             retrieve_experiences(scenario, prefs, db, k=top, m=top, embedder=embedder)
             assert len(exact_rows) == 3 and top <= exact_rows[0] <= tied
@@ -960,20 +996,79 @@ class TestScreenedRetrieval:
         assert len(exact_rows) == 3 and k <= exact_rows[0] < 30
         assert exact_rows == exact_rows[:1] * 3
 
-    def test_the_margin_keeps_a_row_exactly_1e_9_below(self, exact_rows):
-        # dim 2, query (1, 0) in every section: a row (x, 1, 0, 1, 0, 1) with
-        # |x| <= 2e-9 is unit in every section already and screens at exactly x
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_the_margin_keeps_a_row_exactly_at_it(self, dim, exact_rows):
+        # query e0 in every section: a row whose sections are (x, 1, 0, ...),
+        # e1 and e1 screens at exactly x when x is a float32 value this
+        # small, since its float32 unit row is x and 1 again
+        margin = _margin(dim)
+        past = float(np.nextafter(np.float32(-margin), np.float32(-1.0)))
+        assert np.float32(-margin) == -margin and past < -margin
+        e0, e1 = np.eye(dim)[:2]
         n = 31
-        rows = np.tile([-1.0, 0.0], (n, 3))
-        rows[5] = [0.0, 1.0] * 3
-        rows[20] = [-1e-9, 1.0] + [0.0, 1.0] * 2
-        rows[30] = [-2e-9, 1.0] + [0.0, 1.0] * 2
+        rows = np.tile(np.concatenate([-e0] * 3), (n, 1))
+        rows[5] = np.concatenate([e1] * 3)
+        rows[20] = np.concatenate([e1 - margin * e0, e1, e1])
+        rows[30] = np.concatenate([e1 + past * e0, e1, e1])
         db, scenario = _vector_store(rows)
-        embedder = _query_embedder(scenario, [1.0, 0.0] * 3)
+        query = np.concatenate([e0] * 3)
+        screen = db._scoring_snapshot()[1] @ query.astype(np.float32)
+        assert (screen[5], screen[20], screen[30]) == (0.0, -margin, past)
+        embedder = _query_embedder(scenario, query.tolist())
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         got = retrieve_experiences(scenario, prefs, db, k=1, m=1, embedder=embedder)
         assert _ids(got) == [5]
         assert exact_rows == [2] * 3  # rows 5 and 20, not row 30
+
+
+class TestRetrievalGolden:
+    """sha256 over the ids `retrieve_experiences` returns, recorded while the
+    store was screened with a float64 matrix: any change in which records are
+    retrieved, or in their order, changes the digest."""
+
+    GOLDEN = "4e8d569acd4ec21a7474a9542045f2e72f171f0dd28e5a2ba5f0ddf9f95a8c26"
+    # one 0.5/0.25/0.25 rotation per objective and the tied vector
+    PREFS = (
+        PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
+        PreferenceVector.of(TP=0.25, MT=0.5, HW=0.25),
+        PreferenceVector.of(TP=0.25, MT=0.25, HW=0.5),
+        PreferenceVector.of(TP=1.0, MT=1.0, HW=1.0),
+    )
+
+    @staticmethod
+    def _store() -> tuple[ExperienceDatabase, list[MissionScenario]]:
+        """300 records of seeded scenarios; every fifth repeats an earlier
+        scenario under another objective, so some rows tie exactly."""
+        embedder = HashedEmbedder()
+        rng = random.Random(22)
+        db, scenarios = ExperienceDatabase(), []
+        for index in range(300):
+            if index % 5 == 4:
+                scenario = scenarios[rng.randrange(len(scenarios))]
+            else:
+                sizes = rng.randint(1, 5), rng.randint(1, 7), rng.randint(1, 30)
+                scenario = random_scenario(*sizes, seed=index)
+                scenarios.append(scenario)
+            performance = PerformanceRecord(rng.uniform(0, 50), rng.uniform(100, 900), rng.uniform(0, 0.8))
+            store_mission(db, list(Objective)[index % 3], scenario, performance, embedder)
+        return db, scenarios
+
+    def test_retrieved_ids_match_the_pinned_digest(self):
+        db, stored = self._store()
+        rng = random.Random(23)
+        # 30 unseen scenarios and 10 stored ones, whose duplicates tie
+        queries = [
+            random_scenario(rng.randint(1, 5), rng.randint(1, 7), rng.randint(1, 30), seed=1000 + i)
+            for i in range(30)
+        ]
+        queries += [stored[rng.randrange(len(stored))] for _ in range(10)]
+        digest = hashlib.sha256()
+        for scenario in queries:
+            for prefs in self.PREFS:
+                for k, m in ((3, 2), (10, 10)):
+                    ids = _ids(retrieve_experiences(scenario, prefs, db, k=k, m=m))
+                    digest.update(f"{ids}\n".encode("utf-8"))
+        assert digest.hexdigest() == self.GOLDEN
 
 
 def _task_variant(index: int) -> MissionScenario:
@@ -1187,20 +1282,47 @@ class TestPackedEmbeddings:
             decoded = (record.emb_humans, record.emb_robots, record.emb_tasks)
             assert [_float64_bytes(vec) for vec in decoded] == [_float64_bytes(vec) for vec in sections]
 
-    @pytest.mark.parametrize("dim", [1, 7, 64])
-    def test_section_matrix_equals_the_tuple_built_one(self, tmp_path, dim):
+    # 150 rows span five of the blocks the float32 matrix is built in
+    @pytest.mark.parametrize("dim, n", [(1, 20), (7, 20), (64, 20), (7, 150)])
+    def test_section_matrix_equals_the_tuple_built_one(self, tmp_path, dim, n):
         rng = random.Random(dim)
         scenario = make_scenario()
         plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
         db = ExperienceDatabase(tmp_path / "exp.jsonl")
-        for _ in range(20):
+        for _ in range(n):
             scale = 10.0 ** rng.randint(-100, 100)
             sections = tuple(tuple(scale * rng.gauss(0, 1) for _ in range(dim)) for _ in range(3))
             db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
+        picked = [2, 3, 11, n - 1]  # rows as the screen keeps them: some, in id order
         for store in (db, ExperienceDatabase(tmp_path / "exp.jsonl")):
-            want = ref_section_matrix(store.records()).tobytes()
-            assert retrieval._section_matrix(store.records()).tobytes() == want
-            assert store._scoring_snapshot()[1].tobytes() == want
+            records = store.records()
+            want = ref_section_matrix(records)
+            assert retrieval._section_matrix(records).tobytes() == want.astype(np.float32).tobytes()
+            assert store._scoring_snapshot()[1].tobytes() == want.astype(np.float32).tobytes()
+            # the float64 rows the exact score re-derives are the reference's
+            assert retrieval._unit_rows(records, dim).tobytes() == want.tobytes()
+            assert retrieval._unit_rows([records[i] for i in picked], dim).tobytes() == want[picked].tobytes()
+
+    def test_the_cached_matrix_is_float32_with_no_float64_copy(self):
+        dim, n = 16, 1000
+        rows = np.random.default_rng(11).standard_normal((n, 3 * dim))
+        db, _ = _vector_store(rows)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sections = db._scoring_snapshot()[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sections.dtype == np.float32 and sections.shape == (n, 3 * dim)
+        assert sections.nbytes == 4 * n * 3 * dim
+        base = sections
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)  # pages of its own
+        # a float64 copy of the store would add 8·n·3·dim bytes at once
+        assert peak < 1.5 * sections.nbytes
+        assert db._scoring_snapshot()[1] is sections  # kept, not rebuilt
 
     def test_unequal_sections_are_rejected_at_store(self, tmp_path):
         path = tmp_path / "exp.jsonl"
