@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    ARENA_SIDE_DEFAULT,
     Assignment,
     HumanProfile,
     ItaPlan,
@@ -155,7 +156,7 @@ class ExperimentSpec:
         preferences = _expect(raw.get("preferences", []), list, "preferences", "a list")
         kwargs["preferences"] = tuple(
             PreferenceVector(tuple(
-                (Objective.parse(k), float(v))
+                (Objective.parse(k), _weight(v))
                 for k, v in _expect(p, dict, "a preferences entry", "an object").items()
             ))
             for p in preferences
@@ -179,6 +180,17 @@ def _expect(value, kind: type, what: str, name: str):
     return value
 
 
+def _weight(value) -> float:
+    """A preferences weight as a float, or a ValueError unless it is a JSON
+    number (not a boolean, and not an integer past the float range)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"a preferences weight must be a number, got {json.dumps(value)}")
+
+
 def _reject_unknown_keys(raw: dict, where: str, *classes, skip: str = "") -> None:
     """ValueError unless every key of `raw` names a field of one of `classes`."""
     known = {f.name for cls in classes for f in fields(cls)} - {skip}
@@ -196,13 +208,14 @@ def default_preferences(mode: str) -> tuple[PreferenceVector, ...]:
     if mode == Mode.SOO:
         return tuple(PreferenceVector.single(obj) for obj in Objective)
     if mode == Mode.MOO:
-        return tuple(rotation_preferences(MOO_PRIMARY_WEIGHT))
+        return tuple(rotation_preferences())
     return (PreferenceVector.single(Objective.TASK_PERFORMANCE),)
 
 
-def rotation_preferences(primary: float = MOO_PRIMARY_WEIGHT) -> list[PreferenceVector]:
-    """One preference vector per objective, giving it the primary weight and
-    splitting the remainder evenly over the others."""
+def rotation_preferences() -> list[PreferenceVector]:
+    """One preference vector per objective, giving it `MOO_PRIMARY_WEIGHT`
+    and splitting the remainder evenly over the others."""
+    primary = MOO_PRIMARY_WEIGHT
     rest = (1.0 - primary) / (len(Objective) - 1)
     return [
         PreferenceVector(tuple((obj, primary if obj is focus else rest) for obj in Objective))
@@ -235,10 +248,9 @@ def _draw_robot(rng: random.Random, kind: RobotKind, taken: set[str]) -> RobotPr
     )
 
 
-def random_scenario(
-    humans: int, robots: int, tasks: int, seed: int, arena_side: float = 2000.0
-) -> MissionScenario:
-    """Uniformly random team and task layout, deterministic in the seed."""
+def random_scenario(humans: int, robots: int, tasks: int, seed: int) -> MissionScenario:
+    """Uniformly random team and task layout in the default arena,
+    deterministic in the seed."""
     rng = random.Random(seed)
     taken: set[str] = set()
     human_profiles = tuple(_draw_human(rng, taken) for _ in range(humans))
@@ -248,14 +260,12 @@ def random_scenario(
     task_specs = tuple(
         TaskSpec(
             f"T_{i}",
-            (round(rng.uniform(0, arena_side), 1), round(rng.uniform(0, arena_side), 1)),
+            tuple(round(rng.uniform(0, ARENA_SIDE_DEFAULT), 1) for _ in range(2)),
             rng.choice(_TIERS),
         )
         for i in range(tasks)
     )
-    return MissionScenario(
-        humans=human_profiles, robots=robot_profiles, tasks=task_specs, arena_side=arena_side
-    )
+    return MissionScenario(humans=human_profiles, robots=robot_profiles, tasks=task_specs)
 
 
 def random_allocate(scenario: MissionScenario, seed: int) -> ItaPlan:
@@ -283,12 +293,12 @@ def _candidates(scenario: MissionScenario) -> list[Assignment]:
     return [Assignment(robot.id, human) for robot in scenario.robots for human in options]
 
 
-def _plan_rows(scenario: MissionScenario, cap: int) -> np.ndarray:
+def _plan_rows(scenario: MissionScenario) -> np.ndarray:
     """Every feasible plan as a row of candidate indices, one per task, in
-    `itertools.product` order."""
+    `itertools.product` order; `ValueError` past `BRUTE_FORCE_CAP` plans."""
     candidates, tasks = len(_candidates(scenario)), len(scenario.tasks)
-    if candidates**tasks > cap:
-        raise ValueError(f"search space exceeds the {cap} plan cap; use a smaller instance")
+    if candidates**tasks > BRUTE_FORCE_CAP:
+        raise ValueError(f"search space exceeds the {BRUTE_FORCE_CAP} plan cap; use a smaller instance")
     grid = np.indices((candidates,) * tasks, dtype=np.intp)
     return grid.reshape(tasks, candidates**tasks).T
 
@@ -303,9 +313,9 @@ def _plans_of(scenario: MissionScenario, rows: np.ndarray) -> list[ItaPlan]:
     ]
 
 
-def enumerate_plans(scenario: MissionScenario, cap: int = BRUTE_FORCE_CAP) -> list[ItaPlan]:
+def enumerate_plans(scenario: MissionScenario) -> list[ItaPlan]:
     """Every feasible plan over the robot x collaboration-pattern candidate set."""
-    return _plans_of(scenario, _plan_rows(scenario, cap))
+    return _plans_of(scenario, _plan_rows(scenario))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +371,6 @@ def simulate_plans(
     scenario: MissionScenario,
     sim_cfg: SimConfig,
     samples_per_plan: int = 8,
-    cap: int = BRUTE_FORCE_CAP,
     base_seed: int = 0,
 ) -> PlanTable:
     """Enumerate the plans and simulate each on seeds `base_seed + s`.
@@ -370,7 +379,7 @@ def simulate_plans(
     all together (`schedule_plans`), and each (seed, agent, task) coin is
     flipped once for the whole table.
     """
-    rows = _plan_rows(scenario, cap)
+    rows = _plan_rows(scenario)
     patterns = len(scenario.humans) + 1
     schedules = schedule_plans(scenario, rows // patterns, rows % patterns - 1, sim_cfg)
     agents = [agent.id for agent in scenario.robots + scenario.humans]
@@ -398,11 +407,10 @@ def brute_force_table(
     prefs: PreferenceVector,
     sim_cfg: SimConfig,
     samples_per_plan: int = 8,
-    cap: int = BRUTE_FORCE_CAP,
     base_seed: int = 0,
 ) -> list[tuple[ItaPlan, float]]:
     """Mean aggregate score per enumerated plan (see `simulate_plans`)."""
-    table = simulate_plans(scenario, sim_cfg, samples_per_plan, cap, base_seed)
+    table = simulate_plans(scenario, sim_cfg, samples_per_plan, base_seed)
     return list(zip(table.plans, table.scores(prefs)))
 
 
@@ -411,12 +419,11 @@ def brute_force_optimal(
     prefs: PreferenceVector,
     sim_cfg: SimConfig,
     samples_per_plan: int = 8,
-    cap: int = BRUTE_FORCE_CAP,
     base_seed: int = 0,
 ) -> tuple[ItaPlan, float]:
     """Exhaustive argmax of the mean aggregate score; ties break toward the
     lexicographically smallest plan text."""
-    return simulate_plans(scenario, sim_cfg, samples_per_plan, cap, base_seed).best(prefs)
+    return simulate_plans(scenario, sim_cfg, samples_per_plan, base_seed).best(prefs)
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,13 @@ deterministic stub, transcript recording, and the greedy fallback allocator.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
 import sys
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -116,6 +113,12 @@ def _post(cfg: ProviderConfig, gate: threading.Semaphore, path: str, payload: di
     exponential backoff, each attempt holding `gate`; any other HTTP error
     status is rejected immediately.
     """
+    # imported here, the only user: they load ssl and email, which a run that
+    # makes no request never needs
+    import http.client
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(
         cfg.endpoint.rstrip("/") + path,
         data=json.dumps(payload).encode("utf-8"),

@@ -52,32 +52,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    """Term-frequency saturation (k1) and length normalization (b)."""
-
-    k1: float = 1.5
-    b: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
-        if not (0.0 <= self.b <= 1.0):
-            raise ValueError("b must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class FusionParams:
-    """Sparse/dense mixing proportion and the rank-smoothing constant."""
-
-    alpha: float = 0.5
-    c: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
+# BM25 term-frequency saturation and length normalization, and the
+# reciprocal-rank-fusion weight of the sparse ranking and its rank smoothing
+BM25_K1, BM25_B = 1.5, 0.75
+RRF_ALPHA, RRF_C = 0.5, 60.0
 
 
 @dataclass(frozen=True)
@@ -122,12 +100,7 @@ def idf(term: str, stats: CorpusStats) -> float:
     return math.log((stats.total - n + 0.5) / (n + 0.5))
 
 
-def bm25_score(
-    query_tokens: Sequence[str],
-    rule: RuleEntry,
-    stats: CorpusStats,
-    params: Bm25Params = Bm25Params(),
-) -> float:
+def bm25_score(query_tokens: Sequence[str], rule: RuleEntry, stats: CorpusStats) -> float:
     """Sum of saturated, length-normalized term contributions over the query.
 
     Query tokens are scored as given, so repeated tokens contribute repeatedly.
@@ -139,13 +112,13 @@ def bm25_score(
     length = len(rule_tokens)
     # avg length can only be 0 when no rule has tokens; length matching then
     ratio = length / stats.avg_length if stats.avg_length > 0 else 1.0
-    norm = 1.0 - params.b + params.b * ratio
+    norm = 1.0 - BM25_B + BM25_B * ratio
     score = 0.0
     for term in query_tokens:
         freq = tf.get(term, 0)
         if freq == 0:
             continue
-        score += idf(term, stats) * freq * (params.k1 + 1.0) / (freq + params.k1 * norm)
+        score += idf(term, stats) * freq * (BM25_K1 + 1.0) / (freq + BM25_K1 * norm)
     return score
 
 
@@ -229,8 +202,8 @@ def ensemble_retrieve(
     k: int,
     embedder: Embedder | None = None,
 ) -> list[RuleEntry]:
-    """Top-k rules under reciprocal rank fusion (default `FusionParams`) of
-    the BM25 (default `Bm25Params`) and dense rankings.
+    """Top-k rules under reciprocal rank fusion (`RRF_ALPHA`, `RRF_C`) of
+    the BM25 (`BM25_K1`, `BM25_B`) and dense rankings.
 
     The store ranks all its rules once per query text and equal embedder
     (`RulesDatabase._ranking`) until its next store or retirement, so a
@@ -264,11 +237,9 @@ def _fused_ranking(
         [(r.id, dense_score(query_emb, vec)) for r, vec in zip(rules, vectors)]
     )
 
-    fusion = FusionParams()
-
     def fused(rule: RuleEntry) -> float:
-        return fusion.alpha / (fusion.c + sparse_ranks[rule.id]) + (1.0 - fusion.alpha) / (
-            fusion.c + dense_ranks[rule.id]
+        return RRF_ALPHA / (RRF_C + sparse_ranks[rule.id]) + (1.0 - RRF_ALPHA) / (
+            RRF_C + dense_ranks[rule.id]
         )
 
     return tuple(sorted(rules, key=lambda r: (-fused(r), r.id)))
@@ -590,12 +561,18 @@ class RulesDatabase:
         live: dict[int, RuleEntry] = {}
 
         def apply(payload: dict) -> None:
+            # bool is an int subclass, and a float or text id would number the next rule
             if payload["kind"] == "rule":
+                if type(payload["id"]) is not int:
+                    raise ValueError(f"rule id {payload['id']!r} is not an integer")
                 entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
                 live[entry.id] = entry
                 self._next_id = max(self._next_id, entry.id + 1)
             elif payload["kind"] == "retire":
-                for entry_id in payload["ids"]:
+                ids = payload["ids"]
+                if type(ids) is not list or any(type(entry_id) is not int for entry_id in ids):
+                    raise ValueError(f"retired ids {ids!r} are not a list of integers")
+                for entry_id in ids:
                     live.pop(entry_id, None)
             else:
                 raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")

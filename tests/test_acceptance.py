@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,10 +48,8 @@ from rebel.pipeline import (
 )
 from rebel.prompt import parse_ita_plan
 from rebel.retrieval import (
-    Bm25Params,
     CorpusStats,
     ExperienceDatabase,
-    FusionParams,
     HashedEmbedder,
     RuleEntry,
     RulesDatabase,
@@ -100,7 +99,7 @@ def random_rule_corpus(rng: random.Random) -> RulesDatabase:
 def test_acceptance_1_retrieval_oracle_equivalence():
     start = time.perf_counter()
     rng = random.Random(2025)
-    bm25_params, fusion = Bm25Params(), FusionParams()
+    bm25_params, fusion = SimpleNamespace(k1=1.5, b=0.75), SimpleNamespace(alpha=0.5, c=60.0)
 
     for _ in range(25):
         db = random_rule_corpus(rng)
@@ -110,7 +109,7 @@ def test_acceptance_1_retrieval_oracle_equivalence():
         query = " ".join(rng.choices(VOCAB, k=rng.randint(1, 4)))
 
         for rule in rules:
-            got = bm25_score(tokenize(query), rule, stats, bm25_params)
+            got = bm25_score(tokenize(query), rule, stats)
             want = ref_bm25(query, rule.text, texts, bm25_params.k1, bm25_params.b)
             assert got == pytest.approx(want, abs=1e-9)
         for term in set(tokenize(query)):

@@ -82,6 +82,7 @@ class TestRandomScenario:
 
     def test_positions_inside_arena(self):
         scenario = random_scenario(2, 3, 50, seed=4)
+        assert scenario.arena_side == 2000.0
         for task in scenario.tasks:
             assert 0 <= task.location[0] <= scenario.arena_side
             assert 0 <= task.location[1] <= scenario.arena_side
@@ -238,9 +239,12 @@ class TestBruteForce:
         assert len({plan.render() for plan in plans}) == 216
 
     def test_search_space_cap_enforced(self):
-        scenario = random_scenario(3, 4, 6, seed=1)
+        # 3 robots x (1 + 3 humans) = 12 candidates per task: 12**6, about
+        # 3.0M plans, is past the cap, which refuses before building any row
+        scenario = random_scenario(3, 3, 6, seed=1)
+        assert 12**6 > bench.BRUTE_FORCE_CAP
         with pytest.raises(ValueError, match="cap"):
-            enumerate_plans(scenario, cap=1000)
+            enumerate_plans(scenario)
 
 
 class TestBruteForceDoesNoPerSampleWork:
@@ -345,7 +349,7 @@ class TestBruteForceGolden:
         vectors = (
             *(PreferenceVector.single(o) for o in Objective),
             PreferenceVector.of(TP=1, MT=1, HW=1),
-            *rotation_preferences(0.5),
+            *rotation_preferences(),
             PreferenceVector.of(TP=0.2, MT=0.7, HW=0.1),
         )
         digest = hashlib.sha256()
@@ -462,6 +466,13 @@ class TestRunExperiment:
     def test_invariant_checks_pass_on_small_run(self):
         report = run_experiment(small_spec(), deps())
         assert report.all_checks_pass()
+
+    def test_moo_mode_defaults_to_the_half_quarter_quarter_rotations(self):
+        assert small_spec(mode=Mode.MOO).preferences == (
+            PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
+            PreferenceVector.of(TP=0.25, MT=0.5, HW=0.25),
+            PreferenceVector.of(TP=0.25, MT=0.25, HW=0.5),
+        )
 
     def test_moo_mode_sets_alignment_flags(self):
         report = run_experiment(small_spec(mode=Mode.MOO, methods=("heuristic",)), deps())

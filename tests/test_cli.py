@@ -289,6 +289,13 @@ def test_infer_plans_under_its_sim_config(tmp_path, capsys):
         ({"change": {"remove_ids": "H_0"}}, "change.remove_ids must be a list of strings"),
         ({"mode": "SituationalAwareness", "robots": 1}, "change.remove_robots must be < robots"),
         ({"change": {"remove_ids": [5]}}, "change.remove_ids must be a list of strings, got [5]"),
+        *(
+            ({"preferences": [{"TP": weight}]}, f"a preferences weight must be a number, got {shown}")
+            for weight, shown in (
+                (None, "null"), ([1], "[1]"), ({"v": 1}, '{"v": 1}'), ("0.5", '"0.5"'),
+                (True, "true"), (10**400, "1" + "0" * 20),  # past the float range
+            )
+        ),
     ],
 )
 def test_bench_rejects_a_bad_spec_with_one_line(tmp_path, capsys, spec, message):
@@ -337,16 +344,28 @@ def test_model_flag_reaches_the_http_provider():
     assert _build_provider(args).cfg.model == "local-model"
 
 
-def test_importing_the_cli_loads_neither_requests_nor_scipy_stats():
+def _loaded_after_import(modules: str, names: set[str]) -> str:
+    """Which of `names` a fresh interpreter holds in `sys.modules` after
+    importing `modules`, as a printed sorted list."""
     src = str(Path(rebel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, rebel.cli; print(sorted({'requests', 'scipy.stats'} & set(sys.modules)))"
+    probe = f"import sys, {modules}; print(sorted({names!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_loads_neither_requests_nor_scipy_stats():
+    assert _loaded_after_import("rebel.cli", {"requests", "scipy.stats"}) == "[]"
+
+
+def test_importing_the_package_loads_no_http_transport():
+    # the HTTP modules load on the first request, not at startup
+    names = {"ssl", "http.client", "urllib.request"}
+    assert _loaded_after_import("rebel.cli, rebel.bench, rebel.pipeline", names) == "[]"
 
 
 def _input_files(tmp_path):

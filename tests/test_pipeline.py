@@ -25,9 +25,7 @@ from rebel.pipeline import (
 )
 from rebel.prompt import SECTION_EXPERIENCE, assignment_lines, extract_section
 from rebel.retrieval import (
-    Bm25Params,
     ExperienceDatabase,
-    FusionParams,
     HashedEmbedder,
     RulesDatabase,
     embed_scenario_sections,
@@ -293,9 +291,8 @@ class TestInfer:
         rules_db, exp_db = populated_dbs()
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         result = infer(scenario, prefs, rules_db, exp_db, StubProvider(), retrieval_cfg())
-        fusion, bm25 = FusionParams(), Bm25Params()
         want = ref_fusion_order(
-            result.query, rules_db.rules(), EMBEDDER, fusion.alpha, fusion.c, bm25.k1, bm25.b
+            result.query, rules_db.rules(), EMBEDDER, alpha=0.5, c=60.0, k1=1.5, b=0.75
         )
         assert list(result.rule_ids) == want[:5]
 

@@ -31,12 +31,12 @@ from rebel.core import (
     Tier,
 )
 from rebel.retrieval import (
-    Bm25Params,
     CorpusStats,
     CorruptLogError,
     ExperienceDatabase,
-    FusionParams,
     HashedEmbedder,
+    RRF_ALPHA,
+    RRF_C,
     RuleEntry,
     RulesDatabase,
     bm25_score,
@@ -108,8 +108,7 @@ class TestBm25:
         # denominator collapses to k1 + 1 exactly
         rules = rules_from_texts(["alpha beta gamma", "delta epsilon zeta", "eta theta iota"])
         stats = CorpusStats.from_rules(rules)
-        params = Bm25Params(k1=1.5, b=0.75)
-        assert bm25_score(["alpha"], rules[0], stats, params) == idf("alpha", stats)
+        assert bm25_score(["alpha"], rules[0], stats) == idf("alpha", stats)
 
     def test_toy_corpus_full_score_table(self):
         # Hand-evaluated term by term. Corpus document frequencies for the
@@ -123,7 +122,6 @@ class TestBm25:
         ]
         rules = rules_from_texts(texts)
         stats = CorpusStats.from_rules(rules)
-        params = Bm25Params(k1=1.5, b=0.75)
         query = tokenize("faster robots")
 
         idf_faster = math.log((4 - 1 + 0.5) / (1 + 0.5))
@@ -140,7 +138,7 @@ class TestBm25:
             contribution(idf_robots, 5),
         ]
         for rule, want in zip(rules, expected):
-            assert bm25_score(query, rule, stats, params) == pytest.approx(want, abs=1e-12)
+            assert bm25_score(query, rule, stats) == pytest.approx(want, abs=1e-12)
 
     def test_corpus_order_permutation_invariant(self):
         texts = ["faster robots win", "skilled humans analyze", "easy tasks first"]
@@ -151,51 +149,17 @@ class TestBm25:
         for rule in rules:
             assert bm25_score(query, rule, stats_fwd) == bm25_score(query, rule, stats_rev)
 
-    def test_b_zero_term_factors_survive_unrelated_rule(self):
-        # With b = 0 the length channel is off: an unrelated rule shifts only
-        # the shared IDF table. Both query terms sit in the same minority of
-        # rules, so their IDFs stay equal and positive in either corpus and
-        # the old rules' relative order cannot change.
-        params = Bm25Params(k1=1.2, b=0.0)
-        texts = [
-            "faster robots now",
-            "faster faster convoy robots",
-            "slow walkers",
-            "lazy crawlers rest",
-            "idle minds wander",
-        ]
-        extended = texts + ["unrelated filler words entirely"]
-        rules = rules_from_texts(texts)
-        rules_ext = rules_from_texts(extended)
-        stats, stats_ext = CorpusStats.from_rules(rules), CorpusStats.from_rules(rules_ext)
-        query = tokenize("faster robots")
-
-        def order(stats_used, rule_set):
-            scored = [(bm25_score(query, r, stats_used, params), -r.id) for r in rule_set[:5]]
-            return [(-neg_id) for _, neg_id in sorted(scored, reverse=True)]
-
-        assert order(stats, rules) == order(stats_ext, rules_ext)
-
-        # the per-term TF factor itself is corpus independent at b = 0
-        for rule in rules:
-            tf = tokenize(rule.text).count("faster")
-            if tf:
-                factor_small = bm25_score(["faster"], rule, stats, params) / idf("faster", stats)
-                factor_big = bm25_score(["faster"], rule, stats_ext, params) / idf("faster", stats_ext)
-                assert factor_small == pytest.approx(factor_big, abs=1e-12)
-
     def test_b_positive_average_length_shift_changes_scores(self):
-        # the exact contrast to the b = 0 case: with b > 0 an unrelated rule
-        # moves avg length, so the per-term TF factor itself shifts
-        params = Bm25Params(k1=1.2, b=0.75)
+        # with b > 0 an unrelated rule moves avg length, so the per-term TF
+        # factor itself shifts
         texts = ["faster robots now", "slow walkers", "idle minds wander"]
         rules = rules_from_texts(texts)
         stats = CorpusStats.from_rules(rules)
         longer = rules_from_texts(texts + ["an unrelated but quite long filler sentence indeed"])
         stats_ext = CorpusStats.from_rules(longer)
         query = ["faster"]
-        factor_small = bm25_score(query, rules[0], stats, params) / idf("faster", stats)
-        factor_big = bm25_score(query, longer[0], stats_ext, params) / idf("faster", stats_ext)
+        factor_small = bm25_score(query, rules[0], stats) / idf("faster", stats)
+        factor_big = bm25_score(query, longer[0], stats_ext) / idf("faster", stats_ext)
         assert abs(factor_small - factor_big) > 1e-6
 
     def test_empty_corpus_is_error(self):
@@ -300,8 +264,7 @@ class TestEnsembleRetrieve:
         top = ensemble_retrieve("faster robots", db, k=1)
         assert top[0].text.startswith("assign faster")
         # winner holds rank 1 in both lists: fused = 0.5/61 + 0.5/61
-        fusion = FusionParams()
-        assert fusion.alpha / (fusion.c + 1) * 2 == pytest.approx(1 / 61, abs=1e-9)
+        assert RRF_ALPHA / (RRF_C + 1) * 2 == pytest.approx(1 / 61, abs=1e-9)
 
     def test_mirrored_ranks_tie_breaks_to_lower_id(self):
         db = RulesDatabase()
@@ -333,21 +296,15 @@ class TestEnsembleRetrieve:
         embedder = HashedEmbedder(dim=64)
         query = "Minimize the overall mission time."
         got = [r.id for r in ensemble_retrieve(query, db, k=5, embedder=embedder)]
-        fusion, bm25 = FusionParams(), Bm25Params()
-        want = ref_fusion_order(
-            query, db.rules(), embedder, fusion.alpha, fusion.c, bm25.k1, bm25.b
-        )
+        want = ref_fusion_order(query, db.rules(), embedder, alpha=0.5, c=60.0, k1=1.5, b=0.75)
         assert got == want
 
     def test_fused_scores_bounded_by_double_rank_one(self):
         # alpha/(c+r_s) + (1-alpha)/(c+r_d) is positive and at most 1/(c+1)
-        fusion = FusionParams()
-        bound = 1.0 / (fusion.c + 1.0)
+        bound = 1.0 / (RRF_C + 1.0)
         for rank_s in range(1, 8):
             for rank_d in range(1, 8):
-                fused = fusion.alpha / (fusion.c + rank_s) + (1 - fusion.alpha) / (
-                    fusion.c + rank_d
-                )
+                fused = RRF_ALPHA / (RRF_C + rank_s) + (1 - RRF_ALPHA) / (RRF_C + rank_d)
                 assert 0.0 < fused <= bound + 1e-15
 
     def test_retrieval_is_deterministic(self):
@@ -485,8 +442,7 @@ class TestRankingMemo:
         return db
 
     def oracle(self, query, db, embedder):
-        fusion, bm25 = FusionParams(), Bm25Params()
-        return ref_fusion_order(query, db.rules(), embedder, fusion.alpha, fusion.c, bm25.k1, bm25.b)
+        return ref_fusion_order(query, db.rules(), embedder, alpha=0.5, c=60.0, k1=1.5, b=0.75)
 
     def test_repeated_query_embeds_nothing_and_scores_no_rule(self, bm25_calls):
         db, embedder = self.rules_db(), CountingEmbedder()
@@ -1694,7 +1650,27 @@ WRONG_SHAPE_LINES = {
         "no_fields": ('{"kind": "rule"}', "KeyError: 'id'"),
         "a_list": ("[1, 2]", "TypeError"),
         "an_unknown_kind": ('{"kind": "note", "id": 3}', "ValueError: unknown rules-log record kind 'note'"),
-        "a_string_id": ('{"id": "3", "kind": "rule", "objective": "MT", "text": "three"}', "TypeError"),
+        **{
+            f"a_{name}_id": (
+                f'{{"id": {text}, "kind": "rule", "objective": "MT", "text": "three"}}',
+                f"ValueError: rule id {shown} is not an integer",
+            )
+            for name, text, shown in [
+                ("string", '"3"', "'3'"), ("float", "1.5", "1.5"), ("whole_float", "2.0", "2.0"),
+                ("boolean", "true", "True"), ("null", "null", "None"),
+            ]
+        },
+        **{
+            f"retired_ids_{name}": (
+                f'{{"ids": {text}, "kind": "retire"}}',
+                f"ValueError: retired ids {shown} are not a list of integers",
+            )
+            for name, text, shown in [
+                ("of_text", '["0"]', "['0']"), ("of_a_boolean", "[false]", "[False]"),
+                ("of_a_float", "[0.0]", "[0.0]"), ("as_a_string", '"01"', "'01'"),
+                ("as_an_object", '{"0": 1}', "{'0': 1}"),
+            ]
+        },
     },
 }
 
