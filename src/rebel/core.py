@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,17 @@ def fmt_num(value: float) -> str:
     if math.isfinite(f) and f.is_integer():
         return str(int(f))
     return repr(f)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The float sum of `values`, added one at a time from the left, from
+    0.0. Built-in `sum` adds floats so before Python 3.12 and compensates
+    their rounding from 3.12 on, so a sum whose bits reach an output uses
+    this to be the same on every interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @functools.lru_cache(maxsize=4096)
@@ -328,10 +339,10 @@ class ItaPlan:
     assignments: dict[str, Assignment]
 
     def __post_init__(self) -> None:
-        canonical = {
-            task_id: Assignment(*self.assignments[task_id])
-            for task_id in sorted(self.assignments, key=natural_key)
-        }
+        canonical = {}
+        for task_id in sorted(self.assignments, key=natural_key):
+            value = self.assignments[task_id]
+            canonical[task_id] = value if isinstance(value, Assignment) else Assignment(*value)
         object.__setattr__(self, "assignments", canonical)
 
     def task_ids(self) -> set[str]:
@@ -364,7 +375,7 @@ class PreferenceVector:
         for obj, w in pairs:
             if not (math.isfinite(w) and 0.0 <= w <= 1.0):
                 raise ValueError(f"weight for {obj.short} must lie in [0, 1], got {w}")
-        total = sum(w for _, w in pairs)
+        total = ordered_sum(w for _, w in pairs)
         if total <= 0:
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "weights", tuple((obj, w / total) for obj, w in pairs))

@@ -23,6 +23,7 @@ from .core import (
     Objective,
     PreferenceVector,
     Tier,
+    ordered_sum,
 )
 from .prompt import (
     GOAL_GENERATE_RULES,
@@ -36,7 +37,7 @@ from .prompt import (
     parse_objectives_text,
 )
 from .retrieval import _AppendLog
-from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability, travel_time
+from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability
 
 
 class LlmError(Exception):
@@ -204,7 +205,7 @@ class HttpEmbedder:
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector):
             raise MalformedResponse("embedding is not a list of finite numbers")
         values = [float(v) for v in vector]
-        norm = math.sqrt(sum(v * v for v in values))
+        norm = math.sqrt(ordered_sum(v * v for v in values))
         if not 0 < norm < math.inf:
             raise MalformedResponse(f"embedding norm is {norm}, so it has no direction")
         return tuple(v / norm for v in values)
@@ -288,6 +289,11 @@ def heuristic_allocate(
     and keeps the rest on the best cameras. Mixed weights score every
     (robot, human | None) candidate on weighted normalized proxies. Ties go
     to the earliest candidate in (robot, autonomous, human) id order.
+
+    What a call does not change per task is built once: each candidate's
+    assignment, its robot's speed, and per task difficulty its weighted
+    accuracy and workload terms. So a task costs one distance per robot and
+    a few flat list passes.
     """
     if not scenario.robots:
         raise ValueError("cannot allocate: scenario has no robots")
@@ -297,45 +303,44 @@ def heuristic_allocate(
     # route state per robot, indexed as `robots`
     route_end = [(0.0, 0.0)] * len(robots)
     route_time = [0.0] * len(robots)
-    load = [0] * len(robots)
-
-    def commit(task, r_index: int, human) -> None:
-        """Extend robot r_index's route by `task`; shared control scales the
-        travel speed by the operator's skill multiplier."""
-        scale = 1.0 if human is None else cfg.shared_speed_multiplier[human.skill]
-        route_time[r_index] += travel_time(
-            route_end[r_index], task.location, robots[r_index].speed * scale
-        )
-        route_end[r_index] = task.location
-        load[r_index] += 1
-        assignments[task.id] = Assignment(robots[r_index].id, None if human is None else human.id)
-
     assignments: dict[str, Assignment] = {}
     dominant = prefs.dominant()
 
-    # `min` and `max` keep the first of equal candidates, and the scenario
-    # holds its members in id order, so ties go to the lowest id.
+    # `min`, `max` and `index` keep the first of equal candidates, and the
+    # scenario holds its members in id order, so ties go to the lowest id.
     if dominant in (Objective.MISSION_TIME, Objective.HUMAN_WORKLOAD):
         speeds = [r.speed for r in robots]  # each > 0, as `RobotProfile` checks
+        autonomous = [Assignment(r.id) for r in robots]
         for task in scenario.tasks:
             location = task.location
-            fastest = min(
-                range(len(robots)),
-                key=lambda i: route_time[i] + math.dist(route_end[i], location) / speeds[i],
-            )
-            commit(task, fastest, None)
+            finish = [
+                start + math.dist(end, location) / speed
+                for start, end, speed in zip(route_time, route_end, speeds)
+            ]
+            fastest = finish.index(min(finish))
+            route_time[fastest] = finish[fastest]
+            route_end[fastest] = location
+            assignments[task.id] = autonomous[fastest]
     elif dominant is Objective.TASK_PERFORMANCE:
         # the best three analysts; the stable sort keeps id order among equals
         analysts = sorted(scenario.humans, key=lambda h: (-h.skill.rank, -h.cognition.rank))[:3]
         camera = [-r.camera_quality.rank for r in robots]
+        load = [0] * len(robots)
         hard_index = 0
         for task in scenario.tasks:
             r_index = min(range(len(robots)), key=lambda i: (load[i], camera[i]))
-            if task.difficulty.rank == 2 and analysts:
-                commit(task, r_index, analysts[hard_index % len(analysts)])
+            load[r_index] += 1
+            robot = robots[r_index]
+            if task.difficulty is Tier.HIGH and analysts:
+                analyst = analysts[hard_index % len(analysts)]
                 hard_index += 1
+                # shared control travels at the scaled speed, which can underflow
+                speed = robot.speed * cfg.shared_speed_multiplier[analyst.skill]
+                if speed <= 0:
+                    raise ValueError(f"speed must be > 0, got {speed}")
+                assignments[task.id] = Assignment(robot.id, analyst.id)
             else:
-                commit(task, r_index, None)
+                assignments[task.id] = Assignment(robot.id)
     else:
         # Mixed weights with no single dominant objective: score every
         # (robot, human | None) candidate on normalized proxies for completion
@@ -345,48 +350,62 @@ def heuristic_allocate(
             for o in (Objective.MISSION_TIME, Objective.TASK_PERFORMANCE, Objective.HUMAN_WORKLOAD)
         )
         patterns = (None, *scenario.humans)
-        candidates = [(r_index, h) for r_index in range(len(robots)) for h in patterns]
-        workload = _normalized([0.0 if h is None else 1.0 for _, h in candidates], False)
-        # nominal (fresh-operator) success probability, per task difficulty:
-        # a robot's when autonomous, else its analyst's
-        accuracy = {}
-        for tier in Tier:
-            humans = [human_accuracy_probability(h, 0.0, 0, tier, cfg) for h in scenario.humans]
-            accuracy[tier] = _normalized([
-                p
-                for r in robots
-                for p in (robot_accuracy_probability(r.camera_quality, tier, None, cfg), *humans)
-            ], True)
+        workload = _normalized([0.0 if h is None else 1.0 for _ in robots for h in patterns], False)
         # A candidate's completion proxy depends on its robot and on its
         # operator's skill tier alone, so per robot there is one value when
         # autonomous and one per skill tier in the team. `speeds[r]` holds
-        # robot r's speed for each (autonomous first), and `slot[i]` is
-        # candidate i's place in the per-task list of those distinct values.
+        # robot r's speed for each (autonomous first), and a candidate's slot
+        # is its place in the per-task list of those distinct values.
         skills = list(dict.fromkeys(h.skill for h in scenario.humans))
         scales = [1.0] + [cfg.shared_speed_multiplier[s] for s in skills]
         speeds = [[r.speed * scale for scale in scales] for r in robots]
         slow = [speed for row in speeds for speed in row if speed <= 0]
         if slow and scenario.tasks:
             raise ValueError(f"speed must be > 0, got {slow[0]}")
-        slot = [
-            r_index * len(scales) + (0 if h is None else 1 + skills.index(h.skill))
-            for r_index, h in candidates
+        # (robot index, slot, assignment) per candidate, in (robot, human) order
+        candidates = [
+            (r_index, r_index * len(scales) + (0 if h is None else 1 + skills.index(h.skill)),
+             Assignment(robot.id, None if h is None else h.id))
+            for r_index, robot in enumerate(robots)
+            for h in patterns
         ]
-        for task in scenario.tasks:
-            service = cfg.analysis_service_s[task.difficulty]
-            distinct = []
-            for r_index, (autonomous, *shared) in enumerate(speeds):
-                start = route_time[r_index]
-                distance = math.dist(route_end[r_index], task.location)
-                distinct.append(start + distance / autonomous)
-                distinct.extend(start + distance / speed + service for speed in shared)
-            # the same set of values as one per candidate, so the same bounds
-            completion = _normalized(distinct, False)
-            scores = [
-                w_time * completion[k] + w_perf * a + w_load * w
-                for k, a, w in zip(slot, accuracy[task.difficulty], workload)
+        # Per task difficulty: each slot's (robot index, speed, service) leg,
+        # service 0.0 when autonomous (adding it changes no sum), and each
+        # candidate's slot and weighted terms for its nominal (fresh-operator)
+        # accuracy, a robot's when autonomous, else its analyst's, and workload.
+        tables = {}
+        for tier in Tier:
+            service = cfg.analysis_service_s[tier]
+            legs = [
+                (r_index, speed, service if pattern else 0.0)
+                for r_index, row in enumerate(speeds)
+                for pattern, speed in enumerate(row)
             ]
-            commit(task, *candidates[scores.index(max(scores))])
+            humans = [human_accuracy_probability(h, 0.0, 0, tier, cfg) for h in scenario.humans]
+            accuracy = _normalized([
+                p
+                for r in robots
+                for p in (robot_accuracy_probability(r.camera_quality, tier, None, cfg), *humans)
+            ], True)
+            terms = [
+                (slot, w_perf * a, w_load * w)
+                for (_, slot, _), a, w in zip(candidates, accuracy, workload)
+            ]
+            tables[tier] = legs, terms
+        for task in scenario.tasks:
+            legs, terms = tables[task.difficulty]
+            location = task.location
+            distance = [math.dist(end, location) for end in route_end]
+            # the same set of values as one per candidate, so the same bounds
+            completion = _normalized([
+                route_time[r_index] + distance[r_index] / speed + service
+                for r_index, speed, service in legs
+            ], False)
+            scores = [w_time * completion[slot] + perf + work for slot, perf, work in terms]
+            r_index, slot, assignment = candidates[scores.index(max(scores))]
+            route_time[r_index] += distance[r_index] / legs[slot][1]
+            route_end[r_index] = location
+            assignments[task.id] = assignment
 
     return ItaPlan(assignments)
 

@@ -202,9 +202,14 @@ def parse_ita_plan(text: str, scenario: MissionScenario) -> ItaPlan:
     robot_ids = scenario.robot_ids()
     assignments: dict[str, Assignment] = {}
     for task_id, agents in lines:
-        known_robots = [a for a in agents if a in robot_ids]
-        known_humans = [a for a in agents if a in human_ids]
-        unknowns = [a for a in agents if a not in robot_ids and a not in human_ids]
+        known_robots, known_humans, unknowns = [], [], []
+        for agent in agents:
+            if agent in robot_ids:
+                known_robots.append(agent)
+            elif agent in human_ids:
+                known_humans.append(agent)
+            else:
+                unknowns.append(agent)
 
         # Convention is (human, robot); unknown ids fill the empty slot so the
         # validator can report them by name.

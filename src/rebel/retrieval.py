@@ -38,6 +38,7 @@ from .core import (
     PerformanceRecord,
     PreferenceVector,
     aggregate_scores,
+    ordered_sum,
     performance_columns,
 )
 from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
@@ -128,11 +129,9 @@ def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
     (a NaN or infinite element, or squares past the float range)."""
     if len(q) != len(d):
         raise ValueError(f"embedding dimension mismatch: {len(q)} vs {len(d)}")
-    # the same products, summed in the same order, as a generator expression
-    # gives: bit-identical, but with no Python bytecode run per element
-    dot = sum(map(operator.mul, q, d))
-    nq = math.sqrt(sum(map(operator.mul, q, q)))
-    nd = math.sqrt(sum(map(operator.mul, d, d)))
+    dot = ordered_sum(map(operator.mul, q, d))
+    nq = math.sqrt(ordered_sum(map(operator.mul, q, q)))
+    nd = math.sqrt(ordered_sum(map(operator.mul, d, d)))
     for norm in (nq, nd):
         if not 0 < norm < math.inf:
             raise ValueError(f"cannot score a vector of norm {norm}")
@@ -172,7 +171,9 @@ def _hashed_embedding(dim: int, text: str) -> tuple[float, ...]:
         counts[_token_hash(token) % dim] += 1.0
     if not any(counts):
         counts[0] = 1.0
-    return unit_vector(counts)
+    # whole numbers, so built-in `sum` adds their squares exactly on every
+    # interpreter, and faster than `ordered_sum`
+    return _scaled_to_unit(counts, sum(map(operator.mul, counts, counts)))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -184,7 +185,12 @@ def _token_hash(token: str) -> int:
 def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
     """`vec` scaled to unit length. `ValueError` when its norm is zero or not
     finite (a NaN or infinite element, or squares past the float range)."""
-    norm = math.sqrt(sum(map(operator.mul, vec, vec)))
+    return _scaled_to_unit(vec, ordered_sum(map(operator.mul, vec, vec)))
+
+
+def _scaled_to_unit(vec: Sequence[float], squares: float) -> tuple[float, ...]:
+    """`vec` divided by the root of `squares`, the sum of its squares."""
+    norm = math.sqrt(squares)
     if not 0 < norm < math.inf:
         raise ValueError(f"cannot normalize a vector of norm {norm}")
     return tuple([v / norm for v in vec])
@@ -399,14 +405,17 @@ def _top_rows(
     record's packed bytes, in that order from zero. einsum scores a row alike
     wherever it sits in the block, so identical rows tie exactly.
 
-    One float32 BLAS product `sections @ query` screens the rows first, and
-    only the rows within a margin of the k-th largest screened score are
-    scored exactly. Take n = 3·dim terms and u = 2⁻²⁴, the float32 unit
-    roundoff. Every row section and query section has unit length, so the
-    terms' magnitudes sum to at most 3 (Cauchy-Schwarz, per section).
+    One float32 `einsum` of `sections` with the query screens the rows
+    first, and only the rows within a margin of the k-th largest screened
+    score are scored exactly. (einsum sums on the calling thread. A BLAS
+    product hands the work to the BLAS thread pool, which made some whole
+    runs of queries far slower on a 2-vCPU machine.) Take n = 3·dim terms
+    and u = 2⁻²⁴, the float32 unit roundoff. Every row section and query
+    section has unit length, so the terms' magnitudes sum to at most 3
+    (Cauchy-Schwarz, per section).
     - Rounding the row and the query to float32 moves each term by at most
       2u of its magnitude: 6u in all.
-    - Summing the n products in float32, in whatever order BLAS takes,
+    - Summing the n products in float32, in whatever order einsum takes,
       errs by at most about n·u of their magnitude sum: 3·n·u.
     So a screened score lies within δ ≈ 3·(n + 2)·u of the exact one, and
     every row of the exact top k screens within 2δ = 3·(n + 2)·2⁻²³ of the
@@ -416,7 +425,7 @@ def _top_rows(
     Ranking the rows within it gives the top k of scoring every row.
     """
     dim = len(query) // 3
-    screen = sections @ query.astype(np.float32)
+    screen = np.einsum("ij,j->i", sections, query.astype(np.float32))
     cut = np.partition(screen, len(screen) - k)[len(screen) - k]
     # compared in float64, so the margin is not rounded to float32
     rows = np.flatnonzero(screen >= np.float64(cut) - (3 * dim + 2) * 2.0**-21)
@@ -459,15 +468,13 @@ def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
     each scaled to unit length in float64, so a dot product with a unit query
     section is a cosine. The packed bytes are decoded as one buffer."""
     # joined into a bytearray, which numpy can scale in place; bytes cannot be
-    matrix = np.frombuffer(bytearray().join([rec.embedding for rec in records]), "<f8")
-    matrix = matrix.reshape(len(records), 3 * dim)
-    for start in (0, dim, 2 * dim):
-        block = matrix[:, start : start + dim]
-        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-        if not norms.all():
-            raise ValueError("zero vectors carry no direction")
-        block /= norms[:, None]
-    return matrix
+    sections = np.frombuffer(bytearray().join([rec.embedding for rec in records]), "<f8")
+    sections = sections.reshape(len(records), 3, dim)
+    norms = np.sqrt(np.einsum("ijk,ijk->ij", sections, sections))
+    if not norms.all():
+        raise ValueError("zero vectors carry no direction")
+    sections /= norms[:, :, None]
+    return sections.reshape(len(records), 3 * dim)
 
 
 class CorruptLogError(ValueError):

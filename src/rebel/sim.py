@@ -27,6 +27,7 @@ from .core import (
     Tier,
     fmt_num,
     natural_key,
+    ordered_sum,
     validate_plan,
 )
 
@@ -339,8 +340,8 @@ def run_mission(
     mission_seconds = max((end for spans in busy.values() for _, end in spans), default=0.0)
 
     if scenario.humans and mission_seconds > 0:
-        utilization = sum(
-            sum(end - start for start, end in busy[h.id]) for h in scenario.humans
+        utilization = ordered_sum(
+            ordered_sum(end - start for start, end in busy[h.id]) for h in scenario.humans
         ) / (len(scenario.humans) * mission_seconds)
     else:
         utilization = 0.0

@@ -1,5 +1,7 @@
 """Independent reference implementations of the retrieval math, in plain
-loops with no reuse of the library, for the tests to compare against."""
+loops with no reuse of the library, and frozen copies of earlier versions
+of the greedy allocator and the plan parser, for the tests to compare
+against."""
 
 from __future__ import annotations
 
@@ -8,7 +10,17 @@ import math
 
 import numpy as np
 
-from rebel.core import Objective
+from rebel.core import (
+    Assignment,
+    ItaPlan,
+    MissionScenario,
+    Objective,
+    PreferenceVector,
+    Tier,
+    validate_plan,
+)
+from rebel.prompt import ParseFailure, PlanInvalid, assignment_lines
+from rebel.sim import SimConfig, human_accuracy_probability, robot_accuracy_probability, travel_time
 
 
 def ref_tokenize(text: str) -> list[str]:
@@ -121,3 +133,151 @@ def ref_einsum_top_k(sections: np.ndarray, queries, k: int) -> list[int]:
     for start, query in zip((0, dim, 2 * dim), queries):
         scores += np.einsum("ij,j->i", sections[:, start : start + dim], np.array(query))
     return np.argsort(-scores, kind="stable")[:k].tolist()
+
+
+def ref_heuristic_allocate(
+    scenario: MissionScenario, prefs: PreferenceVector, cfg: SimConfig | None = None
+) -> ItaPlan:
+    """`llm.heuristic_allocate` as it was before its per-task loops were
+    rebuilt around tables made once per call: every pick, tie-break and
+    error of that version."""
+    if not scenario.robots:
+        raise ValueError("cannot allocate: scenario has no robots")
+
+    cfg = SimConfig() if cfg is None else cfg
+    robots = scenario.robots
+    # route state per robot, indexed as `robots`
+    route_end = [(0.0, 0.0)] * len(robots)
+    route_time = [0.0] * len(robots)
+    load = [0] * len(robots)
+
+    def commit(task, r_index: int, human) -> None:
+        """Extend robot r_index's route by `task`; shared control scales the
+        travel speed by the operator's skill multiplier."""
+        scale = 1.0 if human is None else cfg.shared_speed_multiplier[human.skill]
+        route_time[r_index] += travel_time(
+            route_end[r_index], task.location, robots[r_index].speed * scale
+        )
+        route_end[r_index] = task.location
+        load[r_index] += 1
+        assignments[task.id] = Assignment(robots[r_index].id, None if human is None else human.id)
+
+    assignments: dict[str, Assignment] = {}
+    dominant = prefs.dominant()
+
+    # `min` and `max` keep the first of equal candidates, and the scenario
+    # holds its members in id order, so ties go to the lowest id.
+    if dominant in (Objective.MISSION_TIME, Objective.HUMAN_WORKLOAD):
+        speeds = [r.speed for r in robots]  # each > 0, as `RobotProfile` checks
+        for task in scenario.tasks:
+            location = task.location
+            fastest = min(
+                range(len(robots)),
+                key=lambda i: route_time[i] + math.dist(route_end[i], location) / speeds[i],
+            )
+            commit(task, fastest, None)
+    elif dominant is Objective.TASK_PERFORMANCE:
+        # the best three analysts; the stable sort keeps id order among equals
+        analysts = sorted(scenario.humans, key=lambda h: (-h.skill.rank, -h.cognition.rank))[:3]
+        camera = [-r.camera_quality.rank for r in robots]
+        hard_index = 0
+        for task in scenario.tasks:
+            r_index = min(range(len(robots)), key=lambda i: (load[i], camera[i]))
+            if task.difficulty.rank == 2 and analysts:
+                commit(task, r_index, analysts[hard_index % len(analysts)])
+                hard_index += 1
+            else:
+                commit(task, r_index, None)
+    else:
+        # Mixed weights with no single dominant objective: score every
+        # (robot, human | None) candidate on normalized proxies for completion
+        # time, accuracy, and human load.
+        w_time, w_perf, w_load = (
+            prefs.weight(o)
+            for o in (Objective.MISSION_TIME, Objective.TASK_PERFORMANCE, Objective.HUMAN_WORKLOAD)
+        )
+        patterns = (None, *scenario.humans)
+        candidates = [(r_index, h) for r_index in range(len(robots)) for h in patterns]
+        workload = _ref_normalized([0.0 if h is None else 1.0 for _, h in candidates], False)
+        # nominal (fresh-operator) success probability, per task difficulty:
+        # a robot's when autonomous, else its analyst's
+        accuracy = {}
+        for tier in Tier:
+            humans = [human_accuracy_probability(h, 0.0, 0, tier, cfg) for h in scenario.humans]
+            accuracy[tier] = _ref_normalized([
+                p
+                for r in robots
+                for p in (robot_accuracy_probability(r.camera_quality, tier, None, cfg), *humans)
+            ], True)
+        # A candidate's completion proxy depends on its robot and on its
+        # operator's skill tier alone, so per robot there is one value when
+        # autonomous and one per skill tier in the team. `speeds[r]` holds
+        # robot r's speed for each (autonomous first), and `slot[i]` is
+        # candidate i's place in the per-task list of those distinct values.
+        skills = list(dict.fromkeys(h.skill for h in scenario.humans))
+        scales = [1.0] + [cfg.shared_speed_multiplier[s] for s in skills]
+        speeds = [[r.speed * scale for scale in scales] for r in robots]
+        slow = [speed for row in speeds for speed in row if speed <= 0]
+        if slow and scenario.tasks:
+            raise ValueError(f"speed must be > 0, got {slow[0]}")
+        slot = [
+            r_index * len(scales) + (0 if h is None else 1 + skills.index(h.skill))
+            for r_index, h in candidates
+        ]
+        for task in scenario.tasks:
+            service = cfg.analysis_service_s[task.difficulty]
+            distinct = []
+            for r_index, (autonomous, *shared) in enumerate(speeds):
+                start = route_time[r_index]
+                distance = math.dist(route_end[r_index], task.location)
+                distinct.append(start + distance / autonomous)
+                distinct.extend(start + distance / speed + service for speed in shared)
+            # the same set of values as one per candidate, so the same bounds
+            completion = _ref_normalized(distinct, False)
+            scores = [
+                w_time * completion[k] + w_perf * a + w_load * w
+                for k, a, w in zip(slot, accuracy[task.difficulty], workload)
+            ]
+            commit(task, *candidates[scores.index(max(scores))])
+
+    return ItaPlan(assignments)
+
+
+def _ref_normalized(values: list[float], maximize: bool) -> list[float]:
+    """Min-max scale to [0, 1], flipped for minimized proxies; 0.5 when all tie."""
+    lo, hi = min(values), max(values)
+    if hi - lo < 1e-12:
+        return [0.5] * len(values)
+    if maximize:
+        return [(v - lo) / (hi - lo) for v in values]
+    return [1.0 - (v - lo) / (hi - lo) for v in values]
+
+
+def ref_parse_ita_plan(text: str, scenario: MissionScenario) -> ItaPlan:
+    """`prompt.parse_ita_plan` as it was when it sorted each line's agents
+    with three comprehensions."""
+    lines = assignment_lines(text)
+    if not lines:
+        raise ParseFailure("no assignment lines matched the plan grammar")
+
+    human_ids = scenario.human_ids()
+    robot_ids = scenario.robot_ids()
+    assignments: dict[str, Assignment] = {}
+    for task_id, agents in lines:
+        known_robots = [a for a in agents if a in robot_ids]
+        known_humans = [a for a in agents if a in human_ids]
+        unknowns = [a for a in agents if a not in robot_ids and a not in human_ids]
+
+        # Convention is (human, robot); unknown ids fill the empty slot so the
+        # validator can report them by name.
+        robot = known_robots[0] if known_robots else (unknowns.pop() if unknowns else None)
+        analyst = known_humans[0] if known_humans else (unknowns.pop(0) if unknowns else None)
+        if robot is None:
+            robot, analyst = analyst, None
+        assignments[task_id] = Assignment(robot, analyst)
+
+    plan = ItaPlan(assignments)
+    check = validate_plan(plan, scenario)
+    if not check.ok:
+        raise PlanInvalid(check.violations)
+    return plan

@@ -22,6 +22,7 @@ from rebel.core import (
     fmt_num,
     natural_key,
     normalize_objective,
+    ordered_sum,
     validate_plan,
 )
 from conftest import make_scenario
@@ -143,9 +144,23 @@ class TestPreferenceVector:
         with pytest.raises(ValueError):
             PreferenceVector(((Objective.MISSION_TIME, -0.1),))
 
+    def test_weights_are_divided_by_their_left_to_right_total(self):
+        # built-in `sum` gives 1.3 from Python 3.12 on
+        total = 0.1 + 0.5 + 0.7
+        assert total == 1.2999999999999998
+        prefs = PreferenceVector.of(TP=0.1, MT=0.5, HW=0.7)
+        assert [w for _, w in prefs.weights] == [0.1 / total, 0.5 / total, 0.7 / total]
+
     def test_dominant_detection(self):
         assert PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25).dominant() is Objective.TASK_PERFORMANCE
         assert PreferenceVector.of(TP=0.5, MT=0.5).dominant() is None
+
+
+def test_ordered_sum_adds_left_to_right_from_zero():
+    # built-in `sum` compensates float rounding from Python 3.12 on and gives 1.0
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0.0
+    assert math.copysign(1.0, ordered_sum([-0.0])) == 1.0  # 0.0 + -0.0, as `sum` gives
 
 
 class TestValidatePlan:
@@ -341,6 +356,13 @@ class TestPlanRendering:
         lines = plan.render().splitlines()
         assert lines[0].startswith("T_2:")
         assert lines[1].startswith("T_10:")
+
+    def test_members_are_assignments_and_one_given_is_kept(self):
+        given = Assignment("UAV_0", "H_0")
+        plan = ItaPlan({"T_1": given, "T_0": ("UGV_0",)})
+        assert plan.assignments["T_1"] is given
+        assert type(plan.assignments["T_0"]) is Assignment
+        assert plan.assignments["T_0"] == ("UGV_0", None)
 
     def test_shared_control_renders_human_first(self, shared_plan):
         assert "T_0: (H_1, UAV_0)" in shared_plan.render()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
 import threading
@@ -9,6 +10,8 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rebel.bench import random_scenario
 from rebel.core import Objective, PreferenceVector, Tier, validate_plan
@@ -43,6 +46,7 @@ from rebel.pipeline import RetrievalConfig, infer
 from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from rebel.sim import SimConfig
 from conftest import make_scenario
+from oracles import ref_heuristic_allocate
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -188,6 +192,14 @@ class TestHttpEmbedder(TransportCases):
         path, body = ScriptedHandler.requests_seen[0]
         assert path.endswith("/embeddings")
         assert body == {"model": "local-embed", "input": ["hi"]}
+
+    def test_the_norm_adds_the_squares_left_to_right(self, http_server):
+        # built-in `sum` gives 0.3 from Python 3.12 on
+        ScriptedHandler.script = [(200, {"data": [{"embedding": [0.5, 0.2, 0.1]}]})]
+        squares = 0.5 * 0.5 + 0.2 * 0.2 + 0.1 * 0.1
+        assert squares == 0.30000000000000004
+        got = ask_embedder(ProviderConfig(endpoint=http_server, retries=0))
+        assert got == tuple(v / math.sqrt(squares) for v in (0.5, 0.2, 0.1))
 
     @pytest.mark.parametrize("body", DEGENERATE_EMBEDDINGS.values(), ids=DEGENERATE_EMBEDDINGS)
     def test_degenerate_embedding_is_malformed(self, http_server, body):
@@ -556,3 +568,75 @@ class TestHeuristicAllocate:
         scenario = make_scenario(robots=(), tasks=())
         with pytest.raises(ValueError):
             heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+
+
+_TIER = st.sampled_from(list(Tier))
+_WEIGHT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def allocation_cases(draw):
+    """A team of 0-6 humans and 1-8 robots with 0-40 tasks, whose speeds,
+    places and tiers often repeat, so candidates tie; a tied, dominant or
+    random preference vector; and the default model constants or drawn
+    shared-control speed multipliers and analysis service times, including
+    a speed that underflows to 0.0 when shared and infinite values."""
+    speed = st.sampled_from([6.0, 13.0, 1e-300]) | st.floats(0.5, 30.0)
+    place = st.sampled_from([0.0, 700.0, 2000.0]) | st.floats(0.0, 2000.0)
+    humans = draw(st.lists(st.tuples(_TIER, _TIER), max_size=6))
+    robots = draw(st.lists(st.tuples(speed, _TIER), min_size=1, max_size=8))
+    count = draw(st.integers(0, 40))  # lists alone would mostly be short
+    tasks = draw(st.lists(st.tuples(place, place, _TIER), min_size=count, max_size=count))
+    scenario = make_scenario(
+        humans=[(f"H_{i}", cognition, skill) for i, (cognition, skill) in enumerate(humans)],
+        robots=[(f"UAV_{i}", v, camera) for i, (v, camera) in enumerate(robots)],
+        tasks=[(f"T_{i}", (x, y), difficulty) for i, (x, y, difficulty) in enumerate(tasks)],
+    )
+    prefs = draw(
+        st.sampled_from([
+            PreferenceVector.of(TP=1, MT=1, HW=1),
+            PreferenceVector.of(TP=0.4, MT=0.4, HW=0.2),
+            PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
+            *(PreferenceVector.single(objective) for objective in Objective),
+        ])
+        | st.tuples(_WEIGHT, _WEIGHT, _WEIGHT)
+        .filter(any)
+        .map(lambda w: PreferenceVector.of(TP=w[0], MT=w[1], HW=w[2]))
+    )
+    multiplier = st.sampled_from([1e-300, math.inf]) | st.floats(0.1, 3.0)
+    service = st.sampled_from([0.0, math.inf]) | st.floats(0.0, 120.0)
+    cfg = draw(st.none() | st.builds(
+        lambda multipliers, services: SimConfig(
+            shared_speed_multiplier=dict(zip(Tier, multipliers)),
+            analysis_service_s=dict(zip(Tier, services)),
+        ),
+        st.tuples(multiplier, multiplier, multiplier),
+        st.tuples(service, service, service),
+    ))
+    return scenario, prefs, cfg
+
+
+def _allocation(allocate, scenario, prefs, cfg):
+    """The plan's (task, assignment) pairs in order, or the error's type and text."""
+    try:
+        return list(allocate(scenario, prefs, cfg).assignments.items())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_UNDERFLOW_CASE = (
+    make_scenario(
+        humans=(("H_0", Tier.HIGH, Tier.HIGH),),
+        robots=(("UAV_0", 1e-300, Tier.MED),),
+        tasks=(("T_0", (300.0, 400.0), Tier.LOW), ("T_1", (300.0, 400.0), Tier.HIGH)),
+    ),
+    SimConfig(shared_speed_multiplier={tier: 1e-300 for tier in Tier}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(allocation_cases())
+@example((_UNDERFLOW_CASE[0], PreferenceVector.single(Objective.TASK_PERFORMANCE), _UNDERFLOW_CASE[1]))
+@example((_UNDERFLOW_CASE[0], PreferenceVector.of(TP=1, MT=1, HW=1), _UNDERFLOW_CASE[1]))
+def test_heuristic_allocate_matches_the_frozen_allocator(case):
+    assert _allocation(heuristic_allocate, *case) == _allocation(ref_heuristic_allocate, *case)

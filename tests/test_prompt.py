@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebel.bench import random_scenario
@@ -32,6 +32,7 @@ from rebel.prompt import (
     parse_objectives_text,
 )
 from conftest import make_scenario
+from oracles import ref_parse_ita_plan
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -226,3 +227,39 @@ def scenarios_with_plans(draw):
 def test_parse_inverts_render(case):
     scenario, plan = case
     assert parse_ita_plan(plan.render(), scenario) == plan
+
+
+@st.composite
+def plan_texts(draw):
+    """Plan lines for `make_scenario()` (H_0, H_1, UAV_0, UGV_0; T_0, T_1)
+    naming one to three agents each, drawn from its ids and unknown ones, so
+    lists come unknown, reversed, duplicated and tripled. Half the texts
+    name each task once; the rest may repeat, miss or invent tasks."""
+    agents = st.lists(
+        st.sampled_from(["H_0", "H_1", "UAV_0", "UGV_0", "UAV_9", "H_7"]), min_size=1, max_size=3
+    )
+    tasks = draw(
+        st.permutations(["T_0", "T_1"]) | st.lists(st.sampled_from(["T_0", "T_1", "T_9"]), max_size=4)
+    )
+    return "\n".join(f"{task}: ({', '.join(draw(agents))})" for task in tasks)
+
+
+def _parsed(parse, text, scenario):
+    """The plan's (task, assignment) pairs in order, or the error's type and text."""
+    try:
+        return list(parse(text, scenario).assignments.items())
+    except (ParseFailure, PlanInvalid) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_texts())
+@example("T_0: (UAV_9)\nT_1: (H_7, X_1)")  # unknown
+@example("T_0: (UAV_0, H_1)\nT_1: (UGV_0, H_0)")  # reversed
+@example("T_0: (UAV_0, UAV_0)\nT_1: (H_0, H_0, UGV_0)")  # duplicate
+@example("T_0: (H_0, UAV_0, UGV_0)\nT_1: (UGV_0, H_1, H_0)")  # triple
+@example("T_0: (H_0, UAV_9, X_1)\nT_1: (UAV_9, H_7, UGV_0)")  # triple with unknowns
+def test_parse_matches_the_frozen_parser(text):
+    scenario = make_scenario()
+    assert _parsed(parse_ita_plan, text, scenario) == _parsed(ref_parse_ita_plan, text, scenario)
+

@@ -211,6 +211,14 @@ class TestDense:
             with pytest.raises(ValueError, match=f"^cannot score a vector of norm {norm}$"):
                 dense_score(q, d)
 
+    def test_sums_add_left_to_right_on_every_interpreter(self):
+        # built-in `sum` compensates float rounding from Python 3.12 on: it
+        # would give a dot product of 1.0 here, and 0.3 for the squares below
+        assert dense_score((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+        squares = 0.5 * 0.5 + 0.2 * 0.2 + 0.1 * 0.1
+        assert squares == 0.30000000000000004
+        assert unit_vector((0.5, 0.2, 0.1)) == tuple(v / math.sqrt(squares) for v in (0.5, 0.2, 0.1))
+
     def test_symmetry(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -807,13 +815,14 @@ class TestRetrieveExperiences:
 
 @pytest.fixture
 def exact_rows(monkeypatch):
-    """The row count of each exact section score (`einsum("ij,j->i")`)
-    computed while the test runs."""
+    """The row count of each exact section score (a float64
+    `einsum("ij,j->i")`; the float32 screen is not counted) computed while
+    the test runs."""
     counts = []
     einsum = np.einsum
 
     def counting(subscripts, *operands, **kwargs):
-        if subscripts == "ij,j->i":
+        if subscripts == "ij,j->i" and operands[0].dtype == np.float64:
             counts.append(len(operands[0]))
         return einsum(subscripts, *operands, **kwargs)
 
@@ -968,7 +977,7 @@ class TestScreenedRetrieval:
         rows[30] = np.concatenate([e1 + past * e0, e1, e1])
         db, scenario = _vector_store(rows)
         query = np.concatenate([e0] * 3)
-        screen = db._scoring_snapshot()[1] @ query.astype(np.float32)
+        screen = np.einsum("ij,j->i", db._scoring_snapshot()[1], query.astype(np.float32))
         assert (screen[5], screen[20], screen[30]) == (0.0, -margin, past)
         embedder = _query_embedder(scenario, query.tolist())
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
