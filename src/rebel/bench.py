@@ -146,7 +146,10 @@ class ExperimentSpec:
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
         """A spec from a JSON file; every key it omits keeps the dataclass
         default, and a key that names no setting is a ValueError."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:  # JSON nested past the interpreter's stack
+            raise ValueError("JSON nested too deeply to decode") from None
         _expect(raw, dict, "a spec", "an object")
         _reject_unknown_keys(raw, "spec", cls, TeamSpec, skip="team")
         kwargs = _present_fields(cls, raw)

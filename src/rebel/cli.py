@@ -25,6 +25,7 @@ from .pipeline import (
     KnowledgeAcquisitionConfig,
     RetrievalConfig,
     ScenarioRanges,
+    StageError,
     generate_experiences,
     generate_rules,
     infer,
@@ -338,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CorruptLogError, InputError) as exc:  # a bad store line or input file
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except StageError as exc:  # what the stage stored before it aborted stays stored
+        print(f"error: {exc} ({len(exc.stored)} records stored before the abort)", file=sys.stderr)
         return 2
 
 

@@ -112,22 +112,6 @@ class Objective(Enum):
     def direction(self) -> "Direction":
         return Direction.MAXIMIZE if self is Objective.TASK_PERFORMANCE else Direction.MINIMIZE
 
-    @property
-    def soo_text(self) -> str:
-        return {
-            Objective.TASK_PERFORMANCE: "Maximize the overall task performance.",
-            Objective.MISSION_TIME: "Minimize the overall mission time.",
-            Objective.HUMAN_WORKLOAD: "Minimize the overall human workload.",
-        }[self]
-
-    @property
-    def weighted_text(self) -> str:
-        return {
-            Objective.TASK_PERFORMANCE: "Maximize task performance",
-            Objective.MISSION_TIME: "Minimize mission time",
-            Objective.HUMAN_WORKLOAD: "Minimize human workload",
-        }[self]
-
     @classmethod
     def parse(cls, text: str) -> "Objective":
         objective = _OBJECTIVE_KEYS.get(text.strip().upper())

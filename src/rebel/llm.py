@@ -151,7 +151,7 @@ def _post(cfg: ProviderConfig, gate: threading.Semaphore, path: str, payload: di
             raise ProviderRejected(f"HTTP {status}: {body[:500].decode('utf-8', 'replace')}")
         try:
             return json.loads(body)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:  # nested too deeply, or not JSON
             raise MalformedResponse(f"response body is not JSON: {body[:200]!r}") from exc
     if timed_out:
         raise Timeout(f"no response within {cfg.timeout_s}s: {last_error}") from last_error

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import re
 from dataclasses import dataclass, field
 
 from .core import (
@@ -39,12 +38,13 @@ from .prompt import (
     PlanInvalid,
     SECTION_BACKGROUND,
     SECTION_SCENARIO,
-    StructuredPrompt,
     build_prompt,
     objectives_text,
     parse_ita_plan,
+    rule_lines,
 )
 from .retrieval import (
+    CorruptLogError,
     Embedder,
     ExperienceDatabase,
     ExperienceRecord,
@@ -126,19 +126,6 @@ class StageError(RuntimeError):
         self.stored = stored
 
 
-_BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
-
-
-def _split_rule_lines(response: str) -> list[str]:
-    """One rule per non-empty line, with list bullets/numbering stripped."""
-    rules = []
-    for line in response.splitlines():
-        text = _BULLET_RE.sub("", line).strip()
-        if text:
-            rules.append(text)
-    return rules
-
-
 def generate_rules(
     objectives: tuple[Objective, ...],
     provider: CompletionProvider,
@@ -160,7 +147,7 @@ def generate_rules(
                 f"rule generation aborted at objective {objective.short}: {exc}",
                 stored=tuple(stored),
             ) from exc
-        lines = _split_rule_lines(response)
+        lines = rule_lines(response)
         if not lines:
             logger.warning("empty rule response for objective %s", objective.short)
             continue
@@ -178,14 +165,8 @@ def _background_prompt(
 ) -> str:
     """A rule-writing prompt: the plan format as background, for one objective."""
     return build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_BACKGROUND,
-            scenario_text=BACKGROUND_FORMAT,
-            goal=goal,
-            objectives=objectives_text(PreferenceVector.single(objective)),
-            rules=tuple(r.text for r in rules),
-            exemplars=exemplars,
-        )
+        SECTION_BACKGROUND, BACKGROUND_FORMAT, goal,
+        objectives_text(PreferenceVector.single(objective)), [r.text for r in rules], exemplars,
     )
 
 
@@ -207,14 +188,8 @@ def allocate_with_model(
     fallback: the transport has already spent its own retries on it.
     """
     prompt = build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_SCENARIO,
-            scenario_text=scenario.render_spf(),
-            goal=GOAL_PERFORM_ITA,
-            objectives=objectives_text(prefs),
-            rules=tuple(r.text for r in rules),
-            exemplars=exemplars,
-        )
+        SECTION_SCENARIO, scenario.render_spf(), GOAL_PERFORM_ITA, objectives_text(prefs),
+        [r.text for r in rules], exemplars,
     )
     for retry in (True, False):
         try:
@@ -237,14 +212,13 @@ def generate_experiences(
     rules_db: RulesDatabase,
     exp_db: ExperienceDatabase,
     sim_cfg: SimConfig,
-    embedder: Embedder | None = None,
+    embedder: Embedder = HashedEmbedder(),
 ) -> tuple[ExperienceRecord, ...]:
     """Stage 2: run k randomized missions per objective, store each
     (scenario, plan, performance) with section embeddings, and periodically
     let the model revise the objective's rules from the observed batch."""
     from .bench import random_scenario  # local import; bench builds on this module
 
-    embedder = embedder or HashedEmbedder()
     for objective in cfg.objectives:
         if not rules_db.for_objective(objective):
             raise StageError(f"rules database has no rules for objective {objective.short}")
@@ -306,7 +280,7 @@ def _refine_rules(objective, provider, rules_db, batch) -> None:
     except LlmError as exc:
         logger.warning("rule refinement skipped for %s: %s", objective.short, exc)
         return
-    texts = _split_rule_lines(response)
+    texts = rule_lines(response)
     if texts:
         rules_db.replace_objective(objective, texts)
 
@@ -324,8 +298,9 @@ def infer(
     greedy fallback plans under `sim_cfg` (the defaults when None).
 
     Empty databases degrade gracefully: the corresponding prompt sections are
-    omitted with a warning (zero-shot behavior). `ValueError` for a corrupt
-    retrieved experience, naming its id, or an embedding of zero or
+    omitted with a warning (zero-shot behavior). `CorruptLogError` (a
+    `ValueError`) naming the store and the record for a retrieved experience
+    whose texts do not decode; `ValueError` for an embedding of zero or
     non-finite norm, of the query or of a rule.
     """
     if not scenario.runnable:
@@ -349,9 +324,11 @@ def infer(
     else:
         logger.warning("experience database empty; inferring without Prior Experience")
 
-    plan, fallback = allocate_with_model(
-        scenario, prefs, provider, rules, tuple(map(_exemplar, exemplars)), sim_cfg
-    )
+    try:
+        shown = tuple(map(_exemplar, exemplars))
+    except ValueError as exc:  # names the record
+        raise CorruptLogError(f"{exp_db.path}: {exc}") from exc
+    plan, fallback = allocate_with_model(scenario, prefs, provider, rules, shown, sim_cfg)
     return InferenceResult(
         plan=plan, rules=rules, exemplars=exemplars, used_fallback=fallback, query=query
     )

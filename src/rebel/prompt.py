@@ -2,14 +2,16 @@
 
 Prompts follow a fixed five-section layout (Background or Mission Scenario,
 Goal, Mission Objectives, Rules, Prior Experience); absent sections are
-omitted entirely and rendering is byte-deterministic. Plans come back as
-`T_<id>: (<agent>[, <agent>]*)` lines, tolerant of surrounding prose.
+omitted entirely and rendering is byte-deterministic. Answers come back as
+`T_<id>: (<agent>[, <agent>]*)` plan lines amid any prose, or one rule a
+line; either may carry list bullets or numbers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     Assignment,
@@ -44,8 +46,10 @@ SECTION_EXPERIENCE = "Prior Experience"
 
 _INDENT = "  "
 
+_BULLET = r"(?:[-*•]|\d+[.)])"  # a list bullet or number, either answer format may carry
+_BULLET_RE = re.compile(rf"^\s*{_BULLET}\s*")
 _PLAN_LINE_RE = re.compile(
-    r"^\s*(?:[-*•]\s*|\d+[.)]\s*)?(T_\w+)\s*:\s*\(\s*([\w\s,]*?)\s*\)\s*[.;,]?\s*$"
+    rf"^\s*(?:{_BULLET}\s*)?(T_\w+)\s*:\s*\(\s*([\w\s,]*?)\s*\)\s*[.;,]?\s*$"
 )
 
 
@@ -70,23 +74,26 @@ class Exemplar:
     performance_text: str | None = None
 
 
-@dataclass(frozen=True)
-class StructuredPrompt:
-    scenario_label: str
-    scenario_text: str
-    goal: str
-    objectives: str
-    rules: tuple[str, ...] = ()
-    exemplars: tuple[Exemplar, ...] = ()
+# how objectives_text phrases an objective alone, and in a weighted list
+_SOO_TEXT = {
+    Objective.TASK_PERFORMANCE: "Maximize the overall task performance.",
+    Objective.MISSION_TIME: "Minimize the overall mission time.",
+    Objective.HUMAN_WORKLOAD: "Minimize the overall human workload.",
+}
+_WEIGHTED_TEXT = {
+    Objective.TASK_PERFORMANCE: "Maximize task performance",
+    Objective.MISSION_TIME: "Minimize mission time",
+    Objective.HUMAN_WORKLOAD: "Minimize human workload",
+}
 
 
 def objectives_text(prefs: PreferenceVector) -> str:
     """Render preferences: a single full-weight objective becomes one
     imperative sentence, mixed weights become one `(weight = w)` line each."""
     if len(prefs.weights) == 1:
-        return prefs.weights[0][0].soo_text
+        return _SOO_TEXT[prefs.weights[0][0]]
     return "\n".join(
-        f"{obj.weighted_text} (weight = {fmt_num(round(w, 6))})" for obj, w in prefs.weights
+        f"{_WEIGHTED_TEXT[obj]} (weight = {fmt_num(round(w, 6))})" for obj, w in prefs.weights
     )
 
 
@@ -126,26 +133,30 @@ def _indent_block(text: str, depth: int = 1) -> list[str]:
     return [_INDENT * depth + line if line else line for line in text.splitlines()]
 
 
-def build_prompt(parts: StructuredPrompt) -> str:
-    """Render the five sections in fixed order as canonical prompt text."""
-    if not parts.goal.strip():
+def build_prompt(
+    scenario_label: str, scenario_text: str, goal: str, objectives: str,
+    rules: Sequence[str] = (), exemplars: Sequence[Exemplar] = (),
+) -> str:
+    """Render the five sections in fixed order as canonical prompt text; the
+    Rules and Prior Experience sections are left out when empty."""
+    if not goal.strip():
         raise ValueError("prompt goal must be non-empty")
-    if not parts.objectives.strip():
+    if not objectives.strip():
         raise ValueError("prompt objectives must be non-empty")
 
-    lines: list[str] = [parts.scenario_label]
-    lines += _indent_block(parts.scenario_text)
+    lines: list[str] = [scenario_label]
+    lines += _indent_block(scenario_text)
     lines.append(SECTION_GOAL)
-    lines += _indent_block(parts.goal)
+    lines += _indent_block(goal)
     lines.append(SECTION_OBJECTIVES)
-    lines += _indent_block(parts.objectives)
-    if parts.rules:
+    lines += _indent_block(objectives)
+    if rules:
         lines.append(SECTION_RULES)
-        for rule in parts.rules:
+        for rule in rules:
             lines += _indent_block(rule)
-    if parts.exemplars:
+    if exemplars:
         lines.append(SECTION_EXPERIENCE)
-        for index, exemplar in enumerate(parts.exemplars, start=1):
+        for index, exemplar in enumerate(exemplars, start=1):
             lines.append(f"{_INDENT}Example {index}:")
             lines += _indent_block(exemplar.scenario_text, depth=2)
             lines += _indent_block(exemplar.plan_text, depth=2)
@@ -170,6 +181,11 @@ def extract_section(prompt_text: str, header: str) -> str:
     if not collecting:
         raise KeyError(f"section {header!r} not found")
     return "\n".join(body).rstrip("\n")
+
+
+def rule_lines(text: str) -> list[str]:
+    """One rule per non-empty line, with list bullets/numbering stripped."""
+    return [rule for line in text.splitlines() if (rule := _BULLET_RE.sub("", line).strip())]
 
 
 def assignment_lines(text: str) -> list[tuple[str, list[str]]]:

@@ -78,19 +78,18 @@ class CorpusStats:
 
     total: int
     doc_freq: dict[str, int]
-    lengths: dict[int, int]
     avg_length: float
 
     @classmethod
     def from_rules(cls, rules: Sequence[RuleEntry]) -> "CorpusStats":
         doc_freq: Counter[str] = Counter()
-        lengths: dict[int, int] = {}
+        total_length = 0
         for rule in rules:
             tokens = tokenize(rule.text)
-            lengths[rule.id] = len(tokens)
+            total_length += len(tokens)
             doc_freq.update(set(tokens))
-        avg = sum(lengths.values()) / len(lengths) if lengths else 0.0
-        return cls(total=len(rules), doc_freq=dict(doc_freq), lengths=lengths, avg_length=avg)
+        avg = total_length / len(rules) if rules else 0.0
+        return cls(total=len(rules), doc_freq=dict(doc_freq), avg_length=avg)
 
 
 def idf(term: str, stats: CorpusStats) -> float:
@@ -206,7 +205,7 @@ def ensemble_retrieve(
     query_text: str,
     db: "RulesDatabase",
     k: int,
-    embedder: Embedder | None = None,
+    embedder: Embedder = HashedEmbedder(),
 ) -> list[RuleEntry]:
     """Top-k rules under reciprocal rank fusion (`RRF_ALPHA`, `RRF_C`) of
     the BM25 (`BM25_K1`, `BM25_B`) and dense rankings.
@@ -217,7 +216,7 @@ def ensemble_retrieve(
     empty store, k < 1, or a query or rule vector the embedder gives a zero
     or non-finite norm (`dense_score`).
     """
-    ranking = db._ranking(query_text, embedder or HashedEmbedder())
+    ranking = db._ranking(query_text, embedder)
     if not ranking:
         raise ValueError("rules database is empty")
     if k < 1:
@@ -353,7 +352,7 @@ def retrieve_experiences(
     db: "ExperienceDatabase",
     k: int,
     m: int,
-    embedder: Embedder | None = None,
+    embedder: Embedder = HashedEmbedder(),
 ) -> list[ExperienceRecord]:
     """Top-k most similar stored missions, re-ranked by preference fit.
 
@@ -377,7 +376,6 @@ def retrieve_experiences(
         raise ValueError("m must be >= 0")
     if m > k:
         raise ValueError("m must be <= k")
-    embedder = embedder or HashedEmbedder()
 
     dim = sections.shape[1] // 3
     queries = embed_scenario_sections(scenario, embedder)
@@ -509,12 +507,12 @@ class _AppendLog:
 
     def read_all(self, convert: Callable[[Any], Any]) -> Iterator[Any]:
         """`convert(payload)` for each line's payload in file order, one line
-        at a time, so no payload outlives its line. A line that is not JSON,
-        or whose payload `convert` rejects (`KeyError`, `TypeError`,
-        `ValueError`, `AttributeError`), raises `CorruptLogError`, unless it
-        is a final line with no newline that is not JSON: that torn append is
-        skipped. The next append's repair is set only once every line has
-        been converted."""
+        at a time, so no payload outlives its line. A line that is not JSON
+        (or nests too deeply to decode), or whose payload `convert` rejects
+        (`KeyError`, `TypeError`, `ValueError`, `AttributeError`), raises
+        `CorruptLogError`, unless it is a final line with no newline that is
+        not JSON: that torn append is skipped. The next append's repair is
+        set only once every line has been converted."""
         if self.path is None or not self.path.exists():
             return
         size, repair = 0, None
@@ -526,7 +524,7 @@ class _AppendLog:
                 torn = not line.endswith(b"\n")  # only the final line can be
                 try:
                     payload = json.loads(line)
-                except ValueError as exc:
+                except (RecursionError, ValueError) as exc:  # nested too deeply, or not JSON
                     if not torn:
                         raise CorruptLogError(f"{self.path}, line {number}: not JSON: {exc}") from exc
                     logger.warning("%s: skipping torn final line (%d bytes)", self.path, len(line))

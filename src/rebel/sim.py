@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -99,7 +100,10 @@ class SimConfig:
         ValueError, naming the key, for a key that names no setting, a tier
         map that does not give every tier a number, or a value that is not a
         finite number (for `seed`, an integer)."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:  # JSON nested past the interpreter's stack
+            raise ValueError("JSON nested too deeply to decode") from None
         if not isinstance(raw, dict):
             raise ValueError(f"a sim config must be an object, got {json.dumps(raw)}")
         default, known = cls(), {f.name for f in fields(cls)}
@@ -118,8 +122,9 @@ class SimConfig:
 
 
 def _finite(name: str, value):
-    """`value`, or a ValueError naming `name` unless it is a finite number."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    """`value`, or a ValueError naming `name` unless it is a finite number:
+    not a bool, NaN, an infinity or an int beyond the float range."""
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
         raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
     return value
 

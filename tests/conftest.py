@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from rebel.core import (
     Assignment,
@@ -28,6 +29,28 @@ def make_scenario(
         tasks=tuple(TaskSpec(i, loc, d) for i, loc, d in tasks),
         arena_side=arena_side,
     )
+
+
+# integers past the float range, which `float()` refuses with OverflowError
+HUGE_INTS = st.sampled_from([10**400, -(10**400), 2**1024])
+
+
+def json_values(max_leaves: int = 6):
+    """Any value `json.loads` can return, NaN, infinities and integers past
+    the float range among them."""
+    scalars = (
+        st.none() | st.booleans() | st.text(max_size=6) | st.integers() | HUGE_INTS
+        | st.floats()
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=max_leaves,
+    )
+
+
+# deeper than the interpreter's stack, so `json.loads` raises RecursionError
+DEEPLY_NESTED = "[" * 100_000
 
 
 @pytest.fixture

@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import random
 import re
 import statistics
 import sys
+import tempfile
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebel import bench, sim
@@ -62,7 +65,7 @@ from rebel.pipeline import (
 )
 from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from rebel.sim import SimConfig, run_mission
-from conftest import make_scenario
+from conftest import DEEPLY_NESTED, json_values, make_scenario
 
 
 class TestRandomScenario:
@@ -1099,6 +1102,10 @@ class TestExperimentSpecJson:
             ('{"preferences": {"TP": 1}}', "preferences must be a list"),
             ('{"methods": "random"}', 'methods must be a list, got "random"'),
             ("[1, 2]", "a spec must be an object"),
+            pytest.param(DEEPLY_NESTED, "JSON nested too deeply to decode", id="nested-too-deeply"),
+            pytest.param(
+                '{"change": ' + DEEPLY_NESTED, "JSON nested too deeply to decode", id="nested-too-deeply-under-a-key"
+            ),
         ],
     )
     def test_values_of_the_wrong_shape_rejected(self, tmp_path, text, message):
@@ -1106,6 +1113,28 @@ class TestExperimentSpecJson:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentSpec.from_json(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.dictionaries(
+        st.sampled_from(sorted(
+            {f.name for f in fields(ExperimentSpec)} - {"team"} | {f.name for f in fields(TeamSpec)}
+        )),
+        json_values()
+        | st.sampled_from([Mode.SOO, Mode.MOO, Mode.SITUATIONAL])
+        | st.lists(st.dictionaries(st.sampled_from(["TP", "MT", "HW"]), json_values()), max_size=2)
+        | st.dictionaries(st.sampled_from([f.name for f in fields(CompositionChange)]), json_values()),
+        min_size=1, max_size=4,
+    ))
+    @example(raw={"trials": 10**400, "preferences": [{"TP": 2**1024}]})
+    @example(raw={"mode": Mode.SITUATIONAL, "change": {"remove_ids": [10**400]}})
+    def test_any_json_value_under_any_key_loads_or_is_a_value_error(self, raw):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "spec.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            try:
+                ExperimentSpec.from_json(path)
+            except ValueError:
+                pass  # any other exception type fails the test
 
 
 def test_welch_test_detects_obvious_difference():

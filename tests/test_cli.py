@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
+from http.server import HTTPServer
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from rebel.core import Objective, Tier
 from rebel.llm import StubProvider
 from rebel.retrieval import ExperienceDatabase, RulesDatabase
 from rebel.sim import SimConfig
+from conftest import DEEPLY_NESTED
+from test_llm import ScriptedHandler
 
 
 class TestParsePreferences:
@@ -485,9 +490,14 @@ def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_simulate_error(tmp
         ('{"analysis_service_s": {"Lo": -20, "Med": 40, "Hi": 60}}', "analysis_service_s.Lo must be >= 0"),
         ('{"points_per_correct": -5}', "points_per_correct must be >= 0, got -5"),
         ('{"workload_coef": -1.0}', "workload_coef must be >= 0, got -1.0"),
+        (DEEPLY_NESTED, "JSON nested too deeply to decode"),
+        ('{"points_per_correct": 1' + "0" * 400 + "}", "points_per_correct must be a finite number"),
+        ('{"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": 1' + "0" * 400 + "}}",
+         "skill_multiplier.Hi must be a finite number"),
     ],
     ids=["missing", "not-json", "unknown-key", "missing-tier", "nan",
-         "zero-speed", "negative-service", "negative-points", "negative-workload"],
+         "zero-speed", "negative-service", "negative-points", "negative-workload",
+         "nested-too-deeply", "huge-int", "huge-int-tier"],
 )
 def test_a_bad_sim_config_is_a_one_line_error(tmp_path, capsys, command, content, message):
     paths = _input_files(tmp_path)
@@ -497,3 +507,75 @@ def test_a_bad_sim_config_is_a_one_line_error(tmp_path, capsys, command, content
     argv = [*_argv(command, tmp_path, paths), "--sim-config", str(sim_config)]
     _assert_one_line_error(capsys, argv, sim_config, message)
     assert not (tmp_path / "out").exists() and not (tmp_path / "exp.jsonl").exists()
+
+
+def test_a_spec_nested_too_deeply_is_a_one_line_error(tmp_path, capsys):
+    paths = _input_files(tmp_path)
+    paths["spec.json"].write_text(DEEPLY_NESTED)
+    _assert_one_line_error(
+        capsys, _argv("bench", tmp_path, paths), paths["spec.json"], "JSON nested too deeply to decode"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def _assert_aborted_stage(capsys, argv, message, stored):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.endswith(f" ({stored} records stored before the abort)\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_gen_rules_against_an_unreachable_provider_is_a_one_line_error(tmp_path, capsys):
+    argv = [
+        "gen-rules", "--rules-db", str(tmp_path / "rules.jsonl"),
+        "--provider", "http", "--endpoint", "http://127.0.0.1:9/v1", "--retries", "0",
+    ]
+    _assert_aborted_stage(capsys, argv, "rule generation aborted at objective TP: ", 0)
+
+
+def test_gen_rules_counts_the_rules_stored_before_the_abort(tmp_path, capsys):
+    rules = tmp_path / "rules.jsonl"
+    server = HTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    ScriptedHandler.requests_seen = []
+    ScriptedHandler.script = [
+        (200, {"choices": [{"message": {"content": "- Rule one.\n- Rule two."}}]}),
+        (401, {"error": "bad key"}),
+    ]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        argv = [
+            "gen-rules", "--rules-db", str(rules), "--objectives", "TP,MT",
+            "--provider", "http", "--endpoint", f"http://127.0.0.1:{server.server_port}/v1",
+        ]
+        _assert_aborted_stage(capsys, argv, "rule generation aborted at objective MT: ", 2)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(RulesDatabase(rules)) == 2  # what was stored stays stored
+
+
+def test_gen_exp_on_an_empty_rules_store_is_a_one_line_error(tmp_path, capsys):
+    argv = ["gen-exp", "--rules-db", str(tmp_path / "rules.jsonl"), "--exp-db", str(tmp_path / "exp.jsonl")]
+    _assert_aborted_stage(capsys, argv, "rules database has no rules for objective TP", 0)
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_a_stored_plan_that_does_not_decode_is_a_one_line_error(tmp_path, capsys, command):
+    paths = _input_files(tmp_path)
+    rules, exp = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+    assert main(["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1"]) == 0
+    records = [json.loads(line) for line in exp.read_text(encoding="utf-8").splitlines()]
+    exp.write_text("".join(json.dumps({**r, "plan": "T_0: (NOPE_9)"}) + "\n" for r in records))
+    paths["spec.json"].write_text(json.dumps({"trials": 1, "methods": ["rebel"]}))
+    argv = _argv(command, tmp_path, paths)
+    if command == "bench":
+        argv += ["--rules-db", str(rules), "--exp-db", str(exp)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert re.match(rf"error: {re.escape(str(exp))}: experience record \d+: bad plan: ", captured.err)

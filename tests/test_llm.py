@@ -37,7 +37,6 @@ from rebel.prompt import (
     GOAL_REFINE_RULES,
     SECTION_BACKGROUND,
     SECTION_SCENARIO,
-    StructuredPrompt,
     build_prompt,
     objectives_text,
     parse_ita_plan,
@@ -179,6 +178,7 @@ DEGENERATE_EMBEDDINGS = {
     "huge_int": b'{"data": [{"embedding": [1' + b"0" * 400 + b', 1]}]}',
     "booleans": b'{"data": [{"embedding": [true, false]}]}',
     "strings": b'{"data": [{"embedding": ["0.6", "0.8"]}]}',
+    "nested_too_deeply": b"[" * 100_000,
 }
 
 
@@ -212,6 +212,7 @@ MALFORMED_CHAT_BODIES = {
     "not_json": b"<html>gateway says hi</html>",
     "null_content": {"choices": [{"message": {"content": None}}]},
     "empty_object": {},
+    "nested_too_deeply": b"[" * 100_000,  # json.loads raises RecursionError
 }
 
 
@@ -307,23 +308,19 @@ class TestRequestValidation:
 
 def rules_prompt(objective: Objective) -> str:
     return build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_BACKGROUND,
-            scenario_text=BACKGROUND_FORMAT,
-            goal=GOAL_GENERATE_RULES,
-            objectives=objectives_text(PreferenceVector.single(objective)),
-        )
+        scenario_label=SECTION_BACKGROUND,
+        scenario_text=BACKGROUND_FORMAT,
+        goal=GOAL_GENERATE_RULES,
+        objectives=objectives_text(PreferenceVector.single(objective)),
     )
 
 
 def allocation_prompt(scenario, prefs) -> str:
     return build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_SCENARIO,
-            scenario_text=scenario.render_spf(),
-            goal=GOAL_PERFORM_ITA,
-            objectives=objectives_text(prefs),
-        )
+        scenario_label=SECTION_SCENARIO,
+        scenario_text=scenario.render_spf(),
+        goal=GOAL_PERFORM_ITA,
+        objectives=objectives_text(prefs),
     )
 
 
@@ -346,13 +343,11 @@ class TestStubProvider:
         stub = StubProvider()
         rules = ("Rule one stays.", "Rule two stays.")
         prompt = build_prompt(
-            StructuredPrompt(
-                scenario_label=SECTION_BACKGROUND,
-                scenario_text=BACKGROUND_FORMAT,
-                goal=GOAL_REFINE_RULES,
-                objectives=objectives_text(PreferenceVector.single(Objective.MISSION_TIME)),
-                rules=rules,
-            )
+            scenario_label=SECTION_BACKGROUND,
+            scenario_text=BACKGROUND_FORMAT,
+            goal=GOAL_REFINE_RULES,
+            objectives=objectives_text(PreferenceVector.single(Objective.MISSION_TIME)),
+            rules=rules,
         )
         assert stub.complete(CompletionRequest(prompt=prompt)) == "\n".join(rules)
 

@@ -24,7 +24,6 @@ from rebel.prompt import (
     PlanInvalid,
     SECTION_BACKGROUND,
     SECTION_SCENARIO,
-    StructuredPrompt,
     build_prompt,
     extract_section,
     objectives_text,
@@ -39,31 +38,27 @@ GOLDENS = Path(__file__).parent / "goldens"
 
 def stage1_prompt() -> str:
     return build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_BACKGROUND,
-            scenario_text=BACKGROUND_FORMAT,
-            goal=GOAL_GENERATE_RULES,
-            objectives=objectives_text(PreferenceVector.single(Objective.MISSION_TIME)),
-        )
+        scenario_label=SECTION_BACKGROUND,
+        scenario_text=BACKGROUND_FORMAT,
+        goal=GOAL_GENERATE_RULES,
+        objectives=objectives_text(PreferenceVector.single(Objective.MISSION_TIME)),
     )
 
 
 def stage3_prompt() -> str:
     scenario = make_scenario()
     return build_prompt(
-        StructuredPrompt(
-            scenario_label=SECTION_SCENARIO,
-            scenario_text=scenario.render_spf(),
-            goal=GOAL_PERFORM_ITA,
-            objectives=objectives_text(PreferenceVector.of(MT=0.55, TP=0.35, HW=0.10)),
-            rules=(
-                "Assign faster robots to tasks farther away.",
-                "Assign skilled humans to difficult tasks.",
-            ),
-            exemplars=(
-                Exemplar(scenario.render_spf(), "T_0: (H_1, UAV_0)\nT_1: (H_0, UGV_0)"),
-            ),
-        )
+        scenario_label=SECTION_SCENARIO,
+        scenario_text=scenario.render_spf(),
+        goal=GOAL_PERFORM_ITA,
+        objectives=objectives_text(PreferenceVector.of(MT=0.55, TP=0.35, HW=0.10)),
+        rules=(
+            "Assign faster robots to tasks farther away.",
+            "Assign skilled humans to difficult tasks.",
+        ),
+        exemplars=(
+            Exemplar(scenario.render_spf(), "T_0: (H_1, UAV_0)\nT_1: (H_0, UGV_0)"),
+        ),
     )
 
 
@@ -109,23 +104,19 @@ class TestBuildPrompt:
     def test_empty_goal_rejected(self):
         with pytest.raises(ValueError):
             build_prompt(
-                StructuredPrompt(
-                    scenario_label=SECTION_BACKGROUND,
-                    scenario_text="x",
-                    goal="  ",
-                    objectives="y",
-                )
+                scenario_label=SECTION_BACKGROUND,
+                scenario_text="x",
+                goal="  ",
+                objectives="y",
             )
 
     def test_empty_objectives_rejected(self):
         with pytest.raises(ValueError):
             build_prompt(
-                StructuredPrompt(
-                    scenario_label=SECTION_BACKGROUND,
-                    scenario_text="x",
-                    goal="y",
-                    objectives="",
-                )
+                scenario_label=SECTION_BACKGROUND,
+                scenario_text="x",
+                goal="y",
+                objectives="",
             )
 
 

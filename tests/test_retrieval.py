@@ -53,7 +53,7 @@ from rebel.bench import random_scenario
 from rebel.llm import STUB_RULES, StubProvider, heuristic_allocate
 from rebel.pipeline import RetrievalConfig, infer
 from rebel.prompt import objectives_text
-from conftest import make_scenario
+from conftest import DEEPLY_NESTED, make_scenario
 from oracles import ref_einsum_top_k, ref_experience_order, ref_fusion_order, ref_section_matrix
 
 
@@ -164,7 +164,7 @@ class TestBm25:
 
     def test_empty_corpus_is_error(self):
         rule = RuleEntry(0, Objective.MISSION_TIME, "anything")
-        empty = CorpusStats(total=0, doc_freq={}, lengths={}, avg_length=0.0)
+        empty = CorpusStats(total=0, doc_freq={}, avg_length=0.0)
         with pytest.raises(ValueError):
             bm25_score(["x"], rule, empty)
 
@@ -1730,6 +1730,13 @@ class TestWrongShapeLines:
         with pytest.raises(CorruptLogError, match=re.escape(f"{path}, line 3: not JSON: ")):
             ExperienceDatabase(path)
 
+    @pytest.mark.parametrize("store", list(_STORES))
+    def test_json_nested_too_deeply_names_the_line(self, tmp_path, store):
+        path, (first, second) = _store_lines(store, tmp_path)
+        _write_lines(path, [first, DEEPLY_NESTED, second])
+        with pytest.raises(CorruptLogError, match=re.escape(f"{path}, line 2: not JSON: maximum recursion")):
+            _STORES[store](path)
+
 
 class TestFailedLoadLeavesTheLog:
     """A load that fails on a bad middle line sets no repair for the next
@@ -1882,6 +1889,16 @@ class TestLazyRecords:
         assert run(m=1).exemplar_ids == (0,)  # the corrupt record is not used
         with pytest.raises(ValueError, match="experience record 1"):
             run(m=2)
+
+    def test_infer_raises_a_corrupt_exemplar_as_a_corrupt_log_naming_the_store(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        _rewrite_record(path, 1, plan="T_0: (NOPE_9)")
+        config = RetrievalConfig(exp_k=2, exp_m=2, embedder=HashedEmbedder(dim=16))
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        with pytest.raises(CorruptLogError) as caught:
+            infer(make_scenario(), prefs, RulesDatabase(), ExperienceDatabase(path), StubProvider(), config)
+        assert str(caught.value).startswith(f"{path}: experience record 1: bad plan: ")
 
 
 # computed with the generator-expression sums and per-token sha256 calls that

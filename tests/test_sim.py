@@ -4,10 +4,15 @@ import hashlib
 import json
 import random
 import statistics
+import tempfile
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rebel.bench import enumerate_plans, random_scenario
 from rebel.core import (
@@ -31,7 +36,7 @@ from rebel.sim import (
     travel_time,
     workload_factor,
 )
-from conftest import make_scenario
+from conftest import DEEPLY_NESTED, json_values, make_scenario
 
 CFG = SimConfig()
 
@@ -503,6 +508,8 @@ class TestSimConfigFile:
             ({"fatigue_floor": None}, "fatigue_floor must be a finite number, got null"),
             ({"fatigue_floor": True}, "fatigue_floor must be a finite number, got true"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"points_per_correct": 10**400}, "points_per_correct must be a finite number, got 1000"),
+            ({"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": -(10**400)}}, "skill_multiplier.Hi must be a finite number"),
         ],
     )
     def test_a_bad_file_is_a_value_error_naming_the_key(self, tmp_path, raw, message):
@@ -533,6 +540,30 @@ class TestSimConfigFile:
     def test_zero_service_time_points_and_workload_are_allowed(self):
         zero = SimConfig(analysis_service_s={tier: 0.0 for tier in Tier}, points_per_correct=0, workload_coef=0)
         assert zero.points_per_correct == zero.workload_coef == 0
+
+    @pytest.mark.parametrize("text", [DEEPLY_NESTED, '{"seed": ' + DEEPLY_NESTED], ids=["bare", "under-a-key"])
+    def test_json_nested_too_deeply_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "sim.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="JSON nested too deeply to decode"):
+            SimConfig.load(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.dictionaries(
+        st.sampled_from([f.name for f in fields(SimConfig)]),
+        json_values() | st.dictionaries(st.sampled_from(["Lo", "Med", "Hi"]), json_values(), min_size=3),
+        min_size=1, max_size=3,
+    ))
+    @example(raw={"points_per_correct": 10**400})
+    @example(raw={"analysis_service_s": {"Lo": 1, "Med": 2**1024, "Hi": 3}})
+    def test_any_json_value_under_any_key_loads_or_is_a_value_error(self, raw):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "sim.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            try:
+                SimConfig.load(path)
+            except ValueError:
+                pass  # any other exception type fails the test
 
     def test_a_partial_file_keeps_the_other_defaults(self, tmp_path):
         path = tmp_path / "sim.json"
