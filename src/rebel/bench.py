@@ -137,6 +137,18 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
         if self.mode not in (Mode.SOO, Mode.MOO, Mode.SITUATIONAL):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if "brute_force" in self.methods and not situational:  # N/A there: it cannot re-plan
+            # the trial's plans number candidates ** pois (`_plan_rows`); multiplied
+            # out only until past the cap, so a vast team builds no vast integer
+            candidates, plans = self.team.robots * (1 + self.team.humans), 1
+            for _ in range(self.team.pois if candidates > 1 else 0):
+                plans *= candidates
+                if plans > BRUTE_FORCE_CAP:
+                    raise ValueError(
+                        f"brute_force would search ({self.team.robots} x (1 + {self.team.humans}))"
+                        f"^{self.team.pois} plans, more than the {BRUTE_FORCE_CAP} plan cap; "
+                        "use a smaller team or fewer pois"
+                    )
         if not self.preferences:
             object.__setattr__(self, "preferences", default_preferences(self.mode))
         if situational:

@@ -144,6 +144,17 @@ def _build_embedder(args: argparse.Namespace):
     return HttpEmbedder(_provider_config(args))
 
 
+def _check_embedding_dim(path: str, exp_db: ExperienceDatabase, embedder) -> None:
+    """InputError unless `embedder` embeds at the dimension of the records in
+    `exp_db` (its first one's; an empty store fits any), checked before any
+    retrieval scores against them."""
+    records = exp_db.records()
+    if records:
+        stored, query = len(records[0].emb_humans), len(embedder.embed("dimension probe"))
+        if stored != query:
+            raise InputError(f"{path}: embedded at dim {stored}, query at dim {query}")
+
+
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     cfg = _read(args.sim_config, SimConfig.load) if args.sim_config else SimConfig()
     if getattr(args, "seed", None) is not None:
@@ -194,6 +205,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         rule_k=args.rule_k, exp_k=args.exp_k, exp_m=args.exp_m, embedder=_build_embedder(args)
     )
     rules_db, exp_db = RulesDatabase(args.rules_db), ExperienceDatabase(args.exp_db)
+    _check_embedding_dim(args.exp_db, exp_db, retrieval.embedder)
     sim_cfg = _sim_config(args)
     result = infer(
         scenario, args.prefs, rules_db, exp_db, _build_provider(args, sim_cfg), retrieval, sim_cfg
@@ -242,6 +254,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         require_stores(spec, deps)
     except ValueError as exc:
         raise InputError(exc) from exc
+    if "rebel" in spec.methods:
+        _check_embedding_dim(args.exp_db, deps.exp_db, deps.retrieval.embedder)
     try:
         report = run_experiment(spec, deps)
     except CompositionError as exc:

@@ -322,15 +322,13 @@ def heuristic_allocate(
             route_end[fastest] = location
             assignments[task.id] = autonomous[fastest]
     elif dominant is Objective.TASK_PERFORMANCE:
-        # the best three analysts; the stable sort keeps id order among equals
+        # the best three analysts and, for a round robin, every robot best
+        # camera first; the stable sorts keep id order among equals
         analysts = sorted(scenario.humans, key=lambda h: (-h.skill.rank, -h.cognition.rank))[:3]
-        camera = [-r.camera_quality.rank for r in robots]
-        load = [0] * len(robots)
+        by_camera = sorted(robots, key=lambda r: -r.camera_quality.rank)
         hard_index = 0
-        for task in scenario.tasks:
-            r_index = min(range(len(robots)), key=lambda i: (load[i], camera[i]))
-            load[r_index] += 1
-            robot = robots[r_index]
+        for t_index, task in enumerate(scenario.tasks):
+            robot = by_camera[t_index % len(by_camera)]
             if task.difficulty is Tier.HIGH and analysts:
                 analyst = analysts[hard_index % len(analysts)]
                 hard_index += 1
@@ -363,16 +361,25 @@ def heuristic_allocate(
         if slow and scenario.tasks:
             raise ValueError(f"speed must be > 0, got {slow[0]}")
         # (robot index, slot, assignment) per candidate, in (robot, human) order
+        offsets = [0] + [1 + skills.index(h.skill) for h in scenario.humans]
         candidates = [
-            (r_index, r_index * len(scales) + (0 if h is None else 1 + skills.index(h.skill)),
-             Assignment(robot.id, None if h is None else h.id))
+            (r_index, r_index * len(scales) + offset, Assignment(robot.id, None if h is None else h.id))
             for r_index, robot in enumerate(robots)
-            for h in patterns
+            for h, offset in zip(patterns, offsets)
         ]
+        # A candidate's nominal (fresh-operator) accuracy is its robot's when
+        # autonomous, else its analyst's, and reads only the camera tier or
+        # the (cognition, skill) pair. So per task difficulty each distinct
+        # one is scored once, and `sources` places each candidate's among
+        # them, cameras first.
+        cameras = list(dict.fromkeys(r.camera_quality for r in robots))
+        profiles = {(h.cognition, h.skill): h for h in scenario.humans}
+        pairs = list(profiles)
+        human_sources = [len(cameras) + pairs.index((h.cognition, h.skill)) for h in scenario.humans]
+        sources = [s for r in robots for s in (cameras.index(r.camera_quality), *human_sources)]
         # Per task difficulty: each slot's (robot index, speed, service) leg,
         # service 0.0 when autonomous (adding it changes no sum), and each
-        # candidate's slot and weighted terms for its nominal (fresh-operator)
-        # accuracy, a robot's when autonomous, else its analyst's, and workload.
+        # candidate's slot and weighted accuracy and workload terms.
         tables = {}
         for tier in Tier:
             service = cfg.analysis_service_s[tier]
@@ -381,12 +388,9 @@ def heuristic_allocate(
                 for r_index, row in enumerate(speeds)
                 for pattern, speed in enumerate(row)
             ]
-            humans = [human_accuracy_probability(h, 0.0, 0, tier, cfg) for h in scenario.humans]
-            accuracy = _normalized([
-                p
-                for r in robots
-                for p in (robot_accuracy_probability(r.camera_quality, tier, None, cfg), *humans)
-            ], True)
+            scored = [robot_accuracy_probability(c, tier, None, cfg) for c in cameras]
+            scored += [human_accuracy_probability(h, 0.0, 0, tier, cfg) for h in profiles.values()]
+            accuracy = _normalized([scored[source] for source in sources], True)
             terms = [
                 (slot, w_perf * a, w_load * w)
                 for (_, slot, _), a, w in zip(candidates, accuracy, workload)

@@ -360,12 +360,15 @@ def retrieve_experiences(
     store's cached float32 matrix of unit section rows screens it in one
     matrix product, and only the rows near its top are scored exactly, in
     float64 from their records' packed embeddings); a k above the store's
-    size takes every record. The k candidates are then ordered by the
-    weighted normalized objective score of their recorded performance
+    size takes every record. The store keeps those k per scenario
+    (`ExperienceDatabase._nearest`), so asking again under another
+    preference vector only re-ranks. The k candidates are then ordered by
+    the weighted normalized objective score of their recorded performance
     (bounds taken over the candidates) and the best m returned. All ties,
     in similarity and in score, break toward the lower record id.
     `ValueError` for an empty store, k < 1, m < 0, m > k, or a query section
-    the embedder gives a zero or non-finite norm.
+    the embedder gives a zero or non-finite norm or another dimension than
+    the store's.
     """
     records, sections = db._scoring_snapshot()
     if not records:
@@ -377,14 +380,7 @@ def retrieve_experiences(
     if m > k:
         raise ValueError("m must be <= k")
 
-    dim = sections.shape[1] // 3
-    queries = embed_scenario_sections(scenario, embedder)
-    for query in queries:
-        if len(query) != dim:
-            raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
-    rows = _top_rows(records, sections, np.array(queries).ravel(), min(k, len(records)))
-    top_k = [records[row] for row in rows]
-
+    top_k = db._nearest(scenario, records, sections, min(k, len(records)), embedder)
     columns = performance_columns([rec.performance for rec in top_k])
     fit = aggregate_scores(columns, prefs, NormalizationBounds.from_columns(columns)).tolist()
     order = sorted(range(len(top_k)), key=lambda i: (-fit[i], top_k[i].id))
@@ -542,8 +538,9 @@ class _AppendLog:
         self._repair = repair
 
 
-# At most this many query texts' rankings are kept per store state, so a
-# long-lived store asked for ever new preference vectors does not grow.
+# At most this many rankings (of query texts, or of scenarios' nearest
+# records) are kept per store state, so a long-lived store asked about ever
+# new queries does not grow.
 _RANKINGS_KEPT = 64
 
 
@@ -693,8 +690,9 @@ class ExperienceDatabase:
     """Append-only store of (scenario, plan, performance) mission records, kept
     in id order with a set of (objective, scenario text, plan text) dedup keys
     and, once retrieved from, a float32 matrix of their unit section rows
-    (`_section_matrix`); the records' packed bytes are the only float64 copy
-    of the embeddings."""
+    (`_section_matrix`) and the nearest records of the last `_RANKINGS_KEPT`
+    scenarios asked about (`_nearest`); the records' packed bytes are the
+    only float64 copy of the embeddings."""
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
@@ -704,6 +702,9 @@ class ExperienceDatabase:
         self._next_id = self._records[-1].id + 1 if self._records else 0
         # (record count, `_section_matrix` of that many records); replaced whole
         self._sections = (0, np.empty((0, 0), np.float32))
+        # (record count, embedder, {(section texts, k): nearest k records});
+        # replaced whole, never mutated
+        self._nearest_memo: tuple[int, Embedder | None, dict] = (0, None, {})
         self._lock = threading.Lock()
 
     @property
@@ -733,6 +734,47 @@ class ExperienceDatabase:
             matrix = _section_matrix(records)
             self._sections = (len(records), matrix)
         return records, matrix
+
+    def _nearest(
+        self,
+        scenario: MissionScenario,
+        records: tuple[ExperienceRecord, ...],
+        sections: np.ndarray,
+        k: int,
+        embedder: Embedder,
+    ) -> tuple[ExperienceRecord, ...]:
+        """The k of `records` and their matrix `sections` (one
+        `_scoring_snapshot`) most similar to `scenario`, best first
+        (`_top_rows`); 1 <= k <= len(records).
+
+        Kept under the scenario's three section texts and k, the only inputs
+        besides the store and the embedder, for up to `_RANKINGS_KEPT`
+        scenarios. A kept answer is served only while the store holds the
+        record count and the equal (`==`) embedder it was found with, so
+        none made before a store is served after it. A miss raises what
+        embedding and scoring raise, and keeps nothing.
+        """
+        texts = (
+            scenario.render_human_section(),
+            scenario.render_robot_section(),
+            scenario.render_task_section(),
+        )
+        count, held_by, nearest = self._nearest_memo
+        if count != len(records) or held_by != embedder:
+            nearest = {}
+        elif (texts, k) in nearest:
+            return nearest[texts, k]
+        dim = sections.shape[1] // 3
+        queries = embed_scenario_sections(scenario, embedder)
+        for query in queries:
+            if len(query) != dim:
+                raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
+        rows = _top_rows(records, sections, np.array(queries).ravel(), k)
+        top = tuple(records[row] for row in rows)
+        if len(nearest) >= _RANKINGS_KEPT:
+            nearest = {}
+        self._nearest_memo = (len(records), embedder, {**nearest, (texts, k): top})
+        return top
 
     def store(
         self,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from rebel import retrieval
 from rebel.core import (
     Assignment,
     HumanProfile,
@@ -51,6 +52,20 @@ def json_values(max_leaves: int = 6):
 
 # deeper than the interpreter's stack, so `json.loads` raises RecursionError
 DEEPLY_NESTED = "[" * 100_000
+
+
+@pytest.fixture
+def top_rows_calls(monkeypatch):
+    """The k of each `retrieval._top_rows` call made while the test runs."""
+    calls = []
+    real = retrieval._top_rows
+
+    def counting(records, sections, query, k):
+        calls.append(k)
+        return real(records, sections, query, k)
+
+    monkeypatch.setattr(retrieval, "_top_rows", counting)
+    return calls
 
 
 @pytest.fixture

@@ -837,6 +837,16 @@ def populated_deps(workers: int) -> BenchDeps:
     )
 
 
+def test_rebel_scores_each_trials_scenario_once_across_its_vectors(top_rows_calls):
+    spec = ExperimentSpec(
+        mode=Mode.MOO, team=TeamSpec(2, 3, 5), trials=3, seed=5, methods=("rebel",),
+        preferences=(*rotation_preferences(), PreferenceVector.of(TP=1, MT=1, HW=1)),
+    )
+    report = run_experiment(spec, populated_deps(1))
+    assert [len(cell.records) for cell in report.cells] == [3] * 4
+    assert top_rows_calls == [3] * 3  # one per trial, not one per (trial, vector)
+
+
 def report_bytes(report, directory) -> bytes:
     """`report.csv` without its `runtime_s` column, then `summary.txt`."""
     report.to_csv(directory / "report.csv")
@@ -1084,6 +1094,43 @@ class TestExperimentSpecJson:
     def test_negative_seed_and_empty_team_edges_accepted(self):
         spec = ExperimentSpec(team=TeamSpec(humans=0, robots=1, pois=0), seed=-4)
         assert (spec.team, spec.seed) == (TeamSpec(0, 1, 0), -4)
+
+    @pytest.mark.parametrize("mode", [Mode.SOO, Mode.MOO])
+    def test_brute_force_past_the_plan_cap_rejected(self, tmp_path, mode):
+        # 1 robot x (1 + 9 humans) = 10 candidates per task: 10**5 plans is the cap
+        assert bench.BRUTE_FORCE_CAP == 10**5
+        spec = ExperimentSpec(mode=mode, team=TeamSpec(9, 1, 5), methods=("brute_force",))
+        assert spec.team.pois == 5
+        message = r"^brute_force would search \(1 x \(1 \+ 9\)\)\^6 plans, more than the 100000 plan cap"
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(mode=mode, team=TeamSpec(9, 1, 6), methods=("heuristic", "brute_force"))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"mode": mode, "humans": 9, "robots": 1, "pois": 6, "methods": ["brute_force"]}))
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_json(path)
+
+    @pytest.mark.parametrize("humans, robots", [(0, 1), (0, 2), (1, 1), (2, 3), (3, 2)])
+    def test_the_spec_refuses_exactly_what_the_search_refuses(self, humans, robots):
+        pois = 0
+        while pois < 40:  # one candidate a task never passes the cap
+            try:
+                ExperimentSpec(team=TeamSpec(humans, robots, pois + 1), methods=("brute_force",))
+            except ValueError:
+                break
+            pois += 1
+        assert len(bench._plan_rows(random_scenario(humans, robots, pois, seed=1))) <= bench.BRUTE_FORCE_CAP
+        if pois < 40:
+            with pytest.raises(ValueError, match="plan cap"):
+                bench._plan_rows(random_scenario(humans, robots, pois + 1, seed=1))
+
+    def test_a_vast_brute_force_team_is_refused_at_once(self):
+        huge = 10**4000
+        with pytest.raises(ValueError, match="more than the 100000 plan cap"):
+            ExperimentSpec(team=TeamSpec(huge, huge, huge), methods=("brute_force",))
+
+    def test_situational_brute_force_is_not_refused_since_it_never_runs(self):
+        spec = ExperimentSpec(mode=Mode.SITUATIONAL, team=TeamSpec(5, 7, 30), methods=("zero_shot", "brute_force"))
+        assert spec.team == TeamSpec(5, 7, 30)
 
     def test_brute_force_samples_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="brute_force_samples must be >= 1"):

@@ -288,6 +288,10 @@ def test_infer_plans_under_its_sim_config(tmp_path, capsys):
         ({"preferences": [5]}, "a preferences entry must be an object"),
         ({"methods": "random"}, "methods must be a list"),
         ({"methods": ["brute_force"], "brute_force_samples": 0}, "brute_force_samples must be"),
+        (
+            {"humans": 5, "robots": 7, "pois": 30, "trials": 1, "methods": ["brute_force"]},
+            "brute_force would search (7 x (1 + 5))^30 plans, more than the 100000 plan cap",
+        ),
         ([], "a spec must be an object"),
         ({"trials": "3"}, 'trials must be an integer, got "3"'),
         ({"humans": -1, "trials": 1}, "humans must be >= 0"),
@@ -543,7 +547,9 @@ def test_gen_rules_counts_the_rules_stored_before_the_abort(tmp_path, capsys):
         (200, {"choices": [{"message": {"content": "- Rule one.\n- Rule two."}}]}),
         (401, {"error": "bad key"}),
     ]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         argv = [
@@ -560,6 +566,25 @@ def test_gen_rules_counts_the_rules_stored_before_the_abort(tmp_path, capsys):
 def test_gen_exp_on_an_empty_rules_store_is_a_one_line_error(tmp_path, capsys):
     argv = ["gen-exp", "--rules-db", str(tmp_path / "rules.jsonl"), "--exp-db", str(tmp_path / "exp.jsonl")]
     _assert_aborted_stage(capsys, argv, "rules database has no rules for objective TP", 0)
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_an_embedder_of_another_dimension_is_a_one_line_error(tmp_path, capsys, command):
+    paths = _input_files(tmp_path)
+    rules, exp = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+    assert main(["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1"]) == 0
+    paths["spec.json"].write_text(json.dumps({"humans": 2, "robots": 2, "pois": 3, "trials": 1, "methods": ["rebel"]}))
+    argv = _argv(command, tmp_path, paths)
+    if command == "bench":
+        argv += ["--rules-db", str(rules), "--exp-db", str(exp)]
+    capsys.readouterr()
+    assert main([*argv, "--embed-dim", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exp}: embedded at dim 256, query at dim 64\n"
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--embed-dim", "256"]) == 0  # the store's own dimension
 
 
 @pytest.mark.parametrize("command", ["infer", "bench"])

@@ -92,7 +92,9 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), ScriptedHandler)
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()

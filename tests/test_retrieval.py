@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -1034,6 +1035,146 @@ class TestRetrievalGolden:
                     ids = _ids(retrieve_experiences(scenario, prefs, db, k=k, m=m))
                     digest.update(f"{ids}\n".encode("utf-8"))
         assert digest.hexdigest() == self.GOLDEN
+
+
+@pytest.fixture
+def embedded_scenarios(monkeypatch):
+    """The scenarios `embed_scenario_sections` embeds while the test runs."""
+    seen = []
+    real = retrieval.embed_scenario_sections
+
+    def counting(scenario, embedder):
+        seen.append(scenario)
+        return real(scenario, embedder)
+
+    monkeypatch.setattr(retrieval, "embed_scenario_sections", counting)
+    return seen
+
+
+class TestNearestMemo:
+    """The store keeps each scenario's k nearest records per record count
+    and equal embedder (`ExperienceDatabase._nearest`), so asking about a
+    scenario again, under any preference vector, only re-ranks."""
+
+    PREFS = TestRetrievalGolden.PREFS
+
+    @staticmethod
+    def _persisted_store(path) -> list[MissionScenario]:
+        """30 records of seeded scenarios in a log at `path`; returns the scenarios."""
+        embedder, rng = HashedEmbedder(dim=64), random.Random(26)
+        db, scenarios = ExperienceDatabase(path), []
+        for index in range(30):
+            sizes = rng.randint(1, 5), rng.randint(1, 7), rng.randint(1, 30)
+            scenarios.append(random_scenario(*sizes, seed=300 + index))
+            performance = PerformanceRecord(rng.uniform(0, 50), rng.uniform(100, 900), rng.uniform(0, 0.8))
+            store_mission(db, list(Objective)[index % 3], scenarios[-1], performance, embedder)
+        return scenarios
+
+    def test_every_order_of_four_vectors_retrieves_as_a_fresh_store(self, tmp_path, top_rows_calls):
+        path = tmp_path / "exp.jsonl"
+        stored = self._persisted_store(path)
+        queries = (stored[3], random_scenario(3, 4, 10, seed=999))
+        sizes = ((3, 2), (10, 10), (40, 5))
+
+        def ask(db, query, prefs, k, m):
+            return retrieve_experiences(query, prefs, db, k=k, m=m, embedder=HashedEmbedder(dim=64))
+
+        want = {
+            (q, prefs, k): ask(ExperienceDatabase(path), query, prefs, k, m)
+            for q, query in enumerate(queries)
+            for prefs in self.PREFS
+            for k, m in sizes
+        }
+        for order in itertools.permutations(self.PREFS):
+            db = ExperienceDatabase(path)
+            top_rows_calls.clear()
+            for prefs in order:
+                for q, query in enumerate(queries):
+                    for k, m in sizes:
+                        assert ask(db, query, prefs, k, m) == want[q, prefs, k]
+            # one scoring per scenario and k; a k past the store's 30 is k = 30
+            assert sorted(top_rows_calls) == [3, 3, 10, 10, 30, 30]
+
+    def test_a_repeated_scenario_embeds_nothing_and_scores_no_row(
+        self, top_rows_calls, embedded_scenarios
+    ):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        first = {prefs: retrieve_experiences(base, prefs, db, k=4, m=2, embedder=embedder) for prefs in self.PREFS}
+        assert top_rows_calls == [4] and embedded_scenarios == [base]
+        # an equal scenario and an equal embedder hit too
+        again = make_scenario()
+        for prefs in self.PREFS:
+            got = retrieve_experiences(again, prefs, db, k=4, m=2, embedder=HashedEmbedder(dim=64))
+            assert got == first[prefs]
+            assert _ids(got) == ref_experience_order(base, prefs, db.records(), embedder, 4, 2)
+        assert top_rows_calls == [4] and embedded_scenarios == [base]
+        retrieve_experiences(base, self.PREFS[0], db, k=3, m=2, embedder=embedder)
+        assert top_rows_calls == [4, 3]  # another k scores afresh
+
+    def test_a_store_between_two_queries_is_seen(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        stored = self._persisted_store(path)
+        db, embedder = ExperienceDatabase(path), HashedEmbedder(dim=64)
+        query, prefs = stored[7], self.PREFS[1]
+        before = retrieve_experiences(query, prefs, db, k=3, m=3, embedder=embedder)
+        # the same scenario, so it ties the stored one's similarity; best on every objective
+        record = store_mission(db, Objective.MISSION_TIME, query, PerformanceRecord(50, 100, 0.0), embedder)
+        after = retrieve_experiences(query, prefs, db, k=3, m=3, embedder=embedder)
+        assert record not in before and after[0] == record
+        assert after == retrieve_experiences(query, prefs, ExperienceDatabase(path), k=3, m=3, embedder=embedder)
+
+    def test_an_unequal_embedder_misses(self, top_rows_calls):
+        db, base = toy_experience_db(HashedEmbedder(dim=64))
+        prefs = self.PREFS[3]
+        a, b = CountingEmbedder(dim=64), CountingEmbedder(dim=64)  # unequal, alike answers
+        want = retrieve_experiences(base, prefs, db, k=3, m=3, embedder=a)
+        assert retrieve_experiences(base, prefs, db, k=3, m=3, embedder=b) == want
+        assert retrieve_experiences(base, prefs, db, k=3, m=3, embedder=b) == want
+        assert (len(a.texts), len(b.texts), top_rows_calls) == (3, 3, [3, 3])
+        assert retrieve_experiences(base, prefs, db, k=3, m=3, embedder=a) == want
+        assert len(a.texts) == 6  # the slot holds one embedder's answers
+
+    def test_an_embedder_of_another_dimension_misses_and_raises(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = self.PREFS[0]
+        want = retrieve_experiences(base, prefs, db, k=3, m=2, embedder=embedder)
+        held = db._nearest_memo
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^embedding dimension mismatch: 32 vs 64$"):
+                retrieve_experiences(base, prefs, db, k=3, m=2, embedder=HashedEmbedder(dim=32))
+            assert db._nearest_memo is held  # a miss that raises keeps nothing
+        assert retrieve_experiences(base, prefs, db, k=3, m=2, embedder=embedder) == want
+
+    def test_errors_keep_their_order_after_a_hit(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = self.PREFS[0]
+        retrieve_experiences(base, prefs, db, k=1, m=1, embedder=embedder)
+        for k, m, message in ((0, 0, "k must be >= 1"), (1, -1, "m must be >= 0"), (1, 2, "m must be <= k")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                retrieve_experiences(base, prefs, db, k=k, m=m, embedder=embedder)
+
+    def test_returned_lists_do_not_reach_the_memo(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = self.PREFS[2]
+        got = retrieve_experiences(base, prefs, db, k=4, m=4, embedder=embedder)
+        want = list(got)
+        got.clear()
+        assert retrieve_experiences(base, prefs, db, k=4, m=4, embedder=embedder) == want
+
+    def test_kept_scenarios_are_bounded(self, top_rows_calls):
+        embedder = HashedEmbedder(dim=64)
+        db, _ = toy_experience_db(embedder)
+        queries = [random_scenario(2, 2, 3, seed=index) for index in range(retrieval._RANKINGS_KEPT + 1)]
+        for query in queries:
+            retrieve_experiences(query, self.PREFS[0], db, k=1, m=1, embedder=embedder)
+            assert len(db._nearest_memo[2]) <= retrieval._RANKINGS_KEPT
+        top_rows_calls.clear()
+        retrieve_experiences(queries[-1], self.PREFS[1], db, k=1, m=1, embedder=embedder)
+        assert top_rows_calls == []
 
 
 def _task_variant(index: int) -> MissionScenario:
