@@ -40,6 +40,7 @@ from .core import (
     Tier,
     aggregate_scores,
     check_performance_columns,
+    echo,
     natural_key,
     normalize_objective,
     performance_columns,
@@ -117,13 +118,12 @@ class ExperimentSpec:
         for name, (value, minimum) in counts.items():
             # bool is an int subclass
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+                raise ValueError(f"{name} must be an integer, got {echo(value)}")
             if minimum is not None and value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
         ids = change.remove_ids
         if not isinstance(ids, tuple) or not all(isinstance(agent, str) for agent in ids):
-            shown = json.dumps(ids, default=repr)
-            raise ValueError(f"change.remove_ids must be a list of strings, got {shown}")
+            raise ValueError(f"change.remove_ids must be a list of strings, got {echo(ids)}")
         if self.change and not situational:
             raise ValueError(f"a change applies only in {Mode.SITUATIONAL} mode, not {self.mode}")
         if change.remove_robots >= self.team.robots:  # robots go before any are added
@@ -145,9 +145,9 @@ class ExperimentSpec:
                 plans *= candidates
                 if plans > BRUTE_FORCE_CAP:
                     raise ValueError(
-                        f"brute_force would search ({self.team.robots} x (1 + {self.team.humans}))"
-                        f"^{self.team.pois} plans, more than the {BRUTE_FORCE_CAP} plan cap; "
-                        "use a smaller team or fewer pois"
+                        f"brute_force would search ({echo(self.team.robots)} x "
+                        f"(1 + {echo(self.team.humans)}))^{echo(self.team.pois)} plans, more than "
+                        f"the {BRUTE_FORCE_CAP} plan cap; use a smaller team or fewer pois"
                     )
         if not self.preferences:
             object.__setattr__(self, "preferences", default_preferences(self.mode))
@@ -191,7 +191,7 @@ class ExperimentSpec:
 def _expect(value, kind: type, what: str, name: str):
     """`value`, or a ValueError unless it is a `kind`."""
     if not isinstance(value, kind):
-        raise ValueError(f"{what} must be {name}, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be {name}, got {echo(value)}")
     return value
 
 
@@ -203,7 +203,7 @@ def _weight(value) -> float:
             return float(value)
         except OverflowError:
             pass
-    raise ValueError(f"a preferences weight must be a number, got {json.dumps(value)}")
+    raise ValueError(f"a preferences weight must be a number, got {echo(value)}")
 
 
 def _reject_unknown_keys(raw: dict, where: str, *classes, skip: str = "") -> None:

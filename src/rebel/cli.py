@@ -17,6 +17,7 @@ from .core import MissionScenario, Objective, PreferenceVector
 from .llm import (
     HttpCompletionProvider,
     HttpEmbedder,
+    LlmError,
     ProviderConfig,
     StubProvider,
     TranscriptRecorder,
@@ -145,14 +146,12 @@ def _build_embedder(args: argparse.Namespace):
 
 
 def _check_embedding_dim(path: str, exp_db: ExperienceDatabase, embedder) -> None:
-    """InputError unless `embedder` embeds at the dimension of the records in
-    `exp_db` (its first one's; an empty store fits any), checked before any
-    retrieval scores against them."""
-    records = exp_db.records()
-    if records:
-        stored, query = len(records[0].emb_humans), len(embedder.embed("dimension probe"))
-        if stored != query:
-            raise InputError(f"{path}: embedded at dim {stored}, query at dim {query}")
+    """InputError unless `embedder` embeds at `exp_db.dim` (an empty store
+    fits any), checked before any record is scored against or stored."""
+    if exp_db.dim is not None:
+        query = len(embedder.embed("dimension probe"))
+        if query != exp_db.dim:
+            raise InputError(f"{path}: embedded at dim {exp_db.dim}, query at dim {query}")
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
@@ -172,8 +171,9 @@ def cmd_gen_rules(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_exp(args: argparse.Namespace) -> int:
-    rules_db = RulesDatabase(args.rules_db)
-    exp_db = ExperienceDatabase(args.exp_db)
+    rules_db, exp_db = RulesDatabase(args.rules_db), ExperienceDatabase(args.exp_db)
+    embedder = _build_embedder(args)
+    _check_embedding_dim(args.exp_db, exp_db, embedder)
     cfg = KnowledgeAcquisitionConfig(
         objectives=args.objectives,
         missions_per_objective=args.missions,
@@ -187,7 +187,7 @@ def cmd_gen_exp(args: argparse.Namespace) -> int:
     )
     sim_cfg = _sim_config(args)
     stored = generate_experiences(
-        cfg, _build_provider(args, sim_cfg), rules_db, exp_db, sim_cfg, _build_embedder(args)
+        cfg, _build_provider(args, sim_cfg), rules_db, exp_db, sim_cfg, embedder
     )
     fallbacks = sum(1 for r in stored if r.fallback)
     print(
@@ -356,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except StageError as exc:  # what the stage stored before it aborted stays stored
         print(f"error: {exc} ({len(exc.stored)} records stored before the abort)", file=sys.stderr)
+        return 2
+    except LlmError as exc:  # an embedder the command cannot do without failed
+        print(f"error: {args.endpoint}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ construction and every operation here is pure.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -30,6 +31,17 @@ def fmt_num(value: float) -> str:
     if math.isfinite(f) and f.is_integer():
         return str(int(f))
     return repr(f)
+
+
+# the most characters of an input value that an error message echoes
+ECHO_CHARS = 64
+
+
+def echo(value) -> str:
+    """`value` as JSON (its repr where JSON has no form for it) for an error
+    message, cut after `ECHO_CHARS` characters with `…`."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 1] + "…"
 
 
 def ordered_sum(values: Iterable[float]) -> float:

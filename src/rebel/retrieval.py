@@ -148,9 +148,8 @@ class HashedEmbedder:
     """Hermetic embedder: L2-normalized hashed term-frequency vector.
 
     Token buckets come from a stable digest, so the output depends only on the
-    text and `dim`, and the last few (dim, text) embeddings are kept in a
-    small module-level cache. All-zero vectors (empty text) map to the first
-    basis vector.
+    text and `dim`. All-zero vectors (empty text) map to the first basis
+    vector.
     """
 
     dim: int = 256
@@ -163,7 +162,6 @@ class HashedEmbedder:
         return _hashed_embedding(self.dim, text)
 
 
-@functools.lru_cache(maxsize=64)
 def _hashed_embedding(dim: int, text: str) -> tuple[float, ...]:
     counts = [0.0] * dim
     for token in tokenize(text):
@@ -370,8 +368,7 @@ def retrieve_experiences(
     the embedder gives a zero or non-finite norm or another dimension than
     the store's.
     """
-    records, sections = db._scoring_snapshot()
-    if not records:
+    if not len(db):
         raise ValueError("experience database is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -380,7 +377,7 @@ def retrieve_experiences(
     if m > k:
         raise ValueError("m must be <= k")
 
-    top_k = db._nearest(scenario, records, sections, min(k, len(records)), embedder)
+    top_k = db._nearest(scenario, k, embedder)
     columns = performance_columns([rec.performance for rec in top_k])
     fit = aggregate_scores(columns, prefs, NormalizationBounds.from_columns(columns)).tolist()
     order = sorted(range(len(top_k)), key=lambda i: (-fit[i], top_k[i].id))
@@ -437,18 +434,14 @@ def _top_rows(
 _BLOCK_ROWS = 32
 
 
-def _section_matrix(records: Sequence[ExperienceRecord]) -> np.ndarray:
-    """`_unit_rows` of `records` cast to float32, built `_BLOCK_ROWS` rows at
-    a time, so no float64 copy of the whole store is made.
+def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
+    """`_unit_rows` of `records` (at `dim`) cast to float32, built
+    `_BLOCK_ROWS` rows at a time, so no float64 copy of the whole store is made.
 
     The matrix lives in an anonymous map of its own, so dropping it returns
     its pages at once. A heap block would stay resident, and the next store
     loaded would split it, so the next matrix would need new pages on top.
     """
-    dim = len(records[0].embedding) // 24 if records else 0
-    for rec in records:
-        if len(rec.embedding) != 24 * dim:
-            raise ValueError(f"embedding dimension mismatch: {len(rec.embedding) // 24} vs {dim}")
     size = len(records) * 3 * dim
     pages = mmap.mmap(-1, max(4 * size, 1))  # a map cannot be empty
     matrix = np.frombuffer(pages, np.float32, size).reshape(len(records), 3 * dim)
@@ -688,28 +681,50 @@ def _experience_record(payload: dict) -> ExperienceRecord:
 
 class ExperienceDatabase:
     """Append-only store of (scenario, plan, performance) mission records, kept
-    in id order with a set of (objective, scenario text, plan text) dedup keys
-    and, once retrieved from, a float32 matrix of their unit section rows
+    in id order with a set of (objective, scenario text, plan text) dedup
+    keys. Every record's sections are embedded at one dimension, `dim`, which
+    the first record sets. Once retrieved from, the store keeps one slot
+    (`_nearest`): a float32 matrix of the records' unit section rows
     (`_section_matrix`) and the nearest records of the last `_RANKINGS_KEPT`
-    scenarios asked about (`_nearest`); the records' packed bytes are the
-    only float64 copy of the embeddings."""
+    scenarios asked about; the records' packed bytes are the only float64
+    copy of the embeddings."""
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
+        self._dim: int | None = None
+
+        def admit(payload: dict) -> ExperienceRecord:
+            record = _experience_record(payload)
+            self._dim = self._checked_dim(record)
+            return record
+
         # id order; only ever appended to, so its first n records never change
-        self._records = sorted(self._log.read_all(_experience_record), key=operator.attrgetter("id"))
+        self._records = sorted(self._log.read_all(admit), key=operator.attrgetter("id"))
         self._dedup = {(r.objective, r.scenario_text, r.plan_text) for r in self._records}
         self._next_id = self._records[-1].id + 1 if self._records else 0
-        # (record count, `_section_matrix` of that many records); replaced whole
-        self._sections = (0, np.empty((0, 0), np.float32))
-        # (record count, embedder, {(section texts, k): nearest k records});
-        # replaced whole, never mutated
-        self._nearest_memo: tuple[int, Embedder | None, dict] = (0, None, {})
+        # (record count, `_section_matrix` of that many records or None until
+        # first used, embedder, {(section texts, min(k, record count)): nearest
+        # records}); replaced whole, never mutated
+        self._slot: tuple[int, np.ndarray | None, Embedder | None, dict] = (0, None, None, {})
         self._lock = threading.Lock()
 
     @property
     def path(self) -> Path | None:
         return self._log.path
+
+    @property
+    def dim(self) -> int | None:
+        """Every record's section length; None while the store is empty."""
+        return self._dim
+
+    def _checked_dim(self, record: ExperienceRecord) -> int:
+        """`record`'s section length, or `ValueError` naming the record unless
+        it is above 0 and the store's (any, while the store is empty)."""
+        dim = len(record.embedding) // 24
+        if dim == 0 or self._dim not in (None, dim):
+            want = "above 0" if self._dim is None else f"the store's {self._dim}"
+            raise ValueError(f"experience record {record.id}: embedded at dim {dim}, not {want}")
+        return dim
 
     def records(self) -> tuple[ExperienceRecord, ...]:
         return tuple(self._records)
@@ -723,57 +738,39 @@ class ExperienceDatabase:
     def contains(self, objective: Objective, scenario: MissionScenario, plan: ItaPlan) -> bool:
         return (objective, scenario.serialize(), plan.render()) in self._dedup
 
-    def _scoring_snapshot(self) -> tuple[tuple[ExperienceRecord, ...], np.ndarray]:
-        """The records in id order and their float32 section matrix
-        (`_section_matrix`), from one state of the store. The matrix is built
-        on first use after a store, and kept under the record count it was
-        built for."""
-        records = self.records()
-        count, matrix = self._sections
-        if count != len(records):
-            matrix = _section_matrix(records)
-            self._sections = (len(records), matrix)
-        return records, matrix
-
-    def _nearest(
-        self,
-        scenario: MissionScenario,
-        records: tuple[ExperienceRecord, ...],
-        sections: np.ndarray,
-        k: int,
-        embedder: Embedder,
-    ) -> tuple[ExperienceRecord, ...]:
-        """The k of `records` and their matrix `sections` (one
-        `_scoring_snapshot`) most similar to `scenario`, best first
-        (`_top_rows`); 1 <= k <= len(records).
-
-        Kept under the scenario's three section texts and k, the only inputs
-        besides the store and the embedder, for up to `_RANKINGS_KEPT`
-        scenarios. A kept answer is served only while the store holds the
-        record count and the equal (`==`) embedder it was found with, so
-        none made before a store is served after it. A miss raises what
-        embedding and scoring raise, and keeps nothing.
-        """
+    def _nearest(self, scenario: MissionScenario, k: int, embedder: Embedder) -> tuple[ExperienceRecord, ...]:
+        """The min(k, N) of the store's N >= 1 records most similar to
+        `scenario`, best first (`_top_rows`); k >= 1. Kept in the slot under
+        the scenario's three section texts and min(k, N) for up to
+        `_RANKINGS_KEPT` scenarios, and served while the store holds the
+        record count and the equal (`==`) embedder it was found with. A miss
+        raises what embedding and scoring raise, and keeps nothing."""
+        count, dim = len(self._records), self._dim  # `store` sets dim before the first append
+        k = min(k, count)
         texts = (
             scenario.render_human_section(),
             scenario.render_robot_section(),
             scenario.render_task_section(),
         )
-        count, held_by, nearest = self._nearest_memo
-        if count != len(records) or held_by != embedder:
+        held, sections, held_by, nearest = self._slot
+        if held != count:
+            sections, nearest = None, {}
+        elif held_by != embedder:
             nearest = {}
         elif (texts, k) in nearest:
             return nearest[texts, k]
-        dim = sections.shape[1] // 3
         queries = embed_scenario_sections(scenario, embedder)
         for query in queries:
             if len(query) != dim:
                 raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
+        records = self._records[:count]
+        if sections is None:
+            sections = _section_matrix(records, dim)
         rows = _top_rows(records, sections, np.array(queries).ravel(), k)
         top = tuple(records[row] for row in rows)
         if len(nearest) >= _RANKINGS_KEPT:
             nearest = {}
-        self._nearest_memo = (len(records), embedder, {**nearest, (texts, k): top})
+        self._slot = (count, sections, embedder, {**nearest, (texts, k): top})
         return top
 
     def store(
@@ -795,6 +792,7 @@ class ExperienceDatabase:
                 embedding=_pack_sections(self._next_id, embeddings),
                 fallback=fallback,
             )
+            dim = self._checked_dim(record)
             # the plan's decode cache; the scenario, which would hold its text
             # a second time, is parsed from `scenario_text` on first read
             vars(record)["plan"] = plan
@@ -813,6 +811,7 @@ class ExperienceDatabase:
                     "fallback": fallback,
                 }
             )
+            self._dim = dim
             self._records.append(record)
             self._dedup.add((objective, record.scenario_text, record.plan_text))
             return record

@@ -26,6 +26,7 @@ from .core import (
     MissionScenario,
     PerformanceRecord,
     Tier,
+    echo,
     fmt_num,
     natural_key,
     ordered_sum,
@@ -105,7 +106,7 @@ class SimConfig:
         except RecursionError:  # JSON nested past the interpreter's stack
             raise ValueError("JSON nested too deeply to decode") from None
         if not isinstance(raw, dict):
-            raise ValueError(f"a sim config must be an object, got {json.dumps(raw)}")
+            raise ValueError(f"a sim config must be an object, got {echo(raw)}")
         default, known = cls(), {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -115,7 +116,7 @@ class SimConfig:
             if isinstance(getattr(default, name), dict):
                 values[name] = _read_tier_map(name, value)
             elif name == "seed" and type(value) is not int:
-                raise ValueError(f"seed must be an integer, got {json.dumps(value)}")
+                raise ValueError(f"seed must be an integer, got {echo(value)}")
             else:
                 values[name] = _finite(name, value)
         return cls(**values)
@@ -125,7 +126,7 @@ def _finite(name: str, value):
     """`value`, or a ValueError naming `name` unless it is a finite number:
     not a bool, NaN, an infinity or an int beyond the float range."""
     if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be a finite number, got {echo(value)}")
     return value
 
 
@@ -133,7 +134,7 @@ def _read_tier_map(name: str, value) -> dict[Tier, float]:
     """The tier map a JSON object gives for setting `name`, or a ValueError
     naming it unless the object gives every tier a finite number."""
     if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object giving each tier a number, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be an object giving each tier a number, got {echo(value)}")
     tiers = {}
     for key, number in value.items():
         try:

@@ -513,6 +513,46 @@ def test_a_bad_sim_config_is_a_one_line_error(tmp_path, capsys, command, content
     assert not (tmp_path / "out").exists() and not (tmp_path / "exp.jsonl").exists()
 
 
+_LONG = "x" * 10_000
+_LONG_INT = 10**3999  # 4,000 digits, as long as JSON decodes an integer on every supported Python
+
+
+@pytest.mark.parametrize(
+    "file, content, message",
+    [
+        ("sim", _LONG, "a sim config must be an object, got "),
+        ("sim", {"seed": _LONG}, "seed must be an integer, got "),
+        ("sim", {"points_per_correct": _LONG}, "points_per_correct must be a finite number, got "),
+        ("sim", {"skill_multiplier": _LONG}, "skill_multiplier must be an object giving each tier a number, got "),
+        ("spec", {"methods": _LONG}, "methods must be a list, got "),
+        ("spec", {"preferences": [{"TP": _LONG}]}, "a preferences weight must be a number, got "),
+        ("spec", {"trials": _LONG}, "trials must be an integer, got "),
+        ("spec", {"change": {"remove_ids": [_LONG, 5]}}, "change.remove_ids must be a list of strings, got "),
+        (
+            "spec",
+            {"humans": _LONG_INT, "robots": _LONG_INT, "pois": _LONG_INT, "trials": 1, "methods": ["brute_force"]},
+            "brute_force would search (",
+        ),
+    ],
+    ids=["sim-object", "sim-seed", "sim-finite", "sim-tier-map", "spec-expect", "spec-weight",
+         "spec-count", "spec-remove-ids", "spec-plan-cap"],
+)
+def test_an_echoed_input_value_is_cut_short(tmp_path, capsys, file, content, message):
+    paths = _input_files(tmp_path)
+    if file == "sim":
+        path = tmp_path / "sim.json"
+        argv = [*_argv("simulate", tmp_path, paths), "--sim-config", str(path)]
+    else:
+        path = paths["spec.json"]
+        argv = _argv("bench", tmp_path, paths)
+    path.write_text(json.dumps(content))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and message in err
+    # each echoed value (three in the plan cap's line) is cut to 64 characters
+    assert "…" in err and len(err) - len(str(path)) < 400
+
+
 def test_a_spec_nested_too_deeply_is_a_one_line_error(tmp_path, capsys):
     paths = _input_files(tmp_path)
     paths["spec.json"].write_text(DEEPLY_NESTED)
@@ -585,6 +625,39 @@ def test_an_embedder_of_another_dimension_is_a_one_line_error(tmp_path, capsys, 
     assert captured.err == f"error: {exp}: embedded at dim 256, query at dim 64\n"
     assert not (tmp_path / "out").exists()
     assert main([*argv, "--embed-dim", "256"]) == 0  # the store's own dimension
+
+
+def test_gen_exp_at_another_dimension_is_a_one_line_error_that_stores_nothing(tmp_path, capsys):
+    rules, exp = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+    argv = ["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1"]
+    assert main(argv) == 0
+    before = exp.read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--embed-dim", "64", "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exp}: embedded at dim 256, query at dim 64\n"
+    assert exp.read_bytes() == before
+    assert ExperienceDatabase(exp).dim == 256
+
+
+@pytest.mark.parametrize("command, stored", [("infer", True), ("gen-exp", True), ("gen-exp", False)])
+def test_an_unreachable_embedder_is_a_one_line_error(tmp_path, capsys, command, stored):
+    paths = _input_files(tmp_path)
+    rules, exp = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+    if stored:
+        assert main(["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1"]) == 0
+    before = exp.read_bytes() if stored else b""
+    capsys.readouterr()
+    endpoint = "http://127.0.0.1:9/v1"
+    argv = [*_argv(command, tmp_path, paths), "--embedder", "http", "--endpoint", endpoint, "--retries", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {endpoint}: ") and captured.err.count("\n") == 1
+    assert (exp.read_bytes() if exp.exists() else b"") == before  # nothing stored
 
 
 @pytest.mark.parametrize("command", ["infer", "bench"])

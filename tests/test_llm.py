@@ -6,7 +6,6 @@ import math
 import random
 import sys
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -51,10 +50,12 @@ from oracles import ref_heuristic_allocate
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Serves scripted (status, payload) responses in order, then a default
     success. A bytes payload is sent as the raw body; the steps "sleep" and
-    "truncate" answer late or cut the body short."""
+    "truncate" answer late (after 2 s, or once `released` is set) or cut the
+    body short."""
 
     script: list = []
     requests_seen: list = []
+    released = threading.Event()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -62,7 +63,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         type(self).requests_seen.append((self.path, body))
         step = type(self).script.pop(0) if type(self).script else (200, None)
         if step == "sleep":
-            time.sleep(2.0)
+            type(self).released.wait(2.0)
             step = (200, None)
         if step == "truncate":  # promise 100 bytes, send 2, close
             self.send_response(200)
@@ -92,11 +93,13 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), ScriptedHandler)
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
+    ScriptedHandler.released.clear()
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
+    ScriptedHandler.released.set()  # a sleeping handler answers now, so shutdown need not wait
     server.shutdown()
     server.server_close()
 

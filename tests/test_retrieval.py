@@ -644,15 +644,8 @@ class TestHashedEmbeddingCache:
         embedder = HashedEmbedder(dim=dim)
         want = reference_hashed_embedding(dim, text)
         assert embedder.embed(text) == want
-        assert embedder.embed(text) == want  # read back from the cache
+        assert embedder.embed(text) == want  # asked again
         assert HashedEmbedder(dim=dim).embed(text) == want
-
-    def test_cache_is_bounded(self):
-        info = retrieval._hashed_embedding.cache_info()
-        assert info.maxsize is not None and 0 < info.maxsize <= 64
-        for index in range(3 * info.maxsize):
-            HashedEmbedder(dim=16).embed(f"text {index}")
-        assert retrieval._hashed_embedding.cache_info().currsize <= info.maxsize
 
     def test_returned_vectors_are_immutable(self):
         assert isinstance(HashedEmbedder(dim=16).embed("faster robots"), tuple)
@@ -916,7 +909,8 @@ class TestScreenedRetrieval:
         db, scenario = _vector_store(rows)
         embedder = _query_embedder(scenario, raw_query.tolist())
         queries = embed_scenario_sections(scenario, embedder)
-        records, sections = db._scoring_snapshot()
+        records = db.records()
+        sections = retrieval._section_matrix(records, db.dim)
         exact = ref_section_matrix(records)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for k in range(1, len(db) + 1):
@@ -978,7 +972,7 @@ class TestScreenedRetrieval:
         rows[30] = np.concatenate([e1 + past * e0, e1, e1])
         db, scenario = _vector_store(rows)
         query = np.concatenate([e0] * 3)
-        screen = np.einsum("ij,j->i", db._scoring_snapshot()[1], query.astype(np.float32))
+        screen = np.einsum("ij,j->i", retrieval._section_matrix(db.records(), dim), query.astype(np.float32))
         assert (screen[5], screen[20], screen[30]) == (0.0, -margin, past)
         embedder = _query_embedder(scenario, query.tolist())
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
@@ -1140,11 +1134,11 @@ class TestNearestMemo:
         db, base = toy_experience_db(embedder)
         prefs = self.PREFS[0]
         want = retrieve_experiences(base, prefs, db, k=3, m=2, embedder=embedder)
-        held = db._nearest_memo
+        held = db._slot
         for _ in range(2):
             with pytest.raises(ValueError, match="^embedding dimension mismatch: 32 vs 64$"):
                 retrieve_experiences(base, prefs, db, k=3, m=2, embedder=HashedEmbedder(dim=32))
-            assert db._nearest_memo is held  # a miss that raises keeps nothing
+            assert db._slot is held  # a miss that raises keeps nothing
         assert retrieve_experiences(base, prefs, db, k=3, m=2, embedder=embedder) == want
 
     def test_errors_keep_their_order_after_a_hit(self):
@@ -1171,7 +1165,7 @@ class TestNearestMemo:
         queries = [random_scenario(2, 2, 3, seed=index) for index in range(retrieval._RANKINGS_KEPT + 1)]
         for query in queries:
             retrieve_experiences(query, self.PREFS[0], db, k=1, m=1, embedder=embedder)
-            assert len(db._nearest_memo[2]) <= retrieval._RANKINGS_KEPT
+            assert len(db._slot[3]) <= retrieval._RANKINGS_KEPT
         top_rows_calls.clear()
         retrieve_experiences(queries[-1], self.PREFS[1], db, k=1, m=1, embedder=embedder)
         assert top_rows_calls == []
@@ -1195,9 +1189,9 @@ class TestSectionMatrix:
         builds = []
         real = retrieval._section_matrix
 
-        def counting(records):
+        def counting(records, dim):
             builds.append(len(records))
-            return real(records)
+            return real(records, dim)
 
         monkeypatch.setattr(retrieval, "_section_matrix", counting)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
@@ -1400,11 +1394,13 @@ class TestPackedEmbeddings:
             sections = tuple(tuple(scale * rng.gauss(0, 1) for _ in range(dim)) for _ in range(3))
             db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
         picked = [2, 3, 11, n - 1]  # rows as the screen keeps them: some, in id order
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for store in (db, ExperienceDatabase(tmp_path / "exp.jsonl")):
             records = store.records()
             want = ref_section_matrix(records)
-            assert retrieval._section_matrix(records).tobytes() == want.astype(np.float32).tobytes()
-            assert store._scoring_snapshot()[1].tobytes() == want.astype(np.float32).tobytes()
+            assert retrieval._section_matrix(records, dim).tobytes() == want.astype(np.float32).tobytes()
+            retrieve_experiences(scenario, prefs, store, k=1, m=1, embedder=HashedEmbedder(dim=dim))
+            assert store._slot[1].tobytes() == want.astype(np.float32).tobytes()
             # the float64 rows the exact score re-derives are the reference's
             assert retrieval._unit_rows(records, dim).tobytes() == want.tobytes()
             assert retrieval._unit_rows([records[i] for i in picked], dim).tobytes() == want[picked].tobytes()
@@ -1412,11 +1408,13 @@ class TestPackedEmbeddings:
     def test_the_cached_matrix_is_float32_with_no_float64_copy(self):
         dim, n = 16, 1000
         rows = np.random.default_rng(11).standard_normal((n, 3 * dim))
-        db, _ = _vector_store(rows)
+        db, scenario = _vector_store(rows)
+        embedder, prefs = HashedEmbedder(dim=dim), PreferenceVector.single(Objective.MISSION_TIME)
         gc.collect()
         tracemalloc.start()
         try:
-            sections = db._scoring_snapshot()[1]
+            retrieve_experiences(scenario, prefs, db, k=1, m=1, embedder=embedder)
+            sections = db._slot[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1428,7 +1426,9 @@ class TestPackedEmbeddings:
         assert isinstance(base.obj, mmap.mmap)  # pages of its own
         # a float64 copy of the store would add 8·n·3·dim bytes at once
         assert peak < 1.5 * sections.nbytes
-        assert db._scoring_snapshot()[1] is sections  # kept, not rebuilt
+        # another scenario misses the kept answers but not the matrix
+        retrieve_experiences(make_scenario(humans=()), prefs, db, k=1, m=1, embedder=embedder)
+        assert db._slot[1] is sections  # kept, not rebuilt
 
     def test_unequal_sections_are_rejected_at_store(self, tmp_path):
         path = tmp_path / "exp.jsonl"
@@ -1487,6 +1487,53 @@ class TestPackedEmbeddings:
         assert len(db) == 300
         # 6 KiB of the 10 is the 768 packed floats; float tuples took 25 KiB
         assert retained / len(db) <= 10 * 1024
+
+
+class TestStoreDimension:
+    """The first record sets the store's `dim`; a record at another
+    dimension, or at dimension 0, is refused at load and at store."""
+
+    def test_dim_is_set_by_the_first_record(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        db = ExperienceDatabase(path)
+        assert db.dim is None
+        _store_one(db, Objective.MISSION_TIME)
+        assert db.dim == 16 and ExperienceDatabase(path).dim == 16
+
+    @pytest.mark.parametrize("dim, want", [(8, "not the store's 16"), (0, "not above 0")])
+    def test_another_dimension_is_refused_at_load_naming_the_line(self, tmp_path, dim, want):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        vectors = {name: [1.0] * dim for name in ("emb_humans", "emb_robots", "emb_tasks")}
+        record = 0 if dim == 0 else 1  # a dim-0 first line is refused too
+        _rewrite_record(path, record, **vectors)
+        with pytest.raises(CorruptLogError) as caught:
+            ExperienceDatabase(path)
+        assert str(caught.value) == (
+            f"{path}, line {record + 1}: not a record: ValueError: "
+            f"experience record {record}: embedded at dim {dim}, {want}"
+        )
+
+    @pytest.mark.parametrize("dim", [8, 0])
+    def test_another_dimension_is_refused_at_store(self, tmp_path, dim):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        before = path.read_bytes()
+        plan = heuristic_allocate(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME))
+        sections = ((1.0,) * dim,) * 3
+        with pytest.raises(ValueError, match=rf"^experience record 2: embedded at dim {dim}, not "):
+            db.store(Objective.MISSION_TIME, make_scenario(), plan, PerformanceRecord(5, 100, 0.1), sections)
+        assert len(db) == 2 and db.dim == 16 and path.read_bytes() == before
+        assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2  # the id was not used up
+
+    def test_a_refused_first_record_sets_no_dim(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        db = ExperienceDatabase(path)
+        plan = heuristic_allocate(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME))
+        with pytest.raises(ValueError, match=r"^experience record 0: embedded at dim 0, not above 0$"):
+            db.store(Objective.MISSION_TIME, make_scenario(), plan, PerformanceRecord(5, 100, 0.1), ((), (), ()))
+        assert db.dim is None and not path.exists()
+        assert _store_one(db, Objective.MISSION_TIME).id == 0 and db.dim == 16
 
 
 class TestRulesDatabasePersistence:
