@@ -44,6 +44,7 @@ from .core import (
     natural_key,
     normalize_objective,
     performance_columns,
+    reject_unknown_keys,
 )
 from .llm import CompletionProvider, heuristic_allocate
 from .pipeline import RetrievalConfig, allocate_with_model, derive_seed, infer
@@ -163,7 +164,7 @@ class ExperimentSpec:
         except RecursionError:  # JSON nested past the interpreter's stack
             raise ValueError("JSON nested too deeply to decode") from None
         _expect(raw, dict, "a spec", "an object")
-        _reject_unknown_keys(raw, "spec", cls, TeamSpec, skip="team")
+        reject_unknown_keys(raw, "spec", {f.name for c in (cls, TeamSpec) for f in fields(c)} - {"team"})
         kwargs = _present_fields(cls, raw)
         kwargs["team"] = TeamSpec(**_present_fields(TeamSpec, raw))
         if "methods" in raw:
@@ -178,7 +179,7 @@ class ExperimentSpec:
         )
         if "change" in raw:
             _expect(raw["change"], dict, "change", "an object")
-            _reject_unknown_keys(raw["change"], "change", CompositionChange)
+            reject_unknown_keys(raw["change"], "change", {f.name for f in fields(CompositionChange)})
             change = _present_fields(CompositionChange, raw["change"])
             if "remove_ids" in change:
                 change["remove_ids"] = tuple(
@@ -204,14 +205,6 @@ def _weight(value) -> float:
         except OverflowError:
             pass
     raise ValueError(f"a preferences weight must be a number, got {echo(value)}")
-
-
-def _reject_unknown_keys(raw: dict, where: str, *classes, skip: str = "") -> None:
-    """ValueError unless every key of `raw` names a field of one of `classes`."""
-    known = {f.name for cls in classes for f in fields(cls)} - {skip}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"unknown {where} keys {unknown}; known keys are {sorted(known)}")
 
 
 def _present_fields(cls, raw: dict) -> dict:

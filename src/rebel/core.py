@@ -44,6 +44,14 @@ def echo(value) -> str:
     return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 1] + "…"
 
 
+def reject_unknown_keys(raw: dict, where: str, known: set[str]) -> None:
+    """ValueError unless every key of `raw` is in `known`; the unknown keys
+    are echoed (`echo`), the known ones listed in full."""
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {echo(unknown)}; known keys are {json.dumps(sorted(known))}")
+
+
 def ordered_sum(values: Iterable[float]) -> float:
     """The float sum of `values`, added one at a time from the left, from
     0.0. Built-in `sum` adds floats so before Python 3.12 and compensates

@@ -23,7 +23,6 @@ from .core import (
     Objective,
     PreferenceVector,
     Tier,
-    ordered_sum,
 )
 from .prompt import (
     GOAL_GENERATE_RULES,
@@ -36,7 +35,7 @@ from .prompt import (
     extract_section,
     parse_objectives_text,
 )
-from .retrieval import _AppendLog
+from .retrieval import _AppendLog, unit_vector
 from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability
 
 
@@ -58,18 +57,6 @@ class Unavailable(LlmError):
 
 class MalformedResponse(LlmError):
     """The provider answered 200 with a body that lacks the expected fields."""
-
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    prompt: str
-    temperature: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError("temperature must lie in [0, 2]")
 
 
 # requests one HTTP client holds open at once, across its threads
@@ -96,7 +83,7 @@ class ProviderConfig:
 
 
 class CompletionProvider(Protocol):
-    def complete(self, request: CompletionRequest) -> str: ...
+    def complete(self, prompt: str, temperature: float) -> str: ...
 
 
 def _headers(cfg: ProviderConfig) -> dict[str, str]:
@@ -179,11 +166,11 @@ class HttpCompletionProvider:
         self.cfg = cfg
         self._gate = threading.Semaphore(MAX_CONCURRENCY)
 
-    def complete(self, request: CompletionRequest) -> str:
+    def complete(self, prompt: str, temperature: float) -> str:
         payload = {
             "model": self.cfg.model,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": temperature,
             "max_tokens": 1024,
         }
         body = _post(self.cfg, self._gate, "/chat/completions", payload)
@@ -204,11 +191,10 @@ class HttpEmbedder:
         # bool is an int subclass; NaN, infinities and ints beyond float range fail the bound
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector):
             raise MalformedResponse("embedding is not a list of finite numbers")
-        values = [float(v) for v in vector]
-        norm = math.sqrt(ordered_sum(v * v for v in values))
-        if not 0 < norm < math.inf:
-            raise MalformedResponse(f"embedding norm is {norm}, so it has no direction")
-        return tuple(v / norm for v in values)
+        try:
+            return unit_vector([float(v) for v in vector])
+        except ValueError as exc:  # a zero norm, or squares past the float range
+            raise MalformedResponse(f"embedding: {exc}") from exc
 
 
 class TranscriptRecorder:
@@ -218,11 +204,11 @@ class TranscriptRecorder:
         self.inner = inner
         self._log = _AppendLog(path)
 
-    def complete(self, request: CompletionRequest) -> str:
-        response = self.inner.complete(request)
+    def complete(self, prompt: str, temperature: float) -> str:
+        response = self.inner.complete(prompt, temperature)
         self._log.append({
-            "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
-            "prompt": request.prompt,
+            "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+            "prompt": prompt,
             "response": response,
         })
         return response
@@ -260,18 +246,17 @@ class StubProvider:
     def __init__(self, sim_cfg: SimConfig | None = None):
         self.sim_cfg = sim_cfg
 
-    def complete(self, request: CompletionRequest) -> str:
-        text = request.prompt
-        goal = extract_section(text, SECTION_GOAL)
+    def complete(self, prompt: str, temperature: float) -> str:
+        goal = extract_section(prompt, SECTION_GOAL)
         if GOAL_GENERATE_RULES in goal:
-            prefs = parse_objectives_text(extract_section(text, SECTION_OBJECTIVES))
+            prefs = parse_objectives_text(extract_section(prompt, SECTION_OBJECTIVES))
             objective = prefs.weights[0][0]
             return "\n".join(STUB_RULES[objective])
         if GOAL_REFINE_RULES in goal:
-            return extract_section(text, SECTION_RULES)
+            return extract_section(prompt, SECTION_RULES)
         if GOAL_PERFORM_ITA in goal:
-            scenario = MissionScenario.parse(extract_section(text, SECTION_SCENARIO))
-            prefs = parse_objectives_text(extract_section(text, SECTION_OBJECTIVES))
+            scenario = MissionScenario.parse(extract_section(prompt, SECTION_SCENARIO))
+            prefs = parse_objectives_text(extract_section(prompt, SECTION_OBJECTIVES))
             return heuristic_allocate(scenario, prefs, self.sim_cfg).render()
         raise Unavailable("stub provider does not understand this prompt")
 

@@ -23,7 +23,6 @@ from .core import (
 )
 from .llm import (
     CompletionProvider,
-    CompletionRequest,
     LlmError,
     MalformedResponse,
     heuristic_allocate,
@@ -139,9 +138,7 @@ def generate_rules(
     for objective in objectives:
         prompt = _background_prompt(objective, GOAL_GENERATE_RULES)
         try:
-            response = provider.complete(
-                CompletionRequest(prompt=prompt, temperature=RULE_GEN_TEMPERATURE)
-            )
+            response = provider.complete(prompt, RULE_GEN_TEMPERATURE)
         except LlmError as exc:
             raise StageError(
                 f"rule generation aborted at objective {objective.short}: {exc}",
@@ -193,9 +190,7 @@ def allocate_with_model(
     )
     for retry in (True, False):
         try:
-            response = provider.complete(
-                CompletionRequest(prompt=prompt, temperature=INFER_TEMPERATURE)
-            )
+            response = provider.complete(prompt, INFER_TEMPERATURE)
             return parse_ita_plan(response, scenario), False
         except (ParseFailure, PlanInvalid, MalformedResponse) as exc:
             then = "retrying" if retry else "using the greedy plan"
@@ -248,16 +243,17 @@ def generate_experiences(
                 )
                 continue
             if not exp_db.contains(objective, scenario, plan):
-                stored.append(
-                    exp_db.store(
-                        objective,
-                        scenario,
-                        plan,
-                        record,
-                        embed_scenario_sections(scenario, embedder),
-                        fallback=fallback,
+                sections = embed_scenario_sections(scenario, embedder)
+                try:
+                    stored.append(
+                        exp_db.store(objective, scenario, plan, record, sections, fallback=fallback)
                     )
-                )
+                except ValueError as exc:  # e.g. an embedder whose dimension changed mid-stage
+                    raise StageError(
+                        f"experience generation aborted at objective {objective.short}, "
+                        f"mission {index}: {exc}",
+                        stored=tuple(stored),
+                    ) from exc
             batch.append((scenario, plan, record))
 
             if (index + 1) % refine_every == 0 and batch:
@@ -274,9 +270,7 @@ def _refine_rules(objective, provider, rules_db, batch) -> None:
         objective, GOAL_REFINE_RULES, rules_db.for_objective(objective), exemplars
     )
     try:
-        response = provider.complete(
-            CompletionRequest(prompt=prompt, temperature=RULE_GEN_TEMPERATURE)
-        )
+        response = provider.complete(prompt, RULE_GEN_TEMPERATURE)
     except LlmError as exc:
         logger.warning("rule refinement skipped for %s: %s", objective.short, exc)
         return
@@ -299,9 +293,10 @@ def infer(
 
     Empty databases degrade gracefully: the corresponding prompt sections are
     omitted with a warning (zero-shot behavior). `CorruptLogError` (a
-    `ValueError`) naming the store and the record for a retrieved experience
-    whose texts do not decode; `ValueError` for an embedding of zero or
-    non-finite norm, of the query or of a rule.
+    `ValueError`) naming the store and the record for a stored section of
+    zero norm or a retrieved experience whose texts do not decode;
+    `ValueError` for an embedding of zero or non-finite norm, of the query
+    or of a rule.
     """
     if not scenario.runnable:
         raise ValueError("scenario is not runnable: no robots")

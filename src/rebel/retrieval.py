@@ -259,10 +259,11 @@ def embed_scenario_sections(
     )
 
 
-def _pack_sections(record_id: int, sections: Sequence[Sequence[float]]) -> bytes:
+def _pack_sections(record_id: int, sections: Sequence[Sequence[float]], dim: int | None) -> bytes:
     """The human, robot and task embeddings end to end as little-endian
-    float64, or `ValueError` naming the record if they differ in length or
-    hold a non-number, NaN or an infinity."""
+    float64, or `ValueError` naming the record if they differ in length, hold
+    a non-number, NaN or an infinity, or are not `dim` long (any length above
+    0 when `dim` is None)."""
     humans, robots, tasks = sections
     if not len(humans) == len(robots) == len(tasks):
         raise ValueError(
@@ -275,6 +276,9 @@ def _pack_sections(record_id: int, sections: Sequence[Sequence[float]]) -> bytes
         raise ValueError(f"experience record {record_id}: embedding element: {exc}") from exc
     if not np.isfinite(np.frombuffer(packed, "<f8")).all():
         raise ValueError(f"experience record {record_id}: embedding element is not finite")
+    if len(humans) == 0 or dim not in (None, len(humans)):
+        want = "above 0" if dim is None else f"the store's {dim}"
+        raise ValueError(f"experience record {record_id}: embedded at dim {len(humans)}, not {want}")
     return packed
 
 
@@ -453,13 +457,15 @@ def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray
 def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings (each `dim` long),
     each scaled to unit length in float64, so a dot product with a unit query
-    section is a cosine. The packed bytes are decoded as one buffer."""
+    section is a cosine. The packed bytes are decoded as one buffer.
+    `ValueError` naming the first record with a section of zero norm."""
     # joined into a bytearray, which numpy can scale in place; bytes cannot be
     sections = np.frombuffer(bytearray().join([rec.embedding for rec in records]), "<f8")
     sections = sections.reshape(len(records), 3, dim)
     norms = np.sqrt(np.einsum("ijk,ijk->ij", sections, sections))
     if not norms.all():
-        raise ValueError("zero vectors carry no direction")
+        record = records[np.flatnonzero(norms == 0)[0] // 3]
+        raise ValueError(f"experience record {record.id}: zero vectors carry no direction")
     sections /= norms[:, :, None]
     return sections.reshape(len(records), 3 * dim)
 
@@ -657,9 +663,9 @@ class RulesDatabase:
             return tuple(added)
 
 
-def _experience_record(payload: dict) -> ExperienceRecord:
-    """The record one experience-log line holds; its scenario and plan stay
-    text until first read (see ExperienceRecord)."""
+def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecord:
+    """The record one experience-log line holds, embedded at `dim` (`_pack_sections`);
+    its scenario and plan stay text until first read (see ExperienceRecord)."""
     record_id = payload["id"]
     if type(record_id) is not int:
         raise ValueError(f"record id {record_id!r} is not an integer")
@@ -673,7 +679,7 @@ def _experience_record(payload: dict) -> ExperienceRecord:
         plan_text=payload["plan"],
         performance=PerformanceRecord.parse(payload["performance"]),
         embedding=_pack_sections(
-            record_id, (payload["emb_humans"], payload["emb_robots"], payload["emb_tasks"])
+            record_id, (payload["emb_humans"], payload["emb_robots"], payload["emb_tasks"]), dim
         ),
         fallback=fallback,
     )
@@ -694,8 +700,8 @@ class ExperienceDatabase:
         self._dim: int | None = None
 
         def admit(payload: dict) -> ExperienceRecord:
-            record = _experience_record(payload)
-            self._dim = self._checked_dim(record)
+            record = _experience_record(payload, self._dim)
+            self._dim = len(record.embedding) // 24
             return record
 
         # id order; only ever appended to, so its first n records never change
@@ -717,15 +723,6 @@ class ExperienceDatabase:
         """Every record's section length; None while the store is empty."""
         return self._dim
 
-    def _checked_dim(self, record: ExperienceRecord) -> int:
-        """`record`'s section length, or `ValueError` naming the record unless
-        it is above 0 and the store's (any, while the store is empty)."""
-        dim = len(record.embedding) // 24
-        if dim == 0 or self._dim not in (None, dim):
-            want = "above 0" if self._dim is None else f"the store's {self._dim}"
-            raise ValueError(f"experience record {record.id}: embedded at dim {dim}, not {want}")
-        return dim
-
     def records(self) -> tuple[ExperienceRecord, ...]:
         return tuple(self._records)
 
@@ -744,7 +741,9 @@ class ExperienceDatabase:
         the scenario's three section texts and min(k, N) for up to
         `_RANKINGS_KEPT` scenarios, and served while the store holds the
         record count and the equal (`==`) embedder it was found with. A miss
-        raises what embedding and scoring raise, and keeps nothing."""
+        raises what embedding and scoring raise, a stored section of zero
+        norm as a `CorruptLogError` naming the store and the record, and
+        keeps nothing."""
         count, dim = len(self._records), self._dim  # `store` sets dim before the first append
         k = min(k, count)
         texts = (
@@ -765,7 +764,10 @@ class ExperienceDatabase:
                 raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
         records = self._records[:count]
         if sections is None:
-            sections = _section_matrix(records, dim)
+            try:
+                sections = _section_matrix(records, dim)
+            except ValueError as exc:  # a stored section of zero norm, which load admits
+                raise CorruptLogError(f"{self.path}: {exc}") from exc
         rows = _top_rows(records, sections, np.array(queries).ravel(), k)
         top = tuple(records[row] for row in rows)
         if len(nearest) >= _RANKINGS_KEPT:
@@ -789,10 +791,9 @@ class ExperienceDatabase:
                 scenario_text=scenario.serialize(),
                 plan_text=plan.render(),
                 performance=performance,
-                embedding=_pack_sections(self._next_id, embeddings),
+                embedding=_pack_sections(self._next_id, embeddings, self._dim),
                 fallback=fallback,
             )
-            dim = self._checked_dim(record)
             # the plan's decode cache; the scenario, which would hold its text
             # a second time, is parsed from `scenario_text` on first read
             vars(record)["plan"] = plan
@@ -811,7 +812,7 @@ class ExperienceDatabase:
                     "fallback": fallback,
                 }
             )
-            self._dim = dim
+            self._dim = len(embeddings[0])
             self._records.append(record)
             self._dedup.add((objective, record.scenario_text, record.plan_text))
             return record

@@ -30,6 +30,7 @@ from .core import (
     fmt_num,
     natural_key,
     ordered_sum,
+    reject_unknown_keys,
     validate_plan,
 )
 
@@ -108,9 +109,7 @@ class SimConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"a sim config must be an object, got {echo(raw)}")
         default, known = cls(), {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"unknown sim config keys {unknown}; known keys are {sorted(known)}")
+        reject_unknown_keys(raw, "sim config", known)
         values = {}
         for name, value in raw.items():
             if isinstance(getattr(default, name), dict):
@@ -139,8 +138,8 @@ def _read_tier_map(name: str, value) -> dict[Tier, float]:
     for key, number in value.items():
         try:
             tier = Tier.parse(key)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        except ValueError:
+            raise ValueError(f"{name}: unknown tier {echo(key)}") from None
         tiers[tier] = float(_finite(f"{name}.{key}", number))
     missing = [tier.value for tier in Tier if tier not in tiers]
     if missing:

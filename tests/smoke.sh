@@ -36,8 +36,10 @@
 # empty rules store, `rebel infer --embed-dim 64` on a store embedded at the
 # default 256, `rebel gen-exp --embed-dim 64` on it, which must leave the
 # store's bytes unchanged, and `rebel infer` and `rebel gen-exp` with an
-# unreachable `--embedder http`; the error line of the sim config's integer
-# past the float range must stay short, since an echoed value is cut
+# unreachable `--embedder http`, and `rebel infer` on a store holding a
+# section embedding of all zeros, each with exactly one error line; the error
+# lines of the sim config's integer past the float range and of a sim config
+# key 10,000 characters long must stay short, since an echoed value is cut
 set -eo pipefail
 
 d=$(mktemp -d)
@@ -163,9 +165,19 @@ must_fail embed-dim-gen-exp 2 rebel gen-exp --rules-db "$d/rules.jsonl" --exp-db
 grep -qxF "error: $d/exp-256.jsonl: embedded at dim 256, query at dim 64" "$d/embed-dim-gen-exp.err"
 must_fail unreachable-embedder-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp-256.jsonl" --scenario "$d/scenario.txt" --prefs MT --embedder http --endpoint http://127.0.0.1:9/v1 --retries 0
 must_fail unreachable-embedder-gen-exp 2 rebel gen-exp --rules-db "$d/rules.jsonl" --exp-db "$d/exp-256.jsonl" --missions 1 --embedder http --endpoint http://127.0.0.1:9/v1 --retries 0
-for name in embed-dim-gen-exp unreachable-embedder-infer unreachable-embedder-gen-exp; do
+python -c 'import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+record = json.loads(lines[1])
+lines[1] = json.dumps({**record, "emb_humans": [0.0] * len(record["emb_humans"])})
+print("\n".join(lines))' "$d/exp-256.jsonl" > "$d/zero-section.jsonl"
+must_fail zero-section-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/zero-section.jsonl" --scenario "$d/scenario.txt" --prefs MT
+grep -qF "zero-section.jsonl: experience record 1: zero vectors carry no direction" "$d/zero-section-infer.err"
+for name in embed-dim-gen-exp unreachable-embedder-infer unreachable-embedder-gen-exp zero-section-infer; do
   if [ "$(grep -c "^error: " "$d/$name.err")" -ne 1 ]; then echo "$name must print exactly one error line"; exit 1; fi
 done
 grep -qF "error: http://127.0.0.1:9/v1: " "$d/unreachable-embedder-infer.err"
 cmp "$d/exp-256.before" "$d/exp-256.jsonl"
 if [ "$(wc -c < "$d/huge-int-sim-config.err")" -gt 300 ]; then echo "an echoed value must be cut short"; exit 1; fi
+python -c 'import json; print(json.dumps({"x" * 10000: 1}))' > "$d/long-key-sim.json"
+must_fail long-key-sim-config 2 rebel simulate --scenario "$d/scenario.txt" --plan "$d/plan.txt" --sim-config "$d/long-key-sim.json"
+if [ "$(wc -c < "$d/long-key-sim-config.err")" -ge 1024 ]; then echo "an echoed unknown key must be cut short"; exit 1; fi

@@ -605,10 +605,10 @@ class TestRunExperiment:
         # an `infer` on empty stores that runs while a zero_shot trial is
         # planning (here from inside the provider) still logs its warnings
         class InferringProvider(StubProvider):
-            def complete(self, request):
+            def complete(self, prompt, temperature):
                 infer(make_scenario(), PreferenceVector.single(Objective.MISSION_TIME),
                       RulesDatabase(), ExperienceDatabase(), StubProvider())
-                return super().complete(request)
+                return super().complete(prompt, temperature)
 
         spec = small_spec(methods=("zero_shot",), trials=1)
         with caplog.at_level("WARNING", logger="rebel.pipeline"):
@@ -633,7 +633,7 @@ FAST_SHARED = SimConfig(shared_speed_multiplier={tier: 3.0 for tier in Tier})
 
 
 class ProseProvider:
-    def complete(self, request):
+    def complete(self, prompt, temperature):
         return "no plan here"
 
 
@@ -1025,19 +1025,19 @@ class TestExperimentSpecJson:
     def test_misspelled_key_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"trails": 3, "robots": 2}')
-        with pytest.raises(ValueError, match=r"unknown spec keys \['trails'\]"):
+        with pytest.raises(ValueError, match=r'unknown spec keys \["trails"\]'):
             ExperimentSpec.from_json(path)
 
     def test_team_is_not_a_spec_key(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"team": {"robots": 2}}')
-        with pytest.raises(ValueError, match=r"unknown spec keys \['team'\]"):
+        with pytest.raises(ValueError, match=r'unknown spec keys \["team"\]'):
             ExperimentSpec.from_json(path)
 
     def test_misspelled_change_key_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"mode": "SituationalAwareness", "change": {"remove_robot": 1}}')
-        with pytest.raises(ValueError, match=r"unknown change keys \['remove_robot'\]"):
+        with pytest.raises(ValueError, match=r'unknown change keys \["remove_robot"\]'):
             ExperimentSpec.from_json(path)
 
 

@@ -487,7 +487,7 @@ def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_simulate_error(tmp
     [
         (None, "No such file or directory"),
         ("{not json", "Expecting property name"),
-        ('{"fatigue_flor": 0.5}', "unknown sim config keys ['fatigue_flor']"),
+        ('{"fatigue_flor": 0.5}', 'unknown sim config keys ["fatigue_flor"]'),
         ('{"skill_multiplier": {"Lo": 1, "Med": 1}}', "skill_multiplier gives no number for tier Hi"),
         ('{"workload_coef": NaN}', "workload_coef must be a finite number"),
         ('{"shared_speed_multiplier": {"Lo": 0, "Med": 0, "Hi": 0}}', "shared_speed_multiplier.Lo must be > 0"),
@@ -538,6 +538,31 @@ _LONG_INT = 10**3999  # 4,000 digits, as long as JSON decodes an integer on ever
          "spec-count", "spec-remove-ids", "spec-plan-cap"],
 )
 def test_an_echoed_input_value_is_cut_short(tmp_path, capsys, file, content, message):
+    path, err = _error_for_input(tmp_path, capsys, file, content, message)
+    # each echoed value (three in the plan cap's line) is cut to 64 characters
+    assert "…" in err and len(err) - len(str(path)) < 400
+
+
+@pytest.mark.parametrize(
+    "file, content, message",
+    [
+        ("sim", {_LONG: 1}, "unknown sim config keys "),
+        ("sim", {"skill_multiplier": {"Lo": 1, _LONG: 1}}, "skill_multiplier: unknown tier "),
+        ("spec", {_LONG: 1}, "unknown spec keys "),
+        ("spec", {"mode": "SituationalAwareness", "change": {_LONG: 1}}, "unknown change keys "),
+    ],
+    ids=["sim-key", "sim-tier-word", "spec-key", "spec-change-key"],
+)
+def test_an_unknown_key_is_echoed_cut_short(tmp_path, capsys, file, content, message):
+    # the line also lists every known key: the sim config's alone take 298 characters
+    _, err = _error_for_input(tmp_path, capsys, file, content, message)
+    assert "…" in err and len(err.encode("utf-8")) < 1024
+
+
+def _error_for_input(tmp_path, capsys, file, content, message):
+    """(input path, stderr) of `simulate --sim-config` ("sim") or `bench
+    --spec` ("spec") on `content`, checked to be one `error:` line naming
+    the file and holding `message`."""
     paths = _input_files(tmp_path)
     if file == "sim":
         path = tmp_path / "sim.json"
@@ -549,8 +574,7 @@ def test_an_echoed_input_value_is_cut_short(tmp_path, capsys, file, content, mes
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and message in err
-    # each echoed value (three in the plan cap's line) is cut to 64 characters
-    assert "…" in err and len(err) - len(str(path)) < 400
+    return path, err
 
 
 def test_a_spec_nested_too_deeply_is_a_one_line_error(tmp_path, capsys):
@@ -677,3 +701,26 @@ def test_a_stored_plan_that_does_not_decode_is_a_one_line_error(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert re.match(rf"error: {re.escape(str(exp))}: experience record \d+: bad plan: ", captured.err)
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_a_stored_section_of_zero_norm_is_a_one_line_error(tmp_path, capsys, command):
+    paths = _input_files(tmp_path)
+    rules, exp = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+    assert main(["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1"]) == 0
+    lines = exp.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, "emb_humans": [0.0] * len(record["emb_humans"])})
+    exp.write_text("\n".join(lines) + "\n")
+    paths["spec.json"].write_text(json.dumps({"trials": 1, "methods": ["rebel"]}))
+    argv = _argv(command, tmp_path, paths)
+    if command == "bench":
+        argv += ["--rules-db", str(rules), "--exp-db", str(exp)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {exp}: experience record {record['id']}: zero vectors carry no direction\n"
+    )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rebel.bench import random_scenario
 from rebel.core import Objective, PreferenceVector, Tier, validate_plan
 from rebel.llm import (
-    CompletionRequest,
     HttpCompletionProvider,
     HttpEmbedder,
     LlmError,
@@ -40,7 +39,7 @@ from rebel.prompt import (
     objectives_text,
     parse_ita_plan,
 )
-from rebel.pipeline import RetrievalConfig, infer
+from rebel.pipeline import INFER_TEMPERATURE, RULE_GEN_TEMPERATURE, RetrievalConfig, infer
 from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from rebel.sim import SimConfig
 from conftest import make_scenario
@@ -105,7 +104,7 @@ def http_server():
 
 
 def ask_chat(cfg: ProviderConfig):
-    return HttpCompletionProvider(cfg).complete(CompletionRequest(prompt="ping"))
+    return HttpCompletionProvider(cfg).complete("ping", INFER_TEMPERATURE)
 
 
 def ask_embedder(cfg: ProviderConfig):
@@ -156,7 +155,7 @@ class TestHttpProvider(TransportCases):
 
     def test_happy_path(self, http_server):
         provider = HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0))
-        assert provider.complete(CompletionRequest(prompt="ping")) == "pong"
+        assert provider.complete("ping", INFER_TEMPERATURE) == "pong"
         path, body = ScriptedHandler.requests_seen[0]
         assert path.endswith("/chat/completions")
         assert body["messages"] == [{"role": "user", "content": "ping"}]
@@ -170,7 +169,7 @@ class TestHttpProvider(TransportCases):
         provider = HttpCompletionProvider(
             ProviderConfig(endpoint=http_server, model="local-model", retries=0)
         )
-        provider.complete(CompletionRequest(prompt="ping"))
+        provider.complete("ping", INFER_TEMPERATURE)
         _, body = ScriptedHandler.requests_seen[0]
         assert body["model"] == "local-model"
 
@@ -230,7 +229,7 @@ class TestMalformedResponses:
         ScriptedHandler.script = [(200, body)]
         provider = HttpCompletionProvider(ProviderConfig(endpoint=http_server, retries=0))
         with pytest.raises(MalformedResponse):
-            provider.complete(CompletionRequest(prompt="ping"))
+            provider.complete("ping", INFER_TEMPERATURE)
 
     @pytest.mark.parametrize("body", MALFORMED_CHAT_BODIES.values(), ids=MALFORMED_CHAT_BODIES)
     def test_infer_falls_back_to_greedy_plan(self, http_server, scenario, body):
@@ -297,14 +296,6 @@ class TestInferProviderErrors:
 
 
 class TestRequestValidation:
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="")
-
-    def test_temperature_range(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="x", temperature=3.0)
-
     @pytest.mark.parametrize("endpoint", ["file:///tmp/v1", "localhost:8000/v1", "api/v1"])
     def test_endpoint_must_be_http(self, endpoint):
         with pytest.raises(ValueError):
@@ -333,13 +324,13 @@ class TestStubProvider:
     def test_rule_prompts_get_canned_rules(self):
         stub = StubProvider()
         for objective in Objective:
-            response = stub.complete(CompletionRequest(prompt=rules_prompt(objective)))
+            response = stub.complete(rules_prompt(objective), RULE_GEN_TEMPERATURE)
             assert response == "\n".join(STUB_RULES[objective])
 
     def test_allocation_prompt_returns_heuristic_plan(self, scenario):
         stub = StubProvider()
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
-        response = stub.complete(CompletionRequest(prompt=allocation_prompt(scenario, prefs)))
+        response = stub.complete(allocation_prompt(scenario, prefs), INFER_TEMPERATURE)
         assert response == heuristic_allocate(scenario, prefs).render()
         parsed = parse_ita_plan(response, scenario)
         assert validate_plan(parsed, scenario).ok
@@ -354,13 +345,12 @@ class TestStubProvider:
             objectives=objectives_text(PreferenceVector.single(Objective.MISSION_TIME)),
             rules=rules,
         )
-        assert stub.complete(CompletionRequest(prompt=prompt)) == "\n".join(rules)
+        assert stub.complete(prompt, RULE_GEN_TEMPERATURE) == "\n".join(rules)
 
     def test_identical_requests_identical_responses(self, scenario):
         stub = StubProvider()
         prompt = allocation_prompt(scenario, PreferenceVector.of(TP=0.4, MT=0.3, HW=0.3))
-        request = CompletionRequest(prompt=prompt)
-        assert stub.complete(request) == stub.complete(request)
+        assert stub.complete(prompt, INFER_TEMPERATURE) == stub.complete(prompt, INFER_TEMPERATURE)
 
 
 class TestTranscript:
@@ -368,7 +358,7 @@ class TestTranscript:
         path = tmp_path / "transcript.jsonl"
         recorder = TranscriptRecorder(StubProvider(), path)
         prompt = allocation_prompt(scenario, PreferenceVector.single(Objective.MISSION_TIME))
-        response = recorder.complete(CompletionRequest(prompt=prompt))
+        response = recorder.complete(prompt, INFER_TEMPERATURE)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line) for line in lines] == [{
             "prompt": prompt,
@@ -378,8 +368,8 @@ class TestTranscript:
 
     def test_concurrent_completions_append_whole_lines(self, tmp_path):
         class Echo:
-            def complete(self, request):
-                return request.prompt[::-1]
+            def complete(self, prompt, temperature):
+                return prompt[::-1]
 
         path = tmp_path / "transcript.jsonl"
         recorder = TranscriptRecorder(Echo(), path)
@@ -389,7 +379,7 @@ class TestTranscript:
         def complete_all(batch):
             try:
                 for prompt in batch:
-                    recorder.complete(CompletionRequest(prompt=prompt))
+                    recorder.complete(prompt, INFER_TEMPERATURE)
             except Exception as exc:  # reported by the assertions below
                 errors.append(exc)
 

@@ -38,12 +38,12 @@ EMBEDDER = HashedEmbedder(dim=64)
 
 
 class EmptyProvider:
-    def complete(self, request):
+    def complete(self, prompt, temperature):
         return "   \n  "
 
 
 class ProseProvider:
-    def complete(self, request):
+    def complete(self, prompt, temperature):
         return "I would love to help, but here are some musings instead."
 
 
@@ -52,7 +52,7 @@ class FailingProvider:
         self.calls = 0
         self.fail_after = fail_after
 
-    def complete(self, request):
+    def complete(self, prompt, temperature):
         self.calls += 1
         if self.calls > self.fail_after:
             raise Unavailable("provider is down")
@@ -65,11 +65,11 @@ class CopyExemplarProvider:
     def __init__(self):
         self.fallback = StubProvider()
 
-    def complete(self, request):
+    def complete(self, prompt, temperature):
         try:
-            section = extract_section(request.prompt, SECTION_EXPERIENCE)
+            section = extract_section(prompt, SECTION_EXPERIENCE)
         except KeyError:
-            return self.fallback.complete(request)
+            return self.fallback.complete(prompt, temperature)
         first_block = section.split("Example 2:")[0]
         lines = assignment_lines(first_block)
         return "\n".join(
@@ -181,6 +181,32 @@ class TestGenerateExperiences:
                 ka_config(k=1), StubProvider(), rules_db, ExperienceDatabase(), SimConfig(), EMBEDDER
             )
 
+    def test_an_embedder_changing_dimension_aborts_with_the_records_stored(self, tmp_path):
+        class ShrinkingEmbedder:
+            """256 dims for the first scenario's three sections, 64 after."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def embed(self, text):
+                self.calls += 1
+                return HashedEmbedder(dim=256 if self.calls <= 3 else 64).embed(text)
+
+        rules_db = RulesDatabase()
+        generate_rules(tuple(Objective), StubProvider(), rules_db)
+        path = tmp_path / "exp.jsonl"
+        with pytest.raises(StageError) as caught:
+            generate_experiences(
+                ka_config(k=2), StubProvider(), rules_db, ExperienceDatabase(path), SimConfig(),
+                ShrinkingEmbedder(),
+            )
+        assert str(caught.value) == (
+            "experience generation aborted at objective TP, mission 1: "
+            "experience record 1: embedded at dim 64, not the store's 256"
+        )
+        assert [r.id for r in caught.value.stored] == [0]
+        assert ExperienceDatabase(path).records() == caught.value.stored
+
     @pytest.mark.parametrize("stub", [True, False])
     def test_greedy_plans_under_the_runs_sim_config(self, stub, monkeypatch):
         # a single-objective greedy plan reads none of the model constants, so
@@ -268,9 +294,9 @@ class TestInfer:
                 self.inner = StubProvider()
                 self.prompts = []
 
-            def complete(self, request):
-                self.prompts.append(request.prompt)
-                return self.inner.complete(request)
+            def complete(self, prompt, temperature):
+                self.prompts.append(prompt)
+                return self.inner.complete(prompt, temperature)
 
         capture = PromptCapture()
         result = infer(scenario, prefs, rules_db, exp_db, capture, retrieval_cfg())
@@ -317,15 +343,15 @@ class TestInfer:
 
 
 class RecordingProvider:
-    """Keeps every request it passes on to the stub."""
+    """Keeps every (prompt, temperature) it passes on to the stub."""
 
     def __init__(self):
         self.inner = StubProvider()
         self.requests = []
 
-    def complete(self, request):
-        self.requests.append(request)
-        return self.inner.complete(request)
+    def complete(self, prompt, temperature):
+        self.requests.append((prompt, temperature))
+        return self.inner.complete(prompt, temperature)
 
 
 class TestPromptsSent:
@@ -346,8 +372,8 @@ class TestPromptsSent:
         # 3 rule lists, 12 missions, 6 refinements (after missions 2 and 4), 2 inferences
         assert len(provider.requests) == 3 + 12 + 6 + 2
         digest = hashlib.sha256()
-        for request in provider.requests:
-            digest.update(f"{request.temperature}\n{request.prompt}\n".encode())
+        for prompt, temperature in provider.requests:
+            digest.update(f"{temperature}\n{prompt}\n".encode())
         assert digest.hexdigest() == self.GOLDEN
 
 

@@ -497,11 +497,11 @@ class TestSimConfigFile:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            ({"fatigue_flor": 0.5}, "unknown sim config keys ['fatigue_flor']"),
+            ({"fatigue_flor": 0.5}, 'unknown sim config keys ["fatigue_flor"]'),
             ([0.5], "a sim config must be an object, got [0.5]"),
             ({"skill_multiplier": 1.0}, "skill_multiplier must be an object giving each tier a number"),
             ({"skill_multiplier": {"Lo": 0.8, "Med": 1.0}}, "skill_multiplier gives no number for tier Hi"),
-            ({"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": 1, "Top": 2}}, "skill_multiplier: unknown tier 'Top'"),
+            ({"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": 1, "Top": 2}}, 'skill_multiplier: unknown tier "Top"'),
             ({"skill_multiplier": {"Lo": 1, "Med": 1, "Hi": "1"}}, 'skill_multiplier.Hi must be a finite number, got "1"'),
             ({"workload_coef": float("nan")}, "workload_coef must be a finite number, got NaN"),
             ({"points_per_correct": float("inf")}, "points_per_correct must be a finite number"),
