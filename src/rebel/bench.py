@@ -34,7 +34,6 @@ from .core import (
     ObjectiveBounds,
     PerformanceRecord,
     PreferenceVector,
-    RobotKind,
     RobotProfile,
     TaskSpec,
     Tier,
@@ -247,10 +246,9 @@ def _draw_human(rng: random.Random, taken: set[str]) -> HumanProfile:
     return HumanProfile(_free_id("H", taken), cognition=rng.choice(_TIERS), skill=rng.choice(_TIERS))
 
 
-def _draw_robot(rng: random.Random, kind: RobotKind, taken: set[str]) -> RobotProfile:
+def _draw_robot(rng: random.Random, prefix: str, taken: set[str]) -> RobotProfile:
     return RobotProfile(
-        _free_id(kind.value, taken),
-        kind,
+        _free_id(prefix, taken),
         speed=round(rng.uniform(5.0, 15.0), 1),
         camera_quality=rng.choice(_TIERS),
     )
@@ -262,9 +260,7 @@ def random_scenario(humans: int, robots: int, tasks: int, seed: int) -> MissionS
     rng = random.Random(seed)
     taken: set[str] = set()
     human_profiles = tuple(_draw_human(rng, taken) for _ in range(humans))
-    robot_profiles = tuple(
-        _draw_robot(rng, rng.choice((RobotKind.UAV, RobotKind.UGV)), taken) for _ in range(robots)
-    )
+    robot_profiles = tuple(_draw_robot(rng, rng.choice(("UAV", "UGV")), taken) for _ in range(robots))
     task_specs = tuple(
         TaskSpec(
             f"T_{i}",
@@ -463,7 +459,7 @@ def apply_composition_change(
 
     rng = random.Random(derive_seed("composition", *sorted(remove)))
     new_humans = tuple(_draw_human(rng, taken) for _ in range(change.add_humans))
-    new_robots = tuple(_draw_robot(rng, RobotKind.UGV, taken) for _ in range(change.add_robots))
+    new_robots = tuple(_draw_robot(rng, "UGV", taken) for _ in range(change.add_robots))
 
     orphaned = tuple(
         task_id
@@ -555,19 +551,31 @@ class BenchDeps:
 @dataclass
 class CellResult:
     method: str
-    pref_label: str
     prefs: PreferenceVector
-    prioritized: str | None
     records: list[PerformanceRecord]
     fallbacks: int
     runtime_s: float
-    na: bool = False
     changed_records: list[PerformanceRecord] | None = None
     norms: dict[Objective, float] = field(default_factory=dict)
     aligned: bool | None = None
     # per-trial weighted normalized scores on batch-wide bounds; the input
     # for method-vs-method Welch comparisons
     trial_scores: list[float] = field(default_factory=list)
+
+    @property
+    def pref_label(self) -> str:
+        return self.prefs.label()
+
+    @property
+    def prioritized(self) -> str | None:
+        """The short name of the dominant objective, or None on a tie."""
+        dominant = self.prefs.dominant()
+        return dominant.short if dominant else None
+
+    @property
+    def na(self) -> bool:
+        """No records: the method cannot re-plan."""
+        return not self.records
 
     def mean(self, objective: Objective) -> float:
         return statistics.fmean(r.value(objective) for r in self.records)
@@ -781,11 +789,9 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
         for prefs in spec.preferences:
             results = () if na[method] else next(per_cell)
             records, fallbacks, changed, seconds = zip(*results) if results else ((),) * 4
-            prioritized = prefs.dominant()
             cells.append(CellResult(
-                method, prefs.label(), prefs, prioritized.short if prioritized else None,
-                records=list(records), fallbacks=sum(fallbacks), runtime_s=sum(seconds),
-                na=na[method], changed_records=[c for c in changed if c is not None] or None,
+                method, prefs, records=list(records), fallbacks=sum(fallbacks), runtime_s=sum(seconds),
+                changed_records=[c for c in changed if c is not None] or None,
             ))
 
     live = [c for c in cells if not c.na]
@@ -799,9 +805,9 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
                     else normalize_objective(value, ObjectiveBounds(lo, hi, objective.direction))
                 )
         for cell in live:
-            if cell.prioritized is None:
+            target = cell.prefs.dominant()
+            if target is None:
                 continue
-            target = Objective.parse(cell.prioritized)
             cell.aligned = cell.norms[target] >= max(cell.norms.values()) - 1e-12
 
     if live:

@@ -207,9 +207,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     rules_db, exp_db = RulesDatabase(args.rules_db), ExperienceDatabase(args.exp_db)
     _check_embedding_dim(args.exp_db, exp_db, retrieval.embedder)
     sim_cfg = _sim_config(args)
-    result = infer(
-        scenario, args.prefs, rules_db, exp_db, _build_provider(args, sim_cfg), retrieval, sim_cfg
-    )
+    try:
+        result = infer(
+            scenario, args.prefs, rules_db, exp_db, _build_provider(args, sim_cfg), retrieval, sim_cfg
+        )
+    except CorruptLogError:  # its message names the store
+        raise
+    except ValueError as exc:  # e.g. a shared-control speed that scales to 0.0
+        raise InputError(f"{args.scenario}: cannot allocate a plan: {exc}") from exc
     plan_text = result.plan.render()
     if args.out:
         Path(args.out).write_text(plan_text + "\n", encoding="utf-8")

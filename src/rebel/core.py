@@ -97,7 +97,7 @@ class Tier(Enum):
     def parse(cls, text: str) -> "Tier":
         tier = _TIER_ALIASES.get(text.strip().lower())
         if tier is None:
-            raise ValueError(f"unknown tier {text!r}")
+            raise ValueError(f"unknown tier {echo(text)}")
         return tier
 
 
@@ -106,15 +106,6 @@ _TIER_ALIASES = {
     "med": Tier.MED, "medium": Tier.MED,
     "hi": Tier.HIGH, "high": Tier.HIGH,
 }
-
-
-class RobotKind(Enum):
-    UAV = "UAV"
-    UGV = "UGV"
-
-    @classmethod
-    def from_id(cls, robot_id: str) -> "RobotKind":
-        return cls.UAV if robot_id.upper().startswith("UAV") else cls.UGV
 
 
 class Objective(Enum):
@@ -136,7 +127,7 @@ class Objective(Enum):
     def parse(cls, text: str) -> "Objective":
         objective = _OBJECTIVE_KEYS.get(text.strip().upper())
         if objective is None:
-            raise ValueError(f"unknown objective {text!r}")
+            raise ValueError(f"unknown objective {echo(text)}")
         return objective
 
 
@@ -159,10 +150,10 @@ class HumanProfile:
 
 @dataclass(frozen=True)
 class RobotProfile:
-    """Robot described by platform kind, travel speed, and camera quality."""
+    """Robot described by travel speed and camera quality; its id's `UAV` or
+    `UGV` prefix names the platform."""
 
     id: str
-    kind: RobotKind
     speed: float
     camera_quality: Tier
 
@@ -211,13 +202,13 @@ def _members(line: str, header: str, entry: re.Pattern[str], build) -> tuple:
     body = line[len(header):]
     matches = list(entry.finditer(body))
     if len(matches) != body.count(":"):
-        raise ValueError(f"{header} unreadable entry {entry.sub('', body).strip(' {},')!r}")
+        raise ValueError(f"{header} unreadable entry {echo(entry.sub('', body).strip(' {},'))}")
     members = []
     for match in matches:
         try:
             members.append(build(*match.groups()))
         except ValueError as exc:
-            raise ValueError(f"{header} {exc} in entry {match[0]!r}") from None
+            raise ValueError(f"{header} {exc} in entry {echo(match[0])}") from None
     return tuple(members)
 
 
@@ -225,8 +216,8 @@ def _members(line: str, header: str, entry: re.Pattern[str], build) -> tuple:
 class MissionScenario:
     """Team composition plus the task list, with the arena bound they live in.
 
-    The three section texts behind `render_*_section`, `render_spf` and
-    `serialize` are rendered on first use and kept on the instance; a copy
+    The three section texts of `sections`, behind `render_spf` and
+    `serialize`, are rendered on first use and kept on the instance; a copy
     made with `dataclasses.replace` renders its own.
     """
 
@@ -265,7 +256,7 @@ class MissionScenario:
     # Canonical text renderings: members are already in natural id order, so
     # logically equal scenarios always produce byte-identical text.
     @functools.cached_property
-    def _sections(self) -> tuple[str, str, str]:
+    def sections(self) -> tuple[str, str, str]:
         """The human, robot and task dictionaries, rendered once per instance."""
         humans = ", ".join(f"{h.id}: [{h.skill.value}, {h.cognition.value}]" for h in self.humans)
         robots = ", ".join(
@@ -281,18 +272,9 @@ class MissionScenario:
             "Task Info: {" + tasks + "}",
         )
 
-    def render_human_section(self) -> str:
-        return self._sections[0]
-
-    def render_robot_section(self) -> str:
-        return self._sections[1]
-
-    def render_task_section(self) -> str:
-        return self._sections[2]
-
     def render_spf(self) -> str:
         """Three-dictionary form used verbatim in prompts and for embeddings."""
-        return "\n".join(self._sections)
+        return "\n".join(self.sections)
 
     def serialize(self) -> str:
         return f"Arena Side: {fmt_num(self.arena_side)}\n" + self.render_spf()
@@ -320,9 +302,7 @@ class MissionScenario:
         )
         robots = _members(
             robot_line, "Robot Details:", _ROBOT_ENTRY,
-            lambda r_id, speed, camera: RobotProfile(
-                r_id, RobotKind.from_id(r_id), float(speed), Tier.parse(camera)
-            ),
+            lambda r_id, speed, camera: RobotProfile(r_id, float(speed), Tier.parse(camera)),
         )
         tasks = _members(
             task_line, "Task Info:", _TASK_ENTRY,

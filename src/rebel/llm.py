@@ -62,6 +62,9 @@ class MalformedResponse(LlmError):
 # requests one HTTP client holds open at once, across its threads
 MAX_CONCURRENCY = 4
 
+# seconds before the first retry of a transient failure; each later one doubles it
+BACKOFF_S = 0.5
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -70,7 +73,6 @@ class ProviderConfig:
     api_key_env: str = "OPENAI_API_KEY"
     timeout_s: float = 60.0
     retries: int = 2
-    backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
         # urllib also opens file:, ftp: and data: URLs, and raises ValueError on no scheme
@@ -117,7 +119,7 @@ def _post(cfg: ProviderConfig, gate: threading.Semaphore, path: str, payload: di
     timed_out = False
     for attempt in range(cfg.retries + 1):
         if attempt:
-            time.sleep(cfg.backoff_s * 2 ** (attempt - 1))
+            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
         try:
             with gate:
                 try:

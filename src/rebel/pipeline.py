@@ -330,13 +330,11 @@ def infer(
 
 
 def _exemplar(record: ExperienceRecord) -> Exemplar:
-    """The record's stored texts as a prompt exemplar. Reading `record.plan`
-    first parses, validates and round-trip checks both texts (ValueError
-    naming the record otherwise), so the scenario text is `serialize()`
-    output: its `Arena Side` line, then `render_spf()`."""
+    """The record's scenario and plan as a prompt exemplar. Reading
+    `record.plan` first parses, validates and round-trip checks both texts
+    (ValueError naming the record otherwise)."""
     record.plan
-    spf = record.scenario_text.partition("\n")[2]
-    return Exemplar(scenario_text=spf, plan_text=record.plan_text)
+    return Exemplar(scenario_text=record.scenario.render_spf(), plan_text=record.plan_text)
 
 
 def _pick(bounds: tuple[int, int], seed: int, tag: str) -> int:

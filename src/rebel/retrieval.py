@@ -252,11 +252,7 @@ def embed_scenario_sections(
     scenario: MissionScenario, embedder: Embedder
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     """Embed the three canonical attribute dictionaries independently."""
-    return (
-        unit_vector(embedder.embed(scenario.render_human_section())),
-        unit_vector(embedder.embed(scenario.render_robot_section())),
-        unit_vector(embedder.embed(scenario.render_task_section())),
-    )
+    return tuple(unit_vector(embedder.embed(text)) for text in scenario.sections)
 
 
 def _pack_sections(record_id: int, sections: Sequence[Sequence[float]], dim: int | None) -> bytes:
@@ -746,18 +742,14 @@ class ExperienceDatabase:
         keeps nothing."""
         count, dim = len(self._records), self._dim  # `store` sets dim before the first append
         k = min(k, count)
-        texts = (
-            scenario.render_human_section(),
-            scenario.render_robot_section(),
-            scenario.render_task_section(),
-        )
+        key = (scenario.sections, k)
         held, sections, held_by, nearest = self._slot
         if held != count:
             sections, nearest = None, {}
         elif held_by != embedder:
             nearest = {}
-        elif (texts, k) in nearest:
-            return nearest[texts, k]
+        elif key in nearest:
+            return nearest[key]
         queries = embed_scenario_sections(scenario, embedder)
         for query in queries:
             if len(query) != dim:
@@ -772,7 +764,7 @@ class ExperienceDatabase:
         top = tuple(records[row] for row in rows)
         if len(nearest) >= _RANKINGS_KEPT:
             nearest = {}
-        self._slot = (count, sections, embedder, {**nearest, (texts, k): top})
+        self._slot = (count, sections, embedder, {**nearest, key: top})
         return top
 
     def store(

@@ -138,9 +138,9 @@ def _read_tier_map(name: str, value) -> dict[Tier, float]:
     for key, number in value.items():
         try:
             tier = Tier.parse(key)
-        except ValueError:
-            raise ValueError(f"{name}: unknown tier {echo(key)}") from None
-        tiers[tier] = float(_finite(f"{name}.{key}", number))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        tiers[tier] = float(_finite(f"{name}.{tier.value}", number))
     missing = [tier.value for tier in Tier if tier not in tiers]
     if missing:
         raise ValueError(f"{name} gives no number for tier {', '.join(missing)}")

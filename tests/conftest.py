@@ -9,7 +9,6 @@ from rebel.core import (
     HumanProfile,
     ItaPlan,
     MissionScenario,
-    RobotKind,
     RobotProfile,
     TaskSpec,
     Tier,
@@ -24,9 +23,7 @@ def make_scenario(
 ) -> MissionScenario:
     return MissionScenario(
         humans=tuple(HumanProfile(i, cognition=c, skill=s) for i, c, s in humans),
-        robots=tuple(
-            RobotProfile(i, RobotKind.from_id(i), speed=v, camera_quality=q) for i, v, q in robots
-        ),
+        robots=tuple(RobotProfile(i, speed=v, camera_quality=q) for i, v, q in robots),
         tasks=tuple(TaskSpec(i, loc, d) for i, loc, d in tasks),
         arena_side=arena_side,
     )

@@ -79,9 +79,7 @@ def ref_fusion_order(query: str, entries, embedder, alpha, c, k1, b) -> list[int
 
 
 def ref_experience_order(scenario, prefs, records, embedder, k: int, m: int) -> list[int]:
-    q_h = embedder.embed(scenario.render_human_section())
-    q_r = embedder.embed(scenario.render_robot_section())
-    q_t = embedder.embed(scenario.render_task_section())
+    q_h, q_r, q_t = (embedder.embed(text) for text in scenario.sections)
     sims = {
         rec.id: ref_cosine(q_h, rec.emb_humans)
         + ref_cosine(q_r, rec.emb_robots)

@@ -39,7 +39,12 @@
 # unreachable `--embedder http`, and `rebel infer` on a store holding a
 # section embedding of all zeros, each with exactly one error line; the error
 # lines of the sim config's integer past the float range and of a sim config
-# key 10,000 characters long must stay short, since an echoed value is cut
+# key 10,000 characters long must stay short, since an echoed value is cut;
+# so must (exit 2, exactly one error line under 1 KB) a spec preferences key,
+# a scenario tier word under `rebel simulate` and `rebel infer`, and a sim
+# config tier-map key padded with spaces, each 10,000 characters long; and
+# `rebel infer` on the robot whose shared speed underflows to 0.0 must exit 2
+# without a traceback, with the stub and with an unreachable endpoint
 set -eo pipefail
 
 d=$(mktemp -d)
@@ -181,3 +186,16 @@ if [ "$(wc -c < "$d/huge-int-sim-config.err")" -gt 300 ]; then echo "an echoed v
 python -c 'import json; print(json.dumps({"x" * 10000: 1}))' > "$d/long-key-sim.json"
 must_fail long-key-sim-config 2 rebel simulate --scenario "$d/scenario.txt" --plan "$d/plan.txt" --sim-config "$d/long-key-sim.json"
 if [ "$(wc -c < "$d/long-key-sim-config.err")" -ge 1024 ]; then echo "an echoed unknown key must be cut short"; exit 1; fi
+python -c 'import json; print(json.dumps({"preferences": [{"x" * 10000: 1}]}))' > "$d/long-objective.json"
+python -c 'print("Human Attributes: {H_0: [Med, " + "x" * 10000 + "]}\nRobot Details: {UAV_0: [5, Hi]}\nTask Info: {}")' > "$d/long-tier.txt"
+python -c 'import json; print(json.dumps({"skill_multiplier": {"Lo" + " " * 10000: "bad", "Med": 1, "Hi": 1}}))' > "$d/padded-tier-key-sim.json"
+must_fail long-objective-bench 2 rebel bench --spec "$d/long-objective.json" --out-dir "$d/bench-long-objective"
+must_fail long-tier-simulate 2 rebel simulate --scenario "$d/long-tier.txt" --plan "$d/plan.txt"
+must_fail long-tier-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/long-tier.txt" --prefs MT
+must_fail padded-tier-key-sim-config 2 rebel simulate --scenario "$d/scenario.txt" --plan "$d/plan.txt" --sim-config "$d/padded-tier-key-sim.json"
+for name in long-objective-bench long-tier-simulate long-tier-infer padded-tier-key-sim-config; do
+  if [ "$(grep -c "^error: " "$d/$name.err")" -ne 1 ]; then echo "$name must print exactly one error line"; exit 1; fi
+  if [ "$(wc -c < "$d/$name.err")" -ge 1024 ]; then echo "$name must echo its name cut short"; exit 1; fi
+done
+must_fail underflow-speed-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json"
+must_fail underflow-speed-infer-http 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json" --provider http --endpoint http://127.0.0.1:9/v1 --retries 0

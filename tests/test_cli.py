@@ -407,6 +407,7 @@ def _assert_one_line_error(capsys, argv, path, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
     assert captured.err.count("\n") == 1 and message in captured.err
+    return captured.err
 
 
 @pytest.mark.parametrize("command", ["infer", "simulate"])
@@ -419,11 +420,11 @@ def _assert_one_line_error(capsys, argv, path, message):
         ("Human Attributes: {}\nRobot Details: {UAV_0: [5, Hi]}\n", "all three attribute dictionaries"),
         (
             "Human Attributes: {H_0: [Med]}\nRobot Details: {UAV_0: [5, Hi]}\nTask Info: {}\n",
-            "Human Attributes: unreadable entry 'H_0: [Med]'",
+            'Human Attributes: unreadable entry "H_0: [Med]"',
         ),
         (
             "Human Attributes: {H_0: [Med, Huge]}\nRobot Details: {UAV_0: [5, Hi]}\nTask Info: {}\n",
-            "Human Attributes: unknown tier 'Huge' in entry 'H_0: [Med, Huge]'",
+            'Human Attributes: unknown tier "Huge" in entry "H_0: [Med, Huge]"',
         ),
         ("Arena Side: wide\nHuman Attributes: {}\nRobot Details: {}\nTask Info: {}\n", "wide"),
     ],
@@ -465,8 +466,10 @@ def test_a_bad_simulate_plan_is_a_one_line_error(tmp_path, capsys, plan, message
     _assert_one_line_error(capsys, _argv("simulate", tmp_path, paths), paths["plan.txt"], message)
 
 
-def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_simulate_error(tmp_path, capsys):
-    # each value is accepted on its own; their product is 0.0
+def _underflow_inputs(tmp_path):
+    """`_input_files` with a robot whose shared-control speed underflows to
+    0.0 under the `--sim-config` file also written: each value is accepted
+    on its own; their product is 0.0."""
     paths = _input_files(tmp_path)
     paths["scenario.txt"].write_text(
         "Human Attributes: {H_0: [Med, Med]}\nRobot Details: {UAV_0: [1e-300, Med]}\n"
@@ -475,9 +478,28 @@ def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_simulate_error(tmp
     paths["plan.txt"].write_text("T_0: (H_0, UAV_0)\n")
     sim_config = tmp_path / "sim.json"
     sim_config.write_text('{"shared_speed_multiplier": {"Lo": 1e-300, "Med": 1e-300, "Hi": 1e-300}}')
+    return paths, sim_config
+
+
+def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_simulate_error(tmp_path, capsys):
+    paths, sim_config = _underflow_inputs(tmp_path)
     argv = [*_argv("simulate", tmp_path, paths), "--sim-config", str(sim_config)]
     _assert_one_line_error(
         capsys, argv, paths["scenario.txt"], "cannot simulate the plan: speed must be > 0, got 0.0"
+    )
+
+
+@pytest.mark.parametrize(
+    "provider",
+    [[], ["--provider", "http", "--endpoint", "http://127.0.0.1:9/v1", "--retries", "0"]],
+    ids=["stub", "unreachable-http"],
+)
+def test_a_shared_speed_that_underflows_to_zero_is_a_one_line_infer_error(tmp_path, capsys, provider):
+    # the stub plans greedily, and so does the fallback when the endpoint is unreachable
+    paths, sim_config = _underflow_inputs(tmp_path)
+    argv = [*_argv("infer", tmp_path, paths)[:-1], "TP=0.5,MT=0.5", "--sim-config", str(sim_config), *provider]
+    _assert_one_line_error(
+        capsys, argv, paths["scenario.txt"], "cannot allocate a plan: speed must be > 0, got 0.0"
     )
 
 
@@ -557,6 +579,34 @@ def test_an_unknown_key_is_echoed_cut_short(tmp_path, capsys, file, content, mes
     # the line also lists every known key: the sim config's alone take 298 characters
     _, err = _error_for_input(tmp_path, capsys, file, content, message)
     assert "…" in err and len(err.encode("utf-8")) < 1024
+
+
+_LONG_TIER_SCENARIO = f"Human Attributes: {{H_0: [Med, {_LONG}]}}\nRobot Details: {{UAV_0: [5, Hi]}}\nTask Info: {{}}\n"
+
+
+@pytest.mark.parametrize(
+    "command, file, content, message",
+    [
+        ("bench", "spec.json", json.dumps({"preferences": [{_LONG: 1}]}), "unknown objective "),
+        ("simulate", "scenario.txt", _LONG_TIER_SCENARIO, "Human Attributes: unknown tier "),
+        ("infer", "scenario.txt", _LONG_TIER_SCENARIO, "Human Attributes: unknown tier "),
+        (
+            "simulate", "sim.json",
+            json.dumps({"skill_multiplier": {"Lo" + " " * 10_000: "bad", "Med": 1, "Hi": 1}}),
+            'skill_multiplier.Lo must be a finite number, got "bad"',
+        ),
+    ],
+    ids=["spec-objective", "simulate-tier-word", "infer-tier-word", "sim-padded-tier-key"],
+)
+def test_an_oversized_name_is_cut_short(tmp_path, capsys, command, file, content, message):
+    paths = _input_files(tmp_path)
+    path = tmp_path / file
+    path.write_text(content)
+    argv = _argv(command, tmp_path, paths)
+    if file == "sim.json":
+        argv += ["--sim-config", str(path)]
+    err = _assert_one_line_error(capsys, argv, path, message)
+    assert len(err.encode("utf-8")) < 1024
 
 
 def _error_for_input(tmp_path, capsys, file, content, message):

@@ -19,6 +19,7 @@ from rebel.core import (
     PreferenceVector,
     Tier,
     aggregate_objective,
+    echo,
     fmt_num,
     natural_key,
     normalize_objective,
@@ -260,16 +261,16 @@ class TestScenarioSerialization:
         lines[index] = f"{section} {{{entry}, {body[1:-1]}}}" if body != "{}" else f"{section} {{{entry}}}"
         with pytest.raises(ValueError) as info:
             MissionScenario.parse("\n".join(lines))
-        assert str(info.value) == f"{section} unreadable entry {entry!r}"
+        assert str(info.value) == f"{section} unreadable entry {echo(entry)}"
 
     @pytest.mark.parametrize(
         "section, entry, reason",
         [
-            ("Human Attributes:", "H_1: [Med, Huge]", "unknown tier 'Huge'"),
-            ("Human Attributes:", "H_1: [Top, Lo]", "unknown tier 'Top'"),
-            ("Robot Details:", "UAV_1: [5, Best]", "unknown tier 'Best'"),
+            ("Human Attributes:", "H_1: [Med, Huge]", 'unknown tier "Huge"'),
+            ("Human Attributes:", "H_1: [Top, Lo]", 'unknown tier "Top"'),
+            ("Robot Details:", "UAV_1: [5, Best]", 'unknown tier "Best"'),
             ("Robot Details:", "UGV_1: [0, Hi]", "robot UGV_1: speed must be > 0, got 0.0"),
-            ("Task Info:", "T_1: [(10, 20), Easy]", "unknown tier 'Easy'"),
+            ("Task Info:", "T_1: [(10, 20), Easy]", 'unknown tier "Easy"'),
         ],
     )
     def test_an_entry_a_member_cannot_take_is_named_with_its_section(self, scenario, section, entry, reason):
@@ -278,7 +279,7 @@ class TestScenarioSerialization:
         lines[index] = lines[index].replace("{", "{" + entry + ", ", 1)
         with pytest.raises(ValueError) as info:
             MissionScenario.parse("\n".join(lines))
-        assert str(info.value) == f"{section} {reason} in entry {entry!r}"
+        assert str(info.value) == f"{section} {reason} in entry {echo(entry)}"
 
     def test_empty_sections_parse_to_no_members(self):
         parsed = MissionScenario.parse("Human Attributes: {}\nRobot Details: {}\nTask Info: { }")
@@ -292,9 +293,7 @@ class TestScenarioTextCache:
 
     def test_cached_renders_equal_fresh_ones(self, scenario):
         for _ in range(2):  # the first call renders, the second reads the kept texts
-            assert scenario.render_human_section() == self.HUMANS
-            assert scenario.render_robot_section() == self.ROBOTS
-            assert scenario.render_task_section() == self.TASKS
+            assert scenario.sections == (self.HUMANS, self.ROBOTS, self.TASKS)
             assert scenario.render_spf() == "\n".join((self.HUMANS, self.ROBOTS, self.TASKS))
             assert scenario.serialize() == "Arena Side: 2000\n" + scenario.render_spf()
 
@@ -315,13 +314,12 @@ class TestScenarioTextCache:
             humans=(HumanProfile("H_9", cognition=Tier.HIGH, skill=Tier.LOW),),
             arena_side=3000.0,
         )
-        assert copy.render_human_section() == "Human Attributes: {H_9: [Lo, Hi]}"
-        assert copy.render_robot_section() == self.ROBOTS
+        assert copy.sections[:2] == ("Human Attributes: {H_9: [Lo, Hi]}", self.ROBOTS)
         assert copy.serialize() == (
             "Arena Side: 3000\nHuman Attributes: {H_9: [Lo, Hi]}\n"
             + self.ROBOTS + "\n" + self.TASKS
         )
-        assert scenario.render_human_section() == self.HUMANS
+        assert scenario.sections[0] == self.HUMANS
 
     def test_kept_texts_leave_equality_and_hashing_alone(self, scenario):
         fresh = make_scenario()

@@ -103,6 +103,11 @@ def http_server():
     server.server_close()
 
 
+@pytest.fixture
+def short_backoff(monkeypatch):
+    monkeypatch.setattr("rebel.llm.BACKOFF_S", 0.01)
+
+
 def ask_chat(cfg: ProviderConfig):
     return HttpCompletionProvider(cfg).complete("ping", INFER_TEMPERATURE)
 
@@ -116,15 +121,15 @@ class TransportCases:
     subclass runs them through one client's `ask`, which returns `answer`
     for the handler's default 200."""
 
-    def test_401_rejected_without_retry(self, http_server):
+    def test_401_rejected_without_retry(self, http_server, short_backoff):
         ScriptedHandler.script = [(401, {"error": "bad key"}), (200, None)]
         with pytest.raises(ProviderRejected):
-            self.ask(ProviderConfig(endpoint=http_server, retries=3, backoff_s=0.01))
+            self.ask(ProviderConfig(endpoint=http_server, retries=3))
         assert len(ScriptedHandler.requests_seen) == 1
 
-    def test_500_retried_then_succeeds(self, http_server):
+    def test_500_retried_then_succeeds(self, http_server, short_backoff):
         ScriptedHandler.script = [(500, {"error": "flaky"}), (200, None)]
-        cfg = ProviderConfig(endpoint=http_server, retries=2, backoff_s=0.01)
+        cfg = ProviderConfig(endpoint=http_server, retries=2)
         assert self.ask(cfg) == self.answer
         assert len(ScriptedHandler.requests_seen) == 2
 
@@ -137,10 +142,10 @@ class TransportCases:
         with pytest.raises(Timeout):
             self.ask(ProviderConfig(endpoint=http_server, retries=0, timeout_s=0.3))
 
-    def test_truncated_body_is_retried_then_unavailable(self, http_server):
+    def test_truncated_body_is_retried_then_unavailable(self, http_server, short_backoff):
         ScriptedHandler.script = ["truncate", "truncate"]
         with pytest.raises(Unavailable):
-            self.ask(ProviderConfig(endpoint=http_server, retries=1, backoff_s=0.01))
+            self.ask(ProviderConfig(endpoint=http_server, retries=1))
         assert len(ScriptedHandler.requests_seen) == 2
 
     def test_non_json_200_is_malformed(self, http_server):

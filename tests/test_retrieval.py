@@ -836,8 +836,9 @@ def _query_embedder(scenario: MissionScenario, query) -> RawEmbedder:
     """Embeds the human, robot and task section texts of `scenario` as the
     first, second and last third of `query`, unnormalised."""
     dim = len(query) // 3
-    texts = (scenario.render_human_section(), scenario.render_robot_section(), scenario.render_task_section())
-    return RawEmbedder({text: tuple(query[i * dim : (i + 1) * dim]) for i, text in enumerate(texts)})
+    return RawEmbedder(
+        {text: tuple(query[i * dim : (i + 1) * dim]) for i, text in enumerate(scenario.sections)}
+    )
 
 
 def _vector_store(rows) -> tuple[ExperienceDatabase, MissionScenario]:

@@ -20,7 +20,6 @@ from rebel.core import (
     HumanProfile,
     ItaPlan,
     MissionScenario,
-    RobotKind,
     RobotProfile,
     TaskSpec,
     Tier,
@@ -225,7 +224,7 @@ def random_small_scenario(rng) -> MissionScenario:
         for i in range(rng.randint(1, 3))
     )
     robots = tuple(
-        RobotProfile(f"UGV_{i}", RobotKind.UGV, rng.uniform(3, 15), rng.choice(tiers))
+        RobotProfile(f"UGV_{i}", rng.uniform(3, 15), rng.choice(tiers))
         for i in range(rng.randint(1, 4))
     )
     tasks = tuple(
@@ -290,7 +289,7 @@ class TestSimInvariants:
             faster = MissionScenario(
                 humans=scenario.humans,
                 robots=tuple(
-                    RobotProfile(r.id, r.kind, r.speed * 1.5, r.camera_quality)
+                    RobotProfile(r.id, r.speed * 1.5, r.camera_quality)
                     for r in scenario.robots
                 ),
                 tasks=scenario.tasks,
