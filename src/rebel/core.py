@@ -400,6 +400,9 @@ _RECORD_FIELD = {
 }
 
 
+_PERFORMANCE_LINE = re.compile(rf"Performance:\s*\[\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*\]")
+
+
 @dataclass(frozen=True)
 class PerformanceRecord:
     """Mission outcome triple: accuracy points, duration, human utilization."""
@@ -428,9 +431,9 @@ class PerformanceRecord:
 
     @classmethod
     def parse(cls, text: str) -> "PerformanceRecord":
-        m = re.search(rf"Performance:\s*\[\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*\]", text)
+        m = _PERFORMANCE_LINE.search(text)
         if not m:
-            raise ValueError(f"unparseable performance line: {text!r}")
+            raise ValueError(f"unparseable performance line: {echo(text)}")
         return cls(float(m.group(1)), float(m.group(2)), float(m.group(3)))
 
 

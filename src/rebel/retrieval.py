@@ -38,6 +38,7 @@ from .core import (
     PerformanceRecord,
     PreferenceVector,
     aggregate_scores,
+    echo,
     ordered_sum,
     performance_columns,
 )
@@ -255,10 +256,19 @@ def embed_scenario_sections(
     return tuple(unit_vector(embedder.embed(text)) for text in scenario.sections)
 
 
+# an encoded record's header: its section length, little-endian
+_DIM_HEADER = struct.Struct("<I")
+
+
 def _pack_sections(record_id: int, sections: Sequence[Sequence[float]], dim: int | None) -> bytes:
-    """The human, robot and task embeddings end to end as little-endian
-    float64, or `ValueError` naming the record if they differ in length, hold
-    a non-number, NaN or an infinity, or are not `dim` long (any length above
+    """The human, robot and task embeddings end to end as float64, encoded
+    sparse: a 4-byte little-endian header holding the section length, then a
+    nonzero bitmap of the 3·dim elements (`np.packbits`, first element in the
+    high bit, zero-padded to a whole byte), then the little-endian float64
+    bytes of the nonzero elements in element order. An element is nonzero
+    when its 64-bit pattern is, so -0.0 and subnormals are kept bit for bit.
+    `ValueError` naming the record if the sections differ in length, hold a
+    non-number, NaN or an infinity, or are not `dim` long (any length above
     0 when `dim` is None)."""
     humans, robots, tasks = sections
     if not len(humans) == len(robots) == len(tasks):
@@ -270,12 +280,32 @@ def _pack_sections(record_id: int, sections: Sequence[Sequence[float]], dim: int
         packed = struct.pack(f"<{3 * len(humans)}d", *humans, *robots, *tasks)
     except struct.error as exc:
         raise ValueError(f"experience record {record_id}: embedding element: {exc}") from exc
-    if not np.isfinite(np.frombuffer(packed, "<f8")).all():
+    floats = np.frombuffer(packed, "<f8")
+    nonzero = floats.view("<u8").astype(bool)
+    values = floats[nonzero]  # zeros are finite, so these are all that need the check
+    if not np.isfinite(values).all():
         raise ValueError(f"experience record {record_id}: embedding element is not finite")
     if len(humans) == 0 or dim not in (None, len(humans)):
         want = "above 0" if dim is None else f"the store's {dim}"
         raise ValueError(f"experience record {record_id}: embedded at dim {len(humans)}, not {want}")
-    return packed
+    return b"".join((_DIM_HEADER.pack(len(humans)), np.packbits(nonzero), values))
+
+
+def _dense_rows(records: Sequence["ExperienceRecord"], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, nonzero): row i holds the 3·dim float64 elements that record
+    i's encoding (`_pack_sections`, at `dim`) holds, bit for bit, and
+    `nonzero` the ascending flat positions in `rows` of the nonzero ones.
+    All the bitmaps are unpacked at once, and all the values land in one
+    indexed assignment."""
+    start = _DIM_HEADER.size
+    stop = start + (3 * dim + 7) // 8
+    codes = [rec.embedding for rec in records]
+    bitmaps = np.frombuffer(b"".join([code[start:stop] for code in codes]), np.uint8)
+    bits = np.unpackbits(bitmaps.reshape(len(codes), stop - start), axis=1, count=3 * dim)
+    nonzero = bits.view(bool).reshape(-1).nonzero()[0]
+    rows = np.zeros((len(codes), 3 * dim))
+    rows.reshape(-1)[nonzero] = np.frombuffer(b"".join([code[stop:] for code in codes]), "<f8")
+    return rows, nonzero
 
 
 @dataclass(frozen=True)
@@ -289,9 +319,11 @@ class ExperienceRecord:
     naming the record. Equality compares the texts, which for a canonical
     record is equality of the decoded objects.
 
-    The three section embeddings, of equal length, are held packed end to
-    end as float64 in `embedding` (`_pack_sections`); `emb_humans`,
-    `emb_robots` and `emb_tasks` decode their section.
+    The three section embeddings, of equal length `dim`, are held end to end
+    in `embedding` as a nonzero bitmap and the nonzero float64 values
+    (`_pack_sections`): about 580 bytes for a hashed embedding at dim 256,
+    where dense float64 took 6 KiB. `emb_humans`, `emb_robots` and
+    `emb_tasks` decode their section bit for bit.
     """
 
     id: int
@@ -314,9 +346,15 @@ class ExperienceRecord:
     def emb_tasks(self) -> tuple[float, ...]:
         return self._section(2)
 
+    @property
+    def dim(self) -> int:
+        """The length of each section embedding."""
+        return _DIM_HEADER.unpack_from(self.embedding)[0]
+
     def _section(self, index: int) -> tuple[float, ...]:
-        dim = len(self.embedding) // 24
-        return struct.unpack_from(f"<{dim}d", self.embedding, 8 * dim * index)
+        dim = self.dim
+        rows, _ = _dense_rows([self], dim)
+        return tuple(rows[0, dim * index : dim * (index + 1)].tolist())
 
     @functools.cached_property
     def scenario(self) -> MissionScenario:
@@ -335,7 +373,7 @@ class ExperienceRecord:
         """`parse(text)`, checked to render back to `text` exactly."""
         try:
             if not isinstance(text, str):
-                raise ValueError(f"not text: {text!r}")
+                raise ValueError(f"not text: {echo(text)}")
             value = parse(text)
         except (ValueError, ParseFailure, PlanInvalid) as exc:
             raise ValueError(f"experience record {self.id}: bad {name}: {exc}") from exc
@@ -357,7 +395,7 @@ def retrieve_experiences(
     Similarity is the sum of the three per-section cosines (`_top_rows`: the
     store's cached float32 matrix of unit section rows screens it in one
     matrix product, and only the rows near its top are scored exactly, in
-    float64 from their records' packed embeddings); a k above the store's
+    float64 from their records' encoded embeddings); a k above the store's
     size takes every record. The store keeps those k per scenario
     (`ExperienceDatabase._nearest`), so asking again under another
     preference vector only re-ranks. The k candidates are then ordered by
@@ -392,8 +430,8 @@ def _top_rows(
     first, ties broken toward the lower row; 1 <= k <= row count.
 
     A row's exact score adds its human, robot and task cosines, each a
-    row-wise float64 `einsum` over the row `_unit_rows` derives from the
-    record's packed bytes, in that order from zero. einsum scores a row alike
+    row-wise float64 `einsum` over the row `_unit_rows` decodes from the
+    record's embeddings, in that order from zero. einsum scores a row alike
     wherever it sits in the block, so identical rows tie exactly.
 
     One float32 `einsum` of `sections` with the query screens the rows
@@ -430,45 +468,68 @@ def _top_rows(
 
 
 # Rows decoded at a time while the section matrix is built: a block is
-# normalised in float64 (192 KiB at dim 256) and then cast to float32.
+# expanded to float64 (192 KiB at dim 256) to take its section norms.
 _BLOCK_ROWS = 32
+
+# Private pages, mapped in by the map call itself: far fewer page faults
+# than first writes to a shared map take.
+_MATRIX_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
 
 
 def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
-    """`_unit_rows` of `records` (at `dim`) cast to float32, built
-    `_BLOCK_ROWS` rows at a time, so no float64 copy of the whole store is made.
+    """`_unit_rows` of `records` (at `dim`) as float32, built `_BLOCK_ROWS`
+    rows at a time, so no float64 copy of the whole store is made. Only the
+    nonzero elements are scaled and written; the map's pages start zeroed.
 
     The matrix lives in an anonymous map of its own, so dropping it returns
     its pages at once. A heap block would stay resident, and the next store
     loaded would split it, so the next matrix would need new pages on top.
     """
     size = len(records) * 3 * dim
-    pages = mmap.mmap(-1, max(4 * size, 1))  # a map cannot be empty
-    matrix = np.frombuffer(pages, np.float32, size).reshape(len(records), 3 * dim)
+    pages = mmap.mmap(-1, max(4 * size, 1), flags=_MATRIX_MAP_FLAGS)  # a map cannot be empty
+    matrix = np.frombuffer(pages, np.float32, size)
     for start in range(0, len(records), _BLOCK_ROWS):
-        matrix[start : start + _BLOCK_ROWS] = _unit_rows(records[start : start + _BLOCK_ROWS], dim)
-    return matrix
+        block = records[start : start + _BLOCK_ROWS]
+        rows, nonzero = _dense_rows(block, dim)
+        norms = _section_norms(block, rows, dim).reshape(-1)
+        matrix[3 * dim * start + nonzero] = rows.reshape(-1)[nonzero] / norms[nonzero // dim]
+    return matrix.reshape(len(records), 3 * dim)
 
 
 def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings (each `dim` long),
     each scaled to unit length in float64, so a dot product with a unit query
-    section is a cosine. The packed bytes are decoded as one buffer.
-    `ValueError` naming the first record with a section of zero norm."""
-    # joined into a bytearray, which numpy can scale in place; bytes cannot be
-    sections = np.frombuffer(bytearray().join([rec.embedding for rec in records]), "<f8")
-    sections = sections.reshape(len(records), 3, dim)
+    section is a cosine. `ValueError` naming the first record with a section
+    of zero norm."""
+    rows, _ = _dense_rows(records, dim)
+    sections = rows.reshape(len(records), 3, dim)
+    sections /= _section_norms(records, rows, dim)[:, :, None]
+    return rows
+
+
+def _section_norms(records: Sequence[ExperienceRecord], rows: np.ndarray, dim: int) -> np.ndarray:
+    """The (record, section) norms of `_dense_rows` of `records`, or
+    `ValueError` naming the first record with a section of zero norm. They
+    are taken over the dense rows: einsum's order of summation follows the
+    element positions, so a sum over the nonzero squares alone could round
+    otherwise."""
+    sections = rows.reshape(len(records), 3, dim)
     norms = np.sqrt(np.einsum("ijk,ijk->ij", sections, sections))
     if not norms.all():
         record = records[np.flatnonzero(norms == 0)[0] // 3]
         raise ValueError(f"experience record {record.id}: zero vectors carry no direction")
-    sections /= norms[:, :, None]
-    return sections.reshape(len(records), 3 * dim)
+    return norms
 
 
 class CorruptLogError(ValueError):
     """A store's log holds a line that is not one of its records; the message
     names the file and the line number."""
+
+
+# An experience-log line is several KiB (768 floats at dim 256), so the
+# default 8 KiB read buffer splits most lines across two reads; joining the
+# pieces took about 5 µs a line, and this buffer cuts that to about 1.
+_READ_BUFFER_BYTES = 64 * 1024
 
 
 class _AppendLog:
@@ -507,7 +568,7 @@ class _AppendLog:
         if self.path is None or not self.path.exists():
             return
         size, repair = 0, None
-        with open(self.path, "rb") as handle:
+        with open(self.path, "rb", buffering=_READ_BUFFER_BYTES) as handle:
             for number, line in enumerate(handle, 1):
                 size += len(line)
                 if not line.strip():
@@ -561,18 +622,18 @@ class RulesDatabase:
             # bool is an int subclass, and a float or text id would number the next rule
             if payload["kind"] == "rule":
                 if type(payload["id"]) is not int:
-                    raise ValueError(f"rule id {payload['id']!r} is not an integer")
+                    raise ValueError(f"rule id {echo(payload['id'])} is not an integer")
                 entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
                 live[entry.id] = entry
                 self._next_id = max(self._next_id, entry.id + 1)
             elif payload["kind"] == "retire":
                 ids = payload["ids"]
                 if type(ids) is not list or any(type(entry_id) is not int for entry_id in ids):
-                    raise ValueError(f"retired ids {ids!r} are not a list of integers")
+                    raise ValueError(f"retired ids {echo(ids)} are not a list of integers")
                 for entry_id in ids:
                     live.pop(entry_id, None)
             else:
-                raise ValueError(f"unknown rules-log record kind {payload['kind']!r}")
+                raise ValueError(f"unknown rules-log record kind {echo(payload['kind'])}")
 
         for _ in self._log.read_all(apply):  # applied line by line
             pass
@@ -664,10 +725,10 @@ def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecor
     its scenario and plan stay text until first read (see ExperienceRecord)."""
     record_id = payload["id"]
     if type(record_id) is not int:
-        raise ValueError(f"record id {record_id!r} is not an integer")
+        raise ValueError(f"record id {echo(record_id)} is not an integer")
     fallback = payload.get("fallback", False)
     if type(fallback) is not bool:
-        raise ValueError(f"experience record {record_id}: fallback {fallback!r} is not a boolean")
+        raise ValueError(f"experience record {record_id}: fallback {echo(fallback)} is not a boolean")
     return ExperienceRecord(
         id=record_id,
         objective=Objective.parse(payload["objective"]),
@@ -688,8 +749,9 @@ class ExperienceDatabase:
     the first record sets. Once retrieved from, the store keeps one slot
     (`_nearest`): a float32 matrix of the records' unit section rows
     (`_section_matrix`) and the nearest records of the last `_RANKINGS_KEPT`
-    scenarios asked about; the records' packed bytes are the only float64
-    copy of the embeddings."""
+    scenarios asked about. The records' sparse encodings (`_pack_sections`)
+    are the only float64 copy of the embeddings, and each holds its `dim`,
+    which a load reads from the first record."""
 
     def __init__(self, path: str | Path | None = None):
         self._log = _AppendLog(path)
@@ -697,12 +759,17 @@ class ExperienceDatabase:
 
         def admit(payload: dict) -> ExperienceRecord:
             record = _experience_record(payload, self._dim)
-            self._dim = len(record.embedding) // 24
+            self._dim = record.dim
             return record
 
         # id order; only ever appended to, so its first n records never change
         self._records = sorted(self._log.read_all(admit), key=operator.attrgetter("id"))
-        self._dedup = {(r.objective, r.scenario_text, r.plan_text) for r in self._records}
+        # a record whose scenario or plan is not text fails on first read and matches no mission
+        self._dedup = {
+            (r.objective, r.scenario_text, r.plan_text)
+            for r in self._records
+            if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
+        }
         self._next_id = self._records[-1].id + 1 if self._records else 0
         # (record count, `_section_matrix` of that many records or None until
         # first used, embedder, {(section texts, min(k, record count)): nearest

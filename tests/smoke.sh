@@ -42,7 +42,9 @@
 # key 10,000 characters long must stay short, since an echoed value is cut;
 # so must (exit 2, exactly one error line under 1 KB) a spec preferences key,
 # a scenario tier word under `rebel simulate` and `rebel infer`, and a sim
-# config tier-map key padded with spaces, each 10,000 characters long; and
+# config tier-map key padded with spaces, each 10,000 characters long, and
+# an experience-store line whose performance, id or scenario, or a rules-log
+# line whose id, is 10,000 characters long, under `rebel infer`; and
 # `rebel infer` on the robot whose shared speed underflows to 0.0 must exit 2
 # without a traceback, with the stub and with an unreachable endpoint
 set -eo pipefail
@@ -196,6 +198,22 @@ must_fail padded-tier-key-sim-config 2 rebel simulate --scenario "$d/scenario.tx
 for name in long-objective-bench long-tier-simulate long-tier-infer padded-tier-key-sim-config; do
   if [ "$(grep -c "^error: " "$d/$name.err")" -ne 1 ]; then echo "$name must print exactly one error line"; exit 1; fi
   if [ "$(wc -c < "$d/$name.err")" -ge 1024 ]; then echo "$name must echo its name cut short"; exit 1; fi
+done
+python -c 'import json, sys
+line = json.loads(open(sys.argv[1]).readline())
+for field in ("performance", "id", "scenario"):
+    value = ["x" * 10000] if field == "scenario" else "x" * 10000
+    with open(f"{sys.argv[2]}/long-{field}.jsonl", "w") as handle:
+        print(json.dumps({**line, field: value}), file=handle)
+with open(f"{sys.argv[2]}/long-rule-id.jsonl", "w") as handle:
+    print(json.dumps({"kind": "rule", "id": "x" * 10000, "objective": "MT", "text": "t"}), file=handle)' "$d/exp-256.jsonl" "$d"
+for name in performance id scenario; do
+  must_fail "long-$name-store" 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/long-$name.jsonl" --scenario "$d/scenario.txt" --prefs MT
+done
+must_fail long-rule-id-store 2 rebel infer --rules-db "$d/long-rule-id.jsonl" --exp-db "$d/exp-256.jsonl" --scenario "$d/scenario.txt" --prefs MT
+for name in long-performance-store long-id-store long-scenario-store long-rule-id-store; do
+  if [ "$(grep -c "^error: " "$d/$name.err")" -ne 1 ]; then echo "$name must print exactly one error line"; exit 1; fi
+  if [ "$(wc -c < "$d/$name.err")" -ge 1024 ]; then echo "$name must echo its field cut short"; exit 1; fi
 done
 must_fail underflow-speed-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json"
 must_fail underflow-speed-infer-http 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json" --provider http --endpoint http://127.0.0.1:9/v1 --retries 0

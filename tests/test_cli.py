@@ -609,6 +609,34 @@ def test_an_oversized_name_is_cut_short(tmp_path, capsys, command, file, content
     assert len(err.encode("utf-8")) < 1024
 
 
+@pytest.mark.parametrize(
+    "store, fields, message",
+    [
+        ("exp", {"performance": _LONG}, "unparseable performance line: "),
+        ("exp", {"id": _LONG}, "record id "),
+        ("exp", {"fallback": _LONG}, "fallback "),
+        ("exp", {"scenario": [_LONG]}, "bad scenario: not text: "),
+        ("rules", {"kind": "rule", "id": _LONG, "objective": "MT", "text": "t"}, "rule id "),
+        ("rules", {"kind": "retire", "objective": "MT", "ids": [_LONG]}, "retired ids "),
+        ("rules", {"kind": _LONG}, "unknown rules-log record kind "),
+    ],
+    ids=["performance", "experience-id", "fallback", "scenario", "rule-id", "retired-ids", "rules-kind"],
+)
+def test_an_oversized_store_field_is_cut_short(tmp_path, capsys, store, fields, message):
+    paths = _input_files(tmp_path)
+    rules, exp = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl"
+    assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+    assert main(["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1"]) == 0
+    capsys.readouterr()
+    path = rules if store == "rules" else exp
+    line = fields if store == "rules" else {**json.loads(exp.read_text().splitlines()[0]), **fields}
+    path.write_text(json.dumps(line) + "\n")
+    assert main(_argv("infer", tmp_path, paths)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1 and message in err
+    assert "…" in err and len(err.encode("utf-8")) < 1024
+
+
 def _error_for_input(tmp_path, capsys, file, content, message):
     """(input path, stderr) of `simulate --sim-config` ("sim") or `bench
     --spec` ("spec") on `content`, checked to be one `error:` line naming

@@ -16,6 +16,7 @@ import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1357,31 +1358,94 @@ _EMBEDDING_ELEMENTS = st.one_of(
 )
 
 
+# finite elements whose squares, summed over three sections of up to 300,
+# stay in the float range, and subnormals, whose squares underflow to zero
+_SCALED_ELEMENTS = st.one_of(
+    st.floats(-1e150, 1e150, allow_nan=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]),
+)
+
+
 @st.composite
-def _sections(draw):
-    dim = draw(st.integers(1, 300))
-    section = st.lists(_EMBEDDING_ELEMENTS, min_size=dim, max_size=dim).map(tuple)
-    return draw(section), draw(section), draw(section)
+def _sections(draw, elements=_EMBEDDING_ELEMENTS, dims=st.integers(1, 300)):
+    """Three sections of one length, most not a multiple of 8, so the
+    nonzero bitmap ends mid-byte: dense, or four in five elements 0.0 as in
+    a hashed embedding; in one draw of four, one section is all 0.0 or all
+    -0.0."""
+    dim = draw(dims)
+    element = draw(st.sampled_from([elements, st.one_of(*[st.just(0.0)] * 4, elements)]))
+    section = st.lists(element, min_size=dim, max_size=dim).map(tuple)
+    sections = [draw(section) for _ in range(3)]
+    zeroed = draw(st.integers(0, 3))
+    if zeroed < 3:
+        sections[zeroed] = (draw(st.sampled_from([0.0, -0.0])),) * dim
+    return tuple(sections)
+
+
+def _stored(db, sections):
+    scenario = make_scenario()
+    plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+    return db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
 
 
 class TestPackedEmbeddings:
-    """Records hold their three section embeddings packed as float64; the
-    sections, the log and the section matrix are what they were."""
+    """Records hold their three section embeddings as a nonzero bitmap and
+    the nonzero float64 values; the sections, the log and the section matrix
+    are what they were, bit for bit, -0.0 and subnormals included."""
 
     @settings(max_examples=40, deadline=None)
     @given(sections=_sections())
     def test_store_and_reload_keep_every_bit(self, sections):
-        scenario = make_scenario()
-        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "exp.jsonl"
             db = ExperienceDatabase(path)
-            db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
+            _stored(db, sections)
             reloaded = ExperienceDatabase(path)
         assert reloaded.records() == db.records()
         for record in (db.records()[0], reloaded.records()[0]):
             decoded = (record.emb_humans, record.emb_robots, record.emb_tasks)
             assert [_float64_bytes(vec) for vec in decoded] == [_float64_bytes(vec) for vec in sections]
+
+    @settings(max_examples=40, deadline=None)
+    @given(sections=_sections())
+    def test_an_encoding_is_a_header_a_bitmap_and_the_nonzero_values(self, sections):
+        record = _stored(ExperienceDatabase(), sections)
+        dim = len(sections[0])
+        nonzero = sum(_float64_bytes([value]) != bytes(8) for section in sections for value in section)
+        assert record.dim == dim
+        assert len(record.embedding) == 4 + math.ceil(3 * dim / 8) + 8 * nonzero
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_sparse_rows_decode_to_the_reference_matrix(self, data):
+        first = data.draw(_sections(_SCALED_ELEMENTS))
+        dim = len(first[0])
+        # up to 40 rows: past the first block of 32
+        rows = [first] + data.draw(st.lists(_sections(_SCALED_ELEMENTS, st.just(dim)), max_size=39))
+        db = ExperienceDatabase()
+        for sections in rows:
+            _stored(db, sections)
+        records = db.records()
+        vectors = np.array([vec for row in rows for vec in row])
+        zero = np.flatnonzero(np.einsum("ij,ij->i", vectors, vectors) == 0)
+        if len(zero):
+            for build in (retrieval._unit_rows, retrieval._section_matrix):
+                with pytest.raises(ValueError, match=rf"^experience record {zero[0] // 3}: zero vectors"):
+                    build(records, dim)
+            return
+        # the reference reads the drawn tuples, not the records' encodings
+        want = ref_section_matrix([SimpleNamespace(emb_humans=h, emb_robots=r, emb_tasks=t) for h, r, t in rows])
+        assert retrieval._unit_rows(records, dim).tobytes() == want.tobytes()
+        assert retrieval._section_matrix(records, dim).tobytes() == want.astype(np.float32).tobytes()
+
+    # A 5/7/30 scenario embeds about 110 nonzero elements: 0.16 of dense at
+    # the default dim, which the bitmap's 3·dim bits keep above an eighth
+    @pytest.mark.parametrize("dim, share", [(256, 1 / 5), (512, 1 / 8), (1024, 1 / 8)])
+    def test_a_hashed_record_at_5_7_30_is_a_small_share_of_dense(self, dim, share):
+        for seed in range(5):
+            sections = embed_scenario_sections(random_scenario(5, 7, 30, seed=seed), HashedEmbedder(dim=dim))
+            record = _stored(ExperienceDatabase(), sections)
+            assert len(record.embedding) < share * 24 * dim  # dense float64 takes 24·dim bytes
 
     # 150 rows span five of the blocks the float32 matrix is built in
     @pytest.mark.parametrize("dim, n", [(1, 20), (7, 20), (64, 20), (7, 150)])
@@ -1486,8 +1550,9 @@ class TestPackedEmbeddings:
         finally:
             tracemalloc.stop()
         assert len(db) == 300
-        # 6 KiB of the 10 is the 768 packed floats; float tuples took 25 KiB
-        assert retained / len(db) <= 10 * 1024
+        # about 1 KiB, 324 B of it the embeddings' encoding; packed dense
+        # float64 took 6.7 KiB and float tuples 25 KiB
+        assert retained / len(db) <= 2 * 1024
 
 
 class TestStoreDimension:
@@ -1822,7 +1887,7 @@ WRONG_SHAPE_LINES = {
     "experience": {
         "no_fields": ('{"kind": "experience"}', "KeyError: 'id'"),
         "a_list": ("[1, 2]", "TypeError"),
-        "a_string_id": (_experience_line(id="7"), "ValueError: record id '7' is not an integer"),
+        "a_string_id": (_experience_line(id="7"), 'ValueError: record id "7" is not an integer'),
         "a_text_embedding_element": (
             _experience_line(emb_robots=["1.0"]), "ValueError: experience record 7: embedding element"
         ),
@@ -1839,7 +1904,7 @@ WRONG_SHAPE_LINES = {
         **{
             f"a_{name}_fallback": (
                 _experience_line(fallback=value),
-                f"ValueError: experience record 7: fallback {value!r} is not a boolean",
+                f"ValueError: experience record 7: fallback {json.dumps(value)} is not a boolean",
             )
             for name, value in [("string", "false"), ("number", 0), ("null", None)]
         },
@@ -1847,15 +1912,15 @@ WRONG_SHAPE_LINES = {
     "rules": {
         "no_fields": ('{"kind": "rule"}', "KeyError: 'id'"),
         "a_list": ("[1, 2]", "TypeError"),
-        "an_unknown_kind": ('{"kind": "note", "id": 3}', "ValueError: unknown rules-log record kind 'note'"),
+        "an_unknown_kind": ('{"kind": "note", "id": 3}', 'ValueError: unknown rules-log record kind "note"'),
         **{
             f"a_{name}_id": (
                 f'{{"id": {text}, "kind": "rule", "objective": "MT", "text": "three"}}',
                 f"ValueError: rule id {shown} is not an integer",
             )
             for name, text, shown in [
-                ("string", '"3"', "'3'"), ("float", "1.5", "1.5"), ("whole_float", "2.0", "2.0"),
-                ("boolean", "true", "True"), ("null", "null", "None"),
+                ("string", '"3"', '"3"'), ("float", "1.5", "1.5"), ("whole_float", "2.0", "2.0"),
+                ("boolean", "true", "true"), ("null", "null", "null"),
             ]
         },
         **{
@@ -1864,9 +1929,9 @@ WRONG_SHAPE_LINES = {
                 f"ValueError: retired ids {shown} are not a list of integers",
             )
             for name, text, shown in [
-                ("of_text", '["0"]', "['0']"), ("of_a_boolean", "[false]", "[False]"),
-                ("of_a_float", "[0.0]", "[0.0]"), ("as_a_string", '"01"', "'01'"),
-                ("as_an_object", '{"0": 1}', "{'0': 1}"),
+                ("of_text", '["0"]', '["0"]'), ("of_a_boolean", "[false]", "[false]"),
+                ("of_a_float", "[0.0]", "[0.0]"), ("as_a_string", '"01"', '"01"'),
+                ("as_an_object", '{"0": 1}', '{"0": 1}'),
             ]
         },
     },
@@ -1973,9 +2038,11 @@ CORRUPT_RECORDS = {
     "scenario_unparseable": ({"scenario": "Arena Side: 2000\nno teams here"}, False),
     "scenario_not_canonical": ({"scenario": _SCENARIO_TEXT.replace(": 2000", ": 2000.0")}, False),
     "scenario_not_text": ({"scenario": 7}, False),
+    "scenario_a_list": ({"scenario": ["x" * 10_000]}, False),
     "plan_unparseable": ({"plan": "no assignments"}, True),
     "plan_invalid": ({"plan": "T_0: (UAV_0)\nT_1: (UGV_9)"}, True),
     "plan_not_canonical": ({"plan": "\n".join(reversed(_PLAN_TEXT.splitlines()))}, True),
+    "plan_an_object": ({"plan": {"T_0": "UAV_0"}}, True),
 }
 
 
