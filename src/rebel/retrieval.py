@@ -160,18 +160,14 @@ class HashedEmbedder:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
     def embed(self, text: str) -> tuple[float, ...]:
-        return _hashed_embedding(self.dim, text)
-
-
-def _hashed_embedding(dim: int, text: str) -> tuple[float, ...]:
-    counts = [0.0] * dim
-    for token in tokenize(text):
-        counts[_token_hash(token) % dim] += 1.0
-    if not any(counts):
-        counts[0] = 1.0
-    # whole numbers, so built-in `sum` adds their squares exactly on every
-    # interpreter, and faster than `ordered_sum`
-    return _scaled_to_unit(counts, sum(map(operator.mul, counts, counts)))
+        counts = [0.0] * self.dim
+        for token in tokenize(text):
+            counts[_token_hash(token) % self.dim] += 1.0
+        if not any(counts):
+            counts[0] = 1.0
+        # whole numbers, so built-in `sum` adds their squares exactly on every
+        # interpreter, and faster than `ordered_sum`
+        return _scaled_to_unit(counts, sum(map(operator.mul, counts, counts)))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -594,27 +590,64 @@ class _AppendLog:
         self._repair = repair
 
 
-# At most this many rankings (of query texts, or of scenarios' nearest
+# At most this many answers (rankings of query texts, or scenarios' nearest
 # records) are kept per store state, so a long-lived store asked about ever
 # new queries does not grow.
 _RANKINGS_KEPT = 64
 
 
-class RulesDatabase:
-    """Objective-tagged rule store; in-memory view over an append-only log.
+class _Store:
+    """A store's append-only log and its live entries: one tuple in id order
+    that each write replaces whole under `_lock`, so threads may share the
+    store and a reader takes no lock. Retrieval answers for one state of the
+    store are kept in one slot (`_answer`)."""
 
-    Refinement retires an objective's current generation and appends the new
-    one, so the file never rewrites history. The live rules are one tuple in
-    id order that every store and retirement replaces under a lock, so
-    threads may share the store. Retrieval keeps, keyed by that tuple and the
-    embedder, the full rankings of up to `_RANKINGS_KEPT` query texts, so a
-    repeated query does no ranking work at all, and the rule embeddings, so
-    a store queried again and again with one embedder embeds each rule once.
-    """
-
-    def __init__(self, path: str | Path | None = None):
+    def __init__(self, path: str | Path | None):
         self._log = _AppendLog(path)
         self._lock = threading.Lock()
+        self._entries: tuple = ()
+        # (entries, embedder, basis, {key: answer}); replaced whole, never mutated
+        self._slot: tuple[tuple, Embedder | None, Any, dict] = ((), None, None, {})
+
+    @property
+    def path(self) -> Path | None:
+        return self._log.path
+
+    def for_objective(self, objective: Objective) -> tuple:
+        return tuple(e for e in self._entries if e.objective is objective)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _answer(self, entries: tuple, key, embedder: Embedder, work: Callable[[Any], tuple[Any, Any]]):
+        """The answer for `key` about `entries`, the live entries as the
+        caller read them. `work(basis)` finds it at most once per key while
+        the slot holds that very tuple and an equal (`==`) embedder; it gets
+        the basis every answer of that state is built from, or None, and
+        returns (basis, answer). Up to `_RANKINGS_KEPT` answers are kept, and
+        nothing when `work` raises."""
+        held, held_by, basis, answers = self._slot
+        if held is not entries or held_by != embedder:
+            basis, answers = None, {}
+        elif key in answers:
+            return answers[key]
+        basis, answer = work(basis)
+        if len(answers) >= _RANKINGS_KEPT:
+            answers = {}
+        self._slot = (entries, embedder, basis, {**answers, key: answer})
+        return answer
+
+
+class RulesDatabase(_Store):
+    """Objective-tagged rule store; in-memory view over an append-only log
+    (`_Store`). Refinement retires an objective's current generation and
+    appends the new one, so the file never rewrites history. Retrieval keeps
+    the rule embeddings and the full rankings of up to `_RANKINGS_KEPT`
+    query texts per state and embedder, so a repeated query does no ranking
+    work at all."""
+
+    def __init__(self, path: str | Path | None = None):
+        super().__init__(path)
         self._next_id = 0
         live: dict[int, RuleEntry] = {}
 
@@ -637,57 +670,33 @@ class RulesDatabase:
 
         for _ in self._log.read_all(apply):  # applied line by line
             pass
-        self._rules: tuple[RuleEntry, ...] = tuple(sorted(live.values(), key=operator.attrgetter("id")))
-        # (rules, embedder, rule id -> embedding, query text -> ranking of
-        # those rules by that embedder); replaced whole, never mutated
-        self._memo: tuple[tuple[RuleEntry, ...], Embedder | None, dict, dict] = ((), None, {}, {})
-
-    @property
-    def path(self) -> Path | None:
-        return self._log.path
+        self._entries = tuple(sorted(live.values(), key=operator.attrgetter("id")))
 
     def rules(self) -> tuple[RuleEntry, ...]:
-        return self._rules
-
-    def for_objective(self, objective: Objective) -> tuple[RuleEntry, ...]:
-        return tuple(r for r in self._rules if r.objective is objective)
-
-    def __len__(self) -> int:
-        return len(self._rules)
+        return self._entries
 
     def contains_text(self, objective: Objective, text: str) -> bool:
         return any(r.text == text for r in self.for_objective(objective))
 
     def _ranking(self, query_text: str, embedder: Embedder) -> tuple[RuleEntry, ...]:
-        """The live rules ranked for `query_text` (`_fused_ranking`), at most
-        once per query text and equal (`==`) embedder per state of the store.
-
-        It reads the live rules once and takes no lock, so a slow embedder
-        holds up no store. A ranking is kept under the rules tuple it was
-        made from, so one made before a store is never served after it.
-        """
-        rules = self._rules
-        held_rules, held_by, vectors, rankings = self._memo
-        if held_by != embedder:
-            vectors, rankings = {}, {}
-        elif held_rules is not rules:
-            rankings = {}
-        elif query_text in rankings:
-            return rankings[query_text]
+        """The live rules ranked for `query_text` (`_fused_ranking`), kept
+        (`_answer`) with the rule embeddings as basis. It reads the live rules
+        once and takes no lock, so a slow embedder holds up no store."""
+        rules = self._entries
         if not rules:
             return ()
-        # retired rules drop out of the carried embeddings here
-        vectors = {r.id: vectors[r.id] if r.id in vectors else embedder.embed(r.text) for r in rules}
-        ranking = _fused_ranking(query_text, rules, tuple(vectors.values()), embedder)
-        if len(rankings) >= _RANKINGS_KEPT:
-            rankings = {}
-        self._memo = (rules, embedder, vectors, {**rankings, query_text: ranking})
-        return ranking
+
+        def rank(vectors):
+            if vectors is None:
+                vectors = tuple(embedder.embed(r.text) for r in rules)
+            return vectors, _fused_ranking(query_text, rules, vectors, embedder)
+
+        return self._answer(rules, query_text, embedder, rank)
 
     def store(self, objective: Objective, text: str) -> RuleEntry:
         with self._lock:
             entry = self._append(objective, text)
-            self._rules += (entry,)
+            self._entries += (entry,)
             return entry
 
     def _append(self, objective: Objective, text: str) -> RuleEntry:
@@ -711,30 +720,35 @@ class RulesDatabase:
             if current:
                 retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
                 self._log.append(retire)
-            kept, added = tuple(r for r in self._rules if r.objective is not objective), []
+            kept, added = tuple(r for r in self._entries if r.objective is not objective), []
             try:
                 for text in texts:
                     added.append(self._append(objective, text))
             finally:  # what reached the log is live
-                self._rules = kept + tuple(added)
+                self._entries = kept + tuple(added)
             return tuple(added)
 
 
 def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecord:
-    """The record one experience-log line holds, embedded at `dim` (`_pack_sections`);
-    its scenario and plan stay text until first read (see ExperienceRecord)."""
+    """The record one experience-log line holds, embedded at `dim` (`_pack_sections`),
+    with its performance text canonical; its scenario and plan stay text
+    until first read (see ExperienceRecord)."""
     record_id = payload["id"]
     if type(record_id) is not int:
         raise ValueError(f"record id {echo(record_id)} is not an integer")
     fallback = payload.get("fallback", False)
     if type(fallback) is not bool:
         raise ValueError(f"experience record {record_id}: fallback {echo(fallback)} is not a boolean")
+    text = payload["performance"]
+    performance = PerformanceRecord.parse(text)
+    if performance.serialize() != text:
+        raise ValueError(f"experience record {record_id}: performance {echo(text)} is not canonical")
     return ExperienceRecord(
         id=record_id,
         objective=Objective.parse(payload["objective"]),
         scenario_text=payload["scenario"],
         plan_text=payload["plan"],
-        performance=PerformanceRecord.parse(payload["performance"]),
+        performance=performance,
         embedding=_pack_sections(
             record_id, (payload["emb_humans"], payload["emb_robots"], payload["emb_tasks"]), dim
         ),
@@ -742,97 +756,71 @@ def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecor
     )
 
 
-class ExperienceDatabase:
+class ExperienceDatabase(_Store):
     """Append-only store of (scenario, plan, performance) mission records, kept
-    in id order with a set of (objective, scenario text, plan text) dedup
-    keys. Every record's sections are embedded at one dimension, `dim`, which
-    the first record sets. Once retrieved from, the store keeps one slot
-    (`_nearest`): a float32 matrix of the records' unit section rows
-    (`_section_matrix`) and the nearest records of the last `_RANKINGS_KEPT`
-    scenarios asked about. The records' sparse encodings (`_pack_sections`)
-    are the only float64 copy of the embeddings, and each holds its `dim`,
-    which a load reads from the first record."""
+    in id order (`_Store`) with a set of (objective, scenario text, plan text)
+    dedup keys. Every record's sections are embedded at one dimension, `dim`,
+    which each record's encoding (`_pack_sections`), the only float64 copy of
+    the embeddings, holds. Retrieval keeps, per state and embedder, a float32
+    matrix of the records' unit section rows (`_section_matrix`) and the
+    nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`)."""
 
     def __init__(self, path: str | Path | None = None):
-        self._log = _AppendLog(path)
-        self._dim: int | None = None
+        super().__init__(path)
+        dim = None
 
         def admit(payload: dict) -> ExperienceRecord:
-            record = _experience_record(payload, self._dim)
-            self._dim = record.dim
+            nonlocal dim
+            record = _experience_record(payload, dim)
+            dim = record.dim
             return record
 
-        # id order; only ever appended to, so its first n records never change
-        self._records = sorted(self._log.read_all(admit), key=operator.attrgetter("id"))
+        self._entries = tuple(sorted(self._log.read_all(admit), key=operator.attrgetter("id")))
         # a record whose scenario or plan is not text fails on first read and matches no mission
         self._dedup = {
             (r.objective, r.scenario_text, r.plan_text)
-            for r in self._records
+            for r in self._entries
             if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
         }
-        self._next_id = self._records[-1].id + 1 if self._records else 0
-        # (record count, `_section_matrix` of that many records or None until
-        # first used, embedder, {(section texts, min(k, record count)): nearest
-        # records}); replaced whole, never mutated
-        self._slot: tuple[int, np.ndarray | None, Embedder | None, dict] = (0, None, None, {})
-        self._lock = threading.Lock()
-
-    @property
-    def path(self) -> Path | None:
-        return self._log.path
+        self._next_id = self._entries[-1].id + 1 if self._entries else 0
 
     @property
     def dim(self) -> int | None:
-        """Every record's section length; None while the store is empty."""
-        return self._dim
+        """Every record's section length (the first one's); None while empty."""
+        records = self._entries
+        return records[0].dim if records else None
 
     def records(self) -> tuple[ExperienceRecord, ...]:
-        return tuple(self._records)
-
-    def for_objective(self, objective: Objective) -> tuple[ExperienceRecord, ...]:
-        return tuple(r for r in self._records if r.objective is objective)
-
-    def __len__(self) -> int:
-        return len(self._records)
+        return self._entries
 
     def contains(self, objective: Objective, scenario: MissionScenario, plan: ItaPlan) -> bool:
         return (objective, scenario.serialize(), plan.render()) in self._dedup
 
     def _nearest(self, scenario: MissionScenario, k: int, embedder: Embedder) -> tuple[ExperienceRecord, ...]:
         """The min(k, N) of the store's N >= 1 records most similar to
-        `scenario`, best first (`_top_rows`); k >= 1. Kept in the slot under
-        the scenario's three section texts and min(k, N) for up to
-        `_RANKINGS_KEPT` scenarios, and served while the store holds the
-        record count and the equal (`==`) embedder it was found with. A miss
+        `scenario`, best first (`_top_rows`); k >= 1. Kept (`_answer`) under
+        the section texts and min(k, N), with the section matrix as basis.
+        A miss checks the query's dimension before it builds the matrix, and
         raises what embedding and scoring raise, a stored section of zero
-        norm as a `CorruptLogError` naming the store and the record, and
-        keeps nothing."""
-        count, dim = len(self._records), self._dim  # `store` sets dim before the first append
-        k = min(k, count)
-        key = (scenario.sections, k)
-        held, sections, held_by, nearest = self._slot
-        if held != count:
-            sections, nearest = None, {}
-        elif held_by != embedder:
-            nearest = {}
-        elif key in nearest:
-            return nearest[key]
-        queries = embed_scenario_sections(scenario, embedder)
-        for query in queries:
-            if len(query) != dim:
-                raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
-        records = self._records[:count]
-        if sections is None:
-            try:
-                sections = _section_matrix(records, dim)
-            except ValueError as exc:  # a stored section of zero norm, which load admits
-                raise CorruptLogError(f"{self.path}: {exc}") from exc
-        rows = _top_rows(records, sections, np.array(queries).ravel(), k)
-        top = tuple(records[row] for row in rows)
-        if len(nearest) >= _RANKINGS_KEPT:
-            nearest = {}
-        self._slot = (count, sections, embedder, {**nearest, key: top})
-        return top
+        norm as a `CorruptLogError` naming the store and the record."""
+        records = self._entries
+        k = min(k, len(records))
+
+        def score(sections):
+            queries = embed_scenario_sections(scenario, embedder)
+            dim = records[0].dim
+            for query in queries:
+                if len(query) != dim:
+                    raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
+            if sections is None:
+                try:
+                    sections = _section_matrix(records, dim)
+                except ValueError as exc:  # a stored section of zero norm, which load admits
+                    raise CorruptLogError(f"{self.path}: {exc}") from exc
+            rows = _top_rows(records, sections, np.array(queries).ravel(), k)
+            return sections, tuple(records[row] for row in rows)
+
+        return self._answer(records, (scenario.sections, k), embedder, score)
 
     def store(
         self,
@@ -850,7 +838,7 @@ class ExperienceDatabase:
                 scenario_text=scenario.serialize(),
                 plan_text=plan.render(),
                 performance=performance,
-                embedding=_pack_sections(self._next_id, embeddings, self._dim),
+                embedding=_pack_sections(self._next_id, embeddings, self.dim),
                 fallback=fallback,
             )
             # the plan's decode cache; the scenario, which would hold its text
@@ -871,7 +859,6 @@ class ExperienceDatabase:
                     "fallback": fallback,
                 }
             )
-            self._dim = len(embeddings[0])
-            self._records.append(record)
+            self._entries += (record,)
             self._dedup.add((objective, record.scenario_text, record.plan_text))
             return record

@@ -44,7 +44,9 @@
 # a scenario tier word under `rebel simulate` and `rebel infer`, and a sim
 # config tier-map key padded with spaces, each 10,000 characters long, and
 # an experience-store line whose performance, id or scenario, or a rules-log
-# line whose id, is 10,000 characters long, under `rebel infer`; and
+# line whose id, is 10,000 characters long, under `rebel infer`; so must
+# (naming its line) an experience-store line whose performance carries junk
+# around a valid triple, under `rebel infer`; and
 # `rebel infer` on the robot whose shared speed underflows to 0.0 must exit 2
 # without a traceback, with the stub and with an unreachable endpoint
 set -eo pipefail
@@ -215,5 +217,12 @@ for name in long-performance-store long-id-store long-scenario-store long-rule-i
   if [ "$(grep -c "^error: " "$d/$name.err")" -ne 1 ]; then echo "$name must print exactly one error line"; exit 1; fi
   if [ "$(wc -c < "$d/$name.err")" -ge 1024 ]; then echo "$name must echo its field cut short"; exit 1; fi
 done
+python -c 'import json, sys
+line = json.loads(open(sys.argv[1]).readline())
+print(json.dumps({**line, "performance": "junk " + line["performance"] + " trailing junk"}))' "$d/exp-256.jsonl" > "$d/junk-performance.jsonl"
+must_fail junk-performance-store 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/junk-performance.jsonl" --scenario "$d/scenario.txt" --prefs MT
+if [ "$(grep -c "^error: " "$d/junk-performance-store.err")" -ne 1 ]; then echo "junk-performance-store must print exactly one error line"; exit 1; fi
+if [ "$(wc -c < "$d/junk-performance-store.err")" -ge 1024 ]; then echo "junk-performance-store must stay under 1 KB"; exit 1; fi
+grep -qF "junk-performance.jsonl, line 1: " "$d/junk-performance-store.err"
 must_fail underflow-speed-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json"
 must_fail underflow-speed-infer-http 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json" --provider http --endpoint http://127.0.0.1:9/v1 --retries 0

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rebel.core import (
     Assignment,
@@ -381,17 +382,21 @@ class TestRuleEmbeddingCache:
         assert embedder.texts == []
         assert second == first
 
-    def test_store_and_replacement_each_embed_one_new_rule(self):
+    def test_a_change_embeds_every_live_rule_once_then_only_queries(self):
         db, embedder = self.rules_db(), CountingEmbedder()
         ensemble_retrieve("query", db, k=1, embedder=embedder)
-        db.store(Objective.HUMAN_WORKLOAD, "Spread analyses across humans.")
-        embedder.texts.clear()
-        ensemble_retrieve("query", db, k=1, embedder=embedder)
-        assert sorted(embedder.texts) == ["Spread analyses across humans.", "query"]
-        db.replace_objective(Objective.HUMAN_WORKLOAD, ["Rest humans between analyses."])
-        embedder.texts.clear()
-        ensemble_retrieve("query", db, k=1, embedder=embedder)
-        assert sorted(embedder.texts) == ["Rest humans between analyses.", "query"]
+        changes = (
+            lambda: db.store(Objective.HUMAN_WORKLOAD, "Spread analyses across humans."),
+            lambda: db.replace_objective(Objective.HUMAN_WORKLOAD, ["Rest humans between analyses."]),
+        )
+        for change in changes:
+            change()
+            embedder.texts.clear()
+            ensemble_retrieve("query", db, k=1, embedder=embedder)
+            assert sorted(embedder.texts) == sorted([r.text for r in db.rules()] + ["query"])
+            embedder.texts.clear()
+            ensemble_retrieve("another query", db, k=1, embedder=embedder)
+            assert embedder.texts == ["another query"]
 
     def test_each_embedder_instance_embeds_the_rules_itself(self):
         db, a, b = self.rules_db(), CountingEmbedder(), CountingEmbedder()
@@ -617,7 +622,7 @@ class TestRankingMemo:
         queries = [f"query number {i}" for i in range(retrieval._RANKINGS_KEPT + 1)]
         for query in queries:
             ensemble_retrieve(query, db, k=1)
-        assert len(db._memo[3]) <= retrieval._RANKINGS_KEPT
+        assert len(db._slot[3]) <= retrieval._RANKINGS_KEPT
         bm25_calls.clear()
         ensemble_retrieve(queries[-1], db, k=1)
         assert bm25_calls == []
@@ -1048,7 +1053,7 @@ def embedded_scenarios(monkeypatch):
 
 
 class TestNearestMemo:
-    """The store keeps each scenario's k nearest records per record count
+    """The store keeps each scenario's k nearest records per store state
     and equal embedder (`ExperienceDatabase._nearest`), so asking about a
     scenario again, under any preference vector, only re-ranks."""
 
@@ -1119,6 +1124,48 @@ class TestNearestMemo:
         after = retrieve_experiences(query, prefs, db, k=3, m=3, embedder=embedder)
         assert record not in before and after[0] == record
         assert after == retrieve_experiences(query, prefs, ExperienceDatabase(path), k=3, m=3, embedder=embedder)
+
+    def test_a_store_during_scoring_is_never_hidden(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        prefs = self.PREFS[1]
+        stored = []
+
+        class StoringEmbedder:
+            """Lands a store from another thread while the query is embedded,
+            after the records were read and before the answer is kept."""
+
+            def embed(self, text: str) -> tuple[float, ...]:
+                if not stored:
+                    # the same scenario, so it ties the base's similarity; best on every objective
+                    performance = PerformanceRecord(50, 100, 0.0)
+                    writer = threading.Thread(
+                        target=lambda: stored.append(
+                            store_mission(db, Objective.MISSION_TIME, base, performance, embedder)
+                        )
+                    )
+                    writer.start()
+                    writer.join()
+                return embedder.embed(text)
+
+        storing = StoringEmbedder()
+        before = retrieve_experiences(base, prefs, db, k=3, m=3, embedder=storing)
+        assert stored and stored[0] not in before  # scored from the records it read
+        assert _ids(before) == ref_experience_order(base, prefs, db.records()[:-1], embedder, 3, 3)
+        after = retrieve_experiences(base, prefs, db, k=3, m=3, embedder=storing)
+        assert after[0] == stored[0]
+        assert _ids(after) == ref_experience_order(base, prefs, db.records(), embedder, 3, 3)
+
+    def test_records_are_one_tuple_until_the_next_store(self):
+        embedder = HashedEmbedder(dim=64)
+        db, base = toy_experience_db(embedder)
+        held = db.records()
+        assert type(held) is tuple and db.records() is held
+        retrieve_experiences(base, self.PREFS[0], db, k=2, m=1, embedder=embedder)
+        assert db.records() is held
+        record = store_mission(db, Objective.MISSION_TIME, _task_variant(3), PerformanceRecord(5, 50, 0.5), embedder)
+        assert db.records() is not held and db.records() == held + (record,)
+        assert db.records() is db.records()
 
     def test_an_unequal_embedder_misses(self, top_rows_calls):
         db, base = toy_experience_db(HashedEmbedder(dim=64))
@@ -1369,12 +1416,14 @@ _SCALED_ELEMENTS = st.one_of(
 @st.composite
 def _sections(draw, elements=_EMBEDDING_ELEMENTS, dims=st.integers(1, 300)):
     """Three sections of one length, most not a multiple of 8, so the
-    nonzero bitmap ends mid-byte: dense, or four in five elements 0.0 as in
-    a hashed embedding; in one draw of four, one section is all 0.0 or all
-    -0.0."""
+    nonzero bitmap ends mid-byte: dense, or mostly 0.0 as in a hashed
+    embedding; in one draw of four, one section is all 0.0 or all -0.0.
+    A section draws some of its elements and sets the rest to one fill
+    value, drawn from the elements or 0.0, so an example takes far fewer
+    draws than it has elements."""
     dim = draw(dims)
-    element = draw(st.sampled_from([elements, st.one_of(*[st.just(0.0)] * 4, elements)]))
-    section = st.lists(element, min_size=dim, max_size=dim).map(tuple)
+    fill = draw(st.sampled_from([elements, st.just(0.0)]))
+    section = arrays(object, dim, elements=elements, fill=fill).map(tuple)
     sections = [draw(section) for _ in range(3)]
     zeroed = draw(st.integers(0, 3))
     if zeroed < 3:
@@ -1465,7 +1514,7 @@ class TestPackedEmbeddings:
             want = ref_section_matrix(records)
             assert retrieval._section_matrix(records, dim).tobytes() == want.astype(np.float32).tobytes()
             retrieve_experiences(scenario, prefs, store, k=1, m=1, embedder=HashedEmbedder(dim=dim))
-            assert store._slot[1].tobytes() == want.astype(np.float32).tobytes()
+            assert store._slot[2].tobytes() == want.astype(np.float32).tobytes()
             # the float64 rows the exact score re-derives are the reference's
             assert retrieval._unit_rows(records, dim).tobytes() == want.tobytes()
             assert retrieval._unit_rows([records[i] for i in picked], dim).tobytes() == want[picked].tobytes()
@@ -1479,7 +1528,7 @@ class TestPackedEmbeddings:
         tracemalloc.start()
         try:
             retrieve_experiences(scenario, prefs, db, k=1, m=1, embedder=embedder)
-            sections = db._slot[1]
+            sections = db._slot[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1493,7 +1542,7 @@ class TestPackedEmbeddings:
         assert peak < 1.5 * sections.nbytes
         # another scenario misses the kept answers but not the matrix
         retrieve_experiences(make_scenario(humans=()), prefs, db, k=1, m=1, embedder=embedder)
-        assert db._slot[1] is sections  # kept, not rebuilt
+        assert db._slot[2] is sections  # kept, not rebuilt
 
     def test_unequal_sections_are_rejected_at_store(self, tmp_path):
         path = tmp_path / "exp.jsonl"
@@ -1892,6 +1941,11 @@ WRONG_SHAPE_LINES = {
             _experience_line(emb_robots=["1.0"]), "ValueError: experience record 7: embedding element"
         ),
         "a_number_objective": (_experience_line(objective=5), "AttributeError"),
+        "a_performance_in_junk": (
+            _experience_line(performance="junk Performance: [5, 100, 0.1] trailing junk"),
+            'ValueError: experience record 7: performance "junk Performance: [5, 100, 0.1] trailing junk" '
+            "is not canonical",
+        ),
         **{
             f"a_{name}_embedding_element": (
                 _experience_line().replace('"emb_robots": [1.0]', f'"emb_robots": [{text}]'),
