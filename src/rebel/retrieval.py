@@ -6,13 +6,17 @@ per-section cosine similarities of the scenario's three attribute
 dictionaries, then re-ranked by how well each stored mission served the
 requested preference weights. Both stores persist as append-only JSON-lines
 files that reload bit-identically, embedding vectors included, and load them
-one line at a time.
+one line at a time; the experience store restores the records of a log
+prefix from a derived snapshot beside its log and parses only the lines
+after it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import logging
 import math
@@ -20,11 +24,14 @@ import mmap
 import operator
 import os
 import re
+import stat
 import struct
+import tempfile
 import threading
+import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol, Sequence
 
@@ -528,6 +535,25 @@ class CorruptLogError(ValueError):
 _READ_BUFFER_BYTES = 64 * 1024
 
 
+@dataclass
+class _Prefix:
+    """A log's first `size` bytes, which end at a newline: `lines` whole
+    lines, `items` of them converted to records, and `digest`, the running
+    sha256 of those bytes."""
+
+    size: int = 0
+    lines: int = 0
+    items: int = 0
+    digest: Any = field(default_factory=hashlib.sha256)
+
+    def advance(self, line: bytes, items: int) -> None:
+        """Take in the next whole line, which held `items` records."""
+        self.size += len(line)
+        self.lines += 1
+        self.items += items
+        self.digest.update(line)
+
+
 class _AppendLog:
     """Append-only JSON-lines log with write-through durability. A torn final
     line (a crash mid-append) is skipped with a warning on load and cut off by
@@ -553,23 +579,29 @@ class _AppendLog:
                 handle.flush()
                 os.fsync(handle.fileno())
 
-    def read_all(self, convert: Callable[[Any], Any]) -> Iterator[Any]:
+    def read_all(self, convert: Callable[[Any], Any], prefix: _Prefix | None = None) -> Iterator[Any]:
         """`convert(payload)` for each line's payload in file order, one line
-        at a time, so no payload outlives its line. A line that is not JSON
-        (or nests too deeply to decode), or whose payload `convert` rejects
-        (`KeyError`, `TypeError`, `ValueError`, `AttributeError`), raises
-        `CorruptLogError`, unless it is a final line with no newline that is
+        at a time, so no payload outlives its line, from the end of `prefix`
+        (by default the start of the file), which takes in every whole line
+        read. A line that is not JSON (or nests too deeply to decode), or
+        whose payload `convert` rejects (`KeyError`, `TypeError`,
+        `ValueError`, `AttributeError`), raises `CorruptLogError` naming its
+        number in the file, unless it is a final line with no newline that is
         not JSON: that torn append is skipped. The next append's repair is
         set only once every line has been converted."""
         if self.path is None or not self.path.exists():
             return
-        size, repair = 0, None
+        prefix = prefix or _Prefix()
+        size, repair = prefix.size, None
         with open(self.path, "rb", buffering=_READ_BUFFER_BYTES) as handle:
-            for number, line in enumerate(handle, 1):
+            handle.seek(size)
+            for number, line in enumerate(handle, prefix.lines + 1):
                 size += len(line)
-                if not line.strip():
-                    continue
                 torn = not line.endswith(b"\n")  # only the final line can be
+                if not line.strip():
+                    if not torn:
+                        prefix.advance(line, 0)
+                    continue
                 try:
                     payload = json.loads(line)
                 except (RecursionError, ValueError) as exc:  # nested too deeply, or not JSON
@@ -587,6 +619,8 @@ class _AppendLog:
                 yield item
                 if torn:
                     repair = (size, b"\n")
+                else:
+                    prefix.advance(line, 1)
         self._repair = repair
 
 
@@ -650,13 +684,17 @@ class RulesDatabase(_Store):
         super().__init__(path)
         self._next_id = 0
         live: dict[int, RuleEntry] = {}
+        used: set[int] = set()  # live or retired
 
         def apply(payload: dict) -> None:
             # bool is an int subclass, and a float or text id would number the next rule
             if payload["kind"] == "rule":
                 if type(payload["id"]) is not int:
                     raise ValueError(f"rule id {echo(payload['id'])} is not an integer")
+                if payload["id"] in used:
+                    raise ValueError(f"rule id {payload['id']} is reused")
                 entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
+                used.add(entry.id)
                 live[entry.id] = entry
                 self._next_id = max(self._next_id, entry.id + 1)
             elif payload["kind"] == "retire":
@@ -756,6 +794,144 @@ def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecor
     )
 
 
+# An experience log's snapshot is the file beside it named with this suffix:
+# `_SNAPSHOT_MAGIC`, the sha256 of the rest of the file, then the rest: the
+# `_SNAPSHOT_PREFIX` fields (the size in bytes and in lines of the log prefix
+# it covers, and that prefix's sha256) and an uncompressed `.npz` of the
+# prefix's records (`_snapshot_records`).
+_SNAPSHOT_SUFFIX = ".snapshot"
+_SNAPSHOT_MAGIC = b"rebel experience snapshot 1\n"
+_SNAPSHOT_PREFIX = struct.Struct("<QQ32s")
+_OBJECTIVES = tuple(Objective)
+_PERFORMANCE_TRIPLE = operator.attrgetter("accuracy_points", "mission_seconds", "human_utilization")
+
+
+def _snapshot_path(log: Path) -> Path:
+    return log.with_name(log.name + _SNAPSHOT_SUFFIX)
+
+
+def _blob(name: str, parts: Sequence[bytes]) -> dict[str, np.ndarray]:
+    """`parts` end to end as array `name`, and the offset where each ends as
+    array `name_ends`."""
+    ends = np.cumsum([len(part) for part in parts], dtype=np.int64)
+    return {name: np.frombuffer(b"".join(parts), np.uint8), f"{name}_ends": ends}
+
+
+def _unblob(arrays, name: str) -> list[bytes]:
+    """The parts `_blob` put in array `name` of the `.npz` `arrays`."""
+    blob, ends = arrays[name].tobytes(), arrays[f"{name}_ends"].tolist()
+    return [blob[start:stop] for start, stop in zip([0, *ends], ends)]
+
+
+def _snapshot_records(records: Sequence[ExperienceRecord]) -> bytes:
+    """The `.npz` `_restored_records` restores `records` from: their ids,
+    objective codes, fallback flags and float64 performance triples (bit
+    for bit), their encoded embeddings as one blob, and their scenario
+    texts then their plan texts as another (UTF-8, surrogates passed
+    through). `ValueError` for a scenario or plan that is not text,
+    `OverflowError` for an id outside int64."""
+    texts = [r.scenario_text for r in records] + [r.plan_text for r in records]
+    if not all(isinstance(text, str) for text in texts):
+        raise ValueError("a record's scenario or plan is not text")
+    npz = io.BytesIO()
+    np.savez(
+        npz,
+        ids=np.array([r.id for r in records], np.int64),
+        objectives=np.array([_OBJECTIVES.index(r.objective) for r in records], np.uint8),
+        fallbacks=np.array([r.fallback for r in records], bool),
+        performances=np.array([_PERFORMANCE_TRIPLE(r.performance) for r in records], np.float64),
+        **_blob("embeddings", [r.embedding for r in records]),
+        **_blob("texts", [text.encode("utf-8", "surrogatepass") for text in texts]),
+    )
+    return npz.getvalue()
+
+
+def _restored_records(npz: io.BytesIO) -> tuple[ExperienceRecord, ...]:
+    """The records `_snapshot_records` wrote the `.npz` that `npz` is at
+    from, field for field. Each blob is split before the next is read."""
+    with np.load(npz, allow_pickle=False) as arrays:
+        texts = [text.decode("utf-8", "surrogatepass") for text in _unblob(arrays, "texts")]
+        count = len(texts) // 2
+        return tuple(
+            map(
+                ExperienceRecord,
+                arrays["ids"].tolist(),
+                [_OBJECTIVES[code] for code in arrays["objectives"].tolist()],
+                texts[:count],
+                texts[count:],
+                [PerformanceRecord(*triple) for triple in arrays["performances"].tolist()],
+                _unblob(arrays, "embeddings"),
+                arrays["fallbacks"].tolist(),
+            )
+        )
+
+
+def _read_snapshot(log: Path | None) -> tuple[tuple[ExperienceRecord, ...], _Prefix]:
+    """The records of the log prefix that `log`'s snapshot covers, in id
+    order, and that prefix; or no records and the empty prefix when there is
+    no log, or the snapshot is missing, unreadable, corrupt (what follows its
+    own sha256 does not hash to it), or stale (the log's first bytes no
+    longer hash to its prefix sha256, read `_READ_BUFFER_BYTES` at a time).
+    Never raises: a snapshot is derived data, and a fault in it only costs a
+    full parse, logged at debug level."""
+    if log is None:
+        return (), _Prefix()
+    path = _snapshot_path(log)
+    try:
+        raw = path.read_bytes()
+        data = memoryview(raw)
+        start = len(_SNAPSHOT_MAGIC) + hashlib.sha256().digest_size
+        if data[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC or len(data) < start + _SNAPSHOT_PREFIX.size:
+            raise ValueError("not a snapshot")
+        if hashlib.sha256(data[start:]).digest() != data[len(_SNAPSHOT_MAGIC) : start]:
+            raise ValueError("it does not match its own hash")
+        size, lines, prefix_sha = _SNAPSHOT_PREFIX.unpack_from(data, start)
+        prefix = _Prefix(size, lines)
+        with open(log, "rb", buffering=0) as handle:
+            while (remaining := size - handle.tell()) > 0:
+                chunk = handle.read(min(remaining, _READ_BUFFER_BYTES))
+                if not chunk:
+                    raise ValueError(f"the log is shorter than the {size} bytes it covers")
+                prefix.digest.update(chunk)
+        if prefix.digest.digest() != prefix_sha:
+            raise ValueError(f"the log's first {size} bytes have changed")
+        npz = io.BytesIO(raw)  # shares the bytes, where a slice would copy them
+        npz.seek(start + _SNAPSHOT_PREFIX.size)
+        records = _restored_records(npz)
+    except (OSError, ValueError, KeyError, IndexError, zipfile.BadZipFile) as exc:
+        logger.debug("%s: not used, the whole log is parsed: %s", path, exc)
+        return (), _Prefix()
+    prefix.items = len(records)
+    return records, prefix
+
+
+def _write_snapshot(log: Path, records: Sequence[ExperienceRecord], prefix: _Prefix) -> None:
+    """Snapshot `records`, those of the log prefix `prefix`, beside `log`:
+    written to a temporary file in the same directory, with the log's
+    permission bits, then moved over the old snapshot in one `os.replace`.
+    It is not synced: a torn snapshot fails its own hash and is not used.
+    Never raises: a failure is logged at debug level and its temporary file
+    removed."""
+    path = _snapshot_path(log)
+    temp = None
+    try:
+        fields = _SNAPSHOT_PREFIX.pack(prefix.size, prefix.lines, prefix.digest.digest())
+        npz = _snapshot_records(records)
+        digest = hashlib.sha256(fields)
+        digest.update(npz)
+        handle, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        with os.fdopen(handle, "wb") as out:
+            os.fchmod(out.fileno(), stat.S_IMODE(os.stat(log).st_mode))
+            out.write(_SNAPSHOT_MAGIC + digest.digest() + fields)
+            out.write(npz)
+        os.replace(temp, path)
+    except (OSError, OverflowError, ValueError) as exc:
+        logger.debug("%s: not written: %s", path, exc)
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 class ExperienceDatabase(_Store):
     """Append-only store of (scenario, plan, performance) mission records, kept
     in id order (`_Store`) with a set of (objective, scenario text, plan text)
@@ -763,19 +939,35 @@ class ExperienceDatabase(_Store):
     which each record's encoding (`_pack_sections`), the only float64 copy of
     the embeddings, holds. Retrieval keeps, per state and embedder, a float32
     matrix of the records' unit section rows (`_section_matrix`) and the
-    nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`)."""
+    nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`).
+
+    A load restores the records of the log prefix that the log's snapshot
+    covers (`_read_snapshot`) and parses only the lines after it, at the
+    restored records' dim; one that parsed whole lines the snapshot did not
+    cover writes a new one (`_write_snapshot`). A record id the log already
+    holds is a `CorruptLogError` naming the line."""
 
     def __init__(self, path: str | Path | None = None):
         super().__init__(path)
-        dim = None
+        restored, prefix = _read_snapshot(self.path)
+        covered = prefix.size
+        dim = restored[0].dim if restored else None
+        ids = {r.id for r in restored}
 
         def admit(payload: dict) -> ExperienceRecord:
             nonlocal dim
             record = _experience_record(payload, dim)
+            if record.id in ids:
+                raise ValueError(f"record id {record.id} is reused")
+            ids.add(record.id)
             dim = record.dim
             return record
 
-        self._entries = tuple(sorted(self._log.read_all(admit), key=operator.attrgetter("id")))
+        tail = list(self._log.read_all(admit, prefix))
+        self._entries = tuple(sorted(restored + tuple(tail), key=operator.attrgetter("id")))
+        if prefix.size > covered:  # whole lines were parsed; an unterminated last one is not covered
+            snapshotted = restored + tuple(tail[: prefix.items - len(restored)])
+            _write_snapshot(self.path, sorted(snapshotted, key=operator.attrgetter("id")), prefix)
         # a record whose scenario or plan is not text fails on first read and matches no mission
         self._dedup = {
             (r.objective, r.scenario_text, r.plan_text)

@@ -48,7 +48,11 @@
 # (naming its line) an experience-store line whose performance carries junk
 # around a valid triple, under `rebel infer`; and
 # `rebel infer` on the robot whose shared speed underflows to 0.0 must exit 2
-# without a traceback, with the stub and with an unreachable endpoint
+# without a traceback, with the stub and with an unreachable endpoint; and
+# after `rebel infer` has snapshotted the experience store, a flipped
+# snapshot byte, and a record appended by `rebel gen-exp`, must each leave
+# `rebel infer` printing what it prints with the snapshot deleted, with
+# nothing on stderr
 set -eo pipefail
 
 d=$(mktemp -d)
@@ -67,6 +71,23 @@ cp "$d/exp.jsonl" "$d/exp-256.jsonl"  # a copy before any case edits the store
 python -c 'from rebel.bench import random_scenario; print(random_scenario(2, 3, 5, seed=1).serialize())' > "$d/scenario.txt"
 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/scenario.txt" --prefs TP=0.5,MT=0.25,HW=0.25 > "$d/infer1.txt"
 cat "$d/infer1.txt"
+cp "$d/exp.jsonl" "$d/snap.jsonl"
+snap_infer() {  # snap_infer NAME: rebel infer on snap.jsonl, into NAME.txt and NAME.err
+  rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/snap.jsonl" --scenario "$d/scenario.txt" --prefs TP=0.5,MT=0.25,HW=0.25 > "$d/$1.txt" 2> "$d/$1.err"
+  if [ -s "$d/$1.err" ]; then cat "$d/$1.err"; echo "$1 must print nothing on stderr"; exit 1; fi
+}
+snap_infer snap-cold
+test -f "$d/snap.jsonl.snapshot"
+python -c 'import sys; data = bytearray(open(sys.argv[1], "rb").read()); data[len(data) // 2] ^= 0xFF; open(sys.argv[1], "wb").write(data)' "$d/snap.jsonl.snapshot"
+snap_infer snap-flipped
+cmp "$d/snap-cold.txt" "$d/snap-flipped.txt"
+lines=$(wc -l < "$d/snap.jsonl")
+rebel gen-exp --rules-db "$d/rules.jsonl" --exp-db "$d/snap.jsonl" --missions 1 --seed 9 > /dev/null
+if [ "$(wc -l < "$d/snap.jsonl")" -le "$lines" ]; then echo "gen-exp --seed 9 must append a record"; exit 1; fi
+snap_infer snap-appended
+rm "$d/snap.jsonl.snapshot"
+snap_infer snap-deleted
+cmp "$d/snap-appended.txt" "$d/snap-deleted.txt"
 cp "$d/exp.jsonl" "$d/bad-shape.jsonl"
 echo '{"kind": "experience"}' >> "$d/bad-shape.jsonl"
 if rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/bad-shape.jsonl" --scenario "$d/scenario.txt" --prefs MT 2> "$d/bad-shape.err"; then echo "a wrong-shape store line must fail"; exit 1; fi

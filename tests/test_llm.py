@@ -568,6 +568,34 @@ class TestHeuristicAllocate:
 _TIER = st.sampled_from(list(Tier))
 _WEIGHT = st.floats(0.0, 1.0)
 
+# built once, not on every draw, since hypothesis checks each new strategy
+_SPEED = st.sampled_from([6.0, 13.0, 1e-300]) | st.floats(0.5, 30.0)
+_PLACE = st.sampled_from([0.0, 700.0, 2000.0]) | st.floats(0.0, 2000.0)
+_HUMANS = st.lists(st.tuples(_TIER, _TIER), max_size=6)
+_ROBOTS = st.lists(st.tuples(_SPEED, _TIER), min_size=1, max_size=8)
+_PLACES = st.lists(_PLACE, min_size=1, max_size=8)
+_PREFS = (
+    st.sampled_from([
+        PreferenceVector.of(TP=1, MT=1, HW=1),
+        PreferenceVector.of(TP=0.4, MT=0.4, HW=0.2),
+        PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
+        *(PreferenceVector.single(objective) for objective in Objective),
+    ])
+    | st.tuples(_WEIGHT, _WEIGHT, _WEIGHT)
+    .filter(any)
+    .map(lambda w: PreferenceVector.of(TP=w[0], MT=w[1], HW=w[2]))
+)
+_MULTIPLIER = st.sampled_from([1e-300, math.inf]) | st.floats(0.1, 3.0)
+_SERVICE = st.sampled_from([0.0, math.inf]) | st.floats(0.0, 120.0)
+_CFG = st.none() | st.builds(
+    lambda multipliers, services: SimConfig(
+        shared_speed_multiplier=dict(zip(Tier, multipliers)),
+        analysis_service_s=dict(zip(Tier, services)),
+    ),
+    st.tuples(_MULTIPLIER, _MULTIPLIER, _MULTIPLIER),
+    st.tuples(_SERVICE, _SERVICE, _SERVICE),
+)
+
 
 @st.composite
 def allocation_cases(draw):
@@ -575,40 +603,27 @@ def allocation_cases(draw):
     places and tiers often repeat, so candidates tie; a tied, dominant or
     random preference vector; and the default model constants or drawn
     shared-control speed multipliers and analysis service times, including
-    a speed that underflows to 0.0 when shared and infinite values."""
-    speed = st.sampled_from([6.0, 13.0, 1e-300]) | st.floats(0.5, 30.0)
-    place = st.sampled_from([0.0, 700.0, 2000.0]) | st.floats(0.0, 2000.0)
-    humans = draw(st.lists(st.tuples(_TIER, _TIER), max_size=6))
-    robots = draw(st.lists(st.tuples(speed, _TIER), min_size=1, max_size=8))
+    a speed that underflows to 0.0 when shared and infinite values.
+
+    Each task's two coordinates come from 1-8 drawn places and its tier from
+    the three, all picked by one draw of bytes: drawing each task's fields
+    one by one took nearly all of the test's time."""
+    humans = draw(_HUMANS)
+    robots = draw(_ROBOTS)
+    places = draw(_PLACES)
     count = draw(st.integers(0, 40))  # lists alone would mostly be short
-    tasks = draw(st.lists(st.tuples(place, place, _TIER), min_size=count, max_size=count))
+    picks = draw(st.binary(min_size=3 * count, max_size=3 * count))
+    tiers = list(Tier)
+    tasks = [
+        (places[x % len(places)], places[y % len(places)], tiers[t % len(tiers)])
+        for x, y, t in zip(picks[0::3], picks[1::3], picks[2::3])
+    ]
     scenario = make_scenario(
         humans=[(f"H_{i}", cognition, skill) for i, (cognition, skill) in enumerate(humans)],
         robots=[(f"UAV_{i}", v, camera) for i, (v, camera) in enumerate(robots)],
         tasks=[(f"T_{i}", (x, y), difficulty) for i, (x, y, difficulty) in enumerate(tasks)],
     )
-    prefs = draw(
-        st.sampled_from([
-            PreferenceVector.of(TP=1, MT=1, HW=1),
-            PreferenceVector.of(TP=0.4, MT=0.4, HW=0.2),
-            PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25),
-            *(PreferenceVector.single(objective) for objective in Objective),
-        ])
-        | st.tuples(_WEIGHT, _WEIGHT, _WEIGHT)
-        .filter(any)
-        .map(lambda w: PreferenceVector.of(TP=w[0], MT=w[1], HW=w[2]))
-    )
-    multiplier = st.sampled_from([1e-300, math.inf]) | st.floats(0.1, 3.0)
-    service = st.sampled_from([0.0, math.inf]) | st.floats(0.0, 120.0)
-    cfg = draw(st.none() | st.builds(
-        lambda multipliers, services: SimConfig(
-            shared_speed_multiplier=dict(zip(Tier, multipliers)),
-            analysis_service_s=dict(zip(Tier, services)),
-        ),
-        st.tuples(multiplier, multiplier, multiplier),
-        st.tuples(service, service, service),
-    ))
-    return scenario, prefs, cfg
+    return scenario, draw(_PREFS), draw(_CFG)
 
 
 def _allocation(allocate, scenario, prefs, cfg):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import logging
 import math
 import mmap
+import os
 import random
 import re
 import struct
@@ -2209,6 +2212,226 @@ class TestLazyRecords:
         with pytest.raises(CorruptLogError) as caught:
             infer(make_scenario(), prefs, RulesDatabase(), ExperienceDatabase(path), StubProvider(), config)
         assert str(caught.value).startswith(f"{path}: experience record 1: bad plan: ")
+
+
+class TestReusedIds:
+    """A load refuses a record or rule id that an earlier line of the log
+    already holds, as a `CorruptLogError` naming the line: two writers on one
+    log number their records from counts of their own."""
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["parsed", "after_a_snapshot"])
+    def test_an_experience_id_is_not_loaded_twice(self, tmp_path, snapshot):
+        path = tmp_path / "exp.jsonl"
+        first, second = ExperienceDatabase(path), ExperienceDatabase(path)
+        _store_one(first, Objective.MISSION_TIME)
+        if snapshot:
+            ExperienceDatabase(path)  # snapshots the first line
+            assert retrieval._snapshot_path(path).is_file()
+        _store_one(second, Objective.HUMAN_WORKLOAD)
+        message = f"{path}, line 2: not a record: ValueError: record id 0 is reused"
+        with pytest.raises(CorruptLogError, match=re.escape(message)):
+            ExperienceDatabase(path)
+
+    @pytest.mark.parametrize("retired", [False, True], ids=["live", "retired"])
+    def test_a_rule_id_is_not_loaded_twice(self, tmp_path, retired):
+        path = tmp_path / "rules.jsonl"
+        first, second = RulesDatabase(path), RulesDatabase(path)
+        first.store(Objective.MISSION_TIME, "one")
+        if retired:
+            first.replace_objective(Objective.MISSION_TIME, ["two"])
+        second.store(Objective.HUMAN_WORKLOAD, "other")
+        line = 4 if retired else 2
+        message = f"{path}, line {line}: not a record: ValueError: rule id 0 is reused"
+        with pytest.raises(CorruptLogError, match=re.escape(message)):
+            RulesDatabase(path)
+
+
+@pytest.fixture
+def parsed_ids(monkeypatch):
+    """The id of every experience-log line a load parses, in order."""
+    ids = []
+    parse = retrieval._experience_record
+
+    def counting(payload, dim=None):
+        ids.append(payload["id"])
+        return parse(payload, dim)
+
+    monkeypatch.setattr(retrieval, "_experience_record", counting)
+    return ids
+
+
+class TestSnapshot:
+    """A load restores the records of the log prefix its snapshot covers and
+    parses only the lines after it; one that parsed whole lines the snapshot
+    did not cover writes a new one. A snapshot that cannot be used costs a
+    full parse, logged at debug level only."""
+
+    def test_a_load_parses_only_the_lines_after_the_snapshot(self, tmp_path, parsed_ids):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        assert not retrieval._snapshot_path(path).exists()  # appends write none
+        assert ExperienceDatabase(path).records() == db.records()
+        assert parsed_ids == [0, 1]
+        assert ExperienceDatabase(path).records() == db.records()
+        assert parsed_ids == [0, 1]
+        _store_one(db, Objective.TASK_PERFORMANCE)
+        assert ExperienceDatabase(path).records() == db.records()
+        assert ExperienceDatabase(path).records() == db.records()
+        assert parsed_ids == [0, 1, 2]
+
+    def test_an_unterminated_last_line_is_parsed_every_time(self, tmp_path, parsed_ids):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert ExperienceDatabase(path).records() == db.records()
+        assert ExperienceDatabase(path).records() == db.records()
+        assert parsed_ids == [0, 1, 1]
+
+    def test_a_corrupt_snapshot_is_logged_at_debug_level_only(self, tmp_path, caplog):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        ExperienceDatabase(path)
+        snapshot = retrieval._snapshot_path(path)
+        data = bytearray(snapshot.read_bytes())
+        data[-1] ^= 1
+        snapshot.write_bytes(bytes(data))
+        with caplog.at_level(logging.DEBUG, logger="rebel.retrieval"):
+            assert ExperienceDatabase(path).records() == db.records()
+        assert [(r.levelno, r.getMessage().split(": ")[:2]) for r in caplog.records] == [
+            (logging.DEBUG, [str(snapshot), "not used, the whole log is parsed"])
+        ]
+        assert snapshot.read_bytes() != data  # the full parse wrote a new one
+
+
+# built once, not on every draw, since hypothesis checks each new strategy;
+# the texts are any Unicode, with a lone surrogate in about half their characters
+_ANY_TEXT = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr), max_size=5)
+_STORED_SCENARIO = st.just(_SCENARIO_TEXT) | _ANY_TEXT
+_STORED_PLAN = st.just(_PLAN_TEXT) | _ANY_TEXT
+_SNAPSHOT_SECTIONS = {
+    dim: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324]),
+        min_size=dim, max_size=dim,
+    )
+    for dim in (1, 2, 3)
+}
+_PERFORMANCE_VALUE = st.floats(0, 1e6) | st.sampled_from([-0.0, 5e-324])
+_UTILIZATION = st.floats(0, 1)
+_OBJECTIVE_CODE = st.sampled_from([o.short for o in Objective])
+_RECORD_IDS = st.lists(st.integers(-3, 30), unique=True, max_size=7)
+_SPOILERS = st.sampled_from(["none"] * 6 + ["scenario", "id"])
+_TAILS = st.sampled_from(["none", "torn", "unterminated", "blank", "a_reused_id"])
+_SNAPSHOT_FAULTS = st.sampled_from(["none", "deleted", "truncated", "flipped", "a_directory", "stale"])
+
+
+def _experience_payload(draw, record_id: int, dim: int) -> dict:
+    """One experience-log line's payload at `dim`, drawn with `draw`; its
+    scenario and plan texts need not decode, as a load admits them
+    undecoded."""
+    section = _SNAPSHOT_SECTIONS[dim]
+    performance = PerformanceRecord(draw(_PERFORMANCE_VALUE), draw(_PERFORMANCE_VALUE), draw(_UTILIZATION))
+    return {
+        "kind": "experience", "id": record_id, "objective": draw(_OBJECTIVE_CODE),
+        "scenario": draw(_STORED_SCENARIO), "plan": draw(_STORED_PLAN),
+        "performance": performance.serialize(),
+        "emb_humans": draw(section), "emb_robots": draw(section), "emb_tasks": draw(section),
+        "fallback": draw(st.booleans()),
+    }
+
+
+@st.composite
+def _snapshot_cases(draw):
+    """(head lines, lines appended after the head is snapshotted, the tail
+    written after them, what is done to the snapshot, a position in it, a
+    byte mask). In one draw of eight a record cannot be snapshotted: its
+    scenario is a number, or its id lies past int64."""
+    dim = draw(st.integers(1, 3))
+    payloads = [_experience_payload(draw, record_id, dim) for record_id in draw(_RECORD_IDS)]
+    spoiler = draw(_SPOILERS)
+    if payloads and spoiler == "scenario":
+        payloads[-1]["scenario"] = 7
+    elif payloads and spoiler == "id":
+        payloads[-1]["id"] = 2**70
+    lines = [json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n" for payload in payloads]
+    split = draw(st.integers(0, len(lines)))
+    return (
+        lines[:split], lines[split:], draw(_TAILS), draw(_SNAPSHOT_FAULTS),
+        draw(st.integers(0, 2**20)), draw(st.integers(1, 255)),
+    )
+
+
+def _load_state(path: Path):
+    """What a load of `path` gives (its records field by field, float bits
+    included, and the store's dim, dedup keys, next id and repair), or its
+    error; with what it wrote to stderr and logged above debug level."""
+    logged = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: logged.append((record.levelno, record.getMessage()))
+    logger = logging.getLogger("rebel.retrieval")
+    logger.addHandler(handler)
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            db = ExperienceDatabase(path)
+        state = (
+            db.records(),
+            [
+                (r.id, type(r.id), r.objective, r.scenario_text, r.plan_text, r.embedding,
+                 struct.pack("<3d", r.performance.accuracy_points, r.performance.mission_seconds,
+                             r.performance.human_utilization), r.fallback, type(r.fallback))
+                for r in db.records()
+            ],
+            db.dim, db._dedup, db._next_id, db._log._repair,
+        )
+    except CorruptLogError as exc:
+        state = ("error", str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return state, stderr.getvalue(), logged
+
+
+class TestSnapshotEqualsAFullParse:
+    @settings(max_examples=100, deadline=None)
+    @given(_snapshot_cases())
+    def test_a_load_with_the_snapshot_equals_one_without_it(self, case):
+        head, appended, tail, fault, position, mask = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "exp.jsonl"
+            snapshot = retrieval._snapshot_path(path)
+            if fault == "a_directory":  # unwritable, even by root
+                snapshot.mkdir()
+            path.write_bytes(b"".join(head))
+            _load_state(path)  # snapshots the head
+            with open(path, "ab") as handle:
+                handle.write(b"".join(appended))
+                handle.write({"torn": b'{"emb_humans": [0.25, 0.', "blank": b"\n \n",
+                              "a_reused_id": (head + appended + [b""])[0]}.get(tail, b""))
+            if tail == "unterminated":
+                path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+            if fault == "stale":
+                path.write_bytes(path.read_bytes().partition(b"\n")[2])
+            if snapshot.is_file():
+                data = bytearray(snapshot.read_bytes())
+                if fault == "deleted":
+                    snapshot.unlink()
+                elif fault == "truncated":
+                    snapshot.write_bytes(data[: position % len(data)])
+                elif fault == "flipped":
+                    data[position % len(data)] ^= mask
+                    snapshot.write_bytes(bytes(data))
+            log = path.read_bytes()
+            loaded = _load_state(path)
+            again = _load_state(path)  # from the snapshot that load wrote, if it could
+            assert set(os.listdir(directory)) <= {path.name, snapshot.name}  # no temporary file is left
+            if snapshot.is_dir():
+                snapshot.rmdir()
+            else:
+                snapshot.unlink(missing_ok=True)
+            parsed = _load_state(path)
+            assert path.read_bytes() == log
+        assert loaded == parsed
+        assert again == parsed
+        assert parsed[1] == ""
 
 
 # computed with the generator-expression sums and per-token sha256 calls that
