@@ -802,7 +802,7 @@ def run_experiment(spec: ExperimentSpec, deps: BenchDeps) -> ExperimentReport:
             for cell, value in zip(live, means):
                 cell.norms[objective] = (
                     0.5 if hi - lo < 1e-12
-                    else normalize_objective(value, ObjectiveBounds(lo, hi, objective.direction))
+                    else normalize_objective(value, objective, ObjectiveBounds(lo, hi))
                 )
         for cell in live:
             target = cell.prefs.dominant()

@@ -102,12 +102,12 @@ def positive_float(text: str) -> float:
 def _add_provider_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=("stub", "http"), default="stub",
                         help="stub is deterministic and fully offline")
-    parser.add_argument("--endpoint", default="https://api.openai.com/v1")
-    parser.add_argument("--model", default="gpt-4o-mini")
-    parser.add_argument("--api-key-env", default="OPENAI_API_KEY",
+    parser.add_argument("--endpoint", default=ProviderConfig.endpoint)
+    parser.add_argument("--model", default=ProviderConfig.model)
+    parser.add_argument("--api-key-env", default=ProviderConfig.api_key_env,
                         help="environment variable holding the API key")
-    parser.add_argument("--timeout", type=positive_float, default=60.0)
-    parser.add_argument("--retries", type=nonnegative_int, default=2)
+    parser.add_argument("--timeout", type=positive_float, default=ProviderConfig.timeout_s)
+    parser.add_argument("--retries", type=nonnegative_int, default=ProviderConfig.retries)
     parser.add_argument("--transcript", default=None,
                         help="record every prompt/response to this JSONL file")
 
@@ -115,7 +115,7 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
 def _add_embedder_args(parser: argparse.ArgumentParser) -> None:
     """Flags read by _build_embedder; it also reads the provider's endpoint flags."""
     parser.add_argument("--embedder", choices=("hashed", "http"), default="hashed")
-    parser.add_argument("--embed-dim", type=positive_int, default=256)
+    parser.add_argument("--embed-dim", type=positive_int, default=HashedEmbedder.dim)
 
 
 def _provider_config(args: argparse.Namespace) -> ProviderConfig:
@@ -183,7 +183,7 @@ def cmd_gen_exp(args: argparse.Namespace) -> int:
             tasks=(args.min_tasks, args.max_tasks),
         ),
         refine_every=args.refine_every,
-        base_seed=args.seed or 0,
+        base_seed=args.seed,
     )
     sim_cfg = _sim_config(args)
     stored = generate_experiences(
@@ -291,16 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-exp", help="stage 2: simulate missions and store experiences")
     p.add_argument("--rules-db", required=True)
     p.add_argument("--exp-db", required=True)
-    p.add_argument("--objectives", type=parse_objectives, default="TP,MT,HW")
-    p.add_argument("--missions", type=positive_int, default=10)
+    p.add_argument("--objectives", type=parse_objectives, default=KnowledgeAcquisitionConfig.objectives)
+    p.add_argument("--missions", type=positive_int, default=KnowledgeAcquisitionConfig.missions_per_objective)
     p.add_argument("--refine-every", type=positive_int, default=None)
-    p.add_argument("--min-humans", type=nonnegative_int, default=2)
-    p.add_argument("--max-humans", type=nonnegative_int, default=5)
-    p.add_argument("--min-robots", type=positive_int, default=3)
-    p.add_argument("--max-robots", type=positive_int, default=7)
-    p.add_argument("--min-tasks", type=nonnegative_int, default=5)
-    p.add_argument("--max-tasks", type=nonnegative_int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    for name, count in (("humans", nonnegative_int), ("robots", positive_int), ("tasks", nonnegative_int)):
+        low, high = getattr(ScenarioRanges, name)
+        p.add_argument(f"--min-{name}", type=count, default=low)
+        p.add_argument(f"--max-{name}", type=count, default=high)
+    p.add_argument("--seed", type=int, default=KnowledgeAcquisitionConfig.base_seed)
     p.add_argument("--sim-config", default=None)
     _add_provider_args(p)
     _add_embedder_args(p)
@@ -312,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--prefs", type=parse_preferences, required=True,
                    help="MT or TP=0.5,MT=0.25,HW=0.25")
-    p.add_argument("--rule-k", type=positive_int, default=5)
-    p.add_argument("--exp-k", type=positive_int, default=3)
-    p.add_argument("--exp-m", type=nonnegative_int, default=2)
+    p.add_argument("--rule-k", type=positive_int, default=RetrievalConfig.rule_k)
+    p.add_argument("--exp-k", type=positive_int, default=RetrievalConfig.exp_k)
+    p.add_argument("--exp-m", type=nonnegative_int, default=RetrievalConfig.exp_m)
     p.add_argument("--out", default=None)
     p.add_argument("--sim-config", default=None)
     _add_provider_args(p)
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="bench_out")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sim-config", default=None)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--workers", type=positive_int, default=BenchDeps.workers)
     _add_provider_args(p)
     _add_embedder_args(p)
     p.set_defaults(func=cmd_bench)

@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -120,8 +120,9 @@ class Objective(Enum):
         return self.value
 
     @property
-    def direction(self) -> "Direction":
-        return Direction.MAXIMIZE if self is Objective.TASK_PERFORMANCE else Direction.MINIMIZE
+    def maximized(self) -> bool:
+        """Task performance is maximized; time and workload are minimized."""
+        return self is Objective.TASK_PERFORMANCE
 
     @classmethod
     def parse(cls, text: str) -> "Objective":
@@ -132,11 +133,8 @@ class Objective(Enum):
 
 
 _OBJECTIVE_KEYS = {key: obj for obj in Objective for key in (obj.value, obj.name)}
-
-
-class Direction(Enum):
-    MAXIMIZE = "maximize"
-    MINIMIZE = "minimize"
+# each objective's position in `Objective` order, that of `PerformanceRecord.values()`
+_COLUMN = {obj: index for index, obj in enumerate(Objective)}
 
 
 @dataclass(frozen=True)
@@ -393,57 +391,51 @@ class PreferenceVector:
         return ",".join(f"{obj.short}={fmt_num(round(w, 6))}" for obj, w in self.weights)
 
 
-_RECORD_FIELD = {
-    Objective.TASK_PERFORMANCE: "accuracy_points",
-    Objective.MISSION_TIME: "mission_seconds",
-    Objective.HUMAN_WORKLOAD: "human_utilization",
-}
-
-
 _PERFORMANCE_LINE = re.compile(rf"Performance:\s*\[\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*\]")
 
 
 @dataclass(frozen=True)
 class PerformanceRecord:
-    """Mission outcome triple: accuracy points, duration, human utilization."""
+    """Mission outcome triple: accuracy points, duration, human utilization,
+    one field per objective in `Objective` order."""
 
     accuracy_points: float
     mission_seconds: float
     human_utilization: float
 
     def __post_init__(self) -> None:
-        for name in ("accuracy_points", "mission_seconds", "human_utilization"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not all(map(math.isfinite, self.values())):
+            name = next(f.name for f in fields(self) if not math.isfinite(getattr(self, f.name)))
+            raise ValueError(f"{name} must be finite")
         if self.accuracy_points < 0 or self.mission_seconds < 0:
             raise ValueError("accuracy points and mission seconds must be >= 0")
         if not (0.0 <= self.human_utilization <= 1.0):
             raise ValueError("human utilization must lie in [0, 1]")
 
+    def values(self) -> tuple[float, float, float]:
+        """The three values in `Objective` order."""
+        return (self.accuracy_points, self.mission_seconds, self.human_utilization)
+
     def value(self, objective: Objective) -> float:
-        return getattr(self, _RECORD_FIELD[objective])
+        return self.values()[_COLUMN[objective]]
 
     def serialize(self) -> str:
-        return (
-            f"Performance: [{fmt_num(self.accuracy_points)}, "
-            f"{fmt_num(self.mission_seconds)}, {fmt_num(self.human_utilization)}]"
-        )
+        return f"Performance: [{', '.join(map(fmt_num, self.values()))}]"
 
     @classmethod
     def parse(cls, text: str) -> "PerformanceRecord":
         m = _PERFORMANCE_LINE.search(text)
         if not m:
             raise ValueError(f"unparseable performance line: {echo(text)}")
-        return cls(float(m.group(1)), float(m.group(2)), float(m.group(3)))
+        return cls(*map(float, m.groups()))
 
 
 @dataclass(frozen=True)
 class ObjectiveBounds:
-    """Observed value range for one objective plus its optimization direction."""
+    """Observed value range for one objective."""
 
     lo: float
     hi: float
-    direction: Direction
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo >= self.hi:
@@ -481,15 +473,16 @@ class NormalizationBounds:
             lo, hi = float(values.min()), float(values.max())
             if hi - lo < 1e-12:
                 lo, hi = lo - 0.5, hi + 0.5
-            entries[obj] = ObjectiveBounds(lo, hi, obj.direction)
+            entries[obj] = ObjectiveBounds(lo, hi)
         return cls(entries)
 
 
-def normalize_objective(value: float, bounds: ObjectiveBounds) -> float:
-    """Map a raw metric into [0, 1] where 1 is always the preferred end."""
+def normalize_objective(value: float, objective: Objective, bounds: ObjectiveBounds) -> float:
+    """Map a raw metric of `objective` into [0, 1] where 1 is always the
+    preferred end."""
     if not math.isfinite(value):
         raise ValueError(f"cannot normalize non-finite value {value}")
-    return float(_unit_score(value, bounds.lo, bounds.hi, bounds.direction is Direction.MAXIMIZE))
+    return float(_unit_score(value, bounds.lo, bounds.hi, objective.maximized))
 
 
 def _unit_score(value, lo: float, hi: float, maximize: bool):
@@ -505,7 +498,7 @@ def _unit_score(value, lo: float, hi: float, maximize: bool):
 def performance_columns(records: Sequence[PerformanceRecord]) -> np.ndarray:
     """The records as one row per objective, in `Objective` order, for
     `aggregate_scores`."""
-    values = [(r.accuracy_points, r.mission_seconds, r.human_utilization) for r in records]
+    values = [r.values() for r in records]
     return np.array(values, dtype=float).reshape(len(records), len(Objective)).T
 
 
@@ -520,9 +513,6 @@ def check_performance_columns(columns: np.ndarray) -> None:
         raise ValueError("human utilization must lie in [0, 1]")
 
 
-_COLUMN = {obj: index for index, obj in enumerate(Objective)}
-
-
 def aggregate_scores(
     columns: np.ndarray, prefs: PreferenceVector, bounds: NormalizationBounds
 ) -> np.ndarray:
@@ -533,8 +523,7 @@ def aggregate_scores(
     total = np.zeros(columns.shape[1])
     for obj, w in prefs.weights:
         entry = bounds.entry(obj)
-        maximize = entry.direction is Direction.MAXIMIZE
-        total = total + w * _unit_score(columns[_COLUMN[obj]], entry.lo, entry.hi, maximize)
+        total = total + w * _unit_score(columns[_COLUMN[obj]], entry.lo, entry.hi, obj.maximized)
     return total
 
 

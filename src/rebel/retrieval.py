@@ -31,7 +31,7 @@ import threading
 import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, Sequence
 
@@ -541,10 +541,10 @@ class _Prefix:
     lines, `items` of them converted to records, and `digest`, the running
     sha256 of those bytes."""
 
-    size: int = 0
-    lines: int = 0
-    items: int = 0
-    digest: Any = field(default_factory=hashlib.sha256)
+    size: int
+    lines: int
+    items: int
+    digest: Any
 
     def advance(self, line: bytes, items: int) -> None:
         """Take in the next whole line, which held `items` records."""
@@ -581,9 +581,9 @@ class _AppendLog:
 
     def read_all(self, convert: Callable[[Any], Any], prefix: _Prefix | None = None) -> Iterator[Any]:
         """`convert(payload)` for each line's payload in file order, one line
-        at a time, so no payload outlives its line, from the end of `prefix`
-        (by default the start of the file), which takes in every whole line
-        read. A line that is not JSON (or nests too deeply to decode), or
+        at a time, so no payload outlives its line, from the end of `prefix`,
+        which takes in every whole line read, or else from the start of the
+        file. A line that is not JSON (or nests too deeply to decode), or
         whose payload `convert` rejects (`KeyError`, `TypeError`,
         `ValueError`, `AttributeError`), raises `CorruptLogError` naming its
         number in the file, unless it is a final line with no newline that is
@@ -591,15 +591,15 @@ class _AppendLog:
         set only once every line has been converted."""
         if self.path is None or not self.path.exists():
             return
-        prefix = prefix or _Prefix()
-        size, repair = prefix.size, None
+        size, lines = (prefix.size, prefix.lines) if prefix else (0, 0)
+        repair = None
         with open(self.path, "rb", buffering=_READ_BUFFER_BYTES) as handle:
             handle.seek(size)
-            for number, line in enumerate(handle, prefix.lines + 1):
+            for number, line in enumerate(handle, lines + 1):
                 size += len(line)
                 torn = not line.endswith(b"\n")  # only the final line can be
                 if not line.strip():
-                    if not torn:
+                    if prefix and not torn:
                         prefix.advance(line, 0)
                     continue
                 try:
@@ -619,7 +619,7 @@ class _AppendLog:
                 yield item
                 if torn:
                     repair = (size, b"\n")
-                else:
+                elif prefix:
                     prefix.advance(line, 1)
         self._repair = repair
 
@@ -687,13 +687,10 @@ class RulesDatabase(_Store):
         used: set[int] = set()  # live or retired
 
         def apply(payload: dict) -> None:
-            # bool is an int subclass, and a float or text id would number the next rule
             if payload["kind"] == "rule":
-                if type(payload["id"]) is not int:
-                    raise ValueError(f"rule id {echo(payload['id'])} is not an integer")
-                if payload["id"] in used:
-                    raise ValueError(f"rule id {payload['id']} is reused")
-                entry = RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
+                entry = _rule_entry(payload)
+                if entry.id in used:
+                    raise ValueError(f"rule id {entry.id} is reused")
                 used.add(entry.id)
                 live[entry.id] = entry
                 self._next_id = max(self._next_id, entry.id + 1)
@@ -738,10 +735,12 @@ class RulesDatabase(_Store):
             return entry
 
     def _append(self, objective: Objective, text: str) -> RuleEntry:
-        """The next rule, logged but not yet live; the caller holds the lock."""
-        entry = RuleEntry(self._next_id, objective, text)
+        """The next rule, logged but not yet live; the caller holds the lock.
+        Built as a load builds it, a rule the load would refuse uses no id."""
+        payload = {"kind": "rule", "id": self._next_id, "objective": objective.short, "text": text}
+        entry = _rule_entry(payload)
         self._next_id += 1
-        self._log.append({"kind": "rule", "id": entry.id, "objective": objective.short, "text": text})
+        self._log.append(payload)
         return entry
 
     def replace_objective(self, objective: Objective, texts: Sequence[str]) -> tuple[RuleEntry, ...]:
@@ -765,6 +764,14 @@ class RulesDatabase(_Store):
             finally:  # what reached the log is live
                 self._entries = kept + tuple(added)
             return tuple(added)
+
+
+def _rule_entry(payload: dict) -> RuleEntry:
+    """The rule one rules-log `rule` line holds."""
+    # bool is an int subclass, and a float or text id would number the next rule
+    if type(payload["id"]) is not int:
+        raise ValueError(f"rule id {echo(payload['id'])} is not an integer")
+    return RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
 
 
 def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecord:
@@ -803,7 +810,6 @@ _SNAPSHOT_SUFFIX = ".snapshot"
 _SNAPSHOT_MAGIC = b"rebel experience snapshot 1\n"
 _SNAPSHOT_PREFIX = struct.Struct("<QQ32s")
 _OBJECTIVES = tuple(Objective)
-_PERFORMANCE_TRIPLE = operator.attrgetter("accuracy_points", "mission_seconds", "human_utilization")
 
 
 def _snapshot_path(log: Path) -> Path:
@@ -839,7 +845,7 @@ def _snapshot_records(records: Sequence[ExperienceRecord]) -> bytes:
         ids=np.array([r.id for r in records], np.int64),
         objectives=np.array([_OBJECTIVES.index(r.objective) for r in records], np.uint8),
         fallbacks=np.array([r.fallback for r in records], bool),
-        performances=np.array([_PERFORMANCE_TRIPLE(r.performance) for r in records], np.float64),
+        performances=np.array([r.performance.values() for r in records], np.float64),
         **_blob("embeddings", [r.embedding for r in records]),
         **_blob("texts", [text.encode("utf-8", "surrogatepass") for text in texts]),
     )
@@ -866,16 +872,14 @@ def _restored_records(npz: io.BytesIO) -> tuple[ExperienceRecord, ...]:
         )
 
 
-def _read_snapshot(log: Path | None) -> tuple[tuple[ExperienceRecord, ...], _Prefix]:
+def _read_snapshot(log: Path) -> tuple[tuple[ExperienceRecord, ...], _Prefix]:
     """The records of the log prefix that `log`'s snapshot covers, in id
-    order, and that prefix; or no records and the empty prefix when there is
-    no log, or the snapshot is missing, unreadable, corrupt (what follows its
+    order, and that prefix; or no records and the empty prefix when the
+    snapshot is missing, unreadable, corrupt (what follows its
     own sha256 does not hash to it), or stale (the log's first bytes no
     longer hash to its prefix sha256, read `_READ_BUFFER_BYTES` at a time).
     Never raises: a snapshot is derived data, and a fault in it only costs a
     full parse, logged at debug level."""
-    if log is None:
-        return (), _Prefix()
     path = _snapshot_path(log)
     try:
         raw = path.read_bytes()
@@ -886,23 +890,22 @@ def _read_snapshot(log: Path | None) -> tuple[tuple[ExperienceRecord, ...], _Pre
         if hashlib.sha256(data[start:]).digest() != data[len(_SNAPSHOT_MAGIC) : start]:
             raise ValueError("it does not match its own hash")
         size, lines, prefix_sha = _SNAPSHOT_PREFIX.unpack_from(data, start)
-        prefix = _Prefix(size, lines)
+        digest = hashlib.sha256()
         with open(log, "rb", buffering=0) as handle:
             while (remaining := size - handle.tell()) > 0:
                 chunk = handle.read(min(remaining, _READ_BUFFER_BYTES))
                 if not chunk:
                     raise ValueError(f"the log is shorter than the {size} bytes it covers")
-                prefix.digest.update(chunk)
-        if prefix.digest.digest() != prefix_sha:
+                digest.update(chunk)
+        if digest.digest() != prefix_sha:
             raise ValueError(f"the log's first {size} bytes have changed")
         npz = io.BytesIO(raw)  # shares the bytes, where a slice would copy them
         npz.seek(start + _SNAPSHOT_PREFIX.size)
         records = _restored_records(npz)
     except (OSError, ValueError, KeyError, IndexError, zipfile.BadZipFile) as exc:
         logger.debug("%s: not used, the whole log is parsed: %s", path, exc)
-        return (), _Prefix()
-    prefix.items = len(records)
-    return records, prefix
+        return (), _Prefix(0, 0, 0, hashlib.sha256())
+    return records, _Prefix(size, lines, len(records), digest)
 
 
 def _write_snapshot(log: Path, records: Sequence[ExperienceRecord], prefix: _Prefix) -> None:
@@ -949,6 +952,18 @@ class ExperienceDatabase(_Store):
 
     def __init__(self, path: str | Path | None = None):
         super().__init__(path)
+        if self.path is not None:  # a store with no log reads and hashes nothing
+            self._entries = self._load()
+        # a record whose scenario or plan is not text fails on first read and matches no mission
+        self._dedup = {
+            (r.objective, r.scenario_text, r.plan_text)
+            for r in self._entries
+            if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
+        }
+        self._next_id = self._entries[-1].id + 1 if self._entries else 0
+
+    def _load(self) -> tuple[ExperienceRecord, ...]:
+        """The log's records in id order."""
         restored, prefix = _read_snapshot(self.path)
         covered = prefix.size
         dim = restored[0].dim if restored else None
@@ -964,17 +979,10 @@ class ExperienceDatabase(_Store):
             return record
 
         tail = list(self._log.read_all(admit, prefix))
-        self._entries = tuple(sorted(restored + tuple(tail), key=operator.attrgetter("id")))
         if prefix.size > covered:  # whole lines were parsed; an unterminated last one is not covered
             snapshotted = restored + tuple(tail[: prefix.items - len(restored)])
             _write_snapshot(self.path, sorted(snapshotted, key=operator.attrgetter("id")), prefix)
-        # a record whose scenario or plan is not text fails on first read and matches no mission
-        self._dedup = {
-            (r.objective, r.scenario_text, r.plan_text)
-            for r in self._entries
-            if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
-        }
-        self._next_id = self._entries[-1].id + 1 if self._entries else 0
+        return tuple(sorted(restored + tuple(tail), key=operator.attrgetter("id")))
 
     @property
     def dim(self) -> int | None:
@@ -1023,34 +1031,27 @@ class ExperienceDatabase(_Store):
         embeddings: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]],
         fallback: bool = False,
     ) -> ExperienceRecord:
+        """The next record, built from its log line as a load builds it; a refused one uses no id."""
+        humans, robots, tasks = embeddings
         with self._lock:
-            record = ExperienceRecord(
-                id=self._next_id,
-                objective=objective,
-                scenario_text=scenario.serialize(),
-                plan_text=plan.render(),
-                performance=performance,
-                embedding=_pack_sections(self._next_id, embeddings, self.dim),
-                fallback=fallback,
-            )
+            payload = {
+                "kind": "experience",
+                "id": self._next_id,
+                "objective": objective.short,
+                "scenario": scenario.serialize(),
+                "plan": plan.render(),
+                "performance": performance.serialize(),
+                "emb_humans": list(humans),
+                "emb_robots": list(robots),
+                "emb_tasks": list(tasks),
+                "fallback": fallback,
+            }
+            record = _experience_record(payload, self.dim)
             # the plan's decode cache; the scenario, which would hold its text
             # a second time, is parsed from `scenario_text` on first read
             vars(record)["plan"] = plan
             self._next_id += 1
-            self._log.append(
-                {
-                    "kind": "experience",
-                    "id": record.id,
-                    "objective": objective.short,
-                    "scenario": record.scenario_text,
-                    "plan": record.plan_text,
-                    "performance": performance.serialize(),
-                    "emb_humans": list(embeddings[0]),
-                    "emb_robots": list(embeddings[1]),
-                    "emb_tasks": list(embeddings[2]),
-                    "fallback": fallback,
-                }
-            )
+            self._log.append(payload)
             self._entries += (record,)
-            self._dedup.add((objective, record.scenario_text, record.plan_text))
+            self._dedup.add((record.objective, record.scenario_text, record.plan_text))
             return record

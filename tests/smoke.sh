@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Hermetic CLI smoke run through the `rebel` console script. Run it with the
-# package installed (`pip install -e .`): `bash tests/smoke.sh`. It stops at
-# the first case that goes wrong, with a non-zero exit.
+# Hermetic CLI smoke run through the `rebel` console script: `bash
+# tests/smoke.sh`. With the package installed (`pip install -e .`) it runs the
+# console script; from a checkout without it, it puts the checkout's `src` on
+# PYTHONPATH and runs `python -m rebel.cli`. It stops at the first case that
+# goes wrong, with a non-zero exit.
 #
 # CI runs it before the dev extra is installed, so the declared runtime
 # dependencies must be enough; stub provider and hashed embedder; the MOO
@@ -54,6 +56,12 @@
 # `rebel infer` printing what it prints with the snapshot deleted, with
 # nothing on stderr
 set -eo pipefail
+
+if ! command -v rebel > /dev/null; then
+  PYTHONPATH="$(cd "$(dirname "$0")/../src" && pwd)${PYTHONPATH:+:$PYTHONPATH}"
+  export PYTHONPATH
+  rebel() { python -m rebel.cli "$@"; }
+fi
 
 d=$(mktemp -d)
 trap 'rm -rf "$d"' EXIT

@@ -41,7 +41,6 @@ from rebel.bench import (
 from rebel.core import (
     Assignment,
     ItaPlan,
-    Direction,
     NormalizationBounds,
     Objective,
     ObjectiveBounds,
@@ -305,9 +304,9 @@ class TestBestScreensRowMeans:
         points = np.array([self.B, self.A, self.A[::-1]])
         columns = np.stack((points, np.full(points.shape, 10.0), np.zeros(points.shape)))
         bounds = NormalizationBounds({
-            Objective.TASK_PERFORMANCE: ObjectiveBounds(0.0, 1.0, Direction.MAXIMIZE),
-            Objective.MISSION_TIME: ObjectiveBounds(0.0, 20.0, Direction.MINIMIZE),
-            Objective.HUMAN_WORKLOAD: ObjectiveBounds(0.0, 1.0, Direction.MINIMIZE),
+            Objective.TASK_PERFORMANCE: ObjectiveBounds(0.0, 1.0),
+            Objective.MISSION_TIME: ObjectiveBounds(0.0, 20.0),
+            Objective.HUMAN_WORKLOAD: ObjectiveBounds(0.0, 1.0),
         })
         table = PlanTable(scenario, np.arange(3, dtype=np.intp).reshape(3, 1), columns, bounds)
         prefs = PreferenceVector.single(Objective.TASK_PERFORMANCE)
@@ -899,7 +898,7 @@ def _reference_aggregate(record, prefs, bounds) -> float:
     def normalized(objective):
         entry = bounds.entry(objective)
         value = record.value(objective)
-        if entry.direction is Direction.MAXIMIZE:
+        if objective.maximized:
             score = (value - entry.lo) / (entry.hi - entry.lo)
         else:
             score = (entry.hi - value) / (entry.hi - entry.lo)
@@ -922,7 +921,7 @@ def _bounds(draw) -> NormalizationBounds:
     entries = {}
     for objective in Objective:
         lo, hi = sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
-        entries[objective] = ObjectiveBounds(lo, hi, objective.direction)
+        entries[objective] = ObjectiveBounds(lo, hi)
     return NormalizationBounds(entries)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from rebel.core import (
     Assignment,
-    Direction,
     HumanProfile,
     ItaPlan,
     MissionScenario,
@@ -31,39 +30,39 @@ from conftest import make_scenario
 
 class TestNormalizeObjective:
     def test_max_value_maximize_is_one(self):
-        bounds = ObjectiveBounds(0.0, 10.0, Direction.MAXIMIZE)
-        assert normalize_objective(10.0, bounds) == 1.0
+        bounds = ObjectiveBounds(0.0, 10.0)
+        assert normalize_objective(10.0, Objective.TASK_PERFORMANCE, bounds) == 1.0
 
     def test_max_value_minimize_is_zero(self):
-        bounds = ObjectiveBounds(0.0, 10.0, Direction.MINIMIZE)
-        assert normalize_objective(10.0, bounds) == 0.0
+        bounds = ObjectiveBounds(0.0, 10.0)
+        assert normalize_objective(10.0, Objective.MISSION_TIME, bounds) == 0.0
 
     def test_midpoint_is_half_either_direction(self):
-        for direction in Direction:
-            bounds = ObjectiveBounds(2.0, 6.0, direction)
-            assert normalize_objective(4.0, bounds) == pytest.approx(0.5)
+        for objective in Objective:
+            bounds = ObjectiveBounds(2.0, 6.0)
+            assert normalize_objective(4.0, objective, bounds) == pytest.approx(0.5)
 
     def test_clamped_to_unit_interval(self):
-        bounds = ObjectiveBounds(0.0, 1.0, Direction.MAXIMIZE)
-        assert normalize_objective(-5.0, bounds) == 0.0
-        assert normalize_objective(7.0, bounds) == 1.0
+        bounds = ObjectiveBounds(0.0, 1.0)
+        assert normalize_objective(-5.0, Objective.TASK_PERFORMANCE, bounds) == 0.0
+        assert normalize_objective(7.0, Objective.TASK_PERFORMANCE, bounds) == 1.0
 
     def test_non_finite_value_rejected(self):
-        bounds = ObjectiveBounds(0.0, 1.0, Direction.MAXIMIZE)
+        bounds = ObjectiveBounds(0.0, 1.0)
         with pytest.raises(ValueError):
-            normalize_objective(float("nan"), bounds)
+            normalize_objective(float("nan"), Objective.TASK_PERFORMANCE, bounds)
 
     def test_bounds_require_lo_below_hi(self):
         with pytest.raises(ValueError):
-            ObjectiveBounds(1.0, 1.0, Direction.MAXIMIZE)
+            ObjectiveBounds(1.0, 1.0)
 
 
 def bounds_for(tp=(0.0, 100.0), mt=(0.0, 1000.0), hw=(0.0, 1.0)) -> NormalizationBounds:
     return NormalizationBounds(
         {
-            Objective.TASK_PERFORMANCE: ObjectiveBounds(*tp, Direction.MAXIMIZE),
-            Objective.MISSION_TIME: ObjectiveBounds(*mt, Direction.MINIMIZE),
-            Objective.HUMAN_WORKLOAD: ObjectiveBounds(*hw, Direction.MINIMIZE),
+            Objective.TASK_PERFORMANCE: ObjectiveBounds(*tp),
+            Objective.MISSION_TIME: ObjectiveBounds(*mt),
+            Objective.HUMAN_WORKLOAD: ObjectiveBounds(*hw),
         }
     )
 
@@ -89,7 +88,7 @@ class TestAggregateObjective:
         record = PerformanceRecord(10.0, 10.0, 0.1)
         prefs = PreferenceVector.single(Objective.HUMAN_WORKLOAD)
         partial = NormalizationBounds(
-            {Objective.TASK_PERFORMANCE: ObjectiveBounds(0, 1, Direction.MAXIMIZE)}
+            {Objective.TASK_PERFORMANCE: ObjectiveBounds(0, 1)}
         )
         with pytest.raises(KeyError):
             aggregate_objective(record, prefs, partial)
@@ -126,7 +125,7 @@ class TestAggregateObjective:
                 r2 = PerformanceRecord(rng.uniform(1, 99), rng.uniform(1, 999), rng.random())
                 j_diff = aggregate_objective(r1, prefs, b) - aggregate_objective(r2, prefs, b)
                 raw_diff = r1.value(objective) - r2.value(objective)
-                if objective.direction is Direction.MINIMIZE:
+                if not objective.maximized:
                     raw_diff = -raw_diff
                 if abs(raw_diff) > 1e-9:
                     assert math.copysign(1, j_diff) == math.copysign(1, raw_diff)
@@ -376,7 +375,7 @@ class TestBoundsFromRecords:
         bounds = NormalizationBounds.from_records(records)
         for objective in Objective:
             assert normalize_objective(
-                records[0].value(objective), bounds.entry(objective)
+                records[0].value(objective), objective, bounds.entry(objective)
             ) == pytest.approx(0.5)
 
     def test_observed_extremes_map_to_unit_interval(self):
@@ -385,8 +384,9 @@ class TestBoundsFromRecords:
             PerformanceRecord(50.0, 400.0, 0.9),
         ]
         bounds = NormalizationBounds.from_records(records)
-        assert normalize_objective(50.0, bounds.entry(Objective.TASK_PERFORMANCE)) == 1.0
-        assert normalize_objective(100.0, bounds.entry(Objective.MISSION_TIME)) == 1.0
+        tp, mt = Objective.TASK_PERFORMANCE, Objective.MISSION_TIME
+        assert normalize_objective(50.0, tp, bounds.entry(tp)) == 1.0
+        assert normalize_objective(100.0, mt, bounds.entry(mt)) == 1.0
 
 
 def test_fmt_num_round_trips():

@@ -5,9 +5,11 @@ import hashlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebel import llm, pipeline
-from rebel.core import Objective, PerformanceRecord, PreferenceVector, Tier
+from rebel.core import Objective, PerformanceRecord, PreferenceVector, Tier, validate_plan
 from rebel.llm import (
     STUB_RULES,
     StubProvider,
@@ -19,11 +21,19 @@ from rebel.pipeline import (
     RetrievalConfig,
     ScenarioRanges,
     StageError,
+    allocate_with_model,
     generate_experiences,
     generate_rules,
     infer,
 )
-from rebel.prompt import SECTION_EXPERIENCE, assignment_lines, extract_section
+from rebel.prompt import (
+    SECTION_EXPERIENCE,
+    ParseFailure,
+    PlanInvalid,
+    assignment_lines,
+    extract_section,
+    parse_ita_plan,
+)
 from rebel.retrieval import (
     ExperienceDatabase,
     HashedEmbedder,
@@ -391,3 +401,56 @@ class TestReproducibility:
             return rules_path.read_bytes(), exp_path.read_bytes()
 
         assert build("a") == build("b")
+
+
+class ScriptedProvider:
+    """Answers each request with the next of `answers`."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.calls = 0
+
+    def complete(self, prompt, temperature):
+        self.calls += 1
+        return self.answers[self.calls - 1]
+
+
+# built once, not on every draw, since hypothesis checks each new strategy
+_PROVIDER_SCENARIO = make_scenario()
+_VALID_LINES = [
+    f"{task}: ({agents})"
+    for task in ("T_0", "T_1")
+    for agents in ("UAV_0", "UGV_0", "H_0, UAV_0", "UGV_0, H_1")
+] + ["- T_1: (UGV_0)."]
+# no robot, an unknown task, an unknown agent, no agent, and no colon
+_BAD_LINES = ["T_0: (H_0)", "T_7: (UAV_0)", "T_1: (ZZ_1)", "T_0: ()", "T_1 (UAV_0)"]
+_ANSWER = st.lists(
+    st.sampled_from(_VALID_LINES) | st.sampled_from(_BAD_LINES) | st.text(max_size=24), max_size=6
+).map("\n".join)
+_ANSWERS = st.lists(_ANSWER, min_size=2, max_size=2)
+_PROVIDER_PREFS = st.sampled_from(
+    [PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25), *(PreferenceVector.single(o) for o in Objective)]
+)
+
+
+def _parsed(answer):
+    """The plan `answer` gives the scenario, or None when it gives none."""
+    try:
+        return parse_ita_plan(answer, _PROVIDER_SCENARIO)
+    except (ParseFailure, PlanInvalid):
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(answers=_ANSWERS, prefs=_PROVIDER_PREFS)
+def test_any_provider_text_gives_a_valid_plan(answers, prefs):
+    """Two answers of drawn text, valid and invalid plan lines: the plan
+    validates, and the greedy fallback is used only when neither answer
+    parses to a valid plan."""
+    provider = ScriptedProvider(answers)
+    plan, used_fallback = allocate_with_model(_PROVIDER_SCENARIO, prefs, provider)
+    assert validate_plan(plan, _PROVIDER_SCENARIO).ok
+    usable = [p for p in map(_parsed, answers) if p is not None]
+    assert used_fallback == (not usable)
+    assert plan == (usable[0] if usable else heuristic_allocate(_PROVIDER_SCENARIO, prefs))
+    assert provider.calls == (1 if _parsed(answers[0]) is not None else 2)

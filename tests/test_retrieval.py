@@ -1654,6 +1654,73 @@ class TestStoreDimension:
         assert _store_one(db, Objective.MISSION_TIME).id == 0 and db.dim == 16
 
 
+class TestStoreRefusesWhatLoadRefuses:
+    """A store builds what it appends as its load builds it, so an entry the
+    load would refuse raises before its id is used or a byte is written."""
+
+    @pytest.mark.parametrize("fallback", [1, np.True_], ids=["int", "numpy_bool"])
+    def test_an_experience_fallback_that_is_not_a_bool(self, tmp_path, fallback):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        before = path.read_bytes()
+        scenario = make_scenario()
+        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+        sections = embed_scenario_sections(scenario, HashedEmbedder(dim=16))
+        with pytest.raises(ValueError, match=r"^experience record 2: fallback .+ is not a boolean$"):
+            db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections, fallback)
+        assert path.read_bytes() == before and len(db) == 2
+        assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2
+        assert ExperienceDatabase(path).records() == db.records()
+
+    @pytest.mark.parametrize("objective", ["MT", None], ids=["text", "none"])
+    def test_a_rule_objective_that_is_not_an_objective(self, tmp_path, objective):
+        path = tmp_path / "rules.jsonl"
+        db = RulesDatabase(path)
+        db.store(Objective.MISSION_TIME, "one")
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            db.store(objective, "two")
+        assert path.read_bytes() == before and len(db) == 1
+        assert db.store(Objective.HUMAN_WORKLOAD, "three").id == 1
+        assert RulesDatabase(path).rules() == db.rules()
+
+
+@pytest.fixture
+def built_digests(monkeypatch):
+    """One entry per sha256 object or log prefix the retrieval module builds."""
+    built = []
+    sha256, prefix = hashlib.sha256, retrieval._Prefix
+
+    def counting(make, name):
+        def build(*args, **kwargs):
+            built.append(name)
+            return make(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(retrieval.hashlib, "sha256", counting(sha256, "sha256"))
+    monkeypatch.setattr(retrieval, "_Prefix", counting(prefix, "prefix"))
+    return built
+
+
+class TestOnlyAnExperienceLogIsHashed:
+    """Only a file-backed experience-store load builds and advances a log
+    prefix digest, which its snapshot needs."""
+
+    def test_a_rules_load_and_a_store_with_no_log_hash_nothing(self, tmp_path, built_digests):
+        path = tmp_path / "rules.jsonl"
+        RulesDatabase(path).store(Objective.MISSION_TIME, "one")
+        assert len(RulesDatabase(path)) == 1
+        assert len(ExperienceDatabase()) == 0
+        assert built_digests == []
+
+    def test_a_file_backed_experience_load_does(self, tmp_path, built_digests):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        assert len(ExperienceDatabase(path)) == 2
+        assert "prefix" in built_digests and "sha256" in built_digests
+
+
 class TestRulesDatabasePersistence:
     def test_store_then_reload_is_identical(self, tmp_path):
         path = tmp_path / "rules.jsonl"
@@ -2248,15 +2315,19 @@ class TestReusedIds:
 
 @pytest.fixture
 def parsed_ids(monkeypatch):
-    """The id of every experience-log line a load parses, in order."""
+    """The id of every experience-log line a load parses, in order; the
+    records `store` builds are not counted."""
     ids = []
-    parse = retrieval._experience_record
+    read_all = retrieval._AppendLog.read_all
 
-    def counting(payload, dim=None):
-        ids.append(payload["id"])
-        return parse(payload, dim)
+    def counting(log, convert, prefix=None):
+        def parse(payload):
+            ids.append(payload["id"])
+            return convert(payload)
 
-    monkeypatch.setattr(retrieval, "_experience_record", counting)
+        return read_all(log, parse, prefix)
+
+    monkeypatch.setattr(retrieval._AppendLog, "read_all", counting)
     return ids
 
 
