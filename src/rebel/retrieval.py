@@ -437,18 +437,20 @@ def _top_rows(
     record's embeddings, in that order from zero. einsum scores a row alike
     wherever it sits in the block, so identical rows tie exactly.
 
-    One float32 `einsum` of `sections` with the query screens the rows
-    first, and only the rows within a margin of the k-th largest screened
-    score are scored exactly. (einsum sums on the calling thread. A BLAS
-    product hands the work to the BLAS thread pool, which made some whole
-    runs of queries far slower on a 2-vCPU machine.) Take n = 3·dim terms
-    and u = 2⁻²⁴, the float32 unit roundoff. Every row section and query
-    section has unit length, so the terms' magnitudes sum to at most 3
+    One float32 `einsum` screens the rows first: it reads only the columns
+    of `sections` where the float32 query is nonzero (a hashed query section
+    is mostly zeros), and only the rows within a margin of the k-th largest
+    screened score are scored exactly. (einsum sums on the calling thread. A
+    BLAS product hands the work to the BLAS thread pool, which made some
+    whole runs of queries far slower on a 2-vCPU machine.) Take n = 3·dim
+    terms and u = 2⁻²⁴, the float32 unit roundoff. Every row section and
+    query section has unit length, so the terms' magnitudes sum to at most 3
     (Cauchy-Schwarz, per section).
     - Rounding the row and the query to float32 moves each term by at most
       2u of its magnitude: 6u in all.
-    - Summing the n products in float32, in whatever order einsum takes,
-      errs by at most about n·u of their magnitude sum: 3·n·u.
+    - The terms left out multiply by a float32 zero, so they are exact
+      zeros. Summing the n' <= n others in float32, in whatever order einsum
+      takes, errs by at most about n'·u of their magnitude sum: 3·n·u.
     So a screened score lies within δ ≈ 3·(n + 2)·u of the exact one, and
     every row of the exact top k screens within 2δ = 3·(n + 2)·2⁻²³ of the
     k-th largest screened score. The margin is 4/3 of that, (n + 2)·2⁻²¹,
@@ -457,7 +459,9 @@ def _top_rows(
     Ranking the rows within it gives the top k of scoring every row.
     """
     dim = len(query) // 3
-    screen = np.einsum("ij,j->i", sections, query.astype(np.float32))
+    q32 = query.astype(np.float32)
+    nonzero = np.flatnonzero(q32)
+    screen = np.einsum("ij,j->i", sections[:, nonzero], q32[nonzero])
     cut = np.partition(screen, len(screen) - k)[len(screen) - k]
     # compared in float64, so the margin is not rounded to float32
     rows = np.flatnonzero(screen >= np.float64(cut) - (3 * dim + 2) * 2.0**-21)
@@ -484,19 +488,25 @@ def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray
     rows at a time, so no float64 copy of the whole store is made. Only the
     nonzero elements are scaled and written; the map's pages start zeroed.
 
+    The matrix is column-major: element (row, column) sits at
+    column·N + row, for N records. `_top_rows` screens only the columns
+    where the query is nonzero, and gathering a column is then one
+    contiguous copy of N floats.
+
     The matrix lives in an anonymous map of its own, so dropping it returns
     its pages at once. A heap block would stay resident, and the next store
     loaded would split it, so the next matrix would need new pages on top.
     """
-    size = len(records) * 3 * dim
-    pages = mmap.mmap(-1, max(4 * size, 1), flags=_MATRIX_MAP_FLAGS)  # a map cannot be empty
-    matrix = np.frombuffer(pages, np.float32, size)
-    for start in range(0, len(records), _BLOCK_ROWS):
+    count, width = len(records), 3 * dim
+    pages = mmap.mmap(-1, max(4 * count * width, 1), flags=_MATRIX_MAP_FLAGS)  # a map cannot be empty
+    matrix = np.frombuffer(pages, np.float32, count * width)
+    for start in range(0, count, _BLOCK_ROWS):
         block = records[start : start + _BLOCK_ROWS]
         rows, nonzero = _dense_rows(block, dim)
         norms = _section_norms(block, rows, dim).reshape(-1)
-        matrix[3 * dim * start + nonzero] = rows.reshape(-1)[nonzero] / norms[nonzero // dim]
-    return matrix.reshape(len(records), 3 * dim)
+        row, column = np.divmod(nonzero, width)
+        matrix[column * count + start + row] = rows.reshape(-1)[nonzero] / norms[nonzero // dim]
+    return matrix.reshape(width, count).T
 
 
 def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
@@ -564,10 +574,10 @@ class _AppendLog:
         self._lock = threading.Lock()
         self._repair: tuple[int, bytes] | None = None  # (truncate to, then write)
 
-    def append(self, payload: dict) -> None:
+    def append(self, line: bytes) -> None:
+        """Write `line` (`_log_line`) at the end of the log."""
         if self.path is None:
             return
-        line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
         with self._lock:
             with open(self.path, "ab") as handle:
                 if self._repair is not None:
@@ -622,6 +632,15 @@ class _AppendLog:
                 elif prefix:
                     prefix.advance(line, 1)
         self._repair = repair
+
+
+def _log_line(payload: dict, name: str) -> bytes:
+    """`payload` as one log line, or `ValueError` naming the entry (`name`)
+    when it holds a value JSON cannot, such as a numpy float32."""
+    try:
+        return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    except TypeError as exc:
+        raise ValueError(f"{name}: not JSON: {exc}") from exc
 
 
 # At most this many answers (rankings of query texts, or scenarios' nearest
@@ -730,37 +749,49 @@ class RulesDatabase(_Store):
 
     def store(self, objective: Objective, text: str) -> RuleEntry:
         with self._lock:
-            entry = self._append(objective, text)
+            ((entry, line),) = self._new_rules(objective, [text])
+            self._append(entry, line)
             self._entries += (entry,)
             return entry
 
-    def _append(self, objective: Objective, text: str) -> RuleEntry:
-        """The next rule, logged but not yet live; the caller holds the lock.
-        Built as a load builds it, a rule the load would refuse uses no id."""
-        payload = {"kind": "rule", "id": self._next_id, "objective": objective.short, "text": text}
-        entry = _rule_entry(payload)
-        self._next_id += 1
-        self._log.append(payload)
-        return entry
+    def _new_rules(self, objective: Objective, texts: Sequence[str]) -> list[tuple[RuleEntry, bytes]]:
+        """The next rules, one per text, numbered from the next id, each with
+        its log line. Built as a load builds them and not yet logged, so a
+        rule the load would refuse uses no id and writes nothing."""
+        rules = []
+        for rule_id, text in enumerate(texts, self._next_id):
+            payload = {"kind": "rule", "id": rule_id, "objective": objective.short, "text": text}
+            rules.append((_rule_entry(payload), _log_line(payload, f"rule {rule_id}")))
+        return rules
+
+    def _append(self, entry: RuleEntry, line: bytes) -> None:
+        """Log a rule of `_new_rules`, using up its id; it is not yet live.
+        The caller holds the lock."""
+        self._next_id = entry.id + 1
+        self._log.append(line)
 
     def replace_objective(self, objective: Objective, texts: Sequence[str]) -> tuple[RuleEntry, ...]:
         """Swap an objective's live rule set for a new generation, in one
         replacement of the live rules.
 
         A no-op when the new texts match the live ones exactly, which keeps
-        fixed-point refinements from growing the log.
+        fixed-point refinements from growing the log. Every new rule is built
+        before the old ones are retired, so a text the load would refuse
+        leaves the old generation live.
         """
         with self._lock:
             current = self.for_objective(objective)
             if [r.text for r in current] == list(texts):
                 return current
+            rules = self._new_rules(objective, texts)
             if current:
                 retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
-                self._log.append(retire)
+                self._log.append(_log_line(retire, "retire record"))
             kept, added = tuple(r for r in self._entries if r.objective is not objective), []
             try:
-                for text in texts:
-                    added.append(self._append(objective, text))
+                for entry, line in rules:
+                    self._append(entry, line)
+                    added.append(entry)
             finally:  # what reached the log is live
                 self._entries = kept + tuple(added)
             return tuple(added)
@@ -1047,11 +1078,12 @@ class ExperienceDatabase(_Store):
                 "fallback": fallback,
             }
             record = _experience_record(payload, self.dim)
+            line = _log_line(payload, f"experience record {record.id}")
             # the plan's decode cache; the scenario, which would hold its text
             # a second time, is parsed from `scenario_text` on first read
             vars(record)["plan"] = plan
             self._next_id += 1
-            self._log.append(payload)
+            self._log.append(line)
             self._entries += (record,)
             self._dedup.add((record.objective, record.scenario_text, record.plan_text))
             return record

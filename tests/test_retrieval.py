@@ -868,12 +868,14 @@ def _vector_store(rows) -> tuple[ExperienceDatabase, MissionScenario]:
 def _screened_cases(draw):
     """1-60 rows of raw section vectors at dim 4-1536 and a query. Each row
     is fresh, a copy of an earlier row, or such a copy with one element moved
-    by 1 ulp; the query is fresh, a stored row, or a stored row so moved.
-    Values are normal draws or small counts, which tie like hashed
-    embeddings do."""
+    by 1 ulp; the query is fresh, a stored row, a stored row so moved, or
+    sparse: 1-8 nonzero elements per section, as a hashed query mostly is.
+    A disjoint sparse query's nonzero elements are zero in every row, so
+    every score is 0 and the lowest ids win. Values are normal draws or
+    small counts, which tie like hashed embeddings do."""
     dim, n = draw(st.integers(4, 1536)), draw(st.integers(1, 60))
     kinds = draw(st.lists(st.sampled_from(["fresh", "copy", "ulp"]), min_size=n, max_size=n))
-    query_kind = draw(st.sampled_from(["fresh", "stored", "ulp"]))
+    query_kind = draw(st.sampled_from(["fresh", "stored", "ulp", "sparse", "disjoint"]))
     counts = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -896,6 +898,19 @@ def _screened_cases(draw):
             rows[i] = rows[rng.integers(i)]
             if kind == "ulp":
                 rows[i] = moved(rows[i])
+    if query_kind in ("sparse", "disjoint"):
+        # element 0 of each section is left out, so a disjoint row keeps it
+        first = 0 if query_kind == "sparse" else 1
+        sizes = rng.integers(1, min(8, dim - first) + 1, 3)
+        support = np.concatenate([
+            section * dim + rng.choice(np.arange(first, dim), size, replace=False)
+            for section, size in enumerate(sizes)
+        ])
+        query = np.zeros(3 * dim)
+        query[support] = rng.integers(1, 3, len(support)) if counts else rng.standard_normal(len(support))
+        if query_kind == "disjoint":
+            rows[:, support] = 0.0
+        return rows, query
     query = fresh(3 * dim) if query_kind == "fresh" else rows[rng.integers(n)].copy()
     return rows, moved(query) if query_kind == "ulp" else query
 
@@ -1536,6 +1551,7 @@ class TestPackedEmbeddings:
         finally:
             tracemalloc.stop()
         assert sections.dtype == np.float32 and sections.shape == (n, 3 * dim)
+        assert sections.flags.f_contiguous  # the screen gathers whole columns
         assert sections.nbytes == 4 * n * 3 * dim
         base = sections
         while isinstance(base, np.ndarray):
@@ -1671,6 +1687,46 @@ class TestStoreRefusesWhatLoadRefuses:
         assert path.read_bytes() == before and len(db) == 2
         assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2
         assert ExperienceDatabase(path).records() == db.records()
+
+    def test_experience_embeddings_that_are_not_json_numbers(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        before = path.read_bytes()
+        scenario = make_scenario()
+        plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.MISSION_TIME))
+        humans, robots, tasks = embed_scenario_sections(scenario, HashedEmbedder(dim=16))
+        sections = (humans, tuple(np.float32(x) for x in robots), tasks)
+        message = r"^experience record 2: not JSON: Object of type float32 is not JSON serializable$"
+        with pytest.raises(ValueError, match=message):
+            db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
+        assert path.read_bytes() == before and len(db) == 2
+        assert _store_one(db, Objective.TASK_PERFORMANCE).id == 2
+        assert ExperienceDatabase(path).records() == db.records()
+
+    def test_a_rule_text_that_is_not_json_text(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        db = RulesDatabase(path)
+        db.store(Objective.MISSION_TIME, "one")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"^rule 1: not JSON: Object of type bytes "):
+            db.store(Objective.MISSION_TIME, b"two")
+        assert path.read_bytes() == before and len(db) == 1
+        assert db.store(Objective.HUMAN_WORKLOAD, "three").id == 1
+        assert RulesDatabase(path).rules() == db.rules()
+
+    @pytest.mark.parametrize("texts", [["  "], ["new rule", "  "]], ids=["blank", "valid_then_blank"])
+    def test_a_refused_replacement_leaves_the_old_rules_live(self, tmp_path, texts):
+        path = tmp_path / "rules.jsonl"
+        db = RulesDatabase(path)
+        old = db.store(Objective.MISSION_TIME, "old rule")
+        other = db.store(Objective.HUMAN_WORKLOAD, "other rule")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="^rule text must be non-empty$"):
+            db.replace_objective(Objective.MISSION_TIME, texts)
+        assert path.read_bytes() == before
+        assert db.rules() == (old, other)
+        assert RulesDatabase(path).rules() == (old, other)
+        assert db.store(Objective.TASK_PERFORMANCE, "next rule").id == 2
 
     @pytest.mark.parametrize("objective", ["MT", None], ids=["text", "none"])
     def test_a_rule_objective_that_is_not_an_objective(self, tmp_path, objective):
