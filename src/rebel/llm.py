@@ -35,7 +35,7 @@ from .prompt import (
     extract_section,
     parse_objectives_text,
 )
-from .retrieval import _AppendLog, _log_line, unit_vector
+from .retrieval import _AppendLog, unit_vector
 from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability
 
 
@@ -208,12 +208,11 @@ class TranscriptRecorder:
 
     def complete(self, prompt: str, temperature: float) -> str:
         response = self.inner.complete(prompt, temperature)
-        entry = {
+        self._log.append({
             "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "prompt": prompt,
             "response": response,
-        }
-        self._log.append(_log_line(entry, "transcript entry"))
+        })
         return response
 
 

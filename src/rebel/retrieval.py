@@ -437,15 +437,16 @@ def _top_rows(
     record's embeddings, in that order from zero. einsum scores a row alike
     wherever it sits in the block, so identical rows tie exactly.
 
-    One float32 `einsum` screens the rows first: it reads only the columns
-    of `sections` where the float32 query is nonzero (a hashed query section
-    is mostly zeros), and only the rows within a margin of the k-th largest
-    screened score are scored exactly. (einsum sums on the calling thread. A
-    BLAS product hands the work to the BLAS thread pool, which made some
-    whole runs of queries far slower on a 2-vCPU machine.) Take n = 3·dim
-    terms and u = 2⁻²⁴, the float32 unit roundoff. Every row section and
-    query section has unit length, so the terms' magnitudes sum to at most 3
-    (Cauchy-Schwarz, per section).
+    One float32 `einsum` screens the rows first, and only the rows within a
+    margin of the k-th largest screened score are scored exactly. A sparse
+    query (`_is_sparse`: a hashed query section is mostly zeros) is screened
+    on a copy of just the columns where the float32 query is nonzero; a
+    dense one on the whole matrix, which that copy would duplicate. (einsum
+    sums on the calling thread. A BLAS product hands the work to the BLAS
+    thread pool, which made some whole runs of queries far slower on a
+    2-vCPU machine.) Take n = 3·dim terms and u = 2⁻²⁴, the float32 unit
+    roundoff. Every row section and query section has unit length, so the
+    terms' magnitudes sum to at most 3 (Cauchy-Schwarz, per section).
     - Rounding the row and the query to float32 moves each term by at most
       2u of its magnitude: 6u in all.
     - The terms left out multiply by a float32 zero, so they are exact
@@ -461,7 +462,10 @@ def _top_rows(
     dim = len(query) // 3
     q32 = query.astype(np.float32)
     nonzero = np.flatnonzero(q32)
-    screen = np.einsum("ij,j->i", sections[:, nonzero], q32[nonzero])
+    if _is_sparse(len(nonzero), len(q32)):
+        screen = np.einsum("ij,j->i", sections[:, nonzero], q32[nonzero])
+    else:
+        screen = np.einsum("ij,j->i", sections, q32)
     cut = np.partition(screen, len(screen) - k)[len(screen) - k]
     # compared in float64, so the margin is not rounded to float32
     rows = np.flatnonzero(screen >= np.float64(cut) - (3 * dim + 2) * 2.0**-21)
@@ -472,6 +476,14 @@ def _top_rows(
         scores += np.einsum("ij,j->i", block[:, start : start + dim], query[start : start + dim])
     # rows are in id order, so a stable sort ranks by (-similarity, id)
     return rows[np.argsort(-scores, kind="stable")[:k]].tolist()
+
+
+def _is_sparse(nonzero: int, size: int) -> bool:
+    """Whether an array of `size` elements, `nonzero` of them nonzero, is
+    cheaper to handle by its nonzero elements alone: fewer than a quarter.
+    Past about a third, gathering a query's columns for the screen costs
+    more than reading the whole matrix (900 rows at dim 256 and 1536)."""
+    return 4 * nonzero < size
 
 
 # Rows decoded at a time while the section matrix is built: a block is
@@ -485,13 +497,15 @@ _MATRIX_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_P
 
 def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
     """`_unit_rows` of `records` (at `dim`) as float32, built `_BLOCK_ROWS`
-    rows at a time, so no float64 copy of the whole store is made. Only the
-    nonzero elements are scaled and written; the map's pages start zeroed.
+    rows at a time, so no float64 copy of the whole store is made.
 
     The matrix is column-major: element (row, column) sits at
-    column·N + row, for N records. `_top_rows` screens only the columns
-    where the query is nonzero, and gathering a column is then one
-    contiguous copy of N floats.
+    column·N + row, for N records. `_top_rows` screens a sparse query on
+    only the columns where it is nonzero, and gathering a column is then
+    one contiguous copy of N floats. Of a sparse block (`_is_sparse`, as
+    hashed embeddings are) only the nonzero elements are scaled and written
+    at those strided places, as the map's pages start zeroed; a dense block
+    is written as one transposed slab, twice as fast for it.
 
     The matrix lives in an anonymous map of its own, so dropping it returns
     its pages at once. A heap block would stay resident, and the next store
@@ -500,13 +514,19 @@ def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray
     count, width = len(records), 3 * dim
     pages = mmap.mmap(-1, max(4 * count * width, 1), flags=_MATRIX_MAP_FLAGS)  # a map cannot be empty
     matrix = np.frombuffer(pages, np.float32, count * width)
+    columns = matrix.reshape(width, count)
     for start in range(0, count, _BLOCK_ROWS):
         block = records[start : start + _BLOCK_ROWS]
         rows, nonzero = _dense_rows(block, dim)
-        norms = _section_norms(block, rows, dim).reshape(-1)
-        row, column = np.divmod(nonzero, width)
-        matrix[column * count + start + row] = rows.reshape(-1)[nonzero] / norms[nonzero // dim]
-    return matrix.reshape(width, count).T
+        norms = _section_norms(block, rows, dim)
+        if _is_sparse(len(nonzero), rows.size):
+            row, column = np.divmod(nonzero, width)
+            values = rows.reshape(-1)[nonzero] / norms.reshape(-1)[nonzero // dim]
+            matrix[column * count + start + row] = values
+        else:
+            unit = rows.reshape(len(block), 3, dim) / norms[:, :, None]
+            columns[:, start : start + len(block)] = unit.reshape(len(block), width).T
+    return columns.T
 
 
 def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
@@ -574,10 +594,22 @@ class _AppendLog:
         self._lock = threading.Lock()
         self._repair: tuple[int, bytes] | None = None  # (truncate to, then write)
 
-    def append(self, line: bytes) -> None:
-        """Write `line` (`_log_line`) at the end of the log."""
+    def line(self, payload: dict, name: str) -> bytes:
+        """`payload` as one log line, or `ValueError` naming the entry (`name`)
+        when it holds a value JSON cannot, such as a numpy float32. Empty for
+        a log with no file, which writes nothing and so encodes nothing."""
+        if self.path is None:
+            return b""
+        try:
+            return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        except TypeError as exc:
+            raise ValueError(f"{name}: not JSON: {exc}") from exc
+
+    def append(self, entry: dict | bytes) -> None:
+        """Write `entry`, a payload or the `line` made of one, at the end of the log."""
         if self.path is None:
             return
+        line = entry if isinstance(entry, bytes) else self.line(entry, "log entry")
         with self._lock:
             with open(self.path, "ab") as handle:
                 if self._repair is not None:
@@ -632,15 +664,6 @@ class _AppendLog:
                 elif prefix:
                     prefix.advance(line, 1)
         self._repair = repair
-
-
-def _log_line(payload: dict, name: str) -> bytes:
-    """`payload` as one log line, or `ValueError` naming the entry (`name`)
-    when it holds a value JSON cannot, such as a numpy float32."""
-    try:
-        return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-    except TypeError as exc:
-        raise ValueError(f"{name}: not JSON: {exc}") from exc
 
 
 # At most this many answers (rankings of query texts, or scenarios' nearest
@@ -761,7 +784,7 @@ class RulesDatabase(_Store):
         rules = []
         for rule_id, text in enumerate(texts, self._next_id):
             payload = {"kind": "rule", "id": rule_id, "objective": objective.short, "text": text}
-            rules.append((_rule_entry(payload), _log_line(payload, f"rule {rule_id}")))
+            rules.append((_rule_entry(payload), self._log.line(payload, f"rule {rule_id}")))
         return rules
 
     def _append(self, entry: RuleEntry, line: bytes) -> None:
@@ -786,7 +809,7 @@ class RulesDatabase(_Store):
             rules = self._new_rules(objective, texts)
             if current:
                 retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
-                self._log.append(_log_line(retire, "retire record"))
+                self._log.append(retire)
             kept, added = tuple(r for r in self._entries if r.objective is not objective), []
             try:
                 for entry, line in rules:
@@ -1078,7 +1101,7 @@ class ExperienceDatabase(_Store):
                 "fallback": fallback,
             }
             record = _experience_record(payload, self.dim)
-            line = _log_line(payload, f"experience record {record.id}")
+            line = self._log.line(payload, f"experience record {record.id}")
             # the plan's decode cache; the scenario, which would hold its text
             # a second time, is parsed from `scenario_text` on first read
             vars(record)["plan"] = plan

@@ -1563,6 +1563,40 @@ class TestPackedEmbeddings:
         retrieve_experiences(make_scenario(humans=()), prefs, db, k=1, m=1, embedder=embedder)
         assert db._slot[2] is sections  # kept, not rebuilt
 
+    def test_sparse_and_dense_blocks_build_the_reference_matrix(self):
+        dim = 16
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((80, 3 * dim))
+        rows[:32, np.arange(3 * dim) % dim != 0] = 0.0  # one nonzero per section: written element by element
+        rows[64:, np.arange(3 * dim) % 4 != 0] = 0.0  # a quarter nonzero: dense, written as a slab
+        db, _ = _vector_store(rows)
+        records = db.records()
+        sections = retrieval._section_matrix(records, dim)
+        assert sections.flags.f_contiguous
+        assert sections.tobytes() == ref_section_matrix(records).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_the_screen_makes_no_copy_of_the_whole_matrix(self, sparse):
+        dim, n = 16, 1000
+        rng = np.random.default_rng(17)
+        db, _ = _vector_store(rng.standard_normal((n, 3 * dim)))
+        records = db.records()
+        sections = retrieval._section_matrix(records, dim)
+        raw = rng.standard_normal(3 * dim)
+        if sparse:
+            raw[np.arange(3 * dim) % dim != 0] = 0.0  # the gathered columns: 3 of 48
+        queries = [unit_vector(section) for section in raw.reshape(3, dim).tolist()]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = retrieval._top_rows(records, sections, np.array(queries).ravel(), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ref_einsum_top_k(ref_section_matrix(records), queries, 3)
+        # gathering every column of a dense query would copy the whole matrix
+        assert peak < sections.nbytes / 4
+
     def test_unequal_sections_are_rejected_at_store(self, tmp_path):
         path = tmp_path / "exp.jsonl"
         db = _two_record_store(path)
@@ -1713,6 +1747,15 @@ class TestStoreRefusesWhatLoadRefuses:
         assert path.read_bytes() == before and len(db) == 1
         assert db.store(Objective.HUMAN_WORKLOAD, "three").id == 1
         assert RulesDatabase(path).rules() == db.rules()
+
+    def test_stores_with_no_log_encode_no_line(self, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(retrieval.json, "dumps", lambda *args, **kwargs: encoded.append(args))
+        rules = RulesDatabase()
+        rules.store(Objective.MISSION_TIME, "one")
+        rules.replace_objective(Objective.MISSION_TIME, ["two"])
+        _store_one(ExperienceDatabase(), Objective.MISSION_TIME)
+        assert encoded == [] and len(rules) == 1
 
     @pytest.mark.parametrize("texts", [["  "], ["new rule", "  "]], ids=["blank", "valid_then_blank"])
     def test_a_refused_replacement_leaves_the_old_rules_live(self, tmp_path, texts):
