@@ -5,6 +5,7 @@ deterministic stub, transcript recording, and the greedy fallback allocator.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,9 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, Sequence
+
+import numpy as np
 
 from .core import (
     Assignment,
@@ -35,7 +38,7 @@ from .prompt import (
     extract_section,
     parse_objectives_text,
 )
-from .retrieval import _AppendLog, unit_vector
+from .retrieval import _AppendLog, _stacked, unit_rows
 from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability
 
 
@@ -188,14 +191,37 @@ class HttpEmbedder:
         self._gate = threading.Semaphore(MAX_CONCURRENCY)
 
     def embed(self, text: str) -> tuple[float, ...]:
-        body = _post(self.cfg, self._gate, "/embeddings", {"model": self.model, "input": [text]})
-        vector = _body_field(body, list, "data", 0, "embedding")
+        return tuple(self.embed_batch([text])[0].tolist())
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """The unit embeddings of `texts` from one POST whose `input` lists
+        them all, as the rows of a float64 array. The answer's `data` holds
+        one entry per text: in `index` order when every entry has an
+        `index`, else in the order given. `MalformedResponse` for another
+        count, a missing, repeated or out-of-range index, a mix of indexed
+        and unindexed entries, or an embedding that is not a list of finite
+        numbers of one length with a finite, nonzero norm."""
+        body = _post(self.cfg, self._gate, "/embeddings", {"model": self.model, "input": list(texts)})
+        data = _body_field(body, list, "data")
+        if len(data) != len(texts):
+            raise MalformedResponse(f"{len(data)} embeddings for {len(texts)} inputs")
+        indexed = [isinstance(entry, dict) and "index" in entry for entry in data]
+        if all(indexed):
+            order = [_body_field(entry, int, "index") for entry in data]
+            # bool is an int subclass
+            if sorted(order) != list(range(len(data))) or any(type(i) is not int for i in order):
+                raise MalformedResponse(f"indices {str(order)[:200]} do not number the inputs once each")
+            data = [entry for _, entry in sorted(zip(order, data), key=lambda pair: pair[0])]
+        elif any(indexed):
+            raise MalformedResponse("some embeddings have an index and some do not")
+        vectors = [_body_field(entry, list, "embedding") for entry in data]
+        elements = itertools.chain.from_iterable(vectors)
         # bool is an int subclass; NaN, infinities and ints beyond float range fail the bound
-        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector):
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in elements):
             raise MalformedResponse("embedding is not a list of finite numbers")
         try:
-            return unit_vector([float(v) for v in vector])
-        except ValueError as exc:  # a zero norm, or squares past the float range
+            return unit_rows(_stacked(vectors))
+        except ValueError as exc:  # two lengths, a zero norm, or squares past the float range
             raise MalformedResponse(f"embedding: {exc}") from exc
 
 

@@ -146,9 +146,33 @@ def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
 
 
 class Embedder(Protocol):
-    """Text to fixed-dimension unit vector."""
+    """Text to fixed-dimension unit vector. An embedder may also have
+    `embed_batch(texts)`, the rows of a float64 array `(len(texts), dim)`
+    that hold `embed` of each text; `embed_all` then embeds many texts in
+    that one call."""
 
     def embed(self, text: str) -> tuple[float, ...]: ...
+
+
+def embed_all(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
+    """The embeddings of `texts`, in order, as the rows of a float64 array
+    `(len(texts), dim)`: one `embedder.embed_batch(texts)` call when the
+    embedder has that method, else `embedder.embed` of each text in turn.
+    `ValueError` ("embedding dimension mismatch") when `embed` gives vectors
+    of different lengths."""
+    batch = getattr(embedder, "embed_batch", None)
+    if batch is not None:
+        return np.asarray(batch(texts), np.float64)
+    return _stacked([embedder.embed(text) for text in texts])
+
+
+def _stacked(vectors: Sequence[Sequence[float]]) -> np.ndarray:
+    """`vectors` as the rows of a float64 array, or `ValueError`
+    ("embedding dimension mismatch") when their lengths differ."""
+    for vector in vectors:
+        if len(vector) != len(vectors[0]):
+            raise ValueError(f"embedding dimension mismatch: {len(vector)} vs {len(vectors[0])}")
+    return np.array(vectors, np.float64).reshape(len(vectors), len(vectors[0]) if vectors else 0)
 
 
 @dataclass(frozen=True)
@@ -167,14 +191,24 @@ class HashedEmbedder:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
     def embed(self, text: str) -> tuple[float, ...]:
-        counts = [0.0] * self.dim
-        for token in tokenize(text):
-            counts[_token_hash(token) % self.dim] += 1.0
-        if not any(counts):
-            counts[0] = 1.0
-        # whole numbers, so built-in `sum` adds their squares exactly on every
-        # interpreter, and faster than `ordered_sum`
-        return _scaled_to_unit(counts, sum(map(operator.mul, counts, counts)))
+        return tuple(self.embed_batch([text])[0].tolist())
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """`embed` of each text as the rows of one float64 array: every
+        token's bucket, offset by its row times `dim`, is counted in one
+        `np.bincount`, and each row divided by the root of its sum of
+        squares, which whole counts make exact."""
+        hashes: list[int] = []
+        lengths = []
+        for text in texts:
+            tokens = tokenize(text)
+            hashes += map(_token_hash, tokens)
+            lengths.append(len(tokens))
+        offsets = np.repeat(np.arange(len(texts)) * self.dim, lengths)
+        buckets = np.array(hashes, np.int64) % self.dim + offsets
+        counts = np.bincount(buckets, minlength=len(texts) * self.dim).reshape(len(texts), self.dim)
+        counts[np.equal(lengths, 0), 0] = 1
+        return counts / np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
 
 
 @functools.lru_cache(maxsize=8192)
@@ -184,17 +218,25 @@ def _token_hash(token: str) -> int:
 
 
 def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
-    """`vec` scaled to unit length. `ValueError` when its norm is zero or not
-    finite (a NaN or infinite element, or squares past the float range)."""
-    return _scaled_to_unit(vec, ordered_sum(map(operator.mul, vec, vec)))
+    """`vec` scaled to unit length (`unit_rows`). `ValueError` when its norm
+    is zero or not finite (a NaN or infinite element, or squares past the
+    float range)."""
+    return tuple(unit_rows(np.array([vec], np.float64))[0].tolist())
 
 
-def _scaled_to_unit(vec: Sequence[float], squares: float) -> tuple[float, ...]:
-    """`vec` divided by the root of `squares`, the sum of its squares."""
-    norm = math.sqrt(squares)
-    if not 0 < norm < math.inf:
-        raise ValueError(f"cannot normalize a vector of norm {norm}")
-    return tuple([v / norm for v in vec])
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of the float64 array `rows` divided by its norm, the root of
+    its squares added one at a time from the left (`np.cumsum`), as
+    `ordered_sum` adds them, so the bits are the same on every interpreter.
+    `ValueError` for the first row whose norm is zero or not finite (a NaN
+    or infinite element, or squares past the float range)."""
+    with np.errstate(over="ignore"):  # squares past the float range are an infinite norm
+        squares = np.cumsum(rows * rows, axis=1)
+    norms = np.sqrt(squares[:, -1] if rows.shape[1] else np.zeros(len(rows)))
+    bad = np.flatnonzero(~((0 < norms) & (norms < math.inf)))
+    if len(bad):
+        raise ValueError(f"cannot normalize a vector of norm {float(norms[bad[0]])}")
+    return rows / norms[:, None]
 
 
 def _ranks_best_first(scored: list[tuple[int, float]]) -> dict[int, int]:
@@ -230,16 +272,16 @@ def _fused_ranking(
     query_text: str,
     rules: tuple[RuleEntry, ...],
     vectors: tuple[tuple[float, ...], ...],
-    embedder: Embedder,
+    query_emb: Sequence[float],
 ) -> tuple[RuleEntry, ...]:
-    """`rules` (embedded as `vectors`) best first under the fusion of
-    `ensemble_retrieve`, ties broken by ascending id."""
+    """`rules` (embedded as `vectors`) best first for `query_text` (embedded
+    as `query_emb`) under the fusion of `ensemble_retrieve`, ties broken by
+    ascending id."""
     stats = CorpusStats.from_rules(rules)
     query_tokens = tokenize(query_text)
     sparse_ranks = _ranks_best_first(
         [(r.id, bm25_score(query_tokens, r, stats)) for r in rules]
     )
-    query_emb = embedder.embed(query_text)
     dense_ranks = _ranks_best_first(
         [(r.id, dense_score(query_emb, vec)) for r, vec in zip(rules, vectors)]
     )
@@ -255,8 +297,15 @@ def _fused_ranking(
 def embed_scenario_sections(
     scenario: MissionScenario, embedder: Embedder
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Embed the three canonical attribute dictionaries independently."""
-    return tuple(unit_vector(embedder.embed(text)) for text in scenario.sections)
+    """The rows of `_section_queries` as three float tuples."""
+    return tuple(map(tuple, _section_queries(scenario, embedder).tolist()))
+
+
+def _section_queries(scenario: MissionScenario, embedder: Embedder) -> np.ndarray:
+    """The scenario's human, robot and task section texts, embedded in one
+    call (`embed_all`) and each scaled to unit length (`unit_rows`): a
+    float64 array `(3, dim)`."""
+    return unit_rows(embed_all(embedder, scenario.sections))
 
 
 # an encoded record's header: its section length, little-endian
@@ -764,9 +813,11 @@ class RulesDatabase(_Store):
             return ()
 
         def rank(vectors):
+            missing = [r.text for r in rules] if vectors is None else []
+            *embedded, query = embed_all(embedder, [*missing, query_text]).tolist()
             if vectors is None:
-                vectors = tuple(embedder.embed(r.text) for r in rules)
-            return vectors, _fused_ranking(query_text, rules, vectors, embedder)
+                vectors = tuple(map(tuple, embedded))
+            return vectors, _fused_ranking(query_text, rules, vectors, query)
 
         return self._answer(rules, query_text, embedder, rank)
 
@@ -1061,17 +1112,16 @@ class ExperienceDatabase(_Store):
         k = min(k, len(records))
 
         def score(sections):
-            queries = embed_scenario_sections(scenario, embedder)
+            queries = _section_queries(scenario, embedder)
             dim = records[0].dim
-            for query in queries:
-                if len(query) != dim:
-                    raise ValueError(f"embedding dimension mismatch: {len(query)} vs {dim}")
+            if queries.shape[1] != dim:
+                raise ValueError(f"embedding dimension mismatch: {queries.shape[1]} vs {dim}")
             if sections is None:
                 try:
                     sections = _section_matrix(records, dim)
                 except ValueError as exc:  # a stored section of zero norm, which load admits
                     raise CorruptLogError(f"{self.path}: {exc}") from exc
-            rows = _top_rows(records, sections, np.array(queries).ravel(), k)
+            rows = _top_rows(records, sections, queries.ravel(), k)
             return sections, tuple(records[row] for row in rows)
 
         return self._answer(records, (scenario.sections, k), embedder, score)

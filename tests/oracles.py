@@ -5,8 +5,10 @@ against."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -52,6 +54,32 @@ def ref_bm25(query: str, text: str, texts: list[str], k1: float, b: float) -> fl
             continue
         score += ref_idf(term, texts) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(tokens) / avg))
     return score
+
+
+def ref_hashed_embed(text: str, dim: int) -> tuple[float, ...]:
+    """`HashedEmbedder(dim).embed(text)` as it was before it counted tokens
+    with numpy: one float per bucket, counted token by token, and each
+    divided by the root of the exact sum of their squares."""
+    counts = [0.0] * dim
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        counts[int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big") % dim] += 1.0
+    if not any(counts):
+        counts[0] = 1.0
+    norm = math.sqrt(sum(c * c for c in counts))
+    return tuple(c / norm for c in counts)
+
+
+def ref_unit_vector(vec) -> tuple[float, ...]:
+    """`retrieval.unit_vector` as it was before it scaled with numpy: the
+    squares added one at a time from the left, from 0.0, and each element
+    divided by their root."""
+    total = 0.0
+    for value in vec:
+        total += value * value
+    norm = math.sqrt(total)
+    if not 0 < norm < math.inf:
+        raise ValueError(f"cannot normalize a vector of norm {norm}")
+    return tuple(value / norm for value in vec)
 
 
 def ref_cosine(u, v) -> float:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebel.bench import random_scenario
-from rebel.core import Objective, PreferenceVector, Tier, validate_plan
+from rebel.core import MissionScenario, Objective, PreferenceVector, Tier, validate_plan
 from rebel.llm import (
     HttpCompletionProvider,
     HttpEmbedder,
@@ -72,8 +72,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             return
         status, payload = step
         if payload is None:
-            if self.path.endswith("/embeddings"):
-                payload = {"data": [{"embedding": [3.0, 4.0]}]}
+            if self.path.endswith("/embeddings"):  # one entry per input text
+                payload = {"data": [{"embedding": [3.0, 4.0]} for _ in body["input"]]}
             else:
                 payload = {"choices": [{"message": {"content": "pong"}}]}
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
@@ -215,6 +215,96 @@ class TestHttpEmbedder(TransportCases):
         ScriptedHandler.script = [(200, body)]
         with pytest.raises(MalformedResponse):
             ask_embedder(ProviderConfig(endpoint=http_server, retries=0))
+
+
+def _entries(*indices) -> dict:
+    """An /embeddings answer with one entry per index, entry i's embedding
+    pointing along axis i; None leaves an entry's `index` out."""
+    data = []
+    for position, index in enumerate(indices):
+        entry = {"embedding": [1.0 if axis == position else 0.0 for axis in range(len(indices))]}
+        if index is not None:
+            entry["index"] = index
+        data.append(entry)
+    return {"data": data}
+
+
+# three inputs, answered with these indices
+BAD_INDICES = {
+    "repeated": (0, 1, 1),
+    "missing_and_out_of_range": (0, 1, 3),
+    "negative": (-1, 0, 1),
+    "boolean": (False, True, 2),
+    "float": (0, 1, 2.0),
+    "text": (0, 1, "2"),
+    "indexed_and_unindexed": (0, 1, None),
+    "unindexed_and_indexed": (None, 1, 2),
+    "too_few_entries": (0, 1),
+    "too_many_entries": (0, 1, 2, 3),
+}
+
+
+class TestHttpEmbedBatch:
+    """`HttpEmbedder.embed_batch` sends every text in one POST and takes back
+    exactly one embedding per text, in `index` order when the answer gives
+    one."""
+
+    TEXTS = ["first", "second", "third"]
+
+    def test_one_post_lists_every_text(self, http_server):
+        embedder = HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0), model="m")
+        rows = embedder.embed_batch(self.TEXTS)
+        assert rows.tolist() == [[0.6, 0.8]] * 3
+        assert ScriptedHandler.requests_seen == [("/v1/embeddings", {"model": "m", "input": self.TEXTS})]
+
+    @pytest.mark.parametrize("indices", [(2, 0, 1), (0, 1, 2), (None, None, None)])
+    def test_entries_are_taken_in_index_order(self, http_server, indices):
+        ScriptedHandler.script = [(200, _entries(*indices))]
+        rows = HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0)).embed_batch(self.TEXTS)
+        # entry i points along axis i; row j is the entry indexed j, or the j-th when none is
+        order = range(3) if indices[0] is None else [indices.index(j) for j in range(3)]
+        assert rows.tolist() == [[1.0 if axis == position else 0.0 for axis in range(3)] for position in order]
+
+    @pytest.mark.parametrize("indices", BAD_INDICES.values(), ids=BAD_INDICES)
+    def test_entries_that_do_not_answer_each_text_once_are_malformed(self, http_server, indices):
+        ScriptedHandler.script = [(200, _entries(*indices))]
+        with pytest.raises(MalformedResponse):
+            HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0)).embed_batch(self.TEXTS)
+        assert len(ScriptedHandler.requests_seen) == 1
+
+    def test_embeddings_of_two_lengths_are_malformed(self, http_server):
+        ScriptedHandler.script = [(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [1.0]}]})]
+        with pytest.raises(MalformedResponse, match="^embedding: embedding dimension mismatch: 1 vs 2$"):
+            HttpEmbedder(ProviderConfig(endpoint=http_server, retries=0)).embed_batch(["a", "b"])
+
+    def test_a_5xx_then_200_on_a_batch_succeeds(self, http_server, short_backoff):
+        ScriptedHandler.script = [(503, {"error": "busy"}), (200, _entries(1, 0, 2))]
+        rows = HttpEmbedder(ProviderConfig(endpoint=http_server, retries=1)).embed_batch(self.TEXTS)
+        assert rows.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        assert [body["input"] for _, body in ScriptedHandler.requests_seen] == [self.TEXTS] * 2
+
+    def test_rebel_infer_makes_three_posts(self, http_server, tmp_path, capsys):
+        from rebel.cli import main
+
+        rules, exp, scenario = tmp_path / "rules.jsonl", tmp_path / "exp.jsonl", tmp_path / "scenario.txt"
+        scenario.write_text(random_scenario(2, 3, 4, seed=9).serialize() + "\n")
+        http = ["--embedder", "http", "--endpoint", http_server, "--retries", "0"]
+        assert main(["gen-rules", "--rules-db", str(rules)]) == 0
+        assert main(["gen-exp", "--rules-db", str(rules), "--exp-db", str(exp), "--missions", "1", *http]) == 0
+        assert len(RulesDatabase(rules)) == 9 and len(ExperienceDatabase(exp)) == 3
+        ScriptedHandler.requests_seen.clear()
+        capsys.readouterr()
+        argv = ["infer", "--rules-db", str(rules), "--exp-db", str(exp), "--scenario", str(scenario), "--prefs", "MT"]
+        assert main([*argv, *http]) == 0
+        assert capsys.readouterr().err == ""
+        inputs = [body["input"] for path, body in ScriptedHandler.requests_seen if path.endswith("/embeddings")]
+        assert len(ScriptedHandler.requests_seen) == len(inputs) == 3
+        query = objectives_text(PreferenceVector.single(Objective.MISSION_TIME))
+        assert inputs == [
+            ["dimension probe"],
+            [r.text for r in RulesDatabase(rules).rules()] + [query],
+            list(MissionScenario.parse(scenario.read_text()).sections),
+        ]
 
 
 MALFORMED_CHAT_BODIES = {

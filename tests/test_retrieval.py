@@ -47,11 +47,13 @@ from rebel.retrieval import (
     RulesDatabase,
     bm25_score,
     dense_score,
+    embed_all,
     embed_scenario_sections,
     ensemble_retrieve,
     idf,
     retrieve_experiences,
     tokenize,
+    unit_rows,
     unit_vector,
 )
 from rebel import retrieval
@@ -60,7 +62,14 @@ from rebel.llm import STUB_RULES, StubProvider, heuristic_allocate
 from rebel.pipeline import RetrievalConfig, infer
 from rebel.prompt import objectives_text
 from conftest import DEEPLY_NESTED, make_scenario
-from oracles import ref_einsum_top_k, ref_experience_order, ref_fusion_order, ref_section_matrix
+from oracles import (
+    ref_einsum_top_k,
+    ref_experience_order,
+    ref_fusion_order,
+    ref_hashed_embed,
+    ref_section_matrix,
+    ref_unit_vector,
+)
 
 
 class TestTokenize:
@@ -1058,15 +1067,15 @@ class TestRetrievalGolden:
 
 @pytest.fixture
 def embedded_scenarios(monkeypatch):
-    """The scenarios `embed_scenario_sections` embeds while the test runs."""
+    """The scenarios `_section_queries` embeds while the test runs."""
     seen = []
-    real = retrieval.embed_scenario_sections
+    real = retrieval._section_queries
 
     def counting(scenario, embedder):
         seen.append(scenario)
         return real(scenario, embedder)
 
-    monkeypatch.setattr(retrieval, "embed_scenario_sections", counting)
+    monkeypatch.setattr(retrieval, "_section_queries", counting)
     return seen
 
 
@@ -1119,6 +1128,7 @@ class TestNearestMemo:
     ):
         embedder = HashedEmbedder(dim=64)
         db, base = toy_experience_db(embedder)
+        embedded_scenarios.clear()  # the six stored missions' sections
         first = {prefs: retrieve_experiences(base, prefs, db, k=4, m=2, embedder=embedder) for prefs in self.PREFS}
         assert top_rows_calls == [4] and embedded_scenarios == [base]
         # an equal scenario and an equal embedder hit too
@@ -2635,3 +2645,143 @@ def test_embeddings_and_rule_scores_are_bit_identical():
     (memoized token hashes, map-based sums): any drift, by even one ulp,
     changes the digest."""
     assert _embedding_digest() == GOLDEN_EMBEDDING_DIGEST
+
+
+# Built once, not on every draw. A text is one `st.binary` draw mapped onto
+# an alphabet of ASCII letters and digits (so digit runs), separators, and
+# Unicode that lowercases to ASCII (the Kelvin sign, dotted capital I), to
+# non-ASCII letters, or not at all (a lone surrogate).
+_ALPHABET = "aZq09 9-_.,:[\u212a\u0130\u00e9\u00dc\u03a3\U0001f600\ud800"
+_EMBED_TEXT = st.binary(max_size=40).map(lambda raw: "".join(_ALPHABET[b % len(_ALPHABET)] for b in raw))
+_EMBED_TEXTS = st.lists(_EMBED_TEXT, max_size=5)
+_EMBED_DIM = st.integers(1, 300)
+# finite elements, -0.0 and subnormals (whose squares underflow to zero);
+# a row's elements past those drawn take one fill value, often a zero
+_UNIT_ELEMENTS = st.floats(-1e150, 1e150) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308])
+_UNIT_FILL = st.sampled_from([0.0, -0.0, 5e-324, 0.5])
+_UNIT_SHAPE = st.tuples(st.integers(1, 4), st.integers(1, 300))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300])
+
+
+def _bits(rows) -> list[bytes]:
+    return [np.asarray(row, np.float64).tobytes() for row in rows]
+
+
+def _oracle_rows(rows):
+    """`ref_unit_vector` of each row, or the message of the first row it refuses."""
+    try:
+        return [ref_unit_vector(row) for row in rows.tolist()]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestBatchEmbedding:
+    """`HashedEmbedder.embed_batch`, `embed` and `unit_rows` give the float64
+    bits of the per-text Python versions they replaced (`ref_hashed_embed`,
+    `ref_unit_vector`), and every embedding call of a query is one call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=_EMBED_TEXTS, dim=_EMBED_DIM)
+    def test_hashed_rows_equal_the_per_text_oracle(self, texts, dim):
+        embedder = HashedEmbedder(dim=dim)
+        want = [ref_hashed_embed(text, dim) for text in texts]
+        rows = embedder.embed_batch(texts)
+        assert rows.shape == (len(texts), dim) and rows.dtype == np.float64
+        assert _bits(rows) == _bits(want)
+        assert _bits(embed_all(embedder, texts)) == _bits(want)
+        assert _bits([embedder.embed(text) for text in texts]) == _bits(want)
+        assert all(type(v) is float for text in texts[:1] for v in embedder.embed(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_UNIT_SHAPE, data=st.data())
+    def test_unit_scaling_equals_the_per_vector_oracle(self, shape, data):
+        rows = data.draw(arrays(np.float64, shape, elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        self._check(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=_UNIT_SHAPE, data=st.data())
+    def test_a_non_finite_or_overflowing_row_raises_the_oracle_error(self, shape, data):
+        rows = data.draw(arrays(np.float64, shape, elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        places = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+        for row, column in data.draw(st.lists(places, min_size=1, max_size=3)):
+            rows[row, column] = data.draw(_NON_FINITE)
+        assert isinstance(_oracle_rows(rows), str)
+        self._check(rows)
+
+    @staticmethod
+    def _check(rows):
+        want = _oracle_rows(rows)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as raised:
+                unit_rows(rows)
+            assert str(raised.value) == want
+        else:
+            assert _bits(unit_rows(rows)) == _bits(want)
+        for row in rows.tolist():
+            try:
+                expected = ref_unit_vector(row)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    unit_vector(row)
+                assert str(raised.value) == str(exc)
+            else:
+                assert _bits([unit_vector(row)]) == _bits([expected])
+
+    def test_an_empty_vector_and_an_empty_batch(self):
+        for scale in (lambda: unit_rows(np.zeros((2, 0))), lambda: unit_vector(())):
+            with pytest.raises(ValueError, match="^cannot normalize a vector of norm 0.0$"):
+                scale()
+        assert unit_rows(np.zeros((0, 4))).shape == (0, 4)
+        assert HashedEmbedder(dim=8).embed_batch([]).shape == (0, 8)
+        assert embed_all(CountingEmbedder(dim=8), []).shape == (0, 0)
+
+    def test_a_per_text_embedder_is_called_once_per_text_in_order(self):
+        embedder, texts = CountingEmbedder(dim=32), ["b a", "", "a b c", "b a"]
+        rows = embed_all(embedder, texts)
+        assert embedder.texts == texts
+        assert _bits(rows) == _bits(HashedEmbedder(dim=32).embed_batch(texts))
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 3), (2, 3, 3), (3, 3, 4)])
+    def test_a_per_text_embedder_of_two_lengths_is_a_dimension_mismatch(self, lengths):
+        scenario = make_scenario()
+        table = {text: (1.0,) * n for text, n in zip(scenario.sections, lengths)}
+        embedder = FakeEmbedder(table)
+        with pytest.raises(ValueError, match=r"^embedding dimension mismatch: \d vs \d$"):
+            embed_all(embedder, scenario.sections)
+        for embed in (embed_scenario_sections, retrieval._section_queries):
+            with pytest.raises(ValueError, match="^embedding dimension mismatch: "):
+                embed(scenario, embedder)
+        db = ExperienceDatabase()
+        store_mission(db, Objective.MISSION_TIME, scenario, PerformanceRecord(5, 100, 0.1), HashedEmbedder(dim=3))
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        with pytest.raises(ValueError, match="^embedding dimension mismatch: "):
+            retrieve_experiences(scenario, prefs, db, k=1, m=1, embedder=embedder)
+        rules = RulesDatabase()
+        rules.store(Objective.MISSION_TIME, scenario.sections[0])
+        rules.store(Objective.MISSION_TIME, scenario.sections[1])
+        with pytest.raises(ValueError, match="^embedding dimension mismatch: "):
+            ensemble_retrieve(scenario.sections[2], rules, k=1, embedder=embedder)
+
+    def test_each_query_embeds_in_one_batch_call(self):
+        batches = []
+
+        @dataclass(frozen=True)
+        class Batching(HashedEmbedder):
+            def embed(self, text):
+                raise AssertionError("embedded one text alone")
+
+            def embed_batch(self, texts):
+                batches.append(list(texts))
+                return super().embed_batch(texts)
+
+        embedder = Batching(dim=64)
+        rules = TestRuleEmbeddingCache().rules_db()
+        ensemble_retrieve("faster robots", rules, k=2, embedder=embedder)
+        ensemble_retrieve("another query", rules, k=2, embedder=embedder)
+        assert batches == [[*TestRuleEmbeddingCache.TEXTS, "faster robots"], ["another query"]]
+        batches.clear()
+        db, base = toy_experience_db(HashedEmbedder(dim=64))
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        got = retrieve_experiences(base, prefs, db, k=3, m=2, embedder=embedder)
+        assert batches == [list(base.sections)]
+        assert got == retrieve_experiences(base, prefs, db, k=3, m=2, embedder=HashedEmbedder(dim=64))
