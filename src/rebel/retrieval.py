@@ -46,7 +46,6 @@ from .core import (
     PreferenceVector,
     aggregate_scores,
     echo,
-    ordered_sum,
     performance_columns,
 )
 from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
@@ -131,18 +130,43 @@ def bm25_score(query_tokens: Sequence[str], rule: RuleEntry, stats: CorpusStats)
 
 
 def dense_score(q: Sequence[float], d: Sequence[float]) -> float:
-    """Cosine similarity; equals the dot product for unit-norm inputs.
-    `ValueError` when the lengths differ or either norm is zero or not finite
-    (a NaN or infinite element, or squares past the float range)."""
-    if len(q) != len(d):
-        raise ValueError(f"embedding dimension mismatch: {len(q)} vs {len(d)}")
-    dot = ordered_sum(map(operator.mul, q, d))
-    nq = math.sqrt(ordered_sum(map(operator.mul, q, q)))
-    nd = math.sqrt(ordered_sum(map(operator.mul, d, d)))
-    for norm in (nq, nd):
-        if not 0 < norm < math.inf:
-            raise ValueError(f"cannot score a vector of norm {norm}")
-    return dot / (nq * nd)
+    """The cosine of two vectors: `cosines` of the one row `d` with `q`."""
+    return float(cosines(np.array([d], np.float64), np.array(q, np.float64))[0])
+
+
+def cosines(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The cosine of each vector along the last axis of the float64 array
+    `rows` with `query`, broadcast against it: the dot product divided by
+    the product of the two norms, every sum added left to right
+    (`_row_sums`). `ValueError` when the vectors differ in length, or for a
+    zero or non-finite norm (a NaN or infinite element, or squares past the
+    float range), the query's checked before any row's."""
+    if rows.shape[-1] != query.shape[-1]:
+        raise ValueError(f"embedding dimension mismatch: {query.shape[-1]} vs {rows.shape[-1]}")
+    query_norms, row_norms = _norms(query, "score"), _norms(rows, "score")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite norms can still overflow a product
+        return _row_sums(rows * query) / (query_norms * row_norms)
+
+
+def _norms(vectors: np.ndarray, verb: str) -> np.ndarray:
+    """The norm of each vector along the last axis, or `ValueError` ("cannot
+    `verb` a vector of norm ...") for the first that is zero or not finite."""
+    with np.errstate(over="ignore"):  # squares past the float range are an infinite norm
+        norms = np.sqrt(_row_sums(vectors * vectors))
+    bad = np.flatnonzero(~((0 < norms) & (norms < math.inf)))
+    if len(bad):
+        raise ValueError(f"cannot {verb} a vector of norm {float(norms.reshape(-1)[bad[0]])}")
+    return norms
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sums along the last axis, each added one term at a time from the
+    left, from 0.0, as `ordered_sum` adds: `np.cumsum` adds in sequence,
+    and adding 0.0 last makes a sum of -0.0 terms 0.0. So the bits are the
+    same on every interpreter and numpy build."""
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
 class Embedder(Protocol):
@@ -217,26 +241,12 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big")
 
 
-def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
-    """`vec` scaled to unit length (`unit_rows`). `ValueError` when its norm
-    is zero or not finite (a NaN or infinite element, or squares past the
-    float range)."""
-    return tuple(unit_rows(np.array([vec], np.float64))[0].tolist())
-
-
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row of the float64 array `rows` divided by its norm, the root of
-    its squares added one at a time from the left (`np.cumsum`), as
-    `ordered_sum` adds them, so the bits are the same on every interpreter.
-    `ValueError` for the first row whose norm is zero or not finite (a NaN
-    or infinite element, or squares past the float range)."""
-    with np.errstate(over="ignore"):  # squares past the float range are an infinite norm
-        squares = np.cumsum(rows * rows, axis=1)
-    norms = np.sqrt(squares[:, -1] if rows.shape[1] else np.zeros(len(rows)))
-    bad = np.flatnonzero(~((0 < norms) & (norms < math.inf)))
-    if len(bad):
-        raise ValueError(f"cannot normalize a vector of norm {float(norms[bad[0]])}")
-    return rows / norms[:, None]
+    its squares added left to right (`_row_sums`). `ValueError` for the first
+    row whose norm is zero or not finite (a NaN or infinite element, or
+    squares past the float range)."""
+    return rows / _norms(rows, "normalize")[..., None]
 
 
 def _ranks_best_first(scored: list[tuple[int, float]]) -> dict[int, int]:
@@ -258,7 +268,7 @@ def ensemble_retrieve(
     (`RulesDatabase._ranking`) until its next store or retirement, so a
     repeated query embeds nothing and scores no rule. `ValueError` for an
     empty store, k < 1, or a query or rule vector the embedder gives a zero
-    or non-finite norm (`dense_score`).
+    or non-finite norm (`cosines`).
     """
     ranking = db._ranking(query_text, embedder)
     if not ranking:
@@ -269,22 +279,18 @@ def ensemble_retrieve(
 
 
 def _fused_ranking(
-    query_text: str,
-    rules: tuple[RuleEntry, ...],
-    vectors: tuple[tuple[float, ...], ...],
-    query_emb: Sequence[float],
+    query_text: str, rules: tuple[RuleEntry, ...], vectors: np.ndarray, query_emb: np.ndarray
 ) -> tuple[RuleEntry, ...]:
-    """`rules` (embedded as `vectors`) best first for `query_text` (embedded
-    as `query_emb`) under the fusion of `ensemble_retrieve`, ties broken by
-    ascending id."""
+    """`rules` (embedded as the rows of `vectors`) best first for
+    `query_text` (embedded as `query_emb`) under the fusion of
+    `ensemble_retrieve`, ties broken by ascending id."""
     stats = CorpusStats.from_rules(rules)
     query_tokens = tokenize(query_text)
     sparse_ranks = _ranks_best_first(
         [(r.id, bm25_score(query_tokens, r, stats)) for r in rules]
     )
-    dense_ranks = _ranks_best_first(
-        [(r.id, dense_score(query_emb, vec)) for r, vec in zip(rules, vectors)]
-    )
+    dense = cosines(vectors, query_emb).tolist()
+    dense_ranks = _ranks_best_first([(r.id, score) for r, score in zip(rules, dense)])
 
     def fused(rule: RuleEntry) -> float:
         return RRF_ALPHA / (RRF_C + sparse_ranks[rule.id]) + (1.0 - RRF_ALPHA) / (
@@ -481,10 +487,9 @@ def _top_rows(
     to `query` (the three unit query sections end to end, float64), best
     first, ties broken toward the lower row; 1 <= k <= row count.
 
-    A row's exact score adds its human, robot and task cosines, each a
-    row-wise float64 `einsum` over the row `_unit_rows` decodes from the
-    record's embeddings, in that order from zero. einsum scores a row alike
-    wherever it sits in the block, so identical rows tie exactly.
+    A row's exact score adds its human, robot and task cosines (`cosines`
+    of the float64 sections decoded from the record's embeddings) in that
+    order from zero, so identical rows tie exactly.
 
     One float32 `einsum` screens the rows first, and only the rows within a
     margin of the k-th largest screened score are scored exactly. A sparse
@@ -505,7 +510,8 @@ def _top_rows(
     every row of the exact top k screens within 2δ = 3·(n + 2)·2⁻²³ of the
     k-th largest screened score. The margin is 4/3 of that, (n + 2)·2⁻²¹,
     which also covers the second-order terms, the exact score's own float64
-    error (about 3·n·2⁻⁵³) and float32 underflow at any dim below 50,000.
+    error (a small multiple of n·2⁻⁵³) and float32 underflow at any dim
+    below 50,000.
     Ranking the rows within it gives the top k of scoring every row.
     """
     dim = len(query) // 3
@@ -518,11 +524,9 @@ def _top_rows(
     cut = np.partition(screen, len(screen) - k)[len(screen) - k]
     # compared in float64, so the margin is not rounded to float32
     rows = np.flatnonzero(screen >= np.float64(cut) - (3 * dim + 2) * 2.0**-21)
-    block = _unit_rows([records[row] for row in rows.tolist()], dim)
-    scores = np.zeros(len(rows))
-    for start in (0, dim, 2 * dim):
-        # the exact score alone decides the order; the screen only picks rows
-        scores += np.einsum("ij,j->i", block[:, start : start + dim], query[start : start + dim])
+    block, _ = _dense_rows([records[row] for row in rows.tolist()], dim)
+    # the exact score alone decides the order; the screen only picks rows
+    scores = _row_sums(cosines(block.reshape(len(rows), 3, dim), query.reshape(3, dim)))
     # rows are in id order, so a stable sort ranks by (-similarity, id)
     return rows[np.argsort(-scores, kind="stable")[:k]].tolist()
 
@@ -545,7 +549,8 @@ _MATRIX_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_P
 
 
 def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
-    """`_unit_rows` of `records` (at `dim`) as float32, built `_BLOCK_ROWS`
+    """Row i: record i's human, robot and task embeddings (at `dim`), each
+    divided by its norm (`_section_norms`), as float32, built `_BLOCK_ROWS`
     rows at a time, so no float64 copy of the whole store is made.
 
     The matrix is column-major: element (row, column) sits at
@@ -576,17 +581,6 @@ def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray
             unit = rows.reshape(len(block), 3, dim) / norms[:, :, None]
             columns[:, start : start + len(block)] = unit.reshape(len(block), width).T
     return columns.T
-
-
-def _unit_rows(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
-    """Row i: record i's human, robot and task embeddings (each `dim` long),
-    each scaled to unit length in float64, so a dot product with a unit query
-    section is a cosine. `ValueError` naming the first record with a section
-    of zero norm."""
-    rows, _ = _dense_rows(records, dim)
-    sections = rows.reshape(len(records), 3, dim)
-    sections /= _section_norms(records, rows, dim)[:, :, None]
-    return rows
 
 
 def _section_norms(records: Sequence[ExperienceRecord], rows: np.ndarray, dim: int) -> np.ndarray:
@@ -806,18 +800,19 @@ class RulesDatabase(_Store):
 
     def _ranking(self, query_text: str, embedder: Embedder) -> tuple[RuleEntry, ...]:
         """The live rules ranked for `query_text` (`_fused_ranking`), kept
-        (`_answer`) with the rule embeddings as basis. It reads the live rules
-        once and takes no lock, so a slow embedder holds up no store."""
+        (`_answer`) with the rule embeddings, a float64 array, as basis. It
+        reads the live rules once and takes no lock, so a slow embedder holds
+        up no store."""
         rules = self._entries
         if not rules:
             return ()
 
         def rank(vectors):
             missing = [r.text for r in rules] if vectors is None else []
-            *embedded, query = embed_all(embedder, [*missing, query_text]).tolist()
+            embedded = embed_all(embedder, [*missing, query_text])
             if vectors is None:
-                vectors = tuple(map(tuple, embedded))
-            return vectors, _fused_ranking(query_text, rules, vectors, query)
+                vectors = embedded[:-1]
+            return vectors, _fused_ranking(query_text, rules, vectors, embedded[-1])
 
         return self._answer(rules, query_text, embedder, rank)
 

@@ -70,9 +70,9 @@ def ref_hashed_embed(text: str, dim: int) -> tuple[float, ...]:
 
 
 def ref_unit_vector(vec) -> tuple[float, ...]:
-    """`retrieval.unit_vector` as it was before it scaled with numpy: the
-    squares added one at a time from the left, from 0.0, and each element
-    divided by their root."""
+    """`vec` scaled to unit length as `retrieval.unit_rows` scales a row, in
+    a plain loop: the squares added one at a time from the left, from 0.0,
+    and each element divided by their root."""
     total = 0.0
     for value in vec:
         total += value * value
@@ -80,6 +80,26 @@ def ref_unit_vector(vec) -> tuple[float, ...]:
     if not 0 < norm < math.inf:
         raise ValueError(f"cannot normalize a vector of norm {norm}")
     return tuple(value / norm for value in vec)
+
+
+def ref_dense_score(q, d) -> float:
+    """`retrieval.dense_score` as it was before it was a one-row
+    `retrieval.cosines`: the dot product and both sums of squares added one
+    term at a time from the left, from 0.0, and the dot product divided by
+    the product of the roots; the same errors, the query's norm checked
+    first."""
+    if len(q) != len(d):
+        raise ValueError(f"embedding dimension mismatch: {len(q)} vs {len(d)}")
+    dot = q_squares = d_squares = 0.0
+    for a, b in zip(q, d):
+        dot += a * b
+        q_squares += a * a
+        d_squares += b * b
+    nq, nd = math.sqrt(q_squares), math.sqrt(d_squares)
+    for norm in (nq, nd):
+        if not 0 < norm < math.inf:
+            raise ValueError(f"cannot score a vector of norm {norm}")
+    return dot / (nq * nd)
 
 
 def ref_cosine(u, v) -> float:
@@ -94,10 +114,10 @@ def ref_rank(scores: dict[int, float]) -> dict[int, int]:
     return {i: pos + 1 for pos, i in enumerate(ordered)}
 
 
-def ref_fusion_order(query: str, entries, embedder, alpha, c, k1, b) -> list[int]:
+def ref_fusion_order(query: str, entries, embedder, alpha, c, k1, b, cosine=ref_cosine) -> list[int]:
     texts = [e.text for e in entries]
     sparse = {e.id: ref_bm25(query, e.text, texts, k1, b) for e in entries}
-    dense = {e.id: ref_cosine(embedder.embed(query), embedder.embed(e.text)) for e in entries}
+    dense = {e.id: cosine(embedder.embed(query), embedder.embed(e.text)) for e in entries}
     sparse_rank, dense_rank = ref_rank(sparse), ref_rank(dense)
     fused = {
         e.id: alpha / (c + sparse_rank[e.id]) + (1 - alpha) / (c + dense_rank[e.id])
@@ -138,8 +158,9 @@ def ref_experience_order(scenario, prefs, records, embedder, k: int, m: int) -> 
 
 
 def ref_section_matrix(records) -> np.ndarray:
-    """The unit-row section matrix as it was built from per-record float
-    tuples with `np.fromiter`, before the store held embeddings packed."""
+    """The float32 unit-row section matrix as it was built from per-record
+    float tuples with `np.fromiter`, before the store held embeddings
+    packed."""
     dim = len(records[0].emb_humans) if records else 0
     sections = [vec for rec in records for vec in (rec.emb_humans, rec.emb_robots, rec.emb_tasks)]
     floats = itertools.chain.from_iterable(sections)
@@ -147,18 +168,27 @@ def ref_section_matrix(records) -> np.ndarray:
     for start in (0, dim, 2 * dim):
         block = matrix[:, start : start + dim]
         block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
-    return matrix
+    return matrix.astype(np.float32)
 
 
-def ref_einsum_top_k(sections: np.ndarray, queries, k: int) -> list[int]:
-    """The top-k rows of the section matrix as `retrieve_experiences` ranked
-    them by scoring every row exactly: three row-wise einsums added in human,
-    robot, task order from zeros, then a stable sort on the negated sums."""
-    dim = sections.shape[1] // 3
-    scores = np.zeros(len(sections))
-    for start, query in zip((0, dim, 2 * dim), queries):
-        scores += np.einsum("ij,j->i", sections[:, start : start + dim], np.array(query))
-    return np.argsort(-scores, kind="stable")[:k].tolist()
+def ref_similarities(queries, records) -> list[float]:
+    """Each record's exact similarity to the three query sections: its
+    human, robot and task `ref_dense_score`s added in that order from 0.0."""
+    sims = []
+    for rec in records:
+        total = 0.0
+        for query, section in zip(queries, (rec.emb_humans, rec.emb_robots, rec.emb_tasks)):
+            total += ref_dense_score(query, section)
+        sims.append(total)
+    return sims
+
+
+def ref_top_k(queries, records, k: int) -> list[int]:
+    """The positions in `records` of the k most similar to the three query
+    sections (`ref_similarities`), best first, ties toward the lower
+    position: `retrieve_experiences` scoring every record exactly."""
+    sims = ref_similarities(queries, records)
+    return sorted(range(len(records)), key=lambda i: (-sims[i], i))[:k]
 
 
 def ref_heuristic_allocate(

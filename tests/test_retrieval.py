@@ -46,6 +46,7 @@ from rebel.retrieval import (
     RuleEntry,
     RulesDatabase,
     bm25_score,
+    cosines,
     dense_score,
     embed_all,
     embed_scenario_sections,
@@ -54,7 +55,6 @@ from rebel.retrieval import (
     retrieve_experiences,
     tokenize,
     unit_rows,
-    unit_vector,
 )
 from rebel import retrieval
 from rebel.bench import random_scenario
@@ -63,11 +63,13 @@ from rebel.pipeline import RetrievalConfig, infer
 from rebel.prompt import objectives_text
 from conftest import DEEPLY_NESTED, make_scenario
 from oracles import (
-    ref_einsum_top_k,
+    ref_dense_score,
     ref_experience_order,
     ref_fusion_order,
     ref_hashed_embed,
     ref_section_matrix,
+    ref_similarities,
+    ref_top_k,
     ref_unit_vector,
 )
 
@@ -191,14 +193,14 @@ class TestBm25:
 
 class TestDense:
     def test_identical_vectors(self):
-        v = unit_vector((1.0, 2.0, 2.0))
+        v = ref_unit_vector((1.0, 2.0, 2.0))
         assert dense_score(v, v) == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
         assert dense_score((1.0, 0.0), (0.0, 1.0)) == 0.0
 
     def test_opposite_vectors(self):
-        v = unit_vector((0.6, 0.8))
+        v = ref_unit_vector((0.6, 0.8))
         neg = tuple(-x for x in v)
         assert dense_score(v, neg) == pytest.approx(-1.0)
 
@@ -212,9 +214,9 @@ class TestDense:
          ((1e200, 1e200), "inf")],
         ids=["zero", "nan", "inf", "minus-inf", "overflow"],
     )
-    def test_unit_vector_refuses_a_zero_or_non_finite_norm(self, vec, norm):
+    def test_unit_rows_refuses_a_zero_or_non_finite_norm(self, vec, norm):
         with pytest.raises(ValueError, match=f"^cannot normalize a vector of norm {norm}$"):
-            unit_vector(vec)
+            unit_rows(np.array([vec]))
 
     @pytest.mark.parametrize(
         "vec, norm",
@@ -232,7 +234,8 @@ class TestDense:
         assert dense_score((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
         squares = 0.5 * 0.5 + 0.2 * 0.2 + 0.1 * 0.1
         assert squares == 0.30000000000000004
-        assert unit_vector((0.5, 0.2, 0.1)) == tuple(v / math.sqrt(squares) for v in (0.5, 0.2, 0.1))
+        want = [v / math.sqrt(squares) for v in (0.5, 0.2, 0.1)]
+        assert unit_rows(np.array([[0.5, 0.2, 0.1]]))[0].tolist() == want
 
     def test_symmetry(self):
         rng = random.Random(3)
@@ -273,7 +276,7 @@ class FakeEmbedder:
 
     def embed(self, text: str) -> tuple[float, ...]:
         if text in self.table:
-            return unit_vector(self.table[text])
+            return ref_unit_vector(self.table[text])
         v = [0.0] * self.default_dim
         v[-1] = 1.0
         return tuple(v)
@@ -827,18 +830,16 @@ class TestRetrieveExperiences:
 
 @pytest.fixture
 def exact_rows(monkeypatch):
-    """The row count of each exact section score (a float64
-    `einsum("ij,j->i")`; the float32 screen is not counted) computed while
-    the test runs."""
+    """The row count of each call of `cosines`, which scores rows exactly
+    (the float32 screen is not counted), made while the test runs."""
     counts = []
-    einsum = np.einsum
+    score = retrieval.cosines
 
-    def counting(subscripts, *operands, **kwargs):
-        if subscripts == "ij,j->i" and operands[0].dtype == np.float64:
-            counts.append(len(operands[0]))
-        return einsum(subscripts, *operands, **kwargs)
+    def counting(rows, query):
+        counts.append(len(rows))
+        return score(rows, query)
 
-    monkeypatch.setattr(np, "einsum", counting)
+    monkeypatch.setattr(retrieval, "cosines", counting)
     return counts
 
 
@@ -933,8 +934,8 @@ def _margin(dim: int) -> float:
 class TestScreenedRetrieval:
     """Every store is screened by one float32 matrix product, and only the
     rows within `_margin(dim)` of its k-th largest score are scored exactly;
-    the top k stay those of scoring every row exactly in float64
-    (`ref_einsum_top_k`), bit for bit."""
+    the top k stay those of scoring every row exactly (`ref_top_k`), bit
+    for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_screened_cases())
@@ -945,10 +946,9 @@ class TestScreenedRetrieval:
         queries = embed_scenario_sections(scenario, embedder)
         records = db.records()
         sections = retrieval._section_matrix(records, db.dim)
-        exact = ref_section_matrix(records)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for k in range(1, len(db) + 1):
-            want = ref_einsum_top_k(exact, queries, k)
+            want = ref_top_k(queries, records, k)
             assert retrieval._top_rows(records, sections, np.array(queries).ravel(), k) == want
             got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
             assert _ids(got) == sorted(want)
@@ -971,8 +971,7 @@ class TestScreenedRetrieval:
         n = 96
         db, scenario = _vector_store(rng.standard_normal((n, 3 * dim)))
         embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
-        query = np.array(embed_scenario_sections(scenario, embedder)).ravel()
-        similarity = ref_section_matrix(db.records()) @ query
+        similarity = np.array(ref_similarities(embed_scenario_sections(scenario, embedder), db.records()))
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for top in range(1, k + 1):
             # a kept row screens within the margin of the cut, and each
@@ -980,15 +979,13 @@ class TestScreenedRetrieval:
             tied = int((similarity >= np.sort(similarity)[-top] - 2 * _margin(dim)).sum())
             exact_rows.clear()
             retrieve_experiences(scenario, prefs, db, k=top, m=top, embedder=embedder)
-            assert len(exact_rows) == 3 and top <= exact_rows[0] <= tied
-            assert exact_rows == exact_rows[:1] * 3
+            assert len(exact_rows) == 1 and top <= exact_rows[0] <= tied
         # a 30-row store at k = 3 is screened too: fewer rows are scored exactly
         db, scenario = _vector_store(rng.standard_normal((30, 3 * dim)))
         embedder = _query_embedder(scenario, rng.standard_normal(3 * dim).tolist())
         exact_rows.clear()
         retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
-        assert len(exact_rows) == 3 and k <= exact_rows[0] < 30
-        assert exact_rows == exact_rows[:1] * 3
+        assert len(exact_rows) == 1 and k <= exact_rows[0] < 30
 
     @pytest.mark.parametrize("dim", [2, 64])
     def test_the_margin_keeps_a_row_exactly_at_it(self, dim, exact_rows):
@@ -1012,7 +1009,30 @@ class TestScreenedRetrieval:
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         got = retrieve_experiences(scenario, prefs, db, k=1, m=1, embedder=embedder)
         assert _ids(got) == [5]
-        assert exact_rows == [2] * 3  # rows 5 and 20, not row 30
+        assert exact_rows == [2]  # rows 5 and 20, not row 30
+
+    def test_distinct_records_of_equal_exact_similarity_come_back_in_id_order(self):
+        # sections (b, a, c) and (a, b, c) against the query (q, q, q): the
+        # same three cosines, added in another order, so the sums are equal
+        rng = np.random.default_rng(23)
+        dim = 12
+        q = rng.standard_normal(dim)
+        a, b, c = q + 0.3 * rng.standard_normal((3, dim))
+        query = np.concatenate([q] * 3)
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        for first, second in (((b, a, c), (a, b, c)), ((a, b, c), (b, a, c))):
+            rows = [np.concatenate(sections) for sections in ((-q, -q, -q), first, second, (-a, b, c))]
+            db, scenario = _vector_store(rows)
+            embedder = _query_embedder(scenario, query.tolist())
+            queries = embed_scenario_sections(scenario, embedder)
+            sims = ref_similarities(queries, db.records())
+            assert sims[1] == sims[2] and sims[1] > max(sims[0], sims[3])
+            assert ref_dense_score(queries[0], a) != ref_dense_score(queries[0], b)
+            sections = retrieval._section_matrix(db.records(), dim)
+            for k in (1, 2):
+                got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
+                assert _ids(got) == [1, 2][:k]
+                assert retrieval._top_rows(db.records(), sections, np.ravel(queries), k) == [1, 2][:k]
 
 
 class TestRetrievalGolden:
@@ -1506,14 +1526,12 @@ class TestPackedEmbeddings:
         vectors = np.array([vec for row in rows for vec in row])
         zero = np.flatnonzero(np.einsum("ij,ij->i", vectors, vectors) == 0)
         if len(zero):
-            for build in (retrieval._unit_rows, retrieval._section_matrix):
-                with pytest.raises(ValueError, match=rf"^experience record {zero[0] // 3}: zero vectors"):
-                    build(records, dim)
+            with pytest.raises(ValueError, match=rf"^experience record {zero[0] // 3}: zero vectors"):
+                retrieval._section_matrix(records, dim)
             return
         # the reference reads the drawn tuples, not the records' encodings
         want = ref_section_matrix([SimpleNamespace(emb_humans=h, emb_robots=r, emb_tasks=t) for h, r, t in rows])
-        assert retrieval._unit_rows(records, dim).tobytes() == want.tobytes()
-        assert retrieval._section_matrix(records, dim).tobytes() == want.astype(np.float32).tobytes()
+        assert retrieval._section_matrix(records, dim).tobytes() == want.tobytes()
 
     # A 5/7/30 scenario embeds about 110 nonzero elements: 0.16 of dense at
     # the default dim, which the bitmap's 3·dim bits keep above an eighth
@@ -1535,17 +1553,13 @@ class TestPackedEmbeddings:
             scale = 10.0 ** rng.randint(-100, 100)
             sections = tuple(tuple(scale * rng.gauss(0, 1) for _ in range(dim)) for _ in range(3))
             db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
-        picked = [2, 3, 11, n - 1]  # rows as the screen keeps them: some, in id order
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for store in (db, ExperienceDatabase(tmp_path / "exp.jsonl")):
             records = store.records()
             want = ref_section_matrix(records)
-            assert retrieval._section_matrix(records, dim).tobytes() == want.astype(np.float32).tobytes()
+            assert retrieval._section_matrix(records, dim).tobytes() == want.tobytes()
             retrieve_experiences(scenario, prefs, store, k=1, m=1, embedder=HashedEmbedder(dim=dim))
-            assert store._slot[2].tobytes() == want.astype(np.float32).tobytes()
-            # the float64 rows the exact score re-derives are the reference's
-            assert retrieval._unit_rows(records, dim).tobytes() == want.tobytes()
-            assert retrieval._unit_rows([records[i] for i in picked], dim).tobytes() == want[picked].tobytes()
+            assert store._slot[2].tobytes() == want.tobytes()
 
     def test_the_cached_matrix_is_float32_with_no_float64_copy(self):
         dim, n = 16, 1000
@@ -1583,7 +1597,7 @@ class TestPackedEmbeddings:
         records = db.records()
         sections = retrieval._section_matrix(records, dim)
         assert sections.flags.f_contiguous
-        assert sections.tobytes() == ref_section_matrix(records).astype(np.float32).tobytes()
+        assert sections.tobytes() == ref_section_matrix(records).tobytes()
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_the_screen_makes_no_copy_of_the_whole_matrix(self, sparse):
@@ -1595,7 +1609,7 @@ class TestPackedEmbeddings:
         raw = rng.standard_normal(3 * dim)
         if sparse:
             raw[np.arange(3 * dim) % dim != 0] = 0.0  # the gathered columns: 3 of 48
-        queries = [unit_vector(section) for section in raw.reshape(3, dim).tolist()]
+        queries = [ref_unit_vector(section) for section in raw.reshape(3, dim).tolist()]
         gc.collect()
         tracemalloc.start()
         try:
@@ -1603,7 +1617,7 @@ class TestPackedEmbeddings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == ref_einsum_top_k(ref_section_matrix(records), queries, 3)
+        assert got == ref_top_k(queries, records, 3)
         # gathering every column of a dense query would copy the whole matrix
         assert peak < sections.nbytes / 4
 
@@ -2615,7 +2629,7 @@ class TestSnapshotEqualsAFullParse:
 
 
 # computed with the generator-expression sums and per-token sha256 calls that
-# dense_score, unit_vector and HashedEmbedder used before
+# dense_score, the unit scaling of a vector and HashedEmbedder used before
 GOLDEN_EMBEDDING_DIGEST = "691e64b6ab212166b5dbf7a0867b3f45a2d71b4780649a3a47127ceb2198c27b"
 
 
@@ -2717,20 +2731,10 @@ class TestBatchEmbedding:
             assert str(raised.value) == want
         else:
             assert _bits(unit_rows(rows)) == _bits(want)
-        for row in rows.tolist():
-            try:
-                expected = ref_unit_vector(row)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as raised:
-                    unit_vector(row)
-                assert str(raised.value) == str(exc)
-            else:
-                assert _bits([unit_vector(row)]) == _bits([expected])
 
     def test_an_empty_vector_and_an_empty_batch(self):
-        for scale in (lambda: unit_rows(np.zeros((2, 0))), lambda: unit_vector(())):
-            with pytest.raises(ValueError, match="^cannot normalize a vector of norm 0.0$"):
-                scale()
+        with pytest.raises(ValueError, match="^cannot normalize a vector of norm 0.0$"):
+            unit_rows(np.zeros((2, 0)))
         assert unit_rows(np.zeros((0, 4))).shape == (0, 4)
         assert HashedEmbedder(dim=8).embed_batch([]).shape == (0, 8)
         assert embed_all(CountingEmbedder(dim=8), []).shape == (0, 0)
@@ -2785,3 +2789,127 @@ class TestBatchEmbedding:
         got = retrieve_experiences(base, prefs, db, k=3, m=2, embedder=embedder)
         assert batches == [list(base.sections)]
         assert got == retrieve_experiences(base, prefs, db, k=3, m=2, embedder=HashedEmbedder(dim=64))
+
+
+# rows of 1-4 vectors in one or three sections, as the rules and the
+# experience store score them
+_COSINE_SHAPE = st.tuples(st.integers(1, 4), st.sampled_from([1, 3]), st.integers(0, 300))
+
+
+def _oracle_cosines(rows, query):
+    """`ref_dense_score` of each vector in `rows` with its query section, or
+    the message of the first refusal: every query section is checked before
+    any row, as `cosines` checks them."""
+    try:
+        for q in query:
+            ref_dense_score(q, [1.0] * len(rows[0][0]))
+        return [[ref_dense_score(q, d) for q, d in zip(query, row)] for row in rows]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCosines:
+    """`cosines`, the one cosine of both stores, gives the bits and the
+    errors of the plain-loop `ref_dense_score` for every vector, and
+    `dense_score` is its one-row case."""
+
+    @staticmethod
+    def _check(rows, query):
+        want = _oracle_cosines(rows.tolist(), query.tolist())
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as raised:
+                cosines(rows, query)
+            assert str(raised.value) == want
+        else:
+            got = cosines(rows, query)
+            assert got.shape == rows.shape[:-1]
+            assert _bits(got) == _bits(want)
+        for q, d in zip(query.tolist(), rows[0].tolist()):
+            try:
+                expected = ref_dense_score(q, d)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    dense_score(q, d)
+                assert str(raised.value) == str(exc)
+            else:
+                assert _bits([dense_score(q, d)]) == _bits([expected])
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_COSINE_SHAPE, data=st.data())
+    def test_every_cosine_equals_the_oracle(self, shape, data):
+        rows = data.draw(arrays(np.float64, shape, elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        query = data.draw(arrays(np.float64, shape[1:], elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        self._check(rows, query)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=_COSINE_SHAPE, data=st.data())
+    def test_a_bad_vector_raises_the_oracle_error(self, shape, data):
+        rows = data.draw(arrays(np.float64, shape, elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        query_dim = data.draw(st.sampled_from([shape[2], shape[2] + 1, max(shape[2] - 1, 0)]))
+        query = data.draw(arrays(np.float64, (shape[1], query_dim), elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        for array in (rows, query):
+            if array.shape[-1] and data.draw(st.booleans()):
+                place = tuple(data.draw(st.integers(0, size - 1)) for size in array.shape)
+                array[place] = data.draw(_NON_FINITE)
+        self._check(rows, query)
+
+    @pytest.mark.parametrize(
+        "q, d, want",
+        [
+            ((1.0, -0.0), (-0.0, 1.0), "0.0"),  # every product -0.0: the sum starts from 0.0
+            ((5e-324, 1.0), (-0.5, 1e-300), "2e-300"),
+            ((1e150, -1e150), (1e150, 1e150), "0.0"),
+            ((0.0, 0.0), (0.6, 0.8), "cannot score a vector of norm 0.0"),
+            ((0.6, 0.8), (-0.0, 5e-324), "cannot score a vector of norm 0.0"),  # squares underflow
+            ((math.nan, 1.0), (0.6, 0.8), "cannot score a vector of norm nan"),
+            ((0.6, 0.8), (1.0, -math.inf), "cannot score a vector of norm inf"),
+            ((1e200, 1.0), (0.6, 0.8), "cannot score a vector of norm inf"),
+            ((0.0, math.nan), (1e200, 0.0), "cannot score a vector of norm nan"),  # the query first
+            ((), (), "cannot score a vector of norm 0.0"),
+            ((1.0, 0.0), (1.0, 0.0, 0.0), "embedding dimension mismatch: 2 vs 3"),
+            ((1.0, math.nan, 0.0), (1.0,), "embedding dimension mismatch: 3 vs 1"),
+        ],
+        ids=["negative-zeros", "subnormal", "1e150", "zero-query", "underflow", "nan", "inf", "overflow",
+             "query-first", "empty", "wrong-length", "wrong-length-first"],
+    )
+    def test_each_named_case(self, q, d, want):
+        try:
+            got = repr(ref_dense_score(q, d))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        self._check(np.array([[d]], np.float64).reshape(1, 1, len(d)), np.array([q], np.float64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=_COSINE_SHAPE, data=st.data())
+    def test_the_rules_store_ranks_by_the_oracle_or_raises_its_error(self, shape, data):
+        n, _, dim = shape
+        broken = data.draw(st.booleans())
+        dim = dim if broken else max(dim, 1)
+        vectors = data.draw(arrays(np.float64, (n, dim), elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        query_dim = data.draw(st.sampled_from([dim, dim + 1])) if broken else dim
+        query = data.draw(arrays(np.float64, (query_dim,), elements=_UNIT_ELEMENTS, fill=_UNIT_FILL))
+        for array in (vectors, query) if broken else ():
+            if array.size and data.draw(st.booleans()):
+                place = tuple(data.draw(st.integers(0, size - 1)) for size in array.shape)
+                array[place] = data.draw(_NON_FINITE)
+        if not broken:
+            vectors[:, 0] = query[0] = 0.5  # no norm is zero, and none is past the float range
+        texts = [f"rule {i}" for i in range(n)]
+        table = dict(zip(texts, map(tuple, vectors.tolist())))
+        embedder = RawEmbedder({**table, "query": tuple(query.tolist()), "again": tuple(query.tolist())})
+        db = RulesDatabase()
+        for text in texts:
+            db.store(Objective.MISSION_TIME, text)
+        try:
+            want = ref_fusion_order("query", db.rules(), embedder, 0.5, 60.0, 1.5, 0.75, ref_dense_score)
+        except ValueError as exc:
+            want = str(exc)
+        # the first query embeds every rule; the second scores the kept embeddings
+        for text in ("query", "again"):
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as raised:
+                    ensemble_retrieve(text, db, k=n, embedder=embedder)
+                assert str(raised.value) == want
+            else:
+                assert [r.id for r in ensemble_retrieve(text, db, k=n, embedder=embedder)] == want
