@@ -18,6 +18,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -479,6 +480,29 @@ def apply_composition_change(
     )
 
 
+def _sample_stdev(values: list[float]) -> float:
+    """The sample standard deviation of two or more finite floats: the
+    correctly rounded root of their exact `Fraction` sample variance, as
+    `statistics.stdev` gives it from Python 3.11 on (3.10's rounds a float
+    variance first, so its last bit can differ). The root is taken to 109
+    bits, twice a float's 53 plus 3, rounding to odd (an inexact root gets
+    its last bit set), so the one rounding to float is correct."""
+    exact = list(map(Fraction, values))
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    n, m = variance.numerator, variance.denominator
+    shift = (n.bit_length() - m.bit_length() - 109) // 2
+    if shift >= 0:
+        return float(_isqrt_to_odd(n, m << 2 * shift) << shift)
+    return _isqrt_to_odd(n << -2 * shift, m) / (1 << -shift)
+
+
+def _isqrt_to_odd(n: int, m: int) -> int:
+    """The integer root of n/m, its last bit set when that is not exact."""
+    root = math.isqrt(n // m)
+    return root | (root * root * m != n)
+
+
 def welch_test(sample_a: list[float], sample_b: list[float]) -> tuple[float, float]:
     """Two-sided Welch t-test; returns (statistic, p-value).
 
@@ -581,7 +605,7 @@ class CellResult:
         return statistics.fmean(r.value(objective) for r in self.records)
 
     def stdev(self, objective: Objective) -> float:
-        return statistics.stdev(self.values(objective)) if len(self.records) > 1 else 0.0
+        return _sample_stdev(self.values(objective)) if len(self.records) > 1 else 0.0
 
     def values(self, objective: Objective) -> list[float]:
         return [r.value(objective) for r in self.records]

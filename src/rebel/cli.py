@@ -22,6 +22,7 @@ from .llm import (
     StubProvider,
     TranscriptRecorder,
 )
+from .log import CorruptLogError
 from .pipeline import (
     KnowledgeAcquisitionConfig,
     RetrievalConfig,
@@ -32,7 +33,7 @@ from .pipeline import (
     infer,
 )
 from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
-from .retrieval import CorruptLogError, ExperienceDatabase, HashedEmbedder, RulesDatabase
+from .retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from .sim import SimConfig, run_mission
 
 logger = logging.getLogger(__name__)

@@ -27,6 +27,7 @@ from .core import (
     PreferenceVector,
     Tier,
 )
+from .log import AppendLog
 from .prompt import (
     GOAL_GENERATE_RULES,
     GOAL_PERFORM_ITA,
@@ -38,7 +39,7 @@ from .prompt import (
     extract_section,
     parse_objectives_text,
 )
-from .retrieval import _AppendLog, _stacked, unit_rows
+from .retrieval import _stacked, unit_rows
 from .sim import SimConfig, human_accuracy_probability, robot_accuracy_probability
 
 
@@ -226,19 +227,21 @@ class HttpEmbedder:
 
 
 class TranscriptRecorder:
-    """Wraps a provider, appending every exchange to a JSON-lines transcript."""
+    """Wraps a provider, appending every exchange to a JSON-lines transcript
+    (`AppendLog`, whose first append repairs a torn final line)."""
 
     def __init__(self, inner: CompletionProvider, path: str | Path):
         self.inner = inner
-        self._log = _AppendLog(path)
+        self._log = AppendLog(path)
 
     def complete(self, prompt: str, temperature: float) -> str:
         response = self.inner.complete(prompt, temperature)
-        self._log.append({
+        exchange = {
             "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "prompt": prompt,
             "response": response,
-        })
+        }
+        self._log.append(self._log.line(exchange, "transcript exchange"))
         return response
 
 

@@ -27,6 +27,7 @@ from .llm import (
     MalformedResponse,
     heuristic_allocate,
 )
+from .log import CorruptLogError
 from .prompt import (
     BACKGROUND_FORMAT,
     GOAL_GENERATE_RULES,
@@ -43,7 +44,6 @@ from .prompt import (
     rule_lines,
 )
 from .retrieval import (
-    CorruptLogError,
     Embedder,
     ExperienceDatabase,
     ExperienceRecord,

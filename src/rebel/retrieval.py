@@ -13,24 +13,17 @@ after it.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import io
-import json
-import logging
 import math
 import mmap
 import operator
-import os
 import re
-import stat
 import struct
-import tempfile
 import threading
-import zipfile
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, Sequence
@@ -48,9 +41,8 @@ from .core import (
     echo,
     performance_columns,
 )
+from .log import AppendLog, CorruptLogError, read_snapshot, write_snapshot
 from .prompt import ParseFailure, PlanInvalid, parse_ita_plan
-
-logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -597,118 +589,6 @@ def _section_norms(records: Sequence[ExperienceRecord], rows: np.ndarray, dim: i
     return norms
 
 
-class CorruptLogError(ValueError):
-    """A store's log holds a line that is not one of its records; the message
-    names the file and the line number."""
-
-
-# An experience-log line is several KiB (768 floats at dim 256), so the
-# default 8 KiB read buffer splits most lines across two reads; joining the
-# pieces took about 5 µs a line, and this buffer cuts that to about 1.
-_READ_BUFFER_BYTES = 64 * 1024
-
-
-@dataclass
-class _Prefix:
-    """A log's first `size` bytes, which end at a newline: `lines` whole
-    lines, `items` of them converted to records, and `digest`, the running
-    sha256 of those bytes."""
-
-    size: int
-    lines: int
-    items: int
-    digest: Any
-
-    def advance(self, line: bytes, items: int) -> None:
-        """Take in the next whole line, which held `items` records."""
-        self.size += len(line)
-        self.lines += 1
-        self.items += items
-        self.digest.update(line)
-
-
-class _AppendLog:
-    """Append-only JSON-lines log with write-through durability. A torn final
-    line (a crash mid-append) is skipped with a warning on load and cut off by
-    the next append; a bad line anywhere else is a `CorruptLogError`."""
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        self._repair: tuple[int, bytes] | None = None  # (truncate to, then write)
-
-    def line(self, payload: dict, name: str) -> bytes:
-        """`payload` as one log line, or `ValueError` naming the entry (`name`)
-        when it holds a value JSON cannot, such as a numpy float32. Empty for
-        a log with no file, which writes nothing and so encodes nothing."""
-        if self.path is None:
-            return b""
-        try:
-            return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        except TypeError as exc:
-            raise ValueError(f"{name}: not JSON: {exc}") from exc
-
-    def append(self, entry: dict | bytes) -> None:
-        """Write `entry`, a payload or the `line` made of one, at the end of the log."""
-        if self.path is None:
-            return
-        line = entry if isinstance(entry, bytes) else self.line(entry, "log entry")
-        with self._lock:
-            with open(self.path, "ab") as handle:
-                if self._repair is not None:
-                    size, prefix = self._repair
-                    handle.truncate(size)
-                    line = prefix + line
-                    self._repair = None
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def read_all(self, convert: Callable[[Any], Any], prefix: _Prefix | None = None) -> Iterator[Any]:
-        """`convert(payload)` for each line's payload in file order, one line
-        at a time, so no payload outlives its line, from the end of `prefix`,
-        which takes in every whole line read, or else from the start of the
-        file. A line that is not JSON (or nests too deeply to decode), or
-        whose payload `convert` rejects (`KeyError`, `TypeError`,
-        `ValueError`, `AttributeError`), raises `CorruptLogError` naming its
-        number in the file, unless it is a final line with no newline that is
-        not JSON: that torn append is skipped. The next append's repair is
-        set only once every line has been converted."""
-        if self.path is None or not self.path.exists():
-            return
-        size, lines = (prefix.size, prefix.lines) if prefix else (0, 0)
-        repair = None
-        with open(self.path, "rb", buffering=_READ_BUFFER_BYTES) as handle:
-            handle.seek(size)
-            for number, line in enumerate(handle, lines + 1):
-                size += len(line)
-                torn = not line.endswith(b"\n")  # only the final line can be
-                if not line.strip():
-                    if prefix and not torn:
-                        prefix.advance(line, 0)
-                    continue
-                try:
-                    payload = json.loads(line)
-                except (RecursionError, ValueError) as exc:  # nested too deeply, or not JSON
-                    if not torn:
-                        raise CorruptLogError(f"{self.path}, line {number}: not JSON: {exc}") from exc
-                    logger.warning("%s: skipping torn final line (%d bytes)", self.path, len(line))
-                    repair = (size - len(line), b"")
-                    break
-                try:
-                    item = convert(payload)
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise CorruptLogError(
-                        f"{self.path}, line {number}: not a record: {type(exc).__name__}: {exc}"
-                    ) from exc
-                yield item
-                if torn:
-                    repair = (size, b"\n")
-                elif prefix:
-                    prefix.advance(line, 1)
-        self._repair = repair
-
-
 # At most this many answers (rankings of query texts, or scenarios' nearest
 # records) are kept per store state, so a long-lived store asked about ever
 # new queries does not grow.
@@ -722,7 +602,7 @@ class _Store:
     store are kept in one slot (`_answer`)."""
 
     def __init__(self, path: str | Path | None):
-        self._log = _AppendLog(path)
+        self._log = AppendLog(path)
         self._lock = threading.Lock()
         self._entries: tuple = ()
         # (entries, embedder, basis, {key: answer}); replaced whole, never mutated
@@ -855,7 +735,7 @@ class RulesDatabase(_Store):
             rules = self._new_rules(objective, texts)
             if current:
                 retire = {"kind": "retire", "objective": objective.short, "ids": [r.id for r in current]}
-                self._log.append(retire)
+                self._log.append(self._log.line(retire, "retire record"))
             kept, added = tuple(r for r in self._entries if r.objective is not objective), []
             try:
                 for entry, line in rules:
@@ -901,14 +781,8 @@ def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecor
     )
 
 
-# An experience log's snapshot is the file beside it named with this suffix:
-# `_SNAPSHOT_MAGIC`, the sha256 of the rest of the file, then the rest: the
-# `_SNAPSHOT_PREFIX` fields (the size in bytes and in lines of the log prefix
-# it covers, and that prefix's sha256) and an uncompressed `.npz` of the
-# prefix's records (`_snapshot_records`).
+# the suffix of the file beside an experience log that snapshots it (`_snapshot_records`)
 _SNAPSHOT_SUFFIX = ".snapshot"
-_SNAPSHOT_MAGIC = b"rebel experience snapshot 1\n"
-_SNAPSHOT_PREFIX = struct.Struct("<QQ32s")
 _OBJECTIVES = tuple(Objective)
 
 
@@ -972,69 +846,6 @@ def _restored_records(npz: io.BytesIO) -> tuple[ExperienceRecord, ...]:
         )
 
 
-def _read_snapshot(log: Path) -> tuple[tuple[ExperienceRecord, ...], _Prefix]:
-    """The records of the log prefix that `log`'s snapshot covers, in id
-    order, and that prefix; or no records and the empty prefix when the
-    snapshot is missing, unreadable, corrupt (what follows its
-    own sha256 does not hash to it), or stale (the log's first bytes no
-    longer hash to its prefix sha256, read `_READ_BUFFER_BYTES` at a time).
-    Never raises: a snapshot is derived data, and a fault in it only costs a
-    full parse, logged at debug level."""
-    path = _snapshot_path(log)
-    try:
-        raw = path.read_bytes()
-        data = memoryview(raw)
-        start = len(_SNAPSHOT_MAGIC) + hashlib.sha256().digest_size
-        if data[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC or len(data) < start + _SNAPSHOT_PREFIX.size:
-            raise ValueError("not a snapshot")
-        if hashlib.sha256(data[start:]).digest() != data[len(_SNAPSHOT_MAGIC) : start]:
-            raise ValueError("it does not match its own hash")
-        size, lines, prefix_sha = _SNAPSHOT_PREFIX.unpack_from(data, start)
-        digest = hashlib.sha256()
-        with open(log, "rb", buffering=0) as handle:
-            while (remaining := size - handle.tell()) > 0:
-                chunk = handle.read(min(remaining, _READ_BUFFER_BYTES))
-                if not chunk:
-                    raise ValueError(f"the log is shorter than the {size} bytes it covers")
-                digest.update(chunk)
-        if digest.digest() != prefix_sha:
-            raise ValueError(f"the log's first {size} bytes have changed")
-        npz = io.BytesIO(raw)  # shares the bytes, where a slice would copy them
-        npz.seek(start + _SNAPSHOT_PREFIX.size)
-        records = _restored_records(npz)
-    except (OSError, ValueError, KeyError, IndexError, zipfile.BadZipFile) as exc:
-        logger.debug("%s: not used, the whole log is parsed: %s", path, exc)
-        return (), _Prefix(0, 0, 0, hashlib.sha256())
-    return records, _Prefix(size, lines, len(records), digest)
-
-
-def _write_snapshot(log: Path, records: Sequence[ExperienceRecord], prefix: _Prefix) -> None:
-    """Snapshot `records`, those of the log prefix `prefix`, beside `log`:
-    written to a temporary file in the same directory, with the log's
-    permission bits, then moved over the old snapshot in one `os.replace`.
-    It is not synced: a torn snapshot fails its own hash and is not used.
-    Never raises: a failure is logged at debug level and its temporary file
-    removed."""
-    path = _snapshot_path(log)
-    temp = None
-    try:
-        fields = _SNAPSHOT_PREFIX.pack(prefix.size, prefix.lines, prefix.digest.digest())
-        npz = _snapshot_records(records)
-        digest = hashlib.sha256(fields)
-        digest.update(npz)
-        handle, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-        with os.fdopen(handle, "wb") as out:
-            os.fchmod(out.fileno(), stat.S_IMODE(os.stat(log).st_mode))
-            out.write(_SNAPSHOT_MAGIC + digest.digest() + fields)
-            out.write(npz)
-        os.replace(temp, path)
-    except (OSError, OverflowError, ValueError) as exc:
-        logger.debug("%s: not written: %s", path, exc)
-        if temp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(temp)
-
-
 class ExperienceDatabase(_Store):
     """Append-only store of (scenario, plan, performance) mission records, kept
     in id order (`_Store`) with a set of (objective, scenario text, plan text)
@@ -1045,9 +856,9 @@ class ExperienceDatabase(_Store):
     nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`).
 
     A load restores the records of the log prefix that the log's snapshot
-    covers (`_read_snapshot`) and parses only the lines after it, at the
+    covers (`read_snapshot`) and parses only the lines after it, at the
     restored records' dim; one that parsed whole lines the snapshot did not
-    cover writes a new one (`_write_snapshot`). A record id the log already
+    cover writes a new one (`write_snapshot`). A record id the log already
     holds is a `CorruptLogError` naming the line."""
 
     def __init__(self, path: str | Path | None = None):
@@ -1064,7 +875,7 @@ class ExperienceDatabase(_Store):
 
     def _load(self) -> tuple[ExperienceRecord, ...]:
         """The log's records in id order."""
-        restored, prefix = _read_snapshot(self.path)
+        restored, prefix = read_snapshot(_snapshot_path(self.path), self.path, _restored_records)
         covered = prefix.size
         dim = restored[0].dim if restored else None
         ids = {r.id for r in restored}
@@ -1081,7 +892,8 @@ class ExperienceDatabase(_Store):
         tail = list(self._log.read_all(admit, prefix))
         if prefix.size > covered:  # whole lines were parsed; an unterminated last one is not covered
             snapshotted = restored + tuple(tail[: prefix.items - len(restored)])
-            _write_snapshot(self.path, sorted(snapshotted, key=operator.attrgetter("id")), prefix)
+            ordered = sorted(snapshotted, key=operator.attrgetter("id"))
+            write_snapshot(_snapshot_path(self.path), self.path, lambda: _snapshot_records(ordered), prefix)
         return tuple(sorted(restored + tuple(tail), key=operator.attrgetter("id")))
 
     @property

@@ -9,6 +9,8 @@ import hashlib
 import itertools
 import math
 import re
+import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -307,6 +309,31 @@ def _ref_normalized(values: list[float], maximize: bool) -> list[float]:
     if maximize:
         return [(v - lo) / (hi - lo) for v in values]
     return [1.0 - (v - lo) / (hi - lo) for v in values]
+
+
+def ref_stdev(values: list[float]) -> float:
+    """The sample standard deviation, correctly rounded: start from
+    `math.sqrt` of the exact `Fraction` sample variance rounded to a float
+    (scaled by a power of 4 to at least 1 first, so it cannot underflow),
+    and step to a neighbouring float while it lies nearer the true root.
+    Comparing the variance with the exact square of the two floats' midpoint
+    decides that, and an exact tie goes to the float whose last bit is
+    even."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    scale = max(0, (variance.denominator.bit_length() - variance.numerator.bit_length()) // 2 + 1)
+    root = math.ldexp(math.sqrt(float(variance * 4**scale)), -scale)
+    while True:
+        odd = struct.unpack("<q", struct.pack("<d", root))[0] & 1
+        for neighbour in (math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            square = ((Fraction(root) + Fraction(neighbour)) / 2) ** 2
+            nearer = variance > square if neighbour > root else variance < square
+            if neighbour != root and (nearer or (variance == square and odd)):
+                root = neighbour
+                break
+        else:
+            return root
 
 
 def ref_parse_ita_plan(text: str, scenario: MissionScenario) -> ItaPlan:

@@ -54,7 +54,9 @@
 # after `rebel infer` has snapshotted the experience store, a flipped
 # snapshot byte, and a record appended by `rebel gen-exp`, must each leave
 # `rebel infer` printing what it prints with the snapshot deleted, with
-# nothing on stderr
+# nothing on stderr; and a transcript whose last exchange was torn mid-append
+# must hold only whole JSON lines after the next `rebel gen-rules --transcript`,
+# with no traceback
 set -eo pipefail
 
 if ! command -v rebel > /dev/null; then
@@ -255,3 +257,14 @@ if [ "$(wc -c < "$d/junk-performance-store.err")" -ge 1024 ]; then echo "junk-pe
 grep -qF "junk-performance.jsonl, line 1: " "$d/junk-performance-store.err"
 must_fail underflow-speed-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json"
 must_fail underflow-speed-infer-http 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/slow-robot.txt" --prefs TP=0.5,MT=0.5 --sim-config "$d/tiny-speed-sim.json" --provider http --endpoint http://127.0.0.1:9/v1 --retries 0
+rebel gen-rules --rules-db "$d/t-rules.jsonl" --transcript "$d/t.jsonl" > /dev/null
+head -c 40 "$d/t.jsonl" > "$d/torn-exchange"
+cat "$d/torn-exchange" >> "$d/t.jsonl"  # an exchange torn 40 bytes in
+rebel gen-rules --rules-db "$d/t-rules.jsonl" --transcript "$d/t.jsonl" > /dev/null 2> "$d/t.err"
+cat "$d/t.err"
+if grep -q Traceback "$d/t.err"; then echo "a torn transcript line must not end in a traceback"; exit 1; fi
+if ! python -c 'import json, sys
+lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
+assert len(lines) == 6 and all(json.loads(line) for line in lines)' "$d/t.jsonl"; then
+  echo "every transcript line must parse after a torn one"; exit 1
+fi

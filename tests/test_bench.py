@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from rebel import bench, sim
 from rebel.bench import (
     BenchDeps,
+    CellResult,
     DEFAULT_CHANGE,
     CompositionChange,
     ExperimentSpec,
@@ -65,6 +66,7 @@ from rebel.pipeline import (
 from rebel.retrieval import ExperienceDatabase, HashedEmbedder, RulesDatabase
 from rebel.sim import SimConfig, run_mission
 from conftest import DEEPLY_NESTED, json_values, make_scenario
+from oracles import ref_stdev
 
 
 class TestRandomScenario:
@@ -1207,3 +1209,36 @@ def test_welch_test_degenerate_samples():
     assert welch_test([1.0, 1.0], [2.0, 2.0]) == (-math.inf, 0.0)
     for a, b in (([1.0, 1.0], [1.0, 1.0]), ([1.0], [1.0, 2.0])):
         assert all(math.isnan(value) for value in welch_test(a, b))
+
+
+# Python 3.10's `statistics.stdev` gives 0x1.56ca70e7690c8p+10 here, one bit
+# below the correctly rounded root
+_ROUNDED_LOW_ON_3_10 = [
+    1559.261571090097, 720.587451092437, 3748.3696022121544, 3701.7561221404703, 2393.1097175499563,
+    3460.2838442265465, 2581.6725948116077, 1026.0750335077034, 4760.104735503248,
+]
+_STDEV_VALUES = st.lists(
+    st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1]), min_size=2, max_size=12
+)
+
+
+class TestCellStdev:
+    """A cell's stdev is the correctly rounded root of the exact sample
+    variance on every interpreter, so `report.csv` and every digest that
+    hashes it are too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STDEV_VALUES)
+    @example(_ROUNDED_LOW_ON_3_10)
+    def test_equals_the_correctly_rounded_root(self, values):
+        got = bench._sample_stdev(values)
+        assert got.hex() == ref_stdev(values).hex()
+        if sys.version_info >= (3, 11):  # the same method as `statistics.stdev` from 3.11 on
+            assert got.hex() == statistics.stdev(values).hex()
+
+    def test_a_cell_of_records(self):
+        records = [PerformanceRecord(v, 100.0, 0.5) for v in _ROUNDED_LOW_ON_3_10]
+        cell = CellResult("rebel", PreferenceVector.single(Objective.TASK_PERFORMANCE), records, 0, 0.0)
+        assert cell.stdev(Objective.TASK_PERFORMANCE).hex() == "0x1.56ca70e7690c9p+10"
+        assert cell.stdev(Objective.MISSION_TIME) == 0.0
+        assert CellResult("rebel", cell.prefs, records[:1], 0, 0.0).stdev(Objective.TASK_PERFORMANCE) == 0.0

@@ -36,9 +36,9 @@ from rebel.core import (
     PreferenceVector,
     Tier,
 )
+from rebel.log import AppendLog, CorruptLogError, Prefix
 from rebel.retrieval import (
     CorpusStats,
-    CorruptLogError,
     ExperienceDatabase,
     HashedEmbedder,
     RRF_ALPHA,
@@ -1774,7 +1774,7 @@ class TestStoreRefusesWhatLoadRefuses:
 
     def test_stores_with_no_log_encode_no_line(self, monkeypatch):
         encoded = []
-        monkeypatch.setattr(retrieval.json, "dumps", lambda *args, **kwargs: encoded.append(args))
+        monkeypatch.setattr("rebel.log.json.dumps", lambda *args, **kwargs: encoded.append(args))
         rules = RulesDatabase()
         rules.store(Objective.MISSION_TIME, "one")
         rules.replace_objective(Objective.MISSION_TIME, ["two"])
@@ -1812,7 +1812,7 @@ class TestStoreRefusesWhatLoadRefuses:
 def built_digests(monkeypatch):
     """One entry per sha256 object or log prefix the retrieval module builds."""
     built = []
-    sha256, prefix = hashlib.sha256, retrieval._Prefix
+    sha256, prefix = hashlib.sha256, Prefix
 
     def counting(make, name):
         def build(*args, **kwargs):
@@ -1822,7 +1822,7 @@ def built_digests(monkeypatch):
         return build
 
     monkeypatch.setattr(retrieval.hashlib, "sha256", counting(sha256, "sha256"))
-    monkeypatch.setattr(retrieval, "_Prefix", counting(prefix, "prefix"))
+    monkeypatch.setattr("rebel.log.Prefix", counting(prefix, "prefix"))
     return built
 
 
@@ -2062,56 +2062,6 @@ def _two_record_store(path):
     return db
 
 
-class TestTornLogTail:
-    """A crash mid-append leaves a final line with no newline; loading skips
-    it with a warning and the next append writes a clean line after it."""
-
-    def test_torn_experience_tail_is_skipped_then_overwritten(self, tmp_path, caplog):
-        path = tmp_path / "exp.jsonl"
-        _two_record_store(path)
-        with open(path, "ab") as handle:
-            handle.write(b'{"emb_humans": [0.25, 0.')
-        torn = path.read_bytes()
-        with caplog.at_level(logging.WARNING, logger="rebel.retrieval"):
-            db = ExperienceDatabase(path)
-        assert len(db) == 2
-        assert "torn final line" in caplog.text
-        assert path.read_bytes() == torn  # loading alone never rewrites
-        _store_one(db, Objective.TASK_PERFORMANCE)
-        reloaded = ExperienceDatabase(path)
-        assert len(reloaded) == 3
-        assert reloaded.records() == db.records()
-
-    def test_torn_rules_tail_is_skipped_then_overwritten(self, tmp_path, caplog):
-        path = tmp_path / "rules.jsonl"
-        RulesDatabase(path).store(Objective.MISSION_TIME, "kept rule")
-        with open(path, "ab") as handle:
-            handle.write(b'{"id": 1, "kind": "ru')
-        with caplog.at_level(logging.WARNING, logger="rebel.retrieval"):
-            db = RulesDatabase(path)
-        assert [r.text for r in db.rules()] == ["kept rule"]
-        assert "torn final line" in caplog.text
-        db.store(Objective.MISSION_TIME, "next rule")
-        assert [r.text for r in RulesDatabase(path).rules()] == ["kept rule", "next rule"]
-
-    def test_complete_final_record_without_newline_is_kept(self, tmp_path):
-        path = tmp_path / "exp.jsonl"
-        _two_record_store(path)
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        db = ExperienceDatabase(path)
-        assert len(db) == 2
-        _store_one(db, Objective.TASK_PERFORMANCE)
-        assert len(ExperienceDatabase(path)) == 3
-
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        path = tmp_path / "exp.jsonl"
-        _two_record_store(path)
-        first, second = path.read_text(encoding="utf-8").splitlines()
-        _write_lines(path, [first, first[: len(first) // 2], second])
-        with pytest.raises(ValueError):
-            ExperienceDatabase(path)
-
-
 def _experience_line(**fields) -> str:
     """A well-formed experience-log line at dim 1, with `fields` replaced."""
     scenario = make_scenario()
@@ -2237,32 +2187,6 @@ class TestWrongShapeLines:
         _write_lines(path, [first, DEEPLY_NESTED, second])
         with pytest.raises(CorruptLogError, match=re.escape(f"{path}, line 2: not JSON: maximum recursion")):
             _STORES[store](path)
-
-
-class TestFailedLoadLeavesTheLog:
-    """A load that fails on a bad middle line sets no repair for the next
-    append, even with a torn final line after it, and rewrites nothing."""
-
-    @pytest.mark.parametrize("bad", ['{"kind": "experience"}', '{"emb_humans": [0.25, 0.'])
-    def test_no_repair_and_no_rewrite(self, tmp_path, bad):
-        path, (first, second) = _store_lines("experience", tmp_path)
-        path.write_text(f"{first}\n{bad}\n{second}\n" + '{"emb_humans": [0.25, 0.', encoding="utf-8")
-        before = path.read_bytes()
-        log = retrieval._AppendLog(path)
-        with pytest.raises(CorruptLogError, match="line 2"):
-            list(log.read_all(retrieval._experience_record))
-        assert log._repair is None
-        with pytest.raises(CorruptLogError, match="line 2"):
-            ExperienceDatabase(path)
-        assert path.read_bytes() == before
-
-    def test_a_bad_complete_final_line_sets_no_repair(self, tmp_path):
-        path, (first, second) = _store_lines("experience", tmp_path)
-        path.write_text(f"{first}\n{second}\n" + '{"kind": "experience"}', encoding="utf-8")
-        log = retrieval._AppendLog(path)
-        with pytest.raises(CorruptLogError, match="line 3"):
-            list(log.read_all(retrieval._experience_record))
-        assert log._repair is None
 
 
 def _rewrite_record(path, record_id, **fields):
@@ -2441,7 +2365,7 @@ def parsed_ids(monkeypatch):
     """The id of every experience-log line a load parses, in order; the
     records `store` builds are not counted."""
     ids = []
-    read_all = retrieval._AppendLog.read_all
+    read_all = AppendLog.read_all
 
     def counting(log, convert, prefix=None):
         def parse(payload):
@@ -2450,7 +2374,7 @@ def parsed_ids(monkeypatch):
 
         return read_all(log, parse, prefix)
 
-    monkeypatch.setattr(retrieval._AppendLog, "read_all", counting)
+    monkeypatch.setattr(AppendLog, "read_all", counting)
     return ids
 
 
@@ -2489,7 +2413,7 @@ class TestSnapshot:
         data = bytearray(snapshot.read_bytes())
         data[-1] ^= 1
         snapshot.write_bytes(bytes(data))
-        with caplog.at_level(logging.DEBUG, logger="rebel.retrieval"):
+        with caplog.at_level(logging.DEBUG, logger="rebel.log"):
             assert ExperienceDatabase(path).records() == db.records()
         assert [(r.levelno, r.getMessage().split(": ")[:2]) for r in caplog.records] == [
             (logging.DEBUG, [str(snapshot), "not used, the whole log is parsed"])
@@ -2561,7 +2485,7 @@ def _load_state(path: Path):
     logged = []
     handler = logging.Handler(logging.INFO)
     handler.emit = lambda record: logged.append((record.levelno, record.getMessage()))
-    logger = logging.getLogger("rebel.retrieval")
+    logger = logging.getLogger("rebel.log")
     logger.addHandler(handler)
     stderr = io.StringIO()
     try:
