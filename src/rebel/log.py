@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import logging
 import os
@@ -15,7 +14,6 @@ import stat
 import struct
 import tempfile
 import threading
-import zipfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,22 +171,23 @@ class AppendLog:
 # A snapshot is `_SNAPSHOT_MAGIC`, the sha256 of the rest of the file, then
 # the rest: the `_SNAPSHOT_PREFIX` fields (the size in bytes and in lines of
 # the log prefix it covers, and that prefix's sha256) and the body.
-_SNAPSHOT_MAGIC = b"rebel experience snapshot 1\n"
+_SNAPSHOT_MAGIC = b"rebel experience snapshot 2\n"
 _SNAPSHOT_PREFIX = struct.Struct("<QQ32s")
 
 
-def read_snapshot(path: Path, log: Path, restore: Callable[[io.BytesIO], tuple]) -> tuple[tuple, Prefix]:
+def read_snapshot(path: Path, log: Path, restore: Callable[[memoryview], tuple]) -> tuple[tuple, Prefix]:
     """The records `restore` makes of the body of snapshot `path`, handed
-    over at its start, and the prefix of `log` they cover; or no records and
-    the empty prefix when the snapshot is missing, unreadable, corrupt (what
-    follows its own sha256 does not hash to it), or stale (the log's first
-    bytes no longer hash to its prefix sha256, read `_READ_BUFFER_BYTES` at a
-    time), or when `restore` raises `ValueError`, `KeyError`, `IndexError` or
-    `zipfile.BadZipFile`. Never raises: a snapshot is derived data, and a
-    fault in it only costs a full parse, logged at debug level."""
+    over as a view of the snapshot's bytes, and the prefix of `log` they
+    cover; or no records and the empty prefix when the snapshot is missing,
+    unreadable, of another version or corrupt (it does not start with
+    `_SNAPSHOT_MAGIC`, or what follows its own sha256 does not hash to it),
+    or stale (the log's first bytes no longer hash to its prefix sha256, read
+    `_READ_BUFFER_BYTES` at a time), or when `restore` raises `ValueError`,
+    as it must for a body it cannot restore. Never raises: a snapshot is
+    derived data, and a fault in it only costs a full parse, logged at debug
+    level."""
     try:
-        raw = path.read_bytes()
-        data = memoryview(raw)
+        data = memoryview(path.read_bytes())
         start = len(_SNAPSHOT_MAGIC) + hashlib.sha256().digest_size
         if data[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC or len(data) < start + _SNAPSHOT_PREFIX.size:
             raise ValueError("not a snapshot")
@@ -204,10 +203,8 @@ def read_snapshot(path: Path, log: Path, restore: Callable[[io.BytesIO], tuple])
                 digest.update(chunk)
         if digest.digest() != prefix_sha:
             raise ValueError(f"the log's first {size} bytes have changed")
-        body = io.BytesIO(raw)  # shares the bytes, where a slice would copy them
-        body.seek(start + _SNAPSHOT_PREFIX.size)
-        records = restore(body)
-    except (OSError, ValueError, KeyError, IndexError, zipfile.BadZipFile) as exc:
+        records = restore(data[start + _SNAPSHOT_PREFIX.size :])  # a view, where bytes would copy
+    except (OSError, ValueError) as exc:
         logger.debug("%s: not used, the whole log is parsed: %s", path, exc)
         return (), Prefix(0, 0, 0, hashlib.sha256())
     return records, Prefix(size, lines, len(records), digest)

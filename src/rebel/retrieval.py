@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import math
 import mmap
 import operator
@@ -790,60 +789,92 @@ def _snapshot_path(log: Path) -> Path:
     return log.with_name(log.name + _SNAPSHOT_SUFFIX)
 
 
-def _blob(name: str, parts: Sequence[bytes]) -> dict[str, np.ndarray]:
-    """`parts` end to end as array `name`, and the offset where each ends as
-    array `name_ends`."""
-    ends = np.cumsum([len(part) for part in parts], dtype=np.int64)
-    return {name: np.frombuffer(b"".join(parts), np.uint8), f"{name}_ends": ends}
-
-
-def _unblob(arrays, name: str) -> list[bytes]:
-    """The parts `_blob` put in array `name` of the `.npz` `arrays`."""
-    blob, ends = arrays[name].tobytes(), arrays[f"{name}_ends"].tolist()
-    return [blob[start:stop] for start, stop in zip([0, *ends], ends)]
+# a snapshot body's header (`_snapshot_records`): its record count, the byte
+# length of its embedding blob and the character length of its text blob
+_BODY_HEADER = struct.Struct("<QQQ")
+# its columns, in order, as (dtype, entries per record)
+_BODY_COLUMNS = (("<i8", 1), ("u1", 1), ("?", 1), ("<f8", 3), ("<i8", 1), ("<i8", 2))
+_BODY_RECORD_BYTES = sum(np.dtype(dtype).itemsize * width for dtype, width in _BODY_COLUMNS)
 
 
 def _snapshot_records(records: Sequence[ExperienceRecord]) -> bytes:
-    """The `.npz` `_restored_records` restores `records` from: their ids,
-    objective codes, fallback flags and float64 performance triples (bit
-    for bit), their encoded embeddings as one blob, and their scenario
-    texts then their plan texts as another (UTF-8, surrogates passed
-    through). `ValueError` for a scenario or plan that is not text,
-    `OverflowError` for an id outside int64."""
+    """The body `_restored_records` restores `records` from: the
+    `_BODY_HEADER`, then the `_BODY_COLUMNS` of their ids, objective codes,
+    fallback flags, float64 performance triples (bit for bit), the end of
+    each encoded embedding in the embedding blob, and the end of each text
+    in the text blob, in characters; then the embedding blob (the encodings
+    end to end) and the text blob (the scenario texts, then the plan texts,
+    as UTF-8 with surrogates passed through). `ValueError` for a scenario or
+    plan that is not text, `OverflowError` for an id outside int64."""
     texts = [r.scenario_text for r in records] + [r.plan_text for r in records]
     if not all(isinstance(text, str) for text in texts):
         raise ValueError("a record's scenario or plan is not text")
-    npz = io.BytesIO()
-    np.savez(
-        npz,
-        ids=np.array([r.id for r in records], np.int64),
-        objectives=np.array([_OBJECTIVES.index(r.objective) for r in records], np.uint8),
-        fallbacks=np.array([r.fallback for r in records], bool),
-        performances=np.array([r.performance.values() for r in records], np.float64),
-        **_blob("embeddings", [r.embedding for r in records]),
-        **_blob("texts", [text.encode("utf-8", "surrogatepass") for text in texts]),
+    embeddings = [r.embedding for r in records]
+    blob, text = b"".join(embeddings), "".join(texts)
+    columns = (
+        [r.id for r in records],
+        [_OBJECTIVES.index(r.objective) for r in records],
+        [r.fallback for r in records],
+        [r.performance.values() for r in records],
+        np.cumsum(list(map(len, embeddings))),
+        np.cumsum(list(map(len, texts))),
     )
-    return npz.getvalue()
+    return b"".join([
+        _BODY_HEADER.pack(len(records), len(blob), len(text)),
+        *(np.array(column, dtype).tobytes() for column, (dtype, _) in zip(columns, _BODY_COLUMNS)),
+        blob,
+        text.encode("utf-8", "surrogatepass"),
+    ])
 
 
-def _restored_records(npz: io.BytesIO) -> tuple[ExperienceRecord, ...]:
-    """The records `_snapshot_records` wrote the `.npz` that `npz` is at
-    from, field for field. Each blob is split before the next is read."""
-    with np.load(npz, allow_pickle=False) as arrays:
-        texts = [text.decode("utf-8", "surrogatepass") for text in _unblob(arrays, "texts")]
-        count = len(texts) // 2
-        return tuple(
-            map(
-                ExperienceRecord,
-                arrays["ids"].tolist(),
-                [_OBJECTIVES[code] for code in arrays["objectives"].tolist()],
-                texts[:count],
-                texts[count:],
-                [PerformanceRecord(*triple) for triple in arrays["performances"].tolist()],
-                _unblob(arrays, "embeddings"),
-                arrays["fallbacks"].tolist(),
-            )
+def _cut(blob, ends: np.ndarray, size: int, name: str) -> list:
+    """`blob` cut at `ends`, or `ValueError` unless it is `size` long and
+    `ends` rise from 0 to `size`."""
+    stops = ends.tolist()
+    if (np.diff(ends, prepend=0) < 0).any() or len(blob) != size or (stops[-1] if stops else 0) != size:
+        raise ValueError(f"the {name} ends do not cut a blob of {len(blob)} into the header's {size}")
+    return [blob[start:stop] for start, stop in zip([0, *stops], stops)]
+
+
+def _restored_records(body: memoryview) -> tuple[ExperienceRecord, ...]:
+    """The records `_snapshot_records` wrote `body` from, field for field:
+    each column read from `body` by one `np.frombuffer`, and the text blob
+    decoded once and cut at its character ends. `ValueError` for a body it
+    did not write: one shorter than its header, or than the columns and the
+    embedding blob the header sizes; ends that do not cut their blob; an
+    objective code past the objectives; or text left over."""
+    try:
+        count, blob_size, text_size = _BODY_HEADER.unpack_from(body)
+    except struct.error as exc:  # which is not a ValueError
+        raise ValueError(f"no body header: {exc}") from exc
+    stop = _BODY_HEADER.size + count * _BODY_RECORD_BYTES + blob_size
+    if stop > len(body):
+        raise ValueError(
+            f"{count} records and a {blob_size}-byte embedding blob overrun a {len(body)}-byte body"
         )
+    offset, columns = _BODY_HEADER.size, []
+    for dtype, width in _BODY_COLUMNS:
+        columns.append(np.frombuffer(body, dtype, count * width, offset))
+        offset += columns[-1].nbytes
+    ids, codes, fallbacks, performances, code_ends, text_ends = columns
+    if count and codes.max() >= len(_OBJECTIVES):
+        raise ValueError(f"objective code {codes.max()} is not an objective's")
+    # decoded from a copy of its bytes, freed before the texts are cut, so the
+    # texts can take the copy's place instead of landing above the decoded
+    # blob: decoding the view raised `infer_large`'s peak RSS by 1.1 MB
+    texts = _cut(bytes(body[stop:]).decode("utf-8", "surrogatepass"), text_ends, text_size, "text")
+    return tuple(
+        map(
+            ExperienceRecord,
+            ids.tolist(),
+            [_OBJECTIVES[code] for code in codes.tolist()],
+            texts[:count],
+            texts[count:],
+            [PerformanceRecord(*triple) for triple in performances.reshape(count, 3).tolist()],
+            _cut(body[offset:stop].tobytes(), code_ends, blob_size, "embedding"),
+            fallbacks.tolist(),
+        )
+    )
 
 
 class ExperienceDatabase(_Store):

@@ -52,9 +52,10 @@
 # `rebel infer` on the robot whose shared speed underflows to 0.0 must exit 2
 # without a traceback, with the stub and with an unreachable endpoint; and
 # after `rebel infer` has snapshotted the experience store, a flipped
-# snapshot byte, and a record appended by `rebel gen-exp`, must each leave
-# `rebel infer` printing what it prints with the snapshot deleted, with
-# nothing on stderr; and a transcript whose last exchange was torn mid-append
+# snapshot byte, a snapshot of the previous version (which must then be
+# rewritten at the current one), and a record appended by `rebel gen-exp`,
+# must each leave `rebel infer` printing what it prints with the snapshot
+# deleted, with nothing on stderr; and a transcript whose last exchange was torn mid-append
 # must hold only whole JSON lines after the next `rebel gen-rules --transcript`,
 # with no traceback
 set -eo pipefail
@@ -91,6 +92,10 @@ test -f "$d/snap.jsonl.snapshot"
 python -c 'import sys; data = bytearray(open(sys.argv[1], "rb").read()); data[len(data) // 2] ^= 0xFF; open(sys.argv[1], "wb").write(data)' "$d/snap.jsonl.snapshot"
 snap_infer snap-flipped
 cmp "$d/snap-cold.txt" "$d/snap-flipped.txt"
+python -c 'import sys; data = open(sys.argv[1], "rb").read(); open(sys.argv[1], "wb").write(b"rebel experience snapshot 1\n" + data.partition(b"\n")[2])' "$d/snap.jsonl.snapshot"
+snap_infer snap-version-1  # a snapshot of the version before is parsed over and replaced
+cmp "$d/snap-cold.txt" "$d/snap-version-1.txt"
+test "$(head -n 1 "$d/snap.jsonl.snapshot")" = "rebel experience snapshot 2"
 lines=$(wc -l < "$d/snap.jsonl")
 rebel gen-exp --rules-db "$d/rules.jsonl" --exp-db "$d/snap.jsonl" --missions 1 --seed 9 > /dev/null
 if [ "$(wc -l < "$d/snap.jsonl")" -le "$lines" ]; then echo "gen-exp --seed 9 must append a record"; exit 1; fi

@@ -12,7 +12,6 @@ import re
 import stat
 import sys
 import threading
-import zipfile
 
 import pytest
 from hypothesis import given, settings
@@ -262,14 +261,7 @@ def _written(tmp_path, body=b"the records"):
 
 def _restore(body):
     """The snapshot body as one record."""
-    return [body.read()]
-
-
-# what a body that does not restore may raise
-_RESTORE_ERRORS = {
-    "ValueError": ValueError, "KeyError": KeyError, "IndexError": IndexError,
-    "BadZipFile": zipfile.BadZipFile,
-}
+    return [bytes(body)]
 
 
 class TestSnapshotFrame:
@@ -299,8 +291,7 @@ class TestSnapshotFrame:
         ]
 
     @pytest.mark.parametrize("fault", [
-        "deleted", "truncated", "flipped_magic", "flipped_hash", "a_directory", "stale", "log_shorter",
-        *_RESTORE_ERRORS,
+        "deleted", "truncated", "flipped_magic", "flipped_hash", "a_directory", "stale", "log_shorter", "ValueError",
     ])
     def test_a_faulty_snapshot_is_not_used(self, tmp_path, caplog, fault):
         log, snapshot = _written(tmp_path)
@@ -323,7 +314,7 @@ class TestSnapshotFrame:
         else:
 
             def restore(body):
-                raise _RESTORE_ERRORS[fault]("bad body")
+                raise ValueError("bad body")
 
         with caplog.at_level(logging.DEBUG, logger="rebel.log"):
             records, prefix = read_snapshot(snapshot, log, restore)

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,10 +36,11 @@ from rebel.core import (
     PreferenceVector,
     Tier,
 )
-from rebel.log import AppendLog, CorruptLogError, Prefix
+from rebel.log import AppendLog, CorruptLogError, Prefix, write_snapshot
 from rebel.retrieval import (
     CorpusStats,
     ExperienceDatabase,
+    ExperienceRecord,
     HashedEmbedder,
     RRF_ALPHA,
     RRF_C,
@@ -2420,6 +2421,64 @@ class TestSnapshot:
         ]
         assert snapshot.read_bytes() != data  # the full parse wrote a new one
 
+    def test_a_version_1_snapshot_is_replaced(self, tmp_path, parsed_ids):
+        path = tmp_path / "exp.jsonl"
+        db = _two_record_store(path)
+        ExperienceDatabase(path)
+        snapshot = retrieval._snapshot_path(path)
+        data = snapshot.read_bytes()
+        assert data.startswith(b"rebel experience snapshot 2\n")
+        snapshot.write_bytes(b"rebel experience snapshot 1\n" + data.partition(b"\n")[2])
+        assert ExperienceDatabase(path).records() == db.records()
+        assert parsed_ids == [0, 1, 0, 1]  # the version-1 snapshot was not used
+        assert snapshot.read_bytes() == data
+        assert ExperienceDatabase(path).records() == db.records()
+        assert parsed_ids == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("fault", [
+        "empty", "a_short_header", "a_count_past_the_buffer", "one_record_short", "decreasing_ends",
+        "ends_past_their_blob", "an_objective_code_past_the_objectives", "surplus_bytes",
+    ])
+    def test_a_body_it_did_not_write_is_not_used(self, tmp_path, caplog, parsed_ids, fault):
+        path = tmp_path / "exp.jsonl"
+        _two_record_store(path)
+        parsed = ExperienceDatabase(path).records()
+        snapshot = retrieval._snapshot_path(path)
+        log = path.read_bytes()
+        prefix = Prefix(len(log), log.count(b"\n"), len(parsed), hashlib.sha256(log))
+        body = _crafted_body(retrieval._snapshot_records(parsed), fault)
+        write_snapshot(snapshot, path, lambda: body, prefix)
+        with caplog.at_level(logging.DEBUG, logger="rebel.log"):
+            assert ExperienceDatabase(path).records() == parsed
+        assert [(r.levelno, r.getMessage().split(": ")[:2]) for r in caplog.records] == [
+            (logging.DEBUG, [str(snapshot), "not used, the whole log is parsed"])
+        ]
+        assert parsed_ids == [0, 1, 0, 1]
+
+
+def _crafted_body(body: bytes, fault: str) -> bytes:
+    """Snapshot body `body` of two records, with `fault` done to it."""
+    header = retrieval._BODY_HEADER
+    count, blob_size, text_size = header.unpack_from(body)
+    text_ends = header.size + 42 * count  # past the ids, codes, fallbacks, performances and embedding ends
+    if fault == "empty":
+        return b""
+    if fault == "a_short_header":
+        return body[: header.size - 1]
+    if fault == "a_count_past_the_buffer":
+        return header.pack(2**64 - 1, blob_size, text_size) + body[header.size :]
+    if fault == "one_record_short":
+        return header.pack(count - 1, blob_size, text_size) + body[header.size :]
+    if fault == "decreasing_ends":  # the second and third of the four text ends swapped
+        second, third = text_ends + 8, text_ends + 16
+        return body[:second] + body[third : third + 8] + body[second:third] + body[third + 8 :]
+    if fault == "ends_past_their_blob":  # the last embedding end
+        return body[: text_ends - 8] + struct.pack("<q", blob_size + 1) + body[text_ends:]
+    if fault == "an_objective_code_past_the_objectives":  # the first record's
+        codes = header.size + 8 * count
+        return body[:codes] + bytes([len(Objective)]) + body[codes + 1 :]
+    return body + b"\n"
+
 
 # built once, not on every draw, since hypothesis checks each new strategy;
 # the texts are any Unicode, with a lone surrogate in about half their characters
@@ -2478,6 +2537,15 @@ def _snapshot_cases(draw):
     )
 
 
+def _record_fields(r: ExperienceRecord) -> tuple:
+    """`r`'s fields, with their types where a value of another type could
+    compare equal, and its performance as float bits."""
+    return (
+        r.id, type(r.id), r.objective, r.scenario_text, r.plan_text, r.embedding, type(r.embedding),
+        struct.pack("<3d", *r.performance.values()), r.fallback, type(r.fallback),
+    )
+
+
 def _load_state(path: Path):
     """What a load of `path` gives (its records field by field, float bits
     included, and the store's dim, dedup keys, next id and repair), or its
@@ -2493,12 +2561,7 @@ def _load_state(path: Path):
             db = ExperienceDatabase(path)
         state = (
             db.records(),
-            [
-                (r.id, type(r.id), r.objective, r.scenario_text, r.plan_text, r.embedding,
-                 struct.pack("<3d", r.performance.accuracy_points, r.performance.mission_seconds,
-                             r.performance.human_utilization), r.fallback, type(r.fallback))
-                for r in db.records()
-            ],
+            [_record_fields(r) for r in db.records()],
             db.dim, db._dedup, db._next_id, db._log._repair,
         )
     except CorruptLogError as exc:
@@ -2550,6 +2613,43 @@ class TestSnapshotEqualsAFullParse:
         assert loaded == parsed
         assert again == parsed
         assert parsed[1] == ""
+
+
+def _float_bits(top: int):
+    """Floats drawn as 64-bit patterns from 0 (+0.0) to `top`, and -0.0;
+    subnormals are the patterns below 2**52."""
+    patterns = st.integers(0, top) | st.integers(0, 2**52 - 1) | st.just(1 << 63)
+    return patterns.map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+# built once, as above
+_BODY_RECORDS = st.lists(
+    st.builds(
+        ExperienceRecord,
+        id=st.sampled_from([0, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1),
+        objective=st.sampled_from(Objective),
+        scenario_text=_ANY_TEXT,
+        plan_text=_ANY_TEXT,
+        performance=st.builds(
+            PerformanceRecord,
+            _float_bits(0x7FEF_FFFF_FFFF_FFFF),  # the largest finite float
+            _float_bits(0x7FEF_FFFF_FFFF_FFFF),
+            _float_bits(0x3FF0_0000_0000_0000),  # 1.0
+        ),
+        embedding=st.binary(max_size=9),
+        fallback=st.booleans(),
+    ),
+    max_size=5,
+)
+
+
+class TestSnapshotBody:
+    @settings(max_examples=100, deadline=None)
+    @given(_BODY_RECORDS)
+    @example([])
+    def test_a_body_restores_its_records_field_by_field(self, records):
+        restored = retrieval._restored_records(memoryview(retrieval._snapshot_records(records)))
+        assert [_record_fields(r) for r in restored] == [_record_fields(r) for r in records]
 
 
 # computed with the generator-expression sums and per-token sha256 calls that
