@@ -212,7 +212,8 @@ def _members(line: str, header: str, entry: re.Pattern[str], build) -> tuple:
 
 @dataclass(frozen=True)
 class MissionScenario:
-    """Team composition plus the task list, with the arena bound they live in.
+    """Team composition plus the task list, with the arena bound they live
+    in: a side above 0, where an infinite one leaves the arena unbounded.
 
     The three section texts of `sections`, behind `render_spf` and
     `serialize`, are rendered on first use and kept on the instance; a copy
@@ -225,6 +226,8 @@ class MissionScenario:
     arena_side: float = ARENA_SIDE_DEFAULT
 
     def __post_init__(self) -> None:
+        if not self.arena_side > 0:  # NaN too, which would not round-trip
+            raise ValueError(f"arena side must be > 0, got {self.arena_side}")
         # canonical member order: natural id sort, so logically equal teams
         # compare equal and render identically regardless of input order
         for name in ("humans", "robots", "tasks"):
@@ -278,8 +281,10 @@ class MissionScenario:
         return f"Arena Side: {fmt_num(self.arena_side)}\n" + self.render_spf()
 
     @classmethod
-    def parse(cls, text: str) -> "MissionScenario":
-        arena = ARENA_SIDE_DEFAULT
+    def parse(cls, text: str, arena_side: float = ARENA_SIDE_DEFAULT) -> "MissionScenario":
+        """The scenario `serialize` rendered as `text`; `arena_side` when the
+        text has no `Arena Side:` line."""
+        arena = arena_side
         human_line = robot_line = task_line = ""
         for line in text.splitlines():
             stripped = line.strip()

@@ -286,7 +286,8 @@ class StubProvider:
         if GOAL_REFINE_RULES in goal:
             return extract_section(prompt, SECTION_RULES)
         if GOAL_PERFORM_ITA in goal:
-            scenario = MissionScenario.parse(extract_section(prompt, SECTION_SCENARIO))
+            # the prompt's scenario (`render_spf`) carries no arena, so none bounds it
+            scenario = MissionScenario.parse(extract_section(prompt, SECTION_SCENARIO), math.inf)
             prefs = parse_objectives_text(extract_section(prompt, SECTION_OBJECTIVES))
             return heuristic_allocate(scenario, prefs, self.sim_cfg).render()
         raise Unavailable("stub provider does not understand this prompt")

@@ -14,7 +14,7 @@ import stat
 import struct
 import tempfile
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -175,7 +175,9 @@ _SNAPSHOT_MAGIC = b"rebel experience snapshot 2\n"
 _SNAPSHOT_PREFIX = struct.Struct("<QQ32s")
 
 
-def read_snapshot(path: Path, log: Path, restore: Callable[[memoryview], tuple]) -> tuple[tuple, Prefix]:
+def read_snapshot(
+    path: Path, log: Path, restore: Callable[[memoryview], Sequence]
+) -> tuple[Sequence, Prefix]:
     """The records `restore` makes of the body of snapshot `path`, handed
     over as a view of the snapshot's bytes, and the prefix of `log` they
     cover; or no records and the empty prefix when the snapshot is missing,

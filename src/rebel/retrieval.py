@@ -22,10 +22,10 @@ import re
 import struct
 import threading
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Protocol, Sequence
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     PerformanceRecord,
     PreferenceVector,
     aggregate_scores,
+    check_performance_columns,
     echo,
     performance_columns,
 )
@@ -340,15 +341,14 @@ def _pack_sections(record_id: int, sections: Sequence[Sequence[float]], dim: int
     return b"".join((_DIM_HEADER.pack(len(humans)), np.packbits(nonzero), values))
 
 
-def _dense_rows(records: Sequence["ExperienceRecord"], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, nonzero): row i holds the 3·dim float64 elements that record
-    i's encoding (`_pack_sections`, at `dim`) holds, bit for bit, and
+def _dense_rows(codes: Sequence[bytes], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, nonzero): row i holds the 3·dim float64 elements that the
+    encoding `codes[i]` (`_pack_sections`, at `dim`) holds, bit for bit, and
     `nonzero` the ascending flat positions in `rows` of the nonzero ones.
     All the bitmaps are unpacked at once, and all the values land in one
     indexed assignment."""
     start = _DIM_HEADER.size
     stop = start + (3 * dim + 7) // 8
-    codes = [rec.embedding for rec in records]
     bitmaps = np.frombuffer(b"".join([code[start:stop] for code in codes]), np.uint8)
     bits = np.unpackbits(bitmaps.reshape(len(codes), stop - start), axis=1, count=3 * dim)
     nonzero = bits.view(bool).reshape(-1).nonzero()[0]
@@ -402,7 +402,7 @@ class ExperienceRecord:
 
     def _section(self, index: int) -> tuple[float, ...]:
         dim = self.dim
-        rows, _ = _dense_rows([self], dim)
+        rows, _ = _dense_rows([self.embedding], dim)
         return tuple(rows[0, dim * index : dim * (index + 1)].tolist())
 
     @functools.cached_property
@@ -471,16 +471,15 @@ def retrieve_experiences(
     return [top_k[i] for i in order[:m]]
 
 
-def _top_rows(
-    records: Sequence[ExperienceRecord], sections: np.ndarray, query: np.ndarray, k: int
-) -> list[int]:
+def _top_rows(records: "_Records", sections: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     """The k rows of `sections` (`_section_matrix` of `records`) most similar
     to `query` (the three unit query sections end to end, float64), best
     first, ties broken toward the lower row; 1 <= k <= row count.
 
     A row's exact score adds its human, robot and task cosines (`cosines`
-    of the float64 sections decoded from the record's embeddings) in that
-    order from zero, so identical rows tie exactly.
+    of the float64 sections decoded from the record's encoded embeddings,
+    which builds no record) in that order from zero, so identical rows tie
+    exactly.
 
     One float32 `einsum` screens the rows first, and only the rows within a
     margin of the k-th largest screened score are scored exactly. A sparse
@@ -515,7 +514,7 @@ def _top_rows(
     cut = np.partition(screen, len(screen) - k)[len(screen) - k]
     # compared in float64, so the margin is not rounded to float32
     rows = np.flatnonzero(screen >= np.float64(cut) - (3 * dim + 2) * 2.0**-21)
-    block, _ = _dense_rows([records[row] for row in rows.tolist()], dim)
+    block, _ = _dense_rows(records.encodings(rows.tolist()), dim)
     # the exact score alone decides the order; the screen only picks rows
     scores = _row_sums(cosines(block.reshape(len(rows), 3, dim), query.reshape(3, dim)))
     # rows are in id order, so a stable sort ranks by (-similarity, id)
@@ -539,10 +538,11 @@ _BLOCK_ROWS = 32
 _MATRIX_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
 
 
-def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray:
+def _section_matrix(records: "_Records", dim: int) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings (at `dim`), each
     divided by its norm (`_section_norms`), as float32, built `_BLOCK_ROWS`
-    rows at a time, so no float64 copy of the whole store is made.
+    rows at a time from the records' encodings, so no float64 copy of the
+    whole store is made and no record is built.
 
     The matrix is column-major: element (row, column) sits at
     column·N + row, for N records. `_top_rows` screens a sparse query on
@@ -561,30 +561,30 @@ def _section_matrix(records: Sequence[ExperienceRecord], dim: int) -> np.ndarray
     matrix = np.frombuffer(pages, np.float32, count * width)
     columns = matrix.reshape(width, count)
     for start in range(0, count, _BLOCK_ROWS):
-        block = records[start : start + _BLOCK_ROWS]
-        rows, nonzero = _dense_rows(block, dim)
-        norms = _section_norms(block, rows, dim)
+        stop = min(start + _BLOCK_ROWS, count)
+        rows, nonzero = _dense_rows(records.encodings(range(start, stop)), dim)
+        norms = _section_norms(records, start, rows, dim)
         if _is_sparse(len(nonzero), rows.size):
             row, column = np.divmod(nonzero, width)
             values = rows.reshape(-1)[nonzero] / norms.reshape(-1)[nonzero // dim]
             matrix[column * count + start + row] = values
         else:
-            unit = rows.reshape(len(block), 3, dim) / norms[:, :, None]
-            columns[:, start : start + len(block)] = unit.reshape(len(block), width).T
+            unit = rows.reshape(stop - start, 3, dim) / norms[:, :, None]
+            columns[:, start:stop] = unit.reshape(stop - start, width).T
     return columns.T
 
 
-def _section_norms(records: Sequence[ExperienceRecord], rows: np.ndarray, dim: int) -> np.ndarray:
-    """The (record, section) norms of `_dense_rows` of `records`, or
-    `ValueError` naming the first record with a section of zero norm. They
-    are taken over the dense rows: einsum's order of summation follows the
-    element positions, so a sum over the nonzero squares alone could round
-    otherwise."""
-    sections = rows.reshape(len(records), 3, dim)
+def _section_norms(records: "_Records", start: int, rows: np.ndarray, dim: int) -> np.ndarray:
+    """The (record, section) norms of `rows`, the `_dense_rows` of the
+    records from `start` on, or `ValueError` naming the first record with a
+    section of zero norm. They are taken over the dense rows: einsum's order
+    of summation follows the element positions, so a sum over the nonzero
+    squares alone could round otherwise."""
+    sections = rows.reshape(len(rows), 3, dim)
     norms = np.sqrt(np.einsum("ijk,ijk->ij", sections, sections))
     if not norms.all():
-        record = records[np.flatnonzero(norms == 0)[0] // 3]
-        raise ValueError(f"experience record {record.id}: zero vectors carry no direction")
+        record_id = records.ids()[start + np.flatnonzero(norms == 0)[0] // 3]
+        raise ValueError(f"experience record {record_id}: zero vectors carry no direction")
     return norms
 
 
@@ -595,10 +595,11 @@ _RANKINGS_KEPT = 64
 
 
 class _Store:
-    """A store's append-only log and its live entries: one tuple in id order
-    that each write replaces whole under `_lock`, so threads may share the
-    store and a reader takes no lock. Retrieval answers for one state of the
-    store are kept in one slot (`_answer`)."""
+    """A store's append-only log and its live entries: one read-only
+    sequence in id order (a tuple of rules, or an experience store's
+    `_Records`) that each write replaces whole under `_lock`, so threads may
+    share the store and a reader takes no lock. Retrieval answers for one
+    state of the store are kept in one slot (`_answer`)."""
 
     def __init__(self, path: str | Path | None):
         self._log = AppendLog(path)
@@ -827,22 +828,25 @@ def _snapshot_records(records: Sequence[ExperienceRecord]) -> bytes:
     ])
 
 
-def _cut(blob, ends: np.ndarray, size: int, name: str) -> list:
-    """`blob` cut at `ends`, or `ValueError` unless it is `size` long and
-    `ends` rise from 0 to `size`."""
-    stops = ends.tolist()
-    if (np.diff(ends, prepend=0) < 0).any() or len(blob) != size or (stops[-1] if stops else 0) != size:
-        raise ValueError(f"the {name} ends do not cut a blob of {len(blob)} into the header's {size}")
-    return [blob[start:stop] for start, stop in zip([0, *stops], stops)]
+def _bounds(ends: np.ndarray, size: int, length: int, name: str) -> list[int]:
+    """0 and then `ends`, where a blob of `length` is cut, or `ValueError`
+    unless `length` is `size` and `ends` rise from 0 to `size`."""
+    bounds = [0, *ends.tolist()]
+    if (np.diff(ends, prepend=0) < 0).any() or length != size or bounds[-1] != size:
+        raise ValueError(f"the {name} ends do not cut a blob of {length} into the header's {size}")
+    return bounds
 
 
-def _restored_records(body: memoryview) -> tuple[ExperienceRecord, ...]:
-    """The records `_snapshot_records` wrote `body` from, field for field:
-    each column read from `body` by one `np.frombuffer`, and the text blob
-    decoded once and cut at its character ends. `ValueError` for a body it
-    did not write: one shorter than its header, or than the columns and the
-    embedding blob the header sizes; ends that do not cut their blob; an
-    objective code past the objectives; or text left over."""
+def _restored_records(body: memoryview) -> "_Records":
+    """The records `_snapshot_records` wrote `body` from, field for field,
+    as a `_Records` over its columns, which builds no record until one is
+    read. Each column is read from `body` by one `np.frombuffer` and the text
+    blob decoded once. `ValueError` for a body it did not write: one shorter
+    than its header, or than the columns and the embedding blob the header
+    sizes; ends that do not cut their blob; an objective code past the
+    objectives; a performance triple `PerformanceRecord` would refuse
+    (`check_performance_columns`); or text left over. So a body that loads
+    fails no later read."""
     try:
         count, blob_size, text_size = _BODY_HEADER.unpack_from(body)
     except struct.error as exc:  # which is not a ValueError
@@ -859,57 +863,179 @@ def _restored_records(body: memoryview) -> tuple[ExperienceRecord, ...]:
     ids, codes, fallbacks, performances, code_ends, text_ends = columns
     if count and codes.max() >= len(_OBJECTIVES):
         raise ValueError(f"objective code {codes.max()} is not an objective's")
-    # decoded from a copy of its bytes, freed before the texts are cut, so the
-    # texts can take the copy's place instead of landing above the decoded
-    # blob: decoding the view raised `infer_large`'s peak RSS by 1.1 MB
-    texts = _cut(bytes(body[stop:]).decode("utf-8", "surrogatepass"), text_ends, text_size, "text")
-    return tuple(
-        map(
-            ExperienceRecord,
-            ids.tolist(),
-            [_OBJECTIVES[code] for code in codes.tolist()],
-            texts[:count],
-            texts[count:],
-            [PerformanceRecord(*triple) for triple in performances.reshape(count, 3).tolist()],
-            _cut(body[offset:stop].tobytes(), code_ends, blob_size, "embedding"),
-            fallbacks.tolist(),
+    performances = performances.reshape(count, 3)
+    check_performance_columns(performances.T)
+    text = str(body[stop:], "utf-8", "surrogatepass")
+    return _Records(
+        _Columns(
+            ids.tolist(), codes.tolist(), fallbacks.tolist(), performances.copy(),
+            body[offset:stop].tobytes(), _bounds(code_ends, blob_size, stop - offset, "embedding"),
+            text, _bounds(text_ends, text_size, len(text), "text"),
         )
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """The columns of a snapshot body that `_restored_records` checked, and
+    the records built from them so far, by row. Row i's embedding is
+    `blob[blob_bounds[i]:blob_bounds[i + 1]]`, and its scenario and plan
+    texts are the i-th and (N + i)-th cuts of `text` at `text_bounds`, for
+    N rows."""
+
+    ids: list[int]
+    codes: list[int]
+    fallbacks: list[bool]
+    performances: np.ndarray  # (N, 3) float64
+    blob: bytes
+    blob_bounds: list[int]
+    text: str
+    text_bounds: list[int]
+    built: dict[int, ExperienceRecord] = field(default_factory=dict)
+
+    def record(self, row: int) -> ExperienceRecord:
+        """Row `row`'s record, built on its first read with the constructors
+        a load uses and kept. Readers take no lock: two racing on one row
+        build it twice, and `dict.setdefault` hands both the first kept."""
+        record = self.built.get(row)
+        if record is None:
+            texts, count = self.text_bounds, len(self.ids)
+            record = self.built.setdefault(row, ExperienceRecord(
+                self.ids[row],
+                _OBJECTIVES[self.codes[row]],
+                self.text[texts[row] : texts[row + 1]],
+                self.text[texts[count + row] : texts[count + row + 1]],
+                PerformanceRecord(*self.performances[row].tolist()),
+                self.encoding(row),
+                self.fallbacks[row],
+            ))
+        return record
+
+    def encoding(self, row: int) -> bytes:
+        return self.blob[self.blob_bounds[row] : self.blob_bounds[row + 1]]
+
+    def keys(self) -> set[tuple[Objective, str, str]]:
+        """Every row's (objective, scenario text, plan text), from the columns."""
+        bounds, count = self.text_bounds, len(self.ids)
+        texts = [self.text[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        return set(zip(map(_OBJECTIVES.__getitem__, self.codes), texts[:count], texts[count:]))
+
+
+_NO_COLUMNS = _Columns([], [], [], np.empty((0, 3)), b"", [0], "", [0])
+
+
+class _Records(Sequence):
+    """An experience store's records in id order, as one read-only sequence:
+    the rows of a restored snapshot body's `_Columns` first, each record
+    built on its first read, then `added`, the records built whole since
+    (parsed from the log after the snapshot, or stored). An index reads one
+    record; `ids` and `encodings` read ids and embeddings without building
+    a record, and `whole` builds every record once."""
+
+    def __init__(self, columns: _Columns = _NO_COLUMNS, added: tuple[ExperienceRecord, ...] = ()):
+        self._columns = columns
+        self._restored = len(columns.ids)
+        self._added = added
+        self._whole: list[tuple[ExperienceRecord, ...]] = []
+
+    def __len__(self) -> int:
+        return self._restored + len(self._added)
+
+    def __getitem__(self, index: int) -> ExperienceRecord:
+        row = range(len(self))[index]  # a list's negative indices and IndexError
+        return self._columns.record(row) if row < self._restored else self._added[row - self._restored]
+
+    def __iter__(self):
+        for row in range(self._restored):
+            yield self._columns.record(row)
+        yield from self._added
+
+    def encodings(self, rows: Iterable[int]) -> list[bytes]:
+        """The encoded embeddings (`_pack_sections`) of the records at
+        `rows`, each 0 <= row < len, in order: a restored one cut from the
+        columns' blob, so none is built."""
+        blob, bounds = self._columns.blob, self._columns.blob_bounds
+        restored, added = self._restored, self._added
+        return [
+            blob[bounds[row] : bounds[row + 1]] if row < restored else added[row - restored].embedding
+            for row in rows
+        ]
+
+    @property
+    def dim(self) -> int | None:
+        """The first record's section length, read from its encoding's
+        header; None while there is none."""
+        return _DIM_HEADER.unpack_from(self.encodings([0])[0])[0] if len(self) else None
+
+    def ids(self) -> list[int]:
+        return [*self._columns.ids, *(r.id for r in self._added)]
+
+    def whole(self) -> tuple[ExperienceRecord, ...]:
+        """Every record as one tuple, built on the first call and kept;
+        callers racing that call all get the one kept first."""
+        if not self._whole:
+            self._whole.append(tuple(self))
+        return self._whole[0]
+
+    def plus(self, record: ExperienceRecord) -> "_Records":
+        """These records and then `record`, whose id follows theirs."""
+        return _Records(self._columns, self._added + (record,))
+
+    def extended(self, records: Sequence[ExperienceRecord]) -> "_Records":
+        """These records and `records` in id order. The columns' records
+        stay unbuilt when the ids, with the new ones sorted after them, do
+        not decrease, as in a log that a store wrote; otherwise every record
+        is built and sorted."""
+        added = tuple(sorted(records, key=operator.attrgetter("id")))
+        ids = self.ids() + [r.id for r in added]
+        if all(map(operator.le, ids, ids[1:])):
+            return _Records(self._columns, self._added + added)
+        return _Records(added=tuple(sorted([*self, *added], key=operator.attrgetter("id"))))
+
+    def keys(self) -> set[tuple[Objective, str, str]]:
+        """The (objective, scenario text, plan text) dedup key of every
+        record whose scenario and plan are text, read from the columns
+        without building their records."""
+        keys = self._columns.keys()
+        # a record whose scenario or plan is not text fails on first read and matches no mission
+        keys.update(
+            (r.objective, r.scenario_text, r.plan_text)
+            for r in self._added
+            if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
+        )
+        return keys
+
+
 class ExperienceDatabase(_Store):
     """Append-only store of (scenario, plan, performance) mission records, kept
-    in id order (`_Store`) with a set of (objective, scenario text, plan text)
-    dedup keys. Every record's sections are embedded at one dimension, `dim`,
-    which each record's encoding (`_pack_sections`), the only float64 copy of
-    the embeddings, holds. Retrieval keeps, per state and embedder, a float32
-    matrix of the records' unit section rows (`_section_matrix`) and the
-    nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`).
+    in id order (`_Store`, as one `_Records`) with a set of (objective,
+    scenario text, plan text) dedup keys, built on the first `contains` or
+    `store`. Every record's sections are embedded at one dimension, `dim`,
+    which each record's encoding (`_pack_sections`), the only float64 copy
+    of the embeddings, holds. Retrieval keeps, per state and embedder, a
+    float32 matrix of the records' unit section rows (`_section_matrix`) and
+    the nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`).
 
     A load restores the records of the log prefix that the log's snapshot
-    covers (`read_snapshot`) and parses only the lines after it, at the
-    restored records' dim; one that parsed whole lines the snapshot did not
-    cover writes a new one (`write_snapshot`). A record id the log already
-    holds is a `CorruptLogError` naming the line."""
+    covers (`read_snapshot`) as unbuilt columns and parses only the lines
+    after it, at the restored records' dim; one that parsed whole lines the
+    snapshot did not cover writes a new one (`write_snapshot`). A record id
+    the log already holds is a `CorruptLogError` naming the line. Only
+    `records()` and a snapshot rewrite build every record; a query builds
+    the ones it returns."""
 
     def __init__(self, path: str | Path | None = None):
         super().__init__(path)
-        if self.path is not None:  # a store with no log reads and hashes nothing
-            self._entries = self._load()
-        # a record whose scenario or plan is not text fails on first read and matches no mission
-        self._dedup = {
-            (r.objective, r.scenario_text, r.plan_text)
-            for r in self._entries
-            if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
-        }
-        self._next_id = self._entries[-1].id + 1 if self._entries else 0
+        # a store with no log reads and hashes nothing
+        self._entries: _Records = self._load() if self.path is not None else _Records()
+        self._dedup_keys: set[tuple[Objective, str, str]] | None = None
+        self._next_id = self._entries.ids()[-1] + 1 if self._entries else 0
 
-    def _load(self) -> tuple[ExperienceRecord, ...]:
+    def _load(self) -> _Records:
         """The log's records in id order."""
         restored, prefix = read_snapshot(_snapshot_path(self.path), self.path, _restored_records)
-        covered = prefix.size
-        dim = restored[0].dim if restored else None
-        ids = {r.id for r in restored}
+        restored = restored or _Records()
+        covered, dim, ids = prefix.size, restored.dim, set(restored.ids())
 
         def admit(payload: dict) -> ExperienceRecord:
             nonlocal dim
@@ -922,19 +1048,28 @@ class ExperienceDatabase(_Store):
 
         tail = list(self._log.read_all(admit, prefix))
         if prefix.size > covered:  # whole lines were parsed; an unterminated last one is not covered
-            snapshotted = restored + tuple(tail[: prefix.items - len(restored)])
+            snapshotted = [*restored, *tail[: prefix.items - len(restored)]]
             ordered = sorted(snapshotted, key=operator.attrgetter("id"))
             write_snapshot(_snapshot_path(self.path), self.path, lambda: _snapshot_records(ordered), prefix)
-        return tuple(sorted(restored + tuple(tail), key=operator.attrgetter("id")))
+        return restored.extended(tail)
 
     @property
     def dim(self) -> int | None:
         """Every record's section length (the first one's); None while empty."""
-        records = self._entries
-        return records[0].dim if records else None
+        return self._entries.dim
+
+    @property
+    def _dedup(self) -> set[tuple[Objective, str, str]]:
+        """The records' dedup keys (`_Records.keys`), built under the lock on
+        first use; `store` adds to this one set."""
+        if self._dedup_keys is None:
+            with self._lock:
+                if self._dedup_keys is None:
+                    self._dedup_keys = self._entries.keys()
+        return self._dedup_keys
 
     def records(self) -> tuple[ExperienceRecord, ...]:
-        return self._entries
+        return self._entries.whole()
 
     def contains(self, objective: Objective, scenario: MissionScenario, plan: ItaPlan) -> bool:
         return (objective, scenario.serialize(), plan.render()) in self._dedup
@@ -945,13 +1080,14 @@ class ExperienceDatabase(_Store):
         the section texts and min(k, N), with the section matrix as basis.
         A miss checks the query's dimension before it builds the matrix, and
         raises what embedding and scoring raise, a stored section of zero
-        norm as a `CorruptLogError` naming the store and the record."""
+        norm as a `CorruptLogError` naming the store and the record. Only
+        the records returned are built."""
         records = self._entries
         k = min(k, len(records))
 
         def score(sections):
             queries = _section_queries(scenario, embedder)
-            dim = records[0].dim
+            dim = records.dim
             if queries.shape[1] != dim:
                 raise ValueError(f"embedding dimension mismatch: {queries.shape[1]} vs {dim}")
             if sections is None:
@@ -975,6 +1111,7 @@ class ExperienceDatabase(_Store):
     ) -> ExperienceRecord:
         """The next record, built from its log line as a load builds it; a refused one uses no id."""
         humans, robots, tasks = embeddings
+        dedup = self._dedup  # built before the lock is taken, under it
         with self._lock:
             payload = {
                 "kind": "experience",
@@ -995,6 +1132,6 @@ class ExperienceDatabase(_Store):
             vars(record)["plan"] = plan
             self._next_id += 1
             self._log.append(line)
-            self._entries += (record,)
-            self._dedup.add((record.objective, record.scenario_text, record.plan_text))
+            self._entries = self._entries.plus(record)
+            dedup.add((record.objective, record.scenario_text, record.plan_text))
             return record

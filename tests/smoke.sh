@@ -55,7 +55,9 @@
 # snapshot byte, a snapshot of the previous version (which must then be
 # rewritten at the current one), and a record appended by `rebel gen-exp`,
 # must each leave `rebel infer` printing what it prints with the snapshot
-# deleted, with nothing on stderr; and a transcript whose last exchange was torn mid-append
+# deleted, with nothing on stderr; `rebel infer` with the stub on a scenario
+# whose arena is wider than the default 2000 must exit 0 with an assignment
+# for every task and no traceback; and a transcript whose last exchange was torn mid-append
 # must hold only whole JSON lines after the next `rebel gen-rules --transcript`,
 # with no traceback
 set -eo pipefail
@@ -103,6 +105,12 @@ snap_infer snap-appended
 rm "$d/snap.jsonl.snapshot"
 snap_infer snap-deleted
 cmp "$d/snap-appended.txt" "$d/snap-deleted.txt"
+printf 'Arena Side: 5000\nHuman Attributes: {H_0: [Hi, Med]}\nRobot Details: {UAV_0: [12, Hi], UGV_0: [5, Lo]}\nTask Info: {T_0: [(3000, 100), Lo], T_1: [(4800, 4900), Hi]}\n' > "$d/wide.txt"
+status=0
+rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/wide.txt" --prefs MT > "$d/wide-infer.txt" 2> "$d/wide-infer.err" || status=$?
+cat "$d/wide-infer.txt" "$d/wide-infer.err"
+if [ "$status" -ne 0 ] || grep -q Traceback "$d/wide-infer.err"; then echo "a wide arena must be planned, not refused"; exit 1; fi
+for task in T_0 T_1; do grep -q "^$task: (" "$d/wide-infer.txt" || { echo "a wide arena's $task must be assigned"; exit 1; }; done
 cp "$d/exp.jsonl" "$d/bad-shape.jsonl"
 echo '{"kind": "experience"}' >> "$d/bad-shape.jsonl"
 if rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/bad-shape.jsonl" --scenario "$d/scenario.txt" --prefs MT 2> "$d/bad-shape.err"; then echo "a wrong-shape store line must fail"; exit 1; fi

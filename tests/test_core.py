@@ -284,6 +284,25 @@ class TestScenarioSerialization:
         parsed = MissionScenario.parse("Human Attributes: {}\nRobot Details: {}\nTask Info: { }")
         assert parsed.humans == parsed.robots == parsed.tasks == ()
 
+    @pytest.mark.parametrize("side", [math.nan, 0.0, -5.0])
+    def test_an_arena_side_that_is_not_above_zero_is_refused(self, side):
+        with pytest.raises(ValueError, match=r"^arena side must be > 0, got"):
+            make_scenario(tasks=(), arena_side=side)
+        with pytest.raises(ValueError, match=r"^arena side must be > 0, got"):
+            MissionScenario.parse(f"Arena Side: {side}\nHuman Attributes: {{}}\nRobot Details: {{}}\nTask Info: {{}}")
+
+    def test_an_infinite_arena_is_unbounded_and_round_trips(self):
+        scenario = make_scenario(tasks=(("T_0", (1e300, 0.0), Tier.LOW),), arena_side=math.inf)
+        assert scenario.serialize().startswith("Arena Side: inf\n")
+        assert MissionScenario.parse(scenario.serialize()) == scenario
+
+    def test_a_text_with_no_arena_line_takes_the_side_given(self, scenario):
+        wide = make_scenario(tasks=(("T_0", (3000.0, 100.0), Tier.LOW),), arena_side=math.inf)
+        assert MissionScenario.parse(wide.render_spf(), math.inf) == wide
+        with pytest.raises(ValueError, match=r"^task T_0 outside \[0, 2000.0\]\^2$"):
+            MissionScenario.parse(wide.render_spf())
+        assert MissionScenario.parse(scenario.serialize(), math.inf) == scenario  # the line wins
+
 
 class TestScenarioTextCache:
     HUMANS = "Human Attributes: {H_0: [Med, Med], H_1: [Hi, Lo]}"

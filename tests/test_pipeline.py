@@ -276,6 +276,17 @@ class TestInfer:
         assert result.rules == () and result.exemplars == ()
         assert not result.used_fallback  # stub answered; no fallback needed
 
+    def test_the_stub_plans_an_arena_wider_than_the_default(self):
+        # the prompt's scenario carries no arena line, so the stub must not
+        # read it at the default side of 2000
+        scenario = make_scenario(tasks=(("T_0", (3000.0, 100.0), Tier.LOW),), arena_side=5000.0)
+        rules_db, exp_db = populated_dbs()
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        result = infer(scenario, prefs, rules_db, exp_db, StubProvider(), retrieval_cfg())
+        assert not result.used_fallback
+        assert result.plan == heuristic_allocate(scenario, prefs)
+        assert validate_plan(result.plan, scenario).ok
+
     def test_copy_through_returns_stored_plan(self, scenario):
         # store the query scenario itself with a distinctive plan and a
         # dominant performance record so it survives the re-rank

@@ -946,11 +946,11 @@ class TestScreenedRetrieval:
         embedder = _query_embedder(scenario, raw_query.tolist())
         queries = embed_scenario_sections(scenario, embedder)
         records = db.records()
-        sections = retrieval._section_matrix(records, db.dim)
+        sections = retrieval._section_matrix(db._entries, db.dim)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for k in range(1, len(db) + 1):
             want = ref_top_k(queries, records, k)
-            assert retrieval._top_rows(records, sections, np.array(queries).ravel(), k) == want
+            assert retrieval._top_rows(db._entries, sections, np.array(queries).ravel(), k) == want
             got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
             assert _ids(got) == sorted(want)
 
@@ -1004,7 +1004,7 @@ class TestScreenedRetrieval:
         rows[30] = np.concatenate([e1 + past * e0, e1, e1])
         db, scenario = _vector_store(rows)
         query = np.concatenate([e0] * 3)
-        screen = np.einsum("ij,j->i", retrieval._section_matrix(db.records(), dim), query.astype(np.float32))
+        screen = np.einsum("ij,j->i", retrieval._section_matrix(db._entries, dim), query.astype(np.float32))
         assert (screen[5], screen[20], screen[30]) == (0.0, -margin, past)
         embedder = _query_embedder(scenario, query.tolist())
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
@@ -1029,11 +1029,11 @@ class TestScreenedRetrieval:
             sims = ref_similarities(queries, db.records())
             assert sims[1] == sims[2] and sims[1] > max(sims[0], sims[3])
             assert ref_dense_score(queries[0], a) != ref_dense_score(queries[0], b)
-            sections = retrieval._section_matrix(db.records(), dim)
+            sections = retrieval._section_matrix(db._entries, dim)
             for k in (1, 2):
                 got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
                 assert _ids(got) == [1, 2][:k]
-                assert retrieval._top_rows(db.records(), sections, np.ravel(queries), k) == [1, 2][:k]
+                assert retrieval._top_rows(db._entries, sections, np.ravel(queries), k) == [1, 2][:k]
 
 
 class TestRetrievalGolden:
@@ -1523,7 +1523,7 @@ class TestPackedEmbeddings:
         db = ExperienceDatabase()
         for sections in rows:
             _stored(db, sections)
-        records = db.records()
+        records = db._entries
         vectors = np.array([vec for row in rows for vec in row])
         zero = np.flatnonzero(np.einsum("ij,ij->i", vectors, vectors) == 0)
         if len(zero):
@@ -1556,9 +1556,8 @@ class TestPackedEmbeddings:
             db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
         for store in (db, ExperienceDatabase(tmp_path / "exp.jsonl")):
-            records = store.records()
-            want = ref_section_matrix(records)
-            assert retrieval._section_matrix(records, dim).tobytes() == want.tobytes()
+            want = ref_section_matrix(store.records())
+            assert retrieval._section_matrix(store._entries, dim).tobytes() == want.tobytes()
             retrieve_experiences(scenario, prefs, store, k=1, m=1, embedder=HashedEmbedder(dim=dim))
             assert store._slot[2].tobytes() == want.tobytes()
 
@@ -1595,10 +1594,9 @@ class TestPackedEmbeddings:
         rows[:32, np.arange(3 * dim) % dim != 0] = 0.0  # one nonzero per section: written element by element
         rows[64:, np.arange(3 * dim) % 4 != 0] = 0.0  # a quarter nonzero: dense, written as a slab
         db, _ = _vector_store(rows)
-        records = db.records()
-        sections = retrieval._section_matrix(records, dim)
+        sections = retrieval._section_matrix(db._entries, dim)
         assert sections.flags.f_contiguous
-        assert sections.tobytes() == ref_section_matrix(records).tobytes()
+        assert sections.tobytes() == ref_section_matrix(db.records()).tobytes()
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_the_screen_makes_no_copy_of_the_whole_matrix(self, sparse):
@@ -1606,7 +1604,7 @@ class TestPackedEmbeddings:
         rng = np.random.default_rng(17)
         db, _ = _vector_store(rng.standard_normal((n, 3 * dim)))
         records = db.records()
-        sections = retrieval._section_matrix(records, dim)
+        sections = retrieval._section_matrix(db._entries, dim)
         raw = rng.standard_normal(3 * dim)
         if sparse:
             raw[np.arange(3 * dim) % dim != 0] = 0.0  # the gathered columns: 3 of 48
@@ -1614,7 +1612,7 @@ class TestPackedEmbeddings:
         gc.collect()
         tracemalloc.start()
         try:
-            got = retrieval._top_rows(records, sections, np.array(queries).ravel(), 3)
+            got = retrieval._top_rows(db._entries, sections, np.array(queries).ravel(), 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -2438,6 +2436,7 @@ class TestSnapshot:
     @pytest.mark.parametrize("fault", [
         "empty", "a_short_header", "a_count_past_the_buffer", "one_record_short", "decreasing_ends",
         "ends_past_their_blob", "an_objective_code_past_the_objectives", "surplus_bytes",
+        "a_nan_performance", "a_negative_mission_time", "a_utilization_past_one",
     ])
     def test_a_body_it_did_not_write_is_not_used(self, tmp_path, caplog, parsed_ids, fault):
         path = tmp_path / "exp.jsonl"
@@ -2477,6 +2476,14 @@ def _crafted_body(body: bytes, fault: str) -> bytes:
     if fault == "an_objective_code_past_the_objectives":  # the first record's
         codes = header.size + 8 * count
         return body[:codes] + bytes([len(Objective)]) + body[codes + 1 :]
+    # the first record's accuracy points, mission seconds or utilization,
+    # each a value `PerformanceRecord` refuses
+    performance = {"a_nan_performance": (0, math.nan), "a_negative_mission_time": (8, -1.0),
+                   "a_utilization_past_one": (16, 1.5)}
+    if fault in performance:
+        at, value = performance[fault]
+        at += header.size + 10 * count  # past the ids, codes and fallbacks
+        return body[:at] + struct.pack("<d", value) + body[at + 8 :]
     return body + b"\n"
 
 
@@ -2650,6 +2657,136 @@ class TestSnapshotBody:
     def test_a_body_restores_its_records_field_by_field(self, records):
         restored = retrieval._restored_records(memoryview(retrieval._snapshot_records(records)))
         assert [_record_fields(r) for r in restored] == [_record_fields(r) for r in records]
+
+
+@pytest.fixture
+def built_ids(monkeypatch):
+    """The id of each `ExperienceRecord` built while the test runs."""
+    ids = []
+    real = ExperienceRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        ids.append(args[0] if args else kwargs["id"])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExperienceRecord, "__init__", counting)
+    return ids
+
+
+def _forty_record_store(path: Path) -> tuple[ExperienceDatabase, list[MissionScenario]]:
+    """A store of 40 random 2/3/4 missions at dim 64, snapshotted by one load."""
+    db, embedder = ExperienceDatabase(path), HashedEmbedder(dim=64)
+    scenarios = [random_scenario(2, 3, 4, seed=seed) for seed in range(40)]
+    for index, scenario in enumerate(scenarios):
+        performance = PerformanceRecord(index % 7, 100 + index, (index % 5) / 5)
+        store_mission(db, list(Objective)[index % 3], scenario, performance, embedder)
+    ExperienceDatabase(path)
+    assert retrieval._snapshot_path(path).exists()
+    return db, scenarios
+
+
+def _full_parse(path: Path) -> list[tuple]:
+    """The records of a load of `path` with no snapshot, field by field."""
+    retrieval._snapshot_path(path).unlink(missing_ok=True)
+    return [_record_fields(r) for r in ExperienceDatabase(path).records()]
+
+
+class TestRecordsBuiltOnFirstRead:
+    """A load from a current snapshot builds no record: a query builds the
+    ones it returns, and the dedup keys come from the texts."""
+
+    def test_a_load_from_the_snapshot_builds_no_record(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        _forty_record_store(path)
+        built_ids.clear()
+        db = ExperienceDatabase(path)
+        assert (len(db), db.dim, db._next_id) == (40, 64, 40)
+        assert built_ids == []
+
+    def test_a_query_builds_at_most_k_records(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        _, scenarios = _forty_record_store(path)
+        db = ExperienceDatabase(path)
+        prefs, embedder = PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25), HashedEmbedder(dim=64)
+        built_ids.clear()
+        got = retrieve_experiences(scenarios[3], prefs, db, k=3, m=3, embedder=embedder)
+        assert len(built_ids) <= 3 and set(_ids(got)) <= set(built_ids)
+        assert 3 in _ids(got)  # the query's own mission is among the nearest
+        retrieve_experiences(scenarios[3], PreferenceVector.single(Objective.TASK_PERFORMANCE), db, 3, 3, embedder)
+        assert len(built_ids) <= 3  # the kept answer re-ranks records already built
+
+    def test_contains_builds_no_record(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        stored, _ = _forty_record_store(path)
+        first, last = stored.records()[0], stored.records()[-1]
+        db = ExperienceDatabase(path)
+        built_ids.clear()
+        assert db.contains(first.objective, first.scenario, first.plan)
+        assert db.contains(last.objective, last.scenario, last.plan)
+        other = next(o for o in Objective if o is not first.objective)
+        assert not db.contains(other, first.scenario, first.plan)
+        assert built_ids == []
+        assert db._dedup == stored._dedup
+
+    def test_the_entries_equal_a_full_parse_after_a_store(self, tmp_path):
+        path = tmp_path / "exp.jsonl"
+        _forty_record_store(path)
+        db = ExperienceDatabase(path)
+        store_mission(db, Objective.MISSION_TIME, random_scenario(1, 2, 2, seed=99), PerformanceRecord(1, 2, 0.5),
+                      HashedEmbedder(dim=64))
+        assert [_record_fields(r) for r in db._entries] == _full_parse(path)
+
+    def test_the_entries_equal_a_full_parse_after_a_torn_tail_load(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        _forty_record_store(path)
+        with open(path, "ab") as handle:
+            handle.write(b'{"kind": "experience", "id": 40, "emb_humans": [0.25, 0.')
+        built_ids.clear()
+        db = ExperienceDatabase(path)
+        assert built_ids == []  # the snapshot still covers every whole line
+        assert [_record_fields(r) for r in db._entries] == _full_parse(path)
+        assert len(db) == 40
+
+    def test_threads_racing_on_a_fresh_load_share_each_record_and_key(self, tmp_path):
+        # 7 readers build the records and the dedup keys while a writer
+        # stores, all let go at once, under a 1e-6 s switch interval
+        _, scenarios = _forty_record_store(tmp_path / "exp.jsonl")
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}  # the log and its snapshot
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(40):
+                directory = tmp_path / str(round_)
+                directory.mkdir()
+                for name, data in files.items():
+                    (directory / name).write_bytes(data)
+                db, start, seen = ExperienceDatabase(directory / "exp.jsonl"), threading.Barrier(8), []
+
+                scenario = random_scenario(1, 2, 2, seed=1000 + round_)
+                plan = heuristic_allocate(scenario, PreferenceVector.single(Objective.HUMAN_WORKLOAD))
+                sections = embed_scenario_sections(scenario, HashedEmbedder(dim=64))
+
+                def read():
+                    start.wait(timeout=60)
+                    db.contains(Objective.MISSION_TIME, scenarios[0], ItaPlan({}))
+                    seen.append([db._entries[row] for row in range(40)])
+
+                def write():
+                    start.wait(timeout=60)
+                    db.store(Objective.HUMAN_WORKLOAD, scenario, plan, PerformanceRecord(1, 2, 0.5), sections)
+
+                threads = [threading.Thread(target=read) for _ in range(7)] + [threading.Thread(target=write)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 7 and len(db) == 41
+                for records in seen:
+                    assert all(a is b for a, b in zip(records, seen[0]))
+                assert db._dedup == {(r.objective, r.scenario_text, r.plan_text) for r in db.records()}
+        finally:
+            sys.setswitchinterval(previous)
 
 
 # computed with the generator-expression sums and per-token sha256 calls that
