@@ -23,11 +23,12 @@ import struct
 import threading
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ItaPlan,
@@ -471,7 +472,7 @@ def retrieve_experiences(
     return [top_k[i] for i in order[:m]]
 
 
-def _top_rows(records: "_Records", sections: np.ndarray, query: np.ndarray, k: int) -> list[int]:
+def _top_rows(records: "_Experiences", sections: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     """The k rows of `sections` (`_section_matrix` of `records`) most similar
     to `query` (the three unit query sections end to end, float64), best
     first, ties broken toward the lower row; 1 <= k <= row count.
@@ -538,7 +539,7 @@ _BLOCK_ROWS = 32
 _MATRIX_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
 
 
-def _section_matrix(records: "_Records", dim: int) -> np.ndarray:
+def _section_matrix(records: "_Experiences", dim: int) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings (at `dim`), each
     divided by its norm (`_section_norms`), as float32, built `_BLOCK_ROWS`
     rows at a time from the records' encodings, so no float64 copy of the
@@ -574,7 +575,7 @@ def _section_matrix(records: "_Records", dim: int) -> np.ndarray:
     return columns.T
 
 
-def _section_norms(records: "_Records", start: int, rows: np.ndarray, dim: int) -> np.ndarray:
+def _section_norms(records: "_Experiences", start: int, rows: np.ndarray, dim: int) -> np.ndarray:
     """The (record, section) norms of `rows`, the `_dense_rows` of the
     records from `start` on, or `ValueError` naming the first record with a
     section of zero norm. They are taken over the dense rows: einsum's order
@@ -597,7 +598,7 @@ _RANKINGS_KEPT = 64
 class _Store:
     """A store's append-only log and its live entries: one read-only
     sequence in id order (a tuple of rules, or an experience store's
-    `_Records`) that each write replaces whole under `_lock`, so threads may
+    `_Experiences`) that each write replaces under `_lock`, so threads may
     share the store and a reader takes no lock. Retrieval answers for one
     state of the store are kept in one slot (`_answer`)."""
 
@@ -754,10 +755,11 @@ def _rule_entry(payload: dict) -> RuleEntry:
     return RuleEntry(payload["id"], Objective.parse(payload["objective"]), payload["text"])
 
 
-def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecord:
-    """The record one experience-log line holds, embedded at `dim` (`_pack_sections`),
-    with its performance text canonical; its scenario and plan stay text
-    until first read (see ExperienceRecord)."""
+def _experience_row(payload: dict, dim: int | None = None) -> tuple:
+    """The row (`_Experiences`) one experience-log line holds, embedded at
+    `dim` (`_pack_sections`), with its performance text canonical; its
+    scenario and plan stay as the line holds them until a record is read
+    (see ExperienceRecord)."""
     record_id = payload["id"]
     if type(record_id) is not int:
         raise ValueError(f"record id {echo(record_id)} is not an integer")
@@ -768,17 +770,11 @@ def _experience_record(payload: dict, dim: int | None = None) -> ExperienceRecor
     performance = PerformanceRecord.parse(text)
     if performance.serialize() != text:
         raise ValueError(f"experience record {record_id}: performance {echo(text)} is not canonical")
-    return ExperienceRecord(
-        id=record_id,
-        objective=Objective.parse(payload["objective"]),
-        scenario_text=payload["scenario"],
-        plan_text=payload["plan"],
-        performance=performance,
-        embedding=_pack_sections(
-            record_id, (payload["emb_humans"], payload["emb_robots"], payload["emb_tasks"]), dim
-        ),
-        fallback=fallback,
-    )
+    code = _OBJECTIVES.index(Objective.parse(payload["objective"]))
+    scenario, plan = payload["scenario"], payload["plan"]
+    sections = (payload["emb_humans"], payload["emb_robots"], payload["emb_tasks"])
+    embedding = _pack_sections(record_id, sections, dim)
+    return (record_id, code, fallback, *performance.values(), embedding, scenario, plan)
 
 
 # the suffix of the file beside an experience log that snapshots it (`_snapshot_records`)
@@ -798,30 +794,27 @@ _BODY_COLUMNS = (("<i8", 1), ("u1", 1), ("?", 1), ("<f8", 3), ("<i8", 1), ("<i8"
 _BODY_RECORD_BYTES = sum(np.dtype(dtype).itemsize * width for dtype, width in _BODY_COLUMNS)
 
 
-def _snapshot_records(records: Sequence[ExperienceRecord]) -> bytes:
-    """The body `_restored_records` restores `records` from: the
+def _snapshot_records(rows: "_Experiences") -> bytes:
+    """The body `_restored_records` restores `rows` from, in id order: the
     `_BODY_HEADER`, then the `_BODY_COLUMNS` of their ids, objective codes,
     fallback flags, float64 performance triples (bit for bit), the end of
     each encoded embedding in the embedding blob, and the end of each text
     in the text blob, in characters; then the embedding blob (the encodings
     end to end) and the text blob (the scenario texts, then the plan texts,
-    as UTF-8 with surrogates passed through). `ValueError` for a scenario or
-    plan that is not text, `OverflowError` for an id outside int64."""
-    texts = [r.scenario_text for r in records] + [r.plan_text for r in records]
+    as UTF-8 with surrogates passed through). Builds no record. `ValueError`
+    for a scenario or plan that is not text, `OverflowError` for an id
+    outside int64."""
+    ids, codes, fallbacks, *performances, embeddings, scenarios, plans = rows.in_id_order().columns()
+    texts = scenarios + plans
     if not all(isinstance(text, str) for text in texts):
         raise ValueError("a record's scenario or plan is not text")
-    embeddings = [r.embedding for r in records]
     blob, text = b"".join(embeddings), "".join(texts)
     columns = (
-        [r.id for r in records],
-        [_OBJECTIVES.index(r.objective) for r in records],
-        [r.fallback for r in records],
-        [r.performance.values() for r in records],
-        np.cumsum(list(map(len, embeddings))),
-        np.cumsum(list(map(len, texts))),
+        ids, codes, fallbacks, np.array(performances).T,
+        np.cumsum(list(map(len, embeddings))), np.cumsum(list(map(len, texts))),
     )
     return b"".join([
-        _BODY_HEADER.pack(len(records), len(blob), len(text)),
+        _BODY_HEADER.pack(len(ids), len(blob), len(text)),
         *(np.array(column, dtype).tobytes() for column, (dtype, _) in zip(columns, _BODY_COLUMNS)),
         blob,
         text.encode("utf-8", "surrogatepass"),
@@ -830,23 +823,56 @@ def _snapshot_records(records: Sequence[ExperienceRecord]) -> bytes:
 
 def _bounds(ends: np.ndarray, size: int, length: int, name: str) -> list[int]:
     """0 and then `ends`, where a blob of `length` is cut, or `ValueError`
-    unless `length` is `size` and `ends` rise from 0 to `size`."""
+    unless `length` is `size` and `ends` rise from 0 to `size` (compared,
+    not subtracted, so no int64 difference wraps)."""
     bounds = [0, *ends.tolist()]
-    if (np.diff(ends, prepend=0) < 0).any() or length != size or bounds[-1] != size:
+    if (ends[:1] < 0).any() or (ends[1:] < ends[:-1]).any() or length != size or bounds[-1] != size:
         raise ValueError(f"the {name} ends do not cut a blob of {length} into the header's {size}")
     return bounds
 
 
-def _restored_records(body: memoryview) -> "_Records":
-    """The records `_snapshot_records` wrote `body` from, field for field,
-    as a `_Records` over its columns, which builds no record until one is
-    read. Each column is read from `body` by one `np.frombuffer` and the text
-    blob decoded once. `ValueError` for a body it did not write: one shorter
-    than its header, or than the columns and the embedding blob the header
-    sizes; ends that do not cut their blob; an objective code past the
-    objectives; a performance triple `PerformanceRecord` would refuse
-    (`check_performance_columns`); or text left over. So a body that loads
-    fails no later read."""
+# the number of bits set in each byte value
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
+
+
+def _check_encodings(encodings: list[bytes], blob: bytes, ends: np.ndarray) -> None:
+    """`ValueError` unless each of `encodings`, the cuts of `blob` at `ends`
+    (which rise to its length), is one `_pack_sections` writes at the first
+    one's dim: at least `_DIM_HEADER` long, holding the first one's header
+    (not 0), then the bitmap of 3·dim bits with its padding bits clear, then
+    exactly 8 bytes for each bit the bitmap sets, each a finite float64. So
+    every `emb_*` decodes. The headers and bitmaps of all of them are read
+    at once, each through one window of the blob."""
+    if not encodings:
+        return
+    data, lengths = np.frombuffer(blob, np.uint8), np.diff(ends, prepend=0)
+    starts = ends - lengths
+    if lengths.min() < _DIM_HEADER.size:
+        raise ValueError(f"an encoding is shorter than its {_DIM_HEADER.size}-byte header")
+    headers = sliding_window_view(data, _DIM_HEADER.size)[starts].view("<u4")[:, 0]
+    dim = int(headers[0])
+    fixed = _DIM_HEADER.size + (3 * dim + 7) // 8  # the header and the bitmap
+    if not dim or (headers != dim).any() or lengths.min() < fixed:
+        raise ValueError(f"the encodings do not all hold the header {dim} and its bitmap")
+    bitmaps = sliding_window_view(data, fixed)[starts, _DIM_HEADER.size :]
+    padding = (1 << (8 * (fixed - _DIM_HEADER.size) - 3 * dim)) - 1
+    counts = np.take(_POPCOUNT, bitmaps).sum(axis=1, dtype=np.int64)
+    if (bitmaps[:, -1] & padding).any() or (lengths != fixed + 8 * counts).any():
+        raise ValueError("an encoding's length is not that of the values its bitmap marks")
+    if not np.isfinite(np.frombuffer(b"".join([code[fixed:] for code in encodings]), "<f8")).all():
+        raise ValueError("an encoding holds a value that is not finite")
+
+
+def _restored_records(body: memoryview) -> "_Experiences":
+    """The rows `_snapshot_records` wrote `body` from, field for field. Each
+    column is read from `body` by one `np.frombuffer`, and the text blob
+    decoded once. `ValueError` for a body it did not write: one shorter than
+    its header, or than the columns and the embedding blob the header
+    sizes; ids that do not ascend; an objective code past the objectives; a
+    performance triple `PerformanceRecord` would refuse
+    (`check_performance_columns`); ends that do not cut their blob; an
+    encoding `_check_encodings` refuses; or text left over. So a body that
+    loads fails no later read that rows parsed from a log would pass."""
     try:
         count, blob_size, text_size = _BODY_HEADER.unpack_from(body)
     except struct.error as exc:  # which is not a ValueError
@@ -861,114 +887,79 @@ def _restored_records(body: memoryview) -> "_Records":
         columns.append(np.frombuffer(body, dtype, count * width, offset))
         offset += columns[-1].nbytes
     ids, codes, fallbacks, performances, code_ends, text_ends = columns
+    if (ids[1:] <= ids[:-1]).any():
+        raise ValueError("the ids do not ascend")
     if count and codes.max() >= len(_OBJECTIVES):
         raise ValueError(f"objective code {codes.max()} is not an objective's")
     performances = performances.reshape(count, 3)
     check_performance_columns(performances.T)
+    blob = body[offset:stop].tobytes()
+    bounds = _bounds(code_ends, blob_size, len(blob), "embedding")
+    encodings = [blob[start:end] for start, end in zip(bounds, bounds[1:])]
+    _check_encodings(encodings, blob, code_ends)
     text = str(body[stop:], "utf-8", "surrogatepass")
-    return _Records(
-        _Columns(
-            ids.tolist(), codes.tolist(), fallbacks.tolist(), performances.copy(),
-            body[offset:stop].tobytes(), _bounds(code_ends, blob_size, stop - offset, "embedding"),
-            text, _bounds(text_ends, text_size, len(text), "text"),
-        )
-    )
+    bounds = _bounds(text_ends, text_size, len(text), "text")
+    texts = [text[start:end] for start, end in zip(bounds, bounds[1:])]
+    columns = (ids.tolist(), codes.tolist(), fallbacks.tolist(), *performances.T.tolist(), encodings)
+    return _Experiences((*columns, texts[:count], texts[count:]))
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """The columns of a snapshot body that `_restored_records` checked, and
-    the records built from them so far, by row. Row i's embedding is
-    `blob[blob_bounds[i]:blob_bounds[i + 1]]`, and its scenario and plan
-    texts are the i-th and (N + i)-th cuts of `text` at `text_bounds`, for
-    N rows."""
+class _Experiences(Sequence):
+    """The experience store's only in-memory form: its rows in id order as
+    columns, one list each of ids, objective codes (in `Objective` order),
+    fallback flags, the three performance values (`PerformanceRecord`
+    order), encoded embeddings (`_pack_sections`), scenario texts and plan
+    texts. A full parse, `store` and a snapshot restore
+    (`_restored_records`) all append rows, and a row never changes once
+    appended.
 
-    ids: list[int]
-    codes: list[int]
-    fallbacks: list[bool]
-    performances: np.ndarray  # (N, 3) float64
-    blob: bytes
-    blob_bounds: list[int]
-    text: str
-    text_bounds: list[int]
-    built: dict[int, ExperienceRecord] = field(default_factory=dict)
+    Each instance reads the first `len` rows of lists it shares with the
+    instances appended from it (`plus`), so a writer appends under the
+    store's lock and publishes the longer instance, and a reader holding
+    this one sees the same rows and takes no lock. Only the longest
+    instance may be appended to. An index reads one record
+    (`ExperienceRecord`), built from its row on the first read and kept for
+    every instance; two readers racing on one row build it twice, and
+    `dict.setdefault` hands both the first kept. `encodings`, `ids` and
+    `keys` read columns without building a record, and `whole` builds every
+    record once."""
 
-    def record(self, row: int) -> ExperienceRecord:
-        """Row `row`'s record, built on its first read with the constructors
-        a load uses and kept. Readers take no lock: two racing on one row
-        build it twice, and `dict.setdefault` hands both the first kept."""
-        record = self.built.get(row)
-        if record is None:
-            texts, count = self.text_bounds, len(self.ids)
-            record = self.built.setdefault(row, ExperienceRecord(
-                self.ids[row],
-                _OBJECTIVES[self.codes[row]],
-                self.text[texts[row] : texts[row + 1]],
-                self.text[texts[count + row] : texts[count + row + 1]],
-                PerformanceRecord(*self.performances[row].tolist()),
-                self.encoding(row),
-                self.fallbacks[row],
-            ))
-        return record
-
-    def encoding(self, row: int) -> bytes:
-        return self.blob[self.blob_bounds[row] : self.blob_bounds[row + 1]]
-
-    def keys(self) -> set[tuple[Objective, str, str]]:
-        """Every row's (objective, scenario text, plan text), from the columns."""
-        bounds, count = self.text_bounds, len(self.ids)
-        texts = [self.text[start:stop] for start, stop in zip(bounds, bounds[1:])]
-        return set(zip(map(_OBJECTIVES.__getitem__, self.codes), texts[:count], texts[count:]))
-
-
-_NO_COLUMNS = _Columns([], [], [], np.empty((0, 3)), b"", [0], "", [0])
-
-
-class _Records(Sequence):
-    """An experience store's records in id order, as one read-only sequence:
-    the rows of a restored snapshot body's `_Columns` first, each record
-    built on its first read, then `added`, the records built whole since
-    (parsed from the log after the snapshot, or stored). An index reads one
-    record; `ids` and `encodings` read ids and embeddings without building
-    a record, and `whole` builds every record once."""
-
-    def __init__(self, columns: _Columns = _NO_COLUMNS, added: tuple[ExperienceRecord, ...] = ()):
-        self._columns = columns
-        self._restored = len(columns.ids)
-        self._added = added
+    def __init__(self, columns: tuple[list, ...] | None = None, built: dict | None = None, length=None):
+        self._columns = columns or tuple([] for _ in range(9))
+        self._length = len(self._columns[0]) if length is None else length
+        self._built: dict[int, ExperienceRecord] = {} if built is None else built
         self._whole: list[tuple[ExperienceRecord, ...]] = []
 
     def __len__(self) -> int:
-        return self._restored + len(self._added)
+        return self._length
 
     def __getitem__(self, index: int) -> ExperienceRecord:
-        row = range(len(self))[index]  # a list's negative indices and IndexError
-        return self._columns.record(row) if row < self._restored else self._added[row - self._restored]
+        row = range(self._length)[index]  # a list's negative indices and IndexError
+        record = self._built.get(row)
+        if record is None:
+            ids, codes, fallbacks, points, seconds, utilization, embeddings, scenarios, plans = self._columns
+            record = self._built.setdefault(row, ExperienceRecord(
+                ids[row], _OBJECTIVES[codes[row]], scenarios[row], plans[row],
+                PerformanceRecord(points[row], seconds[row], utilization[row]), embeddings[row], fallbacks[row],
+            ))
+        return record
 
-    def __iter__(self):
-        for row in range(self._restored):
-            yield self._columns.record(row)
-        yield from self._added
+    def columns(self) -> list[list]:
+        """A copy of each column, cut to this instance's rows."""
+        return [column[: self._length] for column in self._columns]
 
     def encodings(self, rows: Iterable[int]) -> list[bytes]:
-        """The encoded embeddings (`_pack_sections`) of the records at
-        `rows`, each 0 <= row < len, in order: a restored one cut from the
-        columns' blob, so none is built."""
-        blob, bounds = self._columns.blob, self._columns.blob_bounds
-        restored, added = self._restored, self._added
-        return [
-            blob[bounds[row] : bounds[row + 1]] if row < restored else added[row - restored].embedding
-            for row in rows
-        ]
+        """The encoded embeddings of the records at `rows`, each 0 <= row < len, in order."""
+        return list(map(self._columns[6].__getitem__, rows))
 
     @property
     def dim(self) -> int | None:
         """The first record's section length, read from its encoding's
         header; None while there is none."""
-        return _DIM_HEADER.unpack_from(self.encodings([0])[0])[0] if len(self) else None
+        return _DIM_HEADER.unpack_from(self._columns[6][0])[0] if self._length else None
 
     def ids(self) -> list[int]:
-        return [*self._columns.ids, *(r.id for r in self._added)]
+        return self._columns[0][: self._length]
 
     def whole(self) -> tuple[ExperienceRecord, ...]:
         """Every record as one tuple, built on the first call and kept;
@@ -977,38 +968,37 @@ class _Records(Sequence):
             self._whole.append(tuple(self))
         return self._whole[0]
 
-    def plus(self, record: ExperienceRecord) -> "_Records":
-        """These records and then `record`, whose id follows theirs."""
-        return _Records(self._columns, self._added + (record,))
+    def plus(self, row: tuple) -> "_Experiences":
+        """These rows and then `row` (`_experience_row`), appended to the
+        shared columns; the records already built are kept."""
+        for column, value in zip(self._columns, row):
+            column.append(value)
+        return _Experiences(self._columns, self._built)
 
-    def extended(self, records: Sequence[ExperienceRecord]) -> "_Records":
-        """These records and `records` in id order. The columns' records
-        stay unbuilt when the ids, with the new ones sorted after them, do
-        not decrease, as in a log that a store wrote; otherwise every record
-        is built and sorted."""
-        added = tuple(sorted(records, key=operator.attrgetter("id")))
-        ids = self.ids() + [r.id for r in added]
-        if all(map(operator.le, ids, ids[1:])):
-            return _Records(self._columns, self._added + added)
-        return _Records(added=tuple(sorted([*self, *added], key=operator.attrgetter("id"))))
+    def in_id_order(self) -> "_Experiences":
+        """These rows, or when their ids do not ascend, as in a hand-ordered
+        log, a copy sorted by one argsort of the ids."""
+        ids = self.ids()
+        if all(map(operator.lt, ids, ids[1:])):
+            return self
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        return _Experiences(tuple(list(map(column.__getitem__, order)) for column in self._columns))
 
     def keys(self) -> set[tuple[Objective, str, str]]:
-        """The (objective, scenario text, plan text) dedup key of every
-        record whose scenario and plan are text, read from the columns
-        without building their records."""
-        keys = self._columns.keys()
+        """The (objective, scenario text, plan text) dedup key of every row
+        whose scenario and plan are text, read from the columns."""
+        codes, scenarios, plans = (self._columns[i][: self._length] for i in (1, 7, 8))
         # a record whose scenario or plan is not text fails on first read and matches no mission
-        keys.update(
-            (r.objective, r.scenario_text, r.plan_text)
-            for r in self._added
-            if isinstance(r.scenario_text, str) and isinstance(r.plan_text, str)
-        )
-        return keys
+        return {
+            (_OBJECTIVES[code], scenario, plan)
+            for code, scenario, plan in zip(codes, scenarios, plans)
+            if isinstance(scenario, str) and isinstance(plan, str)
+        }
 
 
 class ExperienceDatabase(_Store):
     """Append-only store of (scenario, plan, performance) mission records, kept
-    in id order (`_Store`, as one `_Records`) with a set of (objective,
+    in id order (`_Store`, as `_Experiences` columns) with a set of (objective,
     scenario text, plan text) dedup keys, built on the first `contains` or
     `store`. Every record's sections are embedded at one dimension, `dim`,
     which each record's encoding (`_pack_sections`), the only float64 copy
@@ -1016,42 +1006,40 @@ class ExperienceDatabase(_Store):
     float32 matrix of the records' unit section rows (`_section_matrix`) and
     the nearest records of up to `_RANKINGS_KEPT` scenarios (`_nearest`).
 
-    A load restores the records of the log prefix that the log's snapshot
-    covers (`read_snapshot`) as unbuilt columns and parses only the lines
-    after it, at the restored records' dim; one that parsed whole lines the
-    snapshot did not cover writes a new one (`write_snapshot`). A record id
-    the log already holds is a `CorruptLogError` naming the line. Only
-    `records()` and a snapshot rewrite build every record; a query builds
-    the ones it returns."""
+    A load restores the rows of the log prefix that the log's snapshot
+    covers (`read_snapshot`) and parses only the lines after it into rows,
+    at the restored records' dim; one that parsed whole lines the snapshot
+    did not cover writes a new one (`write_snapshot`) from the rows. A
+    record id the log already holds is a `CorruptLogError` naming the line.
+    A load builds no record: only `records()` builds every one, a query
+    builds the ones it returns and `store` the one it appends."""
 
     def __init__(self, path: str | Path | None = None):
         super().__init__(path)
         # a store with no log reads and hashes nothing
-        self._entries: _Records = self._load() if self.path is not None else _Records()
+        self._entries: _Experiences = self._load() if self.path is not None else _Experiences()
         self._dedup_keys: set[tuple[Objective, str, str]] | None = None
         self._next_id = self._entries.ids()[-1] + 1 if self._entries else 0
 
-    def _load(self) -> _Records:
-        """The log's records in id order."""
+    def _load(self) -> _Experiences:
+        """The log's rows in id order."""
         restored, prefix = read_snapshot(_snapshot_path(self.path), self.path, _restored_records)
-        restored = restored or _Records()
-        covered, dim, ids = prefix.size, restored.dim, set(restored.ids())
+        rows = restored or _Experiences()
+        covered, ids = prefix.size, set(rows.ids())
 
-        def admit(payload: dict) -> ExperienceRecord:
-            nonlocal dim
-            record = _experience_record(payload, dim)
-            if record.id in ids:
-                raise ValueError(f"record id {record.id} is reused")
-            ids.add(record.id)
-            dim = record.dim
-            return record
+        def admit(payload: dict) -> tuple:
+            row = _experience_row(payload, rows.dim)
+            if row[0] in ids:
+                raise ValueError(f"record id {row[0]} is reused")
+            ids.add(row[0])
+            return row
 
-        tail = list(self._log.read_all(admit, prefix))
+        for row in self._log.read_all(admit, prefix):
+            rows = rows.plus(row)
         if prefix.size > covered:  # whole lines were parsed; an unterminated last one is not covered
-            snapshotted = [*restored, *tail[: prefix.items - len(restored)]]
-            ordered = sorted(snapshotted, key=operator.attrgetter("id"))
-            write_snapshot(_snapshot_path(self.path), self.path, lambda: _snapshot_records(ordered), prefix)
-        return restored.extended(tail)
+            covering = _Experiences(rows._columns, rows._built, prefix.items)  # not appended to
+            write_snapshot(_snapshot_path(self.path), self.path, lambda: _snapshot_records(covering), prefix)
+        return rows.in_id_order()
 
     @property
     def dim(self) -> int | None:
@@ -1060,7 +1048,7 @@ class ExperienceDatabase(_Store):
 
     @property
     def _dedup(self) -> set[tuple[Objective, str, str]]:
-        """The records' dedup keys (`_Records.keys`), built under the lock on
+        """The records' dedup keys (`_Experiences.keys`), built under the lock on
         first use; `store` adds to this one set."""
         if self._dedup_keys is None:
             with self._lock:
@@ -1125,13 +1113,15 @@ class ExperienceDatabase(_Store):
                 "emb_tasks": list(tasks),
                 "fallback": fallback,
             }
-            record = _experience_record(payload, self.dim)
-            line = self._log.line(payload, f"experience record {record.id}")
+            row = _experience_row(payload, self.dim)
+            line = self._log.line(payload, f"experience record {row[0]}")
+            self._next_id += 1
+            self._log.append(line)
+            entries = self._entries.plus(row)
+            record = entries[-1]
             # the plan's decode cache; the scenario, which would hold its text
             # a second time, is parsed from `scenario_text` on first read
             vars(record)["plan"] = plan
-            self._next_id += 1
-            self._log.append(line)
-            self._entries = self._entries.plus(record)
+            self._entries = entries
             dedup.add((record.objective, record.scenario_text, record.plan_text))
             return record

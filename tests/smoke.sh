@@ -55,7 +55,9 @@
 # snapshot byte, a snapshot of the previous version (which must then be
 # rewritten at the current one), and a record appended by `rebel gen-exp`,
 # must each leave `rebel infer` printing what it prints with the snapshot
-# deleted, with nothing on stderr; `rebel infer` with the stub on a scenario
+# deleted, with nothing on stderr, and the snapshot rewritten after the
+# appended record must be byte for byte the one a full parse writes once it
+# is deleted; `rebel infer` with the stub on a scenario
 # whose arena is wider than the default 2000 must exit 0 with an assignment
 # for every task and no traceback; and a transcript whose last exchange was torn mid-append
 # must hold only whole JSON lines after the next `rebel gen-rules --transcript`,
@@ -102,9 +104,11 @@ lines=$(wc -l < "$d/snap.jsonl")
 rebel gen-exp --rules-db "$d/rules.jsonl" --exp-db "$d/snap.jsonl" --missions 1 --seed 9 > /dev/null
 if [ "$(wc -l < "$d/snap.jsonl")" -le "$lines" ]; then echo "gen-exp --seed 9 must append a record"; exit 1; fi
 snap_infer snap-appended
+cp "$d/snap.jsonl.snapshot" "$d/snap-appended.snapshot"  # the rewrite after the appended record
 rm "$d/snap.jsonl.snapshot"
 snap_infer snap-deleted
 cmp "$d/snap-appended.txt" "$d/snap-deleted.txt"
+cmp "$d/snap-appended.snapshot" "$d/snap.jsonl.snapshot"  # a rewrite writes what a full parse writes
 printf 'Arena Side: 5000\nHuman Attributes: {H_0: [Hi, Med]}\nRobot Details: {UAV_0: [12, Hi], UGV_0: [5, Lo]}\nTask Info: {T_0: [(3000, 100), Lo], T_1: [(4800, 4900), Hi]}\n' > "$d/wide.txt"
 status=0
 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/wide.txt" --prefs MT > "$d/wide-infer.txt" 2> "$d/wide-infer.err" || status=$?

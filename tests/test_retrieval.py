@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -948,8 +949,9 @@ class TestScreenedRetrieval:
         records = db.records()
         sections = retrieval._section_matrix(db._entries, db.dim)
         prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        ranked = ref_top_k(queries, records, len(records))  # the top k of each k is its first k
         for k in range(1, len(db) + 1):
-            want = ref_top_k(queries, records, k)
+            want = ranked[:k]
             assert retrieval._top_rows(db._entries, sections, np.array(queries).ravel(), k) == want
             got = retrieve_experiences(scenario, prefs, db, k=k, m=k, embedder=embedder)
             assert _ids(got) == sorted(want)
@@ -2437,15 +2439,19 @@ class TestSnapshot:
         "empty", "a_short_header", "a_count_past_the_buffer", "one_record_short", "decreasing_ends",
         "ends_past_their_blob", "an_objective_code_past_the_objectives", "surplus_bytes",
         "a_nan_performance", "a_negative_mission_time", "a_utilization_past_one",
+        "the_first_embedding_ending_at_2", "the_first_embedding_ending_at_6",
+        "the_first_embedding_ending_at_10", "the_first_embedding_ending_at_40", "text_ends_whose_steps_wrap",
+        "a_nan_embedding_value", "ids_that_do_not_ascend",
     ])
     def test_a_body_it_did_not_write_is_not_used(self, tmp_path, caplog, parsed_ids, fault):
         path = tmp_path / "exp.jsonl"
         _two_record_store(path)
-        parsed = ExperienceDatabase(path).records()
+        db = ExperienceDatabase(path)
+        parsed = db.records()
         snapshot = retrieval._snapshot_path(path)
         log = path.read_bytes()
         prefix = Prefix(len(log), log.count(b"\n"), len(parsed), hashlib.sha256(log))
-        body = _crafted_body(retrieval._snapshot_records(parsed), fault)
+        body = _crafted_body(retrieval._snapshot_records(db._entries), fault)
         write_snapshot(snapshot, path, lambda: body, prefix)
         with caplog.at_level(logging.DEBUG, logger="rebel.log"):
             assert ExperienceDatabase(path).records() == parsed
@@ -2473,6 +2479,19 @@ def _crafted_body(body: bytes, fault: str) -> bytes:
         return body[:second] + body[third : third + 8] + body[second:third] + body[third + 8 :]
     if fault == "ends_past_their_blob":  # the last embedding end
         return body[: text_ends - 8] + struct.pack("<q", blob_size + 1) + body[text_ends:]
+    if fault == "a_nan_embedding_value":  # the first record's first, past its header and 6-byte bitmap at dim 16
+        at = header.size + retrieval._BODY_RECORD_BYTES * count + 10
+        return body[:at] + struct.pack("<d", math.nan) + body[at + 8 :]
+    if fault == "ids_that_do_not_ascend":  # the two swapped
+        first, second = body[header.size : header.size + 8], body[header.size + 8 : header.size + 16]
+        return body[: header.size] + second + first + body[header.size + 16 :]
+    if fault == "text_ends_whose_steps_wrap":  # each step up from the one before, in wrapping int64
+        ends = struct.pack("<4q", 2**62, -(2**63) + 1, 0, text_size)
+        return body[:text_ends] + ends + body[text_ends + 32 :]
+    if fault.startswith("the_first_embedding_ending_at_"):  # the end still rises to the blob's
+        first = text_ends - 8 * count
+        end = int(fault.rpartition("_")[2])
+        return body[:first] + struct.pack("<q", end) + body[first + 8 :]
     if fault == "an_objective_code_past_the_objectives":  # the first record's
         codes = header.size + 8 * count
         return body[:codes] + bytes([len(Objective)]) + body[codes + 1 :]
@@ -2578,6 +2597,68 @@ def _load_state(path: Path):
     return state, stderr.getvalue(), logged
 
 
+@functools.lru_cache(maxsize=None)
+def _six_record_log() -> tuple[bytes, bytes, tuple, tuple[MissionScenario, ...]]:
+    """A log of six random 2/3/4 missions at dim 16, the snapshot body a full
+    parse of it writes, the records of that parse field by field, and the
+    missions' scenarios."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "exp.jsonl"
+        db, scenarios = ExperienceDatabase(path), tuple(random_scenario(2, 3, 4, seed=seed) for seed in range(6))
+        for index, scenario in enumerate(scenarios):
+            performance = PerformanceRecord(index, 100 + index, index / 6)
+            store_mission(db, list(Objective)[index % 3], scenario, performance, HashedEmbedder(dim=16))
+        parsed = ExperienceDatabase(path)
+        fields = tuple(_record_fields(r) for r in parsed.records())
+        return path.read_bytes(), retrieval._snapshot_records(parsed._entries), fields, scenarios
+
+
+class TestFlippedBody:
+    """A body of a valid snapshot with any one byte changed, framed with a
+    valid self-hash, is either refused, which costs a full parse, or fails
+    no later read: every field and `emb_*` answers, a scenario or plan
+    answers or raises the `ValueError` naming its record, and a query
+    answers or raises a `CorruptLogError` naming a record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(region=st.integers(0, 2), position=st.integers(0, 2**16), mask=st.integers(1, 255))
+    def test_it_is_refused_or_fails_no_later_read(self, region, position, mask):
+        log, body, parsed, scenarios = _six_record_log()
+        count, blob_size, _ = retrieval._BODY_HEADER.unpack_from(body)
+        # the header and columns, the embedding blob, or the text blob
+        blob_start = retrieval._BODY_HEADER.size + count * retrieval._BODY_RECORD_BYTES
+        bounds = (0, blob_start, blob_start + blob_size, len(body))
+        start, stop = bounds[region], bounds[region + 1]
+        flipped = bytearray(body)
+        flipped[start + position % (stop - start)] ^= mask
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "exp.jsonl"
+            path.write_bytes(log)
+            prefix = Prefix(len(log), log.count(b"\n"), count, hashlib.sha256(log))
+            write_snapshot(retrieval._snapshot_path(path), path, lambda: bytes(flipped), prefix)
+            written = retrieval._snapshot_path(path).read_bytes()
+            db = ExperienceDatabase(path)
+            refused = retrieval._snapshot_path(path).read_bytes() != written  # a full parse rewrote it
+        if refused:
+            assert tuple(_record_fields(r) for r in db.records()) == parsed
+            return
+        for r in db.records():
+            _record_fields(r)
+            assert len(r.emb_humans) == len(r.emb_robots) == len(r.emb_tasks) == db.dim
+            for name in ("scenario", "plan"):
+                try:
+                    getattr(r, name)
+                except ValueError as exc:
+                    assert str(exc).startswith(f"experience record {r.id}: ")
+        prefs = PreferenceVector.of(TP=0.5, MT=0.25, HW=0.25)
+        try:
+            got = retrieve_experiences(scenarios[0], prefs, db, k=3, m=2, embedder=HashedEmbedder(dim=16))
+        except CorruptLogError as exc:
+            assert re.match(rf"{re.escape(str(path))}: experience record -?\d+: ", str(exc))
+        else:
+            assert len(got) == 2
+
+
 class TestSnapshotEqualsAFullParse:
     @settings(max_examples=100, deadline=None)
     @given(_snapshot_cases())
@@ -2629,33 +2710,51 @@ def _float_bits(top: int):
     return patterns.map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
 
 
-# built once, as above
-_BODY_RECORDS = st.lists(
-    st.builds(
-        ExperienceRecord,
-        id=st.sampled_from([0, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1),
-        objective=st.sampled_from(Objective),
-        scenario_text=_ANY_TEXT,
-        plan_text=_ANY_TEXT,
-        performance=st.builds(
-            PerformanceRecord,
-            _float_bits(0x7FEF_FFFF_FFFF_FFFF),  # the largest finite float
-            _float_bits(0x7FEF_FFFF_FFFF_FFFF),
-            _float_bits(0x3FF0_0000_0000_0000),  # 1.0
+# built once, as above: per dim, records in ascending id order, each
+# embedded at that dim, as a store's rows are
+_BODY_RECORDS = {
+    dim: st.lists(
+        st.builds(
+            ExperienceRecord,
+            id=st.sampled_from([0, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1),
+            objective=st.sampled_from(Objective),
+            scenario_text=_ANY_TEXT,
+            plan_text=_ANY_TEXT,
+            performance=st.builds(
+                PerformanceRecord,
+                _float_bits(0x7FEF_FFFF_FFFF_FFFF),  # the largest finite float
+                _float_bits(0x7FEF_FFFF_FFFF_FFFF),
+                _float_bits(0x3FF0_0000_0000_0000),  # 1.0
+            ),
+            embedding=st.tuples(*[_SNAPSHOT_SECTIONS[dim]] * 3).map(
+                lambda sections: retrieval._pack_sections(0, sections, None)
+            ),
+            fallback=st.booleans(),
         ),
-        embedding=st.binary(max_size=9),
-        fallback=st.booleans(),
-    ),
-    max_size=5,
-)
+        max_size=5,
+        unique_by=lambda record: record.id,
+    ).map(lambda records: sorted(records, key=lambda record: record.id))
+    for dim in (1, 2, 3)
+}
+
+
+def _rows_of(records) -> retrieval._Experiences:
+    """`records` as a store's rows, appended in order."""
+    rows = retrieval._Experiences()
+    for r in records:
+        rows = rows.plus((
+            r.id, list(Objective).index(r.objective), r.fallback, *r.performance.values(), r.embedding,
+            r.scenario_text, r.plan_text,
+        ))
+    return rows
 
 
 class TestSnapshotBody:
     @settings(max_examples=100, deadline=None)
-    @given(_BODY_RECORDS)
+    @given(st.sampled_from(sorted(_BODY_RECORDS)).flatmap(_BODY_RECORDS.__getitem__))
     @example([])
     def test_a_body_restores_its_records_field_by_field(self, records):
-        restored = retrieval._restored_records(memoryview(retrieval._snapshot_records(records)))
+        restored = retrieval._restored_records(memoryview(retrieval._snapshot_records(_rows_of(records))))
         assert [_record_fields(r) for r in restored] == [_record_fields(r) for r in records]
 
 
@@ -2747,6 +2846,41 @@ class TestRecordsBuiltOnFirstRead:
         assert [_record_fields(r) for r in db._entries] == _full_parse(path)
         assert len(db) == 40
 
+    def test_a_load_that_rewrites_the_snapshot_builds_no_record(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        stored, _ = _forty_record_store(path)
+        store_mission(stored, Objective.MISSION_TIME, random_scenario(1, 2, 2, seed=99), PerformanceRecord(1, 2, 0.5),
+                      HashedEmbedder(dim=64))
+        written = retrieval._snapshot_path(path).read_bytes()
+        built_ids.clear()
+        db = ExperienceDatabase(path)
+        assert built_ids == []
+        assert retrieval._snapshot_path(path).read_bytes() != written  # it covers the 41st line now
+        assert [_record_fields(r) for r in db._entries] == _full_parse(path)
+
+    def test_a_full_parse_builds_no_record(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        _forty_record_store(path)
+        retrieval._snapshot_path(path).unlink()
+        built_ids.clear()
+        db = ExperienceDatabase(path)
+        assert built_ids == []
+        assert retrieval._snapshot_path(path).exists()
+        assert [_record_fields(r) for r in db._entries] == _full_parse(path)
+
+    def test_a_hand_ordered_log_loads_in_id_order_building_no_record(self, tmp_path, built_ids):
+        path = tmp_path / "exp.jsonl"
+        _forty_record_store(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        random.Random(5).shuffle(lines)
+        path.write_bytes(b"".join(lines))
+        retrieval._snapshot_path(path).unlink()
+        built_ids.clear()
+        db = ExperienceDatabase(path)
+        assert built_ids == []
+        assert db._entries.ids() == list(range(40))
+        assert [_record_fields(r) for r in db._entries] == _full_parse(path)
+
     def test_threads_racing_on_a_fresh_load_share_each_record_and_key(self, tmp_path):
         # 7 readers build the records and the dedup keys while a writer
         # stores, all let go at once, under a 1e-6 s switch interval
@@ -2787,6 +2921,42 @@ class TestRecordsBuiltOnFirstRead:
                 assert db._dedup == {(r.objective, r.scenario_text, r.plan_text) for r in db.records()}
         finally:
             sys.setswitchinterval(previous)
+
+
+# computed with the code that built every record before it wrote a snapshot
+GOLDEN_SNAPSHOT_DIGEST = "6adaa297d4fe4ac8c20ed0c301f443bdd029583edd74fa8899d06cc83d48526f"
+
+
+def _snapshots_digest(directory: Path) -> str:
+    """sha256 over the snapshots the loads of a seeded 12-mission log write:
+    a full parse of its first 11 lines, the load that rewrites that snapshot
+    after the 12th line is appended, and a full parse of the 12 lines in a
+    shuffled order, whose ids do not ascend."""
+    path, embedder = directory / "exp.jsonl", HashedEmbedder(dim=32)
+    db = ExperienceDatabase(path)
+    for index in range(12):
+        performance = PerformanceRecord(index % 5, 50 + 7 * index, (index % 4) / 4)
+        store_mission(db, list(Objective)[index % 3], random_scenario(2, 3, 5, seed=300 + index), performance,
+                      embedder, fallback=index % 5 == 0)
+    log = path.read_bytes()
+    lines = log.splitlines(keepends=True)
+    digest, snapshot = hashlib.sha256(), retrieval._snapshot_path(path)
+    path.write_bytes(b"".join(lines[:11]))
+    ExperienceDatabase(path)
+    digest.update(snapshot.read_bytes())
+    path.write_bytes(log)
+    ExperienceDatabase(path)
+    digest.update(snapshot.read_bytes())
+    random.Random(12).shuffle(lines)
+    path.write_bytes(b"".join(lines))
+    snapshot.unlink()
+    ExperienceDatabase(path)
+    digest.update(snapshot.read_bytes())
+    return digest.hexdigest()
+
+
+def test_the_snapshot_bytes_match_the_pinned_digest(tmp_path):
+    assert _snapshots_digest(tmp_path) == GOLDEN_SNAPSHOT_DIGEST
 
 
 # computed with the generator-expression sums and per-token sha256 calls that
