@@ -78,46 +78,67 @@ def natural_key(text: str) -> tuple:
 
 
 class Tier(Enum):
-    """Three-level attribute scale used for all qualitative agent/task traits."""
+    """Three-level attribute scale used for all qualitative agent/task traits.
+
+    Members hash by identity (`object.__hash__`, one C call, where Enum's
+    own hash is a Python-level call on the name), which is sound because
+    each member is a singleton: Enum equality is already identity, and
+    pickle and deepcopy give back the same member. An identity hash differs
+    from process to process, so no output may depend on a member's hash:
+    a dict keyed by members keeps insertion order, but a set of them must
+    not be iterated into an output.
+    """
 
     LOW = "Lo"
     MED = "Med"
     HIGH = "Hi"
 
+    __hash__ = object.__hash__
+
     @property
     def rank(self) -> int:
-        return (Tier.LOW, Tier.MED, Tier.HIGH).index(self)
+        return _TIER_RANK[self]
 
     @property
     def axis(self) -> float:
         """Tier mapped onto the symmetric {-1, 0, +1} difficulty axis."""
-        return float(self.rank - 1)
+        return _TIER_AXIS[self]
 
     @classmethod
     def parse(cls, text: str) -> "Tier":
-        tier = _TIER_ALIASES.get(text.strip().lower())
+        """The tier an alias (`_TIER_ALIASES`) names, in any case and with
+        any surrounding blanks; the rendered spelling is found as given."""
+        tier = _TIER_ALIASES.get(text) or _TIER_ALIASES.get(text.strip().lower())
         if tier is None:
             raise ValueError(f"unknown tier {echo(text)}")
         return tier
 
 
+_TIER_RANK = {tier: rank for rank, tier in enumerate(Tier)}
+_TIER_AXIS = {tier: float(rank - 1) for tier, rank in _TIER_RANK.items()}
 _TIER_ALIASES = {
-    "lo": Tier.LOW, "low": Tier.LOW,
-    "med": Tier.MED, "medium": Tier.MED,
-    "hi": Tier.HIGH, "high": Tier.HIGH,
+    "Lo": Tier.LOW, "lo": Tier.LOW, "low": Tier.LOW,
+    "Med": Tier.MED, "med": Tier.MED, "medium": Tier.MED,
+    "Hi": Tier.HIGH, "hi": Tier.HIGH, "high": Tier.HIGH,
 }
 
 
 class Objective(Enum):
-    """Mission objectives a stakeholder can weight against each other."""
+    """Mission objectives a stakeholder can weight against each other.
+
+    Members hash by identity, as `Tier`'s do and for the same reasons; no
+    output may depend on a member's hash.
+    """
 
     TASK_PERFORMANCE = "TP"
     MISSION_TIME = "MT"
     HUMAN_WORKLOAD = "HW"
 
+    __hash__ = object.__hash__
+
     @property
     def short(self) -> str:
-        return self.value
+        return self._value_
 
     @property
     def maximized(self) -> bool:
@@ -195,19 +216,22 @@ _TASK_ENTRY = re.compile(rf"(\w+)\s*:\s*\[\s*\(\s*({_NUM})\s*,\s*({_NUM})\s*\)\s
 def _members(line: str, header: str, entry: re.Pattern[str], build) -> tuple:
     """`build(*groups)` for each `entry` in the dictionary after `header`. A
     ValueError names the section and the text no entry matched, or the
-    section and the entry `build` rejects. Every entry holds exactly one
-    colon, so counting them finds an entry left unread."""
+    section and the first entry `build` rejects. Every entry holds exactly
+    one colon, so counting them finds an entry left unread."""
     body = line[len(header):]
-    matches = list(entry.finditer(body))
-    if len(matches) != body.count(":"):
+    found = entry.findall(body)
+    if len(found) != body.count(":"):
         raise ValueError(f"{header} unreadable entry {echo(entry.sub('', body).strip(' {},'))}")
-    members = []
-    for match in matches:
-        try:
-            members.append(build(*match.groups()))
-        except ValueError as exc:
-            raise ValueError(f"{header} {exc} in entry {echo(match[0])}") from None
-    return tuple(members)
+    try:
+        return tuple([build(*groups) for groups in found])
+    except ValueError:
+        # scanned again only to name the entry
+        for match in entry.finditer(body):
+            try:
+                build(*match.groups())
+            except ValueError as exc:
+                raise ValueError(f"{header} {exc} in entry {echo(match[0])}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -259,14 +283,12 @@ class MissionScenario:
     @functools.cached_property
     def sections(self) -> tuple[str, str, str]:
         """The human, robot and task dictionaries, rendered once per instance."""
-        humans = ", ".join(f"{h.id}: [{h.skill.value}, {h.cognition.value}]" for h in self.humans)
-        robots = ", ".join(
-            f"{r.id}: [{fmt_num(r.speed)}, {r.camera_quality.value}]" for r in self.robots
-        )
-        tasks = ", ".join(
-            f"{t.id}: [({fmt_num(t.location[0])}, {fmt_num(t.location[1])}), {t.difficulty.value}]"
+        humans = ", ".join([f"{h.id}: [{h.skill._value_}, {h.cognition._value_}]" for h in self.humans])
+        robots = ", ".join([f"{r.id}: [{fmt_num(r.speed)}, {r.camera_quality._value_}]" for r in self.robots])
+        tasks = ", ".join([
+            f"{t.id}: [({fmt_num(t.location[0])}, {fmt_num(t.location[1])}), {t.difficulty._value_}]"
             for t in self.tasks
-        )
+        ])
         return (
             "Human Attributes: {" + humans + "}",
             "Robot Details: {" + robots + "}",

@@ -578,14 +578,18 @@ def _section_matrix(records: "_Experiences", dim: int) -> np.ndarray:
 def _section_norms(records: "_Experiences", start: int, rows: np.ndarray, dim: int) -> np.ndarray:
     """The (record, section) norms of `rows`, the `_dense_rows` of the
     records from `start` on, or `ValueError` naming the first record with a
-    section of zero norm. They are taken over the dense rows: einsum's order
-    of summation follows the element positions, so a sum over the nonzero
-    squares alone could round otherwise."""
+    section of zero norm or of one whose squares overflow to inf, which
+    would divide to a zero row. They are taken over the dense rows:
+    einsum's order of summation follows the element positions, so a sum
+    over the nonzero squares alone could round otherwise."""
     sections = rows.reshape(len(rows), 3, dim)
     norms = np.sqrt(np.einsum("ijk,ijk->ij", sections, sections))
-    if not norms.all():
-        record_id = records.ids()[start + np.flatnonzero(norms == 0)[0] // 3]
-        raise ValueError(f"experience record {record_id}: zero vectors carry no direction")
+    bad = np.flatnonzero((norms == 0) | ~np.isfinite(norms))
+    if len(bad):
+        record_id = records.ids()[start + bad[0] // 3]
+        norm = norms.reshape(-1)[bad[0]]
+        reason = "zero vectors carry no direction" if norm == 0 else f"cannot score a vector of norm {norm}"
+        raise ValueError(f"experience record {record_id}: {reason}")
     return norms
 
 
@@ -1068,8 +1072,8 @@ class ExperienceDatabase(_Store):
         the section texts and min(k, N), with the section matrix as basis.
         A miss checks the query's dimension before it builds the matrix, and
         raises what embedding and scoring raise, a stored section of zero
-        norm as a `CorruptLogError` naming the store and the record. Only
-        the records returned are built."""
+        or infinite norm as a `CorruptLogError` naming the store and the
+        record. Only the records returned are built."""
         records = self._entries
         k = min(k, len(records))
 
@@ -1081,7 +1085,7 @@ class ExperienceDatabase(_Store):
             if sections is None:
                 try:
                     sections = _section_matrix(records, dim)
-                except ValueError as exc:  # a stored section of zero norm, which load admits
+                except ValueError as exc:  # a stored section of zero or infinite norm, which load admits
                     raise CorruptLogError(f"{self.path}: {exc}") from exc
             rows = _top_rows(records, sections, queries.ravel(), k)
             return sections, tuple(records[row] for row in rows)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
 import math
+import pickle
 import random
 
 import pytest
@@ -25,6 +28,7 @@ from rebel.core import (
     ordered_sum,
     validate_plan,
 )
+from rebel.sim import SimConfig
 from conftest import make_scenario
 
 
@@ -302,6 +306,64 @@ class TestScenarioSerialization:
         with pytest.raises(ValueError, match=r"^task T_0 outside \[0, 2000.0\]\^2$"):
             MissionScenario.parse(wide.render_spf())
         assert MissionScenario.parse(scenario.serialize(), math.inf) == scenario  # the line wins
+
+    def test_of_two_entries_a_member_cannot_take_the_first_is_named(self, scenario):
+        lines = scenario.serialize().splitlines()
+        lines[1] = "Human Attributes: {H_0: [Med, Med], H_1: [Top, Lo], H_2: [Hi, Huge]}"
+        with pytest.raises(ValueError) as info:
+            MissionScenario.parse("\n".join(lines))
+        assert str(info.value) == f'Human Attributes: unknown tier "Top" in entry {echo("H_1: [Top, Lo]")}'
+
+
+class TestDomainEnums:
+    """`Tier` and `Objective` members hash by identity; what that relies on."""
+
+    @pytest.mark.parametrize(
+        "text, tier",
+        [
+            ("Lo", Tier.LOW), ("lo", Tier.LOW), (" lo ", Tier.LOW), ("LOW", Tier.LOW),
+            ("low", Tier.LOW), ("\tLow\n", Tier.LOW), ("LO", Tier.LOW),
+            ("Med", Tier.MED), ("med", Tier.MED), (" Med", Tier.MED), ("MEDIUM", Tier.MED),
+            ("medium", Tier.MED), ("Medium ", Tier.MED),
+            ("Hi", Tier.HIGH), ("hi", Tier.HIGH), ("Hi ", Tier.HIGH), ("HIGH", Tier.HIGH),
+            ("high", Tier.HIGH), (" High\t", Tier.HIGH),
+        ],
+    )
+    def test_every_spelling_parse_accepts_gives_the_member(self, text, tier):
+        assert Tier.parse(text) is tier
+
+    @pytest.mark.parametrize("text", ["", " ", "L", "Huge", "lowest", "Med ium", "Hi!", "0", "Tier.LOW", "LOW_"])
+    def test_an_unknown_spelling_keeps_its_message(self, text):
+        with pytest.raises(ValueError) as info:
+            Tier.parse(text)
+        assert str(info.value) == f"unknown tier {echo(text)}"
+
+    def test_rank_and_axis(self):
+        assert [tier.rank for tier in (Tier.LOW, Tier.MED, Tier.HIGH)] == [0, 1, 2]
+        assert [tier.axis for tier in (Tier.LOW, Tier.MED, Tier.HIGH)] == [-1.0, 0.0, 1.0]
+        assert all(type(tier.axis) is float for tier in Tier)
+        assert [tier.value for tier in Tier] == ["Lo", "Med", "Hi"]
+        assert [o.short for o in Objective] == ["TP", "MT", "HW"]
+
+    def test_a_copied_or_unpickled_member_is_the_same_member(self):
+        for member in (*Tier, *Objective):
+            copies = [copy.copy(member), copy.deepcopy(member)] + [
+                pickle.loads(pickle.dumps(member, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for other in copies:
+                assert other is member
+                assert hash(other) == hash(member) == object.__hash__(member)
+                assert {member: 1}[other] == 1
+
+    def test_a_tier_map_read_by_load_looks_up_by_member(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"analysis_service_s": {" hi ": 61.5, "LOW": 19, "Medium": 40.25}}))
+        service = SimConfig.load(path).analysis_service_s
+        assert list(service) == [Tier.HIGH, Tier.LOW, Tier.MED]  # in the file's order
+        for text, seconds in (("Hi", 61.5), ("Lo", 19.0), ("Med", 40.25)):
+            assert service[Tier.parse(text)] == seconds
+        parsed = MissionScenario.parse("Human Attributes: {}\nRobot Details: {}\nTask Info: {T_0: [(1, 2), Hi]}")
+        assert service[parsed.tasks[0].difficulty] == 61.5
 
 
 class TestScenarioTextCache:

@@ -1361,6 +1361,28 @@ class TestSectionMatrix:
                 base, PreferenceVector.single(Objective.MISSION_TIME), db, k=1, m=1, embedder=embedder
             )
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_a_stored_section_whose_squares_overflow_is_a_corrupt_log(self, tmp_path, k):
+        # every element is finite, so the log admits it; its norm is inf,
+        # which would divide to a zero row and screen as one
+        embedder = HashedEmbedder(dim=16)
+        path = tmp_path / "exp.jsonl"
+        db = ExperienceDatabase(path)
+        scenarios = [random_scenario(2, 3, 4, seed=seed) for seed in range(4)]
+        prefs = PreferenceVector.single(Objective.MISSION_TIME)
+        for index, scenario in enumerate(scenarios):
+            humans, robots, tasks = embed_scenario_sections(scenario, embedder)
+            if index == 1:
+                humans = tuple(1e200 * x for x in humans)
+            db.store(
+                Objective.MISSION_TIME, scenario, heuristic_allocate(scenario, prefs),
+                PerformanceRecord(1, 2, 0.3), (humans, robots, tasks),
+            )
+        for store in (db, ExperienceDatabase(path)):
+            with pytest.raises(CorruptLogError) as info:
+                retrieve_experiences(scenarios[1], prefs, store, k=k, m=1, embedder=embedder)
+            assert str(info.value) == f"{path}: experience record 1: cannot score a vector of norm inf"
+
     def test_query_dimension_mismatch_is_error(self):
         db, base = toy_experience_db(HashedEmbedder(dim=64))
         with pytest.raises(ValueError, match="dimension"):
@@ -1488,6 +1510,26 @@ def _stored(db, sections):
     return db.store(Objective.MISSION_TIME, scenario, plan, PerformanceRecord(5, 100, 0.1), sections)
 
 
+@st.composite
+def _section_rows(draw, elements):
+    """1-40 rows (past the first block of 32) of three sections of one
+    length, 1-300, as an (n, 3, dim) float64 array, drawn as `_sections`
+    draws a row: a row's sections are dense or mostly 0.0, each filled with
+    a value of its own, with elements drawn over the fill, and in one row of
+    four one section is all 0.0 or all -0.0. Each of those choices, and the
+    elements drawn over every fill, is one `arrays` draw for all rows."""
+    dim, count = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    dense = draw(arrays(bool, (count, 1)))
+    fills = np.where(dense, draw(arrays(np.float64, (count, 3), elements=elements)), 0.0)
+    drawn = draw(arrays(np.float64, (count, 3, dim), elements=elements, fill=st.just(math.nan)))
+    values = np.where(np.isnan(drawn), fills[:, :, None], drawn)
+    zeroed = draw(arrays(np.int8, count, elements=st.integers(0, 3)))
+    signs = draw(arrays(bool, count))
+    for row in np.flatnonzero(zeroed < 3):
+        values[row, zeroed[row]] = -0.0 if signs[row] else 0.0
+    return values
+
+
 class TestPackedEmbeddings:
     """Records hold their three section embeddings as a nonzero bitmap and
     the nonzero float64 values; the sections, the log and the section matrix
@@ -1516,17 +1558,15 @@ class TestPackedEmbeddings:
         assert len(record.embedding) == 4 + math.ceil(3 * dim / 8) + 8 * nonzero
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_sparse_rows_decode_to_the_reference_matrix(self, data):
-        first = data.draw(_sections(_SCALED_ELEMENTS))
-        dim = len(first[0])
-        # up to 40 rows: past the first block of 32
-        rows = [first] + data.draw(st.lists(_sections(_SCALED_ELEMENTS, st.just(dim)), max_size=39))
+    @given(values=_section_rows(_SCALED_ELEMENTS))
+    def test_sparse_rows_decode_to_the_reference_matrix(self, values):
+        rows = values.tolist()
+        dim = values.shape[2]
         db = ExperienceDatabase()
         for sections in rows:
-            _stored(db, sections)
+            _stored(db, tuple(map(tuple, sections)))
         records = db._entries
-        vectors = np.array([vec for row in rows for vec in row])
+        vectors = values.reshape(-1, dim)
         zero = np.flatnonzero(np.einsum("ij,ij->i", vectors, vectors) == 0)
         if len(zero):
             with pytest.raises(ValueError, match=rf"^experience record {zero[0] // 3}: zero vectors"):
@@ -2511,12 +2551,12 @@ def _crafted_body(body: bytes, fault: str) -> bytes:
 _ANY_TEXT = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr), max_size=5)
 _STORED_SCENARIO = st.just(_SCENARIO_TEXT) | _ANY_TEXT
 _STORED_PLAN = st.just(_PLAN_TEXT) | _ANY_TEXT
-_SNAPSHOT_SECTIONS = {
-    dim: st.lists(
-        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324]),
-        min_size=dim, max_size=dim,
-    )
-    for dim in (1, 2, 3)
+_SNAPSHOT_ELEMENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324])
+_SNAPSHOT_SECTIONS = {dim: st.lists(_SNAPSHOT_ELEMENT, min_size=dim, max_size=dim) for dim in (1, 2, 3)}
+# per dim, the three sections of each of up to seven records as one draw,
+# most elements one fill value
+_SNAPSHOT_SECTION_BLOCKS = {
+    dim: arrays(np.float64, (7, 3, dim), elements=_SNAPSHOT_ELEMENT, fill=_SNAPSHOT_ELEMENT) for dim in (1, 2, 3)
 }
 _PERFORMANCE_VALUE = st.floats(0, 1e6) | st.sampled_from([-0.0, 5e-324])
 _UTILIZATION = st.floats(0, 1)
@@ -2527,17 +2567,17 @@ _TAILS = st.sampled_from(["none", "torn", "unterminated", "blank", "a_reused_id"
 _SNAPSHOT_FAULTS = st.sampled_from(["none", "deleted", "truncated", "flipped", "a_directory", "stale"])
 
 
-def _experience_payload(draw, record_id: int, dim: int) -> dict:
-    """One experience-log line's payload at `dim`, drawn with `draw`; its
-    scenario and plan texts need not decode, as a load admits them
-    undecoded."""
-    section = _SNAPSHOT_SECTIONS[dim]
+def _experience_payload(draw, record_id: int, sections: list) -> dict:
+    """One experience-log line's payload with the three `sections`, its
+    other fields drawn with `draw`; its scenario and plan texts need not
+    decode, as a load admits them undecoded."""
+    humans, robots, tasks = sections
     performance = PerformanceRecord(draw(_PERFORMANCE_VALUE), draw(_PERFORMANCE_VALUE), draw(_UTILIZATION))
     return {
         "kind": "experience", "id": record_id, "objective": draw(_OBJECTIVE_CODE),
         "scenario": draw(_STORED_SCENARIO), "plan": draw(_STORED_PLAN),
         "performance": performance.serialize(),
-        "emb_humans": draw(section), "emb_robots": draw(section), "emb_tasks": draw(section),
+        "emb_humans": humans, "emb_robots": robots, "emb_tasks": tasks,
         "fallback": draw(st.booleans()),
     }
 
@@ -2549,7 +2589,9 @@ def _snapshot_cases(draw):
     byte mask). In one draw of eight a record cannot be snapshotted: its
     scenario is a number, or its id lies past int64."""
     dim = draw(st.integers(1, 3))
-    payloads = [_experience_payload(draw, record_id, dim) for record_id in draw(_RECORD_IDS)]
+    ids = draw(_RECORD_IDS)
+    sections = draw(_SNAPSHOT_SECTION_BLOCKS[dim]).tolist()
+    payloads = [_experience_payload(draw, record_id, rows) for record_id, rows in zip(ids, sections)]
     spoiler = draw(_SPOILERS)
     if payloads and spoiler == "scenario":
         payloads[-1]["scenario"] = 7
