@@ -3,9 +3,10 @@ optimum for desk-scale instances, team composition changes, and the
 single/multi-objective and situational-awareness experiment drivers.
 
 Because absolute metric values depend on configurable model constants, the
-harness's primary reproducible outputs are relative orderings (Welch tests),
+harness's primary reproducible outputs are relative orderings of the methods,
 normalized preference-alignment tables, and invariant checks; absolute means
-are still logged for calibration.
+are still logged for calibration. `welch_test` compares two samples for a
+caller; no report holds one.
 """
 
 from __future__ import annotations

@@ -39,8 +39,12 @@ ECHO_CHARS = 64
 
 def echo(value) -> str:
     """`value` as JSON (its repr where JSON has no form for it) for an error
-    message, cut after `ECHO_CHARS` characters with `…`."""
-    text = json.dumps(value, default=repr)
+    message, cut (`clip`)."""
+    return clip(json.dumps(value, default=repr))
+
+
+def clip(text: str) -> str:
+    """`text`, cut after `ECHO_CHARS` characters with `…`."""
     return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 1] + "…"
 
 
@@ -311,7 +315,11 @@ class MissionScenario:
         for line in text.splitlines():
             stripped = line.strip()
             if stripped.startswith("Arena Side:"):
-                arena = float(stripped.split(":", 1)[1].strip())
+                value = stripped.split(":", 1)[1].strip()
+                try:
+                    arena = float(value)
+                except ValueError:
+                    raise ValueError(f"Arena Side {echo(value)} is not a number") from None
             elif stripped.startswith("Human Attributes:"):
                 human_line = stripped
             elif stripped.startswith("Robot Details:"):

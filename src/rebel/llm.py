@@ -4,6 +4,7 @@ deterministic stub, transcript recording, and the greedy fallback allocator.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -293,6 +294,12 @@ class StubProvider:
         raise Unavailable("stub provider does not understand this prompt")
 
 
+@functools.cache
+def _default_sim_config() -> SimConfig:
+    """`SimConfig()`, built on the first call and shared by every later one."""
+    return SimConfig()
+
+
 def heuristic_allocate(
     scenario: MissionScenario, prefs: PreferenceVector, cfg: SimConfig | None = None
 ) -> ItaPlan:
@@ -315,7 +322,7 @@ def heuristic_allocate(
     if not scenario.robots:
         raise ValueError("cannot allocate: scenario has no robots")
 
-    cfg = SimConfig() if cfg is None else cfg
+    cfg = _default_sim_config() if cfg is None else cfg
     robots = scenario.robots
     # route state per robot, indexed as `robots`
     route_end = [(0.0, 0.0)] * len(robots)

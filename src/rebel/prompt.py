@@ -19,6 +19,7 @@ from .core import (
     MissionScenario,
     Objective,
     PreferenceVector,
+    clip,
     fmt_num,
     validate_plan,
 )
@@ -58,10 +59,14 @@ class ParseFailure(Exception):
 
 
 class PlanInvalid(Exception):
-    """Assignment lines parsed but the plan fails validation."""
+    """Assignment lines parsed but the plan fails validation. The message
+    joins the first five violations, each cut (`clip`), and says how many
+    more there are; `violations` holds them all."""
 
     def __init__(self, violations: tuple[str, ...]):
-        super().__init__("; ".join(violations))
+        shown = [clip(violation) for violation in violations[:5]]
+        more = len(violations) - len(shown)
+        super().__init__("; ".join(shown) + (f" (and {more} more)" if more else ""))
         self.violations = violations
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import mmap
 import operator
 import re
 import struct
@@ -534,10 +533,6 @@ def _is_sparse(nonzero: int, size: int) -> bool:
 # expanded to float64 (192 KiB at dim 256) to take its section norms.
 _BLOCK_ROWS = 32
 
-# Private pages, mapped in by the map call itself: far fewer page faults
-# than first writes to a shared map take.
-_MATRIX_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-
 
 def _section_matrix(records: "_Experiences", dim: int) -> np.ndarray:
     """Row i: record i's human, robot and task embeddings (at `dim`), each
@@ -550,16 +545,11 @@ def _section_matrix(records: "_Experiences", dim: int) -> np.ndarray:
     only the columns where it is nonzero, and gathering a column is then
     one contiguous copy of N floats. Of a sparse block (`_is_sparse`, as
     hashed embeddings are) only the nonzero elements are scaled and written
-    at those strided places, as the map's pages start zeroed; a dense block
-    is written as one transposed slab, twice as fast for it.
-
-    The matrix lives in an anonymous map of its own, so dropping it returns
-    its pages at once. A heap block would stay resident, and the next store
-    loaded would split it, so the next matrix would need new pages on top.
+    at those strided places, as the matrix starts zeroed; a dense block is
+    written as one transposed slab, twice as fast for it.
     """
     count, width = len(records), 3 * dim
-    pages = mmap.mmap(-1, max(4 * count * width, 1), flags=_MATRIX_MAP_FLAGS)  # a map cannot be empty
-    matrix = np.frombuffer(pages, np.float32, count * width)
+    matrix = np.zeros(count * width, np.float32)
     columns = matrix.reshape(width, count)
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
@@ -925,14 +915,12 @@ class _Experiences(Sequence):
     (`ExperienceRecord`), built from its row on the first read and kept for
     every instance; two readers racing on one row build it twice, and
     `dict.setdefault` hands both the first kept. `encodings`, `ids` and
-    `keys` read columns without building a record, and `whole` builds every
-    record once."""
+    `keys` read columns without building a record."""
 
     def __init__(self, columns: tuple[list, ...] | None = None, built: dict | None = None, length=None):
         self._columns = columns or tuple([] for _ in range(9))
         self._length = len(self._columns[0]) if length is None else length
         self._built: dict[int, ExperienceRecord] = {} if built is None else built
-        self._whole: list[tuple[ExperienceRecord, ...]] = []
 
     def __len__(self) -> int:
         return self._length
@@ -964,13 +952,6 @@ class _Experiences(Sequence):
 
     def ids(self) -> list[int]:
         return self._columns[0][: self._length]
-
-    def whole(self) -> tuple[ExperienceRecord, ...]:
-        """Every record as one tuple, built on the first call and kept;
-        callers racing that call all get the one kept first."""
-        if not self._whole:
-            self._whole.append(tuple(self))
-        return self._whole[0]
 
     def plus(self, row: tuple) -> "_Experiences":
         """These rows and then `row` (`_experience_row`), appended to the
@@ -1061,7 +1042,7 @@ class ExperienceDatabase(_Store):
         return self._dedup_keys
 
     def records(self) -> tuple[ExperienceRecord, ...]:
-        return self._entries.whole()
+        return tuple(self._entries)
 
     def contains(self, objective: Objective, scenario: MissionScenario, plan: ItaPlan) -> bool:
         return (objective, scenario.serialize(), plan.render()) in self._dedup
@@ -1121,11 +1102,7 @@ class ExperienceDatabase(_Store):
             line = self._log.line(payload, f"experience record {row[0]}")
             self._next_id += 1
             self._log.append(line)
-            entries = self._entries.plus(row)
-            record = entries[-1]
-            # the plan's decode cache; the scenario, which would hold its text
-            # a second time, is parsed from `scenario_text` on first read
-            vars(record)["plan"] = plan
-            self._entries = entries
+            self._entries = self._entries.plus(row)
+            record = self._entries[-1]
             dedup.add((record.objective, record.scenario_text, record.plan_text))
             return record

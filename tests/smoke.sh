@@ -44,7 +44,10 @@
 # key 10,000 characters long must stay short, since an echoed value is cut;
 # so must (exit 2, exactly one error line under 1 KB) a spec preferences key,
 # a scenario tier word under `rebel simulate` and `rebel infer`, and a sim
-# config tier-map key padded with spaces, each 10,000 characters long, and
+# config tier-map key padded with spaces, each 10,000 characters long, an
+# `Arena Side:` value of 3,000 digits and an x under `rebel infer`, a
+# `rebel simulate` plan of 200 lines for tasks the scenario lacks, and a
+# whole plan plus a task id 5,000 characters long, and
 # an experience-store line whose performance, id or scenario, or a rules-log
 # line whose id, is 10,000 characters long, under `rebel infer`; so must
 # (naming its line) an experience-store line whose performance carries junk
@@ -245,7 +248,13 @@ must_fail long-objective-bench 2 rebel bench --spec "$d/long-objective.json" --o
 must_fail long-tier-simulate 2 rebel simulate --scenario "$d/long-tier.txt" --plan "$d/plan.txt"
 must_fail long-tier-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/long-tier.txt" --prefs MT
 must_fail padded-tier-key-sim-config 2 rebel simulate --scenario "$d/scenario.txt" --plan "$d/plan.txt" --sim-config "$d/padded-tier-key-sim.json"
-for name in long-objective-bench long-tier-simulate long-tier-infer padded-tier-key-sim-config; do
+python -c 'print("Arena Side: " + "1" * 3000 + "x\nHuman Attributes: {}\nRobot Details: {}\nTask Info: {}")' > "$d/long-arena.txt"
+python -c 'print("\n".join(f"T_{i}: (UAV_0)" for i in range(100, 300)))' > "$d/many-unknown-tasks.txt"
+{ cat "$d/plan.txt"; python -c 'print("T_" + "x" * 4998 + ": (UAV_0)")'; } > "$d/long-task-id.txt"
+must_fail long-arena-infer 2 rebel infer --rules-db "$d/rules.jsonl" --exp-db "$d/exp.jsonl" --scenario "$d/long-arena.txt" --prefs MT
+must_fail many-unknown-tasks-simulate 2 rebel simulate --scenario "$d/scenario.txt" --plan "$d/many-unknown-tasks.txt"
+must_fail long-task-id-simulate 2 rebel simulate --scenario "$d/scenario.txt" --plan "$d/long-task-id.txt"
+for name in long-objective-bench long-tier-simulate long-tier-infer padded-tier-key-sim-config long-arena-infer many-unknown-tasks-simulate long-task-id-simulate; do
   if [ "$(grep -c "^error: " "$d/$name.err")" -ne 1 ]; then echo "$name must print exactly one error line"; exit 1; fi
   if [ "$(wc -c < "$d/$name.err")" -ge 1024 ]; then echo "$name must echo its name cut short"; exit 1; fi
 done

@@ -295,6 +295,13 @@ class TestScenarioSerialization:
         with pytest.raises(ValueError, match=r"^arena side must be > 0, got"):
             MissionScenario.parse(f"Arena Side: {side}\nHuman Attributes: {{}}\nRobot Details: {{}}\nTask Info: {{}}")
 
+    @pytest.mark.parametrize("side", ["abc", "1" * 3000 + "x"], ids=["word", "3000_digits"])
+    def test_an_arena_side_that_is_not_a_number_is_named_short(self, side):
+        with pytest.raises(ValueError) as info:
+            MissionScenario.parse(f"Arena Side: {side}\nHuman Attributes: {{}}\nRobot Details: {{}}\nTask Info: {{}}")
+        assert str(info.value) == f"Arena Side {echo(side)} is not a number"
+        assert len(str(info.value)) < 1024
+
     def test_an_infinite_arena_is_unbounded_and_round_trips(self):
         scenario = make_scenario(tasks=(("T_0", (1e300, 0.0), Tier.LOW),), arena_side=math.inf)
         assert scenario.serialize().startswith("Arena Side: inf\n")

@@ -649,6 +649,28 @@ class TestHeuristicAllocate:
         prefs = PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33)
         assert heuristic_allocate(scenario, prefs) == heuristic_allocate(scenario, prefs)
 
+    def test_no_config_plans_under_one_default_config(self, monkeypatch):
+        scenario = random_scenario(3, 4, 12, seed=7)
+        branches = (  # dominant mission time, dominant task performance, mixed
+            PreferenceVector.single(Objective.MISSION_TIME),
+            PreferenceVector.single(Objective.TASK_PERFORMANCE),
+            PreferenceVector.of(TP=0.34, MT=0.33, HW=0.33),
+        )
+        built = []
+        init = SimConfig.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimConfig, "__init__", counting)
+        StubProvider()
+        assert built == []
+        plans = [heuristic_allocate(scenario, prefs) for prefs in branches for _ in range(2)]
+        assert len(built) <= 1  # none when an earlier call built it
+        monkeypatch.undo()
+        assert plans == [heuristic_allocate(scenario, prefs, SimConfig()) for prefs in branches for _ in range(2)]
+
     def test_no_robots_is_error(self):
         scenario = make_scenario(robots=(), tasks=())
         with pytest.raises(ValueError):

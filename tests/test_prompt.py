@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rebel.bench import random_scenario
 from rebel.core import (
+    ECHO_CHARS,
     Assignment,
     ItaPlan,
     Objective,
@@ -169,6 +170,26 @@ class TestParseItaPlan:
     def test_missing_task_becomes_plan_invalid(self, scenario):
         with pytest.raises(PlanInvalid):
             parse_ita_plan("T_0: (UAV_0)", scenario)
+
+    def test_the_message_names_the_first_of_many_violations(self, scenario):
+        text = "\n".join(f"T_{i}: (UAV_0)" for i in range(100, 300))
+        with pytest.raises(PlanInvalid) as exc_info:
+            parse_ita_plan(text, scenario)
+        violations = exc_info.value.violations
+        assert {f"unknown task T_{i}" for i in range(100, 300)} <= set(violations)
+        shown = "; ".join(violations[:5])
+        assert shown.startswith("T_0 unassigned; T_1 unassigned; unknown task T_100; ")
+        assert str(exc_info.value) == f"{shown} (and {len(violations) - 5} more)"
+        assert len(str(exc_info.value)) < 1024
+
+    def test_the_message_cuts_a_long_violation(self, scenario):
+        task_id = "T_" + "x" * 4998
+        with pytest.raises(PlanInvalid) as exc_info:
+            parse_ita_plan(f"T_0: (UAV_0)\nT_1: (UGV_0)\n{task_id}: (UAV_0)", scenario)
+        assert exc_info.value.violations == (f"unknown task {task_id}",)
+        message = str(exc_info.value)
+        assert message == f"unknown task {task_id}"[: ECHO_CHARS - 1] + "…"
+        assert len(message) < 1024
 
     def test_line_order_irrelevant(self, scenario):
         forward = parse_ita_plan("T_0: (UAV_0)\nT_1: (H_0, UGV_0)", scenario)
